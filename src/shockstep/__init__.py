@@ -7,21 +7,19 @@ retiles the time axis between mesh levels.
 
 from .adaptivity import (AdaptationConfig, AdaptationPlan, LevelReport,
                          PlanStats, SpeedProfile, adaptive_loop, assign_modes,
-                         propose_timesteps, speed_for_basis,
+                         propose_timesteps, solve_level, speed_for_basis,
                          tolerance_schedule)
 from .dual import (CoefficientField, DualGradientTrajectory,
-                   build_coefficient_field, dual_flux, sample_w,
-                   solve_dual_gradient)
-from .estimator import (ErrorBreakdown, assemble_breakdown, cell_space_error,
-                        cell_time_error, efficiency_index,
+                   build_coefficient_field, solve_dual_gradient)
+from .estimator import (ErrorBreakdown, assemble_breakdown, efficiency_index,
                         evaluate_functional, reference_functional,
                         weight_cell_integrals)
 from .forward import (BURGERS, BurgersFlux, LinearFlux, NewtonStats,
                       NonConvergence, SolverFailure, ForwardTrajectory,
                       eo_flux, explicit_step, implicit_step, interface_fluxes,
-                      max_wave_speed, run_forward)
+                      run_forward, update_fluxes)
 from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
-                   build_spatial_grid, cfl_of_step, uniform_partition)
+                   build_spatial_grid, uniform_partition)
 from .testcase import (CharacteristicsReport, PerturbedShockCase,
                        validate_characteristics)
 
@@ -30,17 +28,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptationConfig", "AdaptationPlan", "LevelReport", "PlanStats",
     "SpeedProfile", "adaptive_loop", "assign_modes", "propose_timesteps",
-    "speed_for_basis", "tolerance_schedule",
+    "solve_level", "speed_for_basis", "tolerance_schedule",
     "CoefficientField", "DualGradientTrajectory", "build_coefficient_field",
-    "dual_flux", "sample_w", "solve_dual_gradient",
-    "ErrorBreakdown", "assemble_breakdown", "cell_space_error",
-    "cell_time_error", "efficiency_index", "evaluate_functional",
-    "reference_functional", "weight_cell_integrals",
+    "solve_dual_gradient",
+    "ErrorBreakdown", "assemble_breakdown", "efficiency_index",
+    "evaluate_functional", "reference_functional", "weight_cell_integrals",
     "BURGERS", "BurgersFlux", "LinearFlux", "NewtonStats", "NonConvergence",
     "SolverFailure", "ForwardTrajectory", "eo_flux", "explicit_step",
-    "implicit_step", "interface_fluxes", "max_wave_speed", "run_forward",
+    "implicit_step", "interface_fluxes", "run_forward", "update_fluxes",
     "EXPLICIT", "IMPLICIT", "SpatialGrid", "TimePartition",
-    "build_spatial_grid", "cfl_of_step", "uniform_partition",
+    "build_spatial_grid", "uniform_partition",
     "CharacteristicsReport", "PerturbedShockCase", "validate_characteristics",
     "__version__",
 ]

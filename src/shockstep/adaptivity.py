@@ -248,18 +248,19 @@ class LevelReport:
     plan: Optional[AdaptationPlan] = None
 
 
-def _realized_cfl(traj: ForwardTrajectory, case) -> np.ndarray:
-    profile = SpeedProfile.from_trajectory(traj, case)
-    return traj.partition.steps * profile.values / traj.grid.h
-
-
-def _report_for(level: int, grid: SpatialGrid, partition: TimePartition,
+def solve_level(level: int, grid: SpatialGrid, partition: TimePartition,
                 case, dual_cfl: float, tol_k=None, plan=None) -> LevelReport:
+    """Forward solve, dual gradient and error breakdown on one partition.
+
+    The realized CFL series comes from the finished trajectory's speed
+    profile; runs without a plan take their statistics from it.
+    """
     traj = run_forward(grid, partition, case)
     coeff = build_coefficient_field(traj)
     dual = solve_dual_gradient(coeff, case, dual_cfl)
     br = assemble_breakdown(traj, coeff, dual, case)
-    cfl = _realized_cfl(traj, case)
+    profile = SpeedProfile.from_trajectory(traj, case)
+    cfl = partition.steps * profile.values / grid.h
     n_exp = int(np.sum(partition.modes == EXPLICIT))
     stats = plan.stats if plan is not None else PlanStats(
         N=partition.interval_count, N_explicit=n_exp,
@@ -304,7 +305,7 @@ def adaptive_loop(case, cfg: AdaptationConfig, levels: Sequence[int],
                 speed = speed_for_basis(case, grid, speed_basis)
                 part = uniform_partition(case.T, cfg.cfl_explicit * grid.h / speed,
                                          EXPLICIT)
-                rep = _report_for(level, grid, part, case, dual_cfl)
+                rep = solve_level(level, grid, part, case, dual_cfl)
         else:
             prev = reports[-1]
             tol = tolerance_schedule(rule, priors, factor=factors[idx - 1],
@@ -315,7 +316,7 @@ def adaptive_loop(case, cfg: AdaptationConfig, levels: Sequence[int],
                                     local)
             profile = SpeedProfile.from_trajectory(prev.trajectory, case)
             plan = assign_modes(raw, profile, local, grid.h, strategy)
-            rep = _report_for(level, grid, plan.partition, case, dual_cfl,
+            rep = solve_level(level, grid, plan.partition, case, dual_cfl,
                               tol_k=tol, plan=plan)
         reports.append(rep)
         priors.append(rep.breakdown.eta_k_bar)

@@ -10,13 +10,15 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .adaptivity import (AdaptationConfig, LevelReport, adaptive_loop,
-                         speed_for_basis)
-from .dual import build_coefficient_field, solve_dual_gradient
-from .estimator import assemble_breakdown, efficiency_index, reference_functional
-from .forward import SolverFailure, run_forward
+                         solve_level, speed_for_basis)
+# run_forward, build_coefficient_field, solve_dual_gradient and
+# assemble_breakdown are unused here: bench/run.py --trace 1 patches them
+# in this namespace.
+from .dual import build_coefficient_field, solve_dual_gradient  # noqa: F401
+from .estimator import (assemble_breakdown,  # noqa: F401
+                        efficiency_index, reference_functional)
+from .forward import SolverFailure, run_forward  # noqa: F401
 from .grid import EXPLICIT, IMPLICIT, build_spatial_grid, uniform_partition
 from .testcase import PerturbedShockCase, validate_characteristics
 
@@ -149,6 +151,19 @@ def _build_case(cfg: dict) -> PerturbedShockCase:
     return PerturbedShockCase(perturbation_scale=cfg["perturbation_scale"])
 
 
+def _solvable_case(cfg: dict) -> PerturbedShockCase:
+    """The configured case, refused before any solve when its inflow fails
+    the characteristic check: the supersonic-inflow boundary treatment
+    would not hold and the numbers would only look plausible."""
+    case = _build_case(cfg)
+    rep = validate_characteristics(case)
+    if not rep.ok:
+        raise SolverFailure(
+            f"invalid case: min_inflow_value = {rep.min_inflow_value:.12f}, "
+            f"monotone_departure = {rep.monotone_departure} (see validate-case)")
+    return case
+
+
 def _ensure_outdir(cfg: dict) -> str:
     out = cfg["out_dir"]
     try:
@@ -163,18 +178,7 @@ def _uniform_report(case, cfg: dict, level: int) -> LevelReport:
     speed = speed_for_basis(case, grid, cfg["speed_basis"])
     mode = EXPLICIT if cfg["mode"] == "explicit" else IMPLICIT
     part = uniform_partition(case.T, cfg["cfl"] * grid.h / speed, mode)
-    traj = run_forward(grid, part, case)
-    coeff = build_coefficient_field(traj)
-    dual = solve_dual_gradient(coeff, case, cfg["dual_cfl"])
-    br = assemble_breakdown(traj, coeff, dual, case)
-    from .adaptivity import PlanStats, _realized_cfl
-    cfl = _realized_cfl(traj, case)
-    n_exp = int(np.sum(part.modes == EXPLICIT))
-    stats = PlanStats(N=part.interval_count, N_explicit=n_exp,
-                      N_implicit=part.interval_count - n_exp,
-                      cfl_min=float(np.min(cfl)), cfl_max=float(np.max(cfl)))
-    return LevelReport(level=level, grid=grid, partition=part, trajectory=traj,
-                       breakdown=br, stats=stats, cfl_series=cfl)
+    return solve_level(level, grid, part, case, cfg["dual_cfl"])
 
 
 def _summary_row(report: LevelReport, theta: float, adaptive: bool):
@@ -193,8 +197,8 @@ def run_uniform(cfg: dict) -> int:
     if cfg["dry_run"]:
         _echo_config(cfg)
         return 0
+    case = _solvable_case(cfg)
     out = _ensure_outdir(cfg)
-    case = _build_case(cfg)
     levels = cfg["levels"] if cfg["levels"] is not None else [cfg["level"]]
     if not levels:
         raise ConfigError("empty level list")
@@ -214,8 +218,7 @@ def run_uniform(cfg: dict) -> int:
     return 0
 
 
-def _adaptive_reports(cfg: dict, honor_tol_total: bool):
-    case = _build_case(cfg)
+def _adaptive_reports(cfg: dict, case, honor_tol_total: bool) -> list:
     levels = cfg["levels"]
     if not levels:
         raise ConfigError("adaptive runs need a levels schedule")
@@ -235,7 +238,7 @@ def _adaptive_reports(cfg: dict, honor_tol_total: bool):
                                 dual_cfl=cfg["dual_cfl"])
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    return case, reports
+    return reports
 
 
 def _write_adaptive(cfg: dict, case, reports) -> int:
@@ -261,7 +264,8 @@ def run_adaptive(cfg: dict) -> int:
     if cfg["dry_run"]:
         _echo_config(cfg)
         return 0
-    case, reports = _adaptive_reports(cfg, honor_tol_total=False)
+    case = _solvable_case(cfg)
+    reports = _adaptive_reports(cfg, case, honor_tol_total=False)
     return _write_adaptive(cfg, case, reports)
 
 
@@ -269,7 +273,8 @@ def run_loop(cfg: dict) -> int:
     if cfg["dry_run"]:
         _echo_config(cfg)
         return 0
-    case, reports = _adaptive_reports(cfg, honor_tol_total=True)
+    case = _solvable_case(cfg)
+    reports = _adaptive_reports(cfg, case, honor_tol_total=True)
     return _write_adaptive(cfg, case, reports)
 
 
@@ -289,13 +294,13 @@ def emit_plots(cfg: dict) -> int:
     if cfg["dry_run"]:
         _echo_config(cfg)
         return 0
+    case = _solvable_case(cfg)
     out = _ensure_outdir(cfg)
     if cfg["experiment"] == "uniform":
-        case = _build_case(cfg)
         levels = cfg["levels"] if cfg["levels"] is not None else [cfg["level"]]
         reports = [_uniform_report(case, cfg, level) for level in levels]
     else:
-        _, reports = _adaptive_reports(cfg, honor_tol_total=False)
+        reports = _adaptive_reports(cfg, case, honor_tol_total=False)
     for i, rep in enumerate(reports):
         emit_plot_data(rep, out, i)
     return 0

@@ -46,17 +46,6 @@ def build_coefficient_field(traj: ForwardTrajectory) -> CoefficientField:
                             a_values=np.array(a, dtype=float))
 
 
-def dual_flux(aL, aR, wL, wR):
-    """Upwind interface flux for g(w) = -a*w with arithmetic-mean coefficient.
-
-    The backward-time characteristic speed is -a_half, so positive a_half
-    draws from the right neighbor.
-    """
-    a_half = 0.5 * (np.asarray(aL, dtype=float) + np.asarray(aR, dtype=float))
-    out = -(np.maximum(a_half, 0.0) * wR + np.minimum(a_half, 0.0) * wL)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def solve_dual_gradient(coeff: CoefficientField, case,
                         dual_cfl: float = DUAL_CFL,
                         record_substeps: bool = False) -> DualGradientTrajectory:
@@ -119,10 +108,3 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     return DualGradientTrajectory(grid=grid, partition=part, w_samples=samples,
                                   substep_log=log,
                                   max_mass_residual=max_resid if record_substeps else None)
-
-
-def sample_w(dual: DualGradientTrajectory, j: int, n: int) -> float:
-    N, J = dual.w_samples.shape
-    if not (0 <= j < J and 0 <= n < N):
-        raise IndexError(f"(j={j}, n={n}) outside ({J} cells, {N} intervals)")
-    return float(dual.w_samples[n, j])

@@ -55,26 +55,6 @@ def evaluate_functional(traj: ForwardTrajectory, case) -> float:
     return float(np.sum(k * (traj.states[1:] @ W)))
 
 
-def cell_time_error(j: int, n: int, traj: ForwardTrajectory,
-                    coeff: CoefficientField, dual: DualGradientTrajectory,
-                    case) -> float:
-    k_n = float(traj.partition.steps[n])
-    h = traj.grid.h
-    du = traj.states[n + 1, j] - traj.states[n, j]
-    psi_c = case.weight(traj.grid.centers[j])
-    adj = psi_c - coeff.a_values[n, j] * dual.w_samples[n, j]
-    return -0.5 * k_n * h * du * adj
-
-
-def cell_space_error(j: int, n: int, traj: ForwardTrajectory,
-                     dual: DualGradientTrajectory) -> float:
-    k_n = float(traj.partition.steps[n])
-    h = traj.grid.h
-    F = traj.interface_fluxes
-    f_mid = float(traj.flux.f(traj.states[n + 1, j]))
-    return k_n * 0.5 * h * dual.w_samples[n, j] * (F[n, j + 1] + F[n, j] - 2.0 * f_mid)
-
-
 def assemble_breakdown(traj: ForwardTrajectory, coeff: CoefficientField,
                        dual: DualGradientTrajectory, case) -> ErrorBreakdown:
     grid = traj.grid
@@ -89,7 +69,7 @@ def assemble_breakdown(traj: ForwardTrajectory, coeff: CoefficientField,
     W = dual.w_samples
     A = coeff.a_values
     eta_k_cells = -0.5 * k * h * du * (psi_c - A * W)
-    F = traj.interface_fluxes
+    F = forward.update_fluxes(traj, case)
     f_mid = traj.flux.f(traj.states[1:])
     eta_h_cells = k * 0.5 * h * W * (F[:, 1:] + F[:, :-1] - 2.0 * f_mid)
     k1 = part.steps

@@ -107,19 +107,19 @@ class NewtonStats:
 class ForwardTrajectory:
     grid: SpatialGrid
     partition: TimePartition
-    states: np.ndarray            # (N+1, J) cell averages, row 0 = initial data
-    interface_fluxes: np.ndarray  # (N, J+1) fluxes used by each update
+    states: np.ndarray  # (N+1, J) cell averages, row 0 = initial data
     flux: object
     newton_stats: Optional[list] = None
 
 
-def interface_fluxes(u: np.ndarray, g: float, flux=BURGERS) -> np.ndarray:
+def interface_fluxes(u: np.ndarray, g, flux=BURGERS) -> np.ndarray:
     """All J+1 interface fluxes: inflow splitting against the ghost value g
-    on the left, pure upwind extrapolation f(u_J) on the right."""
-    F = np.empty(u.size + 1)
-    F[1:-1] = flux.interface(u[:-1], u[1:])
-    F[0] = flux.interface(g, u[0])
-    F[-1] = flux.f(u[-1])
+    on the left, pure upwind extrapolation f(u_J) on the right.  Cells run
+    along the last axis; leading axes of u and g broadcast."""
+    F = np.empty(u.shape[:-1] + (u.shape[-1] + 1,))
+    F[..., 1:-1] = flux.interface(u[..., :-1], u[..., 1:])
+    F[..., 0] = flux.interface(g, u[..., 0])
+    F[..., -1] = flux.f(u[..., -1])
     return F
 
 
@@ -174,17 +174,13 @@ def implicit_step(u_old: np.ndarray, k: float, h: float, g: float,
     raise NonConvergence(max_iter, res)
 
 
-def max_wave_speed(state: np.ndarray, bc: float = 0.0) -> float:
-    """Largest |u| over the cells and the inflow ghost value."""
-    return float(max(np.max(np.abs(state)), abs(bc)))
-
-
 def run_forward(grid: SpatialGrid, partition: TimePartition,
                 case) -> ForwardTrajectory:
     """March through all intervals with each interval's tagged mode.
 
-    Boundary data is sampled at the time level the stencil lives on:
-    t_{n-1} for explicit steps, t_n for implicit ones.
+    Interval n runs from t_n to t_{n+1}.  The stencil and the boundary data
+    live on t_n for explicit steps and on t_{n+1} for implicit ones; only
+    the states are kept, `update_fluxes` rebuilds the fluxes.
     """
     flux = case.flux
     times = partition.times
@@ -193,22 +189,32 @@ def run_forward(grid: SpatialGrid, partition: TimePartition,
     g_at = np.atleast_1d(np.asarray(case.inflow_value(times), dtype=float))
     u = np.asarray(case.initial_cell_averages(grid.edges), dtype=float)
     states = np.empty((N + 1, J))
-    fluxes = np.empty((N, J + 1))
     states[0] = u
     stats: list = []
     for n in range(N):
         k = float(times[n + 1] - times[n])
         try:
             if partition.modes[n] == EXPLICIT:
-                u, F = explicit_step(u, k, grid.h, g_at[n], flux)
+                u, _ = explicit_step(u, k, grid.h, g_at[n], flux)
                 stats.append(None)
             else:
-                u, F, st = implicit_step(u, k, grid.h, g_at[n + 1], flux)
+                u, _, st = implicit_step(u, k, grid.h, g_at[n + 1], flux)
                 stats.append(st)
         except SolverFailure as err:
             raise SolverFailure(f"interval {n} (t={times[n]:.6g}): {err}") from err
         states[n + 1] = u
-        fluxes[n] = F
     return ForwardTrajectory(grid=grid, partition=partition, states=states,
-                             interface_fluxes=fluxes, flux=flux,
-                             newton_stats=stats)
+                             flux=flux, newton_stats=stats)
+
+
+def update_fluxes(traj: ForwardTrajectory, case) -> np.ndarray:
+    """The (N, J+1) interface fluxes each update of `run_forward` used.
+
+    Same stencil-time rule as the march: state n and g(t_n) for explicit
+    steps, state n+1 and g(t_{n+1}) for implicit ones.  Same inputs through
+    the same `interface_fluxes`, so the values are bit-identical.
+    """
+    part = traj.partition
+    rows = np.arange(part.interval_count) + (part.modes == IMPLICIT)
+    g = np.atleast_1d(np.asarray(case.inflow_value(part.times), dtype=float))
+    return interface_fluxes(traj.states[rows], g[rows], traj.flux)

@@ -88,11 +88,3 @@ def uniform_partition(T: float, k: float, mode: int = EXPLICIT) -> TimePartition
     times = k * np.arange(N + 1)
     times[-1] = T
     return TimePartition(times=times, modes=np.full(N, mode, dtype=np.int8))
-
-
-def cfl_of_step(k: float, h: float, speed: float) -> float:
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    if speed < 0.0:
-        raise ValueError("speed must be nonnegative")
-    return k * speed / h

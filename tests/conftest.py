@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import shockstep as ss
-from shockstep.adaptivity import LevelReport, PlanStats, SpeedProfile
 
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(5)
 
@@ -16,18 +15,7 @@ def uniform_level_report(case, level, *, base_cells=20, basis="global",
     grid = ss.build_spatial_grid(base_cells, level, case.domain)
     speed = ss.speed_for_basis(case, grid, basis)
     part = ss.uniform_partition(case.T, cfl * grid.h / speed, mode)
-    traj = ss.run_forward(grid, part, case)
-    coeff = ss.build_coefficient_field(traj)
-    dual = ss.solve_dual_gradient(coeff, case, dual_cfl)
-    br = ss.assemble_breakdown(traj, coeff, dual, case)
-    profile = SpeedProfile.from_trajectory(traj, case)
-    series = part.steps * profile.values / grid.h
-    n_exp = int(np.sum(part.modes == ss.EXPLICIT))
-    stats = PlanStats(N=part.interval_count, N_explicit=n_exp,
-                      N_implicit=part.interval_count - n_exp,
-                      cfl_min=float(series.min()), cfl_max=float(series.max()))
-    return LevelReport(level=level, grid=grid, partition=part, trajectory=traj,
-                       breakdown=br, stats=stats, cfl_series=series)
+    return ss.solve_level(level, grid, part, case, dual_cfl)
 
 
 @pytest.fixture(scope="session")

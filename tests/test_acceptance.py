@@ -12,7 +12,7 @@ import pytest
 
 import shockstep as ss
 from shockstep.cli import main as cli_main
-from shockstep.dual import CoefficientField
+from shockstep.dual import DUAL_CFL, CoefficientField
 
 # reference targets for the uniform-refinement study (20..160 cells)
 TARGET_ETA_K = (1.96e-3, 9.81e-4, 4.81e-4, 2.37e-4)
@@ -21,13 +21,6 @@ TARGET_J = (1.72, 1.74, 1.75, 1.75)
 TARGET_ETA_OVER_J = 1.19e-1       # coarse uniform run, combined density
 TARGET_ROW2_RATIO = 1.06e-4       # refined chain, 2^-4 tolerance
 TARGET_ROW3_RATIO = 5.46e-4       # refined chain, fixed tolerance
-
-
-def _family_breakdown(case, grid, part):
-    traj = ss.run_forward(grid, part, case)
-    coeff = ss.build_coefficient_field(traj)
-    dual = ss.solve_dual_gradient(coeff, case)
-    return ss.assemble_breakdown(traj, coeff, dual, case)
 
 
 # ---------------------------------------------------------- criterion 1
@@ -90,7 +83,7 @@ def test_criterion_2_time_refinement_isolates_eta_k(case, base_report):
     eh = [base_report.breakdown.eta_h_bar]
     for L in (1, 2, 3):
         part = ss.uniform_partition(case.T, k0 / 2 ** L)
-        br = _family_breakdown(case, grid, part)
+        br = ss.solve_level(0, grid, part, case, DUAL_CFL).breakdown
         ek.append(br.eta_k_bar)
         eh.append(br.eta_h_bar)
     for coarse, fine in zip(ek[:-1], ek[1:]):
@@ -105,7 +98,7 @@ def test_criterion_2_space_refinement_isolates_eta_h(case, base_report):
     eh = []
     for L in range(4):
         grid = ss.build_spatial_grid(20, L)
-        br = _family_breakdown(case, grid, part)
+        br = ss.solve_level(L, grid, part, case, DUAL_CFL).breakdown
         ek.append(br.eta_k_bar)
         eh.append(br.eta_h_bar)
     for coarse, fine in zip(eh[:-1], eh[1:]):
@@ -245,7 +238,7 @@ def test_criterion_8_linear_problem_exactness(linear_case):
     for L in (0, 1):
         grid = ss.build_spatial_grid(20, L)
         part = ss.uniform_partition(linear_case.T, 0.8 * grid.h / 1.3)
-        br = _family_breakdown(linear_case, grid, part)
+        br = ss.solve_level(L, grid, part, linear_case, DUAL_CFL).breakdown
         ratio = (br.eta_k + br.eta_h) / (Jex - br.J_h)
         assert 0.8 <= ratio <= 1.25
 
@@ -279,11 +272,11 @@ def test_criterion_9_steady_shock_fixed_points(case):
     assert stats.iterations == 1
 
 
-def test_criterion_9_discrete_conservation(base_report):
+def test_criterion_9_discrete_conservation(base_report, case):
     traj = base_report.trajectory
     h = traj.grid.h
     k = traj.partition.steps
-    F = traj.interface_fluxes
+    F = ss.update_fluxes(traj, case)
     lhs = h * float(np.sum(traj.states[-1] - traj.states[0]))
     rhs = -float(np.sum(k * (F[:, -1] - F[:, 0])))
     scale = h * float(np.sum(np.abs(traj.states[-1])))

@@ -208,7 +208,6 @@ def test_speed_profile_includes_inflow(case):
     part = ss.TimePartition(times=np.array([0.0, 1.0, 2.0]))
     traj = ss.ForwardTrajectory(grid=grid, partition=part,
                                 states=np.full((3, 4), 0.5),
-                                interface_fluxes=np.zeros((2, 5)),
                                 flux=ss.BURGERS)
     prof = ss.SpeedProfile.from_trajectory(traj, case)
     # the boundary value 1.0 beats every interior speed here

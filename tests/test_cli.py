@@ -4,12 +4,15 @@ Runs the entry point in-process against temp directories; one subprocess
 test covers the installed module entry point.
 """
 import csv
+import importlib.util
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import shockstep.cli
 from shockstep.cli import load_config, main as cli_main
 
 STEPS_HEADER = ["t_n", "k_n", "cfl_n", "mode", "eta_k_bar_n", "eta_h_bar_n"]
@@ -119,6 +122,17 @@ def test_solver_blowup_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solver failure" in err
     assert "interval" in err
+
+
+@pytest.mark.parametrize("command", ["run-uniform", "run-adaptive",
+                                     "run-loop", "emit-plots"])
+def test_invalid_case_exits_3_before_solving(command, tmp_path, capsys):
+    # the overdriven inflow turns subsonic; validate-case rejects it too
+    rc = cli_main([command, "--set", "levels=0", "--set", "ref_level=2",
+                   "--set", "perturbation_scale=80", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "min_inflow_value = -0.509716223179" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------ run-uniform
@@ -275,3 +289,22 @@ def test_module_entry_point_subprocess():
                           capture_output=True, timeout=300)
     assert proc.returncode == 0
     assert b"ok = True" in proc.stdout
+
+
+# ---------------------------------------------------------- bench contract
+
+def test_bench_tracer_finds_every_name_it_patches():
+    # bench/run.py --trace 1 wraps functions by name in shockstep.cli and
+    # shockstep.adaptivity; a name dropped here would break the traced run
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("shockstep_bench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    original = shockstep.cli.run_forward
+    tracer = bench.Tracer()
+    try:
+        bench.install_spans(tracer)
+        assert shockstep.cli.run_forward is not original
+    finally:
+        tracer.restore()
+    assert shockstep.cli.run_forward is original

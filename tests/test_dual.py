@@ -1,8 +1,8 @@
 """Backward transport solve for the adjoint gradient.
 
-Checks the upwind interface flux, the frozen-coefficient substepping
-against closed forms and an independently coded re-march, discrete mass
-balance, and stability of the sampled profiles across grid levels.
+Checks the frozen-coefficient substepping against closed forms and an
+independently coded re-march, discrete mass balance, and stability of the
+sampled profiles across grid levels.
 """
 import numpy as np
 import pytest
@@ -19,32 +19,6 @@ class _GradientOnlyCase:
 
     def weight_gradient(self, x):
         return self._fn(np.asarray(x, dtype=float))
-
-
-# ---------------------------------------------------------------- dual_flux
-
-@pytest.mark.parametrize("aL,aR,wL,wR,expected", [
-    (1.0, 1.0, 3.0, 5.0, -5.0),
-    (-1.0, -1.0, 3.0, 5.0, 3.0),
-    (1.0, -1.0, 3.0, 5.0, 0.0),
-])
-def test_dual_flux_values(aL, aR, wL, wR, expected):
-    assert ss.dual_flux(aL, aR, wL, wR) == expected
-
-
-def test_dual_flux_consistency():
-    # equal arguments collapse to the physical flux -a*w
-    rng = np.random.default_rng(5)
-    a = rng.uniform(-2.0, 2.0, size=100)
-    w = rng.uniform(-3.0, 3.0, size=100)
-    np.testing.assert_allclose(ss.dual_flux(a, a, w, w), -a * w, rtol=1e-14)
-
-
-def test_dual_flux_vectorized_shape():
-    a = np.array([1.0, -1.0])
-    w = np.array([2.0, 2.0])
-    out = ss.dual_flux(a, a, w, w)
-    assert out.shape == (2,)
 
 
 # ------------------------------------------------------- coefficient field
@@ -187,22 +161,6 @@ def test_dual_cfl_validation(case, bad):
 
 
 # ----------------------------------------------------------------- sampling
-
-def test_sample_w_lookup_and_bounds():
-    grid = ss.build_spatial_grid(4, 0)
-    part = ss.uniform_partition(1.0, 0.5)
-    dual = ss.DualGradientTrajectory(
-        grid=grid, partition=part,
-        w_samples=np.arange(8.0).reshape(2, 4))
-    assert ss.sample_w(dual, j=3, n=1) == 7.0
-    assert ss.sample_w(dual, j=0, n=0) == 0.0
-    with pytest.raises(IndexError, match="outside"):
-        ss.sample_w(dual, j=4, n=0)
-    with pytest.raises(IndexError, match="outside"):
-        ss.sample_w(dual, j=0, n=2)
-    with pytest.raises(IndexError):
-        ss.sample_w(dual, j=-1, n=0)
-
 
 def test_sampled_profiles_stable_across_grid_levels(case):
     # same time partition on 20 and 40 cells; away from the layer the

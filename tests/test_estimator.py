@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import shockstep as ss
-from shockstep.dual import CoefficientField, DualGradientTrajectory
+from shockstep.dual import DUAL_CFL, CoefficientField, DualGradientTrajectory
 from shockstep.estimator import ErrorBreakdown
 from shockstep.forward import ForwardTrajectory
 
@@ -22,6 +22,9 @@ class _ConstWeight:
 
     def weight(self, x):
         return self.value * np.ones_like(np.asarray(x, dtype=float))
+
+    def inflow_value(self, t):
+        return np.ones_like(np.asarray(t, dtype=float))
 
 
 # ---------------------------------------------------------------- weights
@@ -48,13 +51,11 @@ def test_weight_integrals_support(case):
 
 # ------------------------------------------------------------- functional
 
-def _synthetic_trajectory(states, fluxes=None, T=2.0):
+def _synthetic_trajectory(states, T=2.0):
     grid = ss.build_spatial_grid(20, 0)
     part = ss.uniform_partition(T, T / (states.shape[0] - 1))
-    if fluxes is None:
-        fluxes = np.zeros((part.interval_count, grid.cell_count + 1))
     return ForwardTrajectory(grid=grid, partition=part, states=states,
-                             interface_fluxes=fluxes, flux=ss.BURGERS)
+                             flux=ss.BURGERS)
 
 
 def test_evaluate_functional_zero_state(case):
@@ -71,43 +72,44 @@ def test_evaluate_functional_unit_state(case):
 
 # ------------------------------------------------------- per-cell formulas
 
-def test_cell_time_error_reference_value():
+def _one_step_breakdown(states, a, w, weight):
+    # two cells of width 0.05, one explicit step of length 0.1, inflow 1
     grid = ss.build_spatial_grid(2, 0, domain=(0.0, 0.1))
     part = ss.TimePartition(times=np.array([0.0, 0.1]))
-    states = np.array([[0.3, 0.3], [0.4, 0.4]])
-    traj = ForwardTrajectory(grid=grid, partition=part, states=states,
-                             interface_fluxes=np.zeros((1, 3)), flux=ss.BURGERS)
+    traj = ForwardTrajectory(grid=grid, partition=part,
+                             states=np.array(states), flux=ss.BURGERS)
     coeff = CoefficientField(grid=grid, partition=part,
-                             a_values=np.ones((1, 2)))
+                             a_values=np.full((1, 2), a))
     dual = DualGradientTrajectory(grid=grid, partition=part,
-                                  w_samples=np.full((1, 2), 0.5))
-    val = ss.cell_time_error(0, 0, traj, coeff, dual, _ConstWeight(0.2))
+                                  w_samples=np.full((1, 2), w))
+    return ss.assemble_breakdown(traj, coeff, dual, _ConstWeight(weight))
+
+
+def test_breakdown_time_term_reference_value():
+    br = _one_step_breakdown([[0.3, 0.3], [0.4, 0.4]], a=1.0, w=0.5,
+                             weight=0.2)
     # -(1/2) * 0.1 * 0.05 * 0.1 * (0.2 - 1.0 * 0.5)
-    assert val == pytest.approx(7.5e-5, rel=1e-12)
+    assert br.eta_k_cells[0, 0] == pytest.approx(7.5e-5, rel=1e-12)
 
 
-def test_cell_space_error_reference_value():
-    grid = ss.build_spatial_grid(2, 0, domain=(0.0, 0.1))
-    part = ss.TimePartition(times=np.array([0.0, 0.1]))
-    states = np.array([[0.3, 0.3], [0.0, 0.0]])
-    fluxes = np.full((1, 3), 0.5)
-    traj = ForwardTrajectory(grid=grid, partition=part, states=states,
-                             interface_fluxes=fluxes, flux=ss.BURGERS)
-    dual = DualGradientTrajectory(grid=grid, partition=part,
-                                  w_samples=np.full((1, 2), 2.0))
-    val = ss.cell_space_error(0, 0, traj, dual)
+def test_breakdown_space_term_reference_value():
+    # state 1 against inflow 1 puts every interface flux at 0.5
+    br = _one_step_breakdown([[1.0, 1.0], [0.0, 0.0]], a=1.0, w=2.0,
+                             weight=0.2)
     # 0.1 * (1/2) * 0.05 * 2.0 * (0.5 + 0.5 - 0)
-    assert val == pytest.approx(5.0e-3, rel=1e-12)
+    assert br.eta_h_cells[0, 0] == pytest.approx(5.0e-3, rel=1e-12)
 
 
 def test_breakdown_matches_scalar_loops(case):
     # independent per-cell evaluation of both error formulas
     grid = ss.build_spatial_grid(10, 0)
     part = ss.uniform_partition(2.0, 0.07)
-    traj = ss.run_forward(grid, part, case)
+    rep = ss.solve_level(0, grid, part, case, DUAL_CFL)
+    traj, br = rep.trajectory, rep.breakdown
+    # the loops' inputs, rebuilt from the trajectory
     coeff = ss.build_coefficient_field(traj)
-    dual = ss.solve_dual_gradient(coeff, case)
-    br = ss.assemble_breakdown(traj, coeff, dual, case)
+    dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
+    F = ss.update_fluxes(traj, case)
 
     N, J = part.interval_count, grid.cell_count
     h = grid.h
@@ -120,19 +122,13 @@ def test_breakdown_matches_scalar_loops(case):
             du = traj.states[n + 1, j] - traj.states[n, j]
             adj = psi[j] - coeff.a_values[n, j] * dual.w_samples[n, j]
             etk[n, j] = -0.5 * k[n] * h * du * adj
-            F0 = traj.interface_fluxes[n, j]
-            F1 = traj.interface_fluxes[n, j + 1]
+            F0 = F[n, j]
+            F1 = F[n, j + 1]
             fm = 0.5 * traj.states[n + 1, j] ** 2
             eth[n, j] = k[n] * 0.5 * h * dual.w_samples[n, j] * (F1 + F0 - 2.0 * fm)
 
     np.testing.assert_allclose(br.eta_k_cells, etk, rtol=1e-14, atol=1e-24)
     np.testing.assert_allclose(br.eta_h_cells, eth, rtol=1e-14, atol=1e-24)
-    # the exported scalar helpers must agree with the assembled table
-    for j, n in ((0, 0), (4, 7), (9, N - 1)):
-        assert ss.cell_time_error(j, n, traj, coeff, dual, case) == \
-            pytest.approx(br.eta_k_cells[n, j], rel=1e-13, abs=1e-24)
-        assert ss.cell_space_error(j, n, traj, dual) == \
-            pytest.approx(br.eta_h_cells[n, j], rel=1e-13, abs=1e-24)
 
 
 def test_breakdown_aggregates_are_consistent(uniform_reports):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shockstep import (EXPLICIT, IMPLICIT, TimePartition, build_spatial_grid,
-                       cfl_of_step, uniform_partition)
+                       uniform_partition)
 
 
 def test_base_grid():
@@ -114,12 +114,3 @@ def test_time_partition_empty_interval_list():
     p = TimePartition(times=np.array([0.0]))
     assert p.interval_count == 0
     assert p.steps.size == 0
-
-
-def test_cfl_of_step():
-    assert cfl_of_step(0.04, 0.05, 1.0) == pytest.approx(0.8)
-    assert cfl_of_step(0.1, 0.05, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        cfl_of_step(0.1, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        cfl_of_step(0.1, 0.05, -1.0)
