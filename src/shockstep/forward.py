@@ -37,10 +37,11 @@ def eo_flux(uL, uR):
     Splitting F = f+(uL) + f-(uR) with f+(u) = u^2/2 for u > 0 else 0 and
     f-(u) = u^2/2 for u < 0 else 0; monotone and consistent.
     """
-    uL = np.asarray(uL, dtype=float)
-    uR = np.asarray(uR, dtype=float)
-    out = (np.where(uL > 0.0, 0.5 * uL * uL, 0.0)
-           + np.where(uR < 0.0, 0.5 * uR * uR, 0.0))
+    # one splitting term at a time keeps a single full-size temporary alive
+    out = np.maximum(np.asarray(uL, dtype=float), 0.0)
+    out = 0.5 * out * out
+    m = np.minimum(np.asarray(uR, dtype=float), 0.0)
+    out += 0.5 * m * m
     return float(out) if out.ndim == 0 else out
 
 

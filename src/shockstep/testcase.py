@@ -22,107 +22,87 @@ WEIGHT_CENTER = 0.45
 WEIGHT_HALFWIDTH = 0.2
 
 _OMEGA = 2.0 * np.pi / 3.0
-# (departure-time window, shock-time bracket) per perturbation
-_WINDOWS = ((11.5, 17.5, 12.0, 18.0), (29.5, 35.5, 30.0, 36.0))
+# One row per perturbation: (amplitude, shock window [a, b),
+# inflow departure window (lo, hi)).
+_PERTURBATIONS = ((7.5e-3, 12.0, 18.0, 11.5, 17.5),
+                  (0.5e-3, 30.0, 36.0, 29.5, 35.5))
 _TABLE_DT = 1e-4
 _BISECT_ITERS = 48
 
 
-def _theta1(t):
-    return 7.5e-3 * (t - 12.0) ** 4 * (t - 18.0) ** 4 / 6561.0
+def _window_path(t, p, scale):
+    """Shock position and speed inside one window, t an array in [a, b).
+
+    theta(t) = amp (t-a)^4 (t-b)^4 / ((b-a)/2)^8 peaks at amp mid-window.
+    Keep `**` and the operation order: the inflow table is pinned bit for
+    bit, and repeated multiplication rounds differently.
+    """
+    amp, a, b = p[:3]
+    norm = (0.5 * (b - a)) ** 8
+    ta, tb = t - a, t - b
+    ta4, tb4 = ta ** 4, tb ** 4
+    theta = amp * ta4 * tb4 / norm
+    dtheta = amp * 4.0 * (ta ** 3 * tb4 + ta4 * tb ** 3) / norm
+    arg = _OMEGA * ta
+    sin = np.sin(arg)
+    s = SHOCK_X0 + scale * theta * sin
+    sdot = scale * (dtheta * sin + theta * _OMEGA * np.cos(arg))
+    return s, sdot
 
 
-def _theta2(t):
-    return 0.5e-3 * (t - 30.0) ** 4 * (t - 36.0) ** 4 / 6561.0
-
-
-def _dtheta1(t):
-    return 7.5e-3 * 4.0 * ((t - 12.0) ** 3 * (t - 18.0) ** 4
-                           + (t - 12.0) ** 4 * (t - 18.0) ** 3) / 6561.0
-
-
-def _dtheta2(t):
-    return 0.5e-3 * 4.0 * ((t - 30.0) ** 3 * (t - 36.0) ** 4
-                           + (t - 30.0) ** 4 * (t - 36.0) ** 3) / 6561.0
-
-
-def _s_raw(t, scale):
+def _shock_path(t, scale):
+    """(s, sdot) at every t: SHOCK_X0 and 0 outside the windows."""
     t = np.asarray(t, dtype=float)
-    return np.select(
-        [t < 12.0, t < 18.0, t < 30.0, t < 36.0],
-        [SHOCK_X0,
-         SHOCK_X0 + scale * _theta1(t) * np.sin(_OMEGA * (t - 12.0)),
-         SHOCK_X0,
-         SHOCK_X0 + scale * _theta2(t) * np.sin(_OMEGA * (t - 30.0))],
-        SHOCK_X0)
+    s = np.full(t.shape, SHOCK_X0)
+    sdot = np.zeros(t.shape)
+    for p in _PERTURBATIONS:
+        m = (t >= p[1]) & (t < p[2])
+        if np.any(m):
+            s[m], sdot[m] = _window_path(t[m], p, scale)
+    return s, sdot
 
 
-def _sdot_raw(t, scale):
-    t = np.asarray(t, dtype=float)
-    return np.select(
-        [t < 12.0, t < 18.0, t < 30.0, t < 36.0],
-        [0.0,
-         scale * (_dtheta1(t) * np.sin(_OMEGA * (t - 12.0))
-                  + _theta1(t) * _OMEGA * np.cos(_OMEGA * (t - 12.0))),
-         0.0,
-         scale * (_dtheta2(t) * np.sin(_OMEGA * (t - 30.0))
-                  + _theta2(t) * _OMEGA * np.cos(_OMEGA * (t - 30.0)))],
-        0.0)
-
-
-def _check_range(t, what):
+def _check_range(t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > T_END):
-        raise ValueError(f"{what} outside [0, {T_END}]")
+        raise ValueError(f"t outside [0, {T_END}]")
     return t
 
 
 def shock_position(t, scale: float = 1.0):
     """Shock path s(t); quartic contact factors keep it C^3 at window ends."""
-    t = _check_range(t, "t")
-    out = _s_raw(t, scale)
+    out = _shock_path(_check_range(t), scale)[0]
     return float(out) if out.ndim == 0 else out
 
 
 def shock_speed(t, scale: float = 1.0):
-    t = _check_range(t, "t")
-    out = _sdot_raw(t, scale)
+    out = _shock_path(_check_range(t), scale)[1]
     return float(out) if out.ndim == 0 else out
 
 
-def _departure_time(tau, scale):
+def _departure_time(tau, s, sdot):
     # characteristic carrying u_L leaves x=0 at tau - s/u_L
-    uL = 1.0 + 2.0 * _sdot_raw(tau, scale)
-    return tau - _s_raw(tau, scale) / uL, uL
+    uL = 1.0 + 2.0 * sdot
+    return tau - s / uL, uL
 
 
-def _invert_departure(t0, scale):
-    """Solve t0(tau) = t0 by bisection per perturbation window; g=1 elsewhere."""
-    t0 = np.asarray(t0, dtype=float)
+def _invert_departure(t0, p, scale):
+    """Inflow g(t0) over one window's departure grid: bisect t0(tau) = t0
+    for tau in [a, b], g = 1 at and beyond the departure window's ends."""
+    _, a, b, lo_t, hi_t = p
     g = np.ones_like(t0)
-    for (d_lo, d_hi, b_lo, b_hi) in _WINDOWS:
-        m = (t0 > d_lo) & (t0 < d_hi)
-        if not np.any(m):
-            continue
-        target = t0[m]
-        lo = np.full(target.shape, b_lo)
-        hi = np.full(target.shape, b_hi)
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            val, _ = _departure_time(mid, scale)
-            takes_hi = val < target
-            lo = np.where(takes_hi, mid, lo)
-            hi = np.where(takes_hi, hi, mid)
-        tau = 0.5 * (lo + hi)
-        g[m] = 1.0 + 2.0 * _sdot_raw(tau, scale)
+    m = (t0 > lo_t) & (t0 < hi_t)
+    target = t0[m]
+    lo = np.full(target.shape, a)
+    hi = np.full(target.shape, b)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        val, _ = _departure_time(mid, *_window_path(mid, p, scale))
+        takes_hi = val < target
+        lo = np.where(takes_hi, mid, lo)
+        hi = np.where(takes_hi, hi, mid)
+    g[m] = 1.0 + 2.0 * _window_path(0.5 * (lo + hi), p, scale)[1]
     return g
-
-
-def left_boundary_value(t0, scale: float = 1.0):
-    """Inflow value g(t0) from the exact characteristic construction."""
-    t0 = _check_range(t0, "t0")
-    out = _invert_departure(t0, scale)
-    return float(out) if out.ndim == 0 else out
 
 
 def weight_and_derivative(x):
@@ -154,8 +134,6 @@ class PerturbedShockCase:
         self.perturbation_scale = perturbation_scale
         self.T = T_END
         self.domain = (0.0, 1.0)
-        self.weight_center = WEIGHT_CENTER
-        self.weight_half_width = WEIGHT_HALFWIDTH
         self.flux = BurgersFlux()
         self._table = None
 
@@ -166,19 +144,18 @@ class PerturbedShockCase:
     def shock_speed(self, t):
         return shock_speed(t, self.perturbation_scale)
 
-    def left_boundary_value(self, t0):
-        return left_boundary_value(t0, self.perturbation_scale)
-
     # ---- inflow table ----
     def _ensure_table(self):
         if self._table is None:
             pieces_t, pieces_g = [], []
-            for (d_lo, d_hi, _, _) in _WINDOWS:
+            for p in _PERTURBATIONS:
+                d_lo, d_hi = p[3:]
                 n = int(round((d_hi - d_lo) / _TABLE_DT))
                 tg = d_lo + _TABLE_DT * np.arange(n + 1)
                 tg[-1] = d_hi
                 pieces_t.append(tg)
-                pieces_g.append(_invert_departure(tg, self.perturbation_scale))
+                pieces_g.append(
+                    _invert_departure(tg, p, self.perturbation_scale))
             self._table = (pieces_t, pieces_g)
         return self._table
 
@@ -196,9 +173,6 @@ class PerturbedShockCase:
         pieces_t, pieces_g = self._ensure_table()
         return float(max(np.max(np.abs(gg)) for gg in pieces_g))
 
-    def initial_amplitude(self) -> float:
-        return 1.0
-
     # ---- initial data and weight ----
     def initial_cell_averages(self, edges) -> np.ndarray:
         edges = np.asarray(edges, dtype=float)
@@ -211,9 +185,6 @@ class PerturbedShockCase:
 
     def weight_gradient(self, x):
         return weight_and_derivative(x)[1]
-
-    def weight_and_derivative(self, x):
-        return weight_and_derivative(x)
 
 
 @dataclass
@@ -230,7 +201,7 @@ def validate_characteristics(case: PerturbedShockCase,
     strictly increasing (characteristics do not cross before x=0) and the
     carried value must stay positive (inflow stays supersonic)."""
     tau = np.arange(0.0, T_END + 0.5 + sample_dt, sample_dt)
-    t0, uL = _departure_time(tau, case.perturbation_scale)
+    t0, uL = _departure_time(tau, *_shock_path(tau, case.perturbation_scale))
     spacing = np.diff(t0)
     monotone = bool(np.all(spacing > 0.0))
     min_u = float(np.min(uL))

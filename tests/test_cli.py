@@ -5,6 +5,7 @@ test covers the installed module entry point.
 """
 import csv
 import importlib.util
+import os
 import subprocess
 import sys
 import warnings
@@ -284,9 +285,13 @@ def test_out_flag_overrides_config_key(tmp_path):
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the same package as this session, installed or not
+    src = str(Path(shockstep.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "shockstep.cli",
                            "validate-case"],
-                          capture_output=True, timeout=300)
+                          capture_output=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert b"ok = True" in proc.stdout
 

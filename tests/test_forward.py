@@ -8,8 +8,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import shockstep as ss
+
+# squares of these stay finite, so no overflow warning can fire
+_FINITE = st.floats(min_value=-1e150, max_value=1e150,
+                    allow_nan=False, allow_infinity=False)
+_STATE = st.floats(min_value=-2.0, max_value=2.0,
+                   allow_nan=False, allow_infinity=False)
 
 
 # ---------------------------------------------------------------- eo_flux
@@ -55,6 +63,26 @@ def test_eo_flux_monotone():
     dR = (ss.eo_flux(uL, uR + d) - ss.eo_flux(uL, uR - d)) / (2 * d)
     assert np.all(dL >= -1e-9)
     assert np.all(dR <= 1e-9)
+
+
+def _eo_flux_scalar(uL, uR):
+    out = 0.0
+    if uL > 0.0:
+        out = 0.5 * uL * uL
+    if uR < 0.0:
+        out = out + 0.5 * uR * uR
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=20))
+def test_eo_flux_matches_scalar_reference_bitwise(pairs):
+    uL = np.array([a for a, _ in pairs])
+    uR = np.array([b for _, b in pairs])
+    want = np.array([_eo_flux_scalar(a, b) for a, b in pairs])
+    assert ss.eo_flux(uL, uR).tobytes() == want.tobytes()
+    a, b = pairs[0]
+    assert np.float64(ss.eo_flux(a, b)).tobytes() == want[:1].tobytes()
 
 
 # ---------------------------------------------------------------- flux objects
@@ -149,6 +177,38 @@ def test_explicit_edge_aligned_jump_relaxes_to_two_cell_layer():
     assert abs(u[10] + r) <= 1e-13
     np.testing.assert_allclose(u[:9], 1.0, rtol=0, atol=1e-13)
     np.testing.assert_allclose(u[11:], -1.0, rtol=0, atol=1e-13)
+
+
+def _unit_cfl_step(u, g, cfl):
+    """Step at CFL = cfl <= 1 against the fastest of the state and inflow."""
+    u = np.asarray(u)
+    h = 1.0 / u.size
+    speed = max(float(np.max(np.abs(u))), abs(g), 1e-3)
+    k = cfl * h / speed
+    assume(k * speed / h <= 1.0)
+    un, F = ss.explicit_step(u, k, h, g)
+    return un, F, k, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_STATE, min_size=1, max_size=40), _STATE,
+       st.floats(min_value=0.0, max_value=1.0))
+def test_explicit_step_conserves_mass_with_boundary_fluxes(u, g, cfl):
+    un, F, k, h = _unit_cfl_step(u, g, cfl)
+    # every cell update rounds once per operation; J of them add up
+    tol = 8 * np.finfo(float).eps * len(u) * (h * 2.0 + k * 2.0)
+    assert abs(h * np.sum(un) - h * np.sum(u) + k * (F[-1] - F[0])) <= tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_STATE, min_size=1, max_size=40), _STATE,
+       st.floats(min_value=0.0, max_value=1.0))
+def test_explicit_step_max_principle(u, g, cfl):
+    # monotone scheme, ghost cells g (left) and u_J (right)
+    un, _, _, _ = _unit_cfl_step(u, g, cfl)
+    lo, hi = min(min(u), g), max(max(u), g)
+    tol = 4 * np.finfo(float).eps * 2.0
+    assert np.all(un >= lo - tol) and np.all(un <= hi + tol)
 
 
 # ---------------------------------------------------------------- implicit step

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import shockstep as ss
-from shockstep.testcase import left_boundary_value, shock_position, shock_speed
+from shockstep.testcase import (shock_position, shock_speed,
+                                weight_and_derivative)
 
 
 def test_shock_position_stationary_outside_windows(case):
@@ -60,7 +63,7 @@ def test_weight_values(case):
 
 
 def test_weight_gradient_consistency(case):
-    v, d = case.weight_and_derivative(0.45)
+    v, d = weight_and_derivative(0.45)
     assert v == case.weight(0.45)
     assert d == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(9)
@@ -73,7 +76,7 @@ def test_weight_gradient_consistency(case):
 def test_weight_overflow_safe_near_support_edge(case):
     # underflow to zero is the intended behavior, so only trap the bad kinds
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        v, d = case.weight_and_derivative(np.array([0.6499999999, 0.2500000001]))
+        v, d = weight_and_derivative(np.array([0.6499999999, 0.2500000001]))
     assert np.all(np.isfinite(v)) and np.all(np.isfinite(d))
     assert np.all(v >= 0.0)
 
@@ -81,7 +84,6 @@ def test_weight_overflow_safe_near_support_edge(case):
 def test_inflow_is_one_outside_perturbation_windows(case):
     for t in (0.0, 5.0, 20.0, 28.0, 40.0, 48.0):
         assert float(case.inflow_value(t)) == 1.0
-    assert left_boundary_value(5.0) == 1.0
 
 
 def test_inflow_peak(case):
@@ -129,6 +131,23 @@ def test_inflow_table_matches_direct_rootfind(case):
     assert float(np.max(np.abs(got - want))) < 1e-7
 
 
+def test_inflow_table_bit_exact(case):
+    # sha256 of the scale-1 table (both windows' t pieces, then both g
+    # pieces), frozen before the window-local rewrite of the shock path
+    pieces_t, pieces_g = case._ensure_table()
+    digest = hashlib.sha256(np.concatenate(pieces_t + pieces_g).tobytes())
+    assert digest.hexdigest() == (
+        "b5a5e9581a4f1d52dfa8ab84591e0b3e18dbaf0b20a98451de51a746944e9433")
+
+
+def test_validate_characteristics_bit_exact(case):
+    rep = ss.validate_characteristics(case)
+    assert rep.monotone_departure is True
+    assert rep.min_inflow_value == 0.9811285472102608
+    assert rep.min_departure_spacing == 0.0009587703865534536
+    assert rep.ok is True
+
+
 def test_initial_cell_averages_even_grid(case):
     g = ss.build_spatial_grid(20, 0)
     u0 = case.initial_cell_averages(g.edges)
@@ -142,7 +161,6 @@ def test_initial_cell_averages_straddling_cell(case):
     assert np.all(u0[:10] == 1.0)
     assert np.all(u0[11:] == -1.0)
     assert abs(u0[10]) < 1e-13
-    assert case.initial_amplitude() == 1.0
 
 
 def test_validate_characteristics_healthy(case):
