@@ -80,12 +80,20 @@ class SpeedProfile:
         return cls(times=traj.partition.times.copy(),
                    values=np.maximum(node[:-1], node[1:]))
 
-    def max_over(self, ta: float, tb: float) -> float:
-        lo = np.searchsorted(self.times, ta, side="right") - 1
-        hi = np.searchsorted(self.times, tb, side="left")
-        lo = max(lo, 0)
-        hi = max(min(hi, len(self.values)), lo + 1)
-        return float(np.max(self.values[lo:hi]))
+    def max_over(self, ta, tb):
+        """Largest value over each window [ta, tb] (scalars or arrays).
+
+        A window covers the intervals it overlaps; one that lies wholly
+        before or beyond the profile gets the nearest end value.
+        """
+        nv = len(self.values)
+        lo = np.clip(np.searchsorted(self.times, ta, side="right") - 1, 0, nv - 1)
+        hi = np.clip(np.searchsorted(self.times, tb, side="left"), lo + 1, nv)
+        # reduceat over the interleaved (lo, hi) pairs; even slots are the
+        # window maxima, the appended 0 makes hi = nv a valid index
+        bounds = np.stack((lo, hi), axis=-1).ravel()
+        out = np.maximum.reduceat(np.append(self.values, 0.0), bounds)[::2]
+        return float(out[0]) if np.ndim(ta) == 0 and np.ndim(tb) == 0 else out
 
 
 def propose_timesteps(old: TimePartition, densities: np.ndarray,
@@ -151,8 +159,7 @@ def assign_modes(raw: np.ndarray, speed_profile: SpeedProfile,
         raise ValueError("raw steps do not tile [0, T]")
     edges[-1] = T
     n_seg = raw.size
-    seg_speed = np.array([speed_profile.max_over(edges[i], edges[i + 1])
-                          for i in range(n_seg)])
+    seg_speed = speed_profile.max_over(edges[:-1], edges[1:])
     seg_cfl = (edges[1:] - edges[:-1]) * seg_speed / h
 
     times = [0.0]
@@ -193,9 +200,7 @@ def assign_modes(raw: np.ndarray, speed_profile: SpeedProfile,
         raise ValueError(f"unknown strategy {strategy!r}")
 
     part = TimePartition(times=np.array(times), modes=np.array(modes, dtype=np.int8))
-    k = part.steps
-    cfl = np.array([k[i] * speed_profile.max_over(part.times[i], part.times[i + 1]) / h
-                    for i in range(part.interval_count)])
+    cfl = part.steps * speed_profile.max_over(part.times[:-1], part.times[1:]) / h
     n_exp = int(np.sum(part.modes == EXPLICIT))
     stats = PlanStats(N=part.interval_count, N_explicit=n_exp,
                       N_implicit=part.interval_count - n_exp,

@@ -8,12 +8,13 @@ d/dtau w - d/dx (a w) = -psi', integrated explicitly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .forward import ForwardTrajectory, SolverFailure
+from .forward import ForwardTrajectory, SolverFailure, _finite
 from .grid import SpatialGrid, TimePartition
 
 DUAL_CFL = 0.8
@@ -65,45 +66,62 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     h = grid.h
     J = grid.cell_count
     N = part.interval_count
-    times = part.times
+    A = coeff.a_values
+    # substep counts and sizes of all intervals; a_max = 0 gives m = 1
+    k = part.steps
+    a_max = np.maximum(A.max(axis=1), -A.min(axis=1))
+    m_all = np.maximum(np.ceil(k * a_max / (dual_cfl * h) - 1e-12), 1.0)
+    dt_all = k / m_all
     source = -np.asarray(case.weight_gradient(grid.centers), dtype=float)
     source_total = h * float(np.sum(source))
-    w = np.zeros(J)
-    w_ext = np.zeros(J + 2)
+    w_ext = np.zeros(J + 2)   # zero ghost values around the state w
+    w, w_right, w_left = w_ext[1:-1], w_ext[1:], w_ext[:-1]
+    a_ext = np.empty(J + 2)
+    ap, am = np.empty(J + 1), np.empty(J + 1)
+    S, tmp = np.empty(J + 1), np.empty(J + 1)
+    S_hi, S_lo = S[1:], S[:-1]
+    dw, dt_source = np.empty(J), np.empty(J)
     samples = np.empty((N, J))
     log: Optional[list] = [] if record_substeps else None
     max_resid = 0.0
     for n in range(N - 1, -1, -1):
-        a = coeff.a_values[n]
-        a_max = float(np.max(np.abs(a)))
-        k_n = float(times[n + 1] - times[n])
-        if a_max == 0.0:
-            m = 1
-        else:
-            m = max(1, int(np.ceil(k_n * a_max / (dual_cfl * h) - 1e-12)))
-        dt = k_n / m
-        a_ext = np.concatenate((a[:1], a, a[-1:]))
-        a_half = 0.5 * (a_ext[:-1] + a_ext[1:])
-        ap = np.maximum(a_half, 0.0)
-        am = np.minimum(a_half, 0.0)
+        a = A[n]
+        m = int(m_all[n])
+        dt = float(dt_all[n])
+        lam = dt / h
+        np.multiply(source, dt, out=dt_source)
+        a_ext[1:-1] = a
+        a_ext[0], a_ext[-1] = a[0], a[-1]
+        np.add(a_ext[:-1], a_ext[1:], out=ap)
+        ap *= 0.5                # a at the interfaces
+        np.minimum(ap, 0.0, out=am)
+        np.maximum(ap, 0.0, out=ap)
         sample_at = (m + 1) // 2
         for i in range(1, m + 1):
-            w_ext[1:-1] = w
-            G = -(ap * w_ext[1:] + am * w_ext[:-1])
-            w_new = w - (dt / h) * (G[1:] - G[:-1]) + dt * source
+            # S = -G with the upwind flux G = -(ap w_right + am w_left), so
+            # w - lam (G[1:] - G[:-1]) is w + lam (S[1:] - S[:-1]), bit for bit
+            np.multiply(ap, w_right, out=S)
+            np.multiply(am, w_left, out=tmp)
+            S += tmp
+            np.subtract(S_hi, S_lo, out=dw)
+            dw *= lam
+            if record_substeps:
+                w_prev = w.copy()
+            w += dw
+            w += dt_source
             if record_substeps:
                 # telescoping mass balance of the conservative update
-                resid = abs(h * float(np.sum(w_new - w))
-                            + dt * (G[-1] - G[0]) - dt * source_total)
-                scale = (h * float(np.sum(np.abs(w_new))) + abs(dt * source_total)
-                         + dt * (abs(G[0]) + abs(G[-1])) + 1e-300)
+                G0, GJ = -float(S[0]), -float(S[-1])
+                resid = abs(h * float(np.sum(w - w_prev))
+                            + dt * (GJ - G0) - dt * source_total)
+                scale = (h * float(np.sum(np.abs(w))) + abs(dt * source_total)
+                         + dt * (abs(G0) + abs(GJ)) + 1e-300)
                 rel = resid / scale
                 max_resid = max(max_resid, rel)
                 log.append((n, dt, rel))
-            w = w_new
             if i == sample_at:
                 samples[n] = w
-        if not np.all(np.isfinite(w)):
+        if not _finite(w):
             raise SolverFailure(f"dual march non-finite in interval {n}")
     return DualGradientTrajectory(grid=grid, partition=part, w_samples=samples,
                                   substep_log=log,

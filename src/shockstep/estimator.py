@@ -10,7 +10,6 @@ cross terms vanish identically in that representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -22,7 +21,8 @@ from .grid import build_spatial_grid, uniform_partition
 REF_LEVEL = 6
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
-_ref_cache: "WeakKeyDictionary[object, dict]" = WeakKeyDictionary()
+# (type(case), perturbation_scale, ref_level, base_cells, cfl) -> J_ref
+_ref_cache: dict = {}
 
 
 @dataclass
@@ -105,16 +105,19 @@ def efficiency_index(breakdown: ErrorBreakdown, J_ref: float) -> float:
 
 def reference_functional(case, ref_level: int = REF_LEVEL,
                          base_cells: int = 20, cfl: float = 0.8) -> float:
-    """Functional value from a fine uniform explicit run, memoized per case.
+    """Functional value from a fine uniform explicit run.
 
+    Memoized by value, (type(case), perturbation_scale, ref_level,
+    base_cells, cfl), so equal cases share one run and a changed scale gets
+    a fresh one.  Cases without a `perturbation_scale` are not memoized.
     The run is streamed: only the running state and the functional
     accumulator are kept, so reference levels with ~1e5 steps stay cheap
     in memory.
     """
-    per_case = _ref_cache.setdefault(case, {})
-    key = (ref_level, base_cells, cfl)
-    if key in per_case:
-        return per_case[key]
+    scale = getattr(case, "perturbation_scale", None)
+    key = (type(case), scale, ref_level, base_cells, cfl)
+    if scale is not None and key in _ref_cache:
+        return _ref_cache[key]
     grid = build_spatial_grid(base_cells, ref_level, case.domain)
     flux = case.flux
     u = np.asarray(case.initial_cell_averages(grid.edges), dtype=float)
@@ -123,10 +126,12 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
     part = uniform_partition(case.T, cfl * grid.h / speed)
     W = weight_cell_integrals(grid, case)
     g_at = np.atleast_1d(np.asarray(case.inflow_value(part.times), dtype=float))
+    stepper = forward.Stepper(u, flux)
+    h = grid.h
     acc = 0.0
-    for n in range(part.interval_count):
-        k = float(part.times[n + 1] - part.times[n])
-        u, _ = forward.explicit_step(u, k, grid.h, g_at[n], flux)
-        acc += k * float(u @ W)
-    per_case[key] = acc
+    for n, k in enumerate(part.steps.tolist()):
+        stepper.explicit(k, h, g_at[n])
+        acc += k * float(stepper.u @ W)
+    if scale is not None:
+        _ref_cache[key] = acc
     return acc

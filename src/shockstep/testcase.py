@@ -122,7 +122,7 @@ def weight_and_derivative(x):
 
 
 class PerturbedShockCase:
-    """Benchmark problem definition; immutable after construction.
+    """Benchmark problem definition.
 
     Inflow queries go through a lazily built lookup table (spacing 1e-4,
     linear interpolation).  Root-finding per flux evaluation would dominate
@@ -146,7 +146,9 @@ class PerturbedShockCase:
 
     # ---- inflow table ----
     def _ensure_table(self):
-        if self._table is None:
+        # rebuilt when perturbation_scale has changed since the last build,
+        # so the inflow never lags the scale the memoized reference keys on
+        if self._table is None or self._table[0] != self.perturbation_scale:
             pieces_t, pieces_g = [], []
             for p in _PERTURBATIONS:
                 d_lo, d_hi = p[3:]
@@ -156,8 +158,8 @@ class PerturbedShockCase:
                 pieces_t.append(tg)
                 pieces_g.append(
                     _invert_departure(tg, p, self.perturbation_scale))
-            self._table = (pieces_t, pieces_g)
-        return self._table
+            self._table = (self.perturbation_scale, pieces_t, pieces_g)
+        return self._table[1:]
 
     def inflow_value(self, t):
         t = np.asarray(t, dtype=float)

@@ -258,8 +258,11 @@ def test_criterion_9_flux_monotone_exact():
     bump = rng.uniform(0.0, 1.0, 300)
     assert np.all(ss.eo_flux(uL + bump, uR) >= ss.eo_flux(uL, uR))
     assert np.all(ss.eo_flux(uL, uR + bump) <= ss.eo_flux(uL, uR))
-    assert np.all(ss.BURGERS.dleft(uL) >= 0.0)
-    assert np.all(ss.BURGERS.dright(uR) <= 0.0)
+    d, f = np.empty((2, 300)), np.empty((2, 300))
+    ss.BURGERS.split(uL, d, f)
+    assert np.all(d[0] >= 0.0)
+    ss.BURGERS.split(uR, d, f)
+    assert np.all(d[1] <= 0.0)
 
 
 def test_criterion_9_steady_shock_fixed_points(case):

@@ -6,6 +6,8 @@ frozen step counts and density values for the three chain variants.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shockstep as ss
 
@@ -225,6 +227,40 @@ def test_speed_profile_interval_maxima():
     assert prof.max_over(1.2, 1.8) == 5.0
     assert prof.max_over(2.5, 3.0) == 2.0
     assert prof.max_over(0.1, 2.9) == 5.0
+
+
+def _brute_max_over(times, values, ta, tb):
+    """Slice maximum over the intervals that overlap [ta, tb]; a window
+    outside the profile takes the nearest end value."""
+    hit = [values[i] for i in range(len(values))
+           if times[i] < tb and times[i + 1] > ta]
+    if hit:
+        return max(hit)
+    return values[0] if tb <= times[0] else values[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-3, 10.0), st.floats(-1e3, 1e3)),
+                min_size=1, max_size=12),
+       st.data())
+def test_speed_profile_window_maxima_match_brute_force(intervals, data):
+    times = np.concatenate(([0.0], np.cumsum([k for k, _ in intervals])))
+    values = np.array([v for _, v in intervals])
+    prof = ss.SpeedProfile(times=times, values=values)
+    T = float(times[-1])
+    # window ends on the profile's times (touching), inside, or beyond it
+    end = st.one_of(st.sampled_from(times.tolist()),
+                    st.floats(-1.0, T + 1.0))
+    ends = data.draw(st.lists(st.tuples(end, end).filter(lambda w: w[0] != w[1]),
+                              min_size=1, max_size=20))
+    ta = np.array([min(w) for w in ends])
+    tb = np.array([max(w) for w in ends])
+    want = np.array([_brute_max_over(times, values, a, b)
+                     for a, b in zip(ta, tb)])
+    got = prof.max_over(ta, tb)
+    assert got.tobytes() == want.tobytes()
+    scalar = prof.max_over(float(ta[0]), float(tb[0]))
+    assert isinstance(scalar, float) and scalar == want[0]
 
 
 def test_realized_cfl_on_uniform_run(base_report):

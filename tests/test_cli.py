@@ -4,6 +4,7 @@ Runs the entry point in-process against temp directories; one subprocess
 test covers the installed module entry point.
 """
 import csv
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -186,6 +187,42 @@ def test_run_uniform_deterministic(tmp_path):
         assert rc == 0
     for name in ("steps.csv", "summary.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# sha256 of every CSV, recorded before the marching kernels were last
+# rewritten; any change in the numerics changes at least one of them
+_GOLDEN_CSV = {
+    "uniform": (["run-uniform", "--set", "levels=0,1"], {
+        "steps_L0.csv": "207b29b11f50c5830967f7b50abe5441e00e9eab7fb72487c4f85b4168c67b49",
+        "steps_L1.csv": "e0922bfe212ea42e55687e4e976bdf9019d193d21ead3f669d7d747b29808e4c",
+        "summary.csv": "356d95ae73107d5bf3cc4e220c83fd9e83dc6715d51de1cbc69698fcd90a96c0",
+    }),
+    "imex": (["run-adaptive", "--set", "levels=0,1"], {
+        "steps_0.csv": "207b29b11f50c5830967f7b50abe5441e00e9eab7fb72487c4f85b4168c67b49",
+        "steps_1.csv": "4f3022b88c3eda2171eb4426f3cef296491a4c0052047bf94023a25c69192d73",
+        "summary.csv": "70324626aa51ee536e249069cc4bbabce858319173b6719c1d12518dec0d6445",
+    }),
+    "fully_implicit": (["run-adaptive", "--set", "levels=0,1",
+                        "--set", "strategy=fully_implicit"], {
+        "steps_0.csv": "207b29b11f50c5830967f7b50abe5441e00e9eab7fb72487c4f85b4168c67b49",
+        "steps_1.csv": "ccc498e8df7cb39218f2acc6fd3754e67cbdbd7cfef5aa90de4fffbd5d4a85f3",
+        "summary.csv": "ab23baa9112a47d083b59ce0a4ff44ddf42b65e0849e77f17c4020c47442721b",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CSV))
+def test_csv_outputs_bit_identical(name, tmp_path, monkeypatch, case):
+    args, want = _GOLDEN_CSV[name]
+    # the session-scoped `case` fixture has the default scale and an
+    # already built inflow table, which test_testcase.py pins bit for bit
+    assert case.perturbation_scale == load_config()["perturbation_scale"]
+    monkeypatch.setattr(shockstep.cli, "_build_case", lambda cfg: case)
+    rc = cli_main(args + ["--set", "ref_level=2", "--out", str(tmp_path)])
+    assert rc == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.glob("*.csv")}
+    assert got == want
 
 
 # ----------------------------------------------------------- run-adaptive

@@ -196,23 +196,72 @@ def test_reference_functional_frozen_value(j_ref):
     assert j_ref == pytest.approx(1.728244437200482, abs=5e-12)
 
 
+def _count_reference_steps(monkeypatch):
+    """Empty memo, and a list that grows by one per stepping-core update."""
+    import shockstep.estimator as est
+    import shockstep.forward as fw
+    monkeypatch.setattr(est, "_ref_cache", {})
+    calls = []
+    orig = fw.Stepper.explicit
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(fw.Stepper, "explicit", counting)
+    return calls
+
+
 def test_reference_functional_memoized(monkeypatch):
     fresh = ss.PerturbedShockCase()
-    calls = []
-    import shockstep.forward as fw
-    orig = fw.explicit_step
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(fw, "explicit_step", counting)
+    calls = _count_reference_steps(monkeypatch)
     first = ss.reference_functional(fresh, 1)
     assert len(calls) > 0
     calls.clear()
     second = ss.reference_functional(fresh, 1)
     assert len(calls) == 0
     assert second == first
+
+
+def test_reference_functional_equal_cases_share_one_run(monkeypatch, case):
+    calls = _count_reference_steps(monkeypatch)
+    first = ss.reference_functional(case, 1)
+    assert len(calls) > 0
+    calls.clear()
+    twin = ss.PerturbedShockCase(perturbation_scale=case.perturbation_scale)
+    assert ss.reference_functional(twin, 1) == first
+    assert len(calls) == 0
+    # another level, base grid or cfl is another run
+    ss.reference_functional(twin, 1, cfl=0.4)
+    assert len(calls) > 0
+
+
+def test_reference_functional_changed_scale_is_fresh(monkeypatch):
+    calls = _count_reference_steps(monkeypatch)
+    mutable = ss.PerturbedShockCase()
+    first = ss.reference_functional(mutable, 1)
+    calls.clear()
+    mutable.perturbation_scale = 2.0
+    again = ss.reference_functional(mutable, 1)
+    assert len(calls) > 0
+    assert again != first
+    # the inflow table followed the new scale (value of a fresh scale-2
+    # case), so the memo now holds the scale-2 value
+    assert mutable.inflow_value(15.0) == 1.017010615748162
+    calls.clear()
+    assert ss.reference_functional(ss.PerturbedShockCase(2.0), 1) == again
+    assert len(calls) == 0
+
+
+def test_reference_functional_unscaled_case_is_not_memoized(monkeypatch,
+                                                            linear_case):
+    # the linear twin has no perturbation_scale to key by
+    calls = _count_reference_steps(monkeypatch)
+    first = ss.reference_functional(linear_case, 1)
+    n = len(calls)
+    assert n > 0
+    assert ss.reference_functional(linear_case, 1) == first
+    assert len(calls) == 2 * n
 
 
 def test_reference_functional_steady_limit():

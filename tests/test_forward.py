@@ -4,6 +4,7 @@ Covers the interface flux algebra, steady discrete shock profiles for both
 steppers, the O(k^2) gap between the explicit and implicit one-step maps,
 Newton failure reporting, and conservation of the full march.
 """
+import hashlib
 import warnings
 
 import numpy as np
@@ -87,6 +88,14 @@ def test_eo_flux_matches_scalar_reference_bitwise(pairs):
 
 # ---------------------------------------------------------------- flux objects
 
+def _split(fl, u):
+    """(dp, dm, fp, fm) from the in-place `split` into fresh buffers."""
+    d = np.full((2,) + u.shape, np.nan)
+    f = np.full((2,) + u.shape, np.nan)
+    fl.split(u, d, f)
+    return d[0], d[1], f[0], f[1]
+
+
 def test_burgers_flux_methods():
     fl = ss.BurgersFlux()
     u = np.array([-1.5, -0.2, 0.0, 0.7, 2.0])
@@ -94,8 +103,11 @@ def test_burgers_flux_methods():
     np.testing.assert_array_equal(fl.fprime(u), u)
     np.testing.assert_array_equal(fl.wave_speed(u), np.abs(u))
     # one-sided derivatives vanish on the wrong side of the sonic point
-    np.testing.assert_array_equal(fl.dleft(u), np.maximum(u, 0.0))
-    np.testing.assert_array_equal(fl.dright(u), np.minimum(u, 0.0))
+    dp, dm, fp, fm = _split(fl, u)
+    np.testing.assert_array_equal(dp, np.maximum(u, 0.0))
+    np.testing.assert_array_equal(dm, np.minimum(u, 0.0))
+    np.testing.assert_array_equal(fp[:-1] + fm[1:], ss.eo_flux(u[:-1], u[1:]))
+    np.testing.assert_array_equal(fp + fm, fl.f(u))
     assert fl.interface(1.0, -1.0) == ss.eo_flux(1.0, -1.0)
 
 
@@ -106,8 +118,10 @@ def test_linear_flux_positive_speed():
     u = np.array([0.1, -2.0, 3.0])
     np.testing.assert_array_equal(fl.f(u), 1.5 * u)
     np.testing.assert_array_equal(fl.fprime(u), np.full(3, 1.5))
-    np.testing.assert_array_equal(fl.dleft(u), np.full(3, 1.5))
-    np.testing.assert_array_equal(fl.dright(u), np.zeros(3))
+    dp, dm, fp, fm = _split(fl, u)
+    np.testing.assert_array_equal(dp, np.full(3, 1.5))
+    np.testing.assert_array_equal(dm, np.zeros(3))
+    np.testing.assert_array_equal(fp[:-1] + fm[1:], fl.interface(u[:-1], u[1:]))
     np.testing.assert_array_equal(fl.wave_speed(u), np.full(3, 1.5))
 
 
@@ -116,8 +130,10 @@ def test_linear_flux_negative_speed():
     uL, uR = 0.3, -0.8
     assert fl.interface(uL, uR) == pytest.approx(-2.0 * uR, abs=0)
     u = np.array([1.0, 2.0])
-    np.testing.assert_array_equal(fl.dleft(u), np.zeros(2))
-    np.testing.assert_array_equal(fl.dright(u), np.full(2, -2.0))
+    dp, dm, fp, fm = _split(fl, u)
+    np.testing.assert_array_equal(dp, np.zeros(2))
+    np.testing.assert_array_equal(dm, np.full(2, -2.0))
+    np.testing.assert_array_equal(fp[:-1] + fm[1:], fl.interface(u[:-1], u[1:]))
     np.testing.assert_array_equal(fl.wave_speed(u), np.full(2, 2.0))
 
 
@@ -155,6 +171,13 @@ def test_explicit_step_warns_above_unit_cfl():
     h = 0.1
     with pytest.warns(RuntimeWarning, match="CFL"):
         ss.explicit_step(u, 0.12, h, 1.0)
+
+
+def test_explicit_step_cfl_counts_the_inflow_value():
+    # CFL 0.99 against max|u| = 0.9 but 1.10 against g = 1.0; unchecked,
+    # the step returns u_0 = 1.0045 > max(u, g)
+    with pytest.warns(RuntimeWarning, match="CFL 1.10"):
+        ss.explicit_step(np.full(4, 0.9), 0.99 * 0.25 / 0.9, 0.25, 1.0)
 
 
 def test_explicit_steady_shock_odd_grid(case):
@@ -255,6 +278,18 @@ def test_implicit_explicit_one_step_gap_is_second_order():
     assert 3.0 <= gaps[1] / gaps[2] <= 5.0
 
 
+@pytest.mark.parametrize("u_last", [-0.5, -0.9])
+@pytest.mark.parametrize("k", [0.01, 0.05])
+def test_newton_quadratic_with_shock_in_last_cell(u_last, k):
+    # the last Jacobian row carries f'(u_J) of the outflow flux; with the
+    # interior row there instead, Newton falls back to 11-37 iterations
+    h = 1.0 / 20
+    u = np.full(20, 0.8)
+    u[-1] = u_last
+    _, _, stats = ss.implicit_step(u, k, h, 0.8)
+    assert stats.iterations <= 5
+
+
 def test_implicit_nonconvergence_carries_diagnostics():
     rng = np.random.default_rng(19)
     u = rng.uniform(-1.0, 1.0, size=30)
@@ -264,6 +299,31 @@ def test_implicit_nonconvergence_carries_diagnostics():
     assert exc.value.residual > 0.0
     assert isinstance(exc.value, ss.SolverFailure)
     assert isinstance(exc.value, RuntimeError)
+
+
+def test_implicit_overflow_is_a_solver_failure():
+    # 0.5 * 1e200**2 overflows; the Newton residual turns NaN before any
+    # linear solve, which must not surface as a bare ValueError
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ss.SolverFailure, match="non-finite"):
+            ss.implicit_step(np.full(20, 1e200), 1.0, 0.05, 1.0)
+
+
+def test_undamped_newton_stalls_at_large_k(case):
+    # level-0 data, k = 5h, constant inflow 1.03: the shock drifts right
+    # and plain Newton stops converging near the outflow boundary
+    grid = ss.build_spatial_grid(20, 0)
+    u = case.initial_cell_averages(grid.edges)
+    h = grid.h
+    steps = 0
+    with pytest.raises(ss.NonConvergence) as exc:
+        for _ in range(200):
+            u, _, _ = ss.implicit_step(u, 5 * h, h, 1.03)
+            steps += 1
+    assert steps == 115
+    assert exc.value.iterations == ss.forward.NEWTON_MAX_ITER
+    assert exc.value.residual == pytest.approx(2.945e-2, rel=1e-3)
+    assert int(np.argmax(u[:-1] - u[1:])) == 17   # jump between cells 18, 19
 
 
 # ---------------------------------------------------------------- full march
@@ -310,6 +370,32 @@ def test_update_fluxes_reproduce_every_update(case):
         else:
             r = u[n + 1] - u[n] + lam * (F[n, 1:] - F[n, :-1])
             assert float(np.max(np.abs(r))) <= ss.forward.NEWTON_TOL
+
+
+# sha256 of the state and dual-sample arrays on the level-0 grid, recorded
+# before the marching kernels were last rewritten; the CSVs print six
+# digits, these catch a change in the last bit
+_GOLDEN_ARRAYS = {
+    "explicit": ("fd2b1333d3d56e4d7ec17f9796c367024153884cf80828fe718d3501c29dc346",
+                 "4e716ebb5ca236cd85cdb804314e1658b0dbe81ebc021ccc35af73ca0c1e6ded"),
+    "implicit": ("918b12527a568784775bc473ac0cc7200dfa1cbb8432391879971d9b4ecca211",
+                 "a5ff6d67f00b807dbfb830662ffd02abd8efbabc72d9feb7dc6bc1b152079dfd"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_GOLDEN_ARRAYS))
+def test_march_and_dual_bit_exact(mode, case):
+    grid = ss.build_spatial_grid(20, 0)
+    if mode == "explicit":
+        k = 0.8 * grid.h / ss.speed_for_basis(case, grid, "global")
+        part = ss.uniform_partition(case.T, k)
+    else:
+        part = ss.uniform_partition(case.T, 1.0, ss.IMPLICIT)
+    traj = ss.run_forward(grid, part, case)
+    dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj), case)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                for a in (traj.states, dual.w_samples))
+    assert got == _GOLDEN_ARRAYS[mode]
 
 
 def test_run_forward_stays_within_data_range(uniform_reports):
