@@ -7,8 +7,7 @@ retiles the time axis between mesh levels.
 
 from .adaptivity import (AdaptationConfig, AdaptationPlan, LevelReport,
                          PlanStats, SpeedProfile, adaptive_loop, assign_modes,
-                         propose_timesteps, solve_level, speed_for_basis,
-                         tolerance_schedule)
+                         propose_timesteps, solve_level, tolerance_schedule)
 from .dual import (CoefficientField, DualGradientTrajectory,
                    build_coefficient_field, solve_dual_gradient)
 from .estimator import (ErrorBreakdown, assemble_breakdown, efficiency_index,
@@ -16,8 +15,8 @@ from .estimator import (ErrorBreakdown, assemble_breakdown, efficiency_index,
                         weight_cell_integrals)
 from .forward import (BURGERS, BurgersFlux, LinearFlux, NewtonStats,
                       NonConvergence, SolverFailure, ForwardTrajectory,
-                      eo_flux, explicit_step, implicit_step, interface_fluxes,
-                      run_forward, update_fluxes)
+                      Stepper, interface_fluxes, run_forward, speed_for_basis,
+                      update_fluxes)
 from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
                    build_spatial_grid, uniform_partition)
 from .testcase import (CharacteristicsReport, PerturbedShockCase,
@@ -28,14 +27,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptationConfig", "AdaptationPlan", "LevelReport", "PlanStats",
     "SpeedProfile", "adaptive_loop", "assign_modes", "propose_timesteps",
-    "solve_level", "speed_for_basis", "tolerance_schedule",
+    "solve_level", "tolerance_schedule",
     "CoefficientField", "DualGradientTrajectory", "build_coefficient_field",
     "solve_dual_gradient",
     "ErrorBreakdown", "assemble_breakdown", "efficiency_index",
     "evaluate_functional", "reference_functional", "weight_cell_integrals",
     "BURGERS", "BurgersFlux", "LinearFlux", "NewtonStats", "NonConvergence",
-    "SolverFailure", "ForwardTrajectory", "eo_flux", "explicit_step",
-    "implicit_step", "interface_fluxes", "run_forward", "update_fluxes",
+    "SolverFailure", "ForwardTrajectory", "Stepper", "interface_fluxes",
+    "run_forward", "speed_for_basis", "update_fluxes",
     "EXPLICIT", "IMPLICIT", "SpatialGrid", "TimePartition",
     "build_spatial_grid", "uniform_partition",
     "CharacteristicsReport", "PerturbedShockCase", "validate_characteristics",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dual import build_coefficient_field, solve_dual_gradient
 from .estimator import ErrorBreakdown, assemble_breakdown
-from .forward import ForwardTrajectory, run_forward
+from .forward import ForwardTrajectory, run_forward, speed_for_basis
 from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
                    build_spatial_grid, uniform_partition)
 
@@ -73,10 +73,10 @@ class SpeedProfile:
 
     @classmethod
     def from_trajectory(cls, traj: ForwardTrajectory, case) -> "SpeedProfile":
-        flux = traj.flux
-        state_speed = np.max(flux.wave_speed(traj.states), axis=1)
+        fprime = traj.flux.fprime
+        state_speed = np.max(np.abs(fprime(traj.states)), axis=1)
         g_at = np.atleast_1d(np.asarray(case.inflow_value(traj.partition.times), dtype=float))
-        node = np.maximum(state_speed, flux.wave_speed(g_at))
+        node = np.maximum(state_speed, np.abs(fprime(g_at)))
         return cls(times=traj.partition.times.copy(),
                    values=np.maximum(node[:-1], node[1:]))
 
@@ -226,18 +226,6 @@ def tolerance_schedule(rule: str, prior: Sequence[float],
             raise ValueError("scaled_ref rule needs a factor")
         return float(factor) * float(prior[0])
     raise ValueError(f"unknown tolerance rule {rule!r}")
-
-
-def speed_for_basis(case, grid: SpatialGrid, basis: str) -> float:
-    flux = case.flux
-    u0 = np.asarray(case.initial_cell_averages(grid.edges), dtype=float)
-    s0 = float(np.max(flux.wave_speed(u0)))
-    if basis == "initial":
-        return s0
-    if basis == "global":
-        g_speed = float(np.max(flux.wave_speed(np.array([case.inflow_peak()]))))
-        return max(s0, g_speed)
-    raise ValueError(f"unknown speed basis {basis!r}")
 
 
 @dataclass

@@ -7,18 +7,19 @@ artifacts.  Exit codes: 0 success, 2 config error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from .adaptivity import (AdaptationConfig, LevelReport, adaptive_loop,
-                         solve_level, speed_for_basis)
+                         solve_level)
 # run_forward, build_coefficient_field, solve_dual_gradient and
 # assemble_breakdown are unused here: bench/run.py --trace 1 patches them
 # in this namespace.
 from .dual import build_coefficient_field, solve_dual_gradient  # noqa: F401
 from .estimator import (assemble_breakdown,  # noqa: F401
                         efficiency_index, reference_functional)
-from .forward import SolverFailure, run_forward  # noqa: F401
+from .forward import SolverFailure, run_forward, speed_for_basis  # noqa: F401
 from .grid import EXPLICIT, IMPLICIT, build_spatial_grid, uniform_partition
 from .testcase import PerturbedShockCase, validate_characteristics
 
@@ -194,9 +195,6 @@ def _summary_row(report: LevelReport, theta: float, adaptive: bool):
 
 
 def run_uniform(cfg: dict) -> int:
-    if cfg["dry_run"]:
-        _echo_config(cfg)
-        return 0
     case = _solvable_case(cfg)
     out = _ensure_outdir(cfg)
     levels = cfg["levels"] if cfg["levels"] is not None else [cfg["level"]]
@@ -241,7 +239,11 @@ def _adaptive_reports(cfg: dict, case, honor_tol_total: bool) -> list:
     return reports
 
 
-def _write_adaptive(cfg: dict, case, reports) -> int:
+def run_adaptive(cfg: dict, honor_tol_total: bool = False) -> int:
+    """run-adaptive; run-loop is the same chain, stopped early once the
+    combined density drops below tol_total."""
+    case = _solvable_case(cfg)
+    reports = _adaptive_reports(cfg, case, honor_tol_total)
     out = _ensure_outdir(cfg)
     rows = []
     for i, rep in enumerate(reports):
@@ -260,24 +262,6 @@ def _write_adaptive(cfg: dict, case, reports) -> int:
     return 0
 
 
-def run_adaptive(cfg: dict) -> int:
-    if cfg["dry_run"]:
-        _echo_config(cfg)
-        return 0
-    case = _solvable_case(cfg)
-    reports = _adaptive_reports(cfg, case, honor_tol_total=False)
-    return _write_adaptive(cfg, case, reports)
-
-
-def run_loop(cfg: dict) -> int:
-    if cfg["dry_run"]:
-        _echo_config(cfg)
-        return 0
-    case = _solvable_case(cfg)
-    reports = _adaptive_reports(cfg, case, honor_tol_total=True)
-    return _write_adaptive(cfg, case, reports)
-
-
 def emit_plot_data(report: LevelReport, out_dir: str, index: int):
     """Two-column series exactly as carried by the report, no resampling."""
     t_end = [_fmt(report.partition.times[i + 1])
@@ -291,9 +275,6 @@ def emit_plot_data(report: LevelReport, out_dir: str, index: int):
 
 
 def emit_plots(cfg: dict) -> int:
-    if cfg["dry_run"]:
-        _echo_config(cfg)
-        return 0
     case = _solvable_case(cfg)
     out = _ensure_outdir(cfg)
     if cfg["experiment"] == "uniform":
@@ -307,9 +288,6 @@ def emit_plots(cfg: dict) -> int:
 
 
 def validate_case(cfg: dict) -> int:
-    if cfg["dry_run"]:
-        _echo_config(cfg)
-        return 0
     case = _build_case(cfg)
     rep = validate_characteristics(case)
     print(f"monotone_departure = {rep.monotone_departure}")
@@ -322,7 +300,7 @@ def validate_case(cfg: dict) -> int:
 _COMMANDS = {
     "run-uniform": run_uniform,
     "run-adaptive": run_adaptive,
-    "run-loop": run_loop,
+    "run-loop": functools.partial(run_adaptive, honor_tol_total=True),
     "emit-plots": emit_plots,
     "validate-case": validate_case,
 }
@@ -343,6 +321,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.set)
         if args.out is not None:
             cfg["out_dir"] = args.out
+        if cfg["dry_run"]:
+            _echo_config(cfg)
+            return 0
         return _COMMANDS[args.command](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -41,10 +41,13 @@ def build_coefficient_field(traj: ForwardTrajectory) -> CoefficientField:
 
     The end state is the one defining an implicit step's fluxes, and the
     piecewise-constant-in-time freezing matches the solution representation.
+    The values are not copied: for Burgers, f'(u) = u, they are a view of
+    the trajectory's states, so they are marked read-only.
     """
     a = traj.flux.fprime(traj.states[1:])
+    a.flags.writeable = False
     return CoefficientField(grid=traj.grid, partition=traj.partition,
-                            a_values=np.array(a, dtype=float))
+                            a_values=a)
 
 
 def solve_dual_gradient(coeff: CoefficientField, case,

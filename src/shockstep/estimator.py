@@ -65,13 +65,14 @@ def assemble_breakdown(traj: ForwardTrajectory, coeff: CoefficientField,
     k = part.steps[:, None]
     h = grid.h
     psi_c = case.weight(grid.centers)[None, :]
-    du = traj.states[1:] - traj.states[:-1]
+    u = traj.states
     W = dual.w_samples
     A = coeff.a_values
-    eta_k_cells = -0.5 * k * h * du * (psi_c - A * W)
+    # (N, J) temporaries are recomputed inline, not kept bound
+    eta_k_cells = -0.5 * k * h * (u[1:] - u[:-1]) * (psi_c - A * W)
     F = forward.update_fluxes(traj, case)
-    f_mid = traj.flux.f(traj.states[1:])
-    eta_h_cells = k * 0.5 * h * W * (F[:, 1:] + F[:, :-1] - 2.0 * f_mid)
+    eta_h_cells = k * 0.5 * h * W * (F[:, 1:] + F[:, :-1]
+                                     - 2.0 * traj.flux.f(u[1:]))
     k1 = part.steps
     eta_k_bar_n = np.sum(np.abs(eta_k_cells), axis=1) / k1
     eta_h_bar_n = np.sum(np.abs(eta_h_cells), axis=1) / k1
@@ -119,14 +120,11 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
     if scale is not None and key in _ref_cache:
         return _ref_cache[key]
     grid = build_spatial_grid(base_cells, ref_level, case.domain)
-    flux = case.flux
-    u = np.asarray(case.initial_cell_averages(grid.edges), dtype=float)
-    speed = max(float(np.max(flux.wave_speed(u))),
-                float(np.max(flux.wave_speed(np.array([case.inflow_peak()])))))
+    speed = forward.speed_for_basis(case, grid, "global")
     part = uniform_partition(case.T, cfl * grid.h / speed)
     W = weight_cell_integrals(grid, case)
     g_at = np.atleast_1d(np.asarray(case.inflow_value(part.times), dtype=float))
-    stepper = forward.Stepper(u, flux)
+    stepper = forward.Stepper(case.initial_cell_averages(grid.edges), case.flux)
     h = grid.h
     acc = 0.0
     for n, k in enumerate(part.steps.tolist()):

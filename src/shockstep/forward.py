@@ -7,7 +7,6 @@ data, the right boundary pure upwind outflow.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,20 +31,6 @@ class NonConvergence(SolverFailure):
         self.residual = residual
 
 
-def eo_flux(uL, uR):
-    """Engquist-Osher interface flux for f(u) = u^2/2.
-
-    Splitting F = f+(uL) + f-(uR) with f+(u) = u^2/2 for u > 0 else 0 and
-    f-(u) = u^2/2 for u < 0 else 0; monotone and consistent.
-    """
-    # one splitting term at a time keeps a single full-size temporary alive
-    out = np.maximum(np.asarray(uL, dtype=float), 0.0)
-    out = 0.5 * out * out
-    m = np.minimum(np.asarray(uR, dtype=float), 0.0)
-    out += 0.5 * m * m
-    return float(out) if out.ndim == 0 else out
-
-
 class BurgersFlux:
     """f(u) = u^2/2 with Engquist-Osher interface splitting."""
 
@@ -56,21 +41,15 @@ class BurgersFlux:
     def fprime(self, u):
         return np.asarray(u, dtype=float)
 
-    def interface(self, uL, uR):
-        return eo_flux(uL, uR)
-
     def split(self, v, d, f):
         """Write the splitting of v into the (2, n) buffers d and f: the
         one-sided derivatives d = (max(v, 0), min(v, 0)), 0 at the sonic
-        point, and the flux parts f = d^2/2, so that
-        eo_flux(uL, uR) == f[0](uL) + f[1](uR) bit for bit."""
+        point, and the flux parts f = d^2/2, so that f[0](uL) + f[1](uR)
+        is the Engquist-Osher interface flux."""
         np.maximum(v, 0.0, out=d[0])
         np.minimum(v, 0.0, out=d[1])
         np.multiply(d, 0.5, out=f)
         f *= d
-
-    def wave_speed(self, u):
-        return np.abs(np.asarray(u, dtype=float))
 
 
 class LinearFlux:
@@ -85,18 +64,11 @@ class LinearFlux:
     def fprime(self, u):
         return np.full_like(np.asarray(u, dtype=float), self.a)
 
-    def interface(self, uL, uR):
-        return (max(self.a, 0.0) * np.asarray(uL, dtype=float)
-                + min(self.a, 0.0) * np.asarray(uR, dtype=float))
-
     def split(self, v, d, f):
         """Same contract as `BurgersFlux.split`, with constant derivatives."""
         d[0] = max(self.a, 0.0)
         d[1] = min(self.a, 0.0)
         np.multiply(d, v, out=f)
-
-    def wave_speed(self, u):
-        return np.full_like(np.asarray(u, dtype=float), abs(self.a))
 
 
 BURGERS = BurgersFlux()
@@ -118,14 +90,22 @@ class ForwardTrajectory:
 
 
 def interface_fluxes(u: np.ndarray, g, flux=BURGERS) -> np.ndarray:
-    """All J+1 interface fluxes: inflow splitting against the ghost value g
-    on the left, pure upwind extrapolation f(u_J) on the right.  Cells run
-    along the last axis; leading axes of u and g broadcast."""
-    F = np.empty(u.shape[:-1] + (u.shape[-1] + 1,))
-    F[..., 1:-1] = flux.interface(u[..., :-1], u[..., 1:])
-    F[..., 0] = flux.interface(g, u[..., 0])
-    F[..., -1] = flux.f(u[..., -1])
-    return F
+    """All J+1 interface fluxes of the state u with inflow g, built as the
+    `Stepper` builds them: u between the ghost cells g and a copy of its
+    last cell, one `flux.split`, F = f[0, :-1] + f[1, 1:].  Cells run along
+    the last axis; leading axes of u and g broadcast."""
+    u = np.asarray(u, dtype=float)
+    v = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
+    v[..., 0] = g
+    v[..., 1:-1] = u
+    v[..., -1] = v[..., -2]
+    # drop each input once read: a row copy passed in (update_fluxes) and
+    # the derivative splits are not kept alive next to the result
+    del u
+    d, f = np.empty((2,) + v.shape), np.empty((2,) + v.shape)
+    flux.split(v, d, f)
+    del v, d
+    return f[0, ..., :-1] + f[1, ..., 1:]
 
 
 _amax = np.maximum.reduce
@@ -190,12 +170,15 @@ class Stepper:
         return du
 
     def explicit(self, k: float, h: float, g: float):
-        """u <- u - (k/h) (F[1:] - F[:-1]) with the fluxes of u and g."""
+        """u <- u - (k/h) (F[1:] - F[:-1]) with the fluxes of u and g.
+
+        Refuses (SolverFailure, u unchanged) a step with k max|f'| / h > 1
+        over the state and g, the bound the max principle needs.
+        """
         du = self._update(k / h, g)
-        speed = _amax(self.speed)
-        if k * speed / h > 1.0:
-            warnings.warn(f"explicit step at CFL {k * speed / h:.2f} > 1",
-                          RuntimeWarning, stacklevel=3)
+        cfl = k * _amax(self.speed) / h
+        if cfl > 1.0:
+            raise SolverFailure(f"explicit step at CFL {cfl:.2f} > 1")
         self.u -= du
         if not _finite(self.u):
             raise SolverFailure("non-finite state")
@@ -204,7 +187,15 @@ class Stepper:
                  max_iter: int = NEWTON_MAX_ITER) -> NewtonStats:
         """Backward Euler: Newton on u - u_old + (k/h) (F[1:] - F[:-1]) = 0
         with the analytic tridiagonal Jacobian, solved by LAPACK dgtsv,
-        which is what scipy's solve_banded((1, 1), ...) calls."""
+        which is what scipy's solve_banded((1, 1), ...) calls.
+
+        Full steps, no damping.  The Jacobian is diagonally dominant
+        (diagonal 1 + lam*|f'|), so every linear solve is well posed, but
+        that does not make the undamped iteration converge for every k:
+        from level-0 data with k = 5h and inflow 1.03 it stalls once the
+        shock nears the outflow boundary.  A stall raises `NonConvergence`,
+        a non-finite residual `SolverFailure`.
+        """
         lam = k / h
         u, u_old, r, diag, d = self.u, self.u_old, self.r, self.diag, self.d
         u_old[:] = u
@@ -234,33 +225,17 @@ class Stepper:
         raise NonConvergence(max_iter, res)
 
 
-def explicit_step(u: np.ndarray, k: float, h: float, g: float,
-                  flux=BURGERS):
-    """One forward-Euler update; returns (new state, interface fluxes).
-
-    Warns when k * max(|u|, |g|) / h > 1, the bound the max principle needs.
-    """
-    s = Stepper(u, flux)
-    s.explicit(k, h, g)
-    return s.u, s.F
-
-
-def implicit_step(u_old: np.ndarray, k: float, h: float, g: float,
-                  flux=BURGERS, tol: float = NEWTON_TOL,
-                  max_iter: int = NEWTON_MAX_ITER):
-    """One backward-Euler update solved by Newton with the analytic
-    tridiagonal Jacobian; returns (new state, fluxes, NewtonStats).
-
-    Full steps, no damping.  The Jacobian is diagonally dominant (diagonal
-    1 + lam*|df|), so every linear solve is well posed, but that does not
-    make the undamped iteration converge for every k: from level-0 data
-    with k = 5h and inflow 1.03 it stalls once the shock nears the outflow
-    boundary.  A stall raises `NonConvergence`, a non-finite residual
-    `SolverFailure`.
-    """
-    s = Stepper(u_old, flux)
-    stats = s.implicit(k, h, g, tol, max_iter)
-    return s.u, s.F, stats
+def speed_for_basis(case, grid: SpatialGrid, basis: str) -> float:
+    """Wave speed bound max|f'| for a uniform partition: over the initial
+    cell averages ("initial"), and also over the inflow peak ("global")."""
+    fprime = case.flux.fprime
+    speed = float(np.max(np.abs(fprime(case.initial_cell_averages(grid.edges)))))
+    if basis == "initial":
+        return speed
+    if basis == "global":
+        g = np.array([case.inflow_peak()])
+        return max(speed, float(np.max(np.abs(fprime(g)))))
+    raise ValueError(f"unknown speed basis {basis!r}")
 
 
 def run_forward(grid: SpatialGrid, partition: TimePartition,

@@ -104,6 +104,25 @@ def test_propose_always_tiles_exactly():
         assert abs(np.sum(raw) - T) <= 1e-12 * T
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1,
+                max_size=30),
+       st.data())
+def test_propose_tiles_horizon_for_random_densities(old_steps, data):
+    # irregular old partition, densities with zeros; tol_k keeps the
+    # proposal near or below 2000 steps, sum(density) * T / tol_k
+    old = ss.TimePartition(times=np.concatenate(([0.0], np.cumsum(old_steps))))
+    T = old.T
+    dens = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e3)),
+        min_size=old.interval_count, max_size=old.interval_count)))
+    need = max(float(np.sum(dens)) * T / 2000.0, 1e-12)
+    tol_k = need * data.draw(st.floats(min_value=1.0, max_value=1e6))
+    raw = ss.propose_timesteps(old, dens, ss.AdaptationConfig(T=T, tol_k=tol_k))
+    assert np.all(raw > 0.0)
+    assert abs(np.sum(raw) - T) <= 1e-12 * T
+
+
 def test_propose_step_count_monotone_in_tolerance():
     rng = np.random.default_rng(32)
     for _ in range(20):

@@ -9,7 +9,6 @@ import importlib.util
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -87,9 +86,11 @@ def test_set_wins_over_file(tmp_path):
 
 # ---------------------------------------------------------------- dry run
 
-def test_dry_run_echoes_and_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run-uniform", "run-adaptive", "run-loop",
+                                     "emit-plots", "validate-case"])
+def test_dry_run_echoes_and_writes_nothing(command, tmp_path, capsys):
     out = tmp_path / "never"
-    rc = cli_main(["run-uniform", "--set", "dry_run=true",
+    rc = cli_main([command, "--set", "dry_run=true",
                    "--set", "level=3", "--out", str(out)])
     assert rc == 0
     stdout = capsys.readouterr().out
@@ -116,10 +117,8 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 
 def test_solver_blowup_exits_3(tmp_path, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rc = cli_main(["run-uniform", "--set", "cfl=50",
-                       "--set", "ref_level=2", "--out", str(tmp_path)])
+    rc = cli_main(["run-uniform", "--set", "cfl=50",
+                   "--set", "ref_level=2", "--out", str(tmp_path)])
     assert rc == 3
     err = capsys.readouterr().err
     assert "solver failure" in err
@@ -335,18 +334,28 @@ def test_module_entry_point_subprocess():
 
 # ---------------------------------------------------------- bench contract
 
-def test_bench_tracer_finds_every_name_it_patches():
+def test_bench_tracer_finds_every_name_it_patches(tmp_path, monkeypatch, case):
     # bench/run.py --trace 1 wraps functions by name in shockstep.cli and
-    # shockstep.adaptivity; a name dropped here would break the traced run
+    # shockstep.adaptivity and reads what they return; a name dropped or a
+    # field renamed here would break the traced run.  Same sequence as
+    # run_traced, on the smoke config with the session's case.
     path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
     spec = importlib.util.spec_from_file_location("shockstep_bench_run", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    monkeypatch.setattr(shockstep.cli, "_build_case", lambda cfg: case)
     original = shockstep.cli.run_forward
     tracer = bench.Tracer()
     try:
         bench.install_spans(tracer)
         assert shockstep.cli.run_forward is not original
+        rc = tracer.call("cli.main", shockstep.cli.main,
+                         bench.SMOKE + ["--out", str(tmp_path)])
     finally:
         tracer.restore()
     assert shockstep.cli.run_forward is original
+    assert rc == 0
+    m = bench.count_pass(tracer, tracer.self_times())
+    for name in ("forward.steps_explicit", "dual.substeps",
+                 "estimator.ref_steps"):
+        assert m[name][0] > 0, name

@@ -5,7 +5,6 @@ steppers, the O(k^2) gap between the explicit and implicit one-step maps,
 Newton failure reporting, and conservation of the full march.
 """
 import hashlib
-import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +20,13 @@ _STATE = st.floats(min_value=-2.0, max_value=2.0,
                    allow_nan=False, allow_infinity=False)
 
 
-# ---------------------------------------------------------------- eo_flux
+# ------------------------------------------------- Engquist-Osher flux
+
+def _pair_flux(uL, uR, flux=ss.BURGERS):
+    """The interface flux of each pair (uL, uR), taken from `interface_fluxes`
+    as the inflow interface of a one-cell state uR with ghost value uL."""
+    return ss.interface_fluxes(np.asarray(uR)[..., None], uL, flux)[..., 0]
+
 
 @pytest.mark.parametrize("uL,uR,expected", [
     (1.0, 1.0, 0.5),
@@ -31,27 +36,24 @@ _STATE = st.floats(min_value=-2.0, max_value=2.0,
     (2.0, 1.0, 2.0),
 ])
 def test_eo_flux_values(uL, uR, expected):
-    assert ss.eo_flux(uL, uR) == expected
-
-
-def test_eo_flux_scalar_returns_float():
-    out = ss.eo_flux(1.0, -1.0)
-    assert isinstance(out, float)
+    assert _pair_flux(uL, uR) == expected
 
 
 def test_eo_flux_vectorized():
+    # a leading axis of states and inflow values: one row per pair
     uL = np.array([1.0, 1.0, -1.0, 0.0, 2.0])
     uR = np.array([1.0, -1.0, 1.0, 0.0, 1.0])
-    out = ss.eo_flux(uL, uR)
-    assert out.shape == uL.shape
-    np.testing.assert_array_equal(out, [0.5, 1.0, 0.0, 0.0, 2.0])
+    F = ss.interface_fluxes(uR[:, None], uL)
+    assert F.shape == (5, 2)
+    np.testing.assert_array_equal(F[:, 0], [0.5, 1.0, 0.0, 0.0, 2.0])
+    np.testing.assert_array_equal(F[:, 1], 0.5 * uR * uR)
 
 
 def test_eo_flux_consistency():
     # F(u, u) must collapse to the physical flux
     rng = np.random.default_rng(3)
     u = rng.uniform(-2.0, 2.0, size=300)
-    np.testing.assert_allclose(ss.eo_flux(u, u), 0.5 * u * u, rtol=1e-15)
+    np.testing.assert_allclose(_pair_flux(u, u), 0.5 * u * u, rtol=1e-15)
 
 
 def test_eo_flux_monotone():
@@ -60,8 +62,8 @@ def test_eo_flux_monotone():
     uL = rng.uniform(-2.0, 2.0, size=200)
     uR = rng.uniform(-2.0, 2.0, size=200)
     d = 1e-6
-    dL = (ss.eo_flux(uL + d, uR) - ss.eo_flux(uL - d, uR)) / (2 * d)
-    dR = (ss.eo_flux(uL, uR + d) - ss.eo_flux(uL, uR - d)) / (2 * d)
+    dL = (_pair_flux(uL + d, uR) - _pair_flux(uL - d, uR)) / (2 * d)
+    dR = (_pair_flux(uL, uR + d) - _pair_flux(uL, uR - d)) / (2 * d)
     assert np.all(dL >= -1e-9)
     assert np.all(dR <= 1e-9)
 
@@ -81,9 +83,12 @@ def test_eo_flux_matches_scalar_reference_bitwise(pairs):
     uL = np.array([a for a, _ in pairs])
     uR = np.array([b for _, b in pairs])
     want = np.array([_eo_flux_scalar(a, b) for a, b in pairs])
-    assert ss.eo_flux(uL, uR).tobytes() == want.tobytes()
-    a, b = pairs[0]
-    assert np.float64(ss.eo_flux(a, b)).tobytes() == want[:1].tobytes()
+    assert _pair_flux(uL, uR).tobytes() == want.tobytes()
+    # the interior interfaces of one row of cells uR, inflow uL[0]
+    F = ss.interface_fluxes(uR, uL[0])
+    inner = np.array([_eo_flux_scalar(a, b) for a, b in zip(uR[:-1], uR[1:])])
+    assert F[1:-1].tobytes() == inner.tobytes()
+    assert np.float64(F[0]).tobytes() == want[:1].tobytes()
 
 
 # ---------------------------------------------------------------- flux objects
@@ -101,40 +106,41 @@ def test_burgers_flux_methods():
     u = np.array([-1.5, -0.2, 0.0, 0.7, 2.0])
     np.testing.assert_array_equal(fl.f(u), 0.5 * u * u)
     np.testing.assert_array_equal(fl.fprime(u), u)
-    np.testing.assert_array_equal(fl.wave_speed(u), np.abs(u))
     # one-sided derivatives vanish on the wrong side of the sonic point
     dp, dm, fp, fm = _split(fl, u)
     np.testing.assert_array_equal(dp, np.maximum(u, 0.0))
     np.testing.assert_array_equal(dm, np.minimum(u, 0.0))
-    np.testing.assert_array_equal(fp[:-1] + fm[1:], ss.eo_flux(u[:-1], u[1:]))
+    np.testing.assert_array_equal(dp - dm, np.abs(u))
+    np.testing.assert_array_equal(
+        fp[:-1] + fm[1:], [_eo_flux_scalar(a, b) for a, b in zip(u[:-1], u[1:])])
     np.testing.assert_array_equal(fp + fm, fl.f(u))
-    assert fl.interface(1.0, -1.0) == ss.eo_flux(1.0, -1.0)
+    assert _pair_flux(1.0, -1.0, fl) == _eo_flux_scalar(1.0, -1.0)
 
 
 def test_linear_flux_positive_speed():
     fl = ss.LinearFlux(1.5)
     uL, uR = 0.3, -0.8
-    assert fl.interface(uL, uR) == pytest.approx(1.5 * uL, abs=0)
+    assert _pair_flux(uL, uR, fl) == pytest.approx(1.5 * uL, abs=0)
     u = np.array([0.1, -2.0, 3.0])
     np.testing.assert_array_equal(fl.f(u), 1.5 * u)
     np.testing.assert_array_equal(fl.fprime(u), np.full(3, 1.5))
     dp, dm, fp, fm = _split(fl, u)
     np.testing.assert_array_equal(dp, np.full(3, 1.5))
     np.testing.assert_array_equal(dm, np.zeros(3))
-    np.testing.assert_array_equal(fp[:-1] + fm[1:], fl.interface(u[:-1], u[1:]))
-    np.testing.assert_array_equal(fl.wave_speed(u), np.full(3, 1.5))
+    np.testing.assert_array_equal(fp[:-1] + fm[1:], 1.5 * u[:-1])
+    np.testing.assert_array_equal(dp - dm, np.full(3, 1.5))
 
 
 def test_linear_flux_negative_speed():
     fl = ss.LinearFlux(-2.0)
     uL, uR = 0.3, -0.8
-    assert fl.interface(uL, uR) == pytest.approx(-2.0 * uR, abs=0)
+    assert _pair_flux(uL, uR, fl) == pytest.approx(-2.0 * uR, abs=0)
     u = np.array([1.0, 2.0])
     dp, dm, fp, fm = _split(fl, u)
     np.testing.assert_array_equal(dp, np.zeros(2))
     np.testing.assert_array_equal(dm, np.full(2, -2.0))
-    np.testing.assert_array_equal(fp[:-1] + fm[1:], fl.interface(u[:-1], u[1:]))
-    np.testing.assert_array_equal(fl.wave_speed(u), np.full(2, 2.0))
+    np.testing.assert_array_equal(fp[:-1] + fm[1:], -2.0 * u[1:])
+    np.testing.assert_array_equal(dp - dm, np.full(2, 2.0))
 
 
 # ---------------------------------------------------------------- interfaces
@@ -145,9 +151,14 @@ def test_interface_fluxes_layout():
     g = 0.9
     F = ss.interface_fluxes(u, g)
     assert F.shape == (18,)
-    assert F[0] == ss.eo_flux(g, u[0])
+    assert F[0] == _eo_flux_scalar(g, u[0])
     assert F[-1] == 0.5 * u[-1] ** 2
-    np.testing.assert_array_equal(F[1:-1], ss.eo_flux(u[:-1], u[1:]))
+    np.testing.assert_array_equal(
+        F[1:-1], [_eo_flux_scalar(a, b) for a, b in zip(u[:-1], u[1:])])
+    # rows along a leading axis, each with its own inflow value
+    rows = ss.interface_fluxes(np.stack([u, u[::-1]]), np.array([g, -g]))
+    np.testing.assert_array_equal(rows[0], F)
+    np.testing.assert_array_equal(rows[1], ss.interface_fluxes(u[::-1], -g))
 
 
 def test_interface_fluxes_uniform_state():
@@ -156,45 +167,63 @@ def test_interface_fluxes_uniform_state():
     np.testing.assert_array_equal(F, np.full(13, 0.5 * 0.7 * 0.7))
 
 
+@pytest.mark.parametrize("flux", [ss.BURGERS, ss.LinearFlux(1.5),
+                                  ss.LinearFlux(-2.0)],
+                         ids=["burgers", "linear_right", "linear_left"])
+def test_interface_fluxes_equal_the_stepper_fluxes(flux):
+    # the estimator's fluxes and the march's are one computation
+    rng = np.random.default_rng(12)
+    u = rng.uniform(-1.0, 1.0, size=9)
+    s = ss.Stepper(u, flux)
+    s.explicit(0.01, 0.1, 0.4)
+    assert s.F.tobytes() == ss.interface_fluxes(u, 0.4, flux).tobytes()
+
+
 # ---------------------------------------------------------------- explicit step
 
 def test_explicit_step_constant_state_invariant():
     u = np.full(25, 0.6)
     h = 1.0 / 25
-    un, F = ss.explicit_step(u, 0.8 * h / 0.6, h, 0.6)
-    np.testing.assert_array_equal(un, u)
-    assert F.shape == (26,)
+    s = ss.Stepper(u, ss.BURGERS)
+    s.explicit(0.8 * h / 0.6, h, 0.6)
+    np.testing.assert_array_equal(s.u, u)
+    assert s.F.shape == (26,)
 
 
-def test_explicit_step_warns_above_unit_cfl():
+def test_explicit_step_refuses_above_unit_cfl():
     u = np.linspace(-1.0, 1.0, 10)
     h = 0.1
-    with pytest.warns(RuntimeWarning, match="CFL"):
-        ss.explicit_step(u, 0.12, h, 1.0)
+    s = ss.Stepper(u, ss.BURGERS)
+    with pytest.raises(ss.SolverFailure, match="CFL"):
+        s.explicit(0.12, h, 1.0)
+    np.testing.assert_array_equal(s.u, u)
 
 
 def test_explicit_step_cfl_counts_the_inflow_value():
     # CFL 0.99 against max|u| = 0.9 but 1.10 against g = 1.0; unchecked,
     # the step returns u_0 = 1.0045 > max(u, g)
-    with pytest.warns(RuntimeWarning, match="CFL 1.10"):
-        ss.explicit_step(np.full(4, 0.9), 0.99 * 0.25 / 0.9, 0.25, 1.0)
+    with pytest.raises(ss.SolverFailure, match="CFL 1.10"):
+        ss.Stepper(np.full(4, 0.9), ss.BURGERS).explicit(0.99 * 0.25 / 0.9,
+                                                         0.25, 1.0)
 
 
 def test_explicit_steady_shock_odd_grid(case):
     # center cell straddles the jump, its average is the sonic value
     grid = ss.build_spatial_grid(21, 0)
     u0 = case.initial_cell_averages(grid.edges)
-    un, _ = ss.explicit_step(u0.copy(), 0.8 * grid.h, grid.h, 1.0)
-    assert float(np.max(np.abs(un - u0))) == 0.0
+    s = ss.Stepper(u0, ss.BURGERS)
+    s.explicit(0.8 * grid.h, grid.h, 1.0)
+    assert float(np.max(np.abs(s.u - u0))) == 0.0
 
 
 def test_explicit_edge_aligned_jump_relaxes_to_two_cell_layer():
     # an edge-aligned jump is not steady; mass fixes the internal layer
     J = 20
     h = 1.0 / J
-    u = np.where(np.arange(J) < 10, 1.0, -1.0).astype(float)
+    s = ss.Stepper(np.where(np.arange(J) < 10, 1.0, -1.0), ss.BURGERS)
     for _ in range(400):
-        u, _ = ss.explicit_step(u, 0.8 * h, h, 1.0)
+        s.explicit(0.8 * h, h, 1.0)
+    u = s.u
     r = np.sqrt(0.5)
     assert abs(u[9] - r) <= 1e-13
     assert abs(u[10] + r) <= 1e-13
@@ -209,8 +238,9 @@ def _unit_cfl_step(u, g, cfl):
     speed = max(float(np.max(np.abs(u))), abs(g), 1e-3)
     k = cfl * h / speed
     assume(k * speed / h <= 1.0)
-    un, F = ss.explicit_step(u, k, h, g)
-    return un, F, k, h
+    s = ss.Stepper(u, ss.BURGERS)
+    s.explicit(k, h, g)
+    return s.u, s.F, k, h
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,26 +264,44 @@ def test_explicit_step_max_principle(u, g, cfl):
     assert np.all(un >= lo - tol) and np.all(un <= hi + tol)
 
 
+def _tv(g, u):
+    """Total variation of the state behind its inflow ghost value g."""
+    return float(np.sum(np.abs(np.diff(np.concatenate(([g], u))))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_STATE, min_size=1, max_size=40), _STATE,
+       st.floats(min_value=0.0, max_value=1.0))
+def test_explicit_step_tvd_with_inflow_ghost(u, g, cfl):
+    # incremental form with coefficients in [0, 1] at CFL <= 1 (Harten);
+    # the outflow ghost copies u_J and adds no variation
+    un, _, _, _ = _unit_cfl_step(u, g, cfl)
+    tol = 8 * np.finfo(float).eps * (len(u) + 1) * 2.0
+    assert _tv(g, un) <= _tv(g, u) + tol
+
+
 # ---------------------------------------------------------------- implicit step
 
 def test_implicit_step_steady_shock_is_newton_fixed_point(case):
     grid = ss.build_spatial_grid(21, 0)
     u0 = case.initial_cell_averages(grid.edges)
-    un, F, stats = ss.implicit_step(u0.copy(), 1.0, grid.h, 1.0)
-    assert float(np.max(np.abs(un - u0))) == 0.0
+    s = ss.Stepper(u0, ss.BURGERS)
+    stats = s.implicit(1.0, grid.h, 1.0)
+    assert float(np.max(np.abs(s.u - u0))) == 0.0
     assert stats.iterations == 1
     assert stats.residual == 0.0
-    np.testing.assert_array_equal(F, np.full(grid.cell_count + 1, 0.5))
+    np.testing.assert_array_equal(s.F, np.full(grid.cell_count + 1, 0.5))
 
 
 def test_implicit_edge_aligned_jump_reaches_layer():
     J = 20
     h = 1.0 / J
-    u = np.where(np.arange(J) < 10, 1.0, -1.0).astype(float)
+    s = ss.Stepper(np.where(np.arange(J) < 10, 1.0, -1.0), ss.BURGERS)
+    u = s.u
     r = np.sqrt(0.5)
     hit = None
     for it in range(1, 20):
-        u, _, _ = ss.implicit_step(u, 1.0, h, 1.0)
+        s.implicit(1.0, h, 1.0)
         if abs(u[9] - r) < 1e-12 and abs(u[10] + r) < 1e-12:
             hit = it
             break
@@ -269,9 +317,10 @@ def test_implicit_explicit_one_step_gap_is_second_order():
     u0 = 0.6 + 0.3 * np.sin(2 * np.pi * x) + 0.05 * rng.standard_normal(J)
     gaps = []
     for k in (0.008, 0.004, 0.002):
-        ue, _ = ss.explicit_step(u0.copy(), k, h, 1.0)
-        ui, _, _ = ss.implicit_step(u0.copy(), k, h, 1.0)
-        gaps.append(float(np.max(np.abs(ui - ue))))
+        se, si = ss.Stepper(u0, ss.BURGERS), ss.Stepper(u0, ss.BURGERS)
+        se.explicit(k, h, 1.0)
+        si.implicit(k, h, 1.0)
+        gaps.append(float(np.max(np.abs(si.u - se.u))))
     np.testing.assert_allclose(
         gaps, [1.713369e-2, 4.760483e-3, 1.287508e-3], rtol=1e-6)
     assert 3.0 <= gaps[0] / gaps[1] <= 5.0
@@ -286,15 +335,15 @@ def test_newton_quadratic_with_shock_in_last_cell(u_last, k):
     h = 1.0 / 20
     u = np.full(20, 0.8)
     u[-1] = u_last
-    _, _, stats = ss.implicit_step(u, k, h, 0.8)
+    stats = ss.Stepper(u, ss.BURGERS).implicit(k, h, 0.8)
     assert stats.iterations <= 5
 
 
 def test_implicit_nonconvergence_carries_diagnostics():
     rng = np.random.default_rng(19)
-    u = rng.uniform(-1.0, 1.0, size=30)
+    s = ss.Stepper(rng.uniform(-1.0, 1.0, size=30), ss.BURGERS)
     with pytest.raises(ss.NonConvergence, match="Newton stalled") as exc:
-        ss.implicit_step(u, 50.0, 1.0 / 30, 1.0, max_iter=1)
+        s.implicit(50.0, 1.0 / 30, 1.0, max_iter=1)
     assert exc.value.iterations == 1
     assert exc.value.residual > 0.0
     assert isinstance(exc.value, ss.SolverFailure)
@@ -304,21 +353,24 @@ def test_implicit_nonconvergence_carries_diagnostics():
 def test_implicit_overflow_is_a_solver_failure():
     # 0.5 * 1e200**2 overflows; the Newton residual turns NaN before any
     # linear solve, which must not surface as a bare ValueError
+    s = ss.Stepper(np.full(20, 1e200), ss.BURGERS)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ss.SolverFailure, match="non-finite"):
-            ss.implicit_step(np.full(20, 1e200), 1.0, 0.05, 1.0)
+            s.implicit(1.0, 0.05, 1.0)
 
 
 def test_undamped_newton_stalls_at_large_k(case):
     # level-0 data, k = 5h, constant inflow 1.03: the shock drifts right
     # and plain Newton stops converging near the outflow boundary
     grid = ss.build_spatial_grid(20, 0)
-    u = case.initial_cell_averages(grid.edges)
+    s = ss.Stepper(case.initial_cell_averages(grid.edges), ss.BURGERS)
     h = grid.h
+    u = s.u.copy()      # the last converged state; Newton works in s.u
     steps = 0
     with pytest.raises(ss.NonConvergence) as exc:
         for _ in range(200):
-            u, _, _ = ss.implicit_step(u, 5 * h, h, 1.03)
+            s.implicit(5 * h, h, 1.03)
+            u = s.u.copy()
             steps += 1
     assert steps == 115
     assert exc.value.iterations == ss.forward.NEWTON_MAX_ITER
@@ -432,10 +484,43 @@ def test_run_forward_conserves_mass_implicit(case):
     assert all(st is not None for st in traj.newton_stats)
 
 
+# (mode, x): an explicit step at CFL x against the global speed bound, or
+# an implicit step of length x
+_MIXED_STEP = st.one_of(
+    st.tuples(st.just(ss.EXPLICIT), st.floats(min_value=1e-3, max_value=0.8)),
+    st.tuples(st.just(ss.IMPLICIT), st.floats(min_value=1e-3, max_value=1.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.0, max_value=40.0),
+       st.lists(_MIXED_STEP, min_size=1, max_size=40))
+def test_run_forward_conserves_mass_mixed_partition(case, t0, steps):
+    # an optional implicit first interval lands the march anywhere in
+    # [0, 40], so the inflow windows are crossed by either mode
+    grid = ss.build_spatial_grid(20, 0)
+    speed = ss.speed_for_basis(case, grid, "global")
+    ks = [t0] if t0 > 0.0 else []
+    modes = [ss.IMPLICIT] if t0 > 0.0 else []
+    for mode, x in steps:
+        ks.append(x * grid.h / speed if mode == ss.EXPLICIT else x)
+        modes.append(mode)
+    part = ss.TimePartition(times=np.concatenate(([0.0], np.cumsum(ks))),
+                            modes=np.array(modes, dtype=np.int8))
+    traj = ss.run_forward(grid, part, case)
+    F = ss.update_fluxes(traj, case)
+    h = grid.h
+    lhs = h * float(np.sum(traj.states[-1] - traj.states[0]))
+    rhs = -float(np.sum(part.steps * (F[:, -1] - F[:, 0])))
+    scale = h * float(np.sum(np.abs(traj.states[-1])))
+    N, J = F.shape
+    n_imp = int(np.sum(part.modes == ss.IMPLICIT))
+    # the bounds of the all-explicit and all-implicit tests, per interval
+    tol = 10 * N * J * np.finfo(float).eps * scale + n_imp * J * 1e-12
+    assert abs(lhs - rhs) <= tol
+
+
 def test_run_forward_failure_names_interval(case):
     grid = ss.build_spatial_grid(20, 0)
     part = ss.uniform_partition(case.T, 2.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ss.SolverFailure, match=r"interval \d+ \(t="):
-            ss.run_forward(grid, part, case)
+    with pytest.raises(ss.SolverFailure, match=r"interval 0 \(t=0\): .*CFL"):
+        ss.run_forward(grid, part, case)
