@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -119,28 +120,56 @@ def load_config(path=None, overrides=()) -> dict:
     return cfg
 
 
-def _fmt(x) -> str:
-    return "%.5e" % float(x)
+def _values(v) -> list:
+    """A key's value as a list: none, one scalar or a comma list."""
+    return [] if v is None else v if isinstance(v, list) else [v]
 
 
-def _write_csv(path: str, header, rows):
+def _positive(x) -> bool:
+    return x > 0.0 and math.isfinite(x)
+
+
+def _check_ranges(cfg: dict):
+    """Refuse out-of-range numeric keys before any work starts; deeper
+    down they would surface as tracebacks, after seconds of solving, or
+    not at all (factor = nan plans one step over [0, T])."""
+    checks = (
+        ("cfl", _positive(cfg["cfl"]), "finite and > 0"),
+        ("dual_cfl", 0.0 < cfg["dual_cfl"] <= 1.0, "in (0, 1]"),
+        ("base_cells", cfg["base_cells"] >= 2, "at least 2"),
+        ("level", cfg["level"] >= 0, "non-negative"),
+        ("levels", all(lv >= 0 for lv in _values(cfg["levels"])), "non-negative"),
+        ("ref_level", cfg["ref_level"] >= 0, "non-negative"),
+        ("perturbation_scale", math.isfinite(cfg["perturbation_scale"]), "finite"),
+        ("factor", all(map(_positive, _values(cfg["factor"]))), "finite and > 0"),
+        ("tol_k", all(map(_positive, _values(cfg["tol_k"]))), "finite and > 0"),
+        ("tol_total", all(map(_positive, _values(cfg["tol_total"]))),
+         "finite and > 0"),
+    )
+    for key, ok, want in checks:
+        if not ok:
+            raise ConfigError(f"{key} must be {want}, got {cfg[key]!r}")
+
+
+def _write_csv(path: str, header, fmt: str, rows):
+    """The header, then one line `fmt % row` per row."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines([fmt % row for row in rows])
 
 
-def _steps_rows(report: LevelReport):
+def _write_steps(path: str, report: LevelReport):
     part = report.partition
     br = report.breakdown
     mode_name = {EXPLICIT: "explicit", IMPLICIT: "implicit"}
-    for i in range(part.interval_count):
-        yield (_fmt(part.times[i + 1]), _fmt(part.steps[i]),
-               _fmt(report.cfl_series[i]), mode_name[int(part.modes[i])],
-               _fmt(br.eta_k_bar_n[i]), _fmt(br.eta_h_bar_n[i]))
-
-
-_STEPS_HEADER = ("t_n", "k_n", "cfl_n", "mode", "eta_k_bar_n", "eta_h_bar_n")
+    # .tolist() columns: formatting Python floats is what keeps this cheap
+    _write_csv(path,
+               ("t_n", "k_n", "cfl_n", "mode", "eta_k_bar_n", "eta_h_bar_n"),
+               "%.5e,%.5e,%.5e,%s,%.5e,%.5e\n",
+               zip(part.times[1:].tolist(), part.steps.tolist(),
+                   report.cfl_series.tolist(),
+                   [mode_name[m] for m in part.modes.tolist()],
+                   br.eta_k_bar_n.tolist(), br.eta_h_bar_n.tolist()))
 
 
 def _echo_config(cfg: dict):
@@ -178,20 +207,28 @@ def _uniform_report(case, cfg: dict, level: int) -> LevelReport:
     grid = build_spatial_grid(cfg["base_cells"], level, case.domain)
     speed = speed_for_basis(case, grid, cfg["speed_basis"])
     mode = EXPLICIT if cfg["mode"] == "explicit" else IMPLICIT
-    part = uniform_partition(case.T, cfg["cfl"] * grid.h / speed, mode)
+    try:
+        part = uniform_partition(case.T, cfg["cfl"] * grid.h / speed, mode)
+    except ValueError as err:
+        raise ConfigError(f"cfl = {cfg['cfl']!r} on level {level}: {err}") from err
     return solve_level(level, grid, part, case, cfg["dual_cfl"])
+
+
+_SUMMARY_HEADER = ("level", "dx", "dt", "eta_k_bar", "eta_h_bar", "eta_k",
+                   "eta_h", "J_h", "theta")
+_SUMMARY_FMT = "%d" + ",%.5e" * 8
 
 
 def _summary_row(report: LevelReport, theta: float, adaptive: bool):
     br = report.breakdown
     part = report.partition
     dt = part.T / part.interval_count
-    row = [str(report.level), _fmt(report.grid.h), _fmt(dt),
-           _fmt(br.eta_k_bar), _fmt(br.eta_h_bar), _fmt(br.eta_k),
-           _fmt(br.eta_h), _fmt(br.J_h), _fmt(theta)]
+    row = (report.level,) + tuple(map(float, (
+        report.grid.h, dt, br.eta_k_bar, br.eta_h_bar, br.eta_k, br.eta_h,
+        br.J_h, theta)))
     if adaptive:
-        row += [str(report.stats.N), str(report.stats.N_explicit)]
-    return tuple(row)
+        row += (report.stats.N, report.stats.N_explicit)
+    return row
 
 
 def run_uniform(cfg: dict) -> int:
@@ -207,12 +244,13 @@ def run_uniform(cfg: dict) -> int:
         theta = efficiency_index(rep.breakdown, j_ref)
         rows.append(_summary_row(rep, theta, adaptive=False))
         name = "steps.csv" if len(levels) == 1 else f"steps_L{level}.csv"
-        _write_csv(os.path.join(out, name), _STEPS_HEADER, _steps_rows(rep))
-        print(f"level {level}: N={rep.stats.N} eta_k_bar={_fmt(rep.breakdown.eta_k_bar)} "
-              f"eta_h_bar={_fmt(rep.breakdown.eta_h_bar)} J_h={_fmt(rep.breakdown.J_h)}")
-    _write_csv(os.path.join(out, "summary.csv"),
-               ("level", "dx", "dt", "eta_k_bar", "eta_h_bar", "eta_k",
-                "eta_h", "J_h", "theta"), rows)
+        _write_steps(os.path.join(out, name), rep)
+        print(f"level {level}: N={rep.stats.N} "
+              f"eta_k_bar={rep.breakdown.eta_k_bar:.5e} "
+              f"eta_h_bar={rep.breakdown.eta_h_bar:.5e} "
+              f"J_h={rep.breakdown.J_h:.5e}")
+    _write_csv(os.path.join(out, "summary.csv"), _SUMMARY_HEADER,
+               _SUMMARY_FMT + "\n", rows)
     return 0
 
 
@@ -250,28 +288,26 @@ def run_adaptive(cfg: dict, honor_tol_total: bool = False) -> int:
         j_ref = reference_functional(case, cfg["ref_level"], cfg["base_cells"])
         theta = efficiency_index(rep.breakdown, j_ref)
         rows.append(_summary_row(rep, theta, adaptive=True))
-        _write_csv(os.path.join(out, f"steps_{i}.csv"), _STEPS_HEADER,
-                   _steps_rows(rep))
+        _write_steps(os.path.join(out, f"steps_{i}.csv"), rep)
         print(f"run {i} (level {rep.level}): N={rep.stats.N} "
               f"N_explicit={rep.stats.N_explicit} "
-              f"eta_k_bar={_fmt(rep.breakdown.eta_k_bar)} "
-              f"eta_h_bar={_fmt(rep.breakdown.eta_h_bar)}")
+              f"eta_k_bar={rep.breakdown.eta_k_bar:.5e} "
+              f"eta_h_bar={rep.breakdown.eta_h_bar:.5e}")
     _write_csv(os.path.join(out, "summary.csv"),
-               ("level", "dx", "dt", "eta_k_bar", "eta_h_bar", "eta_k",
-                "eta_h", "J_h", "theta", "N", "N_explicit"), rows)
+               _SUMMARY_HEADER + ("N", "N_explicit"), _SUMMARY_FMT + ",%d,%d\n",
+               rows)
     return 0
 
 
 def emit_plot_data(report: LevelReport, out_dir: str, index: int):
     """Two-column series exactly as carried by the report, no resampling."""
-    t_end = [_fmt(report.partition.times[i + 1])
-             for i in range(report.partition.interval_count)]
+    t_end = report.partition.times[1:].tolist()
     _write_csv(os.path.join(out_dir, f"density_vs_time_{index}.csv"),
-               ("t_n", "eta_k_bar_n"),
-               zip(t_end, map(_fmt, report.breakdown.eta_k_bar_n)))
+               ("t_n", "eta_k_bar_n"), "%.5e,%.5e\n",
+               zip(t_end, report.breakdown.eta_k_bar_n.tolist()))
     _write_csv(os.path.join(out_dir, f"cfl_vs_time_{index}.csv"),
-               ("t_n", "cfl_n"),
-               zip(t_end, map(_fmt, report.cfl_series)))
+               ("t_n", "cfl_n"), "%.5e,%.5e\n",
+               zip(t_end, report.cfl_series.tolist()))
 
 
 def emit_plots(cfg: dict) -> int:
@@ -324,6 +360,7 @@ def main(argv=None) -> int:
         if cfg["dry_run"]:
             _echo_config(cfg)
             return 0
+        _check_ranges(cfg)
         return _COMMANDS[args.command](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -6,12 +6,12 @@ data, the right boundary pure upwind outflow.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .grid import EXPLICIT, IMPLICIT, SpatialGrid, TimePartition
 
@@ -111,6 +111,15 @@ def interface_fluxes(u: np.ndarray, g, flux=BURGERS) -> np.ndarray:
 _amax = np.maximum.reduce
 
 
+@functools.cache
+def _dgtsv():
+    """LAPACK's tridiagonal solver, imported on the first implicit solve:
+    scipy is most of the package's import time, and explicit-only runs
+    never need it."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
+
+
 def _finite(u: np.ndarray) -> bool:
     """One dot product per call; the elementwise test runs only when u.u
     is not finite, which a finite state can also reach by overflow."""
@@ -199,6 +208,7 @@ class Stepper:
         lam = k / h
         u, u_old, r, diag, d = self.u, self.u_old, self.r, self.diag, self.d
         u_old[:] = u
+        dgtsv = _dgtsv()
         res = math.inf
         for it in range(1, max_iter + 1):
             du = self._update(lam, g)

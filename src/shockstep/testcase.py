@@ -28,6 +28,9 @@ _PERTURBATIONS = ((7.5e-3, 12.0, 18.0, 11.5, 17.5),
                   (0.5e-3, 30.0, 36.0, 29.5, 35.5))
 _TABLE_DT = 1e-4
 _BISECT_ITERS = 48
+_NODE_LEVEL = 16    # bisection levels replayed on shared nodes
+_SNAP_LEVEL = 44    # dyadic level the root guess snaps to
+_MAX_SHIFTS = 3
 
 
 def _window_path(t, p, scale):
@@ -86,22 +89,109 @@ def _departure_time(tau, s, sdot):
     return tau - s / uL, uL
 
 
-def _invert_departure(t0, p, scale):
-    """Inflow g(t0) over one window's departure grid: bisect t0(tau) = t0
-    for tau in [a, b], g = 1 at and beyond the departure window's ends."""
-    _, a, b, lo_t, hi_t = p
-    g = np.ones_like(t0)
-    m = (t0 > lo_t) & (t0 < hi_t)
-    target = t0[m]
-    lo = np.full(target.shape, a)
-    hi = np.full(target.shape, b)
-    for _ in range(_BISECT_ITERS):
+def _departure(tau, p, scale):
+    return _departure_time(tau, *_window_path(tau, p, scale))[0]
+
+
+def _bisect(lo, hi, target, p, scale, levels):
+    """`levels` bisection steps for departure(tau) = target, tau in
+    [lo, hi]; returns the final mid."""
+    for _ in range(levels):
         mid = 0.5 * (lo + hi)
-        val, _ = _departure_time(mid, *_window_path(mid, p, scale))
-        takes_hi = val < target
+        takes_hi = _departure(mid, p, scale) < target
         lo = np.where(takes_hi, mid, lo)
         hi = np.where(takes_hi, hi, mid)
-    g[m] = 1.0 + 2.0 * _window_path(0.5 * (lo + hi), p, scale)[1]
+    return 0.5 * (lo + hi)
+
+
+def _departure_roots(target, p, scale):
+    """The root tau of departure(tau) = target in [a, b], bit for bit what
+    `_BISECT_ITERS` bisection levels from [a, b] give.
+
+    a, b and b - a are small integers, so every bisection mid through the
+    last level is exactly the dyadic node a + (b-a) i / 2**L of its level
+    L.  Bisection ends in the level-L cell whose endpoints pass their own
+    comparisons (lo below the target, hi not) and all ancestor mids pass
+    theirs; the fast path finds that cell directly and bisects only the
+    remaining levels:
+
+    1. Evaluate the map once on the 2**16 + 1 level-16 nodes.  When the
+       node values rise everywhere with slope >= 1/2, bisection over
+       levels 1-16 ends in the node cell that `searchsorted` finds.
+    2. Guess by linear interpolation inside that cell, take one chord
+       step from the guess with the cell's slope and snap to the level-44
+       cell [lo, hi] around it.
+    3. Verify: departure(lo) < target and not departure(hi) < target.
+       Bisection never evaluates a and b, but the map sends them to the
+       departure window's ends, which the targets lie strictly inside,
+       so those checks pass as they should.  A failing cell shifts by
+       one, at most `_MAX_SHIFTS` times and only inside its level-16
+       cell.
+    4. Bisect levels 45-48 and take the final mid with `_bisect`.  Points
+       left unverified run levels 17-48 with it instead.
+
+    Why a verified cell is the one bisection reaches: every skipped
+    ancestor mid (levels 17-44) lies on the level-44 grid, so at least one
+    level-44 width, 6 * 2**-44 = 3.4e-13, beyond the verified endpoint on
+    its side.  With slope >= 1/2 (>= 0.96 at scale 1) the map moves at
+    least 1.7e-13 over that distance, while its rounding error is about
+    2e-14, so every skipped comparison agrees with the checked one.  The
+    map is smooth, so its slope inside a level-16 cell (width 9.2e-5)
+    stays close to the cell's gated secant slope.  The snap level stays
+    well below the last one: a level-48 width is 2.1e-14, no larger than
+    the rounding error.  Windows whose nodes fail the slope gate (the
+    invalid cases, scale 80 and 100) run all levels with `_bisect`.
+    """
+    _, a, b = p[:3]
+    nodes = 2 ** _NODE_LEVEL
+    h = (b - a) / nodes
+    v = _departure(a + h * np.arange(nodes + 1), p, scale)
+    if not np.min(np.diff(v)) >= 0.5 * h:
+        return _bisect(np.full(target.shape, a), np.full(target.shape, b),
+                       target, p, scale, _BISECT_ITERS)
+    j = np.clip(np.searchsorted(v, target) - 1, 0, nodes - 1)
+    lo16 = a + h * j
+    slope = (v[j + 1] - v[j]) / h
+    guess = lo16 + (target - v[j]) / slope
+    guess += (target - _departure(guess, p, scale)) / slope
+    cells = 2 ** (_SNAP_LEVEL - _NODE_LEVEL)
+    w = h / cells
+    first = j * cells
+    k = np.clip(np.floor((guess - a) / w).astype(np.int64),
+                first, first + cells - 1)
+    verified = np.zeros(target.shape, dtype=bool)
+    todo = np.arange(target.size)
+    for _ in range(_MAX_SHIFTS + 1):
+        lo, hi = a + w * k[todo], a + w * (k[todo] + 1)
+        val = _departure(np.concatenate([lo, hi]), p, scale)
+        x = target[todo]
+        lo_ok = val[:todo.size] < x
+        hi_ok = ~(val[todo.size:] < x)
+        verified[todo] = lo_ok & hi_ok
+        # -1 when the root lies left of the cell, +1 right, 0 when done or
+        # when both checks fail (the map is not monotone there)
+        shift = lo_ok.astype(np.int64) - hi_ok
+        k[todo] += shift
+        todo = todo[(shift != 0) & (k[todo] >= first[todo])
+                    & (k[todo] < first[todo] + cells)]
+    tau = np.empty_like(target)
+    ok, bad = verified, ~verified
+    tau[ok] = _bisect(a + w * k[ok], a + w * (k[ok] + 1), target[ok], p,
+                      scale, _BISECT_ITERS - _SNAP_LEVEL)
+    tau[bad] = _bisect(lo16[bad], lo16[bad] + h, target[bad], p, scale,
+                       _BISECT_ITERS - _NODE_LEVEL)
+    return tau
+
+
+def _invert_departure(t0, p, scale):
+    """Inflow g(t0) over one window's departure grid: the root of
+    departure(tau) = t0 for tau in [a, b], g = 1 at and beyond the
+    departure window's ends."""
+    lo_t, hi_t = p[3:]
+    g = np.ones_like(t0)
+    m = (t0 > lo_t) & (t0 < hi_t)
+    tau = _departure_roots(t0[m], p, scale)
+    g[m] = 1.0 + 2.0 * _window_path(tau, p, scale)[1]
     return g
 
 

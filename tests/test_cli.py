@@ -136,6 +136,53 @@ def test_invalid_case_exits_3_before_solving(command, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["run-uniform", "run-adaptive",
+                                     "run-loop", "emit-plots"])
+@pytest.mark.parametrize("key, value", [
+    ("cfl", "nan"), ("cfl", "0"), ("cfl", "-0.5"), ("dual_cfl", "2"),
+    ("dual_cfl", "0"), ("base_cells", "1"), ("level", "-1"),
+    ("levels", "-1"), ("levels", "0,-2"), ("ref_level", "-1"),
+    ("perturbation_scale", "nan"), ("perturbation_scale", "inf"),
+    ("factor", "nan"), ("factor", "0.5,-1"), ("tol_k", "nan"),
+    ("tol_total", "-1"),
+])
+def test_out_of_range_key_exits_2_before_solving(command, key, value,
+                                                 tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli_main([command, "--set", "levels=0", "--set", f"{key}={value}",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert key in err
+    assert not out.exists()
+
+
+def test_uniform_step_beyond_horizon_exits_2(tmp_path, capsys):
+    # cfl = 1e4 at level 0 asks for a step longer than T
+    rc = cli_main(["run-uniform", "--set", "cfl=1e4", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "need 0 < k <= T" in capsys.readouterr().err
+
+
+def test_import_and_explicit_run_leave_scipy_unloaded(tmp_path):
+    # scipy is only bound on the first implicit solve
+    src = str(Path(shockstep.cli.__file__).parents[1])
+    code = (
+        "import sys, shockstep.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "rc = shockstep.cli.main(['run-uniform', '--set', 'levels=0',\n"
+        "                         '--set', 'ref_level=2', '--out', sys.argv[1]])\n"
+        "assert rc == 0, rc\n"
+        "assert 'scipy' not in sys.modules, 'run-uniform'\n")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert (tmp_path / "steps.csv").exists()
+
+
 # ------------------------------------------------------------ run-uniform
 
 def test_run_uniform_single_level(tmp_path, capsys):

@@ -2,8 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shockstep as ss
+from shockstep import testcase
 from shockstep.testcase import (shock_position, shock_speed,
                                 weight_and_derivative)
 
@@ -138,6 +141,55 @@ def test_inflow_table_bit_exact(case):
     digest = hashlib.sha256(np.concatenate(pieces_t + pieces_g).tobytes())
     assert digest.hexdigest() == (
         "b5a5e9581a4f1d52dfa8ab84591e0b3e18dbaf0b20a98451de51a746944e9433")
+
+
+def _table_digest(case):
+    pieces_t, pieces_g = case._ensure_table()
+    return hashlib.sha256(np.concatenate(pieces_t + pieces_g).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("scale, digest", [
+    (2.0, "d3ce95248a81b967bb80bd4266ef1601ef04bdb88ecb1066853ba35a6fc98301"),
+    # the first window's departure map is not monotone here, so it fails
+    # the slope gate and takes the plain 48-level bisection
+    (80.0, "9231b47b6a951a7741589aa042292e92e3b514ab39b66a8fea18b860a438b89a"),
+])
+def test_inflow_table_bit_exact_other_scales(scale, digest):
+    # frozen from the plain 48-level bisection over every table point
+    assert _table_digest(ss.PerturbedShockCase(perturbation_scale=scale)) == digest
+
+
+def test_inflow_table_bit_exact_through_fallback(monkeypatch):
+    # with no shifts about 1 % of the snapped cells fail their check and
+    # run bisection levels 17-48; the table must not change
+    monkeypatch.setattr(testcase, "_MAX_SHIFTS", 0)
+    assert _table_digest(ss.PerturbedShockCase()) == (
+        "b5a5e9581a4f1d52dfa8ab84591e0b3e18dbaf0b20a98451de51a746944e9433")
+
+
+@settings(max_examples=40, deadline=None)
+@given(window=st.sampled_from(testcase._PERTURBATIONS),
+       scale=st.floats(min_value=0.0, max_value=2.0),
+       start=st.floats(min_value=0.0, max_value=1.0),
+       spacing=st.floats(min_value=1e-12, max_value=1e-2),
+       half_n=st.integers(min_value=0, max_value=300),
+       edge=st.lists(st.floats(min_value=0.0, max_value=1e-6), max_size=6))
+def test_invert_departure_matches_plain_bisection(window, scale, start,
+                                                  spacing, half_n, edge):
+    """The node replay, snap-and-verify and tail reproduce plain bisection
+    bit for bit on any sub-grid of either departure window."""
+    _, a, b, lo_t, hi_t = window
+    grid = lo_t + start * (hi_t - lo_t) + spacing * np.arange(2 * half_n + 1)
+    edge = np.asarray(edge, dtype=float)
+    t0 = np.concatenate([grid, lo_t + edge, hi_t - edge])
+    got = testcase._invert_departure(t0, window, scale)
+    m = (t0 > lo_t) & (t0 < hi_t)
+    x = t0[m]
+    tau = testcase._bisect(np.full(x.shape, a), np.full(x.shape, b), x,
+                           window, scale, testcase._BISECT_ITERS)
+    want = np.ones_like(t0)
+    want[m] = 1.0 + 2.0 * testcase._window_path(tau, window, scale)[1]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_validate_characteristics_bit_exact(case):
