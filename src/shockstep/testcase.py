@@ -28,7 +28,7 @@ _PERTURBATIONS = ((7.5e-3, 12.0, 18.0, 11.5, 17.5),
                   (0.5e-3, 30.0, 36.0, 29.5, 35.5))
 _TABLE_DT = 1e-4
 _BISECT_ITERS = 48
-_NODE_LEVEL = 16    # bisection levels replayed on shared nodes
+_NODE_LEVEL = 16    # bisection levels resolved on shared nodes
 _SNAP_LEVEL = 44    # dyadic level the root guess snaps to
 _MAX_SHIFTS = 3
 
