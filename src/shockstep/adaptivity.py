@@ -74,7 +74,10 @@ class SpeedProfile:
     @classmethod
     def from_trajectory(cls, traj: ForwardTrajectory, case) -> "SpeedProfile":
         fprime = traj.flux.fprime
-        state_speed = np.max(np.abs(fprime(traj.states)), axis=1)
+        # max|f'| per row without an |f'| table: for Burgers f'(u) is a
+        # view of the states, so this allocates nothing of their size
+        a = fprime(traj.states)
+        state_speed = np.maximum(a.max(axis=1), -a.min(axis=1))
         g_at = np.atleast_1d(np.asarray(case.inflow_value(traj.partition.times), dtype=float))
         node = np.maximum(state_speed, np.abs(fprime(g_at)))
         return cls(times=traj.partition.times.copy(),

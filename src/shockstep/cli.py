@@ -138,6 +138,7 @@ def _check_ranges(cfg: dict):
         ("dual_cfl", 0.0 < cfg["dual_cfl"] <= 1.0, "in (0, 1]"),
         ("base_cells", cfg["base_cells"] >= 2, "at least 2"),
         ("level", cfg["level"] >= 0, "non-negative"),
+        ("levels", cfg["levels"] != [], "non-empty when set"),
         ("levels", all(lv >= 0 for lv in _values(cfg["levels"])), "non-negative"),
         ("ref_level", cfg["ref_level"] >= 0, "non-negative"),
         ("perturbation_scale", math.isfinite(cfg["perturbation_scale"]), "finite"),
@@ -235,8 +236,6 @@ def run_uniform(cfg: dict) -> int:
     case = _solvable_case(cfg)
     out = _ensure_outdir(cfg)
     levels = cfg["levels"] if cfg["levels"] is not None else [cfg["level"]]
-    if not levels:
-        raise ConfigError("empty level list")
     rows = []
     for level in levels:
         rep = _uniform_report(case, cfg, level)
@@ -312,12 +311,12 @@ def emit_plot_data(report: LevelReport, out_dir: str, index: int):
 
 def emit_plots(cfg: dict) -> int:
     case = _solvable_case(cfg)
-    out = _ensure_outdir(cfg)
     if cfg["experiment"] == "uniform":
         levels = cfg["levels"] if cfg["levels"] is not None else [cfg["level"]]
         reports = [_uniform_report(case, cfg, level) for level in levels]
     else:
         reports = _adaptive_reports(cfg, case, honor_tol_total=False)
+    out = _ensure_outdir(cfg)
     for i, rep in enumerate(reports):
         emit_plot_data(rep, out, i)
     return 0

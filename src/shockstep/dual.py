@@ -18,6 +18,8 @@ from .forward import ForwardTrajectory, SolverFailure, _finite
 from .grid import SpatialGrid, TimePartition
 
 DUAL_CFL = 0.8
+# intervals whose coefficient-dependent inputs are built in one call
+_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -79,53 +81,59 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     source_total = h * float(np.sum(source))
     w_ext = np.zeros(J + 2)   # zero ghost values around the state w
     w, w_right, w_left = w_ext[1:-1], w_ext[1:], w_ext[:-1]
-    a_ext = np.empty(J + 2)
-    ap, am = np.empty(J + 1), np.empty(J + 1)
     S, tmp = np.empty(J + 1), np.empty(J + 1)
     S_hi, S_lo = S[1:], S[:-1]
-    dw, dt_source = np.empty(J), np.empty(J)
+    dw = np.empty(J)
     samples = np.empty((N, J))
     log: Optional[list] = [] if record_substeps else None
     max_resid = 0.0
-    for n in range(N - 1, -1, -1):
-        a = A[n]
-        m = int(m_all[n])
-        dt = float(dt_all[n])
-        lam = dt / h
-        np.multiply(source, dt, out=dt_source)
-        a_ext[1:-1] = a
-        a_ext[0], a_ext[-1] = a[0], a[-1]
-        np.add(a_ext[:-1], a_ext[1:], out=ap)
+    for hi in range(N, 0, -_BLOCK_ROWS):
+        lo = max(hi - _BLOCK_ROWS, 0)
+        # per-interval inputs of the block, one vectorized call each; row i
+        # holds what the unblocked march built for interval lo + i
+        a_ext = np.empty((hi - lo, J + 2))
+        a_ext[:, 1:-1] = A[lo:hi]
+        a_ext[:, 0], a_ext[:, -1] = A[lo:hi, 0], A[lo:hi, -1]
+        ap = np.add(a_ext[:, :-1], a_ext[:, 1:])
         ap *= 0.5                # a at the interfaces
-        np.minimum(ap, 0.0, out=am)
+        am = np.minimum(ap, 0.0)
         np.maximum(ap, 0.0, out=ap)
-        sample_at = (m + 1) // 2
-        for i in range(1, m + 1):
-            # S = -G with the upwind flux G = -(ap w_right + am w_left), so
-            # w - lam (G[1:] - G[:-1]) is w + lam (S[1:] - S[:-1]), bit for bit
-            np.multiply(ap, w_right, out=S)
-            np.multiply(am, w_left, out=tmp)
-            S += tmp
-            np.subtract(S_hi, S_lo, out=dw)
-            dw *= lam
-            if record_substeps:
-                w_prev = w.copy()
-            w += dw
-            w += dt_source
-            if record_substeps:
-                # telescoping mass balance of the conservative update
-                G0, GJ = -float(S[0]), -float(S[-1])
-                resid = abs(h * float(np.sum(w - w_prev))
-                            + dt * (GJ - G0) - dt * source_total)
-                scale = (h * float(np.sum(np.abs(w))) + abs(dt * source_total)
-                         + dt * (abs(G0) + abs(GJ)) + 1e-300)
-                rel = resid / scale
-                max_resid = max(max_resid, rel)
-                log.append((n, dt, rel))
-            if i == sample_at:
-                samples[n] = w
-        if not _finite(w):
-            raise SolverFailure(f"dual march non-finite in interval {n}")
+        dt_blk = dt_all[lo:hi]
+        dt_source = dt_blk[:, None] * source
+        lam_blk = (dt_blk / h).tolist()
+        m_blk = m_all[lo:hi].astype(int).tolist()
+        dt_list = dt_blk.tolist()
+        for i in range(hi - lo - 1, -1, -1):
+            n = lo + i
+            m, dt, lam = m_blk[i], dt_list[i], lam_blk[i]
+            ap_n, am_n, src_n = ap[i], am[i], dt_source[i]
+            sample_at = (m + 1) // 2
+            for step in range(1, m + 1):
+                # S = -G with the upwind flux G = -(ap w_right + am w_left), so
+                # w - lam (G[1:] - G[:-1]) is w + lam (S[1:] - S[:-1]), bit for bit
+                np.multiply(ap_n, w_right, out=S)
+                np.multiply(am_n, w_left, out=tmp)
+                S += tmp
+                np.subtract(S_hi, S_lo, out=dw)
+                dw *= lam
+                if record_substeps:
+                    w_prev = w.copy()
+                w += dw
+                w += src_n
+                if record_substeps:
+                    # telescoping mass balance of the conservative update
+                    G0, GJ = -float(S[0]), -float(S[-1])
+                    resid = abs(h * float(np.sum(w - w_prev))
+                                + dt * (GJ - G0) - dt * source_total)
+                    scale = (h * float(np.sum(np.abs(w))) + abs(dt * source_total)
+                             + dt * (abs(G0) + abs(GJ)) + 1e-300)
+                    rel = resid / scale
+                    max_resid = max(max_resid, rel)
+                    log.append((n, dt, rel))
+                if step == sample_at:
+                    samples[n] = w
+            if not _finite(w):
+                raise SolverFailure(f"dual march non-finite in interval {n}")
     return DualGradientTrajectory(grid=grid, partition=part, w_samples=samples,
                                   substep_log=log,
                                   max_mass_residual=max_resid if record_substeps else None)

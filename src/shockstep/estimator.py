@@ -19,6 +19,9 @@ from .forward import ForwardTrajectory
 from .grid import build_spatial_grid, uniform_partition
 
 REF_LEVEL = 6
+# intervals per block of the breakdown: its cell terms and fluxes are the
+# only (rows, J) temporaries, so memory stays O(_BLOCK_ROWS * J)
+_BLOCK_ROWS = 256
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
 # (type(case), perturbation_scale, ref_level, base_cells, cfl) -> J_ref
@@ -27,14 +30,12 @@ _ref_cache: dict = {}
 
 @dataclass
 class ErrorBreakdown:
-    eta_k_cells: np.ndarray   # (N, J) signed contributions
-    eta_h_cells: np.ndarray
     eta_k_bar_n: np.ndarray   # per-interval densities, (1/k_n) * sum_j |.|
     eta_h_bar_n: np.ndarray
     eta_k_bar: float
     eta_h_bar: float
     eta_bar: float
-    eta_k: float              # signed sums
+    eta_k: float              # signed sums, over each interval first
     eta_h: float
     J_h: float
 
@@ -55,39 +56,60 @@ def evaluate_functional(traj: ForwardTrajectory, case) -> float:
     return float(np.sum(k * (traj.states[1:] @ W)))
 
 
+def _cell_terms(traj: ForwardTrajectory, coeff: CoefficientField,
+                dual: DualGradientTrajectory, case, lo: int, hi: int):
+    """The signed cell contributions (eta_k, eta_h) of intervals lo..hi-1,
+    each (hi - lo, J).
+
+    Time term: -(1/2) k h (u^{n+1} - u^n) (psi - a w).  Space term:
+    (1/2) k h w (F_{j+1/2} + F_{j-1/2} - 2 f(u^{n+1})) with the fluxes the
+    update used.
+    """
+    k = traj.partition.steps[lo:hi, None]
+    h = traj.grid.h
+    psi_c = case.weight(traj.grid.centers)[None, :]
+    u0, u1 = traj.states[lo:hi], traj.states[lo + 1:hi + 1]
+    W = dual.w_samples[lo:hi]
+    eta_k = -0.5 * k * h * (u1 - u0) * (psi_c - coeff.a_values[lo:hi] * W)
+    F = forward.update_fluxes(traj, case, slice(lo, hi))
+    eta_h = k * 0.5 * h * W * (F[:, 1:] + F[:, :-1] - 2.0 * traj.flux.f(u1))
+    return eta_k, eta_h
+
+
 def assemble_breakdown(traj: ForwardTrajectory, coeff: CoefficientField,
                        dual: DualGradientTrajectory, case) -> ErrorBreakdown:
+    """Densities and totals of the space-time split, reduced block by
+    block: only _BLOCK_ROWS intervals' cell terms exist at a time.  Every
+    field is a per-row reduction or a sum over rows, so it does not
+    depend on the block size."""
     grid = traj.grid
     part = traj.partition
+    N = part.interval_count
     if coeff.a_values.shape != dual.w_samples.shape or \
-            coeff.a_values.shape != (part.interval_count, grid.cell_count):
+            coeff.a_values.shape != (N, grid.cell_count):
         raise ValueError("trajectory, coefficients and dual samples disagree in shape")
-    k = part.steps[:, None]
-    h = grid.h
-    psi_c = case.weight(grid.centers)[None, :]
-    u = traj.states
-    W = dual.w_samples
-    A = coeff.a_values
-    # (N, J) temporaries are recomputed inline, not kept bound
-    eta_k_cells = -0.5 * k * h * (u[1:] - u[:-1]) * (psi_c - A * W)
-    F = forward.update_fluxes(traj, case)
-    eta_h_cells = k * 0.5 * h * W * (F[:, 1:] + F[:, :-1]
-                                     - 2.0 * traj.flux.f(u[1:]))
-    k1 = part.steps
-    eta_k_bar_n = np.sum(np.abs(eta_k_cells), axis=1) / k1
-    eta_h_bar_n = np.sum(np.abs(eta_h_cells), axis=1) / k1
-    eta_k_bar = float(np.sum(k1 * eta_k_bar_n))
-    eta_h_bar = float(np.sum(k1 * eta_h_bar_n))
+    abs_k, abs_h = np.empty(N), np.empty(N)
+    signed_k, signed_h = np.empty(N), np.empty(N)
+    for lo in range(0, N, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, N)
+        eta_k, eta_h = _cell_terms(traj, coeff, dual, case, lo, hi)
+        np.sum(eta_k, axis=1, out=signed_k[lo:hi])
+        np.sum(eta_h, axis=1, out=signed_h[lo:hi])
+        np.sum(np.abs(eta_k, out=eta_k), axis=1, out=abs_k[lo:hi])
+        np.sum(np.abs(eta_h, out=eta_h), axis=1, out=abs_h[lo:hi])
+    k = part.steps
+    eta_k_bar_n = abs_k / k
+    eta_h_bar_n = abs_h / k
+    eta_k_bar = float(np.sum(k * eta_k_bar_n))
+    eta_h_bar = float(np.sum(k * eta_h_bar_n))
     return ErrorBreakdown(
-        eta_k_cells=eta_k_cells,
-        eta_h_cells=eta_h_cells,
         eta_k_bar_n=eta_k_bar_n,
         eta_h_bar_n=eta_h_bar_n,
         eta_k_bar=eta_k_bar,
         eta_h_bar=eta_h_bar,
         eta_bar=eta_k_bar + eta_h_bar,
-        eta_k=float(np.sum(eta_k_cells)),
-        eta_h=float(np.sum(eta_h_cells)),
+        eta_k=float(np.sum(signed_k)),
+        eta_h=float(np.sum(signed_h)),
         J_h=evaluate_functional(traj, case),
     )
 

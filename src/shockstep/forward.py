@@ -280,14 +280,18 @@ def run_forward(grid: SpatialGrid, partition: TimePartition,
                              flux=case.flux, newton_stats=stats)
 
 
-def update_fluxes(traj: ForwardTrajectory, case) -> np.ndarray:
-    """The (N, J+1) interface fluxes each update of `run_forward` used.
+def update_fluxes(traj: ForwardTrajectory, case,
+                  rows: slice = slice(None)) -> np.ndarray:
+    """The (n, J+1) interface fluxes the updates of the intervals `rows`
+    (all N by default) of `run_forward` used.
 
     Same stencil-time rule as the march: state n and g(t_n) for explicit
     steps, state n+1 and g(t_{n+1}) for implicit ones.  Same inputs through
     the same `interface_fluxes`, so the values are bit-identical.
     """
     part = traj.partition
-    rows = np.arange(part.interval_count) + (part.modes == IMPLICIT)
-    g = np.atleast_1d(np.asarray(case.inflow_value(part.times), dtype=float))
-    return interface_fluxes(traj.states[rows], g[rows], traj.flux)
+    stencil = np.arange(part.interval_count)[rows]
+    stencil += part.modes[rows] == IMPLICIT
+    g = np.atleast_1d(np.asarray(case.inflow_value(part.times[stencil]),
+                                 dtype=float))
+    return interface_fluxes(traj.states[stencil], g, traj.flux)

@@ -39,6 +39,20 @@ def base_report(uniform_reports):
 
 
 @pytest.fixture(scope="session")
+def mixed_trajectory(case):
+    """Level-1 run over six rounds of twelve explicit steps at CFL 0.5 and
+    one implicit step of 2.2, which carries the march into the first
+    inflow window (78 intervals, substep counts varying per interval)."""
+    grid = ss.build_spatial_grid(20, 1)
+    k_exp = 0.5 * grid.h / ss.speed_for_basis(case, grid, "global")
+    ks = ([k_exp] * 12 + [2.2]) * 6
+    modes = ([ss.EXPLICIT] * 12 + [ss.IMPLICIT]) * 6
+    part = ss.TimePartition(times=np.concatenate(([0.0], np.cumsum(ks))),
+                            modes=np.array(modes, dtype=np.int8))
+    return ss.run_forward(grid, part, case)
+
+
+@pytest.fixture(scope="session")
 def adapt_cfg(case):
     return ss.AdaptationConfig(T=case.T)
 

@@ -4,6 +4,8 @@ The proposal walk and the implicit/explicit tagging are exercised on
 hand-built partitions with known answers; the full loop is pinned by
 frozen step counts and density values for the three chain variants.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,22 @@ def test_planned_modes_are_sound_on_benchmark_plan(case, base_report,
     assert float(np.max(cfl[~implicit])) <= 0.8 * (1 + 1e-9)
 
 
+def test_solve_level_memory_is_o_states(case):
+    # states and dual samples are the only (N, J) arrays that outlive a
+    # stage; the breakdown and the speed profile work in row blocks
+    grid = ss.build_spatial_grid(20, 3)
+    k = 0.8 * grid.h / ss.speed_for_basis(case, grid, "global")
+    part = ss.uniform_partition(case.T, k)
+    case.inflow_value(0.0)     # the inflow table is built outside the trace
+    tracemalloc.start()
+    try:
+        rep = ss.solve_level(3, grid, part, case, 0.8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * rep.trajectory.states.nbytes
+
+
 # ------------------------------------------------------------ speed profile
 
 def test_speed_profile_includes_inflow(case):
@@ -236,6 +254,27 @@ def test_speed_profile_includes_inflow(case):
     traj.states[:] = -2.0
     prof = ss.SpeedProfile.from_trajectory(traj, case)
     np.testing.assert_array_equal(prof.values, [2.0, 2.0])
+
+
+def _abs_table_profile(traj, case):
+    """The profile values as built from a full |f'| table."""
+    fprime = traj.flux.fprime
+    state_speed = np.max(np.abs(fprime(traj.states)), axis=1)
+    g = np.asarray(case.inflow_value(traj.partition.times), dtype=float)
+    node = np.maximum(state_speed, np.abs(fprime(g)))
+    return np.maximum(node[:-1], node[1:])
+
+
+def test_speed_profile_matches_abs_table(case, linear_case, uniform_reports):
+    traj = uniform_reports[0].trajectory
+    prof = ss.SpeedProfile.from_trajectory(traj, case)
+    assert prof.values.tobytes() == _abs_table_profile(traj, case).tobytes()
+    grid = ss.build_spatial_grid(20, 1)
+    part = ss.uniform_partition(linear_case.T, 0.8 * grid.h / 1.3)
+    traj = ss.run_forward(grid, part, linear_case)
+    prof = ss.SpeedProfile.from_trajectory(traj, linear_case)
+    assert prof.values.tobytes() == \
+        _abs_table_profile(traj, linear_case).tobytes()
 
 
 def test_speed_profile_interval_maxima():

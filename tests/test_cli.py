@@ -158,6 +158,31 @@ def test_out_of_range_key_exits_2_before_solving(command, key, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("run-uniform", []), ("run-adaptive", []), ("run-loop", []),
+    ("emit-plots", ["--set", "experiment=uniform"]),
+    ("emit-plots", ["--set", "experiment=adaptive"]),
+])
+def test_empty_levels_exits_2_before_any_output(command, extra, tmp_path,
+                                                capsys):
+    out = tmp_path / "out"
+    rc = cli_main([command, "--set", "levels=", *extra, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "levels" in err
+    assert not out.exists()
+
+
+def test_adaptive_plots_without_levels_leave_no_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli_main(["emit-plots", "--set", "experiment=adaptive",
+                   "--out", str(out)])
+    assert rc == 2
+    assert "levels schedule" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uniform_step_beyond_horizon_exits_2(tmp_path, capsys):
     # cfl = 1e4 at level 0 asks for a step longer than T
     rc = cli_main(["run-uniform", "--set", "cfl=1e4", "--out", str(tmp_path)])

@@ -4,12 +4,14 @@ The vectorized assembly is checked against per-cell scalar loops written
 out independently here, the weight integrals against the analytic bump
 mass, and the reference functional against its frozen fine-grid value.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
 import shockstep as ss
 from shockstep.dual import DUAL_CFL, CoefficientField, DualGradientTrajectory
-from shockstep.estimator import ErrorBreakdown
+from shockstep.estimator import ErrorBreakdown, _cell_terms
 from shockstep.forward import ForwardTrajectory
 
 # integral of the weight over its support, quadrature-independent value
@@ -73,7 +75,8 @@ def test_evaluate_functional_unit_state(case):
 # ------------------------------------------------------- per-cell formulas
 
 def _one_step_breakdown(states, a, w, weight):
-    # two cells of width 0.05, one explicit step of length 0.1, inflow 1
+    """The breakdown and the cell terms over all rows of one explicit step
+    of length 0.1 on two cells of width 0.05 with inflow 1."""
     grid = ss.build_spatial_grid(2, 0, domain=(0.0, 0.1))
     part = ss.TimePartition(times=np.array([0.0, 0.1]))
     traj = ForwardTrajectory(grid=grid, partition=part,
@@ -82,22 +85,28 @@ def _one_step_breakdown(states, a, w, weight):
                              a_values=np.full((1, 2), a))
     dual = DualGradientTrajectory(grid=grid, partition=part,
                                   w_samples=np.full((1, 2), w))
-    return ss.assemble_breakdown(traj, coeff, dual, _ConstWeight(weight))
+    case = _ConstWeight(weight)
+    br = ss.assemble_breakdown(traj, coeff, dual, case)
+    return br, _cell_terms(traj, coeff, dual, case, 0, 1)
 
 
 def test_breakdown_time_term_reference_value():
-    br = _one_step_breakdown([[0.3, 0.3], [0.4, 0.4]], a=1.0, w=0.5,
-                             weight=0.2)
+    br, (etk, _) = _one_step_breakdown([[0.3, 0.3], [0.4, 0.4]], a=1.0,
+                                       w=0.5, weight=0.2)
     # -(1/2) * 0.1 * 0.05 * 0.1 * (0.2 - 1.0 * 0.5)
-    assert br.eta_k_cells[0, 0] == pytest.approx(7.5e-5, rel=1e-12)
+    assert etk[0, 0] == pytest.approx(7.5e-5, rel=1e-12)
+    assert br.eta_k_bar_n[0] == np.sum(np.abs(etk[0])) / 0.1
+    assert br.eta_k == np.sum(etk)
 
 
 def test_breakdown_space_term_reference_value():
     # state 1 against inflow 1 puts every interface flux at 0.5
-    br = _one_step_breakdown([[1.0, 1.0], [0.0, 0.0]], a=1.0, w=2.0,
-                             weight=0.2)
+    br, (_, eth) = _one_step_breakdown([[1.0, 1.0], [0.0, 0.0]], a=1.0,
+                                       w=2.0, weight=0.2)
     # 0.1 * (1/2) * 0.05 * 2.0 * (0.5 + 0.5 - 0)
-    assert br.eta_h_cells[0, 0] == pytest.approx(5.0e-3, rel=1e-12)
+    assert eth[0, 0] == pytest.approx(5.0e-3, rel=1e-12)
+    assert br.eta_h_bar_n[0] == np.sum(np.abs(eth[0])) / 0.1
+    assert br.eta_h == np.sum(eth)
 
 
 def test_breakdown_matches_scalar_loops(case):
@@ -127,19 +136,34 @@ def test_breakdown_matches_scalar_loops(case):
             fm = 0.5 * traj.states[n + 1, j] ** 2
             eth[n, j] = k[n] * 0.5 * h * dual.w_samples[n, j] * (F1 + F0 - 2.0 * fm)
 
-    np.testing.assert_allclose(br.eta_k_cells, etk, rtol=1e-14, atol=1e-24)
-    np.testing.assert_allclose(br.eta_h_cells, eth, rtol=1e-14, atol=1e-24)
-
-
-def test_breakdown_aggregates_are_consistent(uniform_reports):
-    br = uniform_reports[0].breakdown
-    part = uniform_reports[0].partition
-    k = part.steps
-    np.testing.assert_allclose(br.eta_k, np.sum(br.eta_k_cells), rtol=1e-12)
-    np.testing.assert_allclose(br.eta_h, np.sum(br.eta_h_cells), rtol=1e-12)
-    np.testing.assert_allclose(br.eta_k_bar_n,
-                               np.sum(np.abs(br.eta_k_cells), axis=1) / k,
+    cells_k, cells_h = _cell_terms(traj, coeff, dual, case, 0, N)
+    np.testing.assert_allclose(cells_k, etk, rtol=1e-14, atol=1e-24)
+    np.testing.assert_allclose(cells_h, eth, rtol=1e-14, atol=1e-24)
+    np.testing.assert_allclose(br.eta_k_bar_n, np.sum(np.abs(etk), axis=1) / k,
                                rtol=1e-13)
+    np.testing.assert_allclose(br.eta_h_bar_n, np.sum(np.abs(eth), axis=1) / k,
+                               rtol=1e-13)
+
+
+def test_breakdown_aggregates_are_consistent(uniform_reports, case):
+    rep = uniform_reports[0]
+    br = rep.breakdown
+    part = rep.partition
+    k = part.steps
+    traj = rep.trajectory
+    coeff = ss.build_coefficient_field(traj)
+    dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
+    N = part.interval_count
+    cells_k, cells_h = _cell_terms(traj, coeff, dual, case, 0, N)
+    assert cells_k.shape == (N, rep.grid.cell_count)
+    assert cells_h.shape == cells_k.shape
+    np.testing.assert_allclose(br.eta_k, np.sum(cells_k), rtol=1e-12)
+    np.testing.assert_allclose(br.eta_h, np.sum(cells_h), rtol=1e-12)
+    # the densities are the per-row reductions, bit for bit
+    np.testing.assert_array_equal(br.eta_k_bar_n,
+                                  np.sum(np.abs(cells_k), axis=1) / k)
+    np.testing.assert_array_equal(br.eta_h_bar_n,
+                                  np.sum(np.abs(cells_h), axis=1) / k)
     np.testing.assert_allclose(br.eta_k_bar, np.sum(k * br.eta_k_bar_n),
                                rtol=1e-13)
     np.testing.assert_allclose(br.eta_h_bar, np.sum(k * br.eta_h_bar_n),
@@ -148,8 +172,23 @@ def test_breakdown_aggregates_are_consistent(uniform_reports):
     # the signed sums cannot exceed their absolute counterparts
     assert abs(br.eta_k) <= br.eta_k_bar * (1 + 1e-12)
     assert abs(br.eta_h) <= br.eta_h_bar * (1 + 1e-12)
-    assert br.eta_k_cells.shape == (part.interval_count,
-                                    uniform_reports[0].grid.cell_count)
+
+
+def test_breakdown_independent_of_block_size(case, mixed_trajectory,
+                                             monkeypatch):
+    import shockstep.estimator as est
+    traj = mixed_trajectory
+    coeff = ss.build_coefficient_field(traj)
+    dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
+    N = traj.partition.interval_count
+    want = ss.assemble_breakdown(traj, coeff, dual, case)
+    for rows in (1, 7, N, N + 5):
+        monkeypatch.setattr(est, "_BLOCK_ROWS", rows)
+        got = ss.assemble_breakdown(traj, coeff, dual, case)
+        for field in dataclasses.fields(ErrorBreakdown):
+            a = np.asarray(getattr(want, field.name))
+            b = np.asarray(getattr(got, field.name))
+            assert a.tobytes() == b.tobytes(), (rows, field.name)
 
 
 def test_breakdown_rejects_mismatched_shapes(case):
@@ -171,9 +210,8 @@ def test_breakdown_rejects_mismatched_shapes(case):
 # ------------------------------------------------------- efficiency index
 
 def _stub_breakdown(eta_k, eta_h, J_h):
-    z = np.zeros((1, 1))
-    return ErrorBreakdown(eta_k_cells=z, eta_h_cells=z, eta_k_bar_n=z[0],
-                          eta_h_bar_n=z[0], eta_k_bar=abs(eta_k),
+    z = np.zeros(1)
+    return ErrorBreakdown(eta_k_bar_n=z, eta_h_bar_n=z, eta_k_bar=abs(eta_k),
                           eta_h_bar=abs(eta_h), eta_bar=abs(eta_k) + abs(eta_h),
                           eta_k=eta_k, eta_h=eta_h, J_h=J_h)
 
