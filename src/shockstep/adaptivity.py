@@ -239,17 +239,23 @@ class LevelReport:
     trajectory: ForwardTrajectory
     breakdown: ErrorBreakdown
     stats: PlanStats
-    cfl_series: np.ndarray           # realized, per interval
+    profile: SpeedProfile            # of the trajectory, plans the next level
     tol_k: Optional[float] = None
     plan: Optional[AdaptationPlan] = None
+
+    @property
+    def cfl_series(self) -> np.ndarray:
+        """Realized CFL per interval, from the trajectory's speed profile."""
+        return self.partition.steps * self.profile.values / self.grid.h
 
 
 def solve_level(level: int, grid: SpatialGrid, partition: TimePartition,
                 case, dual_cfl: float, tol_k=None, plan=None) -> LevelReport:
     """Forward solve, dual gradient and error breakdown on one partition.
 
-    The realized CFL series comes from the finished trajectory's speed
-    profile; runs without a plan take their statistics from it.
+    The report keeps the finished trajectory's speed profile, which gives
+    the realized CFL series and plans the next level; runs without a plan
+    take their statistics from that series.
     """
     traj = run_forward(grid, partition, case)
     coeff = build_coefficient_field(traj)
@@ -264,7 +270,7 @@ def solve_level(level: int, grid: SpatialGrid, partition: TimePartition,
         cfl_min=float(np.min(cfl)), cfl_max=float(np.max(cfl)))
     return LevelReport(level=level, grid=grid, partition=partition,
                        trajectory=traj, breakdown=br, stats=stats,
-                       cfl_series=cfl, tol_k=tol_k, plan=plan)
+                       profile=profile, tol_k=tol_k, plan=plan)
 
 
 def adaptive_loop(case, cfg: AdaptationConfig, levels: Sequence[int],
@@ -310,8 +316,7 @@ def adaptive_loop(case, cfg: AdaptationConfig, levels: Sequence[int],
             local = replace(cfg, tol_k=tol)
             raw = propose_timesteps(prev.partition, prev.breakdown.eta_k_bar_n,
                                     local)
-            profile = SpeedProfile.from_trajectory(prev.trajectory, case)
-            plan = assign_modes(raw, profile, local, grid.h, strategy)
+            plan = assign_modes(raw, prev.profile, local, grid.h, strategy)
             rep = solve_level(level, grid, plan.partition, case, dual_cfl,
                               tol_k=tol, plan=plan)
         reports.append(rep)

@@ -234,7 +234,6 @@ def _summary_row(report: LevelReport, theta: float, adaptive: bool):
 
 def run_uniform(cfg: dict) -> int:
     case = _solvable_case(cfg)
-    out = _ensure_outdir(cfg)
     levels = cfg["levels"] if cfg["levels"] is not None else [cfg["level"]]
     rows = []
     for level in levels:
@@ -242,12 +241,16 @@ def run_uniform(cfg: dict) -> int:
         j_ref = reference_functional(case, cfg["ref_level"], cfg["base_cells"])
         theta = efficiency_index(rep.breakdown, j_ref)
         rows.append(_summary_row(rep, theta, adaptive=False))
+        # made only once a report is ready, so a refused run leaves no
+        # directory behind
+        out = _ensure_outdir(cfg)
         name = "steps.csv" if len(levels) == 1 else f"steps_L{level}.csv"
         _write_steps(os.path.join(out, name), rep)
         print(f"level {level}: N={rep.stats.N} "
               f"eta_k_bar={rep.breakdown.eta_k_bar:.5e} "
               f"eta_h_bar={rep.breakdown.eta_h_bar:.5e} "
               f"J_h={rep.breakdown.J_h:.5e}")
+        del rep     # not held through the next level's solve
     _write_csv(os.path.join(out, "summary.csv"), _SUMMARY_HEADER,
                _SUMMARY_FMT + "\n", rows)
     return 0

@@ -389,6 +389,27 @@ def test_loop_runs_all_levels_when_tolerance_unmet(case, base_report):
     assert reports[1].tol_k is not None
 
 
+def test_loop_builds_one_speed_profile_per_level(case, monkeypatch):
+    # each level's report carries its profile, which plans the next level
+    build = ss.SpeedProfile.from_trajectory
+    calls = []
+
+    def counted(cls, traj, case):
+        calls.append(traj)
+        return build(traj, case)
+
+    monkeypatch.setattr(ss.SpeedProfile, "from_trajectory",
+                        classmethod(counted))
+    reports = ss.adaptive_loop(case, ss.AdaptationConfig(T=case.T),
+                               [0, 1, 2], "match_previous")
+    assert len(calls) == len(reports) == 3
+    assert all(t is r.trajectory for t, r in zip(calls, reports))
+    for rep in reports:
+        fresh = build(rep.trajectory, case)
+        assert np.array_equal(rep.profile.times, fresh.times)
+        assert np.array_equal(rep.profile.values, fresh.values)
+
+
 def test_loop_records_tolerance_and_plan(base_report, ex1_report):
     assert base_report.plan is None
     assert base_report.tol_k is None

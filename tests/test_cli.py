@@ -117,12 +117,16 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 
 def test_solver_blowup_exits_3(tmp_path, capsys):
+    # the refused first step leaves no output directory behind
+    out = tmp_path / "out"
     rc = cli_main(["run-uniform", "--set", "cfl=50",
-                   "--set", "ref_level=2", "--out", str(tmp_path)])
+                   "--set", "ref_level=2", "--out", str(out)])
     assert rc == 3
     err = capsys.readouterr().err
     assert "solver failure" in err
-    assert "interval" in err
+    assert "interval 0" in err
+    assert "explicit step at CFL 48.48 > 1" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run-uniform", "run-adaptive",
@@ -185,27 +189,46 @@ def test_adaptive_plots_without_levels_leave_no_directory(tmp_path, capsys):
 
 def test_uniform_step_beyond_horizon_exits_2(tmp_path, capsys):
     # cfl = 1e4 at level 0 asks for a step longer than T
-    rc = cli_main(["run-uniform", "--set", "cfl=1e4", "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = cli_main(["run-uniform", "--set", "cfl=1e4", "--out", str(out)])
     assert rc == 2
     assert "need 0 < k <= T" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _run_fresh(code: str, out):
+    """Run `code` in a fresh interpreter that imports this shockstep, with
+    the output directory as sys.argv[1]."""
+    src = str(Path(shockstep.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(out)],
+                          capture_output=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert (out / "steps.csv").exists()
 
 
 def test_import_and_explicit_run_leave_scipy_unloaded(tmp_path):
     # scipy is only bound on the first implicit solve
-    src = str(Path(shockstep.cli.__file__).parents[1])
-    code = (
+    _run_fresh(
         "import sys, shockstep.cli\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
         "rc = shockstep.cli.main(['run-uniform', '--set', 'levels=0',\n"
         "                         '--set', 'ref_level=2', '--out', sys.argv[1]])\n"
         "assert rc == 0, rc\n"
-        "assert 'scipy' not in sys.modules, 'run-uniform'\n")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          capture_output=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert (tmp_path / "steps.csv").exists()
+        "assert 'scipy' not in sys.modules, 'run-uniform'\n", tmp_path)
+
+
+def test_implicit_run_loads_no_scipy_linalg_package(tmp_path):
+    # Newton loads scipy's LAPACK extension alone, not scipy.linalg
+    _run_fresh(
+        "import sys, shockstep.cli\n"
+        "rc = shockstep.cli.main(['run-uniform', '--set', 'mode=implicit',\n"
+        "                         '--set', 'levels=0', '--set', 'ref_level=2',\n"
+        "                         '--out', sys.argv[1]])\n"
+        "assert rc == 0, rc\n"
+        "assert 'scipy' in sys.modules, 'no implicit solve ran'\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg'\n", tmp_path)
 
 
 # ------------------------------------------------------------ run-uniform
