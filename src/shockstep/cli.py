@@ -314,14 +314,19 @@ def emit_plot_data(report: LevelReport, out_dir: str, index: int):
 
 def emit_plots(cfg: dict) -> int:
     case = _solvable_case(cfg)
-    if cfg["experiment"] == "uniform":
-        levels = cfg["levels"] if cfg["levels"] is not None else [cfg["level"]]
-        reports = [_uniform_report(case, cfg, level) for level in levels]
-    else:
+    if cfg["experiment"] == "adaptive":
         reports = _adaptive_reports(cfg, case, honor_tol_total=False)
-    out = _ensure_outdir(cfg)
-    for i, rep in enumerate(reports):
-        emit_plot_data(rep, out, i)
+        out = _ensure_outdir(cfg)
+        for i, rep in enumerate(reports):
+            emit_plot_data(rep, out, i)
+        return 0
+    levels = cfg["levels"] if cfg["levels"] is not None else [cfg["level"]]
+    for i, level in enumerate(levels):
+        rep = _uniform_report(case, cfg, level)
+        # made only once a report is ready, so a refused run leaves no
+        # directory behind
+        emit_plot_data(rep, _ensure_outdir(cfg), i)
+        del rep     # not held through the next level's solve, as in run_uniform
     return 0
 
 

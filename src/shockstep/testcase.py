@@ -31,6 +31,7 @@ _BISECT_ITERS = 48
 _NODE_LEVEL = 16    # bisection levels resolved on shared nodes
 _SNAP_LEVEL = 44    # dyadic level the root guess snaps to
 _MAX_SHIFTS = 3
+_PEAK_SEEDS = 8    # nodes per window filled first for the peak
 
 
 def _window_path(t, p, scale):
@@ -104,9 +105,29 @@ def _bisect(lo, hi, target, p, scale, levels):
     return 0.5 * (lo + hi)
 
 
-def _departure_roots(target, p, scale):
+def _node_spacing(p):
+    """Width of window p's level-16 cells."""
+    return (p[2] - p[1]) / 2 ** _NODE_LEVEL
+
+
+def _node_pass(p, scale):
+    """Departure values v and shock speeds sdot on the 2**16 + 1
+    level-16 dyadic nodes of window p."""
+    tau = p[1] + _node_spacing(p) * np.arange(2 ** _NODE_LEVEL + 1)
+    s, sdot = _window_path(tau, p, scale)
+    return _departure_time(tau, s, sdot)[0], sdot
+
+
+def _passes_gate(v, p):
+    """Node values rising everywhere with slope >= 1/2."""
+    return bool(np.min(np.diff(v)) >= 0.5 * _node_spacing(p))
+
+
+def _departure_roots(target, p, scale, v):
     """The root tau of departure(tau) = target in [a, b], bit for bit what
-    `_BISECT_ITERS` bisection levels from [a, b] give.
+    `_BISECT_ITERS` bisection levels from [a, b] give; v are the window's
+    node values from `_node_pass`, computed once per window and scale by
+    the caller.
 
     a, b and b - a are small integers, so every bisection mid through the
     last level is exactly the dyadic node a + (b-a) i / 2**L of its level
@@ -115,9 +136,9 @@ def _departure_roots(target, p, scale):
     theirs; the fast path finds that cell directly and bisects only the
     remaining levels:
 
-    1. Evaluate the map once on the 2**16 + 1 level-16 nodes.  When the
-       node values rise everywhere with slope >= 1/2, bisection over
-       levels 1-16 ends in the node cell that `searchsorted` finds.
+    1. v is the map on the 2**16 + 1 level-16 nodes.  When the node
+       values rise everywhere with slope >= 1/2, bisection over levels
+       1-16 ends in the node cell that `searchsorted` finds.
     2. Guess by linear interpolation inside that cell, take one chord
        step from the guess with the cell's slope and snap to the level-44
        cell [lo, hi] around it.
@@ -144,9 +165,8 @@ def _departure_roots(target, p, scale):
     """
     _, a, b = p[:3]
     nodes = 2 ** _NODE_LEVEL
-    h = (b - a) / nodes
-    v = _departure(a + h * np.arange(nodes + 1), p, scale)
-    if not np.min(np.diff(v)) >= 0.5 * h:
+    h = _node_spacing(p)
+    if not _passes_gate(v, p):
         return _bisect(np.full(target.shape, a), np.full(target.shape, b),
                        target, p, scale, _BISECT_ITERS)
     j = np.clip(np.searchsorted(v, target) - 1, 0, nodes - 1)
@@ -183,16 +203,95 @@ def _departure_roots(target, p, scale):
     return tau
 
 
-def _invert_departure(t0, p, scale):
+def _invert_departure(t0, p, scale, v=None):
     """Inflow g(t0) over one window's departure grid: the root of
     departure(tau) = t0 for tau in [a, b], g = 1 at and beyond the
-    departure window's ends."""
+    departure window's ends.  v: the window's node values, from
+    `_node_pass` when not given."""
     lo_t, hi_t = p[3:]
     g = np.ones_like(t0)
     m = (t0 > lo_t) & (t0 < hi_t)
-    tau = _departure_roots(t0[m], p, scale)
+    if v is None:
+        v = _node_pass(p, scale)[0]
+    tau = _departure_roots(t0[m], p, scale, v)
     g[m] = 1.0 + 2.0 * _window_path(tau, p, scale)[1]
     return g
+
+
+def _speed_lipschitz(p, scale):
+    """L >= |s''| over window p (see `_table_skeleton`)."""
+    amp, a, b = p[:3]
+    c = 0.5 * (b - a)
+    return abs(scale) * amp * (16.0 / c ** 2 + 4.0 * _OMEGA / c + _OMEGA ** 2)
+
+
+def _fill(gg, tg, idx, p, scale, v):
+    """Root-find the nodes idx of one window's table that are still NaN;
+    idx None means every node."""
+    if idx is None:
+        idx = np.flatnonzero(np.isnan(gg))
+    else:
+        idx = np.unique(idx)
+        idx = idx[np.isnan(gg[idx])]
+    if idx.size:
+        gg[idx] = _invert_departure(tg[idx], p, scale, v)
+
+
+def _table_times(p):
+    """One window's table nodes: spacing `_TABLE_DT` over its departure
+    window, the last node on the window's end."""
+    d_lo, d_hi = p[3:]
+    n = int(round((d_hi - d_lo) / _TABLE_DT))
+    tg = d_lo + _TABLE_DT * np.arange(n + 1)
+    tg[-1] = d_hi
+    return tg
+
+
+def _table_skeleton(pieces_t, scale):
+    """Each window's node values v and a g table with NaN at every node
+    not filled yet, and the exact inflow peak max|g| over all nodes.
+
+    The peak fills only the nodes that could hold it.  Under the slope
+    gate the root of table node t0 lies in the level-16 cell
+    [tau_j, tau_j + D] that `searchsorted(v, t0)` finds (`_departure_roots`,
+    step 1).  With u = (t - (a+b)/2) / c, c = (b-a)/2, the window's
+    theta = amp (u^2-1)^4 has |theta| <= amp, |theta'| <= 2 amp / c and
+    |theta''| = amp |8 (u^2-1)^3 + 48 u^2 (u^2-1)^2| / c^2 <= 16 amp / c^2,
+    so s = x0 + scale theta sin(w (t-a)) has
+    |s''| <= L = |scale| amp (16/c^2 + 4w/c + w^2).  Inside the cell sdot
+    then stays within L D of the nodes' sdot_j, sdot_(j+1), which bounds
+    |g| = |1 + 2 sdot| by the larger end of
+    1 + 2 [min(sdot_j, sdot_(j+1)) - L D, max(sdot_j, sdot_(j+1)) + L D];
+    1e-12 more covers rounding.  Filling the `_PEAK_SEEDS` nodes with the
+    largest bounds in each window gives an exact |g| `best`; every other
+    node whose bound reaches `best` is filled too, and the nodes left
+    have |g| below `best`.  A window failing the gate gets an infinite
+    bound and fills completely.  Scale 1 fills about 220 nodes; at scale
+    0 no bound falls below 1 = best, so everything fills.
+    """
+    pieces_g, nodes_v, bounds = [], [], []
+    for p, tg in zip(_PERTURBATIONS, pieces_t):
+        v, sdot = _node_pass(p, scale)
+        bound = np.full(tg.shape, np.inf)
+        if _passes_gate(v, p):
+            j = np.clip(np.searchsorted(v, tg) - 1, 0, v.size - 2)
+            reach = _speed_lipschitz(p, scale) * _node_spacing(p)
+            hi = np.maximum(sdot[j], sdot[j + 1]) + reach
+            lo = np.minimum(sdot[j], sdot[j + 1]) - reach
+            bound = np.maximum(np.abs(1.0 + 2.0 * hi),
+                               np.abs(1.0 + 2.0 * lo)) + 1e-12
+        pieces_g.append(np.full(tg.shape, np.nan))
+        nodes_v.append(v)
+        bounds.append(bound)
+    windows = list(zip(pieces_t, pieces_g, _PERTURBATIONS, nodes_v, bounds))
+    for tg, gg, p, v, bound in windows:
+        seeds = np.argpartition(bound, -_PEAK_SEEDS)[-_PEAK_SEEDS:]
+        _fill(gg, tg, seeds, p, scale, v)
+    best = max(np.nanmax(np.abs(gg)) for gg in pieces_g)
+    for tg, gg, p, v, bound in windows:
+        _fill(gg, tg, np.flatnonzero(bound >= best), p, scale, v)
+    peak = float(max(np.nanmax(np.abs(gg)) for gg in pieces_g))
+    return pieces_g, nodes_v, peak
 
 
 def weight_and_derivative(x):
@@ -214,10 +313,14 @@ def weight_and_derivative(x):
 class PerturbedShockCase:
     """Benchmark problem definition.
 
-    Inflow queries go through a lazily built lookup table (spacing 1e-4,
-    linear interpolation).  Root-finding per flux evaluation would dominate
-    the runtime while the interpolation error is far below discretization
-    error.
+    Inflow queries go through a lookup table (spacing 1e-4, linear
+    interpolation).  Root-finding per flux evaluation would dominate the
+    runtime while the interpolation error is far below discretization
+    error.  The table is filled node by node, bit for bit the full table:
+    a query root-finds only the two nodes around each queried time that
+    are not filled yet, and the first use per scale runs the node pass
+    and finds the exact peak from a bound on |g| per node, filling only
+    the few hundred nodes that bound cannot rule out (`_table_skeleton`).
     """
 
     def __init__(self, perturbation_scale: float = 1.0):
@@ -225,6 +328,7 @@ class PerturbedShockCase:
         self.T = T_END
         self.domain = (0.0, 1.0)
         self.flux = BurgersFlux()
+        self._table_t = [_table_times(p) for p in _PERTURBATIONS]
         self._table = None
 
     # ---- shock data ----
@@ -235,35 +339,40 @@ class PerturbedShockCase:
         return shock_speed(t, self.perturbation_scale)
 
     # ---- inflow table ----
-    def _ensure_table(self):
-        # rebuilt when perturbation_scale has changed since the last build,
-        # so the inflow never lags the scale the memoized reference keys on
-        if self._table is None or self._table[0] != self.perturbation_scale:
-            pieces_t, pieces_g = [], []
-            for p in _PERTURBATIONS:
-                d_lo, d_hi = p[3:]
-                n = int(round((d_hi - d_lo) / _TABLE_DT))
-                tg = d_lo + _TABLE_DT * np.arange(n + 1)
-                tg[-1] = d_hi
-                pieces_t.append(tg)
-                pieces_g.append(
-                    _invert_departure(tg, p, self.perturbation_scale))
-            self._table = (self.perturbation_scale, pieces_t, pieces_g)
-        return self._table[1:]
+    def _ensure_table(self, need=None):
+        """(pieces_t, pieces_g) with the nodes in `need`, one index array
+        per window, filled; None fills every node and () none.  The
+        skeleton is rebuilt when perturbation_scale has changed since the
+        last build, so the inflow never lags the scale the memoized
+        reference keys on."""
+        scale = self.perturbation_scale
+        if self._table is None or self._table[0] != scale:
+            self._table = (scale,) + _table_skeleton(self._table_t, scale)
+        _, pieces_g, nodes_v, _ = self._table
+        for p, tg, gg, v, idx in zip(
+                _PERTURBATIONS, self._table_t, pieces_g, nodes_v,
+                [None] * len(pieces_g) if need is None else need):
+            _fill(gg, tg, idx, p, scale, v)
+        return self._table_t, pieces_g
 
     def inflow_value(self, t):
         t = np.asarray(t, dtype=float)
-        pieces_t, pieces_g = self._ensure_table()
+        inside = [(t > tg[0]) & (t < tg[-1]) for tg in self._table_t]
+        # np.interp reads the two nodes around each time
+        cells = [np.searchsorted(tg, t[m], side="right") - 1
+                 for tg, m in zip(self._table_t, inside)]
+        pieces_t, pieces_g = self._ensure_table(
+            [np.concatenate([j, j + 1]) for j in cells])
         g = np.ones_like(t)
-        for tg, gg in zip(pieces_t, pieces_g):
-            m = (t > tg[0]) & (t < tg[-1])
+        for tg, gg, m in zip(pieces_t, pieces_g, inside):
             if np.any(m):
                 g[m] = np.interp(t[m], tg, gg)
         return float(g) if g.ndim == 0 else g
 
     def inflow_peak(self) -> float:
-        pieces_t, pieces_g = self._ensure_table()
-        return float(max(np.max(np.abs(gg)) for gg in pieces_g))
+        self._ensure_table(need=())
+        _, _, _, peak = self._table
+        return peak
 
     # ---- initial data and weight ----
     def initial_cell_averages(self, edges) -> np.ndarray:

@@ -9,6 +9,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -383,6 +384,44 @@ def test_emit_plots_adaptive(tmp_path):
     assert rc == 0
     assert (out / "density_vs_time_0.csv").exists()
     assert (out / "cfl_vs_time_0.csv").exists()
+
+
+def test_emit_plots_uniform_holds_one_report_at_a_time(tmp_path, monkeypatch,
+                                                       case):
+    # each level's CSVs are written, and its report dropped, before the
+    # next level is solved
+    reports, alive_at_solve, alive_at_write = [], [], []
+    solve, write = shockstep.cli._uniform_report, shockstep.cli.emit_plot_data
+
+    def alive():
+        return sum(r() is not None for r in reports)
+
+    def tracked_solve(*args):
+        alive_at_solve.append(alive())
+        rep = solve(*args)
+        reports.append(weakref.ref(rep))
+        return rep
+
+    def tracked_write(*args):
+        alive_at_write.append(alive())
+        write(*args)
+
+    monkeypatch.setattr(shockstep.cli, "_build_case", lambda cfg: case)
+    monkeypatch.setattr(shockstep.cli, "_uniform_report", tracked_solve)
+    monkeypatch.setattr(shockstep.cli, "emit_plot_data", tracked_write)
+    rc = cli_main(["emit-plots", "--set", "levels=0,1,2", "--out", str(tmp_path)])
+    assert rc == 0
+    assert alive_at_solve == [0, 0, 0]
+    assert alive_at_write == [1, 1, 1]
+    assert len(list(tmp_path.glob("*.csv"))) == 6
+
+
+def test_refused_uniform_plots_leave_no_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli_main(["emit-plots", "--set", "cfl=1e4", "--out", str(out)])
+    assert rc == 2
+    assert "need 0 < k <= T" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------- validate-case

@@ -237,3 +237,124 @@ def test_zero_scale_case_is_steady():
     ts = np.linspace(0.0, 48.0, 977)
     assert np.all(quiet.inflow_value(ts) == 1.0)
     assert quiet.shock_position(33.3) == 0.5
+
+
+# ---- node-level laziness of the inflow table ----
+
+@pytest.fixture(scope="module")
+def full_table_case():
+    full = ss.PerturbedShockCase()
+    full._ensure_table()
+    return full
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# shock and departure window ends
+_WINDOW_ENDS = [t for p in testcase._PERTURBATIONS for t in p[1:]]
+_TABLE_TIMES = [testcase._table_times(p) for p in testcase._PERTURBATIONS]
+
+
+@st.composite
+def _query_times(draw):
+    """Times anywhere, inside a departure window, on a table node or on a
+    window end, in the order drawn."""
+    window = st.sampled_from(testcase._PERTURBATIONS)
+    inside = window.flatmap(lambda p: st.floats(p[3], p[4]))
+    on_node = st.sampled_from(_TABLE_TIMES).flatmap(
+        lambda tg: st.integers(0, tg.size - 1).map(lambda i: float(tg[i])))
+    one = st.one_of(st.floats(0.0, testcase.T_END), inside, on_node,
+                    st.sampled_from(_WINDOW_ENDS))
+    return draw(st.lists(one, min_size=1, max_size=60))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ts=_query_times(), batches=st.integers(1, 4), scalar=st.booleans())
+def test_lazy_inflow_queries_bit_exact(full_table_case, ts, batches, scalar):
+    """A fresh case answers every query, in any order and over several
+    calls, with the bits of the full table."""
+    lazy = ss.PerturbedShockCase()
+    ts = np.array(ts)
+    if scalar:
+        assert _bits(lazy.inflow_value(ts[0])) == _bits(
+            full_table_case.inflow_value(ts[0]))
+    for part in np.array_split(ts, batches):
+        got = lazy.inflow_value(part)
+        assert np.array_equal(_bits(got),
+                              _bits(full_table_case.inflow_value(part)))
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 2.0, 80.0])
+def test_lazy_peak_equals_full_table_max(scale):
+    # 80 fails the slope gate in the first window, which then fills whole
+    _, pieces_g = ss.PerturbedShockCase(perturbation_scale=scale)._ensure_table()
+    want = max(np.max(np.abs(gg)) for gg in pieces_g)
+    got = ss.PerturbedShockCase(perturbation_scale=scale).inflow_peak()
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+def test_lazy_peak_exact_from_one_seed(scale, monkeypatch):
+    # the node with the largest bound need not hold the peak (it does not
+    # at scale 0.5); the pass over every bound reaching it must find it
+    _, pieces_g = ss.PerturbedShockCase(perturbation_scale=scale)._ensure_table()
+    want = max(np.max(np.abs(gg)) for gg in pieces_g)
+    monkeypatch.setattr(testcase, "_PEAK_SEEDS", 1)
+    got = ss.PerturbedShockCase(perturbation_scale=scale).inflow_peak()
+    assert _bits(got) == _bits(want)
+
+
+def _filled(case):
+    return [~np.isnan(gg) for gg in case._ensure_table(())[1]]
+
+
+def test_lazy_peak_fills_under_one_percent():
+    lazy = ss.PerturbedShockCase()
+    lazy.inflow_peak()
+    filled = _filled(lazy)
+    assert sum(map(np.count_nonzero, filled)) < 0.01 * sum(f.size for f in filled)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("p", testcase._PERTURBATIONS)
+def test_speed_lipschitz_bounds_shock_acceleration(p, scale):
+    # difference quotients of sdot are values of s'' by the mean value theorem
+    _, a, b = p[:3]
+    tau = np.linspace(a, b, 10 ** 6)
+    sdot = testcase._window_path(tau, p, scale)[1]
+    worst = np.max(np.abs(np.diff(sdot) / np.diff(tau)))
+    bound = testcase._speed_lipschitz(p, scale)
+    assert worst <= bound < 3.0 * worst
+
+
+def test_queries_fill_only_their_bracketing_nodes():
+    seeded = ss.PerturbedShockCase()
+    seeded.inflow_peak()
+    candidates = _filled(seeded)
+    lazy = ss.PerturbedShockCase()
+    ts = np.array([12.34567, 14.0, 17.49995])
+    for t in ts:
+        lazy.inflow_value(t)
+    tg = _TABLE_TIMES[0]
+    j = np.searchsorted(tg, ts, side="right") - 1
+    want = candidates[0].copy()
+    want[j] = want[j + 1] = True
+    first, second = _filled(lazy)
+    assert np.array_equal(first, want)
+    assert np.count_nonzero(first & ~candidates[0]) == 6
+    assert np.array_equal(second, candidates[1])
+
+
+def test_scale_change_resets_fills():
+    ts = np.linspace(11.0, 37.0, 501)
+    lazy = ss.PerturbedShockCase()
+    lazy.inflow_value(ts)
+    lazy.perturbation_scale = 2.0
+    fresh = ss.PerturbedShockCase(perturbation_scale=2.0)
+    assert np.array_equal(_bits(lazy.inflow_value(ts)),
+                          _bits(fresh.inflow_value(ts)))
+    assert _bits(lazy.inflow_peak()) == _bits(fresh.inflow_peak())
+    for got, want in zip(_filled(lazy), _filled(fresh)):
+        assert np.array_equal(got, want)
