@@ -16,7 +16,7 @@ from .estimator import (ErrorBreakdown, assemble_breakdown, efficiency_index,
 from .forward import (BURGERS, BurgersFlux, LinearFlux, NewtonStats,
                       NonConvergence, SolverFailure, ForwardTrajectory,
                       Stepper, interface_fluxes, run_forward, speed_for_basis,
-                      update_fluxes)
+                      uniform_cfl_partition, update_fluxes)
 from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
                    build_spatial_grid, uniform_partition)
 from .testcase import (CharacteristicsReport, PerturbedShockCase,
@@ -34,7 +34,7 @@ __all__ = [
     "evaluate_functional", "reference_functional", "weight_cell_integrals",
     "BURGERS", "BurgersFlux", "LinearFlux", "NewtonStats", "NonConvergence",
     "SolverFailure", "ForwardTrajectory", "Stepper", "interface_fluxes",
-    "run_forward", "speed_for_basis", "update_fluxes",
+    "run_forward", "speed_for_basis", "uniform_cfl_partition", "update_fluxes",
     "EXPLICIT", "IMPLICIT", "SpatialGrid", "TimePartition",
     "build_spatial_grid", "uniform_partition",
     "CharacteristicsReport", "PerturbedShockCase", "validate_characteristics",

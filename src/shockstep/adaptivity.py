@@ -10,16 +10,18 @@ are merged and re-tiled with uniform explicit steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dual import build_coefficient_field, solve_dual_gradient
 from .estimator import ErrorBreakdown, assemble_breakdown
-from .forward import ForwardTrajectory, run_forward, speed_for_basis
+# speed_for_basis is unused here: bench/run.py --trace 1 imports it from here
+from .forward import (ForwardTrajectory, run_forward, speed_for_basis,
+                      uniform_cfl_partition)
 from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
-                   build_spatial_grid, uniform_partition)
+                   build_spatial_grid)
 
 FLOOR_SCALE = 1e-14
 
@@ -57,6 +59,14 @@ class PlanStats:
     N_implicit: int
     cfl_min: float
     cfl_max: float
+
+    @classmethod
+    def of(cls, part: TimePartition, cfl: np.ndarray) -> "PlanStats":
+        """Step counts by mode and the CFL range of a partition."""
+        n_exp = int(np.sum(part.modes == EXPLICIT))
+        return cls(N=part.interval_count, N_explicit=n_exp,
+                   N_implicit=part.interval_count - n_exp,
+                   cfl_min=float(np.min(cfl)), cfl_max=float(np.max(cfl)))
 
 
 @dataclass
@@ -204,11 +214,7 @@ def assign_modes(raw: np.ndarray, speed_profile: SpeedProfile,
 
     part = TimePartition(times=np.array(times), modes=np.array(modes, dtype=np.int8))
     cfl = part.steps * speed_profile.max_over(part.times[:-1], part.times[1:]) / h
-    n_exp = int(np.sum(part.modes == EXPLICIT))
-    stats = PlanStats(N=part.interval_count, N_explicit=n_exp,
-                      N_implicit=part.interval_count - n_exp,
-                      cfl_min=float(np.min(cfl)), cfl_max=float(np.max(cfl)))
-    return AdaptationPlan(partition=part, stats=stats)
+    return AdaptationPlan(partition=part, stats=PlanStats.of(part, cfl))
 
 
 def tolerance_schedule(rule: str, prior: Sequence[float],
@@ -233,15 +239,15 @@ def tolerance_schedule(rule: str, prior: Sequence[float],
 
 @dataclass
 class LevelReport:
+    """A finished level's results, not its run: no states are kept, and
+    `run_forward(grid, partition, case)` rebuilds them bit for bit."""
     level: int
     grid: SpatialGrid
     partition: TimePartition
-    trajectory: ForwardTrajectory
     breakdown: ErrorBreakdown
-    stats: PlanStats
-    profile: SpeedProfile            # of the trajectory, plans the next level
+    stats: PlanStats                 # the planner's for a planned level
+    profile: SpeedProfile            # of the run, plans the next level
     tol_k: Optional[float] = None
-    plan: Optional[AdaptationPlan] = None
 
     @property
     def cfl_series(self) -> np.ndarray:
@@ -250,27 +256,21 @@ class LevelReport:
 
 
 def solve_level(level: int, grid: SpatialGrid, partition: TimePartition,
-                case, dual_cfl: float, tol_k=None, plan=None) -> LevelReport:
+                case, dual_cfl: float) -> LevelReport:
     """Forward solve, dual gradient and error breakdown on one partition.
 
     The report keeps the finished trajectory's speed profile, which gives
-    the realized CFL series and plans the next level; runs without a plan
-    take their statistics from that series.
+    the realized CFL series and plans the next level; its stats come from
+    that series, and the adaptive loop puts the planner's in their place.
     """
     traj = run_forward(grid, partition, case)
     coeff = build_coefficient_field(traj)
     dual = solve_dual_gradient(coeff, case, dual_cfl)
     br = assemble_breakdown(traj, coeff, dual, case)
     profile = SpeedProfile.from_trajectory(traj, case)
-    cfl = partition.steps * profile.values / grid.h
-    n_exp = int(np.sum(partition.modes == EXPLICIT))
-    stats = plan.stats if plan is not None else PlanStats(
-        N=partition.interval_count, N_explicit=n_exp,
-        N_implicit=partition.interval_count - n_exp,
-        cfl_min=float(np.min(cfl)), cfl_max=float(np.max(cfl)))
+    stats = PlanStats.of(partition, partition.steps * profile.values / grid.h)
     return LevelReport(level=level, grid=grid, partition=partition,
-                       trajectory=traj, breakdown=br, stats=stats,
-                       profile=profile, tol_k=tol_k, plan=plan)
+                       breakdown=br, stats=stats, profile=profile)
 
 
 def adaptive_loop(case, cfg: AdaptationConfig, levels: Sequence[int],
@@ -304,9 +304,8 @@ def adaptive_loop(case, cfg: AdaptationConfig, levels: Sequence[int],
                     raise ValueError("base report level mismatch")
                 rep = base_report
             else:
-                speed = speed_for_basis(case, grid, speed_basis)
-                part = uniform_partition(case.T, cfg.cfl_explicit * grid.h / speed,
-                                         EXPLICIT)
+                part = uniform_cfl_partition(case, grid, cfg.cfl_explicit,
+                                             speed_basis)
                 rep = solve_level(level, grid, part, case, dual_cfl)
         else:
             prev = reports[-1]
@@ -317,8 +316,8 @@ def adaptive_loop(case, cfg: AdaptationConfig, levels: Sequence[int],
             raw = propose_timesteps(prev.partition, prev.breakdown.eta_k_bar_n,
                                     local)
             plan = assign_modes(raw, prev.profile, local, grid.h, strategy)
-            rep = solve_level(level, grid, plan.partition, case, dual_cfl,
-                              tol_k=tol, plan=plan)
+            rep = replace(solve_level(level, grid, plan.partition, case,
+                                      dual_cfl), tol_k=tol, stats=plan.stats)
         reports.append(rep)
         priors.append(rep.breakdown.eta_k_bar)
         if cfg.tol_total is not None and rep.breakdown.eta_bar < cfg.tol_total:

@@ -20,8 +20,9 @@ from .adaptivity import (AdaptationConfig, LevelReport, adaptive_loop,
 from .dual import build_coefficient_field, solve_dual_gradient  # noqa: F401
 from .estimator import (assemble_breakdown,  # noqa: F401
                         efficiency_index, reference_functional)
-from .forward import SolverFailure, run_forward, speed_for_basis  # noqa: F401
-from .grid import EXPLICIT, IMPLICIT, build_spatial_grid, uniform_partition
+from .forward import (SolverFailure, run_forward,  # noqa: F401
+                      uniform_cfl_partition)
+from .grid import EXPLICIT, IMPLICIT, build_spatial_grid
 from .testcase import PerturbedShockCase, validate_characteristics
 
 
@@ -206,10 +207,10 @@ def _ensure_outdir(cfg: dict) -> str:
 
 def _uniform_report(case, cfg: dict, level: int) -> LevelReport:
     grid = build_spatial_grid(cfg["base_cells"], level, case.domain)
-    speed = speed_for_basis(case, grid, cfg["speed_basis"])
     mode = EXPLICIT if cfg["mode"] == "explicit" else IMPLICIT
     try:
-        part = uniform_partition(case.T, cfg["cfl"] * grid.h / speed, mode)
+        part = uniform_cfl_partition(case, grid, cfg["cfl"],
+                                     cfg["speed_basis"], mode)
     except ValueError as err:
         raise ConfigError(f"cfl = {cfg['cfl']!r} on level {level}: {err}") from err
     return solve_level(level, grid, part, case, cfg["dual_cfl"])
@@ -220,13 +221,14 @@ _SUMMARY_HEADER = ("level", "dx", "dt", "eta_k_bar", "eta_h_bar", "eta_k",
 _SUMMARY_FMT = "%d" + ",%.5e" * 8
 
 
-def _summary_row(report: LevelReport, theta: float, adaptive: bool):
+def _summary_row(report: LevelReport, case, cfg: dict, adaptive: bool):
     br = report.breakdown
     part = report.partition
-    dt = part.T / part.interval_count
+    j_ref = reference_functional(case, cfg["ref_level"], cfg["base_cells"])
     row = (report.level,) + tuple(map(float, (
-        report.grid.h, dt, br.eta_k_bar, br.eta_h_bar, br.eta_k, br.eta_h,
-        br.J_h, theta)))
+        report.grid.h, part.T / part.interval_count, br.eta_k_bar,
+        br.eta_h_bar, br.eta_k, br.eta_h, br.J_h,
+        efficiency_index(br, j_ref))))
     if adaptive:
         row += (report.stats.N, report.stats.N_explicit)
     return row
@@ -238,9 +240,7 @@ def run_uniform(cfg: dict) -> int:
     rows = []
     for level in levels:
         rep = _uniform_report(case, cfg, level)
-        j_ref = reference_functional(case, cfg["ref_level"], cfg["base_cells"])
-        theta = efficiency_index(rep.breakdown, j_ref)
-        rows.append(_summary_row(rep, theta, adaptive=False))
+        rows.append(_summary_row(rep, case, cfg, adaptive=False))
         # made only once a report is ready, so a refused run leaves no
         # directory behind
         out = _ensure_outdir(cfg)
@@ -265,18 +265,13 @@ def _adaptive_reports(cfg: dict, case, honor_tol_total: bool) -> list:
             T=case.T, tol_k=cfg["tol_k"],
             tol_total=cfg["tol_total"] if honor_tol_total else None,
             cfl_explicit=cfg["cfl"])
+        return adaptive_loop(case, acfg, levels, cfg["rule"],
+                             strategy=cfg["strategy"],
+                             base_cells=cfg["base_cells"],
+                             speed_basis=cfg["speed_basis"],
+                             factor=cfg["factor"], dual_cfl=cfg["dual_cfl"])
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    try:
-        reports = adaptive_loop(case, acfg, levels, cfg["rule"],
-                                strategy=cfg["strategy"],
-                                base_cells=cfg["base_cells"],
-                                speed_basis=cfg["speed_basis"],
-                                factor=cfg["factor"],
-                                dual_cfl=cfg["dual_cfl"])
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return reports
 
 
 def run_adaptive(cfg: dict, honor_tol_total: bool = False) -> int:
@@ -287,9 +282,7 @@ def run_adaptive(cfg: dict, honor_tol_total: bool = False) -> int:
     out = _ensure_outdir(cfg)
     rows = []
     for i, rep in enumerate(reports):
-        j_ref = reference_functional(case, cfg["ref_level"], cfg["base_cells"])
-        theta = efficiency_index(rep.breakdown, j_ref)
-        rows.append(_summary_row(rep, theta, adaptive=True))
+        rows.append(_summary_row(rep, case, cfg, adaptive=True))
         _write_steps(os.path.join(out, f"steps_{i}.csv"), rep)
         print(f"run {i} (level {rep.level}): N={rep.stats.N} "
               f"N_explicit={rep.stats.N_explicit} "

@@ -8,7 +8,6 @@ d/dtau w - d/dx (a w) = -psi', integrated explicitly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 

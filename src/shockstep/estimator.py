@@ -16,7 +16,7 @@ import numpy as np
 from . import forward
 from .dual import CoefficientField, DualGradientTrajectory
 from .forward import ForwardTrajectory
-from .grid import build_spatial_grid, uniform_partition
+from .grid import build_spatial_grid
 
 REF_LEVEL = 6
 # intervals per block of the breakdown: its cell terms and fluxes are the
@@ -142,8 +142,7 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
     if scale is not None and key in _ref_cache:
         return _ref_cache[key]
     grid = build_spatial_grid(base_cells, ref_level, case.domain)
-    speed = forward.speed_for_basis(case, grid, "global")
-    part = uniform_partition(case.T, cfl * grid.h / speed)
+    part = forward.uniform_cfl_partition(case, grid, cfl)
     W = weight_cell_integrals(grid, case)
     g_at = np.atleast_1d(np.asarray(case.inflow_value(part.times), dtype=float))
     stepper = forward.Stepper(case.initial_cell_averages(grid.edges), case.flux)

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import EXPLICIT, IMPLICIT, SpatialGrid, TimePartition
+from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
+                   uniform_partition)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -262,6 +263,14 @@ def speed_for_basis(case, grid: SpatialGrid, basis: str) -> float:
         g = np.array([case.inflow_peak()])
         return max(speed, float(np.max(np.abs(fprime(g)))))
     raise ValueError(f"unknown speed basis {basis!r}")
+
+
+def uniform_cfl_partition(case, grid: SpatialGrid, cfl: float, basis="global",
+                          mode=EXPLICIT) -> TimePartition:
+    """Uniform steps k = cfl * h / speed_for_basis over [0, T]; keep that
+    operation order, every output is pinned bit for bit."""
+    speed = speed_for_basis(case, grid, basis)
+    return uniform_partition(case.T, cfl * grid.h / speed, mode)
 
 
 def run_forward(grid: SpatialGrid, partition: TimePartition,

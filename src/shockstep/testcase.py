@@ -267,20 +267,20 @@ def _table_skeleton(pieces_t, scale):
     node whose bound reaches `best` is filled too, and the nodes left
     have |g| below `best`.  A window failing the gate gets an infinite
     bound and fills completely.  Scale 1 fills about 220 nodes; at scale
-    0 no bound falls below 1 = best, so everything fills.
+    0 (L = 0) every g = 1 + 2 * 0 is exactly 1, so no node root-finds.
     """
     pieces_g, nodes_v, bounds = [], [], []
     for p, tg in zip(_PERTURBATIONS, pieces_t):
         v, sdot = _node_pass(p, scale)
         bound = np.full(tg.shape, np.inf)
+        reach = _speed_lipschitz(p, scale) * _node_spacing(p)
         if _passes_gate(v, p):
             j = np.clip(np.searchsorted(v, tg) - 1, 0, v.size - 2)
-            reach = _speed_lipschitz(p, scale) * _node_spacing(p)
             hi = np.maximum(sdot[j], sdot[j + 1]) + reach
             lo = np.minimum(sdot[j], sdot[j + 1]) - reach
             bound = np.maximum(np.abs(1.0 + 2.0 * hi),
                                np.abs(1.0 + 2.0 * lo)) + 1e-12
-        pieces_g.append(np.full(tg.shape, np.nan))
+        pieces_g.append(np.full(tg.shape, np.nan if reach else 1.0))
         nodes_v.append(v)
         bounds.append(bound)
     windows = list(zip(pieces_t, pieces_g, _PERTURBATIONS, nodes_v, bounds))

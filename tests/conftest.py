@@ -13,8 +13,7 @@ def uniform_level_report(case, level, *, base_cells=20, basis="global",
                          cfl=0.8, mode=ss.EXPLICIT, dual_cfl=0.8):
     """Uniform-partition run packaged like the adaptive reports."""
     grid = ss.build_spatial_grid(base_cells, level, case.domain)
-    speed = ss.speed_for_basis(case, grid, basis)
-    part = ss.uniform_partition(case.T, cfl * grid.h / speed, mode)
+    part = ss.uniform_cfl_partition(case, grid, cfl, basis, mode)
     return ss.solve_level(level, grid, part, case, dual_cfl)
 
 
@@ -36,6 +35,13 @@ def uniform_reports(case):
 @pytest.fixture(scope="session")
 def base_report(uniform_reports):
     return uniform_reports[0]
+
+
+@pytest.fixture(scope="session")
+def base_trajectory(case, base_report):
+    """The base report's states, rebuilt: reports do not keep them, and
+    the march is deterministic, so these are the bits it used."""
+    return ss.run_forward(base_report.grid, base_report.partition, case)
 
 
 @pytest.fixture(scope="session")

@@ -283,8 +283,8 @@ def test_criterion_9_steady_shock_fixed_points(case):
     assert stats.iterations == 1
 
 
-def test_criterion_9_discrete_conservation(base_report, case):
-    traj = base_report.trajectory
+def test_criterion_9_discrete_conservation(base_trajectory, case):
+    traj = base_trajectory
     h = traj.grid.h
     k = traj.partition.steps
     F = ss.update_fluxes(traj, case)

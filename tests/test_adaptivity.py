@@ -5,6 +5,7 @@ hand-built partitions with known answers; the full loop is pinned by
 frozen step counts and density values for the three chain variants.
 """
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,10 +213,10 @@ def test_assign_modes_rejects_bad_input():
                         strategy="semi")
 
 
-def test_planned_modes_are_sound_on_benchmark_plan(case, base_report,
+def test_planned_modes_are_sound_on_benchmark_plan(case, base_trajectory,
                                                    ex2_report):
-    profile = ss.SpeedProfile.from_trajectory(base_report.trajectory, case)
-    part = ex2_report.plan.partition
+    profile = ss.SpeedProfile.from_trajectory(base_trajectory, case)
+    part = ex2_report.partition
     k = part.steps
     cfl = np.array([k[i] * profile.max_over(part.times[i], part.times[i + 1])
                     / ex2_report.grid.h for i in range(part.interval_count)])
@@ -228,16 +229,16 @@ def test_solve_level_memory_is_o_states(case):
     # states and dual samples are the only (N, J) arrays that outlive a
     # stage; the breakdown and the speed profile work in row blocks
     grid = ss.build_spatial_grid(20, 3)
-    k = 0.8 * grid.h / ss.speed_for_basis(case, grid, "global")
-    part = ss.uniform_partition(case.T, k)
+    part = ss.uniform_cfl_partition(case, grid, 0.8)
     case.inflow_value(0.0)     # the inflow table is built outside the trace
     tracemalloc.start()
     try:
-        rep = ss.solve_level(3, grid, part, case, 0.8)
+        ss.solve_level(3, grid, part, case, 0.8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * rep.trajectory.states.nbytes
+    states_nbytes = (part.interval_count + 1) * grid.cell_count * 8
+    assert peak <= 2.5 * states_nbytes
 
 
 # ------------------------------------------------------------ speed profile
@@ -265,8 +266,8 @@ def _abs_table_profile(traj, case):
     return np.maximum(node[:-1], node[1:])
 
 
-def test_speed_profile_matches_abs_table(case, linear_case, uniform_reports):
-    traj = uniform_reports[0].trajectory
+def test_speed_profile_matches_abs_table(case, linear_case, base_trajectory):
+    traj = base_trajectory
     prof = ss.SpeedProfile.from_trajectory(traj, case)
     assert prof.values.tobytes() == _abs_table_profile(traj, case).tobytes()
     grid = ss.build_spatial_grid(20, 1)
@@ -389,34 +390,73 @@ def test_loop_runs_all_levels_when_tolerance_unmet(case, base_report):
     assert reports[1].tol_k is not None
 
 
-def test_loop_builds_one_speed_profile_per_level(case, monkeypatch):
-    # each level's report carries its profile, which plans the next level
+@pytest.fixture(scope="module")
+def chain_012(case):
+    """The reports of a default loop over levels 0, 1 and 2, and the
+    partition of every run `SpeedProfile.from_trajectory` was called on."""
     build = ss.SpeedProfile.from_trajectory
     calls = []
 
     def counted(cls, traj, case):
-        calls.append(traj)
+        calls.append(traj.partition)
         return build(traj, case)
 
-    monkeypatch.setattr(ss.SpeedProfile, "from_trajectory",
-                        classmethod(counted))
-    reports = ss.adaptive_loop(case, ss.AdaptationConfig(T=case.T),
-                               [0, 1, 2], "match_previous")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ss.SpeedProfile, "from_trajectory", classmethod(counted))
+        reports = ss.adaptive_loop(case, ss.AdaptationConfig(T=case.T),
+                                   [0, 1, 2], "match_previous")
+    return calls, reports
+
+
+def test_loop_builds_one_speed_profile_per_level(case, chain_012):
+    # each level's report carries its profile, which plans the next level
+    calls, reports = chain_012
     assert len(calls) == len(reports) == 3
-    assert all(t is r.trajectory for t, r in zip(calls, reports))
+    assert all(p is r.partition for p, r in zip(calls, reports))
     for rep in reports:
-        fresh = build(rep.trajectory, case)
+        traj = ss.run_forward(rep.grid, rep.partition, case)
+        fresh = ss.SpeedProfile.from_trajectory(traj, case)
         assert np.array_equal(rep.profile.times, fresh.times)
         assert np.array_equal(rep.profile.values, fresh.values)
 
 
-def test_loop_records_tolerance_and_plan(base_report, ex1_report):
-    assert base_report.plan is None
+def _arrays(obj, depth):
+    """(path, array) for every ndarray among obj's fields and, `depth`
+    levels down, among their fields."""
+    for name, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            yield name, value
+        elif depth and hasattr(value, "__dict__"):
+            for path, arr in _arrays(value, depth - 1):
+                yield f"{name}.{path}", arr
+
+
+def test_loop_reports_hold_no_2d_array(chain_012):
+    # a report keeps results, not the run: no (N, J) array outlives a level
+    _, reports = chain_012
+    for rep in reports:
+        found = dict(_arrays(rep, 1))
+        assert {"partition.times", "breakdown.eta_k_bar_n",
+                "profile.values"} <= found.keys()
+        for path, arr in found.items():
+            assert arr.ndim <= 1, (rep.level, path, arr.shape)
+
+
+def test_loop_records_tolerance_and_plan(case, adapt_cfg, base_report,
+                                         ex1_report):
+    # the base level has no plan: its stats are the realized CFL series'
     assert base_report.tol_k is None
+    assert base_report.stats.cfl_max == float(np.max(base_report.cfl_series))
     assert ex1_report.tol_k == base_report.breakdown.eta_k_bar
-    assert ex1_report.plan is not None
-    assert ex1_report.partition is ex1_report.plan.partition
-    assert ex1_report.stats is ex1_report.plan.stats
+    # a planned level keeps the planner's partition and stats
+    local = replace(adapt_cfg, tol_k=ex1_report.tol_k)
+    raw = ss.propose_timesteps(base_report.partition,
+                               base_report.breakdown.eta_k_bar_n, local)
+    plan = ss.assign_modes(raw, base_report.profile, local, ex1_report.grid.h,
+                           "fully_implicit")
+    assert ex1_report.partition.times.tobytes() == plan.partition.times.tobytes()
+    assert ex1_report.partition.modes.tobytes() == plan.partition.modes.tobytes()
+    assert ex1_report.stats == plan.stats
 
 
 # ------------------------------------------------------------- regressions
@@ -430,9 +470,9 @@ def test_fully_implicit_chain_regression(ex1_report):
     assert ex1_report.stats.cfl_max == pytest.approx(472.4, rel=1e-3)
 
 
-def test_fully_implicit_chain_newton_cost(ex1_report):
-    iters = [st.iterations for st in ex1_report.trajectory.newton_stats
-             if st is not None]
+def test_fully_implicit_chain_newton_cost(case, ex1_report):
+    traj = ss.run_forward(ex1_report.grid, ex1_report.partition, case)
+    iters = [st.iterations for st in traj.newton_stats if st is not None]
     assert len(iters) == ex1_report.stats.N
     assert max(iters) <= 6
     assert float(np.mean(iters)) < 4.0

@@ -468,11 +468,19 @@ def test_module_entry_point_subprocess():
 
 # ---------------------------------------------------------- bench contract
 
-def test_bench_tracer_finds_every_name_it_patches(tmp_path, monkeypatch, case):
+@pytest.mark.parametrize("args, counted", [
+    # None: the benchmark's own smoke config, run-uniform at level 0
+    (None, ("forward.steps_explicit", "dual.substeps", "estimator.ref_steps")),
+    # a planned chain: the planner's stats, Newton and the loop span
+    (["run-adaptive", "--set", "levels=0,1", "--set", "strategy=fully_implicit",
+      "--set", "ref_level=2"], ("adaptivity.plan_steps", "forward.newton_iters")),
+], ids=["smoke", "fully_implicit_chain"])
+def test_bench_tracer_finds_every_name_it_patches(args, counted, tmp_path,
+                                                  monkeypatch, case):
     # bench/run.py --trace 1 wraps functions by name in shockstep.cli and
     # shockstep.adaptivity and reads what they return; a name dropped or a
     # field renamed here would break the traced run.  Same sequence as
-    # run_traced, on the smoke config with the session's case.
+    # run_traced, with the session's case.
     path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
     spec = importlib.util.spec_from_file_location("shockstep_bench_run", path)
     bench = importlib.util.module_from_spec(spec)
@@ -484,12 +492,11 @@ def test_bench_tracer_finds_every_name_it_patches(tmp_path, monkeypatch, case):
         bench.install_spans(tracer)
         assert shockstep.cli.run_forward is not original
         rc = tracer.call("cli.main", shockstep.cli.main,
-                         bench.SMOKE + ["--out", str(tmp_path)])
+                         (args or bench.SMOKE) + ["--out", str(tmp_path)])
     finally:
         tracer.restore()
     assert shockstep.cli.run_forward is original
     assert rc == 0
     m = bench.count_pass(tracer, tracer.self_times())
-    for name in ("forward.steps_explicit", "dual.substeps",
-                 "estimator.ref_steps"):
+    for name in counted:
         assert m[name][0] > 0, name

@@ -131,8 +131,8 @@ def test_substep_march_matches_scalar_reimplementation():
             assert rel <= 1e-12
 
 
-def test_mass_balance_on_benchmark_march(case, uniform_reports):
-    coeff = ss.build_coefficient_field(uniform_reports[0].trajectory)
+def test_mass_balance_on_benchmark_march(case, base_trajectory):
+    coeff = ss.build_coefficient_field(base_trajectory)
     dual = ss.solve_dual_gradient(coeff, case, record_substeps=True)
     assert dual.max_mass_residual is not None
     assert dual.max_mass_residual <= 1e-12

@@ -117,8 +117,8 @@ def test_breakdown_matches_scalar_loops(case):
     # independent per-cell evaluation of both error formulas
     grid = ss.build_spatial_grid(10, 0)
     part = ss.uniform_partition(2.0, 0.07)
-    rep = ss.solve_level(0, grid, part, case, DUAL_CFL)
-    traj, br = rep.trajectory, rep.breakdown
+    br = ss.solve_level(0, grid, part, case, DUAL_CFL).breakdown
+    traj = ss.run_forward(grid, part, case)
     # the loops' inputs, rebuilt from the trajectory
     coeff = ss.build_coefficient_field(traj)
     dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
@@ -149,12 +149,13 @@ def test_breakdown_matches_scalar_loops(case):
                                rtol=1e-13)
 
 
-def test_breakdown_aggregates_are_consistent(uniform_reports, case):
-    rep = uniform_reports[0]
+def test_breakdown_aggregates_are_consistent(base_report, base_trajectory,
+                                             case):
+    rep = base_report
     br = rep.breakdown
     part = rep.partition
     k = part.steps
-    traj = rep.trajectory
+    traj = base_trajectory
     coeff = ss.build_coefficient_field(traj)
     dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
     N = part.interval_count

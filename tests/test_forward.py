@@ -489,16 +489,16 @@ def test_march_and_dual_bit_exact(mode, case):
     assert got == _GOLDEN_ARRAYS[mode]
 
 
-def test_run_forward_stays_within_data_range(uniform_reports):
-    states = uniform_reports[0].trajectory.states
+def test_run_forward_stays_within_data_range(base_trajectory):
+    states = base_trajectory.states
     assert float(np.min(states)) >= -1.05
     assert float(np.max(states)) <= 1.05
     # the inflow pulse really does push the state above the initial amplitude
     assert float(np.max(states)) > 1.0
 
 
-def test_run_forward_conserves_mass_explicit(uniform_reports, case):
-    traj = uniform_reports[0].trajectory
+def test_run_forward_conserves_mass_explicit(base_trajectory, case):
+    traj = base_trajectory
     h = traj.grid.h
     k = traj.partition.steps
     F = ss.update_fluxes(traj, case)

@@ -310,6 +310,25 @@ def _filled(case):
     return [~np.isnan(gg) for gg in case._ensure_table(())[1]]
 
 
+def test_zero_scale_fills_no_node_by_root_finding(monkeypatch):
+    # sdot = 0 * (...) is exactly 0 at scale 0, so every g is exactly 1
+    # and no table node needs its departure root
+    roots, calls = testcase._departure_roots, []
+
+    def spy(*args):
+        calls.append(args[0].size)
+        return roots(*args)
+
+    monkeypatch.setattr(testcase, "_departure_roots", spy)
+    quiet = ss.PerturbedShockCase(perturbation_scale=0.0)
+    assert quiet.inflow_peak() == 1.0
+    for tg in _TABLE_TIMES:
+        ts = np.concatenate([tg, 0.5 * (tg[1:] + tg[:-1])])
+        assert np.all(quiet.inflow_value(ts) == 1.0)
+    assert all(map(np.all, _filled(quiet)))
+    assert calls == []
+
+
 def test_lazy_peak_fills_under_one_percent():
     lazy = ss.PerturbedShockCase()
     lazy.inflow_peak()
