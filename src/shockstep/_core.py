@@ -1,0 +1,137 @@
+"""Loader of the compiled stepping core, `_core.c`.
+
+The library is built on first use with the system C compiler,
+
+    cc -O2 -ffp-contract=off -shared -fPIC
+
+and cached as `_core.so` in this package's `__pycache__`, or, when that
+directory cannot be written, in `$XDG_CACHE_HOME/shockstep` (by default
+`~/.cache/shockstep`).  Beside it `_core.so.key` holds the compile
+command and the source bytes it was built from; the library is rebuilt
+when either differs.  -ffp-contract=off (and no -march, no -ffast-math)
+keeps every a*b + c two roundings: a fused multiply-add would move the
+last bits of the states away from the numpy formulas the kernels
+transcribe.
+
+Nothing is loaded or built at import; `lib()` does it on the first march.
+"""
+from __future__ import annotations
+
+import ctypes
+import os
+
+import numpy as np
+
+SOURCE = os.path.join(os.path.dirname(__file__), "_core.c")
+CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+LONG = np.dtype(f"i{ctypes.sizeof(ctypes.c_long)}")   # the kernels' `long`
+
+# reason codes the marches set (see _core.c)
+CFL, NONFINITE_STATE, NONFINITE_RESIDUAL, SINGULAR, STALLED, NO_MEMORY = range(1, 7)
+STOP_RULES = {1: "tol", 2: "floor"}
+
+_long, _int, _double, _ptr = (ctypes.c_long, ctypes.c_int, ctypes.c_double,
+                              ctypes.c_void_p)
+_SIGNATURES = {
+    "march_explicit": (_long, [_long, _long, _double, _ptr, _ptr, _int,
+                               _double, _ptr, _ptr, _ptr, _ptr]),
+    "march_implicit": (_long, [_long, _long, _double, _ptr, _ptr, _int,
+                               _double, _double, _long, _ptr, _ptr, _ptr,
+                               _ptr, _ptr, _ptr, _ptr]),
+    "march_dual": (_long, [_long, _long, _double, _ptr, _ptr, _ptr, _ptr,
+                           _double, _ptr, _ptr, _ptr]),
+    "dgtsv": (_long, [_long, _ptr, _ptr, _ptr, _ptr]),
+}
+
+_lib = None
+
+
+def lib():
+    """The loaded library, built on the first call if the cache is stale."""
+    global _lib
+    if _lib is None:
+        user = (os.environ.get("XDG_CACHE_HOME")
+                or os.path.join(os.path.expanduser("~"), ".cache"))
+        _lib = load(SOURCE, CACHE, os.path.join(user, "shockstep"))
+    return _lib
+
+
+def _read(path: str):
+    """The bytes of `path`, or None when it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
+def load(source: str, *caches: str):
+    """Load `_core.so` from the first of `caches` whose `_core.so.key`
+    matches the compile command and `source`'s bytes; otherwise build it
+    into the first of them that can be written.  Library and key are
+    written through a temporary name and `os.replace`, the library
+    first, so a concurrent reader never pairs a new key with an old
+    library."""
+    code = _read(source)
+    if code is None:
+        raise ImportError(f"cannot read the compiled-core source {source}")
+    key = " ".join(COMPILE).encode() + b"\n" + code
+    sos = [os.path.join(cache, "_core.so") for cache in caches]
+    so = next((so for so in sos
+               if os.path.exists(so) and _read(so + ".key") == key), None)
+    if so is None:
+        refused = []
+        for so in sos:
+            try:
+                _build(source, key, so)
+                break
+            except OSError as err:
+                refused.append(f"{os.path.dirname(so)} ({err.strerror or err})")
+        else:
+            raise ImportError("no writable cache for shockstep's compiled core: "
+                              + "; ".join(refused))
+    core = ctypes.CDLL(so)
+    for name, (res, args) in _SIGNATURES.items():
+        fn = getattr(core, name)
+        fn.restype, fn.argtypes = res, args
+    return core
+
+
+def _build(source: str, key: bytes, so: str):
+    """Compile `source` into `so`; an OSError means the cache directory
+    cannot be written, any failure of the compiler is an ImportError."""
+    import subprocess
+    import tempfile
+    cache = os.path.dirname(so)
+    os.makedirs(cache, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    os.close(fd)
+    cmd = [*COMPILE, "-o", tmp, source]
+    try:
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as err:
+            raise ImportError(f"building shockstep's compiled core needs a C "
+                              f"compiler: `{' '.join(cmd)}` failed: {err}") from err
+        if proc.returncode:
+            raise ImportError(f"`{' '.join(cmd)}` exited {proc.returncode}:\n"
+                              f"{proc.stderr}")
+        os.replace(tmp, so)
+        fd, tmp = tempfile.mkstemp(suffix=".key", dir=cache)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(key)
+        os.replace(tmp, so + ".key")
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def ptr(a, dtype=np.float64) -> int:
+    """Address of a C-contiguous `dtype` array's data, the kernels' array
+    argument."""
+    if a.dtype != dtype:
+        raise TypeError(f"the compiled core takes {np.dtype(dtype)} here, not {a.dtype}")
+    if not a.flags.c_contiguous:
+        raise ValueError("the compiled core takes C-contiguous arrays")
+    return a.ctypes.data

@@ -13,11 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-from .forward import ForwardTrajectory, SolverFailure, _finite
+from . import _core
+from ._core import ptr
+from .forward import ForwardTrajectory, SolverFailure
 from .grid import SpatialGrid, TimePartition
 
 DUAL_CFL = 0.8
-# intervals whose coefficient-dependent inputs are built in one call
+# intervals per call of the compiled dual march
 _BLOCK_ROWS = 256
 
 
@@ -61,7 +63,10 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     steps can sit at CFL of several hundred, far too coarse for an explicit
     transport solve).  w_j^n is the sub-step profile nearest the interval
     midpoint; spatial boundaries use zero ghost values, the coefficient is
-    extended by its edge cells.
+    extended by its edge cells.  The substeps run in the compiled core,
+    _BLOCK_ROWS intervals per call; with `record_substeps` the same march
+    also returns each substep's relative mass-balance residual, logged as
+    (interval, dt, residual) in march order.
     """
     if not (0.0 < dual_cfl <= 1.0):
         raise ValueError("need 0 < dual_cfl <= 1")
@@ -70,69 +75,45 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     h = grid.h
     J = grid.cell_count
     N = part.interval_count
-    A = coeff.a_values
+    A = np.ascontiguousarray(coeff.a_values, dtype=float)
+    if A.shape != (N, J):
+        raise ValueError(f"coefficients of shape {A.shape}, need {(N, J)}")
     # substep counts and sizes of all intervals; a_max = 0 gives m = 1
     k = part.steps
     a_max = np.maximum(A.max(axis=1), -A.min(axis=1))
     m_all = np.maximum(np.ceil(k * a_max / (dual_cfl * h) - 1e-12), 1.0)
+    if not np.isfinite(m_all).all():
+        raise SolverFailure("dual march: non-finite coefficient")
     dt_all = k / m_all
+    m_all = m_all.astype(_core.LONG)
     source = -np.asarray(case.weight_gradient(grid.centers), dtype=float)
     source_total = h * float(np.sum(source))
-    w_ext = np.zeros(J + 2)   # zero ghost values around the state w
-    w, w_right, w_left = w_ext[1:-1], w_ext[1:], w_ext[:-1]
-    S, tmp = np.empty(J + 1), np.empty(J + 1)
-    S_hi, S_lo = S[1:], S[:-1]
-    dw = np.empty(J)
+    # a scalar gradient broadcasts over the cells, as in numpy arithmetic
+    source = np.ascontiguousarray(np.broadcast_to(source, (J,)))
+    w_ext = np.zeros(J + 2)   # w between zero ghost values, carried over
     samples = np.empty((N, J))
-    log: Optional[list] = [] if record_substeps else None
-    max_resid = 0.0
+    # per-substep mass-balance residuals, in march order (last interval first)
+    mass = np.empty(int(m_all.sum())) if record_substeps else None
+    core = _core.lib()
+    done = 0
     for hi in range(N, 0, -_BLOCK_ROWS):
         lo = max(hi - _BLOCK_ROWS, 0)
-        # per-interval inputs of the block, one vectorized call each; row i
-        # holds what the unblocked march built for interval lo + i
-        a_ext = np.empty((hi - lo, J + 2))
-        a_ext[:, 1:-1] = A[lo:hi]
-        a_ext[:, 0], a_ext[:, -1] = A[lo:hi, 0], A[lo:hi, -1]
-        ap = np.add(a_ext[:, :-1], a_ext[:, 1:])
-        ap *= 0.5                # a at the interfaces
-        am = np.minimum(ap, 0.0)
-        np.maximum(ap, 0.0, out=ap)
-        dt_blk = dt_all[lo:hi]
-        dt_source = dt_blk[:, None] * source
-        lam_blk = (dt_blk / h).tolist()
-        m_blk = m_all[lo:hi].astype(int).tolist()
-        dt_list = dt_blk.tolist()
-        for i in range(hi - lo - 1, -1, -1):
-            n = lo + i
-            m, dt, lam = m_blk[i], dt_list[i], lam_blk[i]
-            ap_n, am_n, src_n = ap[i], am[i], dt_source[i]
-            sample_at = (m + 1) // 2
-            for step in range(1, m + 1):
-                # S = -G with the upwind flux G = -(ap w_right + am w_left), so
-                # w - lam (G[1:] - G[:-1]) is w + lam (S[1:] - S[:-1]), bit for bit
-                np.multiply(ap_n, w_right, out=S)
-                np.multiply(am_n, w_left, out=tmp)
-                S += tmp
-                np.subtract(S_hi, S_lo, out=dw)
-                dw *= lam
-                if record_substeps:
-                    w_prev = w.copy()
-                w += dw
-                w += src_n
-                if record_substeps:
-                    # telescoping mass balance of the conservative update
-                    G0, GJ = -float(S[0]), -float(S[-1])
-                    resid = abs(h * float(np.sum(w - w_prev))
-                                + dt * (GJ - G0) - dt * source_total)
-                    scale = (h * float(np.sum(np.abs(w))) + abs(dt * source_total)
-                             + dt * (abs(G0) + abs(GJ)) + 1e-300)
-                    rel = resid / scale
-                    max_resid = max(max_resid, rel)
-                    log.append((n, dt, rel))
-                if step == sample_at:
-                    samples[n] = w
-            if not _finite(w):
-                raise SolverFailure(f"dual march non-finite in interval {n}")
+        out = ptr(mass[done:]) if record_substeps else None
+        left = core.march_dual(hi - lo, J, h, ptr(A[lo:hi]),
+                               ptr(m_all[lo:hi], _core.LONG),
+                               ptr(dt_all[lo:hi]), ptr(source), source_total,
+                               ptr(w_ext), ptr(samples[lo:hi]), out)
+        if left < 0:
+            raise MemoryError("dual march could not allocate its work buffers")
+        if left < hi - lo:
+            raise SolverFailure(f"dual march non-finite in interval {hi - 1 - left}")
+        done += int(m_all[lo:hi].sum())
+    log, max_resid = None, None
+    if record_substeps:
+        order = np.arange(N - 1, -1, -1)
+        log = list(zip(np.repeat(order, m_all[order]).tolist(),
+                       np.repeat(dt_all[order], m_all[order]).tolist(),
+                       mass.tolist()))
+        max_resid = float(mass.max()) if mass.size else 0.0
     return DualGradientTrajectory(grid=grid, partition=part, w_samples=samples,
-                                  substep_log=log,
-                                  max_mass_residual=max_resid if record_substeps else None)
+                                  substep_log=log, max_mass_residual=max_resid)

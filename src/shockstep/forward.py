@@ -6,17 +6,13 @@ data, the right boundary pure upwind outflow.
 """
 from __future__ import annotations
 
-import functools
-import math
-import os
 from dataclasses import dataclass
-from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
-                                 FileFinder)
-from importlib.util import module_from_spec
 from typing import Optional
 
 import numpy as np
 
+from . import _core
+from ._core import ptr
 from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
                    uniform_partition)
 
@@ -83,6 +79,7 @@ BURGERS = BurgersFlux()
 class NewtonStats:
     iterations: int
     residual: float
+    stop: str   # "tol": residual <= NEWTON_TOL; "floor": round-off floor
 
 
 @dataclass
@@ -96,7 +93,7 @@ class ForwardTrajectory:
 
 def interface_fluxes(u: np.ndarray, g, flux=BURGERS) -> np.ndarray:
     """All J+1 interface fluxes of the state u with inflow g, built as the
-    `Stepper` builds them: u between the ghost cells g and a copy of its
+    compiled march builds them: u between the ghost cells g and a copy of its
     last cell, one `flux.split`, F = f[0, :-1] + f[1, 1:].  Cells run along
     the last axis; leading axes of u and g broadcast."""
     u = np.asarray(u, dtype=float)
@@ -113,143 +110,107 @@ def interface_fluxes(u: np.ndarray, g, flux=BURGERS) -> np.ndarray:
     return f[0, ..., :-1] + f[1, ..., 1:]
 
 
-_amax = np.maximum.reduce
+def _flux_code(flux):
+    """The compiled core's (kind, a) for a flux object."""
+    if isinstance(flux, LinearFlux):
+        return 1, flux.a
+    if isinstance(flux, BurgersFlux):
+        return 0, 0.0
+    raise TypeError(f"no compiled march for the flux {type(flux).__name__}")
 
 
-@functools.cache
-def _dgtsv():
-    """LAPACK's tridiagonal solver, loaded on the first implicit solve, so
-    explicit-only runs never load scipy.
+_MESSAGES = {
+    _core.CFL: "explicit step at CFL {:.2f} > 1",
+    _core.NONFINITE_STATE: "non-finite state",
+    _core.NONFINITE_RESIDUAL: "non-finite Newton residual",
+    _core.SINGULAR: "singular Newton system (dgtsv info {:.0f})",
+}
 
-    Only scipy's f2py extension `scipy.linalg._flapack`, whose `dgtsv` is
-    the one `scipy.linalg.lapack` re-exports, is loaded: the package's
-    `scipy.linalg.__init__` would cost about 0.25 s and 26.5 MiB of RSS for
-    this one routine, the extension about 20 ms and 3.3 MiB.
+
+def march(rows: np.ndarray, k: np.ndarray, g: np.ndarray, h: float, flux,
+          mode: int, newton=None, F=None, tol: float = NEWTON_TOL,
+          max_iter: int = NEWTON_MAX_ITER):
+    """March the state rows[0] through the len(k) steps of one mode in the
+    compiled core, writing the states into rows[1:].  Step i has length
+    k[i] and inflow g[i], taken at its start (explicit) or end (implicit).
+
+    Explicit steps are forward Euler, u - (k/h) (F[1:] - F[:-1]) with the
+    fluxes of u and g; a step with k max|f'| / h > 1 over the state and g,
+    the bound the max principle needs, is refused and its row left as it
+    was.  Implicit steps are backward Euler, Newton with full steps and
+    the analytic tridiagonal Jacobian solved as LAPACK dgtsv solves it,
+    stopped by `tol` or at the round-off floor (`NewtonStats.stop`);
+    `newton` = (iterations, residuals, stop codes) receive each step's
+    record.  Full steps do not converge for every k: from level-0 data
+    with k = 5h and inflow 1.03 Newton stalls once the shock nears the
+    outflow boundary.
+
+    Returns (len(k), None), or (i, error) with the failure of step i:
+    a refused CFL, a non-finite state or residual, a singular system, or
+    a Newton stall (`NonConvergence`).  F, when given, ends with the
+    fluxes of the last update.
     """
-    import scipy
-    where = os.path.join(scipy.__path__[0], "linalg")
-    finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec("scipy.linalg._flapack")
-    if spec is None:
-        raise ImportError(f"no scipy.linalg._flapack extension in {where}")
-    flapack = module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return flapack.dgtsv
-
-
-def _finite(u: np.ndarray) -> bool:
-    """One dot product per call; the elementwise test runs only when u.u
-    is not finite, which a finite state can also reach by overflow."""
-    return math.isfinite(u.dot(u)) or bool(np.isfinite(u).all())
+    n, J = len(k), rows.shape[1]
+    if J == 0:
+        raise ValueError("a march needs at least one cell")
+    kind, a = _flux_code(flux)
+    if F is None:
+        F = np.empty(J + 1)
+    records = () if mode == EXPLICIT else newton
+    # the kernels trust these lengths
+    if (len(g) < n or rows.ndim != 2 or rows.shape[0] < n + 1
+            or F.shape != (J + 1,) or any(len(r) < n for r in records)):
+        raise ValueError(f"a march of {n} steps over {J} cells needs {n + 1} "
+                         f"rows, {n} inflow values and {J + 1} fluxes")
+    core = _core.lib()
+    code, value = np.zeros(1, np.intc), np.zeros(1)
+    args = (n, J, h, ptr(k), ptr(g), kind, a)
+    if mode == EXPLICIT:
+        done = core.march_explicit(*args, ptr(rows), ptr(F), ptr(code, np.intc),
+                                   ptr(value))
+    else:
+        iters, resid, stop = newton
+        done = core.march_implicit(*args, tol, max_iter, ptr(rows), ptr(F),
+                                   ptr(iters, np.intc), ptr(resid),
+                                   ptr(stop, np.int8), ptr(code, np.intc),
+                                   ptr(value))
+    code, value = int(code[0]), float(value[0])
+    if code == _core.NO_MEMORY:
+        raise MemoryError("the compiled march could not allocate its work buffers")
+    if code == _core.STALLED:
+        return done, NonConvergence(max_iter, value)
+    return done, SolverFailure(_MESSAGES[code].format(value)) if code else None
 
 
 class Stepper:
-    """The stepping core: work buffers for one grid and the in-place
-    forward-Euler and backward-Euler updates of the state `u`.
-
-    `u` lives in `v[1:-1]` between two ghost cells, the inflow value g on
-    the left and a copy of the last cell on the right (pure upwind
-    outflow).  One `flux.split` of `v` then yields all J+1 interface
-    fluxes F = f[0, :-1] + f[1, 1:], and d[0] - d[1] = |f'| gives the
-    wave speed bound over the state and g and the Jacobian diagonal.
-    `F` holds the fluxes of the last update; the next one overwrites it.
-    """
+    """One step at a time through `march`, for the scalar-oracle tests:
+    `u` is updated in place, a refused explicit step leaves it unchanged,
+    and `F` holds the fluxes of the last update."""
 
     def __init__(self, u, flux):
-        u = np.asarray(u, dtype=float)
-        J = u.size
         self.flux = flux
-        self.v = np.empty(J + 2)
-        self.u = self.v[1:-1]
-        self.u[:] = u
-        self.d = np.empty((2, J + 2))   # one-sided derivative splits
-        self.f = np.empty((2, J + 2))   # flux splits
-        self.speed = np.empty(J + 2)    # |f'| = d[0] - d[1]
-        self.F = np.empty(J + 1)
-        self.du = np.empty(J)           # (k/h) (F[1:] - F[:-1])
-        self.u_old = np.empty(J)
-        self.r = np.empty(J)            # Newton residual, then -residual
-        self.abs_r = np.empty(J)
-        self.diag = np.empty(J)
-        # the LAPACK wrapper wants off-diagonals of length >= 1, also at J = 1
-        self.sub = np.zeros(max(J - 1, 1))
-        self.sup = np.zeros(max(J - 1, 1))
-        # views reused by every update: cell j sits at v[j + 1]
-        self._f_left, self._f_right = self.f[0, :-1], self.f[1, 1:]
-        self._F_hi, self._F_lo = self.F[1:], self.F[:-1]
-        self._speed_cells = self.speed[1:-1]
-        self._dm_sup = self.d[1, 2:-1]
-        self._dp_sub = self.d[0, 1:-2]
-        self._sup, self._sub = self.sup[:J - 1], self.sub[:J - 1]
+        self.u = np.array(u, dtype=float)
+        self.F = np.empty(self.u.size + 1)
+        self._rows = np.empty((2, self.u.size))
 
-    def _update(self, lam: float, g: float) -> np.ndarray:
-        """Splits and fluxes of the current state and inflow g; returns
-        lam * (F[1:] - F[:-1])."""
-        v, d, F, du = self.v, self.d, self.F, self.du
-        v[0] = g
-        v[-1] = v[-2]
-        self.flux.split(v, d, self.f)
-        np.subtract(d[0], d[1], out=self.speed)
-        np.add(self._f_left, self._f_right, out=F)
-        np.subtract(self._F_hi, self._F_lo, out=du)
-        du *= lam
-        return du
+    def _step(self, k, h, g, mode, newton=None, **kw):
+        self._rows[:] = self.u
+        _, err = march(self._rows, np.array([k], dtype=float),
+                       np.array([g], dtype=float), h, self.flux, mode,
+                       newton, self.F, **kw)
+        self.u[:] = self._rows[1]
+        if err is not None:
+            raise err
 
     def explicit(self, k: float, h: float, g: float):
-        """u <- u - (k/h) (F[1:] - F[:-1]) with the fluxes of u and g.
-
-        Refuses (SolverFailure, u unchanged) a step with k max|f'| / h > 1
-        over the state and g, the bound the max principle needs.
-        """
-        du = self._update(k / h, g)
-        cfl = k * _amax(self.speed) / h
-        if cfl > 1.0:
-            raise SolverFailure(f"explicit step at CFL {cfl:.2f} > 1")
-        self.u -= du
-        if not _finite(self.u):
-            raise SolverFailure("non-finite state")
+        self._step(k, h, g, EXPLICIT)
 
     def implicit(self, k: float, h: float, g: float, tol: float = NEWTON_TOL,
                  max_iter: int = NEWTON_MAX_ITER) -> NewtonStats:
-        """Backward Euler: Newton on u - u_old + (k/h) (F[1:] - F[:-1]) = 0
-        with the analytic tridiagonal Jacobian, solved by LAPACK dgtsv,
-        which is what scipy's solve_banded((1, 1), ...) calls.
-
-        Full steps, no damping.  The Jacobian is diagonally dominant
-        (diagonal 1 + lam*|f'|), so every linear solve is well posed, but
-        that does not make the undamped iteration converge for every k:
-        from level-0 data with k = 5h and inflow 1.03 it stalls once the
-        shock nears the outflow boundary.  A stall raises `NonConvergence`,
-        a non-finite residual `SolverFailure`.
-        """
-        lam = k / h
-        u, u_old, r, diag, d = self.u, self.u_old, self.r, self.diag, self.d
-        u_old[:] = u
-        dgtsv = _dgtsv()
-        res = math.inf
-        for it in range(1, max_iter + 1):
-            du = self._update(lam, g)
-            np.subtract(u, u_old, out=r)
-            r += du
-            res = float(_amax(np.abs(r, out=self.abs_r)))
-            if res <= tol:
-                return NewtonStats(iterations=it, residual=res)
-            if not math.isfinite(res):
-                raise SolverFailure("non-finite Newton residual")
-            np.multiply(self._speed_cells, lam, out=diag)
-            diag += 1.0
-            # the right ghost copies u_J: 1 + lam * (f'(u_J) - dm(u_J))
-            diag[-1] = 1.0 + lam * ((d[0, -1] + d[1, -1]) - d[1, -2])
-            np.multiply(self._dm_sup, lam, out=self._sup)
-            np.multiply(self._dp_sub, -lam, out=self._sub)
-            np.negative(r, out=r)
-            x, info = dgtsv(self.sub, diag, self.sup, r, 1, 1, 1, 1)[3:]
-            if info:
-                raise SolverFailure(f"singular Newton system (dgtsv info {info})")
-            u += x
-            if not _finite(u):
-                raise SolverFailure("non-finite state")
-        raise NonConvergence(max_iter, res)
+        rec = np.zeros(1, np.intc), np.zeros(1), np.zeros(1, np.int8)
+        self._step(k, h, g, IMPLICIT, rec, tol=tol, max_iter=max_iter)
+        return NewtonStats(int(rec[0][0]), float(rec[1][0]),
+                           _core.STOP_RULES[int(rec[2][0])])
 
 
 def speed_for_basis(case, grid: SpatialGrid, basis: str) -> float:
@@ -275,32 +236,33 @@ def uniform_cfl_partition(case, grid: SpatialGrid, cfl: float, basis="global",
 
 def run_forward(grid: SpatialGrid, partition: TimePartition,
                 case) -> ForwardTrajectory:
-    """March through all intervals with each interval's tagged mode.
+    """March through all intervals with each interval's tagged mode, one
+    `march` call per run of equal modes.
 
     Interval n runs from t_n to t_{n+1}.  The stencil and the boundary data
     live on t_n for explicit steps and on t_{n+1} for implicit ones; only
     the states are kept, `update_fluxes` rebuilds the fluxes.
     """
     times = partition.times
+    modes = partition.modes
+    k = partition.steps
     N = partition.interval_count
-    J = grid.cell_count
-    h = grid.h
     g_at = np.atleast_1d(np.asarray(case.inflow_value(times), dtype=float))
-    s = Stepper(case.initial_cell_averages(grid.edges), case.flux)
-    states = np.empty((N + 1, J))
-    states[0] = s.u
-    stats: list = []
-    for n, (k, mode) in enumerate(zip(partition.steps.tolist(),
-                                      partition.modes.tolist())):
-        try:
-            if mode == EXPLICIT:
-                s.explicit(k, h, g_at[n])
-                stats.append(None)
-            else:
-                stats.append(s.implicit(k, h, g_at[n + 1]))
-        except SolverFailure as err:
+    states = np.empty((N + 1, grid.cell_count))
+    states[0] = case.initial_cell_averages(grid.edges)
+    iters, resid = np.zeros(N, np.intc), np.zeros(N)
+    stop = np.zeros(N, np.int8)
+    cuts = [0, *(np.flatnonzero(np.diff(modes)) + 1).tolist(), N] if N else [0]
+    for n, e in zip(cuts[:-1], cuts[1:]):
+        mode = int(modes[n])
+        at = n + (mode == IMPLICIT)
+        done, err = march(states[n:e + 1], k[n:e], g_at[at:at + e - n], grid.h,
+                          case.flux, mode, (iters[n:e], resid[n:e], stop[n:e]))
+        if err is not None:
+            n += done
             raise SolverFailure(f"interval {n} (t={times[n]:.6g}): {err}") from err
-        states[n + 1] = s.u
+    stats = [NewtonStats(it, r, _core.STOP_RULES[s]) if s else None
+             for it, r, s in zip(iters.tolist(), resid.tolist(), stop.tolist())]
     return ForwardTrajectory(grid=grid, partition=partition, states=states,
                              flux=case.flux, newton_stats=stats)
 

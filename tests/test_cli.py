@@ -220,16 +220,17 @@ def test_import_and_explicit_run_leave_scipy_unloaded(tmp_path):
         "assert 'scipy' not in sys.modules, 'run-uniform'\n", tmp_path)
 
 
-def test_implicit_run_loads_no_scipy_linalg_package(tmp_path):
-    # Newton loads scipy's LAPACK extension alone, not scipy.linalg
+def test_no_cli_run_imports_scipy(tmp_path):
+    # Newton's tridiagonal solve is compiled with the rest of the stepping
+    # core, so implicit and mixed runs need no scipy either
     _run_fresh(
         "import sys, shockstep.cli\n"
-        "rc = shockstep.cli.main(['run-uniform', '--set', 'mode=implicit',\n"
-        "                         '--set', 'levels=0', '--set', 'ref_level=2',\n"
-        "                         '--out', sys.argv[1]])\n"
-        "assert rc == 0, rc\n"
-        "assert 'scipy' in sys.modules, 'no implicit solve ran'\n"
-        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg'\n", tmp_path)
+        "for cmd, key in (('run-uniform', 'mode=implicit'),\n"
+        "                 ('run-adaptive', 'levels=0,1')):\n"
+        "    rc = shockstep.cli.main([cmd, '--set', key, '--set', 'ref_level=2',\n"
+        "                             '--out', sys.argv[1]])\n"
+        "    assert rc == 0, (cmd, rc)\n"
+        "    assert 'scipy' not in sys.modules, cmd\n", tmp_path)
 
 
 # ------------------------------------------------------------ run-uniform
@@ -342,6 +343,22 @@ def test_run_adaptive_chain(tmp_path, capsys):
     assert header[-2:] == ["N", "N_explicit"]
     assert len(srows) == 2
     assert srows[1][-2:] == ["529", "516"]
+
+
+@pytest.mark.parametrize("keys", [
+    ["levels=0,5", "rule=scaled_ref", "factor=0.0625"],
+    ["levels=0,1,2,3,4,5"],
+], ids=["scaled_ref", "match_previous"])
+def test_level_5_chain_runs_past_the_newton_roundoff_floor(keys, tmp_path,
+                                                           capsys):
+    # at level 5 lam reaches the thousands and rounding in lam (F[1:] -
+    # F[:-1]) exceeds the absolute Newton tolerance: without the floor
+    # stop these runs exit 3, stalled at residuals 1.539e-12 and 1.633e-12
+    args = ["run-adaptive", "--set", "ref_level=4", "--out", str(tmp_path)]
+    rc = cli_main(args + [a for key in keys for a in ("--set", key)])
+    assert rc == 0, capsys.readouterr().err
+    _, srows = _read_csv(tmp_path / "summary.csv")
+    assert srows[-1][0] == "5"
 
 
 def test_run_adaptive_requires_levels(tmp_path, capsys):

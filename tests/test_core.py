@@ -1,0 +1,413 @@
+"""The compiled stepping core against the numpy formulas it transcribes.
+
+Every kernel is compared bit for bit with a numpy transcription of the
+same update, the one the package ran before the marches were compiled:
+the explicit step for Burgers and both signs of `LinearFlux`, one Newton
+solve with LAPACK's `dgtsv` from scipy as the linear solver, and the dual
+substeps with and without the mass-balance record.  The loader is checked
+for its missing-compiler error, its rebuild on a changed source or compile
+command, and its fallback from an unwritable cache.
+"""
+import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import shockstep as ss
+from shockstep import _core
+from shockstep.dual import CoefficientField
+
+EPS = np.finfo(float).eps
+# values that hit the splitting's branches: sonic point, both zeros
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -1e-300])
+_VALUE = st.one_of(_SPECIAL, st.floats(min_value=-1.5, max_value=1.5,
+                                       allow_nan=False, allow_infinity=False))
+_FLUX = st.one_of(
+    st.just(ss.BURGERS),
+    st.builds(ss.LinearFlux, st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))))
+
+
+def _same(a, b) -> bool:
+    """Equal bits, so -0.0 differs from 0.0 and equal NaNs match."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ------------------------------------------------------- numpy oracles
+
+def _np_update(u, g, lam, flux):
+    """Splits, wave speeds, fluxes and lam (F[1:] - F[:-1]) of u with
+    inflow g, between the ghost cells g and a copy of the last cell."""
+    v = np.concatenate(([g], u, [u[-1]]))
+    d, f = np.empty((2, v.size)), np.empty((2, v.size))
+    flux.split(v, d, f)
+    speed = d[0] - d[1]
+    F = f[0, :-1] + f[1, 1:]
+    du = F[1:] - F[:-1]
+    du *= lam
+    return speed, d, F, du
+
+
+def _np_explicit(u, k, h, g, flux):
+    """(new state or None when refused, fluxes, CFL)."""
+    speed, _, F, du = _np_update(u, g, k / h, flux)
+    cfl = k * np.maximum.reduce(speed) / h
+    return (None if cfl > 1.0 else u - du), F, cfl
+
+
+def _np_implicit(u, k, h, g, flux, max_iter=ss.forward.NEWTON_MAX_ITER):
+    """Newton on backward Euler with scipy's dgtsv: (final iterate,
+    fluxes, iterations, residual, stop rule or None when stalled)."""
+    from scipy.linalg.lapack import dgtsv
+    lam = k / h
+    u_old, u = u.copy(), u.copy()
+    prev = res = math.inf
+    for it in range(1, max_iter + 1):
+        speed, d, F, du = _np_update(u, g, lam, flux)
+        r = u - u_old
+        r += du
+        res = float(np.maximum.reduce(np.abs(r)))
+        if res <= ss.forward.NEWTON_TOL:
+            return u, F, it, res, "tol"
+        assert math.isfinite(res)
+        if (it > 3 and res >= 0.5 * prev and res <= 8 * EPS * (
+                np.max(np.abs(u)) + lam * np.max(np.abs(F)))):
+            return u, F, it, res, "floor"
+        prev = res
+        diag = speed[1:-1] * lam
+        diag += 1.0
+        diag[-1] = 1.0 + lam * ((d[0, -1] + d[1, -1]) - d[1, -2])
+        pad = np.zeros(1)   # the wrapper wants length >= 1, also at J = 1
+        sup = d[1, 2:-1] * lam if u.size > 1 else pad
+        sub = d[0, 1:-2] * -lam if u.size > 1 else pad
+        x, info = dgtsv(sub, diag, sup, -r)[3:]
+        assert info == 0
+        u += x
+    return u, F, max_iter, res, None
+
+
+def _np_dual(A, k, h, source, m, record):
+    """The substep loop over intervals N-1 .. 0: samples and the
+    per-substep mass residuals."""
+    N, J = A.shape
+    dt_all = k / m
+    source_total = h * float(np.sum(source))
+    w_ext = np.zeros(J + 2)
+    w, w_right, w_left = w_ext[1:-1], w_ext[1:], w_ext[:-1]
+    samples, log = np.empty((N, J)), []
+    for n in range(N - 1, -1, -1):
+        a_ext = np.concatenate(([A[n, 0]], A[n], [A[n, -1]]))
+        s = (a_ext[:-1] + a_ext[1:]) * 0.5
+        am, ap = np.minimum(s, 0.0), np.maximum(s, 0.0)
+        dt, lam, src = dt_all[n], dt_all[n] / h, dt_all[n] * source
+        for step in range(1, int(m[n]) + 1):
+            S = ap * w_right
+            S += am * w_left
+            w_prev = w.copy()
+            w += (S[1:] - S[:-1]) * lam
+            w += src
+            if record:
+                G0, GJ = -float(S[0]), -float(S[-1])
+                resid = abs(h * float(np.sum(w - w_prev)) + dt * (GJ - G0)
+                            - dt * source_total)
+                scale = (h * float(np.sum(np.abs(w))) + abs(dt * source_total)
+                         + dt * (abs(G0) + abs(GJ)) + 1e-300)
+                log.append(resid / scale)
+            if step == (int(m[n]) + 1) // 2:
+                samples[n] = w
+    return samples, log
+
+
+# ----------------------------------------------------------- explicit step
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_VALUE, min_size=1, max_size=40), _VALUE, _FLUX,
+       st.floats(min_value=0.0, max_value=2.0))
+def test_explicit_step_matches_numpy_bitwise(u, g, flux, x):
+    u = np.array(u)
+    h = 1.0 / u.size
+    k = x * h
+    want, F_want, cfl = _np_explicit(u, k, h, g, flux)
+    s = ss.Stepper(u, flux)
+    if want is None:
+        with pytest.raises(ss.SolverFailure, match=f"CFL {cfl:.2f} > 1"):
+            s.explicit(k, h, g)
+        want = u
+    else:
+        s.explicit(k, h, g)
+    assert _same(s.u, want)
+    assert _same(s.F, F_want)
+
+
+@pytest.mark.parametrize("where", ["inflow", "cell"])
+def test_explicit_step_with_nan_input_matches_numpy(where):
+    # NaN propagates through the splitting as through np.maximum, so the
+    # CFL test is false, the step runs, and it fails as non-finite
+    u = np.array([0.5, -0.25, 0.75, 1.0])
+    g = 0.5
+    if where == "inflow":
+        g = math.nan
+    else:
+        u[2] = math.nan
+    want, F_want, _ = _np_explicit(u, 0.1, 0.25, g, ss.BURGERS)
+    s = ss.Stepper(u, ss.BURGERS)
+    with pytest.raises(ss.SolverFailure, match="non-finite state"):
+        s.explicit(0.1, 0.25, g)
+    assert _same(s.u, want)
+    assert _same(s.F, F_want)
+
+
+# -------------------------------------------------------------- Newton step
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_VALUE, min_size=1, max_size=40), _VALUE, _FLUX,
+       st.floats(min_value=0.0, max_value=60.0))
+def test_newton_step_matches_numpy_and_lapack_bitwise(u, g, flux, x):
+    u = np.array(u)
+    h = 1.0 / u.size
+    want, F_want, it, res, stop = _np_implicit(u, x * h, h, g, flux)
+    s = ss.Stepper(u, flux)
+    if stop is None:
+        with pytest.raises(ss.NonConvergence) as exc:
+            s.implicit(x * h, h, g)
+        assert (exc.value.iterations, exc.value.residual) == (it, res)
+    else:
+        stats = s.implicit(x * h, h, g)
+        assert (stats.iterations, stats.residual, stats.stop) == (it, res, stop)
+    assert _same(s.u, want)
+    assert _same(s.F, F_want)
+
+
+def test_newton_stops_at_the_roundoff_floor():
+    # lam = 32000: rounding in lam (F[1:] - F[:-1]) alone exceeds the
+    # absolute tolerance, so only the floor rule ends this solve
+    J = 160
+    h = 1.0 / J
+    x = (np.arange(J) + 0.5) * h
+    u0 = 0.8 + 0.1 * np.sin(2 * np.pi * x)
+    s = ss.Stepper(u0, ss.BURGERS)
+    stats = s.implicit(200.0, h, 0.8)
+    assert stats.stop == "floor"
+    want, _, it, res, stop = _np_implicit(u0, 200.0, h, 0.8, ss.BURGERS)
+    assert (stats.iterations, stats.residual, stats.stop) == (it, res, stop)
+    assert _same(s.u, want)
+    assert stats.iterations > 3
+    assert ss.forward.NEWTON_TOL < stats.residual
+    F = ss.interface_fluxes(s.u, 0.8)
+    assert stats.residual <= 8 * EPS * (np.max(np.abs(s.u))
+                                        + 200.0 / h * np.max(np.abs(F)))
+    # the same state at a modest step converges by the tolerance
+    assert ss.Stepper(s.u, ss.BURGERS).implicit(1.0, h, 0.8).stop == "tol"
+
+
+# --------------------------------------------------------- tridiagonal solve
+
+def c_dgtsv(sub, diag, sup, rhs):
+    """The core's dgtsv on copies: (solution, INFO)."""
+    dl, d, du, b = (np.array(a, dtype=float) for a in (sub, diag, sup, rhs))
+    ptr = _core.ptr
+    return b, _core.lib().dgtsv(d.size, ptr(dl), ptr(d), ptr(du), ptr(b))
+
+
+@st.composite
+def _general_tridiagonal_systems(draw):
+    """Tridiagonal systems with no dominance: row interchanges, exact
+    zeros and singular ones (INFO > 0) all occur."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    entries = draw(st.sampled_from(["uniform", "sparse"]))
+
+    def vec(size):
+        v = rng.uniform(-2.0, 2.0, max(size, 1))
+        if entries == "sparse":
+            v[rng.random(v.size) < 0.3] = 0.0
+        return v
+    return vec(n - 1), vec(n), vec(n - 1), rng.uniform(-1.0, 1.0, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_general_tridiagonal_systems())
+def test_dgtsv_matches_lapack_with_pivoting(system):
+    from scipy.linalg.lapack import dgtsv as reference
+    x, info = c_dgtsv(*system)
+    x_ref, info_ref = reference(*(a.copy() for a in system))[3:]
+    assert info == info_ref
+    if info == 0:
+        assert _same(x, x_ref)
+
+
+# ---------------------------------------------------------------- dual march
+
+class _Source:
+    def __init__(self, values):
+        self.values = values
+
+    def weight_gradient(self, x):
+        return -self.values
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=2, max_value=300), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_dual_substeps_match_numpy_bitwise(J, N, seed, sparse, record):
+    # J > 128 takes numpy's pairwise summation through its halving branch
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.5, 1.5, (N, J))
+    if sparse:
+        A[rng.random(A.shape) < 0.3] = rng.choice([0.0, -0.0])
+    grid = ss.build_spatial_grid(J, 0)
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(0.001, 0.05, N))))
+    part = ss.TimePartition(times=times)
+    source = rng.uniform(-1.0, 1.0, J)
+    dual = ss.solve_dual_gradient(CoefficientField(grid, part, A), _Source(source),
+                                  record_substeps=record)
+    k = part.steps
+    a_max = np.maximum(A.max(axis=1), -A.min(axis=1))
+    m = np.maximum(np.ceil(k * a_max / (0.8 * grid.h) - 1e-12), 1.0)
+    samples, log = _np_dual(A, k, grid.h, source, m, record)
+    assert _same(dual.w_samples, samples)
+    if record:
+        assert _same([rel for _, _, rel in dual.substep_log], log)
+        assert dual.max_mass_residual == max(log)
+    else:
+        assert dual.substep_log is None
+
+
+def test_kernel_arguments_are_checked_at_the_boundary():
+    # the kernels trust dtypes and lengths; the wrappers check them
+    u = np.zeros((3, 4))
+    with pytest.raises(ValueError, match="2 inflow values"):
+        ss.forward.march(u, np.full(2, 0.01), np.zeros(1), 0.1, ss.BURGERS,
+                         ss.EXPLICIT)
+    with pytest.raises(ValueError, match="3 rows"):
+        ss.forward.march(u[:2], np.full(2, 0.01), np.zeros(2), 0.1, ss.BURGERS,
+                         ss.EXPLICIT)
+    with pytest.raises(TypeError, match="float64"):
+        _core.ptr(np.zeros(3, np.float32))
+    # a scalar weight gradient broadcasts over the cells, as it did in numpy
+    grid = ss.build_spatial_grid(6, 0)
+    part = ss.TimePartition(times=np.array([0.0, 0.02, 0.05]))
+    coeff = CoefficientField(grid, part, np.linspace(-1.0, 1.0, 12).reshape(2, 6))
+    scalar = ss.solve_dual_gradient(coeff, _Source(np.float64(0.5)))
+    cells = ss.solve_dual_gradient(coeff, _Source(np.full(6, 0.5)))
+    assert _same(scalar.w_samples, cells.w_samples)
+    with pytest.raises(ValueError):
+        ss.solve_dual_gradient(coeff, _Source(np.zeros(7)))
+
+
+# ------------------------------------------------------- reference march
+
+def test_reference_march_independent_of_block_size(case, monkeypatch):
+    # blocks of 256 against one block, odd blocks, and a numpy loop that
+    # takes one step and one `@ W` row at a time
+    import shockstep.estimator as est
+    grid = ss.build_spatial_grid(20, 2)
+    part = ss.uniform_cfl_partition(case, grid, 0.8)
+    N = part.interval_count
+    W = est.weight_cell_integrals(grid, case)
+    g = case.inflow_value(part.times)
+    u = case.initial_cell_averages(grid.edges)
+    acc = 0.0
+    for n, k in enumerate(part.steps.tolist()):
+        u, _, _ = _np_explicit(u, k, grid.h, g[n], case.flux)
+        acc += k * float(u @ W)
+    for rows in (256, N, 1, 7, N + 5):
+        monkeypatch.setattr(est, "_ref_cache", {})
+        monkeypatch.setattr(est, "_BLOCK_ROWS", rows)
+        assert ss.reference_functional(case, 2) == acc, rows
+
+
+# ------------------------------------------------------------------ loader
+
+def test_missing_compiler_names_the_command(tmp_path, monkeypatch, case):
+    # an empty cache and no `cc` on PATH: the first march says what failed
+    empty, cache = tmp_path / "bin", tmp_path / "cache"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "user"))
+    monkeypatch.setattr(_core, "CACHE", str(cache))
+    monkeypatch.setattr(_core, "_lib", None)
+    grid = ss.build_spatial_grid(20, 0)
+    with pytest.raises(ImportError, match=r"C compiler: `cc -O2 -ffp-contract=off"):
+        ss.run_forward(grid, ss.uniform_partition(1.0, 0.01), case)
+    assert list(cache.iterdir()) == []
+    assert not (tmp_path / "user").exists()
+
+
+def _fresh_process_calls(so, symbol):
+    """`symbol()` of the library file `so`, loaded by a new interpreter:
+    this process's dlopen would hand back a library it already holds."""
+    code = f"import ctypes; print(ctypes.CDLL({str(so)!r}).{symbol}())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_changed_source_or_command_is_rebuilt(tmp_path, monkeypatch):
+    src, cache = tmp_path / "_core.c", tmp_path / "cache"
+    shutil.copy(_core.SOURCE, src)
+    so, key = cache / "_core.so", cache / "_core.so.key"
+    _core.load(str(src), str(cache))
+    built = so.stat()
+    _core.load(str(src), str(cache))
+    assert so.stat().st_ino == built.st_ino      # same bytes: cache hit
+    src.write_bytes(src.read_bytes() + b"long edit_marker(void) { return 11; }\n")
+    _core.load(str(src), str(cache))
+    assert so.stat().st_ino != built.st_ino
+    assert key.read_bytes().endswith(src.read_bytes())
+    assert _fresh_process_calls(so, "edit_marker") == 11   # the new build
+    rebuilt = so.stat()
+    monkeypatch.setattr(_core, "COMPILE", _core.COMPILE + ("-g",))
+    _core.load(str(src), str(cache))
+    assert so.stat().st_ino != rebuilt.st_ino    # a changed flag rebuilds
+    assert key.read_bytes().startswith(b"cc -O2 -ffp-contract=off -shared -fPIC -g\n")
+
+
+@pytest.mark.parametrize("block", ["read-only", "not a directory"])
+def test_unwritable_cache_falls_back_then_names_itself(tmp_path, block):
+    # the package's own cache can be read-only (a root-owned install);
+    # the build then goes to the next cache, and with none left the
+    # ImportError names every directory it tried
+    src, pkg, user = tmp_path / "_core.c", tmp_path / "pkg", tmp_path / "user"
+    shutil.copy(_core.SOURCE, src)
+    if block == "read-only":
+        if os.geteuid() == 0:
+            pytest.skip("root writes into read-only directories")
+        pkg.mkdir()
+        pkg.chmod(0o555)
+    else:
+        pkg.write_bytes(b"")
+    try:
+        lib = _core.load(str(src), str(pkg), str(user))
+        assert lib.dgtsv(0, None, None, None, None) == 0
+        assert (user / "_core.so").exists()
+        with pytest.raises(ImportError, match=f"no writable cache.*{pkg}"):
+            _core.load(str(src), str(pkg))
+    finally:
+        if pkg.is_dir():
+            pkg.chmod(0o755)
+    assert pkg.is_file() or list(pkg.iterdir()) == []
+
+
+def test_cached_core_loads_without_subprocess():
+    # a warm cache costs two small reads: no compiler, no subprocess module
+    _core.lib()
+    code = ("import sys, numpy as np, shockstep as ss\n"
+            "s = ss.Stepper(np.zeros(3), ss.BURGERS)\n"
+            "s.explicit(0.1, 1.0, 0.5)\n"
+            "assert 'subprocess' not in sys.modules\n")
+    root = str(Path(ss.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()

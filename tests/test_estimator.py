@@ -263,18 +263,18 @@ def test_reference_functional_frozen_value(j_ref):
 
 
 def _count_reference_steps(monkeypatch):
-    """Empty memo, and a list that grows by one per stepping-core update."""
+    """Empty memo, and a list that grows by one per compiled-march call."""
     import shockstep.estimator as est
     import shockstep.forward as fw
     monkeypatch.setattr(est, "_ref_cache", {})
     calls = []
-    orig = fw.Stepper.explicit
+    orig = fw.march
 
-    def counting(self, *args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return orig(self, *args, **kwargs)
+        return orig(*args, **kwargs)
 
-    monkeypatch.setattr(fw.Stepper, "explicit", counting)
+    monkeypatch.setattr(fw, "march", counting)
     return calls
 
 

@@ -362,8 +362,8 @@ def test_implicit_overflow_is_a_solver_failure():
 @st.composite
 def _tridiagonal_systems(draw):
     """A diagonally dominant tridiagonal system (sub, diag, sup, rhs) of
-    size J, off-diagonals padded to length 1 at J = 1 as `Stepper` pads
-    them."""
+    size J, off-diagonals padded to length 1 at J = 1 as LAPACK's wrapper
+    wants them."""
     J = draw(st.integers(min_value=1, max_value=400))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     sub = rng.uniform(-1.0, 1.0, J - 1) if J > 1 else np.zeros(1)
@@ -377,25 +377,14 @@ def _tridiagonal_systems(draw):
 @settings(max_examples=100, deadline=None)
 @given(_tridiagonal_systems())
 def test_dgtsv_binding_matches_scipy_lapack_bitwise(system):
+    # the compiled core's transcription of dgtsv against LAPACK's own
     from scipy.linalg.lapack import dgtsv as reference
-    ours = ss.forward._dgtsv()
-    # the overwrite flags let both calls work in place: each gets copies
-    x, info = ours(*(a.copy() for a in system), 1, 1, 1, 1)[3:]
+    from shockstep._core import lib, ptr
+    dl, d, du, x = (a.copy() for a in system)
+    info = lib().dgtsv(d.size, ptr(dl), ptr(d), ptr(du), ptr(x))
     x_ref, info_ref = reference(*(a.copy() for a in system), 1, 1, 1, 1)[3:]
     assert info == info_ref == 0
     assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
-
-
-def test_dgtsv_binding_names_the_directory_it_searched(tmp_path, monkeypatch):
-    import scipy
-    ss.forward._dgtsv.cache_clear()
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    try:
-        with pytest.raises(ImportError, match="_flapack") as exc:
-            ss.forward._dgtsv()
-        assert str(tmp_path / "linalg") in str(exc.value)
-    finally:
-        ss.forward._dgtsv.cache_clear()
 
 
 def test_undamped_newton_stalls_at_large_k(case):
