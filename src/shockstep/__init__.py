@@ -15,8 +15,8 @@ from .estimator import (ErrorBreakdown, assemble_breakdown, efficiency_index,
                         weight_cell_integrals)
 from .forward import (BURGERS, BurgersFlux, LinearFlux, NewtonStats,
                       NonConvergence, SolverFailure, ForwardTrajectory,
-                      Stepper, interface_fluxes, run_forward, speed_for_basis,
-                      uniform_cfl_partition, update_fluxes)
+                      Stepper, run_forward, speed_for_basis,
+                      uniform_cfl_partition)
 from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
                    build_spatial_grid, uniform_partition)
 from .testcase import (CharacteristicsReport, PerturbedShockCase,
@@ -33,8 +33,8 @@ __all__ = [
     "ErrorBreakdown", "assemble_breakdown", "efficiency_index",
     "evaluate_functional", "reference_functional", "weight_cell_integrals",
     "BURGERS", "BurgersFlux", "LinearFlux", "NewtonStats", "NonConvergence",
-    "SolverFailure", "ForwardTrajectory", "Stepper", "interface_fluxes",
-    "run_forward", "speed_for_basis", "uniform_cfl_partition", "update_fluxes",
+    "SolverFailure", "ForwardTrajectory", "Stepper", "run_forward",
+    "speed_for_basis", "uniform_cfl_partition",
     "EXPLICIT", "IMPLICIT", "SpatialGrid", "TimePartition",
     "build_spatial_grid", "uniform_partition",
     "CharacteristicsReport", "PerturbedShockCase", "validate_characteristics",

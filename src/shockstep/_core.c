@@ -1,18 +1,23 @@
-/* The stepping core: every time loop of the forward and dual marches.
+/* The stepping core: every time loop of the forward and dual marches, and
+ * the estimator's per-cell reductions.
  *
  * Each march writes into caller-owned buffers and returns how many steps
  * (or intervals) it completed; on a failure it stops there and sets a
  * reason code and value, which the Python side turns into an exception.
  *
  * The arithmetic is the numpy formulas' own, operation for operation, so
- * the results are bit-identical to them.  That rests on three things:
+ * the results are bit-identical to them.  That rests on four things:
  *   - the build uses -ffp-contract=off, so no a*b+c becomes one fused
  *     multiply-add (one rounding instead of two), and no -ffast-math;
  *   - max(v, 0) and min(v, 0) follow np.maximum / np.minimum: NaN
  *     propagates, and on a tie (v = -0.0) the second argument, +0.0, wins;
- *   - sums that numpy takes with np.sum use numpy's pairwise summation.
+ *   - sums that numpy takes with np.sum use numpy's pairwise summation;
+ *   - the two-wide vector code (GCC/Clang vector extensions) applies the
+ *     same operations lane by lane: every lane is one cell's IEEE
+ *     operation, nothing is reassociated, and only OR-ed flags cross lanes.
  */
 #include <float.h>
+#include <limits.h>
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
@@ -23,11 +28,40 @@ enum { BURGERS = 0, LINEAR = 1 };
 enum { STOP_TOL = 1, STOP_FLOOR = 2 };
 
 /* np.maximum(v, 0.0), np.minimum(v, 0.0) */
-static double pos(double v) { return (v > 0.0 || v != v) ? v : 0.0; }
-static double neg(double v) { return (v < 0.0 || v != v) ? v : 0.0; }
+static double pos(double v) { return v <= 0.0 ? 0.0 : v; }
+static double neg(double v) { return v >= 0.0 ? 0.0 : v; }
 
 /* one step of np.maximum.reduce: NaN propagates */
 static double nanmax(double m, double v) { return (v > m || v != v) ? v : m; }
+
+/* two lanes of doubles, and of the comparison masks they give */
+typedef double v2d __attribute__((vector_size(16)));
+typedef long long v2l __attribute__((vector_size(16)));
+
+static inline v2d load2(const double *p)
+{
+    v2d v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void store2(double *p, v2d v) { memcpy(p, &v, sizeof v); }
+
+/* pos and neg lane by lane: the mask clears the lanes that become +0.0 */
+static inline v2d pos2(v2d v)
+{
+    return (v2d)((v2l)v & ~(v <= (v2d){0.0, 0.0}));
+}
+
+static inline v2d neg2(v2d v)
+{
+    return (v2d)((v2l)v & ~(v >= (v2d){0.0, 0.0}));
+}
+
+static inline v2d abs2(v2d v)
+{
+    return (v2d)((v2l)v & (v2l){LLONG_MAX, LLONG_MAX});
+}
 
 static int all_finite(const double *u, long n)
 {
@@ -48,15 +82,18 @@ static double pairwise(const double *a, long n)
         return res;
     }
     if (n <= 128) {
-        double r[8];
+        /* accumulators 0 .. 7 are the lanes of r0 .. r3 in turn */
+        v2d r0 = load2(a), r1 = load2(a + 2), r2 = load2(a + 4),
+            r3 = load2(a + 6);
         long i;
-        for (int q = 0; q < 8; q++)
-            r[q] = a[q];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int q = 0; q < 8; q++)
-                r[q] += a[i + q];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
-                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (i = 8; i < n - (n % 8); i += 8) {
+            r0 += load2(a + i);
+            r1 += load2(a + i + 2);
+            r2 += load2(a + i + 4);
+            r3 += load2(a + i + 6);
+        }
+        double res = ((r0[0] + r0[1]) + (r1[0] + r1[1])) +
+                     ((r2[0] + r2[1]) + (r3[0] + r3[1]));
         for (; i < n; i++)
             res += a[i];
         return res;
@@ -90,46 +127,6 @@ void split(int kind, double a, double v, double *dp, double *dm, double *fp,
     }
 }
 
-/* The fluxes F_i = fp(v_i) + fm(v_{i+1}), i = 0 .. J, of the values
- * v = (g, u_0 .. u_{J-1}, u_{J-1}), split one at a time; the derivative
- * parts of all J + 2 values go to dp and dm unless those are NULL.
- * Returns max |f'| = max(dp - dm) over the J + 2 values. */
-static inline __attribute__((always_inline))
-double fluxes_of(int kind, double a, const double *u, long J, double g,
-                 double *dp, double *dm, double *F)
-{
-    double p, m, fp, fm, fprev;
-    split(kind, a, g, &p, &m, &fprev, &fm);
-    double smax = p - m;
-    if (dp) {
-        dp[0] = p;
-        dm[0] = m;
-    }
-    for (long i = 1; i <= J + 1; i++) {
-        split(kind, a, u[i <= J ? i - 1 : J - 1], &p, &m, &fp, &fm);
-        if (dp) {
-            dp[i] = p;
-            dm[i] = m;
-        }
-        F[i - 1] = fprev + fm;
-        fprev = fp;
-        smax = nanmax(smax, p - m);
-    }
-    return smax;
-}
-
-/* `fluxes_of`, compiled once per flux kind and per (dp, dm) output, so
- * that the per-value branches on them fold away. */
-static double fluxes(int kind, double a, const double *u, long J, double g,
-                     double *dp, double *dm, double *F)
-{
-    if (kind == BURGERS)
-        return dp ? fluxes_of(BURGERS, a, u, J, g, dp, dm, F)
-                  : fluxes_of(BURGERS, a, u, J, g, NULL, NULL, F);
-    return dp ? fluxes_of(LINEAR, a, u, J, g, dp, dm, F)
-              : fluxes_of(LINEAR, a, u, J, g, NULL, NULL, F);
-}
-
 struct work {
     double *dp, *dm;                    /* J + 2 each */
     double *r, *diag, *sub, *sup;       /* J each */
@@ -150,30 +147,187 @@ static int work_alloc(struct work *w, long J)
     return 1;
 }
 
+/* The largest s with (k s) / h <= 1.  k s / h rounds monotonically in s,
+ * so a speed s >= 0 that is not NaN gives a step at CFL k s / h > 1
+ * exactly when s > cfl_threshold(k, h). */
+static double cfl_threshold(double k, double h)
+{
+    if (!((k * INFINITY) / h > 1.0))
+        return INFINITY;                /* k <= 0 or NaN: nothing refused */
+    if (!((k * DBL_MAX) / h > 1.0))
+        return DBL_MAX;                 /* only an infinite speed */
+    double s = h / k;
+    while ((k * s) / h <= 1.0)
+        s = nextafter(s, INFINITY);
+    while ((k * s) / h > 1.0)
+        s = nextafter(s, 0.0);
+    return s;
+}
+
+/* The flux parts fp(v), fm(v) of two values at once, as `split` forms
+ * them: p and m are the derivative parts of LINEAR's constant a. */
+static inline __attribute__((always_inline))
+v2d fp2(int kind, double p, v2d v)
+{
+    if (kind == BURGERS) {
+        v2d q = pos2(v);
+        return (q * 0.5) * q;
+    }
+    return p * v;
+}
+
+static inline __attribute__((always_inline))
+v2d fm2(int kind, double m, v2d v)
+{
+    if (kind == BURGERS) {
+        v2d q = neg2(v);
+        return (q * 0.5) * q;
+    }
+    return m * v;
+}
+
+/* The fluxes F_i = fp(v_i) + fm(v_{i+1}), i = 0 .. J, of the values
+ * v = (g, u_0 .. u_{J-1}, u_{J-1}), two at a time; the derivative parts
+ * of all J + 2 values go to dp and dm unless those are NULL.  For BURGERS
+ * the wave speed of v is |v|, so unless over is NULL the pass also sets
+ * *over when a speed is above t (a NaN speed is not); LINEAR's one speed
+ * is the caller's to test. */
+static inline __attribute__((always_inline))
+void fluxes_of(int kind, double a, const double *u, long J, double g,
+               double *dp, double *dm, double *F, double t, int *over)
+{
+    double p = 0.0, m = 0.0, vp, vm, fp, fm, fprev;
+    if (kind == LINEAR)
+        split(LINEAR, a, 0.0, &p, &m, &fp, &fm);
+    v2d vt = {t, t};
+    v2l big = {0, 0};
+    long i = 1;
+    for (; i + 1 < J; i += 2) {
+        v2d l = load2(u + i - 1);
+        store2(F + i, fp2(kind, p, l) + fm2(kind, m, load2(u + i)));
+        if (dp) {
+            store2(dp + i, kind == BURGERS ? pos2(l) : (v2d){p, p});
+            store2(dm + i, kind == BURGERS ? neg2(l) : (v2d){m, m});
+        }
+        if (kind == BURGERS && over)
+            big |= abs2(l) > vt;
+    }
+    /* v_0 = g and F_0; then one value at a time from the first value no
+     * pair took, through v_J = v_{J+1} = u_{J-1} */
+    long tail = i;
+    int o = (int)(big[0] | big[1]) | (fabs(g) > t);
+    split(kind, a, g, &vp, &vm, &fprev, &fm);
+    if (dp) {
+        dp[0] = vp;
+        dm[0] = vm;
+    }
+    if (tail > 1) {
+        split(kind, a, u[0], &vp, &vm, &fp, &fm);
+        F[0] = fprev + fm;
+        split(kind, a, u[tail - 2], &vp, &vm, &fprev, &fm);
+    }
+    for (i = tail; i <= J + 1; i++) {
+        double v = u[i <= J ? i - 1 : J - 1];
+        split(kind, a, v, &vp, &vm, &fp, &fm);
+        if (dp) {
+            dp[i] = vp;
+            dm[i] = vm;
+        }
+        F[i - 1] = fprev + fm;
+        fprev = fp;
+        o |= fabs(v) > t;
+    }
+    if (kind == BURGERS && over)
+        *over = o;
+}
+
+/* `fluxes_of`, compiled once per flux kind and per output, so that the
+ * per-value branches on them fold away: the derivative parts (Newton),
+ * the CFL flag (explicit steps) or the fluxes alone (the breakdown). */
+static void fluxes(int kind, double a, const double *u, long J, double g,
+                   double *dp, double *dm, double *F, double t, int *over)
+{
+    if (kind == BURGERS) {
+        if (dp)
+            fluxes_of(BURGERS, a, u, J, g, dp, dm, F, 0.0, NULL);
+        else if (over)
+            fluxes_of(BURGERS, a, u, J, g, NULL, NULL, F, t, over);
+        else
+            fluxes_of(BURGERS, a, u, J, g, NULL, NULL, F, 0.0, NULL);
+    } else {
+        if (dp)
+            fluxes_of(LINEAR, a, u, J, g, dp, dm, F, 0.0, NULL);
+        else
+            fluxes_of(LINEAR, a, u, J, g, NULL, NULL, F, 0.0, NULL);
+    }
+}
+
+/* max|f'| over the state and g as np.maximum.reduce takes it (NaN
+ * propagates): |v| for BURGERS, LINEAR's one speed otherwise. */
+static double max_speed(int kind, double speed, const double *u, long J,
+                        double g)
+{
+    if (kind != BURGERS)
+        return speed;
+    double s = fabs(g);
+    for (long j = 0; j < J; j++)
+        s = nanmax(s, fabs(u[j]));
+    return s;
+}
+
+/* un = uo - (F[1:] - F[:-1]) * lam, two cells at a time; returns whether
+ * every cell of un is finite. */
+static int update(const double *uo, const double *F, long J, double lam,
+                  double *un)
+{
+    v2d vl = {lam, lam}, zero = {0.0, 0.0};
+    v2l bad = {0, 0};
+    long j = 0;
+    for (; j + 1 < J; j += 2) {
+        v2d x = load2(uo + j) - (load2(F + j + 1) - load2(F + j)) * vl;
+        store2(un + j, x);
+        bad |= (x - x) != zero;        /* NaN exactly when x is not finite */
+    }
+    int b = (int)(bad[0] | bad[1]);
+    for (; j < J; j++) {
+        un[j] = uo[j] - (F[j + 1] - F[j]) * lam;
+        b |= !isfinite(un[j]);
+    }
+    return !b;
+}
+
 /* Forward Euler over n steps: rows u[0 .. n] of length J, row 0 given.
  * Step i has length k[i] and inflow g[i]; F (J + 1) ends with the fluxes
- * of the last step taken.  A step with k max|f'| / h > 1 is refused
- * (its row is not written, *value = its CFL). */
+ * of the last step tried.  A step with k max|f'| / h > 1 is refused (its
+ * row is not written, *value = its CFL); a NaN wave speed makes max|f'|
+ * NaN, as np.maximum.reduce does, which is no refusal: the step runs and
+ * fails as a non-finite state.  The flux pass compares each speed with
+ * cfl_threshold, so max|f'| and the CFL are only formed once a speed is
+ * above it. */
 long march_explicit(long n, long J, double h, const double *k,
                     const double *g, int kind, double a, double *u,
                     double *F, int *code, double *value)
 {
     *code = OK;
+    double p, m, fp, fm;
+    split(kind, a, 0.0, &p, &m, &fp, &fm);
+    double speed = p - m;               /* LINEAR's one wave speed */
     long i;
     for (i = 0; i < n; i++) {
         const double *uo = u + i * J;
         double *un = u + (i + 1) * J;
-        double lam = k[i] / h;
-        double smax = fluxes(kind, a, uo, J, g[i], NULL, NULL, F);
-        double cfl = k[i] * smax / h;
-        if (cfl > 1.0) {
-            *code = CFL;
-            *value = cfl;
-            break;
+        double t = cfl_threshold(k[i], h);
+        int over = speed > t;
+        fluxes(kind, a, uo, J, g[i], NULL, NULL, F, t, &over);
+        if (over) {
+            double cfl = k[i] * max_speed(kind, speed, uo, J, g[i]) / h;
+            if (cfl > 1.0) {
+                *code = CFL;
+                *value = cfl;
+                break;
+            }
         }
-        for (long j = 0; j < J; j++)
-            un[j] = uo[j] - (F[j + 1] - F[j]) * lam;
-        if (!all_finite(un, J)) {
+        if (!update(uo, F, J, k[i] / h, un)) {
             *code = NONFINITE_STATE;
             break;
         }
@@ -276,7 +430,7 @@ long march_implicit(long n, long J, double h, const double *k,
         memcpy(un, uo, sizeof(double) * J);
         long it;
         for (it = 1; it <= max_iter; it++) {
-            fluxes(kind, a, un, J, g[i], w.dp, w.dm, F);
+            fluxes(kind, a, un, J, g[i], w.dp, w.dm, F, 0.0, NULL);
             res = 0.0;
             for (long j = 0; j < J; j++) {
                 double r = (un[j] - uo[j]) + (F[j + 1] - F[j]) * lam;
@@ -339,6 +493,50 @@ long march_implicit(long n, long J, double h, const double *k,
     }
     free(w.block);
     return i;
+}
+
+/* The dual march's substep plan of n intervals: interval i, of length
+ * k[i] with the coefficient row A[i] (J values), takes
+ *     m[i] = max(ceil((k a_max) / (cfl h) - 1e-12), 1)
+ * substeps of length dt[i] = k[i] / m[i], a_max = max_j |A[i, j]|, in
+ * numpy's operation order.  Returns n, or the first interval whose count
+ * is not finite (a NaN or infinite coefficient) or does not fit a long;
+ * nothing is written for it. */
+long dual_substeps(long n, long J, double h, double cfl, const double *k,
+                   const double *A, long *m, double *dt)
+{
+    for (long i = 0; i < n; i++) {
+        const double *a = A + i * J;
+        /* four running maxima of |a| that skip NaN, and a sum of a - a
+         * that is NaN exactly when some a is not finite */
+        double b[4] = {0.0, 0.0, 0.0, 0.0};
+        v2d z = {0.0, 0.0};
+        long j = 0;
+        for (; j + 3 < J; j += 4) {
+            for (int q = 0; q < 4; q++) {
+                double v = fabs(a[j + q]);
+                b[q] = v > b[q] ? v : b[q];
+            }
+            v2d v0 = load2(a + j), v1 = load2(a + j + 2);
+            z += (v0 - v0) + (v1 - v1);
+        }
+        double finite = z[0] + z[1];
+        for (; j < J; j++) {
+            double v = fabs(a[j]);
+            b[0] = v > b[0] ? v : b[0];
+            finite += v - v;
+        }
+        /* as for np.max, a NaN (or infinite) row's count is not finite */
+        double amax = finite == 0.0 ? fmax(fmax(b[0], b[1]), fmax(b[2], b[3]))
+                                    : NAN;
+        double mi = ceil((k[i] * amax) / (cfl * h) - 1e-12);
+        mi = mi < 1.0 ? 1.0 : mi;
+        if (!(mi <= (double)(LONG_MAX / 2)))
+            return i;
+        m[i] = (long)mi;
+        dt[i] = k[i] / mi;
+    }
+    return n;
 }
 
 /* The dual gradient's explicit backward march over n intervals, taken
@@ -405,4 +603,77 @@ long march_dual(long n, long J, double h, const double *A, const long *m,
     }
     free(block);
     return done;
+}
+
+/* The cell terms of one interval (see breakdown) into tk and th, and
+ * their absolute values into ak and ah, two cells at a time. */
+static inline __attribute__((always_inline))
+void cell_terms(int kind, double a, long J, double ck, double ch,
+                const double *u0, const double *u1, const double *psi,
+                const double *ai, const double *wi, const double *F,
+                double *tk, double *th, double *ak, double *ah)
+{
+    v2d vk = {ck, ck}, vh = {ch, ch};
+    long j = 0;
+    for (; j + 1 < J; j += 2) {
+        v2d x = load2(u1 + j), w = load2(wi + j);
+        v2d f = kind == BURGERS ? (0.5 * x) * x : a * x;
+        v2d ek = (vk * (x - load2(u0 + j)))
+                 * (load2(psi + j) - load2(ai + j) * w);
+        v2d eh = (vh * w) * ((load2(F + j + 1) + load2(F + j)) - 2.0 * f);
+        store2(tk + j, ek);
+        store2(th + j, eh);
+        store2(ak + j, abs2(ek));
+        store2(ah + j, abs2(eh));
+    }
+    for (; j < J; j++) {
+        double f = kind == BURGERS ? (0.5 * u1[j]) * u1[j] : a * u1[j];
+        tk[j] = (ck * (u1[j] - u0[j])) * (psi[j] - ai[j] * wi[j]);
+        th[j] = (ch * wi[j]) * ((F[j + 1] + F[j]) - 2.0 * f);
+        ak[j] = fabs(tk[j]);
+        ah[j] = fabs(th[j]);
+    }
+}
+
+/* The error breakdown of n intervals, each reduced to four sums.
+ * Interval i has length k[i], the states u[i] and u[i + 1] (rows of J),
+ * the stencil row u[i] (explicit, modes[i] = 0) or u[i + 1] (implicit)
+ * with the stencil's inflow g[i], the coefficients A[i] and the dual
+ * samples W[i]; psi holds the weight at the J cell centres.  Its cell
+ * terms, in numpy's operation order, are
+ *     eta_k = ((-0.5 k) h) (u1 - u0) (psi - a w)
+ *     eta_h = (((k 0.5) h) w) ((F_{j+1} + F_j) - 2 f(u1))
+ * with the fluxes F of the stencil, rebuilt as the march built them.
+ * out receives four rows of n: the np.sum of eta_k, of |eta_k|, of eta_h
+ * and of |eta_h| over each interval's cells.  Returns n, or -1 when out
+ * of memory. */
+long breakdown(long n, long J, double h, const double *k, const double *u,
+               const signed char *modes, const double *g, int kind, double a,
+               const double *psi, const double *A, const double *W,
+               double *out)
+{
+    double *block = malloc(sizeof(double) * (5 * J + 1));
+    if (!block)
+        return -1;
+    double *F = block, *tk = F + J + 1, *th = tk + J, *ak = th + J,
+           *ah = ak + J;
+    for (long i = 0; i < n; i++) {
+        const double *u0 = u + i * J, *u1 = u0 + J;
+        const double *stencil = modes[i] ? u1 : u0;
+        const double *ai = A + i * J, *wi = W + i * J;
+        double ck = (-0.5 * k[i]) * h, ch = (k[i] * 0.5) * h;
+        fluxes(kind, a, stencil, J, g[i], NULL, NULL, F, 0.0, NULL);
+        if (kind == BURGERS)
+            cell_terms(BURGERS, a, J, ck, ch, u0, u1, psi, ai, wi, F,
+                       tk, th, ak, ah);
+        else
+            cell_terms(LINEAR, a, J, ck, ch, u0, u1, psi, ai, wi, F,
+                       tk, th, ak, ah);
+        out[i] = np_sum(tk, J);
+        out[n + i] = np_sum(ak, J);
+        out[2 * n + i] = np_sum(th, J);
+        out[3 * n + i] = np_sum(ah, J);
+    }
+    free(block);
+    return n;
 }

@@ -1,4 +1,5 @@
-"""Loader of the compiled stepping core, `_core.c`.
+"""Loader of the compiled core, `_core.c`: the marches and the error
+breakdown.
 
 The library is built on first use with the system C compiler,
 
@@ -41,6 +42,10 @@ _SIGNATURES = {
                                _ptr, _ptr, _ptr, _ptr]),
     "march_dual": (_long, [_long, _long, _double, _ptr, _ptr, _ptr, _ptr,
                            _double, _ptr, _ptr, _ptr]),
+    "dual_substeps": (_long, [_long, _long, _double, _double, _ptr, _ptr,
+                              _ptr, _ptr]),
+    "breakdown": (_long, [_long, _long, _double, _ptr, _ptr, _ptr, _ptr, _int,
+                          _double, _ptr, _ptr, _ptr, _ptr]),
     "dgtsv": (_long, [_long, _ptr, _ptr, _ptr, _ptr]),
 }
 
@@ -129,7 +134,9 @@ def _build(source: str, key: bytes, so: str):
 
 def ptr(a, dtype=np.float64) -> int:
     """Address of a C-contiguous `dtype` array's data, the kernels' array
-    argument."""
+    argument.  The address holds no reference to `a`: bind a computed
+    array (such as `TimePartition.steps`, rebuilt on each access) to a
+    name for as long as the kernel runs."""
     if a.dtype != dtype:
         raise TypeError(f"the compiled core takes {np.dtype(dtype)} here, not {a.dtype}")
     if not a.flags.c_contiguous:

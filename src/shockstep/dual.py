@@ -61,12 +61,14 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     Within each forward interval the coefficient is frozen and sub-steps of
     size delta_tau <= dual_cfl * h / max|a| are taken (adaptive forward
     steps can sit at CFL of several hundred, far too coarse for an explicit
-    transport solve).  w_j^n is the sub-step profile nearest the interval
-    midpoint; spatial boundaries use zero ghost values, the coefficient is
-    extended by its edge cells.  The substeps run in the compiled core,
-    _BLOCK_ROWS intervals per call; with `record_substeps` the same march
-    also returns each substep's relative mass-balance residual, logged as
-    (interval, dt, residual) in march order.
+    transport solve): max(ceil(k max|a| / (dual_cfl h) - 1e-12), 1) of
+    them, counted for every interval before any runs.  w_j^n is the
+    sub-step profile nearest the interval midpoint; spatial boundaries use
+    zero ghost values, the coefficient is extended by its edge cells.  The
+    substeps run in the compiled core, _BLOCK_ROWS intervals per call;
+    with `record_substeps` the same march also returns each substep's
+    relative mass-balance residual, logged as (interval, dt, residual) in
+    march order.
     """
     if not (0.0 < dual_cfl <= 1.0):
         raise ValueError("need 0 < dual_cfl <= 1")
@@ -78,14 +80,15 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     A = np.ascontiguousarray(coeff.a_values, dtype=float)
     if A.shape != (N, J):
         raise ValueError(f"coefficients of shape {A.shape}, need {(N, J)}")
-    # substep counts and sizes of all intervals; a_max = 0 gives m = 1
+    # substep counts and sizes of all intervals, before any substep runs;
+    # a_max = 0 gives m = 1
     k = part.steps
-    a_max = np.maximum(A.max(axis=1), -A.min(axis=1))
-    m_all = np.maximum(np.ceil(k * a_max / (dual_cfl * h) - 1e-12), 1.0)
-    if not np.isfinite(m_all).all():
-        raise SolverFailure("dual march: non-finite coefficient")
-    dt_all = k / m_all
-    m_all = m_all.astype(_core.LONG)
+    m_all, dt_all = np.empty(N, _core.LONG), np.empty(N)
+    core = _core.lib()
+    bad = core.dual_substeps(N, J, h, dual_cfl, ptr(k), ptr(A),
+                             ptr(m_all, _core.LONG), ptr(dt_all))
+    if bad < N:
+        raise SolverFailure(f"dual march: non-finite coefficient in interval {bad}")
     source = -np.asarray(case.weight_gradient(grid.centers), dtype=float)
     source_total = h * float(np.sum(source))
     # a scalar gradient broadcasts over the cells, as in numpy arithmetic
@@ -94,7 +97,6 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     samples = np.empty((N, J))
     # per-substep mass-balance residuals, in march order (last interval first)
     mass = np.empty(int(m_all.sum())) if record_substeps else None
-    core = _core.lib()
     done = 0
     for hi in range(N, 0, -_BLOCK_ROWS):
         lo = max(hi - _BLOCK_ROWS, 0)

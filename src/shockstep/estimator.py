@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forward
+from . import _core, forward
+from ._core import ptr
 from .dual import CoefficientField, DualGradientTrajectory
 from .forward import ForwardTrajectory
-from .grid import EXPLICIT, build_spatial_grid
+from .grid import EXPLICIT, IMPLICIT, build_spatial_grid
 
 REF_LEVEL = 6
-# intervals per block of the breakdown and of the reference march: their
-# cell terms, fluxes or states are the only (rows, J) temporaries, so
-# memory stays O(_BLOCK_ROWS * J)
+# intervals per block of the reference march: its states are the only
+# (rows, J) temporary, so memory stays O(_BLOCK_ROWS * J)
 _BLOCK_ROWS = 256
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
@@ -57,48 +57,38 @@ def evaluate_functional(traj: ForwardTrajectory, case) -> float:
     return float(np.sum(k * (traj.states[1:] @ W)))
 
 
-def _cell_terms(traj: ForwardTrajectory, coeff: CoefficientField,
-                dual: DualGradientTrajectory, case, lo: int, hi: int):
-    """The signed cell contributions (eta_k, eta_h) of intervals lo..hi-1,
-    each (hi - lo, J).
-
-    Time term: -(1/2) k h (u^{n+1} - u^n) (psi - a w).  Space term:
-    (1/2) k h w (F_{j+1/2} + F_{j-1/2} - 2 f(u^{n+1})) with the fluxes the
-    update used.
-    """
-    k = traj.partition.steps[lo:hi, None]
-    h = traj.grid.h
-    psi_c = case.weight(traj.grid.centers)[None, :]
-    u0, u1 = traj.states[lo:hi], traj.states[lo + 1:hi + 1]
-    W = dual.w_samples[lo:hi]
-    eta_k = -0.5 * k * h * (u1 - u0) * (psi_c - coeff.a_values[lo:hi] * W)
-    F = forward.update_fluxes(traj, case, slice(lo, hi))
-    eta_h = k * 0.5 * h * W * (F[:, 1:] + F[:, :-1] - 2.0 * traj.flux.f(u1))
-    return eta_k, eta_h
-
-
 def assemble_breakdown(traj: ForwardTrajectory, coeff: CoefficientField,
                        dual: DualGradientTrajectory, case) -> ErrorBreakdown:
-    """Densities and totals of the space-time split, reduced block by
-    block: only _BLOCK_ROWS intervals' cell terms exist at a time.  Every
-    field is a per-row reduction or a sum over rows, so it does not
-    depend on the block size."""
+    """Densities and totals of the space-time split.
+
+    Time term of a cell: -(1/2) k h (u^{n+1} - u^n) (psi - a w).  Space
+    term: (1/2) k h w (F_{j+1/2} + F_{j-1/2} - 2 f(u^{n+1})) with the
+    fluxes the update used, of state n and g(t_n) for an explicit step,
+    of state n+1 and g(t_{n+1}) for an implicit one.  The compiled core
+    forms both row by row and reduces each row to its signed and absolute
+    sums, so no (N, J) term array exists; every field is a per-row
+    reduction or a sum over rows.
+    """
     grid = traj.grid
     part = traj.partition
-    N = part.interval_count
+    N, J = part.interval_count, grid.cell_count
     if coeff.a_values.shape != dual.w_samples.shape or \
-            coeff.a_values.shape != (N, grid.cell_count):
+            coeff.a_values.shape != (N, J) or traj.states.shape != (N + 1, J):
         raise ValueError("trajectory, coefficients and dual samples disagree in shape")
-    abs_k, abs_h = np.empty(N), np.empty(N)
-    signed_k, signed_h = np.empty(N), np.empty(N)
-    for lo in range(0, N, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, N)
-        eta_k, eta_h = _cell_terms(traj, coeff, dual, case, lo, hi)
-        np.sum(eta_k, axis=1, out=signed_k[lo:hi])
-        np.sum(eta_h, axis=1, out=signed_h[lo:hi])
-        np.sum(np.abs(eta_k, out=eta_k), axis=1, out=abs_k[lo:hi])
-        np.sum(np.abs(eta_h, out=eta_h), axis=1, out=abs_h[lo:hi])
     k = part.steps
+    modes = part.modes
+    stencil = part.times[np.arange(N) + (modes == IMPLICIT)]
+    g = _cells(case.inflow_value(stencil), N)
+    psi = _cells(case.weight(grid.centers), J)
+    u, A, W = (np.ascontiguousarray(x, dtype=float)
+               for x in (traj.states, coeff.a_values, dual.w_samples))
+    kind, a = forward._flux_code(traj.flux)
+    sums = np.empty((4, N))
+    if _core.lib().breakdown(N, J, grid.h, ptr(k), ptr(u), ptr(modes, np.int8),
+                             ptr(g), kind, a, ptr(psi), ptr(A), ptr(W),
+                             ptr(sums)) < 0:
+        raise MemoryError("the breakdown could not allocate its work buffers")
+    signed_k, abs_k, signed_h, abs_h = sums
     eta_k_bar_n = abs_k / k
     eta_h_bar_n = abs_h / k
     eta_k_bar = float(np.sum(k * eta_k_bar_n))
@@ -113,6 +103,12 @@ def assemble_breakdown(traj: ForwardTrajectory, coeff: CoefficientField,
         eta_h=float(np.sum(signed_h)),
         J_h=evaluate_functional(traj, case),
     )
+
+
+def _cells(values, n: int) -> np.ndarray:
+    """`values` as n contiguous floats; a scalar broadcasts, as in numpy
+    arithmetic."""
+    return np.ascontiguousarray(np.broadcast_to(np.asarray(values, dtype=float), (n,)))
 
 
 def efficiency_index(breakdown: ErrorBreakdown, J_ref: float) -> float:
@@ -135,10 +131,11 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
     base_cells, cfl), so equal cases share one run and a changed scale gets
     a fresh one.  Cases without a `perturbation_scale` are not memoized.
     The run is streamed through one (_BLOCK_ROWS + 1, J) buffer: the
-    compiled march fills a block of states, each row's `row @ W` (one
-    BLAS ddot; a block gemv would round differently) is weighted by k_n
-    and added in step order, and the block's last state starts the next
-    block.
+    compiled march fills a block of states, one `np.matmul` of the block
+    as (B, 1, J) @ (J, 1) takes each row's `row @ W` through the same
+    BLAS ddot as `row @ W` itself (a block gemv would round differently),
+    each is weighted by k_n and added in step order, and the block's last
+    state starts the next block.
     """
     scale = getattr(case, "perturbation_scale", None)
     key = (type(case), scale, ref_level, base_cells, cfl)
@@ -160,8 +157,9 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
                                EXPLICIT)
         if err is not None:
             raise err
-        for k_n, row in zip(k[lo:hi].tolist(), rows[1:]):
-            acc += k_n * float(row @ W)
+        dots = np.matmul(rows[1:, None, :], W[:, None])
+        for k_n, dot in zip(k[lo:hi].tolist(), dots.ravel().tolist()):
+            acc += k_n * dot
         buf[0] = rows[-1]
     if scale is not None:
         _ref_cache[key] = acc

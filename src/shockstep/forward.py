@@ -91,25 +91,6 @@ class ForwardTrajectory:
     newton_stats: Optional[list] = None
 
 
-def interface_fluxes(u: np.ndarray, g, flux=BURGERS) -> np.ndarray:
-    """All J+1 interface fluxes of the state u with inflow g, built as the
-    compiled march builds them: u between the ghost cells g and a copy of its
-    last cell, one `flux.split`, F = f[0, :-1] + f[1, 1:].  Cells run along
-    the last axis; leading axes of u and g broadcast."""
-    u = np.asarray(u, dtype=float)
-    v = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
-    v[..., 0] = g
-    v[..., 1:-1] = u
-    v[..., -1] = v[..., -2]
-    # drop each input once read: a row copy passed in (update_fluxes) and
-    # the derivative splits are not kept alive next to the result
-    del u
-    d, f = np.empty((2,) + v.shape), np.empty((2,) + v.shape)
-    flux.split(v, d, f)
-    del v, d
-    return f[0, ..., :-1] + f[1, ..., 1:]
-
-
 def _flux_code(flux):
     """The compiled core's (kind, a) for a flux object."""
     if isinstance(flux, LinearFlux):
@@ -241,7 +222,8 @@ def run_forward(grid: SpatialGrid, partition: TimePartition,
 
     Interval n runs from t_n to t_{n+1}.  The stencil and the boundary data
     live on t_n for explicit steps and on t_{n+1} for implicit ones; only
-    the states are kept, `update_fluxes` rebuilds the fluxes.
+    the states are kept, and `estimator.assemble_breakdown` rebuilds the
+    fluxes by the same rule.
     """
     times = partition.times
     modes = partition.modes
@@ -266,19 +248,3 @@ def run_forward(grid: SpatialGrid, partition: TimePartition,
     return ForwardTrajectory(grid=grid, partition=partition, states=states,
                              flux=case.flux, newton_stats=stats)
 
-
-def update_fluxes(traj: ForwardTrajectory, case,
-                  rows: slice = slice(None)) -> np.ndarray:
-    """The (n, J+1) interface fluxes the updates of the intervals `rows`
-    (all N by default) of `run_forward` used.
-
-    Same stencil-time rule as the march: state n and g(t_n) for explicit
-    steps, state n+1 and g(t_{n+1}) for implicit ones.  Same inputs through
-    the same `interface_fluxes`, so the values are bit-identical.
-    """
-    part = traj.partition
-    stencil = np.arange(part.interval_count)[rows]
-    stencil += part.modes[rows] == IMPLICIT
-    g = np.atleast_1d(np.asarray(case.inflow_value(part.times[stencil]),
-                                 dtype=float))
-    return interface_fluxes(traj.states[stencil], g, traj.flux)

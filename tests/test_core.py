@@ -2,11 +2,14 @@
 
 Every kernel is compared bit for bit with a numpy transcription of the
 same update, the one the package ran before the marches were compiled:
-the explicit step for Burgers and both signs of `LinearFlux`, one Newton
-solve with LAPACK's `dgtsv` from scipy as the linear solver, and the dual
-substeps with and without the mass-balance record.  The loader is checked
-for its missing-compiler error, its rebuild on a changed source or compile
-command, and its fallback from an unwritable cache.
+the explicit step for Burgers and both signs of `LinearFlux` (also at the
+CFL boundary, ulp by ulp, and in the vector loop's tails), one Newton
+solve with LAPACK's `dgtsv` from scipy as the linear solver, the dual
+substep plan and substeps with and without the mass-balance record, and
+the error breakdown against the cell terms of `tests/oracles.py`.  The
+loader is checked for its missing-compiler error, its rebuild on a
+changed source or compile command, its fallback from an unwritable cache,
+and a compile command that keeps every rounding.
 """
 import math
 import os
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 import shockstep as ss
 from shockstep import _core
 from shockstep.dual import CoefficientField
+from oracles import cell_terms, interface_fluxes
 
 EPS = np.finfo(float).eps
 # values that hit the splitting's branches: sonic point, both zeros
@@ -93,6 +97,13 @@ def _np_implicit(u, k, h, g, flux, max_iter=ss.forward.NEWTON_MAX_ITER):
         assert info == 0
         u += x
     return u, F, max_iter, res, None
+
+
+def _np_substeps(A, k, h, dual_cfl=0.8):
+    """The substep counts and sizes as numpy formed them (floats)."""
+    a_max = np.maximum(A.max(axis=1), -A.min(axis=1))
+    m = np.maximum(np.ceil(k * a_max / (dual_cfl * h) - 1e-12), 1.0)
+    return m, k / m
 
 
 def _np_dual(A, k, h, source, m, record):
@@ -166,6 +177,122 @@ def test_explicit_step_with_nan_input_matches_numpy(where):
     assert _same(s.F, F_want)
 
 
+def _explicit_refusal(u, k, h, g, flux=ss.BURGERS):
+    """The CFL the compiled step was refused at, or None when it ran."""
+    s = ss.Stepper(u, flux)
+    try:
+        s.explicit(k, h, g)
+    except ss.SolverFailure as err:
+        assert str(err).startswith("explicit step at CFL"), err
+        assert _same(s.u, u)
+        return str(err)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_VALUE, min_size=1, max_size=12), _VALUE,
+       st.floats(min_value=1e-3, max_value=1e3), st.integers(-3, 3))
+def test_explicit_refusal_at_the_cfl_boundary_ulp_by_ulp(u, g, h, ulps):
+    # k steps ulp by ulp across h / smax: each step is refused exactly
+    # when (k * smax) / h > 1, as the numpy formula decides; a tiny smax
+    # gives a k at which the update itself overflows, in numpy too
+    u = np.array(u)
+    smax = float(np.max(np.abs(np.append(u, g))))
+    k = h / smax if smax > 0.0 else h
+    for _ in range(abs(ulps)):
+        k = np.nextafter(k, math.inf if ulps > 0 else 0.0)
+    with np.errstate(all="ignore"):
+        want, F_want, cfl = _np_explicit(u, k, h, g, ss.BURGERS)
+    assert (want is None) == ((k * smax) / h > 1.0)
+    s = ss.Stepper(u, ss.BURGERS)
+    if want is None:
+        with pytest.raises(ss.SolverFailure,
+                           match=f"^explicit step at CFL {cfl:.2f} > 1$"):
+            s.explicit(k, h, g)
+        want = u
+    elif not np.isfinite(want).all():
+        with pytest.raises(ss.SolverFailure, match="non-finite state"):
+            s.explicit(k, h, g)
+    else:
+        s.explicit(k, h, g)
+    assert _same(s.u, want)
+    assert _same(s.F, F_want)
+
+
+@pytest.mark.parametrize("flux", [ss.BURGERS, ss.LinearFlux(-0.9)],
+                         ids=["burgers", "linear"])
+def test_explicit_refusal_one_ulp_either_side(flux):
+    # the largest k that runs and the next double, which is refused
+    u, g, h = np.array([0.7, -0.3, 0.9, 0.1, -0.2]), 0.5, 0.1
+    smax = 0.9
+    k = h / smax
+    while (k * smax) / h > 1.0:
+        k = np.nextafter(k, 0.0)
+    while (np.nextafter(k, math.inf) * smax) / h <= 1.0:
+        k = np.nextafter(k, math.inf)
+    assert _explicit_refusal(u, k, h, g, flux) is None
+    above = np.nextafter(k, math.inf)
+    assert _explicit_refusal(u, above, h, g, flux) == "explicit step at CFL 1.00 > 1"
+    # the speed one ulp above the boundary refuses the boundary's k
+    if flux is ss.BURGERS:
+        u[2] = np.nextafter(smax, math.inf)
+        assert (k * u[2]) / h > 1.0
+        assert _explicit_refusal(u, k, h, g, flux) is not None
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 4, 5])
+def test_explicit_vector_tails_flag_every_position(J):
+    # a speed over the CFL bound or a NaN in any one cell, or in the
+    # inflow, is seen: the vector loop, its tail and the ends each flag
+    rng = np.random.default_rng(J)
+    h, g = 1.0 / J, 0.3
+    for where in range(J + 1):
+        u = rng.uniform(-0.5, 0.5, J)
+        for bad, want in ((5.0, "explicit step at CFL"),
+                          (math.nan, "non-finite state")):
+            v, gv = u.copy(), g
+            if where == J:
+                gv = bad
+            else:
+                v[where] = bad
+            new, F_want, cfl = _np_explicit(v, 0.5 * h, h, gv, ss.BURGERS)
+            s = ss.Stepper(v, ss.BURGERS)
+            with pytest.raises(ss.SolverFailure, match=want):
+                s.explicit(0.5 * h, h, gv)
+            assert _same(s.u, v if new is None else new)
+            assert _same(s.F, F_want)
+        # and the state within the bound steps as numpy steps it
+        rows = np.empty((4, J))
+        rows[0] = u
+        k = np.array([0.5 * h, 0.25 * h, 0.9 * h])
+        gs = np.array([g, -0.4, 0.45])
+        done, err = ss.forward.march(rows, k, gs, h, ss.BURGERS, ss.EXPLICIT)
+        assert (done, err) == (3, None)
+        want = u
+        for n in range(3):
+            want, _, _ = _np_explicit(want, k[n], h, gs[n], ss.BURGERS)
+            assert _same(rows[n + 1], want)
+
+
+def test_nan_takes_precedence_over_a_cfl_refusal():
+    # one cell over the CFL bound and another NaN: np.maximum.reduce of
+    # the speeds is NaN, so the step runs and fails as a non-finite state
+    u = np.array([0.2, 50.0, -0.1, math.nan, 0.3, 0.1])
+    want, F_want, cfl = _np_explicit(u, 0.05, 0.1, 0.2, ss.BURGERS)
+    assert math.isnan(cfl)
+    s = ss.Stepper(u, ss.BURGERS)
+    with pytest.raises(ss.SolverFailure, match="non-finite state"):
+        s.explicit(0.05, 0.1, 0.2)
+    assert _same(s.u, want)
+    assert _same(s.F, F_want)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_infinite_cell_is_refused_at_cfl_inf(value):
+    u = np.array([0.2, value, -0.1, 0.3])
+    assert _explicit_refusal(u, 0.05, 0.1, 0.2) == "explicit step at CFL inf > 1"
+
+
 # -------------------------------------------------------------- Newton step
 
 @settings(max_examples=150, deadline=None)
@@ -202,7 +329,7 @@ def test_newton_stops_at_the_roundoff_floor():
     assert _same(s.u, want)
     assert stats.iterations > 3
     assert ss.forward.NEWTON_TOL < stats.residual
-    F = ss.interface_fluxes(s.u, 0.8)
+    F = interface_fluxes(s.u, 0.8)
     assert stats.residual <= 8 * EPS * (np.max(np.abs(s.u))
                                         + 200.0 / h * np.max(np.abs(F)))
     # the same state at a modest step converges by the tolerance
@@ -271,8 +398,7 @@ def test_dual_substeps_match_numpy_bitwise(J, N, seed, sparse, record):
     dual = ss.solve_dual_gradient(CoefficientField(grid, part, A), _Source(source),
                                   record_substeps=record)
     k = part.steps
-    a_max = np.maximum(A.max(axis=1), -A.min(axis=1))
-    m = np.maximum(np.ceil(k * a_max / (0.8 * grid.h) - 1e-12), 1.0)
+    m, _ = _np_substeps(A, k, grid.h)
     samples, log = _np_dual(A, k, grid.h, source, m, record)
     assert _same(dual.w_samples, samples)
     if record:
@@ -280,6 +406,69 @@ def test_dual_substeps_match_numpy_bitwise(J, N, seed, sparse, record):
         assert dual.max_mass_residual == max(log)
     else:
         assert dual.substep_log is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(0, 5),
+       st.integers(0, 2 ** 32 - 1), st.floats(min_value=0.05, max_value=1.0),
+       st.sampled_from(["uniform", "zeros", "tiny", "huge"]))
+def test_dual_substep_plan_matches_numpy_bitwise(J, N, seed, dual_cfl, rows):
+    rng = np.random.default_rng(seed)
+    A = {"uniform": rng.uniform(-3.0, 3.0, (N, J)),
+         "zeros": rng.choice([0.0, -0.0, 1e-300], (N, J)),
+         "tiny": rng.uniform(-1e-12, 1e-12, (N, J)),
+         "huge": rng.uniform(-1e6, 1e6, (N, J))}[rows]
+    k = rng.uniform(1e-4, 2.0, N)
+    h = 1.0 / J
+    m, dt = np.empty(N, _core.LONG), np.empty(N)
+    P = _core.ptr
+    assert _core.lib().dual_substeps(N, J, h, dual_cfl, P(k), P(A),
+                                     P(m, _core.LONG), P(dt)) == N
+    m_np, dt_np = _np_substeps(A, k, h, dual_cfl)
+    assert _same(m, m_np)
+    assert _same(dt, dt_np)
+
+
+@pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+def test_dual_substep_plan_at_integer_ratios(ulps):
+    # coefficients a few ulps either side of an integer ratio
+    # k a_max / (dual_cfl h): the -1e-12 decides between m and m + 1
+    J, h, dual_cfl = 5, 0.2, 0.8
+    k = np.array([0.3, 0.07, 1.1, 0.013])
+    A = np.empty((4, J))
+    for i, ratio in enumerate([1.0, 2.0, 7.0, 40.0]):
+        a = ratio * (dual_cfl * h) / k[i]
+        for _ in range(abs(ulps)):
+            a = np.nextafter(a, math.inf if ulps > 0 else 0.0)
+        A[i] = np.linspace(-a, a / 2, J)
+    m, dt = np.empty(4, _core.LONG), np.empty(4)
+    P = _core.ptr
+    assert _core.lib().dual_substeps(4, J, h, dual_cfl, P(k), P(A),
+                                     P(m, _core.LONG), P(dt)) == 4
+    m_np, dt_np = _np_substeps(A, k, h, dual_cfl)
+    assert _same(m, m_np)
+    assert _same(dt, dt_np)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
+def test_non_finite_substep_count_fails_before_any_substep(bad, monkeypatch):
+    # the first bad interval is named, and the march never starts
+    grid = ss.build_spatial_grid(6, 0)
+    part = ss.TimePartition(times=np.array([0.0, 0.02, 0.05, 0.06]))
+    A = np.linspace(-1.0, 1.0, 18).reshape(3, 6)
+    A[1, 4] = bad
+    lib = _core.lib()
+
+    class NoMarch:
+        def __getattr__(self, name):
+            assert name != "march_dual", "a substep ran"
+            return getattr(lib, name)
+
+    monkeypatch.setattr(_core, "lib", NoMarch)
+    with pytest.raises(ss.SolverFailure,
+                       match="non-finite coefficient in interval 1"):
+        ss.solve_dual_gradient(CoefficientField(grid, part, A),
+                               _Source(np.ones(6)))
 
 
 def test_kernel_arguments_are_checked_at_the_boundary():
@@ -304,6 +493,65 @@ def test_kernel_arguments_are_checked_at_the_boundary():
         ss.solve_dual_gradient(coeff, _Source(np.zeros(7)))
 
 
+# ---------------------------------------------------------------- breakdown
+
+class _Case:
+    """Inflow and weight of the breakdown; `weight` is a scalar or a
+    value per cell centre."""
+
+    def __init__(self, scalar_weight, seed):
+        self.scalar_weight = scalar_weight
+        self.seed = seed
+
+    def inflow_value(self, t):
+        return 0.8 * np.sin(3.0 * np.asarray(t, dtype=float) + self.seed)
+
+    def weight(self, x):
+        if self.scalar_weight:
+            return 0.3
+        return np.cos(5.0 * np.asarray(x, dtype=float)) ** 2
+
+
+@st.composite
+def _breakdown_inputs(draw):
+    """A trajectory of random states with mixed modes, a coefficient that
+    is not f'(u), dual samples, and a case; N = 0 and J = 1 included."""
+    N = draw(st.integers(min_value=0, max_value=6))
+    J = draw(st.integers(min_value=1, max_value=45))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    flux = draw(_FLUX)
+    grid = ss.SpatialGrid(level=0, cell_count=J, edges=np.linspace(0.0, 1.0, J + 1),
+                          h=1.0 / J)
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 0.1, N))))
+    modes = np.array(draw(st.lists(st.sampled_from([ss.EXPLICIT, ss.IMPLICIT]),
+                                   min_size=N, max_size=N)), dtype=np.int8)
+    part = ss.TimePartition(times=times, modes=modes)
+    states = rng.uniform(-1.5, 1.5, (N + 1, J))
+    if draw(st.booleans()):
+        states[rng.random(states.shape) < 0.3] = rng.choice([0.0, -0.0])
+    traj = ss.ForwardTrajectory(grid=grid, partition=part, states=states,
+                                flux=flux)
+    coeff = CoefficientField(grid, part, rng.uniform(-2.0, 2.0, (N, J)))
+    dual = ss.DualGradientTrajectory(grid, part, rng.normal(0.0, 1.0, (N, J)))
+    return traj, coeff, dual, _Case(draw(st.booleans()), rng.uniform(0, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_breakdown_inputs())
+def test_breakdown_kernel_matches_numpy_cell_terms_bitwise(inputs):
+    traj, coeff, dual, case = inputs
+    br = ss.assemble_breakdown(traj, coeff, dual, case)
+    N = traj.partition.interval_count
+    cells_k, cells_h = cell_terms(traj, coeff, dual, case, 0, N)
+    k = traj.partition.steps
+    assert _same(br.eta_k_bar_n, np.sum(np.abs(cells_k), axis=1) / k)
+    assert _same(br.eta_h_bar_n, np.sum(np.abs(cells_h), axis=1) / k)
+    assert _same(br.eta_k, float(np.sum(np.sum(cells_k, axis=1))))
+    assert _same(br.eta_h, float(np.sum(np.sum(cells_h, axis=1))))
+    assert _same(br.eta_k_bar, float(np.sum(k * br.eta_k_bar_n)))
+    assert _same(br.J_h, ss.evaluate_functional(traj, case))
+
+
 # ------------------------------------------------------- reference march
 
 def test_reference_march_independent_of_block_size(case, monkeypatch):
@@ -326,7 +574,37 @@ def test_reference_march_independent_of_block_size(case, monkeypatch):
         assert ss.reference_functional(case, 2) == acc, rows
 
 
+@pytest.mark.parametrize("J", [1, 7, 80, 1280, 5000])
+def test_batched_reference_dots_equal_row_dots(J):
+    # one np.matmul of (B, 1, J) @ (J, 1) takes each row through the
+    # same ddot as row @ W, so the reference functional keeps its bits
+    rng = np.random.default_rng(J)
+    rows = rng.uniform(-1.0, 1.0, (257, J))
+    W = rng.uniform(0.0, 1e-3, J)
+    dots = np.matmul(rows[1:, None, :], W[:, None]).ravel()
+    assert _same(dots, [float(row @ W) for row in rows[1:]])
+
+
 # ------------------------------------------------------------------ loader
+
+_UNSAFE_FLAGS = ("-ffast-math", "-Ofast", "-march", "-funsafe-math-optimizations",
+                 "-ffinite-math-only", "-fassociative-math")
+
+
+def test_compile_command_keeps_every_rounding(tmp_path):
+    # contraction off and none of the flags that license reassociation,
+    # finite-only math or another instruction set; the source builds
+    # without a warning
+    assert "-ffp-contract=off" in _core.COMPILE
+    assert not [flag for flag in _core.COMPILE
+                if flag.startswith(_UNSAFE_FLAGS)]
+    if shutil.which(_core.COMPILE[0]) is None:
+        pytest.skip(f"no {_core.COMPILE[0]} on PATH")
+    cmd = [*_core.COMPILE, "-Wall", "-Wextra", "-Werror",
+           "-o", str(tmp_path / "_core.so"), _core.SOURCE]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_missing_compiler_names_the_command(tmp_path, monkeypatch, case):
     # an empty cache and no `cc` on PATH: the first march says what failed

@@ -4,8 +4,6 @@ The vectorized assembly is checked against per-cell scalar loops written
 out independently here, the weight integrals against the analytic bump
 mass, and the reference functional against its frozen fine-grid value.
 """
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +11,9 @@ from hypothesis import strategies as st
 
 import shockstep as ss
 from shockstep.dual import DUAL_CFL, CoefficientField, DualGradientTrajectory
-from shockstep.estimator import ErrorBreakdown, _cell_terms
+from shockstep.estimator import ErrorBreakdown
 from shockstep.forward import ForwardTrajectory
+from oracles import cell_terms, update_fluxes
 
 # integral of the weight over its support, quadrature-independent value
 BUMP_MASS = 0.0887987632336159
@@ -91,7 +90,7 @@ def _one_step_breakdown(states, a, w, weight):
                                   w_samples=np.full((1, 2), w))
     case = _ConstWeight(weight)
     br = ss.assemble_breakdown(traj, coeff, dual, case)
-    return br, _cell_terms(traj, coeff, dual, case, 0, 1)
+    return br, cell_terms(traj, coeff, dual, case, 0, 1)
 
 
 def test_breakdown_time_term_reference_value():
@@ -122,7 +121,7 @@ def test_breakdown_matches_scalar_loops(case):
     # the loops' inputs, rebuilt from the trajectory
     coeff = ss.build_coefficient_field(traj)
     dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
-    F = ss.update_fluxes(traj, case)
+    F = update_fluxes(traj, case)
 
     N, J = part.interval_count, grid.cell_count
     h = grid.h
@@ -140,7 +139,7 @@ def test_breakdown_matches_scalar_loops(case):
             fm = 0.5 * traj.states[n + 1, j] ** 2
             eth[n, j] = k[n] * 0.5 * h * dual.w_samples[n, j] * (F1 + F0 - 2.0 * fm)
 
-    cells_k, cells_h = _cell_terms(traj, coeff, dual, case, 0, N)
+    cells_k, cells_h = cell_terms(traj, coeff, dual, case, 0, N)
     np.testing.assert_allclose(cells_k, etk, rtol=1e-14, atol=1e-24)
     np.testing.assert_allclose(cells_h, eth, rtol=1e-14, atol=1e-24)
     np.testing.assert_allclose(br.eta_k_bar_n, np.sum(np.abs(etk), axis=1) / k,
@@ -159,7 +158,7 @@ def test_breakdown_aggregates_are_consistent(base_report, base_trajectory,
     coeff = ss.build_coefficient_field(traj)
     dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
     N = part.interval_count
-    cells_k, cells_h = _cell_terms(traj, coeff, dual, case, 0, N)
+    cells_k, cells_h = cell_terms(traj, coeff, dual, case, 0, N)
     assert cells_k.shape == (N, rep.grid.cell_count)
     assert cells_h.shape == cells_k.shape
     np.testing.assert_allclose(br.eta_k, np.sum(cells_k), rtol=1e-12)
@@ -179,21 +178,39 @@ def test_breakdown_aggregates_are_consistent(base_report, base_trajectory,
     assert abs(br.eta_h) <= br.eta_h_bar * (1 + 1e-12)
 
 
-def test_breakdown_independent_of_block_size(case, mixed_trajectory,
-                                             monkeypatch):
-    import shockstep.estimator as est
+def test_breakdown_independent_of_block_size(case, mixed_trajectory):
+    # the compiled breakdown works row by row: its four sums over any
+    # blocks of intervals are those of one call over all of them, which
+    # lets a blocked backward sweep call it per block
+    from shockstep import _core
+    from shockstep._core import ptr
     traj = mixed_trajectory
     coeff = ss.build_coefficient_field(traj)
     dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
-    N = traj.partition.interval_count
-    want = ss.assemble_breakdown(traj, coeff, dual, case)
-    for rows in (1, 7, N, N + 5):
-        monkeypatch.setattr(est, "_BLOCK_ROWS", rows)
-        got = ss.assemble_breakdown(traj, coeff, dual, case)
-        for field in dataclasses.fields(ErrorBreakdown):
-            a = np.asarray(getattr(want, field.name))
-            b = np.asarray(getattr(got, field.name))
-            assert a.tobytes() == b.tobytes(), (rows, field.name)
+    part, grid = traj.partition, traj.grid
+    N, J = part.interval_count, grid.cell_count
+    k, modes = part.steps, part.modes
+    g = np.asarray(case.inflow_value(
+        part.times[np.arange(N) + (modes == ss.IMPLICIT)]), dtype=float)
+    psi = np.asarray(case.weight(grid.centers), dtype=float)
+    A, W, u = np.ascontiguousarray(coeff.a_values), dual.w_samples, traj.states
+
+    def sums(lo, hi):
+        out = np.empty((4, hi - lo))
+        assert _core.lib().breakdown(
+            hi - lo, J, grid.h, ptr(k[lo:hi]), ptr(u[lo:hi + 1]),
+            ptr(modes[lo:hi], np.int8), ptr(g[lo:hi]), 0, 0.0, ptr(psi),
+            ptr(A[lo:hi]), ptr(W[lo:hi]), ptr(out)) == hi - lo
+        return out
+
+    want = sums(0, N)
+    br = ss.assemble_breakdown(traj, coeff, dual, case)
+    assert (want[1] / k).tobytes() == br.eta_k_bar_n.tobytes()
+    assert (want[3] / k).tobytes() == br.eta_h_bar_n.tobytes()
+    for rows in (1, 7, 256, N + 5):
+        got = np.concatenate([sums(lo, min(lo + rows, N))
+                              for lo in range(0, N, rows)], axis=1)
+        assert got.tobytes() == want.tobytes(), rows
 
 
 def test_breakdown_rejects_mismatched_shapes(case):
@@ -260,6 +277,12 @@ def test_linear_twin_estimate_is_exact_within_band(linear_case, level,
 
 def test_reference_functional_frozen_value(j_ref):
     assert j_ref == pytest.approx(1.728244437200482, abs=5e-12)
+
+
+def test_reference_functional_level6_bits(j_ref):
+    # the value bench/golden.json was frozen with, to the last bit: each
+    # row's `@ W` must round as one ddot does (a block gemv would not)
+    assert j_ref == 1.7282444372004822
 
 
 def _count_reference_steps(monkeypatch):

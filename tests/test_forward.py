@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shockstep as ss
+from oracles import interface_fluxes, update_fluxes
 
 # squares of these stay finite, so no overflow warning can fire
 _FINITE = st.floats(min_value=-1e150, max_value=1e150,
@@ -25,7 +26,7 @@ _STATE = st.floats(min_value=-2.0, max_value=2.0,
 def _pair_flux(uL, uR, flux=ss.BURGERS):
     """The interface flux of each pair (uL, uR), taken from `interface_fluxes`
     as the inflow interface of a one-cell state uR with ghost value uL."""
-    return ss.interface_fluxes(np.asarray(uR)[..., None], uL, flux)[..., 0]
+    return interface_fluxes(np.asarray(uR)[..., None], uL, flux)[..., 0]
 
 
 @pytest.mark.parametrize("uL,uR,expected", [
@@ -43,7 +44,7 @@ def test_eo_flux_vectorized():
     # a leading axis of states and inflow values: one row per pair
     uL = np.array([1.0, 1.0, -1.0, 0.0, 2.0])
     uR = np.array([1.0, -1.0, 1.0, 0.0, 1.0])
-    F = ss.interface_fluxes(uR[:, None], uL)
+    F = interface_fluxes(uR[:, None], uL)
     assert F.shape == (5, 2)
     np.testing.assert_array_equal(F[:, 0], [0.5, 1.0, 0.0, 0.0, 2.0])
     np.testing.assert_array_equal(F[:, 1], 0.5 * uR * uR)
@@ -85,7 +86,7 @@ def test_eo_flux_matches_scalar_reference_bitwise(pairs):
     want = np.array([_eo_flux_scalar(a, b) for a, b in pairs])
     assert _pair_flux(uL, uR).tobytes() == want.tobytes()
     # the interior interfaces of one row of cells uR, inflow uL[0]
-    F = ss.interface_fluxes(uR, uL[0])
+    F = interface_fluxes(uR, uL[0])
     inner = np.array([_eo_flux_scalar(a, b) for a, b in zip(uR[:-1], uR[1:])])
     assert F[1:-1].tobytes() == inner.tobytes()
     assert np.float64(F[0]).tobytes() == want[:1].tobytes()
@@ -149,21 +150,21 @@ def test_interface_fluxes_layout():
     rng = np.random.default_rng(11)
     u = rng.uniform(-1.0, 1.0, size=17)
     g = 0.9
-    F = ss.interface_fluxes(u, g)
+    F = interface_fluxes(u, g)
     assert F.shape == (18,)
     assert F[0] == _eo_flux_scalar(g, u[0])
     assert F[-1] == 0.5 * u[-1] ** 2
     np.testing.assert_array_equal(
         F[1:-1], [_eo_flux_scalar(a, b) for a, b in zip(u[:-1], u[1:])])
     # rows along a leading axis, each with its own inflow value
-    rows = ss.interface_fluxes(np.stack([u, u[::-1]]), np.array([g, -g]))
+    rows = interface_fluxes(np.stack([u, u[::-1]]), np.array([g, -g]))
     np.testing.assert_array_equal(rows[0], F)
-    np.testing.assert_array_equal(rows[1], ss.interface_fluxes(u[::-1], -g))
+    np.testing.assert_array_equal(rows[1], interface_fluxes(u[::-1], -g))
 
 
 def test_interface_fluxes_uniform_state():
     u = np.full(12, 0.7)
-    F = ss.interface_fluxes(u, 0.7)
+    F = interface_fluxes(u, 0.7)
     np.testing.assert_array_equal(F, np.full(13, 0.5 * 0.7 * 0.7))
 
 
@@ -176,7 +177,7 @@ def test_interface_fluxes_equal_the_stepper_fluxes(flux):
     u = rng.uniform(-1.0, 1.0, size=9)
     s = ss.Stepper(u, flux)
     s.explicit(0.01, 0.1, 0.4)
-    assert s.F.tobytes() == ss.interface_fluxes(u, 0.4, flux).tobytes()
+    assert s.F.tobytes() == interface_fluxes(u, 0.4, flux).tobytes()
 
 
 # ---------------------------------------------------------------- explicit step
@@ -426,7 +427,7 @@ def test_run_forward_zero_interval_partition(case):
     grid = ss.build_spatial_grid(20, 0)
     traj = ss.run_forward(grid, ss.TimePartition(times=np.array([0.0])), case)
     assert traj.states.shape == (1, 20)
-    assert ss.update_fluxes(traj, case).shape == (0, 21)
+    assert update_fluxes(traj, case).shape == (0, 21)
     assert traj.newton_stats == []
 
 
@@ -440,7 +441,7 @@ def test_update_fluxes_reproduce_every_update(case):
                       ss.EXPLICIT, ss.IMPLICIT], dtype=np.int8)
     traj = ss.run_forward(grid, ss.TimePartition(times=times, modes=modes),
                           case)
-    F = ss.update_fluxes(traj, case)
+    F = update_fluxes(traj, case)
     assert F.shape == (6, 21)
     u = traj.states
     for n in range(6):
@@ -490,7 +491,7 @@ def test_run_forward_conserves_mass_explicit(base_trajectory, case):
     traj = base_trajectory
     h = traj.grid.h
     k = traj.partition.steps
-    F = ss.update_fluxes(traj, case)
+    F = update_fluxes(traj, case)
     lhs = h * float(np.sum(traj.states[-1] - traj.states[0]))
     rhs = -float(np.sum(k * (F[:, -1] - F[:, 0])))
     scale = h * float(np.sum(np.abs(traj.states[-1])))
@@ -504,7 +505,7 @@ def test_run_forward_conserves_mass_implicit(case):
     traj = ss.run_forward(grid, part, case)
     h = grid.h
     k = part.steps
-    F = ss.update_fluxes(traj, case)
+    F = update_fluxes(traj, case)
     lhs = h * float(np.sum(traj.states[-1] - traj.states[0]))
     rhs = -float(np.sum(k * (F[:, -1] - F[:, 0])))
     # Newton tolerance, not roundoff, bounds the defect here
@@ -535,7 +536,7 @@ def test_run_forward_conserves_mass_mixed_partition(case, t0, steps):
     part = ss.TimePartition(times=np.concatenate(([0.0], np.cumsum(ks))),
                             modes=np.array(modes, dtype=np.int8))
     traj = ss.run_forward(grid, part, case)
-    F = ss.update_fluxes(traj, case)
+    F = update_fluxes(traj, case)
     h = grid.h
     lhs = h * float(np.sum(traj.states[-1] - traj.states[0]))
     rhs = -float(np.sum(part.steps * (F[:, -1] - F[:, 0])))
