@@ -12,15 +12,33 @@
  *   - max(v, 0) and min(v, 0) follow np.maximum / np.minimum: NaN
  *     propagates, and on a tie (v = -0.0) the second argument, +0.0, wins;
  *   - sums that numpy takes with np.sum use numpy's pairwise summation;
- *   - the two-wide vector code (GCC/Clang vector extensions) applies the
- *     same operations lane by lane: every lane is one cell's IEEE
- *     operation, nothing is reassociated, and only OR-ed flags cross lanes.
+ *   - the vector code (GCC/Clang vector extensions) applies the same
+ *     operations lane by lane: every lane is one cell's IEEE operation,
+ *     nothing is reassociated, and only OR-ed flags cross lanes.
+ *
+ * The vector loops are written once, for LANES lanes, at the end of this
+ * file, which includes itself once per width: 2 lanes for the baseline
+ * target, and on x86-64 with GCC also 4 lanes compiled for AVX2 and 8 for
+ * AVX-512F.  The library picks the widest the CPU supports when it is
+ * loaded; since every lane does its own cell's operations, the width
+ * changes no bit.  -DMAX_LANES=2 (or 4) leaves the wider copies out.
  */
+#ifndef LANES
+
 #include <float.h>
 #include <limits.h>
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
+
+#ifndef MAX_LANES
+#define MAX_LANES 8
+#endif
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#define WIDEST MAX_LANES
+#else
+#define WIDEST 2
+#endif
 
 enum { OK = 0, CFL = 1, NONFINITE_STATE = 2, NONFINITE_RESIDUAL = 3,
        SINGULAR = 4, STALLED = 5, NO_MEMORY = 6 };
@@ -34,35 +52,6 @@ static double neg(double v) { return v >= 0.0 ? 0.0 : v; }
 /* one step of np.maximum.reduce: NaN propagates */
 static double nanmax(double m, double v) { return (v > m || v != v) ? v : m; }
 
-/* two lanes of doubles, and of the comparison masks they give */
-typedef double v2d __attribute__((vector_size(16)));
-typedef long long v2l __attribute__((vector_size(16)));
-
-static inline v2d load2(const double *p)
-{
-    v2d v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static inline void store2(double *p, v2d v) { memcpy(p, &v, sizeof v); }
-
-/* pos and neg lane by lane: the mask clears the lanes that become +0.0 */
-static inline v2d pos2(v2d v)
-{
-    return (v2d)((v2l)v & ~(v <= (v2d){0.0, 0.0}));
-}
-
-static inline v2d neg2(v2d v)
-{
-    return (v2d)((v2l)v & ~(v >= (v2d){0.0, 0.0}));
-}
-
-static inline v2d abs2(v2d v)
-{
-    return (v2d)((v2l)v & (v2l){LLONG_MAX, LLONG_MAX});
-}
-
 static int all_finite(const double *u, long n)
 {
     for (long j = 0; j < n; j++)
@@ -70,40 +59,6 @@ static int all_finite(const double *u, long n)
             return 0;
     return 1;
 }
-
-/* numpy's pairwise summation of a contiguous float64 array, as np.sum
- * takes it: 8 accumulators over blocks of at most 128, halves above. */
-static double pairwise(const double *a, long n)
-{
-    if (n < 8) {
-        double res = 0.0;
-        for (long i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        /* accumulators 0 .. 7 are the lanes of r0 .. r3 in turn */
-        v2d r0 = load2(a), r1 = load2(a + 2), r2 = load2(a + 4),
-            r3 = load2(a + 6);
-        long i;
-        for (i = 8; i < n - (n % 8); i += 8) {
-            r0 += load2(a + i);
-            r1 += load2(a + i + 2);
-            r2 += load2(a + i + 4);
-            r3 += load2(a + i + 6);
-        }
-        double res = ((r0[0] + r0[1]) + (r1[0] + r1[1])) +
-                     ((r2[0] + r2[1]) + (r3[0] + r3[1]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    long n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise(a, n2) + pairwise(a + n2, n - n2);
-}
-
-static double np_sum(const double *a, long n) { return 0.0 + pairwise(a, n); }
 
 /* The flux classes' `split` of one value v: one-sided derivatives *dp,
  * *dm and flux parts *fp, *fm. */
@@ -164,104 +119,6 @@ static double cfl_threshold(double k, double h)
     return s;
 }
 
-/* The flux parts fp(v), fm(v) of two values at once, as `split` forms
- * them: p and m are the derivative parts of LINEAR's constant a. */
-static inline __attribute__((always_inline))
-v2d fp2(int kind, double p, v2d v)
-{
-    if (kind == BURGERS) {
-        v2d q = pos2(v);
-        return (q * 0.5) * q;
-    }
-    return p * v;
-}
-
-static inline __attribute__((always_inline))
-v2d fm2(int kind, double m, v2d v)
-{
-    if (kind == BURGERS) {
-        v2d q = neg2(v);
-        return (q * 0.5) * q;
-    }
-    return m * v;
-}
-
-/* The fluxes F_i = fp(v_i) + fm(v_{i+1}), i = 0 .. J, of the values
- * v = (g, u_0 .. u_{J-1}, u_{J-1}), two at a time; the derivative parts
- * of all J + 2 values go to dp and dm unless those are NULL.  For BURGERS
- * the wave speed of v is |v|, so unless over is NULL the pass also sets
- * *over when a speed is above t (a NaN speed is not); LINEAR's one speed
- * is the caller's to test. */
-static inline __attribute__((always_inline))
-void fluxes_of(int kind, double a, const double *u, long J, double g,
-               double *dp, double *dm, double *F, double t, int *over)
-{
-    double p = 0.0, m = 0.0, vp, vm, fp, fm, fprev;
-    if (kind == LINEAR)
-        split(LINEAR, a, 0.0, &p, &m, &fp, &fm);
-    v2d vt = {t, t};
-    v2l big = {0, 0};
-    long i = 1;
-    for (; i + 1 < J; i += 2) {
-        v2d l = load2(u + i - 1);
-        store2(F + i, fp2(kind, p, l) + fm2(kind, m, load2(u + i)));
-        if (dp) {
-            store2(dp + i, kind == BURGERS ? pos2(l) : (v2d){p, p});
-            store2(dm + i, kind == BURGERS ? neg2(l) : (v2d){m, m});
-        }
-        if (kind == BURGERS && over)
-            big |= abs2(l) > vt;
-    }
-    /* v_0 = g and F_0; then one value at a time from the first value no
-     * pair took, through v_J = v_{J+1} = u_{J-1} */
-    long tail = i;
-    int o = (int)(big[0] | big[1]) | (fabs(g) > t);
-    split(kind, a, g, &vp, &vm, &fprev, &fm);
-    if (dp) {
-        dp[0] = vp;
-        dm[0] = vm;
-    }
-    if (tail > 1) {
-        split(kind, a, u[0], &vp, &vm, &fp, &fm);
-        F[0] = fprev + fm;
-        split(kind, a, u[tail - 2], &vp, &vm, &fprev, &fm);
-    }
-    for (i = tail; i <= J + 1; i++) {
-        double v = u[i <= J ? i - 1 : J - 1];
-        split(kind, a, v, &vp, &vm, &fp, &fm);
-        if (dp) {
-            dp[i] = vp;
-            dm[i] = vm;
-        }
-        F[i - 1] = fprev + fm;
-        fprev = fp;
-        o |= fabs(v) > t;
-    }
-    if (kind == BURGERS && over)
-        *over = o;
-}
-
-/* `fluxes_of`, compiled once per flux kind and per output, so that the
- * per-value branches on them fold away: the derivative parts (Newton),
- * the CFL flag (explicit steps) or the fluxes alone (the breakdown). */
-static void fluxes(int kind, double a, const double *u, long J, double g,
-                   double *dp, double *dm, double *F, double t, int *over)
-{
-    if (kind == BURGERS) {
-        if (dp)
-            fluxes_of(BURGERS, a, u, J, g, dp, dm, F, 0.0, NULL);
-        else if (over)
-            fluxes_of(BURGERS, a, u, J, g, NULL, NULL, F, t, over);
-        else
-            fluxes_of(BURGERS, a, u, J, g, NULL, NULL, F, 0.0, NULL);
-    } else {
-        if (dp)
-            fluxes_of(LINEAR, a, u, J, g, dp, dm, F, 0.0, NULL);
-        else
-            fluxes_of(LINEAR, a, u, J, g, NULL, NULL, F, 0.0, NULL);
-    }
-}
-
 /* max|f'| over the state and g as np.maximum.reduce takes it (NaN
  * propagates): |v| for BURGERS, LINEAR's one speed otherwise. */
 static double max_speed(int kind, double speed, const double *u, long J,
@@ -273,66 +130,6 @@ static double max_speed(int kind, double speed, const double *u, long J,
     for (long j = 0; j < J; j++)
         s = nanmax(s, fabs(u[j]));
     return s;
-}
-
-/* un = uo - (F[1:] - F[:-1]) * lam, two cells at a time; returns whether
- * every cell of un is finite. */
-static int update(const double *uo, const double *F, long J, double lam,
-                  double *un)
-{
-    v2d vl = {lam, lam}, zero = {0.0, 0.0};
-    v2l bad = {0, 0};
-    long j = 0;
-    for (; j + 1 < J; j += 2) {
-        v2d x = load2(uo + j) - (load2(F + j + 1) - load2(F + j)) * vl;
-        store2(un + j, x);
-        bad |= (x - x) != zero;        /* NaN exactly when x is not finite */
-    }
-    int b = (int)(bad[0] | bad[1]);
-    for (; j < J; j++) {
-        un[j] = uo[j] - (F[j + 1] - F[j]) * lam;
-        b |= !isfinite(un[j]);
-    }
-    return !b;
-}
-
-/* Forward Euler over n steps: rows u[0 .. n] of length J, row 0 given.
- * Step i has length k[i] and inflow g[i]; F (J + 1) ends with the fluxes
- * of the last step tried.  A step with k max|f'| / h > 1 is refused (its
- * row is not written, *value = its CFL); a NaN wave speed makes max|f'|
- * NaN, as np.maximum.reduce does, which is no refusal: the step runs and
- * fails as a non-finite state.  The flux pass compares each speed with
- * cfl_threshold, so max|f'| and the CFL are only formed once a speed is
- * above it. */
-long march_explicit(long n, long J, double h, const double *k,
-                    const double *g, int kind, double a, double *u,
-                    double *F, int *code, double *value)
-{
-    *code = OK;
-    double p, m, fp, fm;
-    split(kind, a, 0.0, &p, &m, &fp, &fm);
-    double speed = p - m;               /* LINEAR's one wave speed */
-    long i;
-    for (i = 0; i < n; i++) {
-        const double *uo = u + i * J;
-        double *un = u + (i + 1) * J;
-        double t = cfl_threshold(k[i], h);
-        int over = speed > t;
-        fluxes(kind, a, uo, J, g[i], NULL, NULL, F, t, &over);
-        if (over) {
-            double cfl = k[i] * max_speed(kind, speed, uo, J, g[i]) / h;
-            if (cfl > 1.0) {
-                *code = CFL;
-                *value = cfl;
-                break;
-            }
-        }
-        if (!update(uo, F, J, k[i] / h, un)) {
-            *code = NONFINITE_STATE;
-            break;
-        }
-    }
-    return i;
 }
 
 /* Reference LAPACK dgtsv for one right-hand side, transcribed statement by
@@ -397,6 +194,88 @@ long dgtsv(long n, double *dl, double *d, double *du, double *b)
     return 0;
 }
 
+/* The kernels of one width (see the end of this file). */
+struct kernels {
+    long lanes;
+    long (*march_explicit)(long, long, double, const double *, const double *,
+                           int, double, double *, double *, int *, double *);
+    long (*march_implicit)(long, long, double, const double *, const double *,
+                           int, double, double, long, double *, double *,
+                           int *, double *, signed char *, int *, double *);
+    long (*breakdown)(long, long, double, const double *, const double *,
+                      const signed char *, const double *, int, double,
+                      const double *, const double *, const double *,
+                      double *);
+};
+
+/* Each width's copy of a name: W_(update) is update_4 at LANES 4. */
+#define JOIN_(name, lanes) name##_##lanes
+#define JOIN(name, lanes) JOIN_(name, lanes)
+#define W_(name) JOIN(name, LANES)
+/* this file, to include itself: its own name where the compiler gives it,
+ * so that a relative path builds too */
+#ifdef __FILE_NAME__
+#define SELF __FILE_NAME__
+#else
+#define SELF __FILE__
+#endif
+
+#define LANES 2
+#include SELF
+#undef LANES
+#if WIDEST >= 4
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#define LANES 4
+#include SELF
+#undef LANES
+#pragma GCC pop_options
+#endif
+#if WIDEST >= 8
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+#define LANES 8
+#include SELF
+#undef LANES
+#pragma GCC pop_options
+#endif
+
+/* The widest copy this CPU runs, chosen once when the library is loaded.
+ * __builtin_cpu_supports also checks that the OS saves the wide
+ * registers. */
+static const struct kernels *active = &kernels_2;
+
+#if WIDEST >= 4
+__attribute__((constructor)) static void choose_lanes(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        active = &kernels_4;
+#if WIDEST >= 8
+    if (__builtin_cpu_supports("avx512f"))
+        active = &kernels_8;
+#endif
+}
+#endif
+
+/* The vector width the marches and the breakdown run at. */
+long lanes(void) { return active->lanes; }
+
+/* Forward Euler over n steps: rows u[0 .. n] of length J, row 0 given.
+ * Step i has length k[i] and inflow g[i]; F (J + 1) ends with the fluxes
+ * of the last step tried.  A step with k max|f'| / h > 1 is refused (its
+ * row is not written, *value = its CFL); a NaN wave speed makes max|f'|
+ * NaN, as np.maximum.reduce does, which is no refusal: the step runs and
+ * fails as a non-finite state.  The flux pass compares each speed with
+ * cfl_threshold, so max|f'| and the CFL are only formed once a speed is
+ * above it. */
+long march_explicit(long n, long J, double h, const double *k,
+                    const double *g, int kind, double a, double *u,
+                    double *F, int *code, double *value)
+{
+    return active->march_explicit(n, J, h, k, g, kind, a, u, F, code, value);
+}
+
 /* Backward Euler over n steps, rows as in march_explicit, g[i] the inflow
  * at the step's end.  Newton with full steps on
  *     r = (u - u_old) + lam (F[1:] - F[:-1]) = 0
@@ -413,6 +292,407 @@ long march_implicit(long n, long J, double h, const double *k,
                     long max_iter, double *u, double *F, int *iters,
                     double *resid, signed char *stop, int *code,
                     double *value)
+{
+    return active->march_implicit(n, J, h, k, g, kind, a, tol, max_iter, u, F,
+                                  iters, resid, stop, code, value);
+}
+
+/* The error breakdown of n intervals, each reduced to four sums.
+ * Interval i has length k[i], the states u[i] and u[i + 1] (rows of J),
+ * the stencil row u[i] (explicit, modes[i] = 0) or u[i + 1] (implicit)
+ * with the stencil's inflow g[i], the coefficients A[i] and the dual
+ * samples W[i]; psi holds the weight at the J cell centres.  Its cell
+ * terms, in numpy's operation order, are
+ *     eta_k = ((-0.5 k) h) (u1 - u0) (psi - a w)
+ *     eta_h = (((k 0.5) h) w) ((F_{j+1} + F_j) - 2 f(u1))
+ * with the fluxes F of the stencil, rebuilt as the march built them.
+ * out receives four rows of n: the np.sum of eta_k, of |eta_k|, of eta_h
+ * and of |eta_h| over each interval's cells.  Returns n, or -1 when out
+ * of memory. */
+long breakdown(long n, long J, double h, const double *k, const double *u,
+               const signed char *modes, const double *g, int kind, double a,
+               const double *psi, const double *A, const double *W,
+               double *out)
+{
+    return active->breakdown(n, J, h, k, u, modes, g, kind, a, psi, A, W, out);
+}
+
+/* The dual march's substep plan of n intervals: interval i, of length
+ * k[i] with the coefficient row A[i] (J values), takes
+ *     m[i] = max(ceil((k a_max) / (cfl h) - 1e-12), 1)
+ * substeps of length dt[i] = k[i] / m[i], a_max = max_j |A[i, j]|, in
+ * numpy's operation order.  Returns n, or the first interval whose count
+ * is not finite (a NaN or infinite coefficient) or does not fit a long;
+ * nothing is written for it. */
+long dual_substeps(long n, long J, double h, double cfl, const double *k,
+                   const double *A, long *m, double *dt)
+{
+    for (long i = 0; i < n; i++) {
+        const double *a = A + i * J;
+        /* four running maxima of |a| that skip NaN, and a sum of a - a
+         * that is NaN exactly when some a is not finite */
+        double b[4] = {0.0, 0.0, 0.0, 0.0};
+        vd_2 z = {0.0, 0.0};
+        long j = 0;
+        for (; j + 3 < J; j += 4) {
+            for (int q = 0; q < 4; q++) {
+                double v = fabs(a[j + q]);
+                b[q] = v > b[q] ? v : b[q];
+            }
+            vd_2 v0 = load_2(a + j), v1 = load_2(a + j + 2);
+            z += (v0 - v0) + (v1 - v1);
+        }
+        double finite = z[0] + z[1];
+        for (; j < J; j++) {
+            double v = fabs(a[j]);
+            b[0] = v > b[0] ? v : b[0];
+            finite += v - v;
+        }
+        /* as for np.max, a NaN (or infinite) row's count is not finite */
+        double amax = finite == 0.0 ? fmax(fmax(b[0], b[1]), fmax(b[2], b[3]))
+                                    : NAN;
+        double mi = ceil((k[i] * amax) / (cfl * h) - 1e-12);
+        mi = mi < 1.0 ? 1.0 : mi;
+        if (!(mi <= (double)(LONG_MAX / 2)))
+            return i;
+        m[i] = (long)mi;
+        dt[i] = k[i] / mi;
+    }
+    return n;
+}
+
+/* The dual gradient's explicit backward march over n intervals, taken
+ * from the last to the first.  Interval i has the frozen coefficient row
+ * A[i] (J finite values, which the caller checks), m[i] substeps of
+ * length dt[i], and receives in samples[i] the profile after substep
+ * (m + 1) / 2.  wext holds w between two zero ghost values and carries it
+ * from call to call.  With the interface coefficient s = (a_left +
+ * a_right) / 2, edge cells extended, split into ap = max(s, 0) and
+ * am = min(s, 0), each substep is
+ *     S = ap w_right + am w_left,  w += lam (S[1:] - S[:-1]),  w += dt src
+ * in one pass that reads S's two old w values before it overwrites w_j.
+ * When mass is not NULL it receives each substep's relative mass-balance
+ * residual, in march order.  Returns the intervals completed: a
+ * non-finite w stops the march after its interval; -1 is out of memory. */
+long march_dual(long n, long J, double h, const double *A, const long *m,
+                const double *dt, const double *src, double src_total,
+                double *wext, double *samples, double *mass)
+{
+    double *block = malloc(sizeof(double) * (2 * (J + 1) + 2 * J));
+    if (!block)
+        return -1;
+    double *ap = block, *am = ap + J + 1, *diff = am + J + 1, *absw = diff + J;
+    double *w = wext + 1;
+    long done = 0;
+    for (long i = n - 1; i >= 0; i--) {
+        const double *a = A + i * J;
+        double lam = dt[i] / h, dti = dt[i];
+        long sample_at = (m[i] + 1) / 2;
+        for (long q = 0; q <= J; q++) {
+            double s = ((q ? a[q - 1] : a[0]) + (q < J ? a[q] : a[J - 1])) * 0.5;
+            am[q] = s < 0.0 ? s : 0.0;
+            ap[q] = s > 0.0 ? s : 0.0;
+        }
+        for (long step = 1; step <= m[i]; step++) {
+            double S0 = ap[0] * wext[1] + am[0] * wext[0], Sl = S0;
+            for (long j = 0; j < J; j++) {
+                double old = wext[j + 1];
+                double Sr = ap[j + 1] * wext[j + 2] + am[j + 1] * old;
+                double x = old + (Sr - Sl) * lam;
+                x = x + dti * src[j];
+                wext[j + 1] = x;
+                Sl = Sr;
+                if (mass) {
+                    diff[j] = x - old;
+                    absw[j] = fabs(x);
+                }
+            }
+            if (mass) {
+                /* telescoping mass balance of the conservative update */
+                double G0 = -S0, GJ = -Sl;
+                double resid = fabs(h * np_sum_2(diff, J) + dti * (GJ - G0)
+                                    - dti * src_total);
+                double scale = h * np_sum_2(absw, J) + fabs(dti * src_total)
+                               + dti * (fabs(G0) + fabs(GJ)) + 1e-300;
+                *mass++ = resid / scale;
+            }
+            if (step == sample_at)
+                memcpy(samples + i * J, w, sizeof(double) * J);
+        }
+        if (!all_finite(w, J))
+            break;
+        done++;
+    }
+    free(block);
+    return done;
+}
+
+#else /* LANES: the vector loops at one width, included once per width */
+
+/* this width's names: every static below is renamed per width */
+#define vd W_(vd)
+#define vl W_(vl)
+#define load W_(load)
+#define store W_(store)
+#define splat W_(splat)
+#define any W_(any)
+#define vpos W_(vpos)
+#define vneg W_(vneg)
+#define vabs W_(vabs)
+#define vfp W_(vfp)
+#define vfm W_(vfm)
+#define fluxes_of W_(fluxes_of)
+#define fluxes W_(fluxes)
+#define update W_(update)
+#define pairwise W_(pairwise)
+#define np_sum W_(np_sum)
+#define cell_terms W_(cell_terms)
+#define explicit_ W_(explicit)
+#define implicit_ W_(implicit)
+#define breakdown_ W_(breakdown)
+
+/* LANES doubles, and the comparison masks they give */
+typedef double vd __attribute__((vector_size(8 * LANES)));
+typedef long long vl __attribute__((vector_size(8 * LANES)));
+
+static inline __attribute__((always_inline)) vd load(const double *p)
+{
+    vd v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline __attribute__((always_inline)) void store(double *p, vd v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+/* every lane x: a lane's bits, -0.0 included */
+static inline __attribute__((always_inline)) vd splat(double x)
+{
+    vd v;
+    for (int q = 0; q < LANES; q++)
+        v[q] = x;
+    return v;
+}
+
+/* whether any lane of a mask is set */
+static inline __attribute__((always_inline)) int any(vl m)
+{
+    long long o = 0;
+    for (int q = 0; q < LANES; q++)
+        o |= m[q];
+    return o != 0;
+}
+
+/* pos and neg lane by lane: the mask clears the lanes that become +0.0 */
+static inline __attribute__((always_inline)) vd vpos(vd v)
+{
+    return (vd)((vl)v & ~(v <= (vd){0.0}));
+}
+
+static inline __attribute__((always_inline)) vd vneg(vd v)
+{
+    return (vd)((vl)v & ~(v >= (vd){0.0}));
+}
+
+static inline __attribute__((always_inline)) vd vabs(vd v)
+{
+    return (vd)((vl)v & ~(vl)splat(-0.0));
+}
+
+/* numpy's pairwise summation of a contiguous float64 array, as np.sum
+ * takes it: 8 accumulators over blocks of at most 128, halves above. */
+static double pairwise(const double *a, long n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (long i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        /* accumulators 0 .. 7 are the lanes of r[0], r[1], ... in turn */
+        vd r[8 / LANES];
+#pragma GCC unroll 4
+        for (int q = 0; q < 8 / LANES; q++)
+            r[q] = load(a + q * LANES);
+        long i;
+        for (i = 8; i < n - (n % 8); i += 8) {
+#pragma GCC unroll 4
+            for (int q = 0; q < 8 / LANES; q++)
+                r[q] += load(a + i + q * LANES);
+        }
+#define ACC(q) r[(q) / LANES][(q) % LANES]
+        double res = ((ACC(0) + ACC(1)) + (ACC(2) + ACC(3))) +
+                     ((ACC(4) + ACC(5)) + (ACC(6) + ACC(7)));
+#undef ACC
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+static double np_sum(const double *a, long n) { return 0.0 + pairwise(a, n); }
+
+/* The flux parts fp(v), fm(v) of LANES values at once, as `split` forms
+ * them: p and m are the derivative parts of LINEAR's constant a. */
+static inline __attribute__((always_inline)) vd vfp(int kind, double p, vd v)
+{
+    if (kind == BURGERS) {
+        vd q = vpos(v);
+        return (q * 0.5) * q;
+    }
+    return p * v;
+}
+
+static inline __attribute__((always_inline)) vd vfm(int kind, double m, vd v)
+{
+    if (kind == BURGERS) {
+        vd q = vneg(v);
+        return (q * 0.5) * q;
+    }
+    return m * v;
+}
+
+/* The fluxes F_i = fp(v_i) + fm(v_{i+1}), i = 0 .. J, of the values
+ * v = (g, u_0 .. u_{J-1}, u_{J-1}), LANES at a time; the derivative parts
+ * of all J + 2 values go to dp and dm unless those are NULL.  For BURGERS
+ * the wave speed of v is |v|, so unless over is NULL the pass also sets
+ * *over when a speed is above t (a NaN speed is not); LINEAR's one speed
+ * is the caller's to test. */
+static inline __attribute__((always_inline))
+void fluxes_of(int kind, double a, const double *u, long J, double g,
+               double *dp, double *dm, double *F, double t, int *over)
+{
+    double p = 0.0, m = 0.0, vp, vm, fp, fm, fprev;
+    if (kind == LINEAR)
+        split(LINEAR, a, 0.0, &p, &m, &fp, &fm);
+    vd vt = splat(t);
+    vl big = {0};
+    long i = 1;
+    for (; i + LANES <= J; i += LANES) {
+        vd l = load(u + i - 1);
+        store(F + i, vfp(kind, p, l) + vfm(kind, m, load(u + i)));
+        if (dp) {
+            store(dp + i, kind == BURGERS ? vpos(l) : splat(p));
+            store(dm + i, kind == BURGERS ? vneg(l) : splat(m));
+        }
+        if (kind == BURGERS && over)
+            big |= vabs(l) > vt;
+    }
+    /* v_0 = g and F_0; then one value at a time from the first value no
+     * vector took, through v_J = v_{J+1} = u_{J-1} */
+    long tail = i;
+    int o = any(big) | (fabs(g) > t);
+    split(kind, a, g, &vp, &vm, &fprev, &fm);
+    if (dp) {
+        dp[0] = vp;
+        dm[0] = vm;
+    }
+    if (tail > 1) {
+        split(kind, a, u[0], &vp, &vm, &fp, &fm);
+        F[0] = fprev + fm;
+        split(kind, a, u[tail - 2], &vp, &vm, &fprev, &fm);
+    }
+    for (i = tail; i <= J + 1; i++) {
+        double v = u[i <= J ? i - 1 : J - 1];
+        split(kind, a, v, &vp, &vm, &fp, &fm);
+        if (dp) {
+            dp[i] = vp;
+            dm[i] = vm;
+        }
+        F[i - 1] = fprev + fm;
+        fprev = fp;
+        o |= fabs(v) > t;
+    }
+    if (kind == BURGERS && over)
+        *over = o;
+}
+
+/* `fluxes_of`, compiled once per flux kind and per output, so that the
+ * per-value branches on them fold away: the derivative parts (Newton),
+ * the CFL flag (explicit steps) or the fluxes alone (the breakdown). */
+static void fluxes(int kind, double a, const double *u, long J, double g,
+                   double *dp, double *dm, double *F, double t, int *over)
+{
+    if (kind == BURGERS) {
+        if (dp)
+            fluxes_of(BURGERS, a, u, J, g, dp, dm, F, 0.0, NULL);
+        else if (over)
+            fluxes_of(BURGERS, a, u, J, g, NULL, NULL, F, t, over);
+        else
+            fluxes_of(BURGERS, a, u, J, g, NULL, NULL, F, 0.0, NULL);
+    } else {
+        if (dp)
+            fluxes_of(LINEAR, a, u, J, g, dp, dm, F, 0.0, NULL);
+        else
+            fluxes_of(LINEAR, a, u, J, g, NULL, NULL, F, 0.0, NULL);
+    }
+}
+
+/* un = uo - (F[1:] - F[:-1]) * lam, LANES cells at a time; returns
+ * whether every cell of un is finite. */
+static int update(const double *uo, const double *F, long J, double lam,
+                  double *un)
+{
+    vd vlam = splat(lam), zero = {0.0};
+    vl bad = {0};
+    long j = 0;
+    for (; j + LANES <= J; j += LANES) {
+        vd x = load(uo + j) - (load(F + j + 1) - load(F + j)) * vlam;
+        store(un + j, x);
+        bad |= (x - x) != zero;        /* NaN exactly when x is not finite */
+    }
+    int b = any(bad);
+    for (; j < J; j++) {
+        un[j] = uo[j] - (F[j + 1] - F[j]) * lam;
+        b |= !isfinite(un[j]);
+    }
+    return !b;
+}
+
+/* march_explicit at this width */
+static long explicit_(long n, long J, double h, const double *k,
+                      const double *g, int kind, double a, double *u,
+                      double *F, int *code, double *value)
+{
+    *code = OK;
+    double p, m, fp, fm;
+    split(kind, a, 0.0, &p, &m, &fp, &fm);
+    double speed = p - m;               /* LINEAR's one wave speed */
+    long i;
+    for (i = 0; i < n; i++) {
+        const double *uo = u + i * J;
+        double *un = u + (i + 1) * J;
+        double t = cfl_threshold(k[i], h);
+        int over = speed > t;
+        fluxes(kind, a, uo, J, g[i], NULL, NULL, F, t, &over);
+        if (over) {
+            double cfl = k[i] * max_speed(kind, speed, uo, J, g[i]) / h;
+            if (cfl > 1.0) {
+                *code = CFL;
+                *value = cfl;
+                break;
+            }
+        }
+        if (!update(uo, F, J, k[i] / h, un)) {
+            *code = NONFINITE_STATE;
+            break;
+        }
+    }
+    return i;
+}
+
+/* march_implicit at this width */
+static long implicit_(long n, long J, double h, const double *k,
+                      const double *g, int kind, double a, double tol,
+                      long max_iter, double *u, double *F, int *iters,
+                      double *resid, signed char *stop, int *code,
+                      double *value)
 {
     struct work w;
     *code = OK;
@@ -495,136 +775,25 @@ long march_implicit(long n, long J, double h, const double *k,
     return i;
 }
 
-/* The dual march's substep plan of n intervals: interval i, of length
- * k[i] with the coefficient row A[i] (J values), takes
- *     m[i] = max(ceil((k a_max) / (cfl h) - 1e-12), 1)
- * substeps of length dt[i] = k[i] / m[i], a_max = max_j |A[i, j]|, in
- * numpy's operation order.  Returns n, or the first interval whose count
- * is not finite (a NaN or infinite coefficient) or does not fit a long;
- * nothing is written for it. */
-long dual_substeps(long n, long J, double h, double cfl, const double *k,
-                   const double *A, long *m, double *dt)
-{
-    for (long i = 0; i < n; i++) {
-        const double *a = A + i * J;
-        /* four running maxima of |a| that skip NaN, and a sum of a - a
-         * that is NaN exactly when some a is not finite */
-        double b[4] = {0.0, 0.0, 0.0, 0.0};
-        v2d z = {0.0, 0.0};
-        long j = 0;
-        for (; j + 3 < J; j += 4) {
-            for (int q = 0; q < 4; q++) {
-                double v = fabs(a[j + q]);
-                b[q] = v > b[q] ? v : b[q];
-            }
-            v2d v0 = load2(a + j), v1 = load2(a + j + 2);
-            z += (v0 - v0) + (v1 - v1);
-        }
-        double finite = z[0] + z[1];
-        for (; j < J; j++) {
-            double v = fabs(a[j]);
-            b[0] = v > b[0] ? v : b[0];
-            finite += v - v;
-        }
-        /* as for np.max, a NaN (or infinite) row's count is not finite */
-        double amax = finite == 0.0 ? fmax(fmax(b[0], b[1]), fmax(b[2], b[3]))
-                                    : NAN;
-        double mi = ceil((k[i] * amax) / (cfl * h) - 1e-12);
-        mi = mi < 1.0 ? 1.0 : mi;
-        if (!(mi <= (double)(LONG_MAX / 2)))
-            return i;
-        m[i] = (long)mi;
-        dt[i] = k[i] / mi;
-    }
-    return n;
-}
-
-/* The dual gradient's explicit backward march over n intervals, taken
- * from the last to the first.  Interval i has the frozen coefficient row
- * A[i] (J finite values, which the caller checks), m[i] substeps of
- * length dt[i], and receives in samples[i] the profile after substep
- * (m + 1) / 2.  wext holds w between two zero ghost values and carries it
- * from call to call.  With the interface coefficient s = (a_left +
- * a_right) / 2, edge cells extended, split into ap = max(s, 0) and
- * am = min(s, 0), each substep is
- *     S = ap w_right + am w_left,  w += lam (S[1:] - S[:-1]),  w += dt src
- * in one pass that reads S's two old w values before it overwrites w_j.
- * When mass is not NULL it receives each substep's relative mass-balance
- * residual, in march order.  Returns the intervals completed: a
- * non-finite w stops the march after its interval; -1 is out of memory. */
-long march_dual(long n, long J, double h, const double *A, const long *m,
-                const double *dt, const double *src, double src_total,
-                double *wext, double *samples, double *mass)
-{
-    double *block = malloc(sizeof(double) * (2 * (J + 1) + 2 * J));
-    if (!block)
-        return -1;
-    double *ap = block, *am = ap + J + 1, *diff = am + J + 1, *absw = diff + J;
-    double *w = wext + 1;
-    long done = 0;
-    for (long i = n - 1; i >= 0; i--) {
-        const double *a = A + i * J;
-        double lam = dt[i] / h, dti = dt[i];
-        long sample_at = (m[i] + 1) / 2;
-        for (long q = 0; q <= J; q++) {
-            double s = ((q ? a[q - 1] : a[0]) + (q < J ? a[q] : a[J - 1])) * 0.5;
-            am[q] = s < 0.0 ? s : 0.0;
-            ap[q] = s > 0.0 ? s : 0.0;
-        }
-        for (long step = 1; step <= m[i]; step++) {
-            double S0 = ap[0] * wext[1] + am[0] * wext[0], Sl = S0;
-            for (long j = 0; j < J; j++) {
-                double old = wext[j + 1];
-                double Sr = ap[j + 1] * wext[j + 2] + am[j + 1] * old;
-                double x = old + (Sr - Sl) * lam;
-                x = x + dti * src[j];
-                wext[j + 1] = x;
-                Sl = Sr;
-                if (mass) {
-                    diff[j] = x - old;
-                    absw[j] = fabs(x);
-                }
-            }
-            if (mass) {
-                /* telescoping mass balance of the conservative update */
-                double G0 = -S0, GJ = -Sl;
-                double resid = fabs(h * np_sum(diff, J) + dti * (GJ - G0)
-                                    - dti * src_total);
-                double scale = h * np_sum(absw, J) + fabs(dti * src_total)
-                               + dti * (fabs(G0) + fabs(GJ)) + 1e-300;
-                *mass++ = resid / scale;
-            }
-            if (step == sample_at)
-                memcpy(samples + i * J, w, sizeof(double) * J);
-        }
-        if (!all_finite(w, J))
-            break;
-        done++;
-    }
-    free(block);
-    return done;
-}
-
 /* The cell terms of one interval (see breakdown) into tk and th, and
- * their absolute values into ak and ah, two cells at a time. */
+ * their absolute values into ak and ah, LANES cells at a time. */
 static inline __attribute__((always_inline))
 void cell_terms(int kind, double a, long J, double ck, double ch,
                 const double *u0, const double *u1, const double *psi,
                 const double *ai, const double *wi, const double *F,
                 double *tk, double *th, double *ak, double *ah)
 {
-    v2d vk = {ck, ck}, vh = {ch, ch};
+    vd vk = splat(ck), vh = splat(ch);
     long j = 0;
-    for (; j + 1 < J; j += 2) {
-        v2d x = load2(u1 + j), w = load2(wi + j);
-        v2d f = kind == BURGERS ? (0.5 * x) * x : a * x;
-        v2d ek = (vk * (x - load2(u0 + j)))
-                 * (load2(psi + j) - load2(ai + j) * w);
-        v2d eh = (vh * w) * ((load2(F + j + 1) + load2(F + j)) - 2.0 * f);
-        store2(tk + j, ek);
-        store2(th + j, eh);
-        store2(ak + j, abs2(ek));
-        store2(ah + j, abs2(eh));
+    for (; j + LANES <= J; j += LANES) {
+        vd x = load(u1 + j), w = load(wi + j);
+        vd f = kind == BURGERS ? (0.5 * x) * x : a * x;
+        vd ek = (vk * (x - load(u0 + j))) * (load(psi + j) - load(ai + j) * w);
+        vd eh = (vh * w) * ((load(F + j + 1) + load(F + j)) - 2.0 * f);
+        store(tk + j, ek);
+        store(th + j, eh);
+        store(ak + j, vabs(ek));
+        store(ah + j, vabs(eh));
     }
     for (; j < J; j++) {
         double f = kind == BURGERS ? (0.5 * u1[j]) * u1[j] : a * u1[j];
@@ -635,22 +804,11 @@ void cell_terms(int kind, double a, long J, double ck, double ch,
     }
 }
 
-/* The error breakdown of n intervals, each reduced to four sums.
- * Interval i has length k[i], the states u[i] and u[i + 1] (rows of J),
- * the stencil row u[i] (explicit, modes[i] = 0) or u[i + 1] (implicit)
- * with the stencil's inflow g[i], the coefficients A[i] and the dual
- * samples W[i]; psi holds the weight at the J cell centres.  Its cell
- * terms, in numpy's operation order, are
- *     eta_k = ((-0.5 k) h) (u1 - u0) (psi - a w)
- *     eta_h = (((k 0.5) h) w) ((F_{j+1} + F_j) - 2 f(u1))
- * with the fluxes F of the stencil, rebuilt as the march built them.
- * out receives four rows of n: the np.sum of eta_k, of |eta_k|, of eta_h
- * and of |eta_h| over each interval's cells.  Returns n, or -1 when out
- * of memory. */
-long breakdown(long n, long J, double h, const double *k, const double *u,
-               const signed char *modes, const double *g, int kind, double a,
-               const double *psi, const double *A, const double *W,
-               double *out)
+/* breakdown at this width */
+static long breakdown_(long n, long J, double h, const double *k,
+                       const double *u, const signed char *modes,
+                       const double *g, int kind, double a, const double *psi,
+                       const double *A, const double *W, double *out)
 {
     double *block = malloc(sizeof(double) * (5 * J + 1));
     if (!block)
@@ -677,3 +835,30 @@ long breakdown(long n, long J, double h, const double *k, const double *u,
     free(block);
     return n;
 }
+
+static const struct kernels W_(kernels) = {LANES, explicit_, implicit_,
+                                           breakdown_};
+
+/* march_dual and dual_substeps keep the 2-lane loads and sums by name */
+#undef vd
+#undef vl
+#undef load
+#undef store
+#undef splat
+#undef any
+#undef vpos
+#undef vneg
+#undef vabs
+#undef vfp
+#undef vfm
+#undef fluxes_of
+#undef fluxes
+#undef update
+#undef pairwise
+#undef np_sum
+#undef cell_terms
+#undef explicit_
+#undef implicit_
+#undef breakdown_
+
+#endif /* LANES */

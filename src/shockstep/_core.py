@@ -12,7 +12,10 @@ command and the source bytes it was built from; the library is rebuilt
 when either differs.  -ffp-contract=off (and no -march, no -ffast-math)
 keeps every a*b + c two roundings: a fused multiply-add would move the
 last bits of the states away from the numpy formulas the kernels
-transcribe.
+transcribe.  The vector loops are compiled at 2, 4 (AVX2) and 8
+(AVX-512F) lanes, the wider ones through target pragmas in the source,
+and the library runs the widest the CPU supports (`lanes()`); each lane
+does one cell's operations, so the width changes no bit.
 
 Nothing is loaded or built at import; `lib()` does it on the first march.
 """
@@ -47,6 +50,7 @@ _SIGNATURES = {
     "breakdown": (_long, [_long, _long, _double, _ptr, _ptr, _ptr, _ptr, _int,
                           _double, _ptr, _ptr, _ptr, _ptr]),
     "dgtsv": (_long, [_long, _ptr, _ptr, _ptr, _ptr]),
+    "lanes": (_long, []),
 }
 
 _lib = None
@@ -60,6 +64,12 @@ def lib():
                 or os.path.join(os.path.expanduser("~"), ".cache"))
         _lib = load(SOURCE, CACHE, os.path.join(user, "shockstep"))
     return _lib
+
+
+def lanes() -> int:
+    """The vector width (doubles per operation) the marches and the
+    breakdown run at: 8 with AVX-512F, 4 with AVX2, 2 otherwise."""
+    return lib().lanes()
 
 
 def _read(path: str):

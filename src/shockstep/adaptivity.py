@@ -9,6 +9,7 @@ are merged and re-tiled with uniform explicit steps.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -130,16 +131,19 @@ def propose_timesteps(old: TimePartition, densities: np.ndarray,
     T = old.T
     k_old = old.steps
     km = k_old * (cfg.tol_k / T) / np.maximum(densities, cfg.effective_floor())
-    t_old = old.times
+    # the walk runs on Python floats: the same IEEE operations as on numpy
+    # scalars, and bisect_left is searchsorted's side="left"
+    km = km.tolist()
+    t_old = old.times.tolist()
     new_times = [0.0]
     t = 0.0
     eps = 1e-12 * T
     while t < T - eps:
-        n = int(np.searchsorted(t_old, t + eps)) - 1
-        n = min(max(n, 0), km.size - 1)
+        n = bisect.bisect_left(t_old, t + eps) - 1
+        n = min(max(n, 0), len(km) - 1)
         step = km[n]
         m = n + 1
-        while m < km.size:
+        while m < len(km):
             b = t_old[m]
             if b >= t + step:
                 break
@@ -174,6 +178,8 @@ def assign_modes(raw: np.ndarray, speed_profile: SpeedProfile,
     n_seg = raw.size
     seg_speed = speed_profile.max_over(edges[:-1], edges[1:])
     seg_cfl = (edges[1:] - edges[:-1]) * seg_speed / h
+    # the loops below run on Python floats, the same IEEE operations
+    edges, seg_speed, seg_cfl = edges.tolist(), seg_speed.tolist(), seg_cfl.tolist()
 
     times = [0.0]
     modes: list = []

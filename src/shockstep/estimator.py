@@ -20,9 +20,11 @@ from .forward import ForwardTrajectory
 from .grid import EXPLICIT, IMPLICIT, build_spatial_grid
 
 REF_LEVEL = 6
-# intervals per block of the reference march: its states are the only
-# (rows, J) temporary, so memory stays O(_BLOCK_ROWS * J)
-_BLOCK_ROWS = 256
+# bytes of states per block of the reference march: they are its only
+# (rows, J) temporary, and a block this size stays in L2 between the
+# march and its dots (102 rows at 1,280 cells); fewer rows per block
+# would add more per-block call overhead than they save
+_BLOCK_BYTES = 1 << 20
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
 # (type(case), perturbation_scale, ref_level, base_cells, cfl) -> J_ref
@@ -64,7 +66,8 @@ def assemble_breakdown(traj: ForwardTrajectory, coeff: CoefficientField,
     Time term of a cell: -(1/2) k h (u^{n+1} - u^n) (psi - a w).  Space
     term: (1/2) k h w (F_{j+1/2} + F_{j-1/2} - 2 f(u^{n+1})) with the
     fluxes the update used, of state n and g(t_n) for an explicit step,
-    of state n+1 and g(t_{n+1}) for an implicit one.  The compiled core
+    of state n+1 and g(t_{n+1}) for an implicit one, taken from
+    `traj.g`, so the inflow is not queried again.  The compiled core
     forms both row by row and reduces each row to its signed and absolute
     sums, so no (N, J) term array exists; every field is a per-row
     reduction or a sum over rows.
@@ -73,12 +76,13 @@ def assemble_breakdown(traj: ForwardTrajectory, coeff: CoefficientField,
     part = traj.partition
     N, J = part.interval_count, grid.cell_count
     if coeff.a_values.shape != dual.w_samples.shape or \
-            coeff.a_values.shape != (N, J) or traj.states.shape != (N + 1, J):
+            coeff.a_values.shape != (N, J) or traj.states.shape != (N + 1, J) \
+            or np.shape(traj.g) != (N + 1,):
         raise ValueError("trajectory, coefficients and dual samples disagree in shape")
     k = part.steps
     modes = part.modes
-    stencil = part.times[np.arange(N) + (modes == IMPLICIT)]
-    g = _cells(case.inflow_value(stencil), N)
+    # the inflow each stencil read, as the march read it
+    g = np.asarray(traj.g, dtype=float)[np.arange(N) + (modes == IMPLICIT)]
     psi = _cells(case.weight(grid.centers), J)
     u, A, W = (np.ascontiguousarray(x, dtype=float)
                for x in (traj.states, coeff.a_values, dual.w_samples))
@@ -130,12 +134,12 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
     Memoized by value, (type(case), perturbation_scale, ref_level,
     base_cells, cfl), so equal cases share one run and a changed scale gets
     a fresh one.  Cases without a `perturbation_scale` are not memoized.
-    The run is streamed through one (_BLOCK_ROWS + 1, J) buffer: the
-    compiled march fills a block of states, one `np.matmul` of the block
-    as (B, 1, J) @ (J, 1) takes each row's `row @ W` through the same
-    BLAS ddot as `row @ W` itself (a block gemv would round differently),
-    each is weighted by k_n and added in step order, and the block's last
-    state starts the next block.
+    The run is streamed through one (B + 1, J) buffer of about
+    _BLOCK_BYTES: the compiled march fills a block of B states, one
+    `np.matmul` of the block as (B, 1, J) @ (J, 1) takes each row's
+    `row @ W` through the same BLAS ddot as `row @ W` itself (a block gemv
+    would round differently), each is weighted by k_n and added in step
+    order, and the block's last state starts the next block.
     """
     scale = getattr(case, "perturbation_scale", None)
     key = (type(case), scale, ref_level, base_cells, cfl)
@@ -147,11 +151,12 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
     g_at = np.atleast_1d(np.asarray(case.inflow_value(part.times), dtype=float))
     k = part.steps
     N = part.interval_count
-    buf = np.empty((min(_BLOCK_ROWS, N) + 1, grid.cell_count))
+    block = max(1, _BLOCK_BYTES // (8 * grid.cell_count))
+    buf = np.empty((min(block, N) + 1, grid.cell_count))
     buf[0] = case.initial_cell_averages(grid.edges)
     acc = 0.0
-    for lo in range(0, N, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, N)
+    for lo in range(0, N, block):
+        hi = min(lo + block, N)
         rows = buf[:hi - lo + 1]
         _, err = forward.march(rows, k[lo:hi], g_at[lo:hi], grid.h, case.flux,
                                EXPLICIT)

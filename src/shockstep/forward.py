@@ -88,7 +88,23 @@ class ForwardTrajectory:
     partition: TimePartition
     states: np.ndarray  # (N+1, J) cell averages, row 0 = initial data
     flux: object
-    newton_stats: Optional[list] = None
+    g: np.ndarray       # (N+1,) the inflow the march read at each time
+    # per interval: Newton iterations, final residual and stop code (0 for
+    # an explicit interval); None when the run kept no Newton record
+    newton_iters: Optional[np.ndarray] = None
+    newton_resid: Optional[np.ndarray] = None
+    newton_stop: Optional[np.ndarray] = None
+
+    @property
+    def newton_stats(self) -> Optional[list]:
+        """One `NewtonStats` per implicit interval and None per explicit
+        one, built from the Newton arrays when read."""
+        if self.newton_stop is None:
+            return None
+        return [NewtonStats(it, r, _core.STOP_RULES[s]) if s else None
+                for it, r, s in zip(self.newton_iters.tolist(),
+                                    self.newton_resid.tolist(),
+                                    self.newton_stop.tolist())]
 
 
 def _flux_code(flux):
@@ -221,9 +237,9 @@ def run_forward(grid: SpatialGrid, partition: TimePartition,
     `march` call per run of equal modes.
 
     Interval n runs from t_n to t_{n+1}.  The stencil and the boundary data
-    live on t_n for explicit steps and on t_{n+1} for implicit ones; only
-    the states are kept, and `estimator.assemble_breakdown` rebuilds the
-    fluxes by the same rule.
+    live on t_n for explicit steps and on t_{n+1} for implicit ones; the
+    states and the inflow at every t_n are kept, and
+    `estimator.assemble_breakdown` rebuilds the fluxes by the same rule.
     """
     times = partition.times
     modes = partition.modes
@@ -243,8 +259,7 @@ def run_forward(grid: SpatialGrid, partition: TimePartition,
         if err is not None:
             n += done
             raise SolverFailure(f"interval {n} (t={times[n]:.6g}): {err}") from err
-    stats = [NewtonStats(it, r, _core.STOP_RULES[s]) if s else None
-             for it, r, s in zip(iters.tolist(), resid.tolist(), stop.tolist())]
     return ForwardTrajectory(grid=grid, partition=partition, states=states,
-                             flux=case.flux, newton_stats=stats)
+                             flux=case.flux, g=g_at, newton_iters=iters,
+                             newton_resid=resid, newton_stop=stop)
 

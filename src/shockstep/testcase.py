@@ -231,8 +231,11 @@ def _fill(gg, tg, idx, p, scale, v):
     if idx is None:
         idx = np.flatnonzero(np.isnan(gg))
     else:
-        idx = np.unique(idx)
-        idx = idx[np.isnan(gg[idx])]
+        # the sorted distinct nodes of idx, as np.unique gives them, without
+        # np.unique's import of numpy.ma
+        need = np.zeros(gg.size, dtype=bool)
+        need[idx] = True
+        idx = np.flatnonzero(need & np.isnan(gg))
     if idx.size:
         gg[idx] = _invert_departure(tg[idx], p, scale, v)
 

@@ -4,8 +4,11 @@
 `update_fluxes` rebuilds the fluxes every update of a `run_forward`
 trajectory used, and `cell_terms` forms the error breakdown's per-cell
 time and space terms, in the operation order the compiled breakdown
-transcribes.
+transcribes.  `propose_timesteps` and `assign_modes` are the planner's
+loops on numpy scalars, which the package now runs on Python floats.
 """
+import math
+
 import numpy as np
 
 import shockstep as ss
@@ -55,3 +58,87 @@ def cell_terms(traj, coeff, dual, case, lo, hi):
     F = update_fluxes(traj, case, slice(lo, hi))
     eta_h = k * 0.5 * h * W * (F[:, 1:] + F[:, :-1] - 2.0 * traj.flux.f(u1))
     return eta_k, eta_h
+
+
+def propose_timesteps(old, densities, cfg) -> np.ndarray:
+    """`adaptivity.propose_timesteps` with the walk on numpy scalars and a
+    `np.searchsorted` per step (valid input only)."""
+    densities = np.asarray(densities, dtype=float)
+    T = old.T
+    k_old = old.steps
+    km = k_old * (cfg.tol_k / T) / np.maximum(densities, cfg.effective_floor())
+    t_old = old.times
+    new_times = [0.0]
+    t = 0.0
+    eps = 1e-12 * T
+    while t < T - eps:
+        n = int(np.searchsorted(t_old, t + eps)) - 1
+        n = min(max(n, 0), km.size - 1)
+        step = km[n]
+        m = n + 1
+        while m < km.size:
+            b = t_old[m]
+            if b >= t + step:
+                break
+            if km[m] < (t + step) - b:
+                step = b - t
+                break
+            m += 1
+        if t + step > T:
+            step = T - t
+        t += step
+        new_times.append(t)
+    new_times[-1] = T
+    return np.diff(np.array(new_times))
+
+
+def assign_modes(raw, speed_profile, cfg, h, strategy="imex"):
+    """`adaptivity.assign_modes` with its loops on numpy scalars (valid
+    input only)."""
+    raw = np.asarray(raw, dtype=float)
+    edges = np.concatenate(([0.0], np.cumsum(raw)))
+    T = cfg.T
+    edges[-1] = T
+    n_seg = raw.size
+    seg_speed = speed_profile.max_over(edges[:-1], edges[1:])
+    seg_cfl = (edges[1:] - edges[:-1]) * seg_speed / h
+
+    times = [0.0]
+    modes: list = []
+
+    def lay_implicit(t0, t1, cfl):
+        pieces = max(1, math.ceil(cfl / cfg.cfl_cap - 1e-12))
+        for p in range(1, pieces + 1):
+            times.append(t1 if p == pieces else t0 + (t1 - t0) * p / pieces)
+            modes.append(ss.IMPLICIT)
+
+    if strategy == "fully_implicit":
+        for i in range(n_seg):
+            lay_implicit(edges[i], edges[i + 1], seg_cfl[i])
+    else:
+        i = 0
+        while i < n_seg:
+            if seg_cfl[i] >= cfg.cfl_switch:
+                lay_implicit(edges[i], edges[i + 1], seg_cfl[i])
+                i += 1
+                continue
+            j = i
+            s_max = 0.0
+            while j < n_seg and seg_cfl[j] < cfg.cfl_switch:
+                s_max = max(s_max, seg_speed[j])
+                j += 1
+            ta, tb = edges[i], edges[j]
+            span = tb - ta
+            if s_max > 0.0:
+                ne = max(1, math.ceil(span * s_max / (cfg.cfl_explicit * h) - 1e-12))
+            else:
+                ne = 1
+            for p in range(1, ne + 1):
+                times.append(tb if p == ne else ta + span * p / ne)
+                modes.append(ss.EXPLICIT)
+            i = j
+
+    part = ss.TimePartition(times=np.array(times),
+                            modes=np.array(modes, dtype=np.int8))
+    cfl = part.steps * speed_profile.max_over(part.times[:-1], part.times[1:]) / h
+    return ss.AdaptationPlan(partition=part, stats=ss.PlanStats.of(part, cfl))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import shockstep as ss
 
 
@@ -124,6 +125,44 @@ def test_propose_tiles_horizon_for_random_densities(old_steps, data):
     raw = ss.propose_timesteps(old, dens, ss.AdaptationConfig(T=T, tol_k=tol_k))
     assert np.all(raw > 0.0)
     assert abs(np.sum(raw) - T) <= 1e-12 * T
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1,
+                max_size=30),
+       st.data())
+def test_planner_on_python_floats_matches_numpy_scalars(old_steps, data):
+    # the proposal walk and the mode assignment give the bits of their
+    # numpy-scalar versions in tests/oracles.py, on random partitions,
+    # densities (zeros included), speed profiles and switch settings
+    old = ss.TimePartition(times=np.concatenate(([0.0], np.cumsum(old_steps))))
+    T = old.T
+    dens = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e3)),
+        min_size=old.interval_count, max_size=old.interval_count)))
+    need = max(float(np.sum(dens)) * T / 2000.0, 1e-12)
+    tol_k = need * data.draw(st.floats(min_value=1.0, max_value=1e6))
+    cfg = ss.AdaptationConfig(
+        T=T, tol_k=tol_k,
+        cfl_explicit=data.draw(st.floats(min_value=0.5, max_value=0.9)),
+        cfl_switch=data.draw(st.floats(min_value=1.0, max_value=20.0)),
+        cfl_cap=data.draw(st.sampled_from([20.0, 1e2, 1e4])))
+    raw = ss.propose_timesteps(old, dens, cfg)
+    assert raw.tobytes() == oracles.propose_timesteps(old, dens, cfg).tobytes()
+    cuts = np.sort(data.draw(st.lists(st.floats(min_value=0.0, max_value=T),
+                                      max_size=8)))
+    times = np.concatenate(([0.0], cuts, [T]))
+    speeds = data.draw(st.lists(st.one_of(st.just(0.0),
+                                          st.floats(min_value=0.0, max_value=2.0)),
+                                min_size=times.size - 1, max_size=times.size - 1))
+    profile = ss.SpeedProfile(times=times, values=np.array(speeds))
+    h = data.draw(st.floats(min_value=0.05, max_value=1.0))
+    for strategy in ("imex", "fully_implicit"):
+        plan = ss.assign_modes(raw, profile, cfg, h, strategy)
+        want = oracles.assign_modes(raw, profile, cfg, h, strategy)
+        assert plan.partition.times.tobytes() == want.partition.times.tobytes()
+        assert plan.partition.modes.tobytes() == want.partition.modes.tobytes()
+        assert plan.stats == want.stats
 
 
 def test_propose_step_count_monotone_in_tolerance():
@@ -248,7 +287,8 @@ def test_speed_profile_includes_inflow(case):
     part = ss.TimePartition(times=np.array([0.0, 1.0, 2.0]))
     traj = ss.ForwardTrajectory(grid=grid, partition=part,
                                 states=np.full((3, 4), 0.5),
-                                flux=ss.BURGERS)
+                                flux=ss.BURGERS,
+                                g=case.inflow_value(part.times))
     prof = ss.SpeedProfile.from_trajectory(traj, case)
     # the boundary value 1.0 beats every interior speed here
     np.testing.assert_array_equal(prof.values, [1.0, 1.0])

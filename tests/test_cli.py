@@ -233,6 +233,19 @@ def test_no_cli_run_imports_scipy(tmp_path):
         "    assert 'scipy' not in sys.modules, cmd\n", tmp_path)
 
 
+def test_no_cli_run_imports_numpy_ma(tmp_path):
+    # the inflow table picks its nodes with a boolean mask: np.unique
+    # would import numpy.ma, about 14 ms of every command
+    _run_fresh(
+        "import sys, shockstep.cli\n"
+        "for cmd, key in (('run-uniform', 'levels=0'),\n"
+        "                 ('run-adaptive', 'levels=0,1')):\n"
+        "    rc = shockstep.cli.main([cmd, '--set', key, '--set', 'ref_level=2',\n"
+        "                             '--out', sys.argv[1]])\n"
+        "    assert rc == 0, (cmd, rc)\n"
+        "    assert 'numpy.ma' not in sys.modules, cmd\n", tmp_path)
+
+
 # ------------------------------------------------------------ run-uniform
 
 def test_run_uniform_single_level(tmp_path, capsys):

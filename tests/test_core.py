@@ -6,11 +6,13 @@ the explicit step for Burgers and both signs of `LinearFlux` (also at the
 CFL boundary, ulp by ulp, and in the vector loop's tails), one Newton
 solve with LAPACK's `dgtsv` from scipy as the linear solver, the dual
 substep plan and substeps with and without the mass-balance record, and
-the error breakdown against the cell terms of `tests/oracles.py`.  The
+the error breakdown against the cell terms of `tests/oracles.py`.  Those
+kernel tests run at every vector width the CPU supports (`cores`).  The
 loader is checked for its missing-compiler error, its rebuild on a
 changed source or compile command, its fallback from an unwritable cache,
-and a compile command that keeps every rounding.
+and a compile command that keeps every rounding at every width.
 """
+import contextlib
 import math
 import os
 import shutil
@@ -44,6 +46,53 @@ def _same(a, b) -> bool:
     """Equal bits, so -0.0 differs from 0.0 and equal NaNs match."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ------------------------------------------------------- vector widths
+
+_WIDTHS = (2, 4, 8)
+
+
+@pytest.fixture(scope="session")
+def cores(tmp_path_factory):
+    """The compiled core at every vector width this CPU runs, narrowest
+    first: the default build at the width it picked, and below it builds
+    that `-DMAX_LANES` caps, loaded from a private cache."""
+    top = _core.lanes()
+    libs = []
+    for lanes in (w for w in _WIDTHS if w <= top):
+        if lanes == top:
+            lib = _core.lib()
+        else:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_core, "COMPILE",
+                           _core.COMPILE + (f"-DMAX_LANES={lanes}",))
+                lib = _core.load(_core.SOURCE,
+                                 str(tmp_path_factory.mktemp(f"lanes{lanes}")))
+        assert lib.lanes() == lanes
+        libs.append(lib)
+    return libs
+
+
+@contextlib.contextmanager
+def _running(lib):
+    """Every march and breakdown runs in `lib` here; a failed assertion
+    names its width."""
+    saved, _core._lib = _core._lib, lib
+    try:
+        yield
+    except AssertionError as err:
+        raise AssertionError(f"at {lib.lanes()} lanes: {err}") from err
+    finally:
+        _core._lib = saved
+
+
+def test_lanes_reports_the_active_width(cores):
+    assert [lib.lanes() for lib in cores] == list(_WIDTHS[:len(cores)])
+    assert _core.lanes() == cores[-1].lanes()
+    for lib in cores:
+        with _running(lib):
+            assert _core.lanes() == lib.lanes()
 
 
 # ------------------------------------------------------- numpy oracles
@@ -143,20 +192,21 @@ def _np_dual(A, k, h, source, m, record):
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_VALUE, min_size=1, max_size=40), _VALUE, _FLUX,
        st.floats(min_value=0.0, max_value=2.0))
-def test_explicit_step_matches_numpy_bitwise(u, g, flux, x):
+def test_explicit_step_matches_numpy_bitwise(cores, u, g, flux, x):
     u = np.array(u)
     h = 1.0 / u.size
     k = x * h
     want, F_want, cfl = _np_explicit(u, k, h, g, flux)
-    s = ss.Stepper(u, flux)
-    if want is None:
-        with pytest.raises(ss.SolverFailure, match=f"CFL {cfl:.2f} > 1"):
-            s.explicit(k, h, g)
-        want = u
-    else:
-        s.explicit(k, h, g)
-    assert _same(s.u, want)
-    assert _same(s.F, F_want)
+    for lib in cores:
+        with _running(lib):
+            s = ss.Stepper(u, flux)
+            if want is None:
+                with pytest.raises(ss.SolverFailure, match=f"CFL {cfl:.2f} > 1"):
+                    s.explicit(k, h, g)
+            else:
+                s.explicit(k, h, g)
+            assert _same(s.u, u if want is None else want)
+            assert _same(s.F, F_want)
 
 
 @pytest.mark.parametrize("where", ["inflow", "cell"])
@@ -192,7 +242,7 @@ def _explicit_refusal(u, k, h, g, flux=ss.BURGERS):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_VALUE, min_size=1, max_size=12), _VALUE,
        st.floats(min_value=1e-3, max_value=1e3), st.integers(-3, 3))
-def test_explicit_refusal_at_the_cfl_boundary_ulp_by_ulp(u, g, h, ulps):
+def test_explicit_refusal_at_the_cfl_boundary_ulp_by_ulp(cores, u, g, h, ulps):
     # k steps ulp by ulp across h / smax: each step is refused exactly
     # when (k * smax) / h > 1, as the numpy formula decides; a tiny smax
     # gives a k at which the update itself overflows, in numpy too
@@ -204,24 +254,25 @@ def test_explicit_refusal_at_the_cfl_boundary_ulp_by_ulp(u, g, h, ulps):
     with np.errstate(all="ignore"):
         want, F_want, cfl = _np_explicit(u, k, h, g, ss.BURGERS)
     assert (want is None) == ((k * smax) / h > 1.0)
-    s = ss.Stepper(u, ss.BURGERS)
-    if want is None:
-        with pytest.raises(ss.SolverFailure,
-                           match=f"^explicit step at CFL {cfl:.2f} > 1$"):
-            s.explicit(k, h, g)
-        want = u
-    elif not np.isfinite(want).all():
-        with pytest.raises(ss.SolverFailure, match="non-finite state"):
-            s.explicit(k, h, g)
-    else:
-        s.explicit(k, h, g)
-    assert _same(s.u, want)
-    assert _same(s.F, F_want)
+    for lib in cores:
+        with _running(lib):
+            s = ss.Stepper(u, ss.BURGERS)
+            if want is None:
+                with pytest.raises(ss.SolverFailure,
+                                   match=f"^explicit step at CFL {cfl:.2f} > 1$"):
+                    s.explicit(k, h, g)
+            elif not np.isfinite(want).all():
+                with pytest.raises(ss.SolverFailure, match="non-finite state"):
+                    s.explicit(k, h, g)
+            else:
+                s.explicit(k, h, g)
+            assert _same(s.u, u if want is None else want)
+            assert _same(s.F, F_want)
 
 
 @pytest.mark.parametrize("flux", [ss.BURGERS, ss.LinearFlux(-0.9)],
                          ids=["burgers", "linear"])
-def test_explicit_refusal_one_ulp_either_side(flux):
+def test_explicit_refusal_one_ulp_either_side(cores, flux):
     # the largest k that runs and the next double, which is refused
     u, g, h = np.array([0.7, -0.3, 0.9, 0.1, -0.2]), 0.5, 0.1
     smax = 0.9
@@ -230,20 +281,25 @@ def test_explicit_refusal_one_ulp_either_side(flux):
         k = np.nextafter(k, 0.0)
     while (np.nextafter(k, math.inf) * smax) / h <= 1.0:
         k = np.nextafter(k, math.inf)
-    assert _explicit_refusal(u, k, h, g, flux) is None
     above = np.nextafter(k, math.inf)
-    assert _explicit_refusal(u, above, h, g, flux) == "explicit step at CFL 1.00 > 1"
     # the speed one ulp above the boundary refuses the boundary's k
-    if flux is ss.BURGERS:
-        u[2] = np.nextafter(smax, math.inf)
-        assert (k * u[2]) / h > 1.0
-        assert _explicit_refusal(u, k, h, g, flux) is not None
+    fast = u.copy()
+    fast[2] = np.nextafter(smax, math.inf)
+    assert (k * fast[2]) / h > 1.0
+    for lib in cores:
+        with _running(lib):
+            assert _explicit_refusal(u, k, h, g, flux) is None
+            assert (_explicit_refusal(u, above, h, g, flux)
+                    == "explicit step at CFL 1.00 > 1")
+            if flux is ss.BURGERS:
+                assert _explicit_refusal(fast, k, h, g, flux) is not None
 
 
-@pytest.mark.parametrize("J", [1, 2, 3, 4, 5])
-def test_explicit_vector_tails_flag_every_position(J):
+@pytest.mark.parametrize("J", range(1, 18))
+def test_explicit_vector_tails_flag_every_position(cores, J):
     # a speed over the CFL bound or a NaN in any one cell, or in the
-    # inflow, is seen: the vector loop, its tail and the ends each flag
+    # inflow, is seen: the vector loop, its tail and the ends each flag,
+    # at every width (J = 1 .. 17 covers two 8-lane passes and each tail)
     rng = np.random.default_rng(J)
     h, g = 1.0 / J, 0.3
     for where in range(J + 1):
@@ -256,35 +312,42 @@ def test_explicit_vector_tails_flag_every_position(J):
             else:
                 v[where] = bad
             new, F_want, cfl = _np_explicit(v, 0.5 * h, h, gv, ss.BURGERS)
-            s = ss.Stepper(v, ss.BURGERS)
-            with pytest.raises(ss.SolverFailure, match=want):
-                s.explicit(0.5 * h, h, gv)
-            assert _same(s.u, v if new is None else new)
-            assert _same(s.F, F_want)
+            for lib in cores:
+                with _running(lib):
+                    s = ss.Stepper(v, ss.BURGERS)
+                    with pytest.raises(ss.SolverFailure, match=want):
+                        s.explicit(0.5 * h, h, gv)
+                    assert _same(s.u, v if new is None else new)
+                    assert _same(s.F, F_want)
         # and the state within the bound steps as numpy steps it
-        rows = np.empty((4, J))
-        rows[0] = u
         k = np.array([0.5 * h, 0.25 * h, 0.9 * h])
         gs = np.array([g, -0.4, 0.45])
-        done, err = ss.forward.march(rows, k, gs, h, ss.BURGERS, ss.EXPLICIT)
-        assert (done, err) == (3, None)
-        want = u
+        want = [u]
         for n in range(3):
-            want, _, _ = _np_explicit(want, k[n], h, gs[n], ss.BURGERS)
-            assert _same(rows[n + 1], want)
+            want.append(_np_explicit(want[-1], k[n], h, gs[n], ss.BURGERS)[0])
+        for lib in cores:
+            with _running(lib):
+                rows = np.empty((4, J))
+                rows[0] = u
+                done, err = ss.forward.march(rows, k, gs, h, ss.BURGERS,
+                                             ss.EXPLICIT)
+                assert (done, err) == (3, None)
+                assert _same(rows, want)
 
 
-def test_nan_takes_precedence_over_a_cfl_refusal():
+def test_nan_takes_precedence_over_a_cfl_refusal(cores):
     # one cell over the CFL bound and another NaN: np.maximum.reduce of
     # the speeds is NaN, so the step runs and fails as a non-finite state
     u = np.array([0.2, 50.0, -0.1, math.nan, 0.3, 0.1])
     want, F_want, cfl = _np_explicit(u, 0.05, 0.1, 0.2, ss.BURGERS)
     assert math.isnan(cfl)
-    s = ss.Stepper(u, ss.BURGERS)
-    with pytest.raises(ss.SolverFailure, match="non-finite state"):
-        s.explicit(0.05, 0.1, 0.2)
-    assert _same(s.u, want)
-    assert _same(s.F, F_want)
+    for lib in cores:
+        with _running(lib):
+            s = ss.Stepper(u, ss.BURGERS)
+            with pytest.raises(ss.SolverFailure, match="non-finite state"):
+                s.explicit(0.05, 0.1, 0.2)
+            assert _same(s.u, want)
+            assert _same(s.F, F_want)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf])
@@ -298,20 +361,23 @@ def test_infinite_cell_is_refused_at_cfl_inf(value):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_VALUE, min_size=1, max_size=40), _VALUE, _FLUX,
        st.floats(min_value=0.0, max_value=60.0))
-def test_newton_step_matches_numpy_and_lapack_bitwise(u, g, flux, x):
+def test_newton_step_matches_numpy_and_lapack_bitwise(cores, u, g, flux, x):
     u = np.array(u)
     h = 1.0 / u.size
     want, F_want, it, res, stop = _np_implicit(u, x * h, h, g, flux)
-    s = ss.Stepper(u, flux)
-    if stop is None:
-        with pytest.raises(ss.NonConvergence) as exc:
-            s.implicit(x * h, h, g)
-        assert (exc.value.iterations, exc.value.residual) == (it, res)
-    else:
-        stats = s.implicit(x * h, h, g)
-        assert (stats.iterations, stats.residual, stats.stop) == (it, res, stop)
-    assert _same(s.u, want)
-    assert _same(s.F, F_want)
+    for lib in cores:
+        with _running(lib):
+            s = ss.Stepper(u, flux)
+            if stop is None:
+                with pytest.raises(ss.NonConvergence) as exc:
+                    s.implicit(x * h, h, g)
+                assert (exc.value.iterations, exc.value.residual) == (it, res)
+            else:
+                stats = s.implicit(x * h, h, g)
+                assert ((stats.iterations, stats.residual, stats.stop)
+                        == (it, res, stop))
+            assert _same(s.u, want)
+            assert _same(s.F, F_want)
 
 
 def test_newton_stops_at_the_roundoff_floor():
@@ -385,7 +451,7 @@ class _Source:
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=2, max_value=300), st.integers(1, 4),
        st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
-def test_dual_substeps_match_numpy_bitwise(J, N, seed, sparse, record):
+def test_dual_substeps_match_numpy_bitwise(cores, J, N, seed, sparse, record):
     # J > 128 takes numpy's pairwise summation through its halving branch
     rng = np.random.default_rng(seed)
     A = rng.uniform(-1.5, 1.5, (N, J))
@@ -395,17 +461,19 @@ def test_dual_substeps_match_numpy_bitwise(J, N, seed, sparse, record):
     times = np.concatenate(([0.0], np.cumsum(rng.uniform(0.001, 0.05, N))))
     part = ss.TimePartition(times=times)
     source = rng.uniform(-1.0, 1.0, J)
-    dual = ss.solve_dual_gradient(CoefficientField(grid, part, A), _Source(source),
-                                  record_substeps=record)
     k = part.steps
     m, _ = _np_substeps(A, k, grid.h)
     samples, log = _np_dual(A, k, grid.h, source, m, record)
-    assert _same(dual.w_samples, samples)
-    if record:
-        assert _same([rel for _, _, rel in dual.substep_log], log)
-        assert dual.max_mass_residual == max(log)
-    else:
-        assert dual.substep_log is None
+    for lib in cores:
+        with _running(lib):
+            dual = ss.solve_dual_gradient(CoefficientField(grid, part, A),
+                                          _Source(source), record_substeps=record)
+            assert _same(dual.w_samples, samples)
+            if record:
+                assert _same([rel for _, _, rel in dual.substep_log], log)
+                assert dual.max_mass_residual == max(log)
+            else:
+                assert dual.substep_log is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -529,17 +597,24 @@ def _breakdown_inputs(draw):
     states = rng.uniform(-1.5, 1.5, (N + 1, J))
     if draw(st.booleans()):
         states[rng.random(states.shape) < 0.3] = rng.choice([0.0, -0.0])
-    traj = ss.ForwardTrajectory(grid=grid, partition=part, states=states,
-                                flux=flux)
     coeff = CoefficientField(grid, part, rng.uniform(-2.0, 2.0, (N, J)))
     dual = ss.DualGradientTrajectory(grid, part, rng.normal(0.0, 1.0, (N, J)))
-    return traj, coeff, dual, _Case(draw(st.booleans()), rng.uniform(0, 6))
+    case = _Case(draw(st.booleans()), rng.uniform(0, 6))
+    traj = ss.ForwardTrajectory(grid=grid, partition=part, states=states,
+                                flux=flux, g=case.inflow_value(times))
+    return traj, coeff, dual, case
 
 
 @settings(max_examples=300, deadline=None)
 @given(_breakdown_inputs())
-def test_breakdown_kernel_matches_numpy_cell_terms_bitwise(inputs):
+def test_breakdown_kernel_matches_numpy_cell_terms_bitwise(cores, inputs):
     traj, coeff, dual, case = inputs
+    for lib in cores:
+        with _running(lib):
+            _assert_breakdown_matches_cell_terms(traj, coeff, dual, case)
+
+
+def _assert_breakdown_matches_cell_terms(traj, coeff, dual, case):
     br = ss.assemble_breakdown(traj, coeff, dual, case)
     N = traj.partition.interval_count
     cells_k, cells_h = cell_terms(traj, coeff, dual, case, 0, N)
@@ -552,11 +627,31 @@ def test_breakdown_kernel_matches_numpy_cell_terms_bitwise(inputs):
     assert _same(br.J_h, ss.evaluate_functional(traj, case))
 
 
+@pytest.mark.parametrize("J", [8, 15, 16, 17, 127, 128, 129, 255, 256, 300,
+                               1024, 1281])
+def test_breakdown_pairwise_sums_at_every_width(cores, J):
+    # numpy's pairwise sum: its eight accumulators at each width, blocks
+    # of 128 and the halving above them
+    rng = np.random.default_rng(J)
+    grid = ss.build_spatial_grid(J, 0)
+    part = ss.TimePartition(times=np.array([0.0, 0.01, 0.03, 0.04]),
+                            modes=np.array([0, 1, 0], dtype=np.int8))
+    case = _Case(False, 1.0)
+    traj = ss.ForwardTrajectory(grid=grid, partition=part,
+                                states=rng.uniform(-1.5, 1.5, (4, J)),
+                                flux=ss.BURGERS, g=case.inflow_value(part.times))
+    coeff = CoefficientField(grid, part, rng.uniform(-2.0, 2.0, (3, J)))
+    dual = ss.DualGradientTrajectory(grid, part, rng.normal(0.0, 1.0, (3, J)))
+    for lib in cores:
+        with _running(lib):
+            _assert_breakdown_matches_cell_terms(traj, coeff, dual, case)
+
+
 # ------------------------------------------------------- reference march
 
-def test_reference_march_independent_of_block_size(case, monkeypatch):
+def test_reference_march_independent_of_block_size(case, monkeypatch, cores):
     # blocks of 256 against one block, odd blocks, and a numpy loop that
-    # takes one step and one `@ W` row at a time
+    # takes one step and one `@ W` row at a time, at every width
     import shockstep.estimator as est
     grid = ss.build_spatial_grid(20, 2)
     part = ss.uniform_cfl_partition(case, grid, 0.8)
@@ -568,10 +663,12 @@ def test_reference_march_independent_of_block_size(case, monkeypatch):
     for n, k in enumerate(part.steps.tolist()):
         u, _, _ = _np_explicit(u, k, grid.h, g[n], case.flux)
         acc += k * float(u @ W)
-    for rows in (256, N, 1, 7, N + 5):
-        monkeypatch.setattr(est, "_ref_cache", {})
-        monkeypatch.setattr(est, "_BLOCK_ROWS", rows)
-        assert ss.reference_functional(case, 2) == acc, rows
+    for lib in cores:
+        with _running(lib):
+            for rows in (256, 64, N, 1, 7, N + 5):
+                monkeypatch.setattr(est, "_ref_cache", {})
+                monkeypatch.setattr(est, "_BLOCK_BYTES", rows * 8 * grid.cell_count)
+                assert ss.reference_functional(case, 2) == acc, rows
 
 
 @pytest.mark.parametrize("J", [1, 7, 80, 1280, 5000])
@@ -593,17 +690,19 @@ _UNSAFE_FLAGS = ("-ffast-math", "-Ofast", "-march", "-funsafe-math-optimizations
 
 def test_compile_command_keeps_every_rounding(tmp_path):
     # contraction off and none of the flags that license reassociation,
-    # finite-only math or another instruction set; the source builds
-    # without a warning
+    # finite-only math or another instruction set (the wide copies get
+    # theirs from target pragmas); the source builds without a warning,
+    # also with its width capped at each narrower one
     assert "-ffp-contract=off" in _core.COMPILE
     assert not [flag for flag in _core.COMPILE
-                if flag.startswith(_UNSAFE_FLAGS)]
+                if flag.startswith(_UNSAFE_FLAGS) or flag.startswith("-m")]
     if shutil.which(_core.COMPILE[0]) is None:
         pytest.skip(f"no {_core.COMPILE[0]} on PATH")
-    cmd = [*_core.COMPILE, "-Wall", "-Wextra", "-Werror",
-           "-o", str(tmp_path / "_core.so"), _core.SOURCE]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    for cap in ([], ["-DMAX_LANES=2"], ["-DMAX_LANES=4"]):
+        cmd = [*_core.COMPILE, *cap, "-Wall", "-Wextra", "-Werror",
+               "-o", str(tmp_path / "_core.so"), _core.SOURCE]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (cap, proc.stderr)
 
 
 def test_missing_compiler_names_the_command(tmp_path, monkeypatch, case):
@@ -639,7 +738,9 @@ def test_changed_source_or_command_is_rebuilt(tmp_path, monkeypatch):
     built = so.stat()
     _core.load(str(src), str(cache))
     assert so.stat().st_ino == built.st_ino      # same bytes: cache hit
-    src.write_bytes(src.read_bytes() + b"long edit_marker(void) { return 11; }\n")
+    # outside the per-width part, which the file includes once per width
+    src.write_bytes(src.read_bytes() + b"#ifndef LANES\n"
+                    b"long edit_marker(void) { return 11; }\n#endif\n")
     _core.load(str(src), str(cache))
     assert so.stat().st_ino != built.st_ino
     assert key.read_bytes().endswith(src.read_bytes())

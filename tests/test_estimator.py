@@ -60,7 +60,7 @@ def _synthetic_trajectory(states, T=2.0):
     grid = ss.build_spatial_grid(20, 0)
     part = ss.uniform_partition(T, T / (states.shape[0] - 1))
     return ForwardTrajectory(grid=grid, partition=part, states=states,
-                             flux=ss.BURGERS)
+                             flux=ss.BURGERS, g=np.ones(states.shape[0]))
 
 
 def test_evaluate_functional_zero_state(case):
@@ -83,7 +83,8 @@ def _one_step_breakdown(states, a, w, weight):
     grid = ss.build_spatial_grid(2, 0, domain=(0.0, 0.1))
     part = ss.TimePartition(times=np.array([0.0, 0.1]))
     traj = ForwardTrajectory(grid=grid, partition=part,
-                             states=np.array(states), flux=ss.BURGERS)
+                             states=np.array(states), flux=ss.BURGERS,
+                             g=np.ones(2))
     coeff = CoefficientField(grid=grid, partition=part,
                              a_values=np.full((1, 2), a))
     dual = DualGradientTrajectory(grid=grid, partition=part,
@@ -213,6 +214,28 @@ def test_breakdown_independent_of_block_size(case, mixed_trajectory):
         assert got.tobytes() == want.tobytes(), rows
 
 
+def test_breakdown_reads_the_inflow_of_the_march(case, mixed_trajectory,
+                                                monkeypatch):
+    # the stencil inflow comes from the trajectory's g, not from a second
+    # query, and the cell terms keep the bits of the re-queried oracle
+    traj = mixed_trajectory
+    coeff = ss.build_coefficient_field(traj)
+    dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
+    N = traj.partition.interval_count
+    cells_k, cells_h = cell_terms(traj, coeff, dual, case, 0, N)
+
+    def no_query(t):
+        raise AssertionError("the breakdown queried the inflow")
+
+    monkeypatch.setattr(case, "inflow_value", no_query)
+    br = ss.assemble_breakdown(traj, coeff, dual, case)
+    k = traj.partition.steps
+    assert br.eta_k_bar_n.tobytes() == (np.sum(np.abs(cells_k), axis=1) / k).tobytes()
+    assert br.eta_h_bar_n.tobytes() == (np.sum(np.abs(cells_h), axis=1) / k).tobytes()
+    assert br.eta_k == float(np.sum(np.sum(cells_k, axis=1)))
+    assert br.eta_h == float(np.sum(np.sum(cells_h, axis=1)))
+
+
 def test_breakdown_rejects_mismatched_shapes(case):
     traj = _synthetic_trajectory(np.ones((5, 20)))
     coeff = CoefficientField(grid=traj.grid, partition=traj.partition,
@@ -227,6 +250,12 @@ def test_breakdown_rejects_mismatched_shapes(case):
                                       w_samples=np.ones((4, 19)))
     with pytest.raises(ValueError, match="disagree in shape"):
         ss.assemble_breakdown(traj, coeff_bad, dual_bad, case)
+    # an inflow record that does not cover every time
+    dual_ok = DualGradientTrajectory(grid=traj.grid, partition=traj.partition,
+                                     w_samples=np.ones((4, 20)))
+    traj.g = np.ones(4)
+    with pytest.raises(ValueError, match="disagree in shape"):
+        ss.assemble_breakdown(traj, coeff, dual_ok, case)
 
 
 # ------------------------------------------------------- efficiency index
