@@ -15,8 +15,7 @@ from .estimator import (ErrorBreakdown, assemble_breakdown, efficiency_index,
                         weight_cell_integrals)
 from .forward import (BURGERS, BurgersFlux, LinearFlux, NewtonStats,
                       NonConvergence, SolverFailure, ForwardTrajectory,
-                      Stepper, run_forward, speed_for_basis,
-                      uniform_cfl_partition)
+                      run_forward, speed_for_basis, uniform_cfl_partition)
 from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
                    build_spatial_grid, uniform_partition)
 from .testcase import (CharacteristicsReport, PerturbedShockCase,
@@ -33,7 +32,7 @@ __all__ = [
     "ErrorBreakdown", "assemble_breakdown", "efficiency_index",
     "evaluate_functional", "reference_functional", "weight_cell_integrals",
     "BURGERS", "BurgersFlux", "LinearFlux", "NewtonStats", "NonConvergence",
-    "SolverFailure", "ForwardTrajectory", "Stepper", "run_forward",
+    "SolverFailure", "ForwardTrajectory", "run_forward",
     "speed_for_basis", "uniform_cfl_partition",
     "EXPLICIT", "IMPLICIT", "SpatialGrid", "TimePartition",
     "build_spatial_grid", "uniform_partition",

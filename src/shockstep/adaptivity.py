@@ -42,8 +42,8 @@ class AdaptationConfig:
             raise ValueError("need 0 < cfl_explicit < cfl_switch <= cfl_cap")
         for name in ("tol_k", "tol_total", "density_floor"):
             v = getattr(self, name)
-            if v is not None and v <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if v is not None and not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and positive")
 
     def effective_floor(self) -> float:
         if self.density_floor is not None:
@@ -83,14 +83,15 @@ class SpeedProfile:
     values: np.ndarray  # per interval of `times`
 
     @classmethod
-    def from_trajectory(cls, traj: ForwardTrajectory, case) -> "SpeedProfile":
+    def from_trajectory(cls, traj: ForwardTrajectory) -> "SpeedProfile":
+        """Per interval, max|f'| over both end states and the inflow the
+        march read there (`traj.g`)."""
         fprime = traj.flux.fprime
         # max|f'| per row without an |f'| table: for Burgers f'(u) is a
         # view of the states, so this allocates nothing of their size
         a = fprime(traj.states)
         state_speed = np.maximum(a.max(axis=1), -a.min(axis=1))
-        g_at = np.atleast_1d(np.asarray(case.inflow_value(traj.partition.times), dtype=float))
-        node = np.maximum(state_speed, np.abs(fprime(g_at)))
+        node = np.maximum(state_speed, np.abs(fprime(traj.g)))
         return cls(times=traj.partition.times.copy(),
                    values=np.maximum(node[:-1], node[1:]))
 
@@ -126,8 +127,8 @@ def propose_timesteps(old: TimePartition, densities: np.ndarray,
         raise ValueError("empty density sequence")
     if densities.size != old.interval_count:
         raise ValueError("densities misaligned with partition")
-    if np.any(densities < 0.0):
-        raise ValueError("densities must be nonnegative")
+    if not np.all(np.isfinite(densities) & (densities >= 0.0)):
+        raise ValueError("densities must be finite and nonnegative")
     T = old.T
     k_old = old.steps
     km = k_old * (cfg.tol_k / T) / np.maximum(densities, cfg.effective_floor())
@@ -273,7 +274,7 @@ def solve_level(level: int, grid: SpatialGrid, partition: TimePartition,
     coeff = build_coefficient_field(traj)
     dual = solve_dual_gradient(coeff, case, dual_cfl)
     br = assemble_breakdown(traj, coeff, dual, case)
-    profile = SpeedProfile.from_trajectory(traj, case)
+    profile = SpeedProfile.from_trajectory(traj)
     stats = PlanStats.of(partition, partition.steps * profile.values / grid.h)
     return LevelReport(level=level, grid=grid, partition=partition,
                        breakdown=br, stats=stats, profile=profile)

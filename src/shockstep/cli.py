@@ -221,10 +221,9 @@ _SUMMARY_HEADER = ("level", "dx", "dt", "eta_k_bar", "eta_h_bar", "eta_k",
 _SUMMARY_FMT = "%d" + ",%.5e" * 8
 
 
-def _summary_row(report: LevelReport, case, cfg: dict, adaptive: bool):
+def _summary_row(report: LevelReport, j_ref: float, adaptive: bool):
     br = report.breakdown
     part = report.partition
-    j_ref = reference_functional(case, cfg["ref_level"], cfg["base_cells"])
     row = (report.level,) + tuple(map(float, (
         report.grid.h, part.T / part.interval_count, br.eta_k_bar,
         br.eta_h_bar, br.eta_k, br.eta_h, br.J_h,
@@ -237,10 +236,14 @@ def _summary_row(report: LevelReport, case, cfg: dict, adaptive: bool):
 def run_uniform(cfg: dict) -> int:
     case = _solvable_case(cfg)
     levels = cfg["levels"] if cfg["levels"] is not None else [cfg["level"]]
+    j_ref = None
     rows = []
     for level in levels:
         rep = _uniform_report(case, cfg, level)
-        rows.append(_summary_row(rep, case, cfg, adaptive=False))
+        # after the first level, so that a run refused there runs no reference
+        if j_ref is None:
+            j_ref = reference_functional(case, cfg["ref_level"], cfg["base_cells"])
+        rows.append(_summary_row(rep, j_ref, adaptive=False))
         # made only once a report is ready, so a refused run leaves no
         # directory behind
         out = _ensure_outdir(cfg)
@@ -279,10 +282,11 @@ def run_adaptive(cfg: dict, honor_tol_total: bool = False) -> int:
     combined density drops below tol_total."""
     case = _solvable_case(cfg)
     reports = _adaptive_reports(cfg, case, honor_tol_total)
+    j_ref = reference_functional(case, cfg["ref_level"], cfg["base_cells"])
     out = _ensure_outdir(cfg)
     rows = []
     for i, rep in enumerate(reports):
-        rows.append(_summary_row(rep, case, cfg, adaptive=True))
+        rows.append(_summary_row(rep, j_ref, adaptive=True))
         _write_steps(os.path.join(out, f"steps_{i}.csv"), rep)
         print(f"run {i} (level {rep.level}): N={rep.stats.N} "
               f"N_explicit={rep.stats.N_explicit} "

@@ -27,9 +27,6 @@ REF_LEVEL = 6
 _BLOCK_BYTES = 1 << 20
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
-# (type(case), perturbation_scale, ref_level, base_cells, cfl) -> J_ref
-_ref_cache: dict = {}
-
 
 @dataclass
 class ErrorBreakdown:
@@ -131,9 +128,6 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
                          base_cells: int = 20, cfl: float = 0.8) -> float:
     """Functional value from a fine uniform explicit run.
 
-    Memoized by value, (type(case), perturbation_scale, ref_level,
-    base_cells, cfl), so equal cases share one run and a changed scale gets
-    a fresh one.  Cases without a `perturbation_scale` are not memoized.
     The run is streamed through one (B + 1, J) buffer of about
     _BLOCK_BYTES: the compiled march fills a block of B states, one
     `np.matmul` of the block as (B, 1, J) @ (J, 1) takes each row's
@@ -141,10 +135,6 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
     would round differently), each is weighted by k_n and added in step
     order, and the block's last state starts the next block.
     """
-    scale = getattr(case, "perturbation_scale", None)
-    key = (type(case), scale, ref_level, base_cells, cfl)
-    if scale is not None and key in _ref_cache:
-        return _ref_cache[key]
     grid = build_spatial_grid(base_cells, ref_level, case.domain)
     part = forward.uniform_cfl_partition(case, grid, cfl)
     W = weight_cell_integrals(grid, case)
@@ -166,6 +156,4 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
         for k_n, dot in zip(k[lo:hi].tolist(), dots.ravel().tolist()):
             acc += k_n * dot
         buf[0] = rows[-1]
-    if scale is not None:
-        _ref_cache[key] = acc
     return acc

@@ -179,37 +179,6 @@ def march(rows: np.ndarray, k: np.ndarray, g: np.ndarray, h: float, flux,
     return done, SolverFailure(_MESSAGES[code].format(value)) if code else None
 
 
-class Stepper:
-    """One step at a time through `march`, for the scalar-oracle tests:
-    `u` is updated in place, a refused explicit step leaves it unchanged,
-    and `F` holds the fluxes of the last update."""
-
-    def __init__(self, u, flux):
-        self.flux = flux
-        self.u = np.array(u, dtype=float)
-        self.F = np.empty(self.u.size + 1)
-        self._rows = np.empty((2, self.u.size))
-
-    def _step(self, k, h, g, mode, newton=None, **kw):
-        self._rows[:] = self.u
-        _, err = march(self._rows, np.array([k], dtype=float),
-                       np.array([g], dtype=float), h, self.flux, mode,
-                       newton, self.F, **kw)
-        self.u[:] = self._rows[1]
-        if err is not None:
-            raise err
-
-    def explicit(self, k: float, h: float, g: float):
-        self._step(k, h, g, EXPLICIT)
-
-    def implicit(self, k: float, h: float, g: float, tol: float = NEWTON_TOL,
-                 max_iter: int = NEWTON_MAX_ITER) -> NewtonStats:
-        rec = np.zeros(1, np.intc), np.zeros(1), np.zeros(1, np.int8)
-        self._step(k, h, g, IMPLICIT, rec, tol=tol, max_iter=max_iter)
-        return NewtonStats(int(rec[0][0]), float(rec[1][0]),
-                           _core.STOP_RULES[int(rec[2][0])])
-
-
 def speed_for_basis(case, grid: SpatialGrid, basis: str) -> float:
     """Wave speed bound max|f'| for a uniform partition: over the initial
     cell averages ("initial"), and also over the inflow peak ("global")."""

@@ -346,8 +346,7 @@ class PerturbedShockCase:
         """(pieces_t, pieces_g) with the nodes in `need`, one index array
         per window, filled; None fills every node and () none.  The
         skeleton is rebuilt when perturbation_scale has changed since the
-        last build, so the inflow never lags the scale the memoized
-        reference keys on."""
+        last build, so the inflow never lags the scale."""
         scale = self.perturbation_scale
         if self._table is None or self._table[0] != scale:
             self._table = (scale,) + _table_skeleton(self._table_t, scale)

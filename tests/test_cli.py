@@ -334,6 +334,31 @@ def test_csv_outputs_bit_identical(name, tmp_path, monkeypatch, case):
     assert got == want
 
 
+@pytest.mark.parametrize("command,key,rc,runs", [
+    ("run-uniform", "cfl=0.8", 0, 1),
+    ("run-adaptive", "cfl=0.8", 0, 1),
+    # refused on its first level: no reference march is paid for
+    ("run-uniform", "cfl=1e4", 2, 0),
+])
+def test_one_reference_run_per_command(tmp_path, monkeypatch, command, key,
+                                       rc, runs):
+    # every summary row shares one J_ref, computed once per command
+    calls = []
+    ref = shockstep.cli.reference_functional
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ref(*args, **kwargs)
+
+    monkeypatch.setattr(shockstep.cli, "reference_functional", counted)
+    assert cli_main([command, "--set", "levels=0,1", "--set", key,
+                     "--set", "ref_level=2", "--out", str(tmp_path)]) == rc
+    assert len(calls) == runs
+    if rc == 0:
+        _, rows = _read_csv(tmp_path / "summary.csv")
+        assert len(rows) == 2
+
+
 # ----------------------------------------------------------- run-adaptive
 
 def test_run_adaptive_chain(tmp_path, capsys):

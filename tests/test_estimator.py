@@ -315,10 +315,8 @@ def test_reference_functional_level6_bits(j_ref):
 
 
 def _count_reference_steps(monkeypatch):
-    """Empty memo, and a list that grows by one per compiled-march call."""
-    import shockstep.estimator as est
+    """A list that grows by one per compiled-march call."""
     import shockstep.forward as fw
-    monkeypatch.setattr(est, "_ref_cache", {})
     calls = []
     orig = fw.march
 
@@ -330,30 +328,6 @@ def _count_reference_steps(monkeypatch):
     return calls
 
 
-def test_reference_functional_memoized(monkeypatch):
-    fresh = ss.PerturbedShockCase()
-    calls = _count_reference_steps(monkeypatch)
-    first = ss.reference_functional(fresh, 1)
-    assert len(calls) > 0
-    calls.clear()
-    second = ss.reference_functional(fresh, 1)
-    assert len(calls) == 0
-    assert second == first
-
-
-def test_reference_functional_equal_cases_share_one_run(monkeypatch, case):
-    calls = _count_reference_steps(monkeypatch)
-    first = ss.reference_functional(case, 1)
-    assert len(calls) > 0
-    calls.clear()
-    twin = ss.PerturbedShockCase(perturbation_scale=case.perturbation_scale)
-    assert ss.reference_functional(twin, 1) == first
-    assert len(calls) == 0
-    # another level, base grid or cfl is another run
-    ss.reference_functional(twin, 1, cfl=0.4)
-    assert len(calls) > 0
-
-
 def test_reference_functional_changed_scale_is_fresh(monkeypatch):
     calls = _count_reference_steps(monkeypatch)
     mutable = ss.PerturbedShockCase()
@@ -363,17 +337,14 @@ def test_reference_functional_changed_scale_is_fresh(monkeypatch):
     again = ss.reference_functional(mutable, 1)
     assert len(calls) > 0
     assert again != first
-    # the inflow table followed the new scale (value of a fresh scale-2
-    # case), so the memo now holds the scale-2 value
+    # the inflow table followed the new scale (value of a fresh scale-2 case)
     assert mutable.inflow_value(15.0) == 1.017010615748162
-    calls.clear()
     assert ss.reference_functional(ss.PerturbedShockCase(2.0), 1) == again
-    assert len(calls) == 0
 
 
 def test_reference_functional_unscaled_case_is_not_memoized(monkeypatch,
                                                             linear_case):
-    # the linear twin has no perturbation_scale to key by
+    # no case is memoized: a second call runs the march again
     calls = _count_reference_steps(monkeypatch)
     first = ss.reference_functional(linear_case, 1)
     n = len(calls)

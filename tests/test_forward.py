@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shockstep as ss
-from oracles import interface_fluxes, update_fluxes
+from oracles import Stepper, interface_fluxes, update_fluxes
 
 # squares of these stay finite, so no overflow warning can fire
 _FINITE = st.floats(min_value=-1e150, max_value=1e150,
@@ -175,7 +175,7 @@ def test_interface_fluxes_equal_the_stepper_fluxes(flux):
     # the estimator's fluxes and the march's are one computation
     rng = np.random.default_rng(12)
     u = rng.uniform(-1.0, 1.0, size=9)
-    s = ss.Stepper(u, flux)
+    s = Stepper(u, flux)
     s.explicit(0.01, 0.1, 0.4)
     assert s.F.tobytes() == interface_fluxes(u, 0.4, flux).tobytes()
 
@@ -185,7 +185,7 @@ def test_interface_fluxes_equal_the_stepper_fluxes(flux):
 def test_explicit_step_constant_state_invariant():
     u = np.full(25, 0.6)
     h = 1.0 / 25
-    s = ss.Stepper(u, ss.BURGERS)
+    s = Stepper(u, ss.BURGERS)
     s.explicit(0.8 * h / 0.6, h, 0.6)
     np.testing.assert_array_equal(s.u, u)
     assert s.F.shape == (26,)
@@ -194,7 +194,7 @@ def test_explicit_step_constant_state_invariant():
 def test_explicit_step_refuses_above_unit_cfl():
     u = np.linspace(-1.0, 1.0, 10)
     h = 0.1
-    s = ss.Stepper(u, ss.BURGERS)
+    s = Stepper(u, ss.BURGERS)
     with pytest.raises(ss.SolverFailure, match="CFL"):
         s.explicit(0.12, h, 1.0)
     np.testing.assert_array_equal(s.u, u)
@@ -204,15 +204,15 @@ def test_explicit_step_cfl_counts_the_inflow_value():
     # CFL 0.99 against max|u| = 0.9 but 1.10 against g = 1.0; unchecked,
     # the step returns u_0 = 1.0045 > max(u, g)
     with pytest.raises(ss.SolverFailure, match="CFL 1.10"):
-        ss.Stepper(np.full(4, 0.9), ss.BURGERS).explicit(0.99 * 0.25 / 0.9,
-                                                         0.25, 1.0)
+        Stepper(np.full(4, 0.9), ss.BURGERS).explicit(0.99 * 0.25 / 0.9,
+                                                      0.25, 1.0)
 
 
 def test_explicit_steady_shock_odd_grid(case):
     # center cell straddles the jump, its average is the sonic value
     grid = ss.build_spatial_grid(21, 0)
     u0 = case.initial_cell_averages(grid.edges)
-    s = ss.Stepper(u0, ss.BURGERS)
+    s = Stepper(u0, ss.BURGERS)
     s.explicit(0.8 * grid.h, grid.h, 1.0)
     assert float(np.max(np.abs(s.u - u0))) == 0.0
 
@@ -221,7 +221,7 @@ def test_explicit_edge_aligned_jump_relaxes_to_two_cell_layer():
     # an edge-aligned jump is not steady; mass fixes the internal layer
     J = 20
     h = 1.0 / J
-    s = ss.Stepper(np.where(np.arange(J) < 10, 1.0, -1.0), ss.BURGERS)
+    s = Stepper(np.where(np.arange(J) < 10, 1.0, -1.0), ss.BURGERS)
     for _ in range(400):
         s.explicit(0.8 * h, h, 1.0)
     u = s.u
@@ -239,7 +239,7 @@ def _unit_cfl_step(u, g, cfl):
     speed = max(float(np.max(np.abs(u))), abs(g), 1e-3)
     k = cfl * h / speed
     assume(k * speed / h <= 1.0)
-    s = ss.Stepper(u, ss.BURGERS)
+    s = Stepper(u, ss.BURGERS)
     s.explicit(k, h, g)
     return s.u, s.F, k, h
 
@@ -283,10 +283,33 @@ def test_explicit_step_tvd_with_inflow_ghost(u, g, cfl):
 
 # ---------------------------------------------------------------- implicit step
 
+_IMPLICIT_STATE = st.floats(min_value=-1.5, max_value=1.5,
+                            allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_IMPLICIT_STATE, min_size=1, max_size=40),
+       st.floats(min_value=0.0, max_value=1.5),
+       st.floats(min_value=-2.0, max_value=4.0))
+def test_implicit_step_max_principle_and_tvd_up_to_cfl_cap(u, g, log_cfl):
+    # backward Euler with a monotone flux is unconditionally monotone and
+    # TVD, up to the planner's cfl_cap = 1e4; undamped Newton may instead
+    # refuse the step, which is a SolverFailure, never a bad state
+    h = 1.0 / len(u)
+    speed = max(max(abs(v) for v in u), g, 1e-3)
+    s = Stepper(u, ss.BURGERS)
+    try:
+        s.implicit(10.0 ** log_cfl * h / speed, h, g)
+    except ss.SolverFailure:
+        return
+    lo, hi = min(min(u), g), max(max(u), g)
+    assert np.all(s.u >= lo - 1e-12) and np.all(s.u <= hi + 1e-12)
+    assert _tv(g, s.u) <= _tv(g, u) + 1e-12
+
 def test_implicit_step_steady_shock_is_newton_fixed_point(case):
     grid = ss.build_spatial_grid(21, 0)
     u0 = case.initial_cell_averages(grid.edges)
-    s = ss.Stepper(u0, ss.BURGERS)
+    s = Stepper(u0, ss.BURGERS)
     stats = s.implicit(1.0, grid.h, 1.0)
     assert float(np.max(np.abs(s.u - u0))) == 0.0
     assert stats.iterations == 1
@@ -297,7 +320,7 @@ def test_implicit_step_steady_shock_is_newton_fixed_point(case):
 def test_implicit_edge_aligned_jump_reaches_layer():
     J = 20
     h = 1.0 / J
-    s = ss.Stepper(np.where(np.arange(J) < 10, 1.0, -1.0), ss.BURGERS)
+    s = Stepper(np.where(np.arange(J) < 10, 1.0, -1.0), ss.BURGERS)
     u = s.u
     r = np.sqrt(0.5)
     hit = None
@@ -318,7 +341,7 @@ def test_implicit_explicit_one_step_gap_is_second_order():
     u0 = 0.6 + 0.3 * np.sin(2 * np.pi * x) + 0.05 * rng.standard_normal(J)
     gaps = []
     for k in (0.008, 0.004, 0.002):
-        se, si = ss.Stepper(u0, ss.BURGERS), ss.Stepper(u0, ss.BURGERS)
+        se, si = Stepper(u0, ss.BURGERS), Stepper(u0, ss.BURGERS)
         se.explicit(k, h, 1.0)
         si.implicit(k, h, 1.0)
         gaps.append(float(np.max(np.abs(si.u - se.u))))
@@ -336,13 +359,13 @@ def test_newton_quadratic_with_shock_in_last_cell(u_last, k):
     h = 1.0 / 20
     u = np.full(20, 0.8)
     u[-1] = u_last
-    stats = ss.Stepper(u, ss.BURGERS).implicit(k, h, 0.8)
+    stats = Stepper(u, ss.BURGERS).implicit(k, h, 0.8)
     assert stats.iterations <= 5
 
 
 def test_implicit_nonconvergence_carries_diagnostics():
     rng = np.random.default_rng(19)
-    s = ss.Stepper(rng.uniform(-1.0, 1.0, size=30), ss.BURGERS)
+    s = Stepper(rng.uniform(-1.0, 1.0, size=30), ss.BURGERS)
     with pytest.raises(ss.NonConvergence, match="Newton stalled") as exc:
         s.implicit(50.0, 1.0 / 30, 1.0, max_iter=1)
     assert exc.value.iterations == 1
@@ -354,7 +377,7 @@ def test_implicit_nonconvergence_carries_diagnostics():
 def test_implicit_overflow_is_a_solver_failure():
     # 0.5 * 1e200**2 overflows; the Newton residual turns NaN before any
     # linear solve, which must not surface as a bare ValueError
-    s = ss.Stepper(np.full(20, 1e200), ss.BURGERS)
+    s = Stepper(np.full(20, 1e200), ss.BURGERS)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ss.SolverFailure, match="non-finite"):
             s.implicit(1.0, 0.05, 1.0)
@@ -392,7 +415,7 @@ def test_undamped_newton_stalls_at_large_k(case):
     # level-0 data, k = 5h, constant inflow 1.03: the shock drifts right
     # and plain Newton stops converging near the outflow boundary
     grid = ss.build_spatial_grid(20, 0)
-    s = ss.Stepper(case.initial_cell_averages(grid.edges), ss.BURGERS)
+    s = Stepper(case.initial_cell_averages(grid.edges), ss.BURGERS)
     h = grid.h
     u = s.u.copy()      # the last converged state; Newton works in s.u
     steps = 0
