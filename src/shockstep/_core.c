@@ -1,5 +1,5 @@
-/* The stepping core: every time loop of the forward and dual marches, and
- * the estimator's per-cell reductions.
+/* The stepping core: every time loop of the forward and dual marches, the
+ * estimator's per-cell reductions, and the `%.5e` text of the CSVs.
  *
  * Each march writes into caller-owned buffers and returns how many steps
  * (or intervals) it completed; on a failure it stops there and sets a
@@ -28,6 +28,7 @@
 #include <float.h>
 #include <limits.h>
 #include <math.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -425,6 +426,112 @@ long march_dual(long n, long J, double h, const double *A, const long *m,
     }
     free(block);
     return done;
+}
+
+/* 10^0 .. 10^22: every one of them is exact in a double */
+static const double pow10_exact[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+    1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* a 10^(5 - e) for -39 <= e <= 27: one correctly rounded operation by an
+ * exact power, or two below e = -17 */
+static double scaled(double a, int e)
+{
+    int p = 5 - e;
+    if (p < 0)
+        return a / pow10_exact[-p];
+    if (p > 22)
+        return (a * 1e22) * pow10_exact[p - 22];
+    return a * pow10_exact[p];
+}
+
+/* x as Python's '%.5e' % x, into s (room for 16); returns its length.
+ * With e = floor(log10 |x|), y = scaled(|x|, e) lies in [1e5, 1e6) and is
+ * off the exact |x| 10^(5 - e) by at most 1.7e-10 (a half ulp of y < 2^20
+ * is 5.8e-11; the two-operation path adds a relative 2^-53 of y).  When y
+ * is farther than FMT_MARGIN from a half-integer and from 1e5 and 1e6,
+ * the exact value has the same six rounded digits and exponent, and they
+ * are written directly.  Everything else goes to snprintf, which (like
+ * Python's dtoa) rounds the exact binary value half to even.  Non-finite
+ * values are spelled as Python does: nan (whatever its sign bit), inf,
+ * -inf. */
+#define FMT_MARGIN 1e-9
+static int format_e5(double x, char *s)
+{
+    if (x != x) {
+        memcpy(s, "nan", 3);
+        return 3;
+    }
+    char *p = s;
+    if (signbit(x))
+        *p++ = '-';
+    double a = fabs(x);
+    if (a == INFINITY) {
+        memcpy(p, "inf", 3);
+        return (int)(p - s) + 3;
+    }
+    long r = 0;
+    int e = 0;
+    if (a != 0.0) {
+        /* |x| = m 2^b with m in [1, 2) (subnormals land out of range), so
+         * log10 |x| lies in [b log10 2, (b + 1) log10 2): e or one below */
+        unsigned long long bits;
+        memcpy(&bits, &a, sizeof bits);
+        double t = ((int)(bits >> 52) - 1023) * 0.30102999566398120;
+        e = (int)t;
+        e -= t < e;                             /* floor */
+        if (e < -39 || e > 26)
+            return snprintf(s, 16, "%.5e", x);
+        double y = scaled(a, e);
+        if (y >= 1e6)
+            y = scaled(a, ++e);
+        if (!(y - 1e5 > FMT_MARGIN && 1e6 - y > FMT_MARGIN))
+            return snprintf(s, 16, "%.5e", x);
+        r = (long)y;                            /* floor: y > 0 */
+        double frac = y - (double)r;            /* exact: r <= y < r + 1 */
+        if (fabs(frac - 0.5) <= FMT_MARGIN)
+            return snprintf(s, 16, "%.5e", x);
+        r += frac > 0.5;
+        if (r == 1000000) {
+            r = 100000;
+            e++;
+        }
+    }
+    *p++ = (char)('0' + r / 100000);
+    *p++ = '.';
+    for (int q = 4; q >= 0; q--, r /= 10)
+        p[q] = (char)('0' + r % 10);
+    p += 5;
+    *p++ = 'e';
+    *p++ = e < 0 ? '-' : '+';
+    e = e < 0 ? -e : e;                         /* two digits: at most 39 here */
+    *p++ = (char)('0' + e / 10);
+    *p++ = (char)('0' + e % 10);
+    return (int)(p - s);
+}
+
+/* The CSV body of n rows of ncol columns, column c in x[c n .. c n + n):
+ * each value as format_e5 writes it, joined by commas, a newline after
+ * each row.  When modes is not NULL, row i's mode word, explicit (0) or
+ * implicit (1), goes before column mode_at.  out needs n (14 ncol + 10)
+ * bytes.  Returns the bytes written, or -(i + 1) when modes[i] is neither
+ * mode. */
+long format_rows(long n, long ncol, const double *x, const signed char *modes,
+                 long mode_at, char *out)
+{
+    char *p = out;
+    for (long i = 0; i < n; i++)
+        for (long c = 0; c < ncol; c++) {
+            if (modes && c == mode_at) {
+                if (modes[i] != 0 && modes[i] != 1)
+                    return -(i + 1);
+                memcpy(p, modes[i] ? "implicit," : "explicit,", 9);
+                p += 9;
+            }
+            p += format_e5(x[c * n + i], p);
+            *p++ = c + 1 < ncol ? ',' : '\n';
+        }
+    return p - out;
 }
 
 #else /* LANES: the vector loops at one width, included once per width */

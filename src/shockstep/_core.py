@@ -1,5 +1,5 @@
-"""Loader of the compiled core, `_core.c`: the marches and the error
-breakdown.
+"""Loader of the compiled core, `_core.c`: the marches, the error
+breakdown and the `%.5e` text of the CSVs (`format_rows`).
 
 The library is built on first use with the system C compiler,
 
@@ -51,6 +51,7 @@ _SIGNATURES = {
                           _double, _ptr, _ptr, _ptr, _ptr]),
     "dgtsv": (_long, [_long, _ptr, _ptr, _ptr, _ptr]),
     "lanes": (_long, []),
+    "format_rows": (_long, [_long, _long, _ptr, _ptr, _long, _ptr]),
 }
 
 _lib = None
@@ -70,6 +71,28 @@ def lanes() -> int:
     """The vector width (doubles per operation) the marches and the
     breakdown run at: 8 with AVX-512F, 4 with AVX2, 2 otherwise."""
     return lib().lanes()
+
+
+def format_rows(cols, modes=None, mode_at=0) -> bytes:
+    """The CSV body of the equal-length float64 columns `cols`: one line
+    per row, each value exactly as Python's `'%.5e' % value` spells it
+    (nan, inf and -inf included), joined by commas.  With `modes`, each
+    row's mode word, explicit (0) or implicit (1), goes before column
+    `mode_at`."""
+    x = np.stack(cols)
+    ncol, n = x.shape
+    m = None
+    if modes is not None:
+        m = np.ascontiguousarray(modes, dtype=np.int8)
+        if m.shape != (n,) or not 0 <= mode_at < ncol:
+            raise ValueError(f"need {n} modes placed before one of {ncol} columns")
+    out = np.empty(n * (14 * ncol + 10), np.uint8)
+    size = lib().format_rows(n, ncol, ptr(x), None if m is None else ptr(m, np.int8),
+                             mode_at, ptr(out, np.uint8))
+    if size < 0:
+        raise ValueError(f"mode {m[-size - 1]} of row {-size - 1} is neither "
+                         f"explicit (0) nor implicit (1)")
+    return out[:size].tobytes()
 
 
 def _read(path: str):

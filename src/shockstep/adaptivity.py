@@ -108,6 +108,10 @@ class SpeedProfile:
         # window maxima, the appended 0 makes hi = nv a valid index
         bounds = np.stack((lo, hi), axis=-1).ravel()
         out = np.maximum.reduceat(np.append(self.values, 0.0), bounds)[::2]
+        # of equal values np.maximum keeps the later, max() the first; only
+        # a zero's sign tells them apart
+        for i in np.flatnonzero(out == 0.0):
+            out[i] = max(self.values[bounds[2 * i]:bounds[2 * i + 1]])
         return float(out[0]) if np.ndim(ta) == 0 and np.ndim(tb) == 0 else out
 
 
@@ -154,6 +158,11 @@ def propose_timesteps(old: TimePartition, densities: np.ndarray,
             m += 1
         if t + step > T:
             step = T - t
+        if t + step == t:
+            # a huge density makes k_m vanish next to t: the walk would
+            # append the same time forever
+            raise ValueError(f"a step of {step!r} at t = {t!r} does not advance "
+                             f"the partition (density too large for tol_k)")
         t += step
         new_times.append(t)
     new_times[-1] = T

@@ -12,6 +12,7 @@ import math
 import os
 import sys
 
+from . import _core
 from .adaptivity import (AdaptationConfig, LevelReport, adaptive_loop,
                          solve_level)
 # run_forward, build_coefficient_field, solve_dual_gradient and
@@ -154,24 +155,27 @@ def _check_ranges(cfg: dict):
 
 
 def _write_csv(path: str, header, fmt: str, rows):
-    """The header, then one line `fmt % row` per row."""
+    """The header, then one line `fmt % row` per row (the summary)."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines([fmt % row for row in rows])
 
 
+def _write_series(path: str, header, cols, modes=None, mode_at=0):
+    """The header, then the columns' `%.5e` rows as the compiled core
+    formats them, in one write."""
+    body = _core.format_rows(cols, modes, mode_at)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode() + body)
+
+
 def _write_steps(path: str, report: LevelReport):
     part = report.partition
     br = report.breakdown
-    mode_name = {EXPLICIT: "explicit", IMPLICIT: "implicit"}
-    # .tolist() columns: formatting Python floats is what keeps this cheap
-    _write_csv(path,
-               ("t_n", "k_n", "cfl_n", "mode", "eta_k_bar_n", "eta_h_bar_n"),
-               "%.5e,%.5e,%.5e,%s,%.5e,%.5e\n",
-               zip(part.times[1:].tolist(), part.steps.tolist(),
-                   report.cfl_series.tolist(),
-                   [mode_name[m] for m in part.modes.tolist()],
-                   br.eta_k_bar_n.tolist(), br.eta_h_bar_n.tolist()))
+    _write_series(path,
+                  ("t_n", "k_n", "cfl_n", "mode", "eta_k_bar_n", "eta_h_bar_n"),
+                  (part.times[1:], part.steps, report.cfl_series,
+                   br.eta_k_bar_n, br.eta_h_bar_n), part.modes, mode_at=3)
 
 
 def _echo_config(cfg: dict):
@@ -300,13 +304,11 @@ def run_adaptive(cfg: dict, honor_tol_total: bool = False) -> int:
 
 def emit_plot_data(report: LevelReport, out_dir: str, index: int):
     """Two-column series exactly as carried by the report, no resampling."""
-    t_end = report.partition.times[1:].tolist()
-    _write_csv(os.path.join(out_dir, f"density_vs_time_{index}.csv"),
-               ("t_n", "eta_k_bar_n"), "%.5e,%.5e\n",
-               zip(t_end, report.breakdown.eta_k_bar_n.tolist()))
-    _write_csv(os.path.join(out_dir, f"cfl_vs_time_{index}.csv"),
-               ("t_n", "cfl_n"), "%.5e,%.5e\n",
-               zip(t_end, report.cfl_series.tolist()))
+    t_end = report.partition.times[1:]
+    _write_series(os.path.join(out_dir, f"density_vs_time_{index}.csv"),
+                  ("t_n", "eta_k_bar_n"), (t_end, report.breakdown.eta_k_bar_n))
+    _write_series(os.path.join(out_dir, f"cfl_vs_time_{index}.csv"),
+                  ("t_n", "cfl_n"), (t_end, report.cfl_series))
 
 
 def emit_plots(cfg: dict) -> int:

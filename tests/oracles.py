@@ -7,6 +7,8 @@ trajectory used, and `cell_terms` forms the error breakdown's per-cell
 time and space terms, in the operation order the compiled breakdown
 transcribes.  `propose_timesteps` and `assign_modes` are the planner's
 loops on numpy scalars, which the package now runs on Python floats.
+`percent_rows` is the CSV writer's old text: `fmt % row` over `.tolist()`
+columns.
 """
 import math
 
@@ -177,3 +179,19 @@ def assign_modes(raw, speed_profile, cfg, h, strategy="imex"):
                             modes=np.array(modes, dtype=np.int8))
     cfl = part.steps * speed_profile.max_over(part.times[:-1], part.times[1:]) / h
     return ss.AdaptationPlan(partition=part, stats=ss.PlanStats.of(part, cfl))
+
+
+def percent_rows(cols, modes=None, mode_at=0) -> str:
+    """The rows the CSV writer formatted in Python, before
+    `_core.format_rows`: every value as `'%.5e' % value`, and with `modes`
+    the word explicit or implicit before column `mode_at`."""
+    fmt = ["%.5e"] * len(cols)
+    rows = zip(*(np.asarray(c).tolist() for c in cols))
+    if modes is not None:
+        fmt.insert(mode_at, "%s")
+        names = [{EXPLICIT: "explicit", IMPLICIT: "implicit"}[m]
+                 for m in np.asarray(modes).tolist()]
+        rows = (row[:mode_at] + (name,) + row[mode_at:]
+                for row, name in zip(rows, names))
+    fmt = ",".join(fmt) + "\n"
+    return "".join([fmt % row for row in rows])

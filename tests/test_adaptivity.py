@@ -126,13 +126,39 @@ for dens, kw in ((np.array([1e-3, np.inf, 1e-3, 1e-3]), {}),
 """
 
 
-def test_propose_refuses_infinite_input_without_hanging():
+def _run_capped_child(code: str):
     root = str(Path(ss.__file__).parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _INFINITE_PLANNER_INPUT],
+    proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_propose_refuses_infinite_input_without_hanging():
+    _run_capped_child(_INFINITE_PLANNER_INPUT)
+
+
+# a huge finite density gives k_m = 2.5e-304: at t = 0.5, t + k_m == t, and
+# an unchecked walk appends t forever, so this too runs in a capped child
+_HUGE_DENSITY_INPUT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+import shockstep as ss
+try:
+    ss.propose_timesteps(ss.uniform_partition(2.0, 0.5),
+                         np.array([1e-3, 1e300, 1e-3, 1e-3]),
+                         ss.AdaptationConfig(T=2.0, tol_k=1e-3))
+except ValueError as err:
+    assert "does not advance" in str(err), err
+else:
+    raise SystemExit("accepted a density of 1e300")
+"""
+
+
+def test_propose_refuses_a_step_that_does_not_advance():
+    _run_capped_child(_HUGE_DENSITY_INPUT)
 
 
 def test_propose_always_tiles_exactly():

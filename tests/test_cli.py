@@ -299,7 +299,8 @@ def test_run_uniform_deterministic(tmp_path):
 
 
 # sha256 of every CSV, recorded before the marching kernels were last
-# rewritten; any change in the numerics changes at least one of them
+# rewritten (the emit-plots ones before the compiled `%.5e` writer); any
+# change in the numerics or the text changes at least one of them
 _GOLDEN_CSV = {
     "uniform": (["run-uniform", "--set", "levels=0,1"], {
         "steps_L0.csv": "207b29b11f50c5830967f7b50abe5441e00e9eab7fb72487c4f85b4168c67b49",
@@ -316,6 +317,20 @@ _GOLDEN_CSV = {
         "steps_0.csv": "207b29b11f50c5830967f7b50abe5441e00e9eab7fb72487c4f85b4168c67b49",
         "steps_1.csv": "ccc498e8df7cb39218f2acc6fd3754e67cbdbd7cfef5aa90de4fffbd5d4a85f3",
         "summary.csv": "ab23baa9112a47d083b59ce0a4ff44ddf42b65e0849e77f17c4020c47442721b",
+    }),
+    "plots_uniform": (["emit-plots", "--set", "experiment=uniform",
+                       "--set", "levels=0,1"], {
+        "density_vs_time_0.csv": "c9143632bd0b6f56e40d2c3df8e0c4a848674acf54719b4fd0b9049d253246c3",
+        "density_vs_time_1.csv": "e24f022d9dd744f8524a0288926239b9d0094ae6227b263593aa50b5d723696d",
+        "cfl_vs_time_0.csv": "d047115820e264256b0edebfe42ac2a79f04afea09e4f2836f27c1e97e56fb08",
+        "cfl_vs_time_1.csv": "169a280e6502421976083bbb654fe8785d72539be0c526968489255dde72c057",
+    }),
+    "plots_adaptive": (["emit-plots", "--set", "experiment=adaptive",
+                        "--set", "levels=0,1"], {
+        "density_vs_time_0.csv": "c9143632bd0b6f56e40d2c3df8e0c4a848674acf54719b4fd0b9049d253246c3",
+        "density_vs_time_1.csv": "3cd87a91c0a1ea511f7822c87367925dcde550bedfce5d228b25128473ddc913",
+        "cfl_vs_time_0.csv": "d047115820e264256b0edebfe42ac2a79f04afea09e4f2836f27c1e97e56fb08",
+        "cfl_vs_time_1.csv": "845182dd542a4d4227139f5732e0f63582d9adf50ec4530ad6bb681c8fe776eb",
     }),
 }
 

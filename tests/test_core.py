@@ -8,6 +8,8 @@ solve with LAPACK's `dgtsv` from scipy as the linear solver, the dual
 substep plan and substeps with and without the mass-balance record, and
 the error breakdown against the cell terms of `tests/oracles.py`.  Those
 kernel tests run at every vector width the CPU supports (`cores`).  The
+CSV text of `format_rows` is compared byte for byte with Python's
+`'%.5e' % x` on every kind of double and with the old Python writer.  The
 loader is checked for its missing-compiler error, its rebuild on a
 changed source or compile command, its fallback from an unwritable cache,
 and a compile command that keeps every rounding at every width.
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 import shockstep as ss
 from shockstep import _core
 from shockstep.dual import CoefficientField
-from oracles import Stepper, cell_terms, interface_fluxes
+from oracles import Stepper, cell_terms, interface_fluxes, percent_rows
 
 EPS = np.finfo(float).eps
 # values that hit the splitting's branches: sonic point, both zeros
@@ -679,6 +681,77 @@ def test_batched_reference_dots_equal_row_dots(J):
     W = rng.uniform(0.0, 1e-3, J)
     dots = np.matmul(rows[1:, None, :], W[:, None]).ravel()
     assert _same(dots, [float(row @ W) for row in rows[1:]])
+
+
+# ------------------------------------------------------------------ CSV text
+
+def _text(values) -> list:
+    """Each value as the compiled writer spells it, one per line."""
+    return _core.format_rows([np.asarray(values, dtype=float)]).decode().split("\n")[:-1]
+
+
+def _percent(values) -> list:
+    return ["%.5e" % x for x in np.asarray(values, dtype=float).tolist()]
+
+
+def _from_bits(bits):
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(_from_bits)))
+def test_format_matches_python_percent_for_every_double(x):
+    # NaNs of either sign and any payload, infinities, zeros, subnormals
+    assert _text([x]) == _percent([x])
+
+
+def test_format_matches_python_percent_on_sampled_doubles():
+    rng = np.random.default_rng(16)
+    bits = _from_bits(rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64))
+    # the directly rounded range, 1e-39 .. 1e28, and a decade either side
+    spread = 10.0 ** rng.uniform(-41.0, 29.0, 500_000) * rng.choice([-1.0, 1.0],
+                                                                   500_000)
+    # exact ties at six digits: 7-digit integers ending in 5, times exact
+    # powers of ten, and m / 2^s with m 5^s a 7-digit odd multiple of 5
+    n = rng.integers(100_000, 1_000_000, 100_000) * 10 + 5
+    ints = n * 10.0 ** rng.integers(0, 9, n.size)
+    s = rng.integers(1, 13, 100_000)
+    lo, hi = np.ceil(1e6 / 5.0 ** s), np.floor((1e7 - 1) / 5.0 ** s)
+    m = (lo + np.floor(rng.random(s.size) * (hi - lo + 1))).astype(np.int64) | 1
+    keep = m * 5.0 ** s < 1e7
+    fracs = np.ldexp(m[keep].astype(float), -s[keep])
+    for values in (bits, spread, ints, fracs):
+        assert _text(values) == _percent(values)
+
+
+def test_format_pinned_edges():
+    around = []
+    for k in range(-46, 31):
+        # a tie, both decade edges, and a tie or more that rounds up to the
+        # next decade
+        for v in (float(f"100000.5e{k}"), float(f"1e{5 + k}"), float(f"1e{6 + k}"),
+                  float(f"999999.5e{k}"), float(f"999999.7e{k}")):
+            around += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+    values = [9.765625e-4, 1e22, 1e23, 5e-324, -0.0, 0.0, np.inf, -np.inf,
+              _from_bits(0xFFF8000000000000), np.nan, *around]
+    assert _text(values) == _percent(values)
+    assert _text([9.765625e-4, _from_bits(0xFFF8000000000000), -0.0]) == [
+        "9.76562e-04", "nan", "-0.00000e+00"]
+
+
+def test_steps_rows_match_the_python_writer():
+    # t_n, k_n, cfl_n, mode, eta_k_bar_n, eta_h_bar_n: one row per mode
+    cols = [np.array([0.25, 2.0]), np.array([0.25, 1.75]),
+            np.array([0.8, 472.4]), np.array([1.5e-7, 0.0]),
+            np.array([-2.5e-19, 3.0e-5])]
+    modes = np.array([ss.EXPLICIT, ss.IMPLICIT], np.int8)
+    got = _core.format_rows(cols, modes, mode_at=3).decode()
+    assert got == percent_rows(cols, modes, mode_at=3)
+    assert got.splitlines()[1] == ("2.00000e+00,1.75000e+00,4.72400e+02,implicit,"
+                                   "0.00000e+00,3.00000e-05")
+    assert _core.format_rows([np.zeros(0)] * 2) == b""
+    with pytest.raises(ValueError, match="mode 2 of row 1"):
+        _core.format_rows(cols, np.array([0, 2], np.int8), mode_at=3)
 
 
 # ------------------------------------------------------------------ loader
