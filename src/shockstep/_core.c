@@ -16,14 +16,14 @@
  *     operations lane by lane: every lane is one cell's IEEE operation,
  *     nothing is reassociated, and only OR-ed flags cross lanes.
  *
- * The vector loops are written once, for LANES lanes, at the end of this
- * file, which includes itself once per width: 2 lanes for the baseline
- * target, and on x86-64 with GCC also 4 lanes compiled for AVX2 and 8 for
- * AVX-512F.  The library picks the widest the CPU supports when it is
- * loaded; since every lane does its own cell's operations, the width
- * changes no bit.  -DMAX_LANES=2 (or 4) leaves the wider copies out.
+ * The vector loops are written once, on vectors of 8 doubles.  With GCC
+ * on x86-64 and glibc, the kernels that run them are compiled per
+ * instruction set through target_clones: AVX-512F (one register holds 8
+ * doubles), AVX2 (4) and the baseline, SSE2 (2); the dynamic loader binds
+ * the widest copy the CPU supports.  Other toolchains build the baseline
+ * copy alone.  Since every lane does its own cell's operations, the copy
+ * changes no bit.  -DMAX_LANES=4 (or 2) leaves the wider copies out.
  */
-#ifndef LANES
 
 #include <float.h>
 #include <limits.h>
@@ -35,11 +35,22 @@
 #ifndef MAX_LANES
 #define MAX_LANES 8
 #endif
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) \
+    && defined(__GLIBC__)
 #define WIDEST MAX_LANES
 #else
 #define WIDEST 2
 #endif
+/* a vector kernel, one copy per instruction set up to WIDEST lanes */
+#if WIDEST >= 8
+#define CLONED __attribute__((target_clones("avx512f", "avx2", "default")))
+#elif WIDEST >= 4
+#define CLONED __attribute__((target_clones("avx2", "default")))
+#else
+#define CLONED
+#endif
+/* doubles per vector in the vector loops */
+#define LANES 8
 
 enum { OK = 0, CFL = 1, NONFINITE_STATE = 2, NONFINITE_RESIDUAL = 3,
        SINGULAR = 4, STALLED = 5, NO_MEMORY = 6 };
@@ -61,8 +72,9 @@ static int all_finite(const double *u, long n)
     return 1;
 }
 
-/* The flux classes' `split` of one value v: one-sided derivatives *dp,
- * *dm and flux parts *fp, *fm. */
+/* The flux splitting of one value v: one-sided derivatives *dp, *dm and
+ * flux parts *fp, *fm, with f = fp(uL) + fm(uR) the interface flux
+ * (Engquist-Osher for BURGERS, upwind for LINEAR's constant speed a). */
 static inline __attribute__((always_inline))
 void split(int kind, double a, double v, double *dp, double *dm, double *fp,
            double *fm)
@@ -195,129 +207,6 @@ long dgtsv(long n, double *dl, double *d, double *du, double *b)
     return 0;
 }
 
-/* The kernels of one width (see the end of this file). */
-struct kernels {
-    long lanes;
-    long (*march_explicit)(long, long, double, const double *, const double *,
-                           int, double, double *, double *, int *, double *);
-    long (*march_implicit)(long, long, double, const double *, const double *,
-                           int, double, double, long, double *, double *,
-                           int *, double *, signed char *, int *, double *);
-    long (*breakdown)(long, long, double, const double *, const double *,
-                      const signed char *, const double *, int, double,
-                      const double *, const double *, const double *,
-                      double *);
-};
-
-/* Each width's copy of a name: W_(update) is update_4 at LANES 4. */
-#define JOIN_(name, lanes) name##_##lanes
-#define JOIN(name, lanes) JOIN_(name, lanes)
-#define W_(name) JOIN(name, LANES)
-/* this file, to include itself: its own name where the compiler gives it,
- * so that a relative path builds too */
-#ifdef __FILE_NAME__
-#define SELF __FILE_NAME__
-#else
-#define SELF __FILE__
-#endif
-
-#define LANES 2
-#include SELF
-#undef LANES
-#if WIDEST >= 4
-#pragma GCC push_options
-#pragma GCC target("avx2")
-#define LANES 4
-#include SELF
-#undef LANES
-#pragma GCC pop_options
-#endif
-#if WIDEST >= 8
-#pragma GCC push_options
-#pragma GCC target("avx512f")
-#define LANES 8
-#include SELF
-#undef LANES
-#pragma GCC pop_options
-#endif
-
-/* The widest copy this CPU runs, chosen once when the library is loaded.
- * __builtin_cpu_supports also checks that the OS saves the wide
- * registers. */
-static const struct kernels *active = &kernels_2;
-
-#if WIDEST >= 4
-__attribute__((constructor)) static void choose_lanes(void)
-{
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2"))
-        active = &kernels_4;
-#if WIDEST >= 8
-    if (__builtin_cpu_supports("avx512f"))
-        active = &kernels_8;
-#endif
-}
-#endif
-
-/* The vector width the marches and the breakdown run at. */
-long lanes(void) { return active->lanes; }
-
-/* Forward Euler over n steps: rows u[0 .. n] of length J, row 0 given.
- * Step i has length k[i] and inflow g[i]; F (J + 1) ends with the fluxes
- * of the last step tried.  A step with k max|f'| / h > 1 is refused (its
- * row is not written, *value = its CFL); a NaN wave speed makes max|f'|
- * NaN, as np.maximum.reduce does, which is no refusal: the step runs and
- * fails as a non-finite state.  The flux pass compares each speed with
- * cfl_threshold, so max|f'| and the CFL are only formed once a speed is
- * above it. */
-long march_explicit(long n, long J, double h, const double *k,
-                    const double *g, int kind, double a, double *u,
-                    double *F, int *code, double *value)
-{
-    return active->march_explicit(n, J, h, k, g, kind, a, u, F, code, value);
-}
-
-/* Backward Euler over n steps, rows as in march_explicit, g[i] the inflow
- * at the step's end.  Newton with full steps on
- *     r = (u - u_old) + lam (F[1:] - F[:-1]) = 0
- * and the analytic tridiagonal Jacobian.  It stops as converged when
- * max|r| <= tol ("tol"), or at the round-off floor ("floor"): after the
- * third iteration, once max|r| <= 8 eps (max|u| + lam max|F|), the size
- * at which rounding alone leaves lam (F[1:] - F[:-1]), while max|r| no
- * longer halves.  iters, resid and stop receive each step's iteration
- * count, final max|r| and stop rule.  A failure leaves the last iterate
- * in its row; *value holds the last max|r| (STALLED, after max_iter
- * iterations) or dgtsv's INFO (SINGULAR). */
-long march_implicit(long n, long J, double h, const double *k,
-                    const double *g, int kind, double a, double tol,
-                    long max_iter, double *u, double *F, int *iters,
-                    double *resid, signed char *stop, int *code,
-                    double *value)
-{
-    return active->march_implicit(n, J, h, k, g, kind, a, tol, max_iter, u, F,
-                                  iters, resid, stop, code, value);
-}
-
-/* The error breakdown of n intervals, each reduced to four sums.
- * Interval i has length k[i], the states u[i] and u[i + 1] (rows of J),
- * the stencil row u[i] (explicit, modes[i] = 0) or u[i + 1] (implicit)
- * with the stencil's inflow g[i], the coefficients A[i] and the dual
- * samples W[i]; psi holds the weight at the J cell centres.  Its cell
- * terms, in numpy's operation order, are
- *     eta_k = ((-0.5 k) h) (u1 - u0) (psi - a w)
- *     eta_h = (((k 0.5) h) w) ((F_{j+1} + F_j) - 2 f(u1))
- * with the fluxes F of the stencil, rebuilt as the march built them.
- * out receives four rows of n: the np.sum of eta_k, of |eta_k|, of eta_h
- * and of |eta_h| over each interval's cells.  Returns n, or -1 when out
- * of memory. */
-long breakdown(long n, long J, double h, const double *k, const double *u,
-               const signed char *modes, const double *g, int kind, double a,
-               const double *psi, const double *A, const double *W,
-               double *out)
-{
-    return active->breakdown(n, J, h, k, u, modes, g, kind, a, psi, A, W, out);
-}
-
 /* The dual march's substep plan of n intervals: interval i, of length
  * k[i] with the coefficient row A[i] (J values), takes
  *     m[i] = max(ceil((k a_max) / (cfl h) - 1e-12), 1)
@@ -325,33 +214,34 @@ long breakdown(long n, long J, double h, const double *k, const double *u,
  * numpy's operation order.  Returns n, or the first interval whose count
  * is not finite (a NaN or infinite coefficient) or does not fit a long;
  * nothing is written for it. */
-long dual_substeps(long n, long J, double h, double cfl, const double *k,
-                   const double *A, long *m, double *dt)
+CLONED long dual_substeps(long n, long J, double h, double cfl,
+                          const double *k, const double *A, long *m,
+                          double *dt)
 {
     for (long i = 0; i < n; i++) {
         const double *a = A + i * J;
-        /* four running maxima of |a| that skip NaN, and a sum of a - a
-         * that is NaN exactly when some a is not finite */
-        double b[4] = {0.0, 0.0, 0.0, 0.0};
-        vd_2 z = {0.0, 0.0};
+        /* LANES running maxima of |a| that skip NaN, and sums of a - a
+         * that are NaN exactly when some a is not finite */
+        double b[LANES] = {0.0}, z[LANES] = {0.0};
         long j = 0;
-        for (; j + 3 < J; j += 4) {
-            for (int q = 0; q < 4; q++) {
+        for (; j + LANES <= J; j += LANES)
+            for (int q = 0; q < LANES; q++) {
                 double v = fabs(a[j + q]);
                 b[q] = v > b[q] ? v : b[q];
+                z[q] += v - v;
             }
-            vd_2 v0 = load_2(a + j), v1 = load_2(a + j + 2);
-            z += (v0 - v0) + (v1 - v1);
-        }
-        double finite = z[0] + z[1];
         for (; j < J; j++) {
             double v = fabs(a[j]);
             b[0] = v > b[0] ? v : b[0];
-            finite += v - v;
+            z[0] += v - v;
+        }
+        double amax = 0.0, finite = 0.0;
+        for (int q = 0; q < LANES; q++) {
+            amax = fmax(amax, b[q]);
+            finite += z[q];
         }
         /* as for np.max, a NaN (or infinite) row's count is not finite */
-        double amax = finite == 0.0 ? fmax(fmax(b[0], b[1]), fmax(b[2], b[3]))
-                                    : NAN;
+        amax = finite == 0.0 ? amax : NAN;
         double mi = ceil((k[i] * amax) / (cfl * h) - 1e-12);
         mi = mi < 1.0 ? 1.0 : mi;
         if (!(mi <= (double)(LONG_MAX / 2)))
@@ -366,15 +256,17 @@ long dual_substeps(long n, long J, double h, double cfl, const double *k,
  * from the last to the first.  Interval i has the frozen coefficient row
  * A[i] (J finite values, which the caller checks), m[i] substeps of
  * length dt[i], and receives in samples[i] the profile after substep
- * (m + 1) / 2.  wext holds w between two zero ghost values and carries it
- * from call to call.  With the interface coefficient s = (a_left +
- * a_right) / 2, edge cells extended, split into ap = max(s, 0) and
- * am = min(s, 0), each substep is
+ * (m + 1) / 2.  wext holds w between two zero ghost values, w(., T) on
+ * entry.  With the interface coefficient s = (a_left + a_right) / 2, edge
+ * cells extended, split into ap = max(s, 0) and am = min(s, 0), each
+ * substep is
  *     S = ap w_right + am w_left,  w += lam (S[1:] - S[:-1]),  w += dt src
  * in one pass that reads S's two old w values before it overwrites w_j.
  * When mass is not NULL it receives each substep's relative mass-balance
  * residual, in march order.  Returns the intervals completed: a
  * non-finite w stops the march after its interval; -1 is out of memory. */
+static double np_sum(const double *a, long n);
+
 long march_dual(long n, long J, double h, const double *A, const long *m,
                 const double *dt, const double *src, double src_total,
                 double *wext, double *samples, double *mass)
@@ -411,9 +303,9 @@ long march_dual(long n, long J, double h, const double *A, const long *m,
             if (mass) {
                 /* telescoping mass balance of the conservative update */
                 double G0 = -S0, GJ = -Sl;
-                double resid = fabs(h * np_sum_2(diff, J) + dti * (GJ - G0)
+                double resid = fabs(h * np_sum(diff, J) + dti * (GJ - G0)
                                     - dti * src_total);
-                double scale = h * np_sum_2(absw, J) + fabs(dti * src_total)
+                double scale = h * np_sum(absw, J) + fabs(dti * src_total)
                                + dti * (fabs(G0) + fabs(GJ)) + 1e-300;
                 *mass++ = resid / scale;
             }
@@ -534,83 +426,36 @@ long format_rows(long n, long ncol, const double *x, const signed char *modes,
     return p - out;
 }
 
-#else /* LANES: the vector loops at one width, included once per width */
-
-/* this width's names: every static below is renamed per width */
-#define vd W_(vd)
-#define vl W_(vl)
-#define load W_(load)
-#define store W_(store)
-#define splat W_(splat)
-#define any W_(any)
-#define vpos W_(vpos)
-#define vneg W_(vneg)
-#define vabs W_(vabs)
-#define vfp W_(vfp)
-#define vfm W_(vfm)
-#define fluxes_of W_(fluxes_of)
-#define fluxes W_(fluxes)
-#define update W_(update)
-#define pairwise W_(pairwise)
-#define np_sum W_(np_sum)
-#define cell_terms W_(cell_terms)
-#define explicit_ W_(explicit)
-#define implicit_ W_(implicit)
-#define breakdown_ W_(breakdown)
-
-/* LANES doubles, and the comparison masks they give */
+/* LANES doubles, the comparison masks they give, and vd at a double's
+ * alignment, to load and store at any cell.  The helpers are macros: a
+ * function that took a vector by value would be compiled to the baseline
+ * ABI, which GCC notes on every build. */
 typedef double vd __attribute__((vector_size(8 * LANES)));
 typedef long long vl __attribute__((vector_size(8 * LANES)));
+typedef double vu __attribute__((vector_size(8 * LANES), aligned(8), may_alias));
 
-static inline __attribute__((always_inline)) vd load(const double *p)
-{
-    vd v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static inline __attribute__((always_inline)) void store(double *p, vd v)
-{
-    memcpy(p, &v, sizeof v);
-}
-
+#define load(p) (*(const vu *)(p))
+#define store(p, v) (*(vu *)(p) = (v))
 /* every lane x: a lane's bits, -0.0 included */
-static inline __attribute__((always_inline)) vd splat(double x)
-{
-    vd v;
-    for (int q = 0; q < LANES; q++)
-        v[q] = x;
-    return v;
-}
+#define splat(x) ((vd){x, x, x, x, x, x, x, x})
+/* pos and neg lane by lane: the mask clears the lanes that become +0.0 */
+#define vpos(v) ((vd)((vl)(v) & ~((v) <= 0.0)))
+#define vneg(v) ((vd)((vl)(v) & ~((v) >= 0.0)))
+#define vabs(v) ((vd)((vl)(v) & LLONG_MAX))
 
-/* whether any lane of a mask is set */
-static inline __attribute__((always_inline)) int any(vl m)
+/* whether any lane of the mask *m is set */
+static inline __attribute__((always_inline)) int any(const vl *m)
 {
     long long o = 0;
     for (int q = 0; q < LANES; q++)
-        o |= m[q];
+        o |= (*m)[q];
     return o != 0;
 }
 
-/* pos and neg lane by lane: the mask clears the lanes that become +0.0 */
-static inline __attribute__((always_inline)) vd vpos(vd v)
-{
-    return (vd)((vl)v & ~(v <= (vd){0.0}));
-}
-
-static inline __attribute__((always_inline)) vd vneg(vd v)
-{
-    return (vd)((vl)v & ~(v >= (vd){0.0}));
-}
-
-static inline __attribute__((always_inline)) vd vabs(vd v)
-{
-    return (vd)((vl)v & ~(vl)splat(-0.0));
-}
-
 /* numpy's pairwise summation of a contiguous float64 array, as np.sum
- * takes it: 8 accumulators over blocks of at most 128, halves above. */
-static double pairwise(const double *a, long n)
+ * takes it: 8 accumulators over blocks of at most 128, halves above.  It
+ * calls itself, so it is a kernel of its own, not inlined. */
+CLONED static double pairwise(const double *a, long n)
 {
     if (n < 8) {
         double res = 0.0;
@@ -619,21 +464,13 @@ static double pairwise(const double *a, long n)
         return res;
     }
     if (n <= 128) {
-        /* accumulators 0 .. 7 are the lanes of r[0], r[1], ... in turn */
-        vd r[8 / LANES];
-#pragma GCC unroll 4
-        for (int q = 0; q < 8 / LANES; q++)
-            r[q] = load(a + q * LANES);
+        /* accumulators 0 .. 7 are the lanes of r */
+        vd r = load(a);
         long i;
-        for (i = 8; i < n - (n % 8); i += 8) {
-#pragma GCC unroll 4
-            for (int q = 0; q < 8 / LANES; q++)
-                r[q] += load(a + i + q * LANES);
-        }
-#define ACC(q) r[(q) / LANES][(q) % LANES]
-        double res = ((ACC(0) + ACC(1)) + (ACC(2) + ACC(3))) +
-                     ((ACC(4) + ACC(5)) + (ACC(6) + ACC(7)));
-#undef ACC
+        for (i = 8; i < n - (n % 8); i += 8)
+            r += load(a + i);
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
         for (; i < n; i++)
             res += a[i];
         return res;
@@ -644,26 +481,6 @@ static double pairwise(const double *a, long n)
 }
 
 static double np_sum(const double *a, long n) { return 0.0 + pairwise(a, n); }
-
-/* The flux parts fp(v), fm(v) of LANES values at once, as `split` forms
- * them: p and m are the derivative parts of LINEAR's constant a. */
-static inline __attribute__((always_inline)) vd vfp(int kind, double p, vd v)
-{
-    if (kind == BURGERS) {
-        vd q = vpos(v);
-        return (q * 0.5) * q;
-    }
-    return p * v;
-}
-
-static inline __attribute__((always_inline)) vd vfm(int kind, double m, vd v)
-{
-    if (kind == BURGERS) {
-        vd q = vneg(v);
-        return (q * 0.5) * q;
-    }
-    return m * v;
-}
 
 /* The fluxes F_i = fp(v_i) + fm(v_{i+1}), i = 0 .. J, of the values
  * v = (g, u_0 .. u_{J-1}, u_{J-1}), LANES at a time; the derivative parts
@@ -678,23 +495,32 @@ void fluxes_of(int kind, double a, const double *u, long J, double g,
     double p = 0.0, m = 0.0, vp, vm, fp, fm, fprev;
     if (kind == LINEAR)
         split(LINEAR, a, 0.0, &p, &m, &fp, &fm);
-    vd vt = splat(t);
     vl big = {0};
     long i = 1;
     for (; i + LANES <= J; i += LANES) {
-        vd l = load(u + i - 1);
-        store(F + i, vfp(kind, p, l) + vfm(kind, m, load(u + i)));
-        if (dp) {
-            store(dp + i, kind == BURGERS ? vpos(l) : splat(p));
-            store(dm + i, kind == BURGERS ? vneg(l) : splat(m));
+        vd l = load(u + i - 1), r = load(u + i);
+        if (kind == BURGERS) {
+            /* fp(l) + fm(r) as `split` forms them */
+            vd lp = vpos(l), rm = vneg(r);
+            store(F + i, (lp * 0.5) * lp + (rm * 0.5) * rm);
+            if (dp) {
+                store(dp + i, lp);
+                store(dm + i, vneg(l));
+            }
+            if (over)
+                big |= vabs(l) > t;
+        } else {
+            store(F + i, p * l + m * r);
+            if (dp) {
+                store(dp + i, splat(p));
+                store(dm + i, splat(m));
+            }
         }
-        if (kind == BURGERS && over)
-            big |= vabs(l) > vt;
     }
     /* v_0 = g and F_0; then one value at a time from the first value no
      * vector took, through v_J = v_{J+1} = u_{J-1} */
     long tail = i;
-    int o = any(big) | (fabs(g) > t);
+    int o = any(&big) | (fabs(g) > t);
     split(kind, a, g, &vp, &vm, &fprev, &fm);
     if (dp) {
         dp[0] = vp;
@@ -722,9 +548,12 @@ void fluxes_of(int kind, double a, const double *u, long J, double g,
 
 /* `fluxes_of`, compiled once per flux kind and per output, so that the
  * per-value branches on them fold away: the derivative parts (Newton),
- * the CFL flag (explicit steps) or the fluxes alone (the breakdown). */
-static void fluxes(int kind, double a, const double *u, long J, double g,
-                   double *dp, double *dm, double *F, double t, int *over)
+ * the CFL flag (explicit steps) or the fluxes alone (the breakdown).
+ * Inlined, as every vector helper is: a call would leave the cloned
+ * kernels for the baseline copy. */
+static inline __attribute__((always_inline))
+void fluxes(int kind, double a, const double *u, long J, double g,
+            double *dp, double *dm, double *F, double t, int *over)
 {
     if (kind == BURGERS) {
         if (dp)
@@ -743,18 +572,17 @@ static void fluxes(int kind, double a, const double *u, long J, double g,
 
 /* un = uo - (F[1:] - F[:-1]) * lam, LANES cells at a time; returns
  * whether every cell of un is finite. */
-static int update(const double *uo, const double *F, long J, double lam,
-                  double *un)
+static inline __attribute__((always_inline))
+int update(const double *uo, const double *F, long J, double lam, double *un)
 {
-    vd vlam = splat(lam), zero = {0.0};
     vl bad = {0};
     long j = 0;
     for (; j + LANES <= J; j += LANES) {
-        vd x = load(uo + j) - (load(F + j + 1) - load(F + j)) * vlam;
+        vd x = load(uo + j) - (load(F + j + 1) - load(F + j)) * lam;
         store(un + j, x);
-        bad |= (x - x) != zero;        /* NaN exactly when x is not finite */
+        bad |= (x - x) != 0.0;         /* NaN exactly when x is not finite */
     }
-    int b = any(bad);
+    int b = any(&bad);
     for (; j < J; j++) {
         un[j] = uo[j] - (F[j + 1] - F[j]) * lam;
         b |= !isfinite(un[j]);
@@ -762,10 +590,34 @@ static int update(const double *uo, const double *F, long J, double lam,
     return !b;
 }
 
-/* march_explicit at this width */
-static long explicit_(long n, long J, double h, const double *k,
-                      const double *g, int kind, double a, double *u,
-                      double *F, int *code, double *value)
+/* The doubles per vector instruction in the copy of the vector kernels
+ * that the loader bound: it checks the instruction sets in this order,
+ * and __builtin_cpu_supports also checks that the OS saves the wide
+ * registers. */
+long lanes(void)
+{
+#if WIDEST >= 8
+    if (__builtin_cpu_supports("avx512f"))
+        return 8;
+#endif
+#if WIDEST >= 4
+    if (__builtin_cpu_supports("avx2"))
+        return 4;
+#endif
+    return 2;
+}
+
+/* Forward Euler over n steps: rows u[0 .. n] of length J, row 0 given.
+ * Step i has length k[i] and inflow g[i]; F (J + 1) ends with the fluxes
+ * of the last step tried.  A step with k max|f'| / h > 1 is refused (its
+ * row is not written, *value = its CFL); a NaN wave speed makes max|f'|
+ * NaN, as np.maximum.reduce does, which is no refusal: the step runs and
+ * fails as a non-finite state.  The flux pass compares each speed with
+ * cfl_threshold, so max|f'| and the CFL are only formed once a speed is
+ * above it. */
+CLONED long march_explicit(long n, long J, double h, const double *k,
+                           const double *g, int kind, double a, double *u,
+                           double *F, int *code, double *value)
 {
     *code = OK;
     double p, m, fp, fm;
@@ -794,12 +646,22 @@ static long explicit_(long n, long J, double h, const double *k,
     return i;
 }
 
-/* march_implicit at this width */
-static long implicit_(long n, long J, double h, const double *k,
-                      const double *g, int kind, double a, double tol,
-                      long max_iter, double *u, double *F, int *iters,
-                      double *resid, signed char *stop, int *code,
-                      double *value)
+/* Backward Euler over n steps, rows as in march_explicit, g[i] the inflow
+ * at the step's end.  Newton with full steps on
+ *     r = (u - u_old) + lam (F[1:] - F[:-1]) = 0
+ * and the analytic tridiagonal Jacobian.  It stops as converged when
+ * max|r| <= tol ("tol"), or at the round-off floor ("floor"): after the
+ * third iteration, once max|r| <= 8 eps (max|u| + lam max|F|), the size
+ * at which rounding alone leaves lam (F[1:] - F[:-1]), while max|r| no
+ * longer halves.  iters, resid and stop receive each step's iteration
+ * count, final max|r| and stop rule.  A failure leaves the last iterate
+ * in its row; *value holds the last max|r| (STALLED, after max_iter
+ * iterations) or dgtsv's INFO (SINGULAR). */
+CLONED long march_implicit(long n, long J, double h, const double *k,
+                           const double *g, int kind, double a, double tol,
+                           long max_iter, double *u, double *F, int *iters,
+                           double *resid, signed char *stop, int *code,
+                           double *value)
 {
     struct work w;
     *code = OK;
@@ -890,13 +752,12 @@ void cell_terms(int kind, double a, long J, double ck, double ch,
                 const double *ai, const double *wi, const double *F,
                 double *tk, double *th, double *ak, double *ah)
 {
-    vd vk = splat(ck), vh = splat(ch);
     long j = 0;
     for (; j + LANES <= J; j += LANES) {
         vd x = load(u1 + j), w = load(wi + j);
         vd f = kind == BURGERS ? (0.5 * x) * x : a * x;
-        vd ek = (vk * (x - load(u0 + j))) * (load(psi + j) - load(ai + j) * w);
-        vd eh = (vh * w) * ((load(F + j + 1) + load(F + j)) - 2.0 * f);
+        vd ek = (ck * (x - load(u0 + j))) * (load(psi + j) - load(ai + j) * w);
+        vd eh = (ch * w) * ((load(F + j + 1) + load(F + j)) - 2.0 * f);
         store(tk + j, ek);
         store(th + j, eh);
         store(ak + j, vabs(ek));
@@ -911,11 +772,22 @@ void cell_terms(int kind, double a, long J, double ck, double ch,
     }
 }
 
-/* breakdown at this width */
-static long breakdown_(long n, long J, double h, const double *k,
-                       const double *u, const signed char *modes,
-                       const double *g, int kind, double a, const double *psi,
-                       const double *A, const double *W, double *out)
+/* The error breakdown of n intervals, each reduced to four sums.
+ * Interval i has length k[i], the states u[i] and u[i + 1] (rows of J),
+ * the stencil row u[i] (explicit, modes[i] = 0) or u[i + 1] (implicit)
+ * with the stencil's inflow g[i], the coefficients A[i] and the dual
+ * samples W[i]; psi holds the weight at the J cell centres.  Its cell
+ * terms, in numpy's operation order, are
+ *     eta_k = ((-0.5 k) h) (u1 - u0) (psi - a w)
+ *     eta_h = (((k 0.5) h) w) ((F_{j+1} + F_j) - 2 f(u1))
+ * with the fluxes F of the stencil, rebuilt as the march built them.
+ * out receives four rows of n: the np.sum of eta_k, of |eta_k|, of eta_h
+ * and of |eta_h| over each interval's cells.  Returns n, or -1 when out
+ * of memory. */
+CLONED long breakdown(long n, long J, double h, const double *k,
+                      const double *u, const signed char *modes,
+                      const double *g, int kind, double a, const double *psi,
+                      const double *A, const double *W, double *out)
 {
     double *block = malloc(sizeof(double) * (5 * J + 1));
     if (!block)
@@ -942,30 +814,3 @@ static long breakdown_(long n, long J, double h, const double *k,
     free(block);
     return n;
 }
-
-static const struct kernels W_(kernels) = {LANES, explicit_, implicit_,
-                                           breakdown_};
-
-/* march_dual and dual_substeps keep the 2-lane loads and sums by name */
-#undef vd
-#undef vl
-#undef load
-#undef store
-#undef splat
-#undef any
-#undef vpos
-#undef vneg
-#undef vabs
-#undef vfp
-#undef vfm
-#undef fluxes_of
-#undef fluxes
-#undef update
-#undef pairwise
-#undef np_sum
-#undef cell_terms
-#undef explicit_
-#undef implicit_
-#undef breakdown_
-
-#endif /* LANES */

@@ -12,10 +12,10 @@ command and the source bytes it was built from; the library is rebuilt
 when either differs.  -ffp-contract=off (and no -march, no -ffast-math)
 keeps every a*b + c two roundings: a fused multiply-add would move the
 last bits of the states away from the numpy formulas the kernels
-transcribe.  The vector loops are compiled at 2, 4 (AVX2) and 8
-(AVX-512F) lanes, the wider ones through target pragmas in the source,
-and the library runs the widest the CPU supports (`lanes()`); each lane
-does one cell's operations, so the width changes no bit.
+transcribe.  The vector kernels are compiled once per instruction set
+(GCC's target_clones: AVX-512F, AVX2 and the x86-64 baseline), and the
+dynamic loader binds the widest the CPU supports (`lanes()`); each lane
+does one cell's operations, so the copy changes no bit.
 
 Nothing is loaded or built at import; `lib()` does it on the first march.
 """
@@ -68,8 +68,8 @@ def lib():
 
 
 def lanes() -> int:
-    """The vector width (doubles per operation) the marches and the
-    breakdown run at: 8 with AVX-512F, 4 with AVX2, 2 otherwise."""
+    """Doubles per vector instruction in the copy of the kernels the
+    loader bound: 8 with AVX-512F, 4 with AVX2, 2 otherwise."""
     return lib().lanes()
 
 

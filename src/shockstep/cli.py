@@ -23,7 +23,7 @@ from .estimator import (assemble_breakdown,  # noqa: F401
                         efficiency_index, reference_functional)
 from .forward import (SolverFailure, run_forward,  # noqa: F401
                       uniform_cfl_partition)
-from .grid import EXPLICIT, IMPLICIT, build_spatial_grid
+from .grid import EXPLICIT, IMPLICIT, _deepest_level, build_spatial_grid
 from .testcase import PerturbedShockCase, validate_characteristics
 
 
@@ -135,14 +135,19 @@ def _check_ranges(cfg: dict):
     """Refuse out-of-range numeric keys before any work starts; deeper
     down they would surface as tracebacks, after seconds of solving, or
     not at all (factor = nan plans one step over [0, T])."""
+    deepest = _deepest_level(max(cfg["base_cells"], 2))
+    depth = f"at most {deepest} for base_cells = {cfg['base_cells']}"
     checks = (
         ("cfl", _positive(cfg["cfl"]), "finite and > 0"),
         ("dual_cfl", 0.0 < cfg["dual_cfl"] <= 1.0, "in (0, 1]"),
         ("base_cells", cfg["base_cells"] >= 2, "at least 2"),
         ("level", cfg["level"] >= 0, "non-negative"),
+        ("level", cfg["level"] <= deepest, depth),
         ("levels", cfg["levels"] != [], "non-empty when set"),
         ("levels", all(lv >= 0 for lv in _values(cfg["levels"])), "non-negative"),
+        ("levels", all(lv <= deepest for lv in _values(cfg["levels"])), depth),
         ("ref_level", cfg["ref_level"] >= 0, "non-negative"),
+        ("ref_level", cfg["ref_level"] <= deepest, depth),
         ("perturbation_scale", math.isfinite(cfg["perturbation_scale"]), "finite"),
         ("factor", all(map(_positive, _values(cfg["factor"]))), "finite and > 0"),
         ("tol_k", all(map(_positive, _values(cfg["tol_k"]))), "finite and > 0"),

@@ -19,8 +19,6 @@ from .forward import ForwardTrajectory, SolverFailure
 from .grid import SpatialGrid, TimePartition
 
 DUAL_CFL = 0.8
-# intervals per call of the compiled dual march
-_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -65,10 +63,9 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     them, counted for every interval before any runs.  w_j^n is the
     sub-step profile nearest the interval midpoint; spatial boundaries use
     zero ghost values, the coefficient is extended by its edge cells.  The
-    substeps run in the compiled core, _BLOCK_ROWS intervals per call;
-    with `record_substeps` the same march also returns each substep's
-    relative mass-balance residual, logged as (interval, dt, residual) in
-    march order.
+    substeps run in one call of the compiled core; with `record_substeps`
+    the same march also returns each substep's relative mass-balance
+    residual, logged as (interval, dt, residual) in march order.
     """
     if not (0.0 < dual_cfl <= 1.0):
         raise ValueError("need 0 < dual_cfl <= 1")
@@ -93,23 +90,17 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     source_total = h * float(np.sum(source))
     # a scalar gradient broadcasts over the cells, as in numpy arithmetic
     source = np.ascontiguousarray(np.broadcast_to(source, (J,)))
-    w_ext = np.zeros(J + 2)   # w between zero ghost values, carried over
+    w_ext = np.zeros(J + 2)   # w between zero ghost values
     samples = np.empty((N, J))
     # per-substep mass-balance residuals, in march order (last interval first)
     mass = np.empty(int(m_all.sum())) if record_substeps else None
-    done = 0
-    for hi in range(N, 0, -_BLOCK_ROWS):
-        lo = max(hi - _BLOCK_ROWS, 0)
-        out = ptr(mass[done:]) if record_substeps else None
-        left = core.march_dual(hi - lo, J, h, ptr(A[lo:hi]),
-                               ptr(m_all[lo:hi], _core.LONG),
-                               ptr(dt_all[lo:hi]), ptr(source), source_total,
-                               ptr(w_ext), ptr(samples[lo:hi]), out)
-        if left < 0:
-            raise MemoryError("dual march could not allocate its work buffers")
-        if left < hi - lo:
-            raise SolverFailure(f"dual march non-finite in interval {hi - 1 - left}")
-        done += int(m_all[lo:hi].sum())
+    done = core.march_dual(N, J, h, ptr(A), ptr(m_all, _core.LONG), ptr(dt_all),
+                           ptr(source), source_total, ptr(w_ext), ptr(samples),
+                           None if mass is None else ptr(mass))
+    if done < 0:
+        raise MemoryError("dual march could not allocate its work buffers")
+    if done < N:
+        raise SolverFailure(f"dual march non-finite in interval {N - 1 - done}")
     log, max_resid = None, None
     if record_substeps:
         order = np.arange(N - 1, -1, -1)

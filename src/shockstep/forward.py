@@ -42,16 +42,6 @@ class BurgersFlux:
     def fprime(self, u):
         return np.asarray(u, dtype=float)
 
-    def split(self, v, d, f):
-        """Write the splitting of v into the (2, n) buffers d and f: the
-        one-sided derivatives d = (max(v, 0), min(v, 0)), 0 at the sonic
-        point, and the flux parts f = d^2/2, so that f[0](uL) + f[1](uR)
-        is the Engquist-Osher interface flux."""
-        np.maximum(v, 0.0, out=d[0])
-        np.minimum(v, 0.0, out=d[1])
-        np.multiply(d, 0.5, out=f)
-        f *= d
-
 
 class LinearFlux:
     """f(u) = a*u, upwind interface flux; exact linearization coefficient."""
@@ -64,12 +54,6 @@ class LinearFlux:
 
     def fprime(self, u):
         return np.full_like(np.asarray(u, dtype=float), self.a)
-
-    def split(self, v, d, f):
-        """Same contract as `BurgersFlux.split`, with constant derivatives."""
-        d[0] = max(self.a, 0.0)
-        d[1] = min(self.a, 0.0)
-        np.multiply(d, v, out=f)
 
 
 BURGERS = BurgersFlux()

@@ -14,6 +14,8 @@ IMPLICIT = 1
 
 # relative slack for "lands exactly on T" decisions
 _END_RTOL = 1e-12
+# cells of the finest grid: past them the cell width underflows
+_MAX_CELLS = 2 ** 40
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,12 @@ class TimePartition:
         return float(self.times[-1])
 
 
+def _deepest_level(base_cells: int) -> int:
+    """The deepest refinement level of base_cells cells (at least 1), the
+    last with at most _MAX_CELLS cells; -1 when level 0 has more."""
+    return (_MAX_CELLS // base_cells).bit_length() - 1
+
+
 def build_spatial_grid(base_cells: int, level: int, domain=(0.0, 1.0)) -> SpatialGrid:
     """Uniform grid with base_cells * 2**level cells on the given interval."""
     if base_cells < 2:
@@ -66,10 +74,10 @@ def build_spatial_grid(base_cells: int, level: int, domain=(0.0, 1.0)) -> Spatia
     a, b = float(domain[0]), float(domain[1])
     if not b > a:
         raise ValueError("degenerate domain")
+    if level > _deepest_level(base_cells):
+        raise ValueError("refinement level too deep, cell width underflows")
     n = base_cells * 2 ** level
     h = (b - a) / n
-    if h < (b - a) * 2.0 ** -40:
-        raise ValueError("refinement level too deep, cell width underflows")
     edges = np.linspace(a, b, n + 1)
     return SpatialGrid(level=level, cell_count=n, edges=edges, h=h)
 

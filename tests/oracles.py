@@ -1,14 +1,14 @@
 """Numpy formulas that the compiled core replaced, kept as test oracles,
 and `Stepper`, which takes one step at a time through the compiled march.
 
-`interface_fluxes` is the march's flux construction in array form,
-`update_fluxes` rebuilds the fluxes every update of a `run_forward`
-trajectory used, and `cell_terms` forms the error breakdown's per-cell
-time and space terms, in the operation order the compiled breakdown
-transcribes.  `propose_timesteps` and `assign_modes` are the planner's
-loops on numpy scalars, which the package now runs on Python floats.
-`percent_rows` is the CSV writer's old text: `fmt % row` over `.tolist()`
-columns.
+`split` is the flux splitting the march transcribes, `interface_fluxes`
+the march's flux construction in array form, `update_fluxes` rebuilds
+the fluxes every update of a `run_forward` trajectory used, and
+`cell_terms` forms the error breakdown's per-cell time and space terms,
+in the operation order the compiled breakdown transcribes.
+`propose_timesteps` and `assign_modes` are the planner's loops on numpy
+scalars, which the package now runs on Python floats.  `percent_rows`
+is the CSV writer's old text: `fmt % row` over `.tolist()` columns.
 """
 import math
 
@@ -51,9 +51,27 @@ class Stepper:
                            _core.STOP_RULES[int(rec[2][0])])
 
 
+def split(flux, v, d, f):
+    """Write the splitting of v under `flux` into the (2, n) buffers d and
+    f.  Burgers: the one-sided derivatives d = (max(v, 0), min(v, 0)), 0
+    at the sonic point, and the flux parts f = d^2/2, so that
+    f[0](uL) + f[1](uR) is the Engquist-Osher interface flux.  A
+    `LinearFlux` has the constant derivatives (max(a, 0), min(a, 0)) and
+    f = d v."""
+    if isinstance(flux, ss.LinearFlux):
+        d[0] = max(flux.a, 0.0)
+        d[1] = min(flux.a, 0.0)
+        np.multiply(d, v, out=f)
+    else:
+        np.maximum(v, 0.0, out=d[0])
+        np.minimum(v, 0.0, out=d[1])
+        np.multiply(d, 0.5, out=f)
+        f *= d
+
+
 def interface_fluxes(u, g, flux=ss.BURGERS) -> np.ndarray:
     """All J+1 interface fluxes of the state u with inflow g: u between
-    the ghost cells g and a copy of its last cell, one `flux.split`,
+    the ghost cells g and a copy of its last cell, one `split`,
     F = f[0, :-1] + f[1, 1:].  Cells run along the last axis; leading axes
     of u and g broadcast."""
     u = np.asarray(u, dtype=float)
@@ -62,7 +80,7 @@ def interface_fluxes(u, g, flux=ss.BURGERS) -> np.ndarray:
     v[..., 1:-1] = u
     v[..., -1] = v[..., -2]
     d, f = np.empty((2,) + v.shape), np.empty((2,) + v.shape)
-    flux.split(v, d, f)
+    split(flux, v, d, f)
     return f[0, ..., :-1] + f[1, ..., 1:]
 
 

@@ -179,6 +179,30 @@ def test_empty_levels_exits_2_before_any_output(command, extra, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["run-uniform", "--set", "level=40"],
+    ["emit-plots", "--set", "level=40"],
+    ["run-uniform", "--set", "levels=0", "--set", "ref_level=40"],
+    ["run-adaptive", "--set", "levels=0", "--set", "ref_level=40"],
+    ["run-loop", "--set", "levels=0", "--set", "ref_level=40"],
+    ["run-adaptive", "--set", "levels=0,40"],
+])
+def test_too_deep_level_exits_2_before_solving(args, tmp_path):
+    # 20 * 2**36 cells are past 2**40, where the cell width underflows: the
+    # whole process exits 2 without a traceback, before any output
+    out = tmp_path / "out"
+    src = str(Path(shockstep.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "shockstep.cli", *args,
+                           "--out", str(out)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "at most 35 for base_cells = 20" in proc.stderr
+    assert not out.exists()
+
+
 def test_adaptive_plots_without_levels_leave_no_directory(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli_main(["emit-plots", "--set", "experiment=adaptive",

@@ -7,12 +7,13 @@ CFL boundary, ulp by ulp, and in the vector loop's tails), one Newton
 solve with LAPACK's `dgtsv` from scipy as the linear solver, the dual
 substep plan and substeps with and without the mass-balance record, and
 the error breakdown against the cell terms of `tests/oracles.py`.  Those
-kernel tests run at every vector width the CPU supports (`cores`).  The
-CSV text of `format_rows` is compared byte for byte with Python's
-`'%.5e' % x` on every kind of double and with the old Python writer.  The
-loader is checked for its missing-compiler error, its rebuild on a
-changed source or compile command, its fallback from an unwritable cache,
-and a compile command that keeps every rounding at every width.
+kernel tests run in every instruction-set copy the CPU supports
+(`cores`).  The CSV text of `format_rows` is compared byte for byte with
+Python's `'%.5e' % x` on every kind of double and with the old Python
+writer.  The loader is checked for its missing-compiler error, its
+rebuild on a changed source or compile command, its fallback from an
+unwritable cache, and a compile command that keeps every rounding and
+builds silently at every width.
 """
 import contextlib
 import math
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 import shockstep as ss
 from shockstep import _core
 from shockstep.dual import CoefficientField
-from oracles import Stepper, cell_terms, interface_fluxes, percent_rows
+from oracles import Stepper, cell_terms, interface_fluxes, percent_rows, split
 
 EPS = np.finfo(float).eps
 # values that hit the splitting's branches: sonic point, both zeros
@@ -50,16 +51,17 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# ------------------------------------------------------- vector widths
+# -------------------------------------------- instruction-set copies
 
 _WIDTHS = (2, 4, 8)
 
 
 @pytest.fixture(scope="session")
 def cores(tmp_path_factory):
-    """The compiled core at every vector width this CPU runs, narrowest
-    first: the default build at the width it picked, and below it builds
-    that `-DMAX_LANES` caps, loaded from a private cache."""
+    """The compiled core in every instruction-set copy this CPU runs,
+    narrowest first, named by its doubles per vector instruction: the
+    default build at the copy the loader bound, and below it builds
+    whose clone list `-DMAX_LANES` caps, loaded from a private cache."""
     top = _core.lanes()
     libs = []
     for lanes in (w for w in _WIDTHS if w <= top):
@@ -104,7 +106,7 @@ def _np_update(u, g, lam, flux):
     inflow g, between the ghost cells g and a copy of the last cell."""
     v = np.concatenate(([g], u, [u[-1]]))
     d, f = np.empty((2, v.size)), np.empty((2, v.size))
-    flux.split(v, d, f)
+    split(flux, v, d, f)
     speed = d[0] - d[1]
     F = f[0, :-1] + f[1, 1:]
     du = F[1:] - F[:-1]
@@ -632,7 +634,7 @@ def _assert_breakdown_matches_cell_terms(traj, coeff, dual, case):
 @pytest.mark.parametrize("J", [8, 15, 16, 17, 127, 128, 129, 255, 256, 300,
                                1024, 1281])
 def test_breakdown_pairwise_sums_at_every_width(cores, J):
-    # numpy's pairwise sum: its eight accumulators at each width, blocks
+    # numpy's pairwise sum: its eight accumulators in each copy, blocks
     # of 128 and the halving above them
     rng = np.random.default_rng(J)
     grid = ss.build_spatial_grid(J, 0)
@@ -763,8 +765,8 @@ _UNSAFE_FLAGS = ("-ffast-math", "-Ofast", "-march", "-funsafe-math-optimizations
 def test_compile_command_keeps_every_rounding(tmp_path):
     # contraction off and none of the flags that license reassociation,
     # finite-only math or another instruction set (the wide copies get
-    # theirs from target pragmas); the source builds without a warning,
-    # also with its width capped at each narrower one
+    # theirs from target_clones); the source builds without a warning or
+    # note, also with its clones capped at each narrower width
     assert "-ffp-contract=off" in _core.COMPILE
     assert not [flag for flag in _core.COMPILE
                 if flag.startswith(_UNSAFE_FLAGS) or flag.startswith("-m")]
@@ -775,6 +777,7 @@ def test_compile_command_keeps_every_rounding(tmp_path):
                "-o", str(tmp_path / "_core.so"), _core.SOURCE]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (cap, proc.stderr)
+        assert proc.stderr == "", (cap, proc.stderr)
 
 
 def test_missing_compiler_names_the_command(tmp_path, monkeypatch, case):
@@ -810,9 +813,7 @@ def test_changed_source_or_command_is_rebuilt(tmp_path, monkeypatch):
     built = so.stat()
     _core.load(str(src), str(cache))
     assert so.stat().st_ino == built.st_ino      # same bytes: cache hit
-    # outside the per-width part, which the file includes once per width
-    src.write_bytes(src.read_bytes() + b"#ifndef LANES\n"
-                    b"long edit_marker(void) { return 11; }\n#endif\n")
+    src.write_bytes(src.read_bytes() + b"long edit_marker(void) { return 11; }\n")
     _core.load(str(src), str(cache))
     assert so.stat().st_ino != built.st_ino
     assert key.read_bytes().endswith(src.read_bytes())

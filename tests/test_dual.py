@@ -179,20 +179,6 @@ def test_dual_cfl_validation(case, bad):
         ss.solve_dual_gradient(coeff, case, dual_cfl=bad)
 
 
-def test_dual_march_independent_of_block_size(case, mixed_trajectory,
-                                              monkeypatch):
-    import shockstep.dual as dual_mod
-    coeff = ss.build_coefficient_field(mixed_trajectory)
-    want = ss.solve_dual_gradient(coeff, case, record_substeps=True)
-    N = coeff.partition.interval_count
-    for rows in (1, 7, N, N + 5):
-        monkeypatch.setattr(dual_mod, "_BLOCK_ROWS", rows)
-        got = ss.solve_dual_gradient(coeff, case, record_substeps=True)
-        assert got.w_samples.tobytes() == want.w_samples.tobytes(), rows
-        assert got.substep_log == want.substep_log, rows
-        assert got.max_mass_residual == want.max_mass_residual, rows
-
-
 # ----------------------------------------------------------------- sampling
 
 def test_sampled_profiles_stable_across_grid_levels(case):
