@@ -16,13 +16,13 @@
  *     operations lane by lane: every lane is one cell's IEEE operation,
  *     nothing is reassociated, and only OR-ed flags cross lanes.
  *
- * The vector loops are written once, on vectors of 8 doubles.  With GCC
- * on x86-64 and glibc, the kernels that run them are compiled per
- * instruction set through target_clones: AVX-512F (one register holds 8
- * doubles), AVX2 (4) and the baseline, SSE2 (2); the dynamic loader binds
- * the widest copy the CPU supports.  Other toolchains build the baseline
- * copy alone.  Since every lane does its own cell's operations, the copy
- * changes no bit.  -DMAX_LANES=4 (or 2) leaves the wider copies out.
+ * The vector loops are written once, for vectors of LANES doubles, and
+ * the library is built for one width: -DMAX_LANES=8 compiles the whole
+ * file for AVX-512F (one register holds 8 doubles), 4 for AVX2 and 2 (the
+ * default) for the baseline, SSE2.  The loader passes the widest the CPU
+ * runs; other compilers than GCC, and other targets than x86-64, build
+ * 2 lanes without a target.  Since every lane does its own cell's
+ * operations, the width changes no bit.
  */
 
 #include <float.h>
@@ -33,29 +33,60 @@
 #include <string.h>
 
 #ifndef MAX_LANES
-#define MAX_LANES 8
+#define MAX_LANES 2
 #endif
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) \
-    && defined(__GLIBC__)
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
 #define WIDEST MAX_LANES
 #else
 #define WIDEST 2
 #endif
-/* a vector kernel, one copy per instruction set up to WIDEST lanes */
+/* doubles per vector in the vector loops, and their instruction set */
 #if WIDEST >= 8
-#define CLONED __attribute__((target_clones("avx512f", "avx2", "default")))
-#elif WIDEST >= 4
-#define CLONED __attribute__((target_clones("avx2", "default")))
-#else
-#define CLONED
-#endif
-/* doubles per vector in the vector loops */
 #define LANES 8
+#pragma GCC target("avx512f")
+#elif WIDEST >= 4
+#define LANES 4
+#pragma GCC target("avx2")
+#else
+#define LANES 2
+#endif
 
 enum { OK = 0, CFL = 1, NONFINITE_STATE = 2, NONFINITE_RESIDUAL = 3,
        SINGULAR = 4, STALLED = 5, NO_MEMORY = 6 };
 enum { BURGERS = 0, LINEAR = 1 };
 enum { STOP_TOL = 1, STOP_FLOOR = 2 };
+
+/* LANES doubles, the comparison masks they give, and vd at a double's
+ * alignment, to load and store at any cell */
+typedef double vd __attribute__((vector_size(8 * LANES)));
+typedef long long vl __attribute__((vector_size(8 * LANES)));
+typedef double vu __attribute__((vector_size(8 * LANES), aligned(8), may_alias));
+
+#define load(p) (*(const vu *)(p))
+#define store(p, v) (*(vu *)(p) = (v))
+
+/* every lane x: a lane's bits, -0.0 included */
+static inline __attribute__((always_inline)) vd splat(double x)
+{
+    vd v;
+    for (int q = 0; q < LANES; q++)
+        v[q] = x;
+    return v;
+}
+
+/* pos and neg lane by lane: the mask clears the lanes that become +0.0 */
+#define vpos(v) ((vd)((vl)(v) & ~((v) <= 0.0)))
+#define vneg(v) ((vd)((vl)(v) & ~((v) >= 0.0)))
+#define vabs(v) ((vd)((vl)(v) & LLONG_MAX))
+
+/* whether any lane of a mask is set */
+static inline __attribute__((always_inline)) int any(vl m)
+{
+    long long o = 0;
+    for (int q = 0; q < LANES; q++)
+        o |= m[q];
+    return o != 0;
+}
 
 /* np.maximum(v, 0.0), np.minimum(v, 0.0) */
 static double pos(double v) { return v <= 0.0 ? 0.0 : v; }
@@ -214,34 +245,34 @@ long dgtsv(long n, double *dl, double *d, double *du, double *b)
  * numpy's operation order.  Returns n, or the first interval whose count
  * is not finite (a NaN or infinite coefficient) or does not fit a long;
  * nothing is written for it. */
-CLONED long dual_substeps(long n, long J, double h, double cfl,
-                          const double *k, const double *A, long *m,
-                          double *dt)
+long dual_substeps(long n, long J, double h, double cfl, const double *k,
+                   const double *A, long *m, double *dt)
 {
     for (long i = 0; i < n; i++) {
         const double *a = A + i * J;
-        /* LANES running maxima of |a| that skip NaN, and sums of a - a
-         * that are NaN exactly when some a is not finite */
-        double b[LANES] = {0.0}, z[LANES] = {0.0};
+        /* four running maxima of |a| that skip NaN, and two sums of
+         * a - a that are NaN exactly when some a is not finite */
+        typedef double pair __attribute__((vector_size(16), aligned(8), may_alias));
+        double b[4] = {0.0, 0.0, 0.0, 0.0};
+        pair z = {0.0, 0.0};
         long j = 0;
-        for (; j + LANES <= J; j += LANES)
-            for (int q = 0; q < LANES; q++) {
+        for (; j + 3 < J; j += 4) {
+            for (int q = 0; q < 4; q++) {
                 double v = fabs(a[j + q]);
                 b[q] = v > b[q] ? v : b[q];
-                z[q] += v - v;
             }
+            pair v0 = *(const pair *)(a + j), v1 = *(const pair *)(a + j + 2);
+            z += (v0 - v0) + (v1 - v1);
+        }
+        double finite = z[0] + z[1];
         for (; j < J; j++) {
             double v = fabs(a[j]);
             b[0] = v > b[0] ? v : b[0];
-            z[0] += v - v;
-        }
-        double amax = 0.0, finite = 0.0;
-        for (int q = 0; q < LANES; q++) {
-            amax = fmax(amax, b[q]);
-            finite += z[q];
+            finite += v - v;
         }
         /* as for np.max, a NaN (or infinite) row's count is not finite */
-        amax = finite == 0.0 ? amax : NAN;
+        double amax = finite == 0.0 ? fmax(fmax(b[0], b[1]), fmax(b[2], b[3]))
+                                    : NAN;
         double mi = ceil((k[i] * amax) / (cfl * h) - 1e-12);
         mi = mi < 1.0 ? 1.0 : mi;
         if (!(mi <= (double)(LONG_MAX / 2)))
@@ -426,36 +457,9 @@ long format_rows(long n, long ncol, const double *x, const signed char *modes,
     return p - out;
 }
 
-/* LANES doubles, the comparison masks they give, and vd at a double's
- * alignment, to load and store at any cell.  The helpers are macros: a
- * function that took a vector by value would be compiled to the baseline
- * ABI, which GCC notes on every build. */
-typedef double vd __attribute__((vector_size(8 * LANES)));
-typedef long long vl __attribute__((vector_size(8 * LANES)));
-typedef double vu __attribute__((vector_size(8 * LANES), aligned(8), may_alias));
-
-#define load(p) (*(const vu *)(p))
-#define store(p, v) (*(vu *)(p) = (v))
-/* every lane x: a lane's bits, -0.0 included */
-#define splat(x) ((vd){x, x, x, x, x, x, x, x})
-/* pos and neg lane by lane: the mask clears the lanes that become +0.0 */
-#define vpos(v) ((vd)((vl)(v) & ~((v) <= 0.0)))
-#define vneg(v) ((vd)((vl)(v) & ~((v) >= 0.0)))
-#define vabs(v) ((vd)((vl)(v) & LLONG_MAX))
-
-/* whether any lane of the mask *m is set */
-static inline __attribute__((always_inline)) int any(const vl *m)
-{
-    long long o = 0;
-    for (int q = 0; q < LANES; q++)
-        o |= (*m)[q];
-    return o != 0;
-}
-
 /* numpy's pairwise summation of a contiguous float64 array, as np.sum
- * takes it: 8 accumulators over blocks of at most 128, halves above.  It
- * calls itself, so it is a kernel of its own, not inlined. */
-CLONED static double pairwise(const double *a, long n)
+ * takes it: 8 accumulators over blocks of at most 128, halves above. */
+static double pairwise(const double *a, long n)
 {
     if (n < 8) {
         double res = 0.0;
@@ -464,13 +468,21 @@ CLONED static double pairwise(const double *a, long n)
         return res;
     }
     if (n <= 128) {
-        /* accumulators 0 .. 7 are the lanes of r */
-        vd r = load(a);
+        /* accumulators 0 .. 7 are the lanes of r[0], r[1], ... in turn */
+        vd r[8 / LANES];
+#pragma GCC unroll 4
+        for (int q = 0; q < 8 / LANES; q++)
+            r[q] = load(a + q * LANES);
         long i;
-        for (i = 8; i < n - (n % 8); i += 8)
-            r += load(a + i);
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
-                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (i = 8; i < n - (n % 8); i += 8) {
+#pragma GCC unroll 4
+            for (int q = 0; q < 8 / LANES; q++)
+                r[q] += load(a + i + q * LANES);
+        }
+#define ACC(q) r[(q) / LANES][(q) % LANES]
+        double res = ((ACC(0) + ACC(1)) + (ACC(2) + ACC(3))) +
+                     ((ACC(4) + ACC(5)) + (ACC(6) + ACC(7)));
+#undef ACC
         for (; i < n; i++)
             res += a[i];
         return res;
@@ -495,6 +507,7 @@ void fluxes_of(int kind, double a, const double *u, long J, double g,
     double p = 0.0, m = 0.0, vp, vm, fp, fm, fprev;
     if (kind == LINEAR)
         split(LINEAR, a, 0.0, &p, &m, &fp, &fm);
+    vd vt = splat(t);
     vl big = {0};
     long i = 1;
     for (; i + LANES <= J; i += LANES) {
@@ -508,7 +521,7 @@ void fluxes_of(int kind, double a, const double *u, long J, double g,
                 store(dm + i, vneg(l));
             }
             if (over)
-                big |= vabs(l) > t;
+                big |= vabs(l) > vt;
         } else {
             store(F + i, p * l + m * r);
             if (dp) {
@@ -520,7 +533,7 @@ void fluxes_of(int kind, double a, const double *u, long J, double g,
     /* v_0 = g and F_0; then one value at a time from the first value no
      * vector took, through v_J = v_{J+1} = u_{J-1} */
     long tail = i;
-    int o = any(&big) | (fabs(g) > t);
+    int o = any(big) | (fabs(g) > t);
     split(kind, a, g, &vp, &vm, &fprev, &fm);
     if (dp) {
         dp[0] = vp;
@@ -548,12 +561,9 @@ void fluxes_of(int kind, double a, const double *u, long J, double g,
 
 /* `fluxes_of`, compiled once per flux kind and per output, so that the
  * per-value branches on them fold away: the derivative parts (Newton),
- * the CFL flag (explicit steps) or the fluxes alone (the breakdown).
- * Inlined, as every vector helper is: a call would leave the cloned
- * kernels for the baseline copy. */
-static inline __attribute__((always_inline))
-void fluxes(int kind, double a, const double *u, long J, double g,
-            double *dp, double *dm, double *F, double t, int *over)
+ * the CFL flag (explicit steps) or the fluxes alone (the breakdown). */
+static void fluxes(int kind, double a, const double *u, long J, double g,
+                   double *dp, double *dm, double *F, double t, int *over)
 {
     if (kind == BURGERS) {
         if (dp)
@@ -572,17 +582,18 @@ void fluxes(int kind, double a, const double *u, long J, double g,
 
 /* un = uo - (F[1:] - F[:-1]) * lam, LANES cells at a time; returns
  * whether every cell of un is finite. */
-static inline __attribute__((always_inline))
-int update(const double *uo, const double *F, long J, double lam, double *un)
+static int update(const double *uo, const double *F, long J, double lam,
+                  double *un)
 {
+    vd vlam = splat(lam), zero = {0.0};
     vl bad = {0};
     long j = 0;
     for (; j + LANES <= J; j += LANES) {
-        vd x = load(uo + j) - (load(F + j + 1) - load(F + j)) * lam;
+        vd x = load(uo + j) - (load(F + j + 1) - load(F + j)) * vlam;
         store(un + j, x);
-        bad |= (x - x) != 0.0;         /* NaN exactly when x is not finite */
+        bad |= (x - x) != zero;        /* NaN exactly when x is not finite */
     }
-    int b = any(&bad);
+    int b = any(bad);
     for (; j < J; j++) {
         un[j] = uo[j] - (F[j + 1] - F[j]) * lam;
         b |= !isfinite(un[j]);
@@ -590,22 +601,8 @@ int update(const double *uo, const double *F, long J, double lam, double *un)
     return !b;
 }
 
-/* The doubles per vector instruction in the copy of the vector kernels
- * that the loader bound: it checks the instruction sets in this order,
- * and __builtin_cpu_supports also checks that the OS saves the wide
- * registers. */
-long lanes(void)
-{
-#if WIDEST >= 8
-    if (__builtin_cpu_supports("avx512f"))
-        return 8;
-#endif
-#if WIDEST >= 4
-    if (__builtin_cpu_supports("avx2"))
-        return 4;
-#endif
-    return 2;
-}
+/* the doubles per vector this library was built for */
+long lanes(void) { return LANES; }
 
 /* Forward Euler over n steps: rows u[0 .. n] of length J, row 0 given.
  * Step i has length k[i] and inflow g[i]; F (J + 1) ends with the fluxes
@@ -615,9 +612,9 @@ long lanes(void)
  * fails as a non-finite state.  The flux pass compares each speed with
  * cfl_threshold, so max|f'| and the CFL are only formed once a speed is
  * above it. */
-CLONED long march_explicit(long n, long J, double h, const double *k,
-                           const double *g, int kind, double a, double *u,
-                           double *F, int *code, double *value)
+long march_explicit(long n, long J, double h, const double *k,
+                    const double *g, int kind, double a, double *u,
+                    double *F, int *code, double *value)
 {
     *code = OK;
     double p, m, fp, fm;
@@ -657,11 +654,11 @@ CLONED long march_explicit(long n, long J, double h, const double *k,
  * count, final max|r| and stop rule.  A failure leaves the last iterate
  * in its row; *value holds the last max|r| (STALLED, after max_iter
  * iterations) or dgtsv's INFO (SINGULAR). */
-CLONED long march_implicit(long n, long J, double h, const double *k,
-                           const double *g, int kind, double a, double tol,
-                           long max_iter, double *u, double *F, int *iters,
-                           double *resid, signed char *stop, int *code,
-                           double *value)
+long march_implicit(long n, long J, double h, const double *k,
+                    const double *g, int kind, double a, double tol,
+                    long max_iter, double *u, double *F, int *iters,
+                    double *resid, signed char *stop, int *code,
+                    double *value)
 {
     struct work w;
     *code = OK;
@@ -784,10 +781,10 @@ void cell_terms(int kind, double a, long J, double ck, double ch,
  * out receives four rows of n: the np.sum of eta_k, of |eta_k|, of eta_h
  * and of |eta_h| over each interval's cells.  Returns n, or -1 when out
  * of memory. */
-CLONED long breakdown(long n, long J, double h, const double *k,
-                      const double *u, const signed char *modes,
-                      const double *g, int kind, double a, const double *psi,
-                      const double *A, const double *W, double *out)
+long breakdown(long n, long J, double h, const double *k, const double *u,
+               const signed char *modes, const double *g, int kind, double a,
+               const double *psi, const double *A, const double *W,
+               double *out)
 {
     double *block = malloc(sizeof(double) * (5 * J + 1));
     if (!block)

@@ -3,7 +3,7 @@ breakdown and the `%.5e` text of the CSVs (`format_rows`).
 
 The library is built on first use with the system C compiler,
 
-    cc -O2 -ffp-contract=off -shared -fPIC
+    cc -O2 -ffp-contract=off -shared -fPIC -DMAX_LANES=<lanes>
 
 and cached as `_core.so` in this package's `__pycache__`, or, when that
 directory cannot be written, in `$XDG_CACHE_HOME/shockstep` (by default
@@ -12,10 +12,10 @@ command and the source bytes it was built from; the library is rebuilt
 when either differs.  -ffp-contract=off (and no -march, no -ffast-math)
 keeps every a*b + c two roundings: a fused multiply-add would move the
 last bits of the states away from the numpy formulas the kernels
-transcribe.  The vector kernels are compiled once per instruction set
-(GCC's target_clones: AVX-512F, AVX2 and the x86-64 baseline), and the
-dynamic loader binds the widest the CPU supports (`lanes()`); each lane
-does one cell's operations, so the copy changes no bit.
+transcribe.  <lanes> is this CPU's vector width, 8 doubles with
+AVX-512F, 4 with AVX2, 2 otherwise, and the source compiles for that
+instruction set; each lane of its vector loops does one cell's
+operations, so the width changes no bit.
 
 Nothing is loaded or built at import; `lib()` does it on the first march.
 """
@@ -68,9 +68,20 @@ def lib():
 
 
 def lanes() -> int:
-    """Doubles per vector instruction in the copy of the kernels the
-    loader bound: 8 with AVX-512F, 4 with AVX2, 2 otherwise."""
+    """Doubles per vector instruction in the library's vector loops."""
     return lib().lanes()
+
+
+def _host_lanes() -> int:
+    """8 doubles per vector with AVX-512F, 4 with AVX2, else 2, as the
+    flags of /proc/cpuinfo list them (only when the OS saves the wider
+    registers).  Compilers other than GCC on x86-64 build 2 anyway."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = next((ln.split() for ln in fh if ln.startswith("flags")), [])
+    except OSError:
+        flags = []
+    return 8 if "avx512f" in flags else 4 if "avx2" in flags else 2
 
 
 def format_rows(cols, modes=None, mode_at=0) -> bytes:
@@ -114,7 +125,8 @@ def load(source: str, *caches: str):
     code = _read(source)
     if code is None:
         raise ImportError(f"cannot read the compiled-core source {source}")
-    key = " ".join(COMPILE).encode() + b"\n" + code
+    cmd = (*COMPILE, f"-DMAX_LANES={_host_lanes()}")
+    key = " ".join(cmd).encode() + b"\n" + code
     sos = [os.path.join(cache, "_core.so") for cache in caches]
     so = next((so for so in sos
                if os.path.exists(so) and _read(so + ".key") == key), None)
@@ -122,7 +134,7 @@ def load(source: str, *caches: str):
         refused = []
         for so in sos:
             try:
-                _build(source, key, so)
+                _build(source, cmd, key, so)
                 break
             except OSError as err:
                 refused.append(f"{os.path.dirname(so)} ({err.strerror or err})")
@@ -136,16 +148,17 @@ def load(source: str, *caches: str):
     return core
 
 
-def _build(source: str, key: bytes, so: str):
-    """Compile `source` into `so`; an OSError means the cache directory
-    cannot be written, any failure of the compiler is an ImportError."""
+def _build(source: str, cmd: tuple, key: bytes, so: str):
+    """Compile `source` into `so` with `cmd`; an OSError means the cache
+    directory cannot be written, any failure of the compiler is an
+    ImportError."""
     import subprocess
     import tempfile
     cache = os.path.dirname(so)
     os.makedirs(cache, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
     os.close(fd)
-    cmd = [*COMPILE, "-o", tmp, source]
+    cmd = [*cmd, "-o", tmp, source]
     try:
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)

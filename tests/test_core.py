@@ -7,13 +7,13 @@ CFL boundary, ulp by ulp, and in the vector loop's tails), one Newton
 solve with LAPACK's `dgtsv` from scipy as the linear solver, the dual
 substep plan and substeps with and without the mass-balance record, and
 the error breakdown against the cell terms of `tests/oracles.py`.  Those
-kernel tests run in every instruction-set copy the CPU supports
-(`cores`).  The CSV text of `format_rows` is compared byte for byte with
-Python's `'%.5e' % x` on every kind of double and with the old Python
-writer.  The loader is checked for its missing-compiler error, its
-rebuild on a changed source or compile command, its fallback from an
-unwritable cache, and a compile command that keeps every rounding and
-builds silently at every width.
+kernel tests run at every vector width the CPU supports (`cores`).  The
+CSV text of `format_rows` is compared byte for byte with Python's
+`'%.5e' % x` on every kind of double and with the old Python writer.
+The loader is checked for its missing-compiler error, its rebuild on a
+changed source or compile command, its fallback from an unwritable
+cache, and a compile command that keeps every rounding and builds
+silently at every width.
 """
 import contextlib
 import math
@@ -51,17 +51,16 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# -------------------------------------------- instruction-set copies
+# ------------------------------------------------------- vector widths
 
 _WIDTHS = (2, 4, 8)
 
 
 @pytest.fixture(scope="session")
 def cores(tmp_path_factory):
-    """The compiled core in every instruction-set copy this CPU runs,
-    narrowest first, named by its doubles per vector instruction: the
-    default build at the copy the loader bound, and below it builds
-    whose clone list `-DMAX_LANES` caps, loaded from a private cache."""
+    """The compiled core at every vector width this CPU runs, narrowest
+    first: the default build at the CPU's width, and below it the builds
+    the loader makes for a CPU of that width, in a private cache."""
     top = _core.lanes()
     libs = []
     for lanes in (w for w in _WIDTHS if w <= top):
@@ -69,8 +68,7 @@ def cores(tmp_path_factory):
             lib = _core.lib()
         else:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(_core, "COMPILE",
-                           _core.COMPILE + (f"-DMAX_LANES={lanes}",))
+                mp.setattr(_core, "_host_lanes", lambda: lanes)
                 lib = _core.load(_core.SOURCE,
                                  str(tmp_path_factory.mktemp(f"lanes{lanes}")))
         assert lib.lanes() == lanes
@@ -634,7 +632,7 @@ def _assert_breakdown_matches_cell_terms(traj, coeff, dual, case):
 @pytest.mark.parametrize("J", [8, 15, 16, 17, 127, 128, 129, 255, 256, 300,
                                1024, 1281])
 def test_breakdown_pairwise_sums_at_every_width(cores, J):
-    # numpy's pairwise sum: its eight accumulators in each copy, blocks
+    # numpy's pairwise sum: its eight accumulators at each width, blocks
     # of 128 and the halving above them
     rng = np.random.default_rng(J)
     grid = ss.build_spatial_grid(J, 0)
@@ -764,15 +762,15 @@ _UNSAFE_FLAGS = ("-ffast-math", "-Ofast", "-march", "-funsafe-math-optimizations
 
 def test_compile_command_keeps_every_rounding(tmp_path):
     # contraction off and none of the flags that license reassociation,
-    # finite-only math or another instruction set (the wide copies get
-    # theirs from target_clones); the source builds without a warning or
-    # note, also with its clones capped at each narrower width
+    # finite-only math or another instruction set (the source sets it
+    # from the width the loader passes); the source builds without a
+    # warning or note at every width
     assert "-ffp-contract=off" in _core.COMPILE
     assert not [flag for flag in _core.COMPILE
                 if flag.startswith(_UNSAFE_FLAGS) or flag.startswith("-m")]
     if shutil.which(_core.COMPILE[0]) is None:
         pytest.skip(f"no {_core.COMPILE[0]} on PATH")
-    for cap in ([], ["-DMAX_LANES=2"], ["-DMAX_LANES=4"]):
+    for cap in ([], ["-DMAX_LANES=4"], ["-DMAX_LANES=8"]):
         cmd = [*_core.COMPILE, *cap, "-Wall", "-Wextra", "-Werror",
                "-o", str(tmp_path / "_core.so"), _core.SOURCE]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
@@ -822,7 +820,13 @@ def test_changed_source_or_command_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.setattr(_core, "COMPILE", _core.COMPILE + ("-g",))
     _core.load(str(src), str(cache))
     assert so.stat().st_ino != rebuilt.st_ino    # a changed flag rebuilds
-    assert key.read_bytes().startswith(b"cc -O2 -ffp-contract=off -shared -fPIC -g\n")
+    assert key.read_bytes().startswith(b"cc -O2 -ffp-contract=off -shared -fPIC -g "
+                                       b"-DMAX_LANES=")
+    rebuilt = so.stat()
+    monkeypatch.setattr(_core, "_host_lanes", lambda: 2)
+    _core.load(str(src), str(cache))
+    assert so.stat().st_ino != rebuilt.st_ino    # so does another CPU's width
+    assert _fresh_process_calls(so, "lanes") == 2
 
 
 @pytest.mark.parametrize("block", ["read-only", "not a directory"])
