@@ -4,8 +4,10 @@ Per-interval temporal error densities are turned into a new partition by
 equidistribution: each old interval proposes steps k_m = k_n * (tol/T) /
 density, laid out consecutively and clipped so a long step never tramples
 a later region that demands finer resolution.  A switching policy then
-tags each step implicit or explicit; runs of sub-threshold CFL proposals
-are merged and re-tiled with uniform explicit steps.
+tags each step implicit or explicit: a step at planning CFL >= CFL_SWITCH
+stays implicit, split into pieces of CFL at most CFL_CAP, and runs of
+sub-threshold CFL proposals are merged and re-tiled with uniform explicit
+steps.
 """
 from __future__ import annotations
 
@@ -25,6 +27,8 @@ from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
                    build_spatial_grid)
 
 FLOOR_SCALE = 1e-14
+CFL_SWITCH = 5.0
+CFL_CAP = 1e4
 
 
 @dataclass
@@ -32,25 +36,15 @@ class AdaptationConfig:
     T: float
     tol_k: Optional[float] = None
     tol_total: Optional[float] = None
-    cfl_switch: float = 5.0
     cfl_explicit: float = 0.8
-    cfl_cap: float = 1e4
-    density_floor: Optional[float] = None
 
     def __post_init__(self):
-        if not (0.0 < self.cfl_explicit < self.cfl_switch <= self.cfl_cap):
-            raise ValueError("need 0 < cfl_explicit < cfl_switch <= cfl_cap")
-        for name in ("tol_k", "tol_total", "density_floor"):
+        if not (0.0 < self.cfl_explicit < CFL_SWITCH):
+            raise ValueError(f"need 0 < cfl_explicit < {CFL_SWITCH}")
+        for name in ("tol_k", "tol_total"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
-
-    def effective_floor(self) -> float:
-        if self.density_floor is not None:
-            return self.density_floor
-        if self.tol_k is None:
-            raise ValueError("tol_k required to derive the density floor")
-        return FLOOR_SCALE * self.tol_k / self.T
 
 
 @dataclass
@@ -133,9 +127,12 @@ def propose_timesteps(old: TimePartition, densities: np.ndarray,
         raise ValueError("densities misaligned with partition")
     if not np.all(np.isfinite(densities) & (densities >= 0.0)):
         raise ValueError("densities must be finite and nonnegative")
+    if cfg.tol_k is None:
+        raise ValueError("tol_k required to propose steps")
     T = old.T
     k_old = old.steps
-    km = k_old * (cfg.tol_k / T) / np.maximum(densities, cfg.effective_floor())
+    floor = FLOOR_SCALE * cfg.tol_k / cfg.T
+    km = k_old * (cfg.tol_k / T) / np.maximum(densities, floor)
     # the walk runs on Python floats: the same IEEE operations as on numpy
     # scalars, and bisect_left is searchsorted's side="left"
     km = km.tolist()
@@ -174,8 +171,8 @@ def assign_modes(raw: np.ndarray, speed_profile: SpeedProfile,
                  strategy: str = "imex") -> AdaptationPlan:
     """Tag proposed steps implicit/explicit and re-tile as needed.
 
-    imex: steps with planning CFL >= cfl_switch stay implicit (split only
-    beyond cfl_cap); maximal runs below the threshold are replaced by
+    imex: steps with planning CFL >= CFL_SWITCH stay implicit (split only
+    beyond CFL_CAP); maximal runs below the threshold are replaced by
     uniform explicit stepping at cfl_explicit over the same span.
     fully_implicit: every step implicit, cap-splitting only.
     """
@@ -195,7 +192,7 @@ def assign_modes(raw: np.ndarray, speed_profile: SpeedProfile,
     modes: list = []
 
     def lay_implicit(t0, t1, cfl):
-        pieces = max(1, math.ceil(cfl / cfg.cfl_cap - 1e-12))
+        pieces = max(1, math.ceil(cfl / CFL_CAP - 1e-12))
         for p in range(1, pieces + 1):
             times.append(t1 if p == pieces else t0 + (t1 - t0) * p / pieces)
             modes.append(IMPLICIT)
@@ -206,13 +203,13 @@ def assign_modes(raw: np.ndarray, speed_profile: SpeedProfile,
     elif strategy == "imex":
         i = 0
         while i < n_seg:
-            if seg_cfl[i] >= cfg.cfl_switch:
+            if seg_cfl[i] >= CFL_SWITCH:
                 lay_implicit(edges[i], edges[i + 1], seg_cfl[i])
                 i += 1
                 continue
             j = i
             s_max = 0.0
-            while j < n_seg and seg_cfl[j] < cfg.cfl_switch:
+            while j < n_seg and seg_cfl[j] < CFL_SWITCH:
                 s_max = max(s_max, seg_speed[j])
                 j += 1
             ta, tb = edges[i], edges[j]
@@ -292,8 +289,7 @@ def solve_level(level: int, grid: SpatialGrid, partition: TimePartition,
 def adaptive_loop(case, cfg: AdaptationConfig, levels: Sequence[int],
                   rule: str, *, strategy: str = "imex", base_cells: int = 20,
                   speed_basis: str = "global", factor=None,
-                  dual_cfl: float = 0.8,
-                  base_report: Optional[LevelReport] = None) -> list:
+                  dual_cfl: float = 0.8) -> list:
     """Run the multi-level loop: uniform explicit base run, then per level
     a tolerance from the schedule, a proposed partition, a mode assignment,
     and a full solve/dual/estimate pass.  Stops early once the combined
@@ -315,14 +311,9 @@ def adaptive_loop(case, cfg: AdaptationConfig, levels: Sequence[int],
     for idx, level in enumerate(levels):
         grid = build_spatial_grid(base_cells, level, case.domain)
         if idx == 0:
-            if base_report is not None:
-                if base_report.level != level:
-                    raise ValueError("base report level mismatch")
-                rep = base_report
-            else:
-                part = uniform_cfl_partition(case, grid, cfg.cfl_explicit,
-                                             speed_basis)
-                rep = solve_level(level, grid, part, case, dual_cfl)
+            part = uniform_cfl_partition(case, grid, cfg.cfl_explicit,
+                                         speed_basis)
+            rep = solve_level(level, grid, part, case, dual_cfl)
         else:
             prev = reports[-1]
             tol = tolerance_schedule(rule, priors, factor=factors[idx - 1],

@@ -2,7 +2,8 @@
 
 Subcommands run the uniform and adaptive experiments described by a plain
 key=value config file (CLI overrides via --set) and write reproducible CSV
-artifacts.  Exit codes: 0 success, 2 config error, 3 solver failure.
+artifacts.  Exit codes: 0 success, 2 config error, 3 solver failure or
+out of memory.
 """
 from __future__ import annotations
 
@@ -378,6 +379,9 @@ def main(argv=None) -> int:
         return 2
     except SolverFailure as err:
         print(f"solver failure: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        print(f"out of memory: {err}", file=sys.stderr)
         return 3
 
 

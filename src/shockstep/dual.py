@@ -37,6 +37,12 @@ class DualGradientTrajectory:
     max_mass_residual: Optional[float] = None
 
 
+def _cells(values, n: int) -> np.ndarray:
+    """`values` as n contiguous floats; a scalar broadcasts, as in numpy
+    arithmetic."""
+    return np.ascontiguousarray(np.broadcast_to(np.asarray(values, dtype=float), (n,)))
+
+
 def build_coefficient_field(traj: ForwardTrajectory) -> CoefficientField:
     """Linearization coefficient a_j^n = f'(u_j^n), end-of-interval state.
 
@@ -86,10 +92,8 @@ def solve_dual_gradient(coeff: CoefficientField, case,
                              ptr(m_all, _core.LONG), ptr(dt_all))
     if bad < N:
         raise SolverFailure(f"dual march: non-finite coefficient in interval {bad}")
-    source = -np.asarray(case.weight_gradient(grid.centers), dtype=float)
+    source = -_cells(case.weight_gradient(grid.centers), J)
     source_total = h * float(np.sum(source))
-    # a scalar gradient broadcasts over the cells, as in numpy arithmetic
-    source = np.ascontiguousarray(np.broadcast_to(source, (J,)))
     w_ext = np.zeros(J + 2)   # w between zero ghost values
     samples = np.empty((N, J))
     # per-substep mass-balance residuals, in march order (last interval first)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _core, forward
 from ._core import ptr
-from .dual import CoefficientField, DualGradientTrajectory
+from .dual import CoefficientField, DualGradientTrajectory, _cells
 from .forward import ForwardTrajectory
 from .grid import EXPLICIT, IMPLICIT, build_spatial_grid
 
@@ -104,12 +104,6 @@ def assemble_breakdown(traj: ForwardTrajectory, coeff: CoefficientField,
         eta_h=float(np.sum(signed_h)),
         J_h=evaluate_functional(traj, case),
     )
-
-
-def _cells(values, n: int) -> np.ndarray:
-    """`values` as n contiguous floats; a scalar broadcasts, as in numpy
-    arithmetic."""
-    return np.ascontiguousarray(np.broadcast_to(np.asarray(values, dtype=float), (n,)))
 
 
 def efficiency_index(breakdown: ErrorBreakdown, J_ref: float) -> float:

@@ -35,10 +35,6 @@ class NonConvergence(SolverFailure):
 class BurgersFlux:
     """f(u) = u^2/2 with Engquist-Osher interface splitting."""
 
-    def f(self, u):
-        u = np.asarray(u, dtype=float)
-        return 0.5 * u * u
-
     def fprime(self, u):
         return np.asarray(u, dtype=float)
 
@@ -48,9 +44,6 @@ class LinearFlux:
 
     def __init__(self, a: float):
         self.a = float(a)
-
-    def f(self, u):
-        return self.a * np.asarray(u, dtype=float)
 
     def fprime(self, u):
         return np.full_like(np.asarray(u, dtype=float), self.a)
@@ -109,8 +102,7 @@ _MESSAGES = {
 
 
 def march(rows: np.ndarray, k: np.ndarray, g: np.ndarray, h: float, flux,
-          mode: int, newton=None, F=None, tol: float = NEWTON_TOL,
-          max_iter: int = NEWTON_MAX_ITER):
+          mode: int, newton=None, F=None):
     """March the state rows[0] through the len(k) steps of one mode in the
     compiled core, writing the states into rows[1:].  Step i has length
     k[i] and inflow g[i], taken at its start (explicit) or end (implicit).
@@ -120,7 +112,7 @@ def march(rows: np.ndarray, k: np.ndarray, g: np.ndarray, h: float, flux,
     the bound the max principle needs, is refused and its row left as it
     was.  Implicit steps are backward Euler, Newton with full steps and
     the analytic tridiagonal Jacobian solved as LAPACK dgtsv solves it,
-    stopped by `tol` or at the round-off floor (`NewtonStats.stop`);
+    stopped at `NEWTON_TOL` or at the round-off floor (`NewtonStats.stop`);
     `newton` = (iterations, residuals, stop codes) receive each step's
     record.  Full steps do not converge for every k: from level-0 data
     with k = 5h and inflow 1.03 Newton stalls once the shock nears the
@@ -151,15 +143,15 @@ def march(rows: np.ndarray, k: np.ndarray, g: np.ndarray, h: float, flux,
                                    ptr(value))
     else:
         iters, resid, stop = newton
-        done = core.march_implicit(*args, tol, max_iter, ptr(rows), ptr(F),
-                                   ptr(iters, np.intc), ptr(resid),
-                                   ptr(stop, np.int8), ptr(code, np.intc),
-                                   ptr(value))
+        done = core.march_implicit(*args, NEWTON_TOL, NEWTON_MAX_ITER,
+                                   ptr(rows), ptr(F), ptr(iters, np.intc),
+                                   ptr(resid), ptr(stop, np.int8),
+                                   ptr(code, np.intc), ptr(value))
     code, value = int(code[0]), float(value[0])
     if code == _core.NO_MEMORY:
         raise MemoryError("the compiled march could not allocate its work buffers")
     if code == _core.STALLED:
-        return done, NonConvergence(max_iter, value)
+        return done, NonConvergence(NEWTON_MAX_ITER, value)
     return done, SolverFailure(_MESSAGES[code].format(value)) if code else None
 
 

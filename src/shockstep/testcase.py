@@ -32,6 +32,7 @@ _NODE_LEVEL = 16    # bisection levels resolved on shared nodes
 _SNAP_LEVEL = 44    # dyadic level the root guess snaps to
 _MAX_SHIFTS = 3
 _PEAK_SEEDS = 8    # nodes per window filled first for the peak
+_SAMPLE_DT = 1e-3   # spacing of the characteristic check's shock times
 
 
 def _window_path(t, p, scale):
@@ -55,7 +56,8 @@ def _window_path(t, p, scale):
 
 
 def _shock_path(t, scale):
-    """(s, sdot) at every t: SHOCK_X0 and 0 outside the windows."""
+    """(s, sdot) at every t: SHOCK_X0 and 0 outside the windows; the
+    quartic contact factors keep s C^3 at the window ends."""
     t = np.asarray(t, dtype=float)
     s = np.full(t.shape, SHOCK_X0)
     sdot = np.zeros(t.shape)
@@ -64,24 +66,6 @@ def _shock_path(t, scale):
         if np.any(m):
             s[m], sdot[m] = _window_path(t[m], p, scale)
     return s, sdot
-
-
-def _check_range(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > T_END):
-        raise ValueError(f"t outside [0, {T_END}]")
-    return t
-
-
-def shock_position(t, scale: float = 1.0):
-    """Shock path s(t); quartic contact factors keep it C^3 at window ends."""
-    out = _shock_path(_check_range(t), scale)[0]
-    return float(out) if out.ndim == 0 else out
-
-
-def shock_speed(t, scale: float = 1.0):
-    out = _shock_path(_check_range(t), scale)[1]
-    return float(out) if out.ndim == 0 else out
 
 
 def _departure_time(tau, s, sdot):
@@ -334,13 +318,6 @@ class PerturbedShockCase:
         self._table_t = [_table_times(p) for p in _PERTURBATIONS]
         self._table = None
 
-    # ---- shock data ----
-    def shock_position(self, t):
-        return shock_position(t, self.perturbation_scale)
-
-    def shock_speed(self, t):
-        return shock_speed(t, self.perturbation_scale)
-
     # ---- inflow table ----
     def _ensure_table(self, need=None):
         """(pieces_t, pieces_g) with the nodes in `need`, one index array
@@ -398,12 +375,11 @@ class CharacteristicsReport:
     ok: bool
 
 
-def validate_characteristics(case: PerturbedShockCase,
-                             sample_dt: float = 1e-3) -> CharacteristicsReport:
+def validate_characteristics(case: PerturbedShockCase) -> CharacteristicsReport:
     """Certify the boundary-data construction: departure times must be
     strictly increasing (characteristics do not cross before x=0) and the
     carried value must stay positive (inflow stays supersonic)."""
-    tau = np.arange(0.0, T_END + 0.5 + sample_dt, sample_dt)
+    tau = np.arange(0.0, T_END + 0.5 + _SAMPLE_DT, _SAMPLE_DT)
     t0, uL = _departure_time(tau, *_shock_path(tau, case.perturbation_scale))
     spacing = np.diff(t0)
     monotone = bool(np.all(spacing > 0.0))

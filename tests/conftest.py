@@ -1,6 +1,13 @@
-"""Shared fixtures: the benchmark case, the reference functional, and the
-experiment reports reused across test modules.  Everything here is
-deterministic, so session scope is safe."""
+"""Shared fixtures: the benchmark case, the reference functional, the
+experiment reports reused across test modules, and a runner of capped
+child interpreters.  Everything here is deterministic, so session scope is
+safe."""
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -64,28 +71,46 @@ def adapt_cfg(case):
 
 
 @pytest.fixture(scope="session")
-def ex1_report(case, adapt_cfg, base_report):
+def ex1_report(case, adapt_cfg):
     return ss.adaptive_loop(case, adapt_cfg, [0, 1], "match_previous",
-                            strategy="fully_implicit",
-                            base_report=base_report)[-1]
+                            strategy="fully_implicit")[-1]
 
 
 @pytest.fixture(scope="session")
-def ex2_report(case, adapt_cfg, base_report):
+def ex2_report(case, adapt_cfg):
     return ss.adaptive_loop(case, adapt_cfg, [0, 1], "match_previous",
-                            strategy="imex", base_report=base_report)[-1]
+                            strategy="imex")[-1]
 
 
 @pytest.fixture(scope="session")
-def ex3_rows(case, adapt_cfg, base_report):
+def ex3_rows(case, adapt_cfg):
     row1 = uniform_level_report(case, 4, basis="initial")
     row2 = ss.adaptive_loop(case, adapt_cfg, [0, 4], "scaled_ref",
-                            strategy="imex", factor=2.0 ** -4,
-                            base_report=base_report)[-1]
+                            strategy="imex", factor=2.0 ** -4)[-1]
     row3 = ss.adaptive_loop(case, adapt_cfg, [0, 4], "scaled_ref",
-                            strategy="imex", factor=1.0,
-                            base_report=base_report)[-1]
+                            strategy="imex", factor=1.0)[-1]
     return row1, row2, row3
+
+
+@pytest.fixture(scope="session")
+def capped_child():
+    """run(code, address_space, *args): run `code` in a fresh interpreter
+    that imports this shockstep, with `args` as sys.argv[1:], its address
+    space capped at `address_space` bytes and a 60 s timeout; returns the
+    finished process, output as text.  For inputs that could allocate
+    without bound or never return."""
+    src = str(Path(ss.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(code: str, address_space: int, *args):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (address_space, address_space))
+        return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path},
+                              preexec_fn=cap)
+    return run
 
 
 def smooth_hump(z):

@@ -1,14 +1,15 @@
 """Numpy formulas that the compiled core replaced, kept as test oracles,
 and `Stepper`, which takes one step at a time through the compiled march.
 
-`split` is the flux splitting the march transcribes, `interface_fluxes`
-the march's flux construction in array form, `update_fluxes` rebuilds
-the fluxes every update of a `run_forward` trajectory used, and
-`cell_terms` forms the error breakdown's per-cell time and space terms,
-in the operation order the compiled breakdown transcribes.
-`propose_timesteps` and `assign_modes` are the planner's loops on numpy
-scalars, which the package now runs on Python floats.  `percent_rows`
-is the CSV writer's old text: `fmt % row` over `.tolist()` columns.
+`flux_values` is f(u) of a flux object and `split` the flux splitting
+the march transcribes, `interface_fluxes` the march's flux construction
+in array form, `update_fluxes` rebuilds the fluxes every update of a
+`run_forward` trajectory used, and `cell_terms` forms the error
+breakdown's per-cell time and space terms, in the operation order the
+compiled breakdown transcribes.  `propose_timesteps` and `assign_modes`
+are the planner's loops on numpy scalars, which the package now runs on
+Python floats.  `percent_rows` is the CSV writer's old text:
+`fmt % row` over `.tolist()` columns.
 """
 import math
 
@@ -16,7 +17,8 @@ import numpy as np
 
 import shockstep as ss
 from shockstep import _core
-from shockstep.forward import NEWTON_MAX_ITER, NEWTON_TOL, NewtonStats, march
+from shockstep.adaptivity import CFL_CAP, CFL_SWITCH, FLOOR_SCALE
+from shockstep.forward import NewtonStats, march
 from shockstep.grid import EXPLICIT, IMPLICIT
 
 
@@ -31,11 +33,11 @@ class Stepper:
         self.F = np.empty(self.u.size + 1)
         self._rows = np.empty((2, self.u.size))
 
-    def _step(self, k, h, g, mode, newton=None, **kw):
+    def _step(self, k, h, g, mode, newton=None):
         self._rows[:] = self.u
         _, err = march(self._rows, np.array([k], dtype=float),
                        np.array([g], dtype=float), h, self.flux, mode,
-                       newton, self.F, **kw)
+                       newton, self.F)
         self.u[:] = self._rows[1]
         if err is not None:
             raise err
@@ -43,12 +45,19 @@ class Stepper:
     def explicit(self, k: float, h: float, g: float):
         self._step(k, h, g, EXPLICIT)
 
-    def implicit(self, k: float, h: float, g: float, tol: float = NEWTON_TOL,
-                 max_iter: int = NEWTON_MAX_ITER) -> NewtonStats:
+    def implicit(self, k: float, h: float, g: float) -> NewtonStats:
         rec = np.zeros(1, np.intc), np.zeros(1), np.zeros(1, np.int8)
-        self._step(k, h, g, IMPLICIT, rec, tol=tol, max_iter=max_iter)
+        self._step(k, h, g, IMPLICIT, rec)
         return NewtonStats(int(rec[0][0]), float(rec[1][0]),
                            _core.STOP_RULES[int(rec[2][0])])
+
+
+def flux_values(flux, u):
+    """f(u): u^2/2 for Burgers, a u for a `LinearFlux`."""
+    u = np.asarray(u, dtype=float)
+    if isinstance(flux, ss.LinearFlux):
+        return flux.a * u
+    return 0.5 * u * u
 
 
 def split(flux, v, d, f):
@@ -111,7 +120,8 @@ def cell_terms(traj, coeff, dual, case, lo, hi):
     W = dual.w_samples[lo:hi]
     eta_k = -0.5 * k * h * (u1 - u0) * (psi_c - coeff.a_values[lo:hi] * W)
     F = update_fluxes(traj, case, slice(lo, hi))
-    eta_h = k * 0.5 * h * W * (F[:, 1:] + F[:, :-1] - 2.0 * traj.flux.f(u1))
+    eta_h = k * 0.5 * h * W * (F[:, 1:] + F[:, :-1]
+                               - 2.0 * flux_values(traj.flux, u1))
     return eta_k, eta_h
 
 
@@ -121,7 +131,8 @@ def propose_timesteps(old, densities, cfg) -> np.ndarray:
     densities = np.asarray(densities, dtype=float)
     T = old.T
     k_old = old.steps
-    km = k_old * (cfg.tol_k / T) / np.maximum(densities, cfg.effective_floor())
+    floor = FLOOR_SCALE * cfg.tol_k / cfg.T
+    km = k_old * (cfg.tol_k / T) / np.maximum(densities, floor)
     t_old = old.times
     new_times = [0.0]
     t = 0.0
@@ -162,7 +173,7 @@ def assign_modes(raw, speed_profile, cfg, h, strategy="imex"):
     modes: list = []
 
     def lay_implicit(t0, t1, cfl):
-        pieces = max(1, math.ceil(cfl / cfg.cfl_cap - 1e-12))
+        pieces = max(1, math.ceil(cfl / CFL_CAP - 1e-12))
         for p in range(1, pieces + 1):
             times.append(t1 if p == pieces else t0 + (t1 - t0) * p / pieces)
             modes.append(ss.IMPLICIT)
@@ -173,13 +184,13 @@ def assign_modes(raw, speed_profile, cfg, h, strategy="imex"):
     else:
         i = 0
         while i < n_seg:
-            if seg_cfl[i] >= cfg.cfl_switch:
+            if seg_cfl[i] >= CFL_SWITCH:
                 lay_implicit(edges[i], edges[i + 1], seg_cfl[i])
                 i += 1
                 continue
             j = i
             s_max = 0.0
-            while j < n_seg and seg_cfl[j] < cfg.cfl_switch:
+            while j < n_seg and seg_cfl[j] < CFL_SWITCH:
                 s_max = max(s_max, seg_speed[j])
                 j += 1
             ta, tb = edges[i], edges[j]

@@ -203,6 +203,27 @@ def test_too_deep_level_exits_2_before_solving(args, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["run-uniform", "--set", "level=30"],
+    ["run-uniform", "--set", "levels=0", "--set", "ref_level=30"],
+    ["emit-plots", "--set", "level=30"],
+    ["run-adaptive", "--set", "levels=0,30"],
+])
+def test_level_too_large_to_allocate_exits_3(args, tmp_path, capped_child):
+    # level 30 passes the depth rule, but its 20 * 2**30 cells need 160 GiB
+    # for the cell edges alone: under a 2 GiB address space the allocation
+    # fails, and the command exits 3 with one line, before any output
+    out = tmp_path / "out"
+    proc = capped_child("import sys, shockstep.cli\n"
+                        "sys.exit(shockstep.cli.main(sys.argv[1:]))",
+                        1 << 31, *args, "--out", out)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("out of memory: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_adaptive_plots_without_levels_leave_no_directory(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli_main(["emit-plots", "--set", "experiment=adaptive",

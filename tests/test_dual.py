@@ -148,15 +148,25 @@ def test_mass_balance_on_benchmark_march(case, base_trajectory):
        st.integers(min_value=2, max_value=40),
        st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.booleans(),
-       st.floats(min_value=0.05, max_value=1.0))
-def test_mass_balance_on_random_fields(case, steps, J, seed, zero, dual_cfl):
+       st.floats(min_value=0.05, max_value=1.0),
+       st.sampled_from([None, 0.7]))
+def test_mass_balance_on_random_fields(case, steps, J, seed, zero, dual_cfl,
+                                       scalar):
+    # scalar: a constant weight gradient given as one number, which
+    # broadcasts over the cells and must balance as the same array does
     grid = ss.build_spatial_grid(J, 0)
     part = ss.TimePartition(times=np.concatenate(([0.0], np.cumsum(steps))))
     a = np.zeros((len(steps), J)) if zero else \
         np.random.default_rng(seed).uniform(-2.0, 2.0, (len(steps), J))
     coeff = CoefficientField(grid=grid, partition=part, a_values=a)
-    dual = ss.solve_dual_gradient(coeff, case, dual_cfl, record_substeps=True)
+    source = case if scalar is None else _GradientOnlyCase(lambda x: scalar)
+    dual = ss.solve_dual_gradient(coeff, source, dual_cfl, record_substeps=True)
     assert dual.max_mass_residual <= 1e-12
+    if scalar is not None:
+        full = _GradientOnlyCase(lambda x: np.full(x.shape, scalar))
+        want = ss.solve_dual_gradient(coeff, full, dual_cfl, record_substeps=True)
+        assert dual.w_samples.tobytes() == want.w_samples.tobytes()
+        assert dual.max_mass_residual == want.max_mass_residual
 
 
 def test_substep_log_absent_by_default(case):

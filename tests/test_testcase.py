@@ -7,38 +7,34 @@ from hypothesis import strategies as st
 
 import shockstep as ss
 from shockstep import testcase
-from shockstep.testcase import (shock_position, shock_speed,
-                                weight_and_derivative)
+from shockstep.testcase import _shock_path, weight_and_derivative
 
 
 def test_shock_position_stationary_outside_windows(case):
-    for t in (0.0, 6.0, 20.0, 28.0, 40.0, 48.0):
-        assert case.shock_position(t) == 0.5
+    s, _ = _shock_path([0.0, 6.0, 20.0, 28.0, 40.0, 48.0],
+                       case.perturbation_scale)
+    assert np.all(s == 0.5)
 
 
 def test_shock_position_frozen_values(case):
-    assert case.shock_position(15.0) == pytest.approx(0.5, abs=1e-15)
-    assert case.shock_position(12.75) == pytest.approx(0.500274772644043, abs=1e-12)
-
-
-def test_shock_position_range_errors(case):
-    with pytest.raises(ValueError):
-        case.shock_position(-0.1)
-    with pytest.raises(ValueError):
-        case.shock_position(48.001)
+    s, _ = _shock_path([15.0, 12.75], case.perturbation_scale)
+    assert s[0] == pytest.approx(0.5, abs=1e-15)
+    assert s[1] == pytest.approx(0.500274772644043, abs=1e-12)
 
 
 def test_shock_speed_zeros_and_peak(case):
-    for t in (6.0, 12.0, 18.0, 30.0, 36.0):
-        assert case.shock_speed(t) == pytest.approx(0.0, abs=1e-15)
-    assert case.shock_speed(15.0) == pytest.approx(np.pi / 200, abs=1e-12)
+    _, sdot = _shock_path([6.0, 12.0, 18.0, 30.0, 36.0, 15.0],
+                          case.perturbation_scale)
+    np.testing.assert_allclose(sdot[:-1], 0.0, rtol=0, atol=1e-15)
+    assert sdot[-1] == pytest.approx(np.pi / 200, abs=1e-12)
 
 
 def test_shock_speed_smooth_window_entry(case):
     # quartic contact: the derivative switches on without a kink
-    for t0 in (12.0, 18.0, 30.0, 36.0):
-        assert abs(case.shock_speed(t0 + 1e-6)) < 1e-12
-        assert abs(case.shock_speed(t0 - 1e-6)) < 1e-12
+    t0 = np.array([12.0, 18.0, 30.0, 36.0])
+    for t in (t0 + 1e-6, t0 - 1e-6):
+        _, sdot = _shock_path(t, case.perturbation_scale)
+        assert np.all(np.abs(sdot) < 1e-12)
 
 
 def test_shock_speed_matches_position_derivative(case):
@@ -46,16 +42,16 @@ def test_shock_speed_matches_position_derivative(case):
     rng = np.random.default_rng(5)
     ts = np.concatenate([12.0 + 6.0 * rng.random(40), 30.0 + 6.0 * rng.random(40)])
     d = 1e-5
-    for t in ts:
-        fd = (case.shock_position(t + d) - case.shock_position(t - d)) / (2 * d)
-        assert fd == pytest.approx(case.shock_speed(t), abs=1e-8)
+    scale = case.perturbation_scale
+    fd = (_shock_path(ts + d, scale)[0] - _shock_path(ts - d, scale)[0]) / (2 * d)
+    np.testing.assert_allclose(fd, _shock_path(ts, scale)[1], rtol=0, atol=1e-8)
 
 
 def test_module_level_functions_respect_scale():
-    assert shock_position(12.75, scale=0.0) == 0.5
-    assert shock_speed(15.0, scale=0.0) == 0.0
-    assert shock_position(12.75, scale=2.0) - 0.5 == pytest.approx(
-        2.0 * (shock_position(12.75) - 0.5), rel=1e-12)
+    assert _shock_path(12.75, 0.0)[0] == 0.5
+    assert _shock_path(15.0, 0.0)[1] == 0.0
+    assert _shock_path(12.75, 2.0)[0] - 0.5 == pytest.approx(
+        2.0 * (_shock_path(12.75, 1.0)[0] - 0.5), rel=1e-12)
 
 
 def test_weight_values(case):
@@ -118,14 +114,14 @@ def test_inflow_table_matches_direct_rootfind(case):
         a, b = 11.5, 17.5
         for _ in range(200):
             mid = 0.5 * (a + b)
-            u_left = 1.0 + 2.0 * case.shock_speed(mid)
-            depart = mid - case.shock_position(mid) / u_left
+            s, sdot = _shock_path(mid, case.perturbation_scale)
+            depart = mid - s / (1.0 + 2.0 * sdot)
             if depart < t0:
                 a = mid
             else:
                 b = mid
         tau = 0.5 * (a + b)
-        return 1.0 + 2.0 * case.shock_speed(tau)
+        return 1.0 + 2.0 * _shock_path(tau, case.perturbation_scale)[1]
 
     rng = np.random.default_rng(3)
     ts = 11.2 + rng.random(50) * 5.6
@@ -236,7 +232,7 @@ def test_zero_scale_case_is_steady():
     quiet = ss.PerturbedShockCase(perturbation_scale=0.0)
     ts = np.linspace(0.0, 48.0, 977)
     assert np.all(quiet.inflow_value(ts) == 1.0)
-    assert quiet.shock_position(33.3) == 0.5
+    assert _shock_path(33.3, quiet.perturbation_scale)[0] == 0.5
 
 
 # ---- node-level laziness of the inflow table ----
