@@ -1,12 +1,15 @@
 /* The stepping core: every time loop of the forward and dual marches, the
- * estimator's per-cell reductions, and the `%.5e` text of the CSVs.
+ * estimator's per-cell reductions, the planner's two walks and the `%.5e`
+ * text of the CSVs.
  *
  * Each march writes into caller-owned buffers and returns how many steps
  * (or intervals) it completed; on a failure it stops there and sets a
  * reason code and value, which the Python side turns into an exception.
+ * The planner walks run twice: a count pass with NULL outputs returns the
+ * length, the caller allocates it, and a fill pass writes it.
  *
  * The arithmetic is the numpy formulas' own, operation for operation, so
- * the results are bit-identical to them.  That rests on four things:
+ * the results are bit-identical to them.  That rests on five things:
  *   - the build uses -ffp-contract=off, so no a*b+c becomes one fused
  *     multiply-add (one rounding instead of two), and no -ffast-math;
  *   - max(v, 0) and min(v, 0) follow np.maximum / np.minimum: NaN
@@ -14,7 +17,10 @@
  *   - sums that numpy takes with np.sum use numpy's pairwise summation;
  *   - the vector code (GCC/Clang vector extensions) applies the same
  *     operations lane by lane: every lane is one cell's IEEE operation,
- *     nothing is reassociated, and only OR-ed flags cross lanes.
+ *     nothing is reassociated, and only OR-ed flags and maxima cross
+ *     lanes;
+ *   - an operation is skipped only where it cannot change a bit: dgtsv
+ *     leaves x - p undone when p is a zero and x is not.
  *
  * The vector loops are written once, for vectors of LANES doubles, and
  * the library is built for one width: -DMAX_LANES=8 compiles the whole
@@ -176,9 +182,25 @@ static double max_speed(int kind, double speed, const double *u, long J,
     return s;
 }
 
+/* x - p, but x itself when p is a zero and x is not: x - (+-0) = x for
+ * every x but -0.0, so the skip is exact, and a NaN p is no zero.  The
+ * Newton Jacobian's off-diagonals are +0 or -0 wherever the flow does not
+ * reach across the interface, which makes half of dgtsv's updates such
+ * no-ops away from a shock.  A predicted branch lets the next row's
+ * division start before this product is known; written as a select (a
+ * blend), it would wait for the product and keep the chain. */
+static inline __attribute__((always_inline)) double minus(double x, double p)
+{
+    if (p == 0.0 && x != 0.0)
+        return x;
+    return x - p;
+}
+
 /* Reference LAPACK dgtsv for one right-hand side, transcribed statement by
  * statement: Gaussian elimination with partial pivoting on the tridiagonal
- * system (dl, d, du) x = b, all four overwritten, x in b.  Returns INFO:
+ * system (dl, d, du) x = b, all four overwritten, x in b.  The rows that
+ * need no interchange, and the back substitution, subtract through
+ * `minus`, which gives every bit of the plain subtraction.  Returns INFO:
  * 0, or the 1-based index of a zero pivot. */
 long dgtsv(long n, double *dl, double *d, double *du, double *b)
 {
@@ -188,8 +210,8 @@ long dgtsv(long n, double *dl, double *d, double *du, double *b)
         if (fabs(d[i]) >= fabs(dl[i])) {
             if (d[i] != 0.0) {
                 double fact = dl[i] / d[i];
-                d[i + 1] = d[i + 1] - fact * du[i];
-                b[i + 1] = b[i + 1] - fact * b[i];
+                d[i + 1] = minus(d[i + 1], fact * du[i]);
+                b[i + 1] = minus(b[i + 1], fact * b[i]);
             } else {
                 return i + 1;
             }
@@ -212,8 +234,8 @@ long dgtsv(long n, double *dl, double *d, double *du, double *b)
         if (fabs(d[i]) >= fabs(dl[i])) {
             if (d[i] != 0.0) {
                 double fact = dl[i] / d[i];
-                d[i + 1] = d[i + 1] - fact * du[i];
-                b[i + 1] = b[i + 1] - fact * b[i];
+                d[i + 1] = minus(d[i + 1], fact * du[i]);
+                b[i + 1] = minus(b[i + 1], fact * b[i]);
             } else {
                 return i + 1;
             }
@@ -232,9 +254,9 @@ long dgtsv(long n, double *dl, double *d, double *du, double *b)
         return n;
     b[n - 1] = b[n - 1] / d[n - 1];
     if (n > 1)
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2];
+        b[n - 2] = minus(b[n - 2], du[n - 2] * b[n - 1]) / d[n - 2];
     for (long i = n - 3; i >= 0; i--)
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i];
+        b[i] = minus(minus(b[i], du[i] * b[i + 1]), dl[i] * b[i + 2]) / d[i];
     return 0;
 }
 
@@ -643,10 +665,38 @@ long march_explicit(long n, long J, double h, const double *k,
     return i;
 }
 
+/* r = (u - uo) + (F[1:] - F[:-1]) * lam, LANES cells at a time; returns
+ * max|r| as np.maximum.reduce takes it: per-lane maxima, and NaN when
+ * some |r| is NaN. */
+static double residual(const double *u, const double *uo, const double *F,
+                       long J, double lam, double *r)
+{
+    vd vlam = splat(lam), top = {0.0};
+    vl nan = {0};
+    long j = 0;
+    for (; j + LANES <= J; j += LANES) {
+        vd x = (load(u + j) - load(uo + j)) + (load(F + j + 1) - load(F + j)) * vlam;
+        store(r + j, x);
+        x = vabs(x);
+        vl up = x > top;
+        top = (vd)(((vl)x & up) | ((vl)top & ~up));
+        nan |= x != x;
+    }
+    double res = 0.0;
+    for (int q = 0; q < LANES; q++)
+        res = top[q] > res ? top[q] : res;
+    for (; j < J; j++) {
+        r[j] = (u[j] - uo[j]) + (F[j + 1] - F[j]) * lam;
+        res = nanmax(res, fabs(r[j]));
+    }
+    return any(nan) ? NAN : res;
+}
+
 /* Backward Euler over n steps, rows as in march_explicit, g[i] the inflow
  * at the step's end.  Newton with full steps on
  *     r = (u - u_old) + lam (F[1:] - F[:-1]) = 0
- * and the analytic tridiagonal Jacobian.  It stops as converged when
+ * and the analytic tridiagonal Jacobian, the residual formed LANES cells
+ * at a time and the Jacobian solved by dgtsv.  It stops as converged when
  * max|r| <= tol ("tol"), or at the round-off floor ("floor"): after the
  * third iteration, once max|r| <= 8 eps (max|u| + lam max|F|), the size
  * at which rounding alone leaves lam (F[1:] - F[:-1]), while max|r| no
@@ -677,12 +727,7 @@ long march_implicit(long n, long J, double h, const double *k,
         long it;
         for (it = 1; it <= max_iter; it++) {
             fluxes(kind, a, un, J, g[i], w.dp, w.dm, F, 0.0, NULL);
-            res = 0.0;
-            for (long j = 0; j < J; j++) {
-                double r = (un[j] - uo[j]) + (F[j + 1] - F[j]) * lam;
-                w.r[j] = r;
-                res = j ? nanmax(res, fabs(r)) : fabs(r);
-            }
+            res = residual(un, uo, F, J, lam, w.r);
             if (res <= tol) {
                 done = STOP_TOL;
                 break;
@@ -810,4 +855,112 @@ long breakdown(long n, long J, double h, const double *k, const double *u,
     }
     free(block);
     return n;
+}
+
+/* The proposal walk of adaptivity.propose_timesteps over the old times
+ * t_old[0 .. n] (n intervals, their steps k_m in km) on [0, T]: from t,
+ * the step is the k_m of the interval holding t + eps (bisect_left),
+ * cut back to the first old boundary it would cross whose own k_m is
+ * smaller than the gap left beyond it, and clipped at T.  Returns the
+ * count of times, 0 and T included, and writes them to times unless that
+ * is NULL (the count pass).  A step that leaves t unchanged stops the
+ * walk: the return is -1, with the step and t in stuck[0] and stuck[1]. */
+long propose_walk(long n, const double *t_old, const double *km, double T,
+                  double *times, double *stuck)
+{
+    double t = 0.0, eps = 1e-12 * T;
+    long count = 1;
+    if (times)
+        times[0] = 0.0;
+    while (t < T - eps) {
+        /* Python's bisect_left over all n + 1 times */
+        long lo = 0, hi = n + 1;
+        while (lo < hi) {
+            long mid = (lo + hi) / 2;
+            if (t_old[mid] < t + eps)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        long i = lo - 1;
+        i = i < 0 ? 0 : i > n - 1 ? n - 1 : i;
+        double step = km[i];
+        for (long m = i + 1; m < n; m++) {
+            double b = t_old[m];
+            if (b >= t + step)
+                break;
+            if (km[m] < (t + step) - b) {
+                step = b - t;
+                break;
+            }
+        }
+        if (t + step > T)
+            step = T - t;
+        if (t + step == t) {
+            stuck[0] = step;
+            stuck[1] = t;
+            return -1;
+        }
+        t += step;
+        if (times)
+            times[count] = t;
+        count++;
+    }
+    return count;
+}
+
+/* The steps adaptivity.assign_modes lays over n segments [edges[i],
+ * edges[i + 1]] of planning CFL cfl[i] and wave speed speed[i].  A
+ * segment at CFL >= cfl_switch stays implicit, cut into
+ *     pieces = max(ceil(cfl / cfl_cap - 1e-12), 1)
+ * equal steps; each maximal run of segments below it is one span [ta, tb]
+ * laid with
+ *     ne = max(ceil((tb - ta) s / cfl_h - 1e-12), 1)
+ * equal explicit steps, s the run's largest speed (one step when s is
+ * 0), cfl_h the explicit CFL times h.  Piece p of P ends at
+ * t0 + ((t1 - t0) p) / P, the last at t1 itself.  Returns the count of
+ * steps, and unless times is NULL (the count pass) writes their end
+ * times to times[1 ..] and their modes, explicit (0) or implicit (1), to
+ * modes.  A segment whose count, or the running total, would not fit a
+ * long stops the count pass: it returns -(i + 1) for segment i.  cfl
+ * holds no NaN. */
+long lay_steps(long n, const double *edges, const double *speed,
+               const double *cfl, double cfl_switch, double cfl_cap,
+               double cfl_h, double *times, signed char *modes)
+{
+    const double most = (double)(LONG_MAX / 2);
+    long count = 0;
+    if (times)
+        times[0] = 0.0;
+    for (long i = 0; i < n;) {
+        double t0 = edges[i], t1, c;
+        signed char mode;
+        long j = i;
+        if (cfl[i] >= cfl_switch) {
+            t1 = edges[++j];
+            c = ceil(cfl[i] / cfl_cap - 1e-12);
+            mode = 1;
+        } else {
+            double s = 0.0;
+            while (j < n && cfl[j] < cfl_switch) {
+                s = speed[j] > s ? speed[j] : s;
+                j++;
+            }
+            t1 = edges[j];
+            c = s > 0.0 ? ceil(((t1 - t0) * s) / cfl_h - 1e-12) : 1.0;
+            mode = 0;
+        }
+        if (!(c <= most - (double)count))
+            return -(i + 1);
+        long pieces = c < 1.0 ? 1 : (long)c;
+        if (times)
+            for (long p = 1; p <= pieces; p++) {
+                times[count + p] = p == pieces
+                    ? t1 : t0 + ((t1 - t0) * (double)p) / (double)pieces;
+                modes[count + p - 1] = mode;
+            }
+        count += pieces;
+        i = j;
+    }
+    return count;
 }

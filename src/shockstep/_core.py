@@ -1,5 +1,6 @@
 """Loader of the compiled core, `_core.c`: the marches, the error
-breakdown and the `%.5e` text of the CSVs (`format_rows`).
+breakdown, the planner's two walks and the `%.5e` text of the CSVs
+(`format_rows`).
 
 The library is built on first use with the system C compiler,
 
@@ -52,6 +53,9 @@ _SIGNATURES = {
     "dgtsv": (_long, [_long, _ptr, _ptr, _ptr, _ptr]),
     "lanes": (_long, []),
     "format_rows": (_long, [_long, _long, _ptr, _ptr, _long, _ptr]),
+    "propose_walk": (_long, [_long, _ptr, _ptr, _double, _ptr, _ptr]),
+    "lay_steps": (_long, [_long, _ptr, _ptr, _ptr, _double, _double, _double,
+                          _ptr, _ptr]),
 }
 
 _lib = None

@@ -7,24 +7,25 @@ a later region that demands finer resolution.  A switching policy then
 tags each step implicit or explicit: a step at planning CFL >= CFL_SWITCH
 stays implicit, split into pieces of CFL at most CFL_CAP, and runs of
 sub-threshold CFL proposals are merged and re-tiled with uniform explicit
-steps.
+steps.  Both walks run in the compiled core (`_core.c`), on the same double
+operations as the loops `tests/oracles.py` keeps on numpy scalars.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _core
+from ._core import ptr
 from .dual import build_coefficient_field, solve_dual_gradient
 from .estimator import ErrorBreakdown, assemble_breakdown
 # speed_for_basis is unused here: bench/run.py --trace 1 imports it from here
 from .forward import (ForwardTrajectory, run_forward, speed_for_basis,
                       uniform_cfl_partition)
-from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
-                   build_spatial_grid)
+from .grid import EXPLICIT, SpatialGrid, TimePartition, build_spatial_grid
 
 FLOOR_SCALE = 1e-14
 CFL_SWITCH = 5.0
@@ -133,37 +134,21 @@ def propose_timesteps(old: TimePartition, densities: np.ndarray,
     k_old = old.steps
     floor = FLOOR_SCALE * cfg.tol_k / cfg.T
     km = k_old * (cfg.tol_k / T) / np.maximum(densities, floor)
-    # the walk runs on Python floats: the same IEEE operations as on numpy
-    # scalars, and bisect_left is searchsorted's side="left"
-    km = km.tolist()
-    t_old = old.times.tolist()
-    new_times = [0.0]
-    t = 0.0
-    eps = 1e-12 * T
-    while t < T - eps:
-        n = bisect.bisect_left(t_old, t + eps) - 1
-        n = min(max(n, 0), len(km) - 1)
-        step = km[n]
-        m = n + 1
-        while m < len(km):
-            b = t_old[m]
-            if b >= t + step:
-                break
-            if km[m] < (t + step) - b:
-                step = b - t
-                break
-            m += 1
-        if t + step > T:
-            step = T - t
-        if t + step == t:
-            # a huge density makes k_m vanish next to t: the walk would
-            # append the same time forever
-            raise ValueError(f"a step of {step!r} at t = {t!r} does not advance "
-                             f"the partition (density too large for tol_k)")
-        t += step
-        new_times.append(t)
+    # the walk runs in the compiled core, twice: it counts the times,
+    # then fills an array of that length
+    core, t_old, stuck = _core.lib(), np.ascontiguousarray(old.times), np.empty(2)
+    args = (km.size, ptr(t_old), ptr(km), T)
+    count = core.propose_walk(*args, None, ptr(stuck))
+    if count < 0:
+        # a huge density makes k_m vanish next to t: the walk would
+        # append the same time forever
+        step, t = stuck.tolist()
+        raise ValueError(f"a step of {step!r} at t = {t!r} does not advance "
+                         f"the partition (density too large for tol_k)")
+    new_times = np.empty(count)
+    core.propose_walk(*args, ptr(new_times), ptr(stuck))
     new_times[-1] = T
-    return np.diff(np.array(new_times))
+    return np.diff(new_times)
 
 
 def assign_modes(raw: np.ndarray, speed_profile: SpeedProfile,
@@ -183,49 +168,27 @@ def assign_modes(raw: np.ndarray, speed_profile: SpeedProfile,
         raise ValueError("raw steps do not tile [0, T]")
     edges[-1] = T
     n_seg = raw.size
-    seg_speed = speed_profile.max_over(edges[:-1], edges[1:])
+    seg_speed = np.ascontiguousarray(speed_profile.max_over(edges[:-1], edges[1:]))
     seg_cfl = (edges[1:] - edges[:-1]) * seg_speed / h
-    # the loops below run on Python floats, the same IEEE operations
-    edges, seg_speed, seg_cfl = edges.tolist(), seg_speed.tolist(), seg_cfl.tolist()
-
-    times = [0.0]
-    modes: list = []
-
-    def lay_implicit(t0, t1, cfl):
-        pieces = max(1, math.ceil(cfl / CFL_CAP - 1e-12))
-        for p in range(1, pieces + 1):
-            times.append(t1 if p == pieces else t0 + (t1 - t0) * p / pieces)
-            modes.append(IMPLICIT)
-
-    if strategy == "fully_implicit":
-        for i in range(n_seg):
-            lay_implicit(edges[i], edges[i + 1], seg_cfl[i])
-    elif strategy == "imex":
-        i = 0
-        while i < n_seg:
-            if seg_cfl[i] >= CFL_SWITCH:
-                lay_implicit(edges[i], edges[i + 1], seg_cfl[i])
-                i += 1
-                continue
-            j = i
-            s_max = 0.0
-            while j < n_seg and seg_cfl[j] < CFL_SWITCH:
-                s_max = max(s_max, seg_speed[j])
-                j += 1
-            ta, tb = edges[i], edges[j]
-            span = tb - ta
-            if s_max > 0.0:
-                ne = max(1, math.ceil(span * s_max / (cfg.cfl_explicit * h) - 1e-12))
-            else:
-                ne = 1
-            for p in range(1, ne + 1):
-                times.append(tb if p == ne else ta + span * p / ne)
-                modes.append(EXPLICIT)
-            i = j
-    else:
+    if strategy not in ("imex", "fully_implicit"):
         raise ValueError(f"unknown strategy {strategy!r}")
-
-    part = TimePartition(times=np.array(times), modes=np.array(modes, dtype=np.int8))
+    if np.isnan(seg_cfl).any():
+        raise ValueError("a planning CFL is NaN")
+    # fully_implicit is imex with every CFL at or above the switch
+    switch = CFL_SWITCH if strategy == "imex" else -math.inf
+    # the compiled core lays the steps twice: it counts them, then fills
+    # arrays of that length
+    core = _core.lib()
+    args = (n_seg, ptr(edges), ptr(seg_speed), ptr(seg_cfl), switch, CFL_CAP,
+            cfg.cfl_explicit * h)
+    count = core.lay_steps(*args, None, None)
+    if count < 0:
+        i = -count - 1
+        raise MemoryError(f"the plan needs more steps than a long counts from "
+                          f"segment {i} on (planning CFL {seg_cfl[i]:.3g})")
+    times, modes = np.empty(count + 1), np.empty(count, np.int8)
+    core.lay_steps(*args, ptr(times), ptr(modes, np.int8))
+    part = TimePartition(times=times, modes=modes)
     cfl = part.steps * speed_profile.max_over(part.times[:-1], part.times[1:]) / h
     return AdaptationPlan(partition=part, stats=PlanStats.of(part, cfl))
 

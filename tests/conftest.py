@@ -94,20 +94,20 @@ def ex3_rows(case, adapt_cfg):
 
 @pytest.fixture(scope="session")
 def capped_child():
-    """run(code, address_space, *args): run `code` in a fresh interpreter
-    that imports this shockstep, with `args` as sys.argv[1:], its address
-    space capped at `address_space` bytes and a 60 s timeout; returns the
-    finished process, output as text.  For inputs that could allocate
-    without bound or never return."""
+    """run(code, address_space, *args, timeout=60): run `code` in a fresh
+    interpreter that imports this shockstep, with `args` as sys.argv[1:],
+    its address space capped at `address_space` bytes and a timeout in
+    seconds; returns the finished process, output as text.  For inputs
+    that could allocate without bound or never return."""
     src = str(Path(ss.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
-    def run(code: str, address_space: int, *args):
+    def run(code: str, address_space: int, *args, timeout=60):
         def cap():
             resource.setrlimit(resource.RLIMIT_AS,
                                (address_space, address_space))
         return subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                              capture_output=True, text=True, timeout=60,
+                              capture_output=True, text=True, timeout=timeout,
                               env={**os.environ, "PYTHONPATH": path},
                               preexec_fn=cap)
     return run

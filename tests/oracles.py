@@ -7,8 +7,8 @@ in array form, `update_fluxes` rebuilds the fluxes every update of a
 `run_forward` trajectory used, and `cell_terms` forms the error
 breakdown's per-cell time and space terms, in the operation order the
 compiled breakdown transcribes.  `propose_timesteps` and `assign_modes`
-are the planner's loops on numpy scalars, which the package now runs on
-Python floats.  `percent_rows` is the CSV writer's old text:
+are the planner's loops on numpy scalars, which the package now runs in
+the compiled core.  `percent_rows` is the CSV writer's old text:
 `fmt % row` over `.tolist()` columns.
 """
 import math

@@ -311,6 +311,51 @@ def test_assign_modes_rejects_bad_input():
                         strategy="semi")
 
 
+# planning CFL 1e301 asks for 1e297 implicit pieces: a layout one piece
+# at a time runs out of memory (or time) long before it could end, so the
+# count is refused before anything is allocated, in a capped child
+_HUGE_CFL_INPUT = """
+import numpy as np
+import shockstep as ss
+for strategy in ("fully_implicit", "imex"):
+    try:
+        ss.assign_modes(np.array([1.0, 1.0]),
+                        ss.SpeedProfile(times=[0, 2], values=[1e300]),
+                        ss.AdaptationConfig(T=2.0, tol_k=1e-3), 0.1, strategy)
+    except MemoryError as err:
+        assert "planning CFL 1e+301" in str(err), err
+    else:
+        raise SystemExit(f"{strategy}: laid a plan at planning CFL 1e301")
+"""
+
+
+def test_assign_modes_refuses_a_plan_too_large_to_count(capped_child):
+    proc = capped_child(_HUGE_CFL_INPUT, 1 << 30, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+
+
+# a NaN speed makes a NaN planning CFL, which is neither at nor below the
+# switch: an imex run of such segments would never advance
+_NAN_SPEED_INPUT = """
+import numpy as np
+import shockstep as ss
+for strategy in ("fully_implicit", "imex"):
+    try:
+        ss.assign_modes(np.array([1.0, 1.0]),
+                        ss.SpeedProfile(times=[0, 1, 2], values=[1.0, np.nan]),
+                        ss.AdaptationConfig(T=2.0, tol_k=1e-3), 0.1, strategy)
+    except ValueError as err:
+        assert "NaN" in str(err), err
+    else:
+        raise SystemExit(f"{strategy}: laid a plan at a NaN planning CFL")
+"""
+
+
+def test_assign_modes_refuses_a_nan_planning_cfl(capped_child):
+    proc = capped_child(_NAN_SPEED_INPUT, 1 << 30, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_planned_modes_are_sound_on_benchmark_plan(base_trajectory, ex2_report):
     profile = ss.SpeedProfile.from_trajectory(base_trajectory)
     part = ex2_report.partition

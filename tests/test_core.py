@@ -5,9 +5,10 @@ same update, the one the package ran before the marches were compiled:
 the explicit step for Burgers and both signs of `LinearFlux` (also at the
 CFL boundary, ulp by ulp, and in the vector loop's tails), one Newton
 solve with LAPACK's `dgtsv` from scipy as the linear solver, the dual
-substep plan and substeps with and without the mass-balance record, and
-the error breakdown against the cell terms of `tests/oracles.py`.  Those
-kernel tests run at every vector width the CPU supports (`cores`).  The
+substep plan and substeps with and without the mass-balance record, the
+error breakdown against the cell terms of `tests/oracles.py`, and the
+planner's two walks against the numpy-scalar loops there.  Those kernel
+tests run at every vector width the CPU supports (`cores`).  The
 CSV text of `format_rows` is compared byte for byte with Python's
 `'%.5e' % x` on every kind of double and with the old Python writer.
 The loader is checked for its missing-compiler error, its rebuild on a
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 import shockstep as ss
 from shockstep import _core
 from shockstep.dual import CoefficientField
+import oracles
 from oracles import Stepper, cell_terms, interface_fluxes, percent_rows, split
 
 EPS = np.finfo(float).eps
@@ -416,28 +418,118 @@ def c_dgtsv(sub, diag, sup, rhs):
 @st.composite
 def _general_tridiagonal_systems(draw):
     """Tridiagonal systems with no dominance: row interchanges, exact
-    zeros and singular ones (INFO > 0) all occur."""
+    zeros of either sign and singular ones (INFO > 0) all occur.
+    "newton" systems have the zeros of the Burgers Newton Jacobian: the
+    super-diagonal is +0.0 left of a random cut, the sub-diagonal -0.0
+    right of it.  Half of the right-hand sides hold signed zeros,
+    infinities and NaNs."""
     n = draw(st.integers(min_value=1, max_value=60))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    entries = draw(st.sampled_from(["uniform", "sparse"]))
+    entries = draw(st.sampled_from(["uniform", "sparse", "newton"]))
 
-    def vec(size):
-        v = rng.uniform(-2.0, 2.0, max(size, 1))
+    def vec(size, lo=-2.0, hi=2.0):
+        v = rng.uniform(lo, hi, max(size, 1))
         if entries == "sparse":
-            v[rng.random(v.size) < 0.3] = 0.0
+            zero = rng.random(v.size) < 0.3
+            v[zero] = rng.choice([0.0, -0.0], zero.sum())
         return v
-    return vec(n - 1), vec(n), vec(n - 1), rng.uniform(-1.0, 1.0, n)
+    if entries == "newton":
+        cut = rng.integers(0, n)
+        dl, d, du = vec(n - 1, -60.0, 0.0), 1.0 + vec(n, 0.0, 60.0), vec(n - 1, -60.0, 0.0)
+        du[:cut] = 0.0
+        dl[cut:] = -0.0
+    else:
+        dl, d, du = vec(n - 1), vec(n), vec(n - 1)
+    b = rng.uniform(-1.0, 1.0, n)
+    if draw(st.booleans()):
+        odd = rng.random(n) < 0.3
+        b[odd] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], odd.sum())
+    return dl, d, du, b
 
 
-@settings(max_examples=300, deadline=None)
-@given(_general_tridiagonal_systems())
-def test_dgtsv_matches_lapack_with_pivoting(system):
+def _check_dgtsv(system):
     from scipy.linalg.lapack import dgtsv as reference
     x, info = c_dgtsv(*system)
     x_ref, info_ref = reference(*(a.copy() for a in system))[3:]
     assert info == info_ref
     if info == 0:
         assert _same(x, x_ref)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_general_tridiagonal_systems())
+def test_dgtsv_matches_lapack_with_pivoting(system):
+    _check_dgtsv(system)
+
+
+def test_dgtsv_keeps_the_sign_of_a_zero_it_subtracts_from():
+    # b[1] = -0.0 - (-0.0 * 1.0) is +0.0: skipping the update of a -0.0
+    # by a zero would leave x[1] = -0.0
+    system = ([-0.0, 0.5], [1.0, 2.0, 1.0], [0.0, 0.0], [1.0, -0.0, 0.0])
+    _check_dgtsv(system)
+    x, _ = c_dgtsv(*system)
+    assert math.copysign(1.0, x[1]) == 1.0
+
+
+# ------------------------------------------------------------ planner walks
+
+class _Recorder:
+    """A library whose planner kernels record what they return."""
+
+    def __init__(self, lib):
+        self.lib, self.returns = lib, []
+
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+        if name not in ("propose_walk", "lay_steps"):
+            return fn
+
+        def call(*args):
+            self.returns.append((name, fn(*args)))
+            return self.returns[-1][1]
+        return call
+
+
+# (old times, densities, tol_k, profile times, profile speeds, h, the
+# imex plan's last mode): one old interval, laid as one explicit run; an
+# explicit run, then implicit steps cut into pieces under the cap, ending
+# on T; implicit steps, then an explicit run ending on T
+_PLANS = [
+    ([0.0, 2.0], [1e-3], 1e-4, [0.0, 2.0], [0.5], 0.05, ss.EXPLICIT),
+    ([0.0, 1.0, 2.5, 3.0], [1e-3, 4e-3, 1e-2], 1e-4, [0.0, 1.5, 3.0],
+     [0.5, 5e6], 0.05, ss.IMPLICIT),
+    ([0.0, 0.5, 3.0], [1e-2, 1e-4], 1e-3, [0.0, 0.45, 3.0], [40.0, 0.05], 0.05,
+     ss.EXPLICIT),
+]
+
+
+@pytest.mark.parametrize("plan", _PLANS)
+def test_planner_kernels_count_then_fill_at_every_width(cores, plan):
+    # each kernel's count pass and fill pass return the same count, and
+    # the plans have the bits of the numpy-scalar loops at every width
+    times, dens, tol_k, p_times, speeds, h, last = plan
+    old = ss.TimePartition(times=np.array(times))
+    cfg = ss.AdaptationConfig(T=old.T, tol_k=tol_k)
+    profile = ss.SpeedProfile(times=np.array(p_times), values=np.array(speeds))
+    raw_want = oracles.propose_timesteps(old, np.array(dens), cfg)
+    for lib in cores:
+        rec = _Recorder(lib)
+        with _running(rec):
+            raw = ss.propose_timesteps(old, np.array(dens), cfg)
+            assert _same(raw, raw_want)
+            for strategy in ("imex", "fully_implicit"):
+                part = ss.assign_modes(raw, profile, cfg, h, strategy).partition
+                want = oracles.assign_modes(raw, profile, cfg, h, strategy).partition
+                assert _same(part.times, want.times)
+                assert part.modes.tobytes() == want.modes.tobytes()
+                assert part.times[-1] == old.T
+            assert part.interval_count > raw.size or last == ss.EXPLICIT
+            counts = [n for _, n in rec.returns]
+            assert counts[::2] == counts[1::2]
+            assert [name for name, _ in rec.returns] == (
+                ["propose_walk"] * 2 + ["lay_steps"] * 4)
+        imex = ss.assign_modes(raw, profile, cfg, h).partition
+        assert imex.modes[-1] == last and len(set(imex.modes)) == 1 + (len(speeds) > 1)
 
 
 # ---------------------------------------------------------------- dual march
