@@ -1,6 +1,6 @@
 /* The stepping core: every time loop of the forward and dual marches, the
- * estimator's per-cell reductions, the planner's two walks and the `%.5e`
- * text of the CSVs.
+ * estimator's per-cell reductions, the planner's two walks, the `%.5e`
+ * text of the CSVs, and the departure filter of the inflow table.
  *
  * Each march writes into caller-owned buffers and returns how many steps
  * (or intervals) it completed; on a failure it stops there and sets a
@@ -21,6 +21,11 @@
  *     lanes;
  *   - an operation is skipped only where it cannot change a bit: dgtsv
  *     leaves x - p undone when p is a zero and x is not.
+ * The departure filter is the one kernel that does not transcribe numpy
+ * bit for bit: it is a filter, and its values reach no output.  It only
+ * decides the comparisons its error bound certifies; the table's bits
+ * rest on numpy's exact map, which decides every other comparison and
+ * gives every table value.
  *
  * The vector loops are written once, for vectors of LANES doubles, and
  * the library is built for one width: -DMAX_LANES=8 compiles the whole
@@ -864,10 +869,16 @@ long breakdown(long n, long J, double h, const double *k, const double *u,
  * smaller than the gap left beyond it, and clipped at T.  Returns the
  * count of times, 0 and T included, and writes them to times unless that
  * is NULL (the count pass).  A step that leaves t unchanged stops the
- * walk: the return is -1, with the step and t in stuck[0] and stuck[1]. */
+ * walk: the return is -1, with the step and t in stuck[0] and stuck[1].
+ * The count pass also stops when the walk needs more times than a 64-bit
+ * address space holds: steps from interval i are at most km[i] long, so
+ * leaving it from t takes at least (t_old[i + 1] - eps - t) / km[i] of
+ * them.  The return is then -2, with that lower bound on the count and t
+ * in stuck[0] and stuck[1]. */
 long propose_walk(long n, const double *t_old, const double *km, double T,
                   double *times, double *stuck)
 {
+    const double most = 0x1p64 / sizeof(double);
     double t = 0.0, eps = 1e-12 * T;
     long count = 1;
     if (times)
@@ -900,6 +911,15 @@ long propose_walk(long n, const double *t_old, const double *km, double T,
             stuck[0] = step;
             stuck[1] = t;
             return -1;
+        }
+        if (!times) {
+            double need = (double)count
+                + ((i < n - 1 ? t_old[i + 1] : T) - eps - t) / km[i];
+            if (!(need <= most)) {
+                stuck[0] = need;
+                stuck[1] = t;
+                return -2;
+            }
         }
         t += step;
         if (times)
@@ -963,4 +983,94 @@ long lay_steps(long n, const double *edges, const double *speed,
         i = j;
     }
     return count;
+}
+
+/* testcase.py's departure map on one shock window, a filter in front of
+ * numpy's map: testcase._below asks numpy only about the points this
+ * kernel cannot decide, so every table value still comes from numpy alone.
+ * w = (amp, a, b, norm, scale, omega, x0).  At each of the n points
+ * tau[i] it evaluates, in numpy's operation order (testcase._window_path,
+ * _departure_time), with ta = tau - a, tb = tau - b,
+ *     theta = amp ta^4 tb^4 / norm,
+ *     dtheta = amp 4 (ta^3 tb^4 + ta^4 tb^3) / norm,
+ *     s = x0 + scale theta sin(omega ta),
+ *     sdot = scale (dtheta sin(omega ta) + theta omega cos(omega ta)),
+ *     dep = tau - s / (1 + 2 sdot),
+ * but with the powers as products and libm's sin and cos, so not with
+ * numpy's bits.  Beside dep it bounds |dep - numpy's dep| by e, to first
+ * order: both evaluations start from the same ta, tb and omega ta, their
+ * factors ta^3, ta^4, tb^3, tb^4, sin and cos differ by at most R
+ * relative (measured with numpy 2.4 on an AVX-512F host: numpy's pow
+ * within 0.7 ulp of the exact power, the products within 1.9 ulps,
+ * numpy's and libm's sin and cos within 0.52), and every later
+ * operation rounds on both sides (ROUNDS).  e is
+ * infinite where an intermediate nears overflow, or where u_L = 1 + 2 sdot
+ * is not clear of 0.
+ *
+ * Without targets (x NULL) it writes dep and sdot.  With targets,
+ * verdict[i] is 1 where x[i] - dep > e, so numpy's departure is below
+ * x[i]; 0 where dep - x[i] > e, so it is not; and -1, undecided, where
+ * neither holds, NaN included.  Near the root x[i] - dep is exact
+ * (Sterbenz), and elsewhere it rounds monotonically, so a verdict drawn
+ * from the rounded difference holds for the exact one. */
+#define U (DBL_EPSILON / 2)
+#define R (4 * DBL_EPSILON)
+/* one rounding of the value v on each side: 2 U |v|, or the subnormal
+ * spacing, where the relative bound fails */
+#define ROUNDS(v) (2 * U * fabs(v) + DBL_MIN)
+
+void departure_filter(long n, const double *tau, const double *w,
+                      const double *x, double *dep, double *sdot,
+                      signed char *verdict)
+{
+    const double amp = w[0], a = w[1], b = w[2], norm = w[3], scale = w[4],
+                 omega = w[5], x0 = w[6];
+    for (long i = 0; i < n; i++) {
+        double t = tau[i], ta = t - a, tb = t - b, ta2 = ta * ta, tb2 = tb * tb;
+        double ta3 = ta2 * ta, ta4 = ta2 * ta2, tb3 = tb2 * tb, tb4 = tb2 * tb2;
+        double sn = sin(omega * ta), cs = cos(omega * ta);
+        double m1 = amp * ta4, th0 = m1 * tb4, theta = th0 / norm;
+        double A = ta3 * tb4, B = ta4 * tb3, S0 = A + B;
+        double d0 = amp * 4.0 * S0, dtheta = d0 / norm;
+        double st = scale * theta, P = st * sn, s = x0 + P;
+        double T1 = dtheta * sn, tw = theta * omega, T2 = tw * cs, S = T1 + T2;
+        double sd = scale * S, uL = 1.0 + 2.0 * sd, q = s / uL, d = t - q;
+        if (!x) {
+            dep[i] = d;
+            sdot[i] = sd;
+            continue;
+        }
+        /* the distance of each value above from numpy's */
+        double eta3 = R * fabs(ta3) + DBL_MIN, eta4 = R * fabs(ta4) + DBL_MIN;
+        double etb3 = R * fabs(tb3) + DBL_MIN, etb4 = R * fabs(tb4) + DBL_MIN;
+        double esn = R * fabs(sn) + DBL_MIN, ecs = R * fabs(cs) + DBL_MIN;
+        double em1 = fabs(amp) * eta4 + ROUNDS(m1);
+        double eth0 = fabs(tb4) * em1 + fabs(m1) * etb4 + ROUNDS(th0);
+        double eth = eth0 / fabs(norm) + ROUNDS(theta);
+        double eA = fabs(tb4) * eta3 + fabs(ta3) * etb4 + ROUNDS(A);
+        double eB = fabs(tb3) * eta4 + fabs(ta4) * etb3 + ROUNDS(B);
+        double eS0 = eA + eB + ROUNDS(S0);
+        double ed0 = fabs(amp * 4.0) * eS0 + ROUNDS(d0);
+        double edth = ed0 / fabs(norm) + ROUNDS(dtheta);
+        double est = fabs(scale) * eth + ROUNDS(st);
+        double eP = fabs(sn) * est + fabs(st) * esn + ROUNDS(P);
+        double es = eP + ROUNDS(s);
+        double eT1 = fabs(sn) * edth + fabs(dtheta) * esn + ROUNDS(T1);
+        double etw = fabs(omega) * eth + ROUNDS(tw);
+        double eT2 = fabs(cs) * etw + fabs(tw) * ecs + ROUNDS(T2);
+        double eS = eT1 + eT2 + ROUNDS(S);
+        double esd = fabs(scale) * eS + ROUNDS(sd);
+        double euL = 2.0 * esd + ROUNDS(uL);
+        double eq = (es + fabs(q) * euL) / (fabs(uL) - euL) + ROUNDS(q);
+        /* the neglected second-order terms and the rounding of e itself
+         * stay far below 2^-30 of e */
+        double e = (eq + ROUNDS(d)) * (1.0 + 0x1p-30);
+        double size = fabs(ta3) + fabs(ta4) + fabs(tb3) + fabs(tb4)
+            + fabs(m1) + fabs(th0) + fabs(theta) + fabs(A) + fabs(B)
+            + fabs(d0) + fabs(dtheta) + fabs(st) + fabs(P) + fabs(s)
+            + fabs(T1) + fabs(tw) + fabs(T2) + fabs(sd) + fabs(uL) + fabs(q);
+        if (!(size < 0x1p1000 && fabs(uL) > euL))
+            e = INFINITY;
+        verdict[i] = x[i] - d > e ? 1 : d - x[i] > e ? 0 : -1;
+    }
 }

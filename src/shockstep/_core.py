@@ -1,6 +1,6 @@
 """Loader of the compiled core, `_core.c`: the marches, the error
-breakdown, the planner's two walks and the `%.5e` text of the CSVs
-(`format_rows`).
+breakdown, the planner's two walks, the `%.5e` text of the CSVs
+(`format_rows`) and the inflow table's departure filter.
 
 The library is built on first use with the system C compiler,
 
@@ -18,7 +18,7 @@ AVX-512F, 4 with AVX2, 2 otherwise, and the source compiles for that
 instruction set; each lane of its vector loops does one cell's
 operations, so the width changes no bit.
 
-Nothing is loaded or built at import; `lib()` does it on the first march.
+Nothing is loaded or built at import; `lib()` does it on first use.
 """
 from __future__ import annotations
 
@@ -56,6 +56,7 @@ _SIGNATURES = {
     "propose_walk": (_long, [_long, _ptr, _ptr, _double, _ptr, _ptr]),
     "lay_steps": (_long, [_long, _ptr, _ptr, _ptr, _double, _double, _double,
                           _ptr, _ptr]),
+    "departure_filter": (None, [_long, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]),
 }
 
 _lib = None

@@ -139,12 +139,17 @@ def propose_timesteps(old: TimePartition, densities: np.ndarray,
     core, t_old, stuck = _core.lib(), np.ascontiguousarray(old.times), np.empty(2)
     args = (km.size, ptr(t_old), ptr(km), T)
     count = core.propose_walk(*args, None, ptr(stuck))
-    if count < 0:
+    if count == -1:
         # a huge density makes k_m vanish next to t: the walk would
         # append the same time forever
         step, t = stuck.tolist()
         raise ValueError(f"a step of {step!r} at t = {t!r} does not advance "
                          f"the partition (density too large for tol_k)")
+    if count == -2:
+        need, t = stuck.tolist()
+        raise MemoryError(f"the plan needs at least {need:.3g} steps from "
+                          f"t = {t!r}, more than an address space holds "
+                          f"(density too large for tol_k)")
     new_times = np.empty(count)
     core.propose_walk(*args, ptr(new_times), ptr(stuck))
     new_times[-1] = T

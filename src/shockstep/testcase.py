@@ -7,6 +7,12 @@ value u_L(tau) = 1 + 2*sdot(tau), and tracing the straight characteristic
 carrying that value back to the inflow boundary x = 0 yields the left
 boundary data g(t).  The target functional is a bump-weighted space-time
 mean of the solution.
+
+g(t) comes from a table of 48-level bisection roots of the departure map,
+pinned bit for bit.  Its comparisons go through the compiled core's
+departure filter, which decides each one whose outcome its error bound
+certifies; numpy's exact map decides the close calls and gives every
+table value, so the filter changes no bit.
 """
 from __future__ import annotations
 
@@ -14,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _core
+from ._core import ptr
 from .forward import BurgersFlux
 
 T_END = 48.0
@@ -78,12 +86,46 @@ def _departure(tau, p, scale):
     return _departure_time(tau, *_window_path(tau, p, scale))[0]
 
 
+def _filter(tau, p, scale, x=None):
+    """The compiled core's departure filter on window p
+    (`departure_filter` in `_core.c`).  Without targets: its fast
+    departure values and shock speeds at tau, close to `_window_path`'s
+    but not its bits.  With targets x, one per point: one verdict per
+    point, 1 where `_departure(tau) < x`, 0 where not, -1 where the
+    filter cannot tell."""
+    amp, a, b = p[:3]
+    w = np.array([amp, a, b, (0.5 * (b - a)) ** 8, scale, _OMEGA, SHOCK_X0])
+    tau = np.ascontiguousarray(tau, dtype=float)
+    fn = _core.lib().departure_filter
+    if x is None:
+        dep, sdot = np.empty_like(tau), np.empty_like(tau)
+        fn(tau.size, ptr(tau), ptr(w), None, ptr(dep), ptr(sdot), None)
+        return dep, sdot
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape != tau.shape:
+        raise ValueError(f"{x.size} targets for {tau.size} points")
+    verdict = np.empty(tau.shape, np.int8)
+    fn(tau.size, ptr(tau), ptr(w), ptr(x), None, None, ptr(verdict, np.int8))
+    return verdict
+
+
+def _below(tau, x, p, scale):
+    """`_departure(tau, p, scale) < x` at every point, bit for bit: the
+    filter decides the points whose fast departure lies clearly on one
+    side of x, and numpy's map evaluates only the rest."""
+    verdict = _filter(tau, p, scale, x)
+    u = np.flatnonzero(verdict < 0)
+    if u.size:
+        verdict[u] = _departure(tau[u], p, scale) < x[u]
+    return verdict.view(bool)
+
+
 def _bisect(lo, hi, target, p, scale, levels):
     """`levels` bisection steps for departure(tau) = target, tau in
     [lo, hi]; returns the final mid."""
     for _ in range(levels):
         mid = 0.5 * (lo + hi)
-        takes_hi = _departure(mid, p, scale) < target
+        takes_hi = _below(mid, target, p, scale)
         lo = np.where(takes_hi, mid, lo)
         hi = np.where(takes_hi, hi, mid)
     return 0.5 * (lo + hi)
@@ -95,11 +137,10 @@ def _node_spacing(p):
 
 
 def _node_pass(p, scale):
-    """Departure values v and shock speeds sdot on the 2**16 + 1
-    level-16 dyadic nodes of window p."""
-    tau = p[1] + _node_spacing(p) * np.arange(2 ** _NODE_LEVEL + 1)
-    s, sdot = _window_path(tau, p, scale)
-    return _departure_time(tau, s, sdot)[0], sdot
+    """The filter's fast departure values v and shock speeds sdot on the
+    2**16 + 1 level-16 dyadic nodes of window p."""
+    return _filter(p[1] + _node_spacing(p) * np.arange(2 ** _NODE_LEVEL + 1),
+                   p, scale)
 
 
 def _passes_gate(v, p):
@@ -110,42 +151,47 @@ def _passes_gate(v, p):
 def _departure_roots(target, p, scale, v):
     """The root tau of departure(tau) = target in [a, b], bit for bit what
     `_BISECT_ITERS` bisection levels from [a, b] give; v are the window's
-    node values from `_node_pass`, computed once per window and scale by
-    the caller.
+    fast node values from `_node_pass`, computed once per window and
+    scale by the caller.
 
-    a, b and b - a are small integers, so every bisection mid through the
-    last level is exactly the dyadic node a + (b-a) i / 2**L of its level
-    L.  Bisection ends in the level-L cell whose endpoints pass their own
-    comparisons (lo below the target, hi not) and all ancestor mids pass
-    theirs; the fast path finds that cell directly and bisects only the
-    remaining levels:
+    Every comparison goes through `_below`, so its outcome is numpy's,
+    whichever side decides it.  a, b and b - a are small integers, so
+    every bisection mid through the last level is exactly the dyadic node
+    a + (b-a) i / 2**L of its level L.  Bisection ends in the level-L cell
+    whose endpoints pass their own comparisons (lo below the target, hi
+    not) and all of whose ancestor mids pass theirs; the fast path finds
+    that cell at level 44 and bisects only the remaining levels:
 
-    1. v is the map on the 2**16 + 1 level-16 nodes.  When the node
-       values rise everywhere with slope >= 1/2, bisection over levels
-       1-16 ends in the node cell that `searchsorted` finds.
+    1. When the fast node values rise everywhere with slope >= 1/2 (the
+       gate), `searchsorted` finds the level-16 cell j where they cross
+       the target.
     2. Guess by linear interpolation inside that cell, take one chord
-       step from the guess with the cell's slope and snap to the level-44
-       cell [lo, hi] around it.
+       step from the guess with the filter's fast map and the cell's
+       slope, and snap to the level-44 cell [lo, hi] around it.
     3. Verify: departure(lo) < target and not departure(hi) < target.
        Bisection never evaluates a and b, but the map sends them to the
        departure window's ends, which the targets lie strictly inside,
        so those checks pass as they should.  A failing cell shifts by
-       one, at most `_MAX_SHIFTS` times and only inside its level-16
-       cell.
+       one, at most `_MAX_SHIFTS` times and only inside cell j.
     4. Bisect levels 45-48 and take the final mid with `_bisect`.  Points
-       left unverified run levels 17-48 with it instead.
+       left unverified run all 48 levels from [a, b] instead: cell j
+       comes from the fast values, so it need not be bisection's own.
 
     Why a verified cell is the one bisection reaches: every skipped
-    ancestor mid (levels 17-44) lies on the level-44 grid, so at least one
+    ancestor mid (levels 1-44) lies on the level-44 grid, so at least one
     level-44 width, 6 * 2**-44 = 3.4e-13, beyond the verified endpoint on
-    its side.  With slope >= 1/2 (>= 0.96 at scale 1) the map moves at
-    least 1.7e-13 over that distance, while its rounding error is about
+    its side.  The fast node values lie within about 2e-15 of the map,
+    so the gated secants over the level-16 cells (width 9.2e-5) are the
+    map's own to 5e-11, and the smooth map's slope inside a cell stays
+    close to its secant: the map rises with slope >= 1/2 (>= 0.96 at
+    scale 1) across the window.  It moves at least 1.7e-13 between the
+    endpoint and any skipped mid, while numpy's rounding error is about
     2e-14, so every skipped comparison agrees with the checked one.  The
-    map is smooth, so its slope inside a level-16 cell (width 9.2e-5)
-    stays close to the cell's gated secant slope.  The snap level stays
-    well below the last one: a level-48 width is 2.1e-14, no larger than
-    the rounding error.  Windows whose nodes fail the slope gate (the
-    invalid cases, scale 80 and 100) run all levels with `_bisect`.
+    snap level stays well below the last one: a level-48 width is
+    2.1e-14, no larger than the rounding error.  Windows whose nodes fail
+    the gate (the invalid cases, scale 80 and 100) run all levels with
+    `_bisect`.  The gate, the cell and the guess only choose the path;
+    they decide no comparison.
     """
     _, a, b = p[:3]
     nodes = 2 ** _NODE_LEVEL
@@ -154,10 +200,9 @@ def _departure_roots(target, p, scale, v):
         return _bisect(np.full(target.shape, a), np.full(target.shape, b),
                        target, p, scale, _BISECT_ITERS)
     j = np.clip(np.searchsorted(v, target) - 1, 0, nodes - 1)
-    lo16 = a + h * j
     slope = (v[j + 1] - v[j]) / h
-    guess = lo16 + (target - v[j]) / slope
-    guess += (target - _departure(guess, p, scale)) / slope
+    guess = a + h * j + (target - v[j]) / slope
+    guess += (target - _filter(guess, p, scale)[0]) / slope
     cells = 2 ** (_SNAP_LEVEL - _NODE_LEVEL)
     w = h / cells
     first = j * cells
@@ -167,10 +212,11 @@ def _departure_roots(target, p, scale, v):
     todo = np.arange(target.size)
     for _ in range(_MAX_SHIFTS + 1):
         lo, hi = a + w * k[todo], a + w * (k[todo] + 1)
-        val = _departure(np.concatenate([lo, hi]), p, scale)
         x = target[todo]
-        lo_ok = val[:todo.size] < x
-        hi_ok = ~(val[todo.size:] < x)
+        below = _below(np.concatenate([lo, hi]), np.concatenate([x, x]), p,
+                       scale)
+        lo_ok = below[:todo.size]
+        hi_ok = ~below[todo.size:]
         verified[todo] = lo_ok & hi_ok
         # -1 when the root lies left of the cell, +1 right, 0 when done or
         # when both checks fail (the map is not monotone there)
@@ -179,11 +225,12 @@ def _departure_roots(target, p, scale, v):
         todo = todo[(shift != 0) & (k[todo] >= first[todo])
                     & (k[todo] < first[todo] + cells)]
     tau = np.empty_like(target)
-    ok, bad = verified, ~verified
+    ok, bad = verified, np.flatnonzero(~verified)
     tau[ok] = _bisect(a + w * k[ok], a + w * (k[ok] + 1), target[ok], p,
                       scale, _BISECT_ITERS - _SNAP_LEVEL)
-    tau[bad] = _bisect(lo16[bad], lo16[bad] + h, target[bad], p, scale,
-                       _BISECT_ITERS - _NODE_LEVEL)
+    if bad.size:
+        tau[bad] = _bisect(np.full(bad.size, a), np.full(bad.size, b),
+                           target[bad], p, scale, _BISECT_ITERS)
     return tau
 
 
@@ -241,7 +288,8 @@ def _table_skeleton(pieces_t, scale):
     The peak fills only the nodes that could hold it.  Under the slope
     gate the root of table node t0 lies in the level-16 cell
     [tau_j, tau_j + D] that `searchsorted(v, t0)` finds (`_departure_roots`,
-    step 1).  With u = (t - (a+b)/2) / c, c = (b-a)/2, the window's
+    step 1), up to about 1e-14 past its ends, where the fast node values
+    and numpy's map may part.  With u = (t - (a+b)/2) / c, c = (b-a)/2, the window's
     theta = amp (u^2-1)^4 has |theta| <= amp, |theta'| <= 2 amp / c and
     |theta''| = amp |8 (u^2-1)^3 + 48 u^2 (u^2-1)^2| / c^2 <= 16 amp / c^2,
     so s = x0 + scale theta sin(w (t-a)) has
@@ -249,7 +297,8 @@ def _table_skeleton(pieces_t, scale):
     then stays within L D of the nodes' sdot_j, sdot_(j+1), which bounds
     |g| = |1 + 2 sdot| by the larger end of
     1 + 2 [min(sdot_j, sdot_(j+1)) - L D, max(sdot_j, sdot_(j+1)) + L D];
-    1e-12 more covers rounding.  Filling the `_PEAK_SEEDS` nodes with the
+    1e-12 more covers rounding, the fast sdot's error of about 1e-16 and
+    L times the 1e-14 a root may lie past the cell.  Filling the `_PEAK_SEEDS` nodes with the
     largest bounds in each window gives an exact |g| `best`; every other
     node whose bound reaches `best` is filled too, and the nodes left
     have |g| below `best`.  A window failing the gate gets an infinite
@@ -303,7 +352,10 @@ class PerturbedShockCase:
     Inflow queries go through a lookup table (spacing 1e-4, linear
     interpolation).  Root-finding per flux evaluation would dominate the
     runtime while the interpolation error is far below discretization
-    error.  The table is filled node by node, bit for bit the full table:
+    error.  Each node's root is bit for bit what plain bisection on
+    numpy's departure map gives; the compiled filter decides most of its
+    comparisons, numpy the close calls.  The table is filled node by
+    node, bit for bit the full table:
     a query root-finds only the two nodes around each queried time that
     are not filled yet, and the first use per scale runs the node pass
     and finds the exact peak from a bound on |g| per node, filling only

@@ -9,14 +9,16 @@ breakdown's per-cell time and space terms, in the operation order the
 compiled breakdown transcribes.  `propose_timesteps` and `assign_modes`
 are the planner's loops on numpy scalars, which the package now runs in
 the compiled core.  `percent_rows` is the CSV writer's old text:
-`fmt % row` over `.tolist()` columns.
+`fmt % row` over `.tolist()` columns.  `bisect_departure` is the plain
+48-level bisection the inflow table reproduces, every comparison on
+numpy's exact departure map.
 """
 import math
 
 import numpy as np
 
 import shockstep as ss
-from shockstep import _core
+from shockstep import _core, testcase
 from shockstep.adaptivity import CFL_CAP, CFL_SWITCH, FLOOR_SCALE
 from shockstep.forward import NewtonStats, march
 from shockstep.grid import EXPLICIT, IMPLICIT
@@ -224,3 +226,17 @@ def percent_rows(cols, modes=None, mode_at=0) -> str:
                 for row, name in zip(rows, names))
     fmt = ",".join(fmt) + "\n"
     return "".join([fmt % row for row in rows])
+
+
+def bisect_departure(target, p, scale):
+    """The root of departure(tau) = target over window p's [a, b]: 48
+    bisection levels, each comparing numpy's `_departure` with the target,
+    and the final mid."""
+    _, a, b = p[:3]
+    lo, hi = np.full(target.shape, a), np.full(target.shape, b)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        takes_hi = testcase._departure(mid, p, scale) < target
+        lo = np.where(takes_hi, mid, lo)
+        hi = np.where(takes_hi, hi, mid)
+    return 0.5 * (lo + hi)

@@ -153,6 +153,28 @@ def test_propose_refuses_a_step_that_does_not_advance(capped_child):
     assert proc.returncode == 0, proc.stderr
 
 
+# the same density on the first interval gives steps of 2.5e-304 that do
+# advance t from 0, about 1.8e16 of them before one no longer does; the
+# count pass must refuse from its lower bound on the count, at once
+_HUGE_FIRST_DENSITY_INPUT = """
+import numpy as np
+import shockstep as ss
+try:
+    ss.propose_timesteps(ss.uniform_partition(2.0, 0.5),
+                         np.array([1e300, 1e-3, 1e-3, 1e-3]),
+                         ss.AdaptationConfig(T=2.0, tol_k=1e-3))
+except MemoryError as err:
+    assert "address space" in str(err), err
+else:
+    raise SystemExit("accepted a density of 1e300 on the first interval")
+"""
+
+
+def test_propose_refuses_a_plan_no_address_space_holds(capped_child):
+    proc = capped_child(_HUGE_FIRST_DENSITY_INPUT, 1 << 30, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_propose_always_tiles_exactly():
     rng = np.random.default_rng(31)
     for _ in range(30):

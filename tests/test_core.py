@@ -7,8 +7,10 @@ CFL boundary, ulp by ulp, and in the vector loop's tails), one Newton
 solve with LAPACK's `dgtsv` from scipy as the linear solver, the dual
 substep plan and substeps with and without the mass-balance record, the
 error breakdown against the cell terms of `tests/oracles.py`, and the
-planner's two walks against the numpy-scalar loops there.  Those kernel
-tests run at every vector width the CPU supports (`cores`).  The
+planner's two walks against the numpy-scalar loops there, and every
+verdict the inflow table's departure filter decides against numpy's own
+comparison.  Those kernel tests run at every vector width the CPU
+supports (`cores`).  The
 CSV text of `format_rows` is compared byte for byte with Python's
 `'%.5e' % x` on every kind of double and with the old Python writer.
 The loader is checked for its missing-compiler error, its rebuild on a
@@ -30,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shockstep as ss
-from shockstep import _core
+from shockstep import _core, testcase
 from shockstep.dual import CoefficientField
 import oracles
 from oracles import Stepper, cell_terms, interface_fluxes, percent_rows, split
@@ -773,6 +775,47 @@ def test_batched_reference_dots_equal_row_dots(J):
     W = rng.uniform(0.0, 1e-3, J)
     dots = np.matmul(rows[1:, None, :], W[:, None]).ravel()
     assert _same(dots, [float(row @ W) for row in rows[1:]])
+
+
+# --------------------------------------------------------- departure filter
+
+@settings(max_examples=40, deadline=None)
+@given(window=st.sampled_from(testcase._PERTURBATIONS),
+       scale=st.floats(min_value=0.0, max_value=100.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_departure_filter_decides_only_numpys_verdicts(cores, window, scale,
+                                                       seed):
+    """Every verdict the filter decides is numpy's `_departure(tau) < x`:
+    at targets 0-4 ulps either side of numpy's departure, where the two
+    maps' bits part, and far from it.  A NaN tau or scale is undecided."""
+    rng = np.random.default_rng(seed)
+    _, a, b = window[:3]
+    tau = a + (b - a) * rng.random(4000)
+    exact = testcase._departure(tau, window, scale)
+    targets, up, down = [exact], exact, exact
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        targets += [up, down]
+    targets.append(exact + rng.choice([-1.0, 1.0], tau.size)
+                   * 10.0 ** rng.uniform(-15.0, 0.0, tau.size))
+    x = np.concatenate(targets)
+    taus = np.tile(tau, len(targets))
+    want = np.tile(exact, len(targets)) < x
+    nan = np.full(3, np.nan)
+    for lib in cores:
+        with _running(lib):
+            verdict = testcase._filter(taus, window, scale, x)
+            decided = verdict >= 0
+            assert np.all(verdict[decided] == want[decided])
+            assert np.all(testcase._filter(nan, window, scale, x[:3]) == -1)
+            assert np.all(testcase._filter(tau[:3], window, np.nan,
+                                           x[:3]) == -1)
+
+
+def test_departure_filter_refuses_a_target_count_off_its_points():
+    with pytest.raises(ValueError, match="1 targets for 2 points"):
+        testcase._filter(np.array([13.0, 14.0]), testcase._PERTURBATIONS[0],
+                         1.0, np.array([13.0]))
 
 
 # ------------------------------------------------------------------ CSV text

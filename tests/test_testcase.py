@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import shockstep as ss
 from shockstep import testcase
 from shockstep.testcase import _shock_path, weight_and_derivative
+from oracles import bisect_departure
 
 
 def test_shock_position_stationary_outside_windows(case):
@@ -165,24 +166,25 @@ def test_inflow_table_bit_exact_through_fallback(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(window=st.sampled_from(testcase._PERTURBATIONS),
-       scale=st.floats(min_value=0.0, max_value=2.0),
+       scale=st.one_of(st.floats(min_value=0.0, max_value=100.0),
+                       st.sampled_from([80.0, 100.0])),
        start=st.floats(min_value=0.0, max_value=1.0),
        spacing=st.floats(min_value=1e-12, max_value=1e-2),
        half_n=st.integers(min_value=0, max_value=300),
        edge=st.lists(st.floats(min_value=0.0, max_value=1e-6), max_size=6))
 def test_invert_departure_matches_plain_bisection(window, scale, start,
                                                   spacing, half_n, edge):
-    """The node replay, snap-and-verify and tail reproduce plain bisection
-    bit for bit on any sub-grid of either departure window."""
-    _, a, b, lo_t, hi_t = window
+    """The fast node values, snap-and-verify and tail reproduce plain
+    bisection on numpy's map bit for bit on any sub-grid of either
+    departure window, also at scales whose windows fail the slope gate
+    (80 and 100) and run the filtered bisection over all levels."""
+    lo_t, hi_t = window[3:]
     grid = lo_t + start * (hi_t - lo_t) + spacing * np.arange(2 * half_n + 1)
     edge = np.asarray(edge, dtype=float)
     t0 = np.concatenate([grid, lo_t + edge, hi_t - edge])
     got = testcase._invert_departure(t0, window, scale)
     m = (t0 > lo_t) & (t0 < hi_t)
-    x = t0[m]
-    tau = testcase._bisect(np.full(x.shape, a), np.full(x.shape, b), x,
-                           window, scale, testcase._BISECT_ITERS)
+    tau = bisect_departure(t0[m], window, scale)
     want = np.ones_like(t0)
     want[m] = 1.0 + 2.0 * testcase._window_path(tau, window, scale)[1]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
