@@ -632,7 +632,8 @@ static int update(const double *uo, const double *F, long J, double lam,
 long lanes(void) { return LANES; }
 
 /* Forward Euler over n steps: rows u[0 .. n] of length J, row 0 given.
- * Step i has length k[i] and inflow g[i]; F (J + 1) ends with the fluxes
+ * Step i has length k[i] and reads the inflow g[i] at its start (g holds
+ * n + 1 values, one per time); F (J + 1) ends with the fluxes
  * of the last step tried.  A step with k max|f'| / h > 1 is refused (its
  * row is not written, *value = its CFL); a NaN wave speed makes max|f'|
  * NaN, as np.maximum.reduce does, which is no refusal: the step runs and
@@ -697,8 +698,8 @@ static double residual(const double *u, const double *uo, const double *F,
     return any(nan) ? NAN : res;
 }
 
-/* Backward Euler over n steps, rows as in march_explicit, g[i] the inflow
- * at the step's end.  Newton with full steps on
+/* Backward Euler over n steps, rows and g as in march_explicit: step i
+ * reads the inflow g[i + 1] at its end.  Newton with full steps on
  *     r = (u - u_old) + lam (F[1:] - F[:-1]) = 0
  * and the analytic tridiagonal Jacobian, the residual formed LANES cells
  * at a time and the Jacobian solved by dgtsv.  It stops as converged when
@@ -731,7 +732,7 @@ long march_implicit(long n, long J, double h, const double *k,
         memcpy(un, uo, sizeof(double) * J);
         long it;
         for (it = 1; it <= max_iter; it++) {
-            fluxes(kind, a, un, J, g[i], w.dp, w.dm, F, 0.0, NULL);
+            fluxes(kind, a, un, J, g[i + 1], w.dp, w.dm, F, 0.0, NULL);
             res = residual(un, uo, F, J, lam, w.r);
             if (res <= tol) {
                 done = STOP_TOL;
@@ -796,14 +797,15 @@ long march_implicit(long n, long J, double h, const double *k,
 static inline __attribute__((always_inline))
 void cell_terms(int kind, double a, long J, double ck, double ch,
                 const double *u0, const double *u1, const double *psi,
-                const double *ai, const double *wi, const double *F,
-                double *tk, double *th, double *ak, double *ah)
+                const double *wi, const double *F, double *tk, double *th,
+                double *ak, double *ah)
 {
     long j = 0;
     for (; j + LANES <= J; j += LANES) {
         vd x = load(u1 + j), w = load(wi + j);
         vd f = kind == BURGERS ? (0.5 * x) * x : a * x;
-        vd ek = (ck * (x - load(u0 + j))) * (load(psi + j) - load(ai + j) * w);
+        vd c = kind == BURGERS ? x : splat(a);
+        vd ek = (ck * (x - load(u0 + j))) * (load(psi + j) - c * w);
         vd eh = (ch * w) * ((load(F + j + 1) + load(F + j)) - 2.0 * f);
         store(tk + j, ek);
         store(th + j, eh);
@@ -812,7 +814,8 @@ void cell_terms(int kind, double a, long J, double ck, double ch,
     }
     for (; j < J; j++) {
         double f = kind == BURGERS ? (0.5 * u1[j]) * u1[j] : a * u1[j];
-        tk[j] = (ck * (u1[j] - u0[j])) * (psi[j] - ai[j] * wi[j]);
+        double c = kind == BURGERS ? u1[j] : a;
+        tk[j] = (ck * (u1[j] - u0[j])) * (psi[j] - c * wi[j]);
         th[j] = (ch * wi[j]) * ((F[j + 1] + F[j]) - 2.0 * f);
         ak[j] = fabs(tk[j]);
         ah[j] = fabs(th[j]);
@@ -820,21 +823,20 @@ void cell_terms(int kind, double a, long J, double ck, double ch,
 }
 
 /* The error breakdown of n intervals, each reduced to four sums.
- * Interval i has length k[i], the states u[i] and u[i + 1] (rows of J),
- * the stencil row u[i] (explicit, modes[i] = 0) or u[i + 1] (implicit)
- * with the stencil's inflow g[i], the coefficients A[i] and the dual
- * samples W[i]; psi holds the weight at the J cell centres.  Its cell
- * terms, in numpy's operation order, are
- *     eta_k = ((-0.5 k) h) (u1 - u0) (psi - a w)
+ * Interval i has length k[i], the states u[i] and u[i + 1] (rows of J)
+ * and the dual samples W[i]; its stencil is what the march read, the row
+ * u[i] and the inflow g[i] (explicit, modes[i] = 0) or the row u[i + 1]
+ * and g[i + 1] (implicit), from g's n + 1 values.  psi holds the weight
+ * at the J cell centres.  Its cell terms, in numpy's operation order, are
+ *     eta_k = ((-0.5 k) h) (u1 - u0) (psi - f'(u1) w)
  *     eta_h = (((k 0.5) h) w) ((F_{j+1} + F_j) - 2 f(u1))
- * with the fluxes F of the stencil, rebuilt as the march built them.
- * out receives four rows of n: the np.sum of eta_k, of |eta_k|, of eta_h
- * and of |eta_h| over each interval's cells.  Returns n, or -1 when out
- * of memory. */
+ * with f'(u1) = u1 for BURGERS and LINEAR's a, and the fluxes F of the
+ * stencil, rebuilt as the march built them.  out receives four rows of
+ * n: the np.sum of eta_k, of |eta_k|, of eta_h and of |eta_h| over each
+ * interval's cells.  Returns n, or -1 when out of memory. */
 long breakdown(long n, long J, double h, const double *k, const double *u,
                const signed char *modes, const double *g, int kind, double a,
-               const double *psi, const double *A, const double *W,
-               double *out)
+               const double *psi, const double *W, double *out)
 {
     double *block = malloc(sizeof(double) * (5 * J + 1));
     if (!block)
@@ -842,17 +844,14 @@ long breakdown(long n, long J, double h, const double *k, const double *u,
     double *F = block, *tk = F + J + 1, *th = tk + J, *ak = th + J,
            *ah = ak + J;
     for (long i = 0; i < n; i++) {
-        const double *u0 = u + i * J, *u1 = u0 + J;
-        const double *stencil = modes[i] ? u1 : u0;
-        const double *ai = A + i * J, *wi = W + i * J;
+        const double *u0 = u + i * J, *u1 = u0 + J, *wi = W + i * J;
         double ck = (-0.5 * k[i]) * h, ch = (k[i] * 0.5) * h;
-        fluxes(kind, a, stencil, J, g[i], NULL, NULL, F, 0.0, NULL);
+        long at = i + (modes[i] != 0);     /* the stencil's time */
+        fluxes(kind, a, u + at * J, J, g[at], NULL, NULL, F, 0.0, NULL);
         if (kind == BURGERS)
-            cell_terms(BURGERS, a, J, ck, ch, u0, u1, psi, ai, wi, F,
-                       tk, th, ak, ah);
+            cell_terms(BURGERS, a, J, ck, ch, u0, u1, psi, wi, F, tk, th, ak, ah);
         else
-            cell_terms(LINEAR, a, J, ck, ch, u0, u1, psi, ai, wi, F,
-                       tk, th, ak, ah);
+            cell_terms(LINEAR, a, J, ck, ch, u0, u1, psi, wi, F, tk, th, ak, ah);
         out[i] = np_sum(tk, J);
         out[n + i] = np_sum(ak, J);
         out[2 * n + i] = np_sum(th, J);

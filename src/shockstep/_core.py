@@ -49,7 +49,7 @@ _SIGNATURES = {
     "dual_substeps": (_long, [_long, _long, _double, _double, _ptr, _ptr,
                               _ptr, _ptr]),
     "breakdown": (_long, [_long, _long, _double, _ptr, _ptr, _ptr, _ptr, _int,
-                          _double, _ptr, _ptr, _ptr, _ptr]),
+                          _double, _ptr, _ptr, _ptr]),
     "dgtsv": (_long, [_long, _ptr, _ptr, _ptr, _ptr]),
     "lanes": (_long, []),
     "format_rows": (_long, [_long, _long, _ptr, _ptr, _long, _ptr]),

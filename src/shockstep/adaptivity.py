@@ -34,7 +34,6 @@ CFL_CAP = 1e4
 
 @dataclass
 class AdaptationConfig:
-    T: float
     tol_k: Optional[float] = None
     tol_total: Optional[float] = None
     cfl_explicit: float = 0.8
@@ -132,7 +131,7 @@ def propose_timesteps(old: TimePartition, densities: np.ndarray,
         raise ValueError("tol_k required to propose steps")
     T = old.T
     k_old = old.steps
-    floor = FLOOR_SCALE * cfg.tol_k / cfg.T
+    floor = FLOOR_SCALE * cfg.tol_k / T
     km = k_old * (cfg.tol_k / T) / np.maximum(densities, floor)
     # the walk runs in the compiled core, twice: it counts the times,
     # then fills an array of that length
@@ -159,7 +158,8 @@ def propose_timesteps(old: TimePartition, densities: np.ndarray,
 def assign_modes(raw: np.ndarray, speed_profile: SpeedProfile,
                  cfg: AdaptationConfig, h: float,
                  strategy: str = "imex") -> AdaptationPlan:
-    """Tag proposed steps implicit/explicit and re-tile as needed.
+    """Tag proposed steps implicit/explicit and re-tile as needed.  The raw
+    steps tile [0, T], T the end of the speed profile's span.
 
     imex: steps with planning CFL >= CFL_SWITCH stay implicit (split only
     beyond CFL_CAP); maximal runs below the threshold are replaced by
@@ -168,7 +168,7 @@ def assign_modes(raw: np.ndarray, speed_profile: SpeedProfile,
     """
     raw = np.asarray(raw, dtype=float)
     edges = np.concatenate(([0.0], np.cumsum(raw)))
-    T = cfg.T
+    T = float(speed_profile.times[-1])
     if abs(edges[-1] - T) > 1e-9 * T:
         raise ValueError("raw steps do not tile [0, T]")
     edges[-1] = T
@@ -245,9 +245,8 @@ def solve_level(level: int, grid: SpatialGrid, partition: TimePartition,
     that series, and the adaptive loop puts the planner's in their place.
     """
     traj = run_forward(grid, partition, case)
-    coeff = build_coefficient_field(traj)
-    dual = solve_dual_gradient(coeff, case, dual_cfl)
-    br = assemble_breakdown(traj, coeff, dual, case)
+    dual = solve_dual_gradient(build_coefficient_field(traj), case, dual_cfl)
+    br = assemble_breakdown(traj, dual, case)
     profile = SpeedProfile.from_trajectory(traj)
     stats = PlanStats.of(partition, partition.steps * profile.values / grid.h)
     return LevelReport(level=level, grid=grid, partition=partition,

@@ -275,7 +275,7 @@ def _adaptive_reports(cfg: dict, case, honor_tol_total: bool) -> list:
         raise ConfigError("adaptive runs need a levels schedule")
     try:
         acfg = AdaptationConfig(
-            T=case.T, tol_k=cfg["tol_k"],
+            tol_k=cfg["tol_k"],
             tol_total=cfg["tol_total"] if honor_tol_total else None,
             cfl_explicit=cfg["cfl"])
         return adaptive_loop(case, acfg, levels, cfg["rule"],

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import _core, forward
 from ._core import ptr
-from .dual import CoefficientField, DualGradientTrajectory, _cells
+from .dual import DualGradientTrajectory, _cells
 from .forward import ForwardTrajectory
-from .grid import EXPLICIT, IMPLICIT, build_spatial_grid
+from .grid import EXPLICIT, build_spatial_grid
 
 REF_LEVEL = 6
 # bytes of states per block of the reference march: they are its only
@@ -25,7 +25,11 @@ REF_LEVEL = 6
 # march and its dots (102 rows at 1,280 cells); fewer rows per block
 # would add more per-block call overhead than they save
 _BLOCK_BYTES = 1 << 20
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
+# np.polynomial.legendre.leggauss(5) bit for bit, without its import
+_GAUSS_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                     0.5384693101056831, 0.906179845938664])
+_GAUSS_W = np.array([0.23692688505618928, 0.4786286704993663,
+                     0.5688888888888887, 0.4786286704993663, 0.23692688505618928])
 
 
 @dataclass
@@ -56,38 +60,34 @@ def evaluate_functional(traj: ForwardTrajectory, case) -> float:
     return float(np.sum(k * (traj.states[1:] @ W)))
 
 
-def assemble_breakdown(traj: ForwardTrajectory, coeff: CoefficientField,
-                       dual: DualGradientTrajectory, case) -> ErrorBreakdown:
+def assemble_breakdown(traj: ForwardTrajectory, dual: DualGradientTrajectory,
+                       case) -> ErrorBreakdown:
     """Densities and totals of the space-time split.
 
-    Time term of a cell: -(1/2) k h (u^{n+1} - u^n) (psi - a w).  Space
-    term: (1/2) k h w (F_{j+1/2} + F_{j-1/2} - 2 f(u^{n+1})) with the
-    fluxes the update used, of state n and g(t_n) for an explicit step,
-    of state n+1 and g(t_{n+1}) for an implicit one, taken from
-    `traj.g`, so the inflow is not queried again.  The compiled core
-    forms both row by row and reduces each row to its signed and absolute
-    sums, so no (N, J) term array exists; every field is a per-row
-    reduction or a sum over rows.
+    Time term of a cell: -(1/2) k h (u^{n+1} - u^n) (psi - a w) with
+    a = f'(u^{n+1}).  Space term: (1/2) k h w (F_{j+1/2} + F_{j-1/2} -
+    2 f(u^{n+1})) with the fluxes the update used, of state n and g(t_n)
+    for an explicit step, of state n+1 and g(t_{n+1}) for an implicit
+    one, as the march took them from `traj.g`.  The compiled core forms
+    a, the fluxes and both terms row by row from the states and reduces
+    each row to its signed and absolute sums, so no (N, J) term array
+    exists; every field is a per-row reduction or a sum over rows.
     """
     grid = traj.grid
     part = traj.partition
     N, J = part.interval_count, grid.cell_count
-    if coeff.a_values.shape != dual.w_samples.shape or \
-            coeff.a_values.shape != (N, J) or traj.states.shape != (N + 1, J) \
+    if dual.w_samples.shape != (N, J) or traj.states.shape != (N + 1, J) \
             or np.shape(traj.g) != (N + 1,):
-        raise ValueError("trajectory, coefficients and dual samples disagree in shape")
+        raise ValueError("trajectory and dual samples disagree in shape")
     k = part.steps
     modes = part.modes
-    # the inflow each stencil read, as the march read it
-    g = np.asarray(traj.g, dtype=float)[np.arange(N) + (modes == IMPLICIT)]
     psi = _cells(case.weight(grid.centers), J)
-    u, A, W = (np.ascontiguousarray(x, dtype=float)
-               for x in (traj.states, coeff.a_values, dual.w_samples))
+    u, g, W = (np.ascontiguousarray(x, dtype=float)
+               for x in (traj.states, traj.g, dual.w_samples))
     kind, a = forward._flux_code(traj.flux)
     sums = np.empty((4, N))
     if _core.lib().breakdown(N, J, grid.h, ptr(k), ptr(u), ptr(modes, np.int8),
-                             ptr(g), kind, a, ptr(psi), ptr(A), ptr(W),
-                             ptr(sums)) < 0:
+                             ptr(g), kind, a, ptr(psi), ptr(W), ptr(sums)) < 0:
         raise MemoryError("the breakdown could not allocate its work buffers")
     signed_k, abs_k, signed_h, abs_h = sums
     eta_k_bar_n = abs_k / k
@@ -126,8 +126,8 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
     _BLOCK_BYTES: the compiled march fills a block of B states, one
     `np.matmul` of the block as (B, 1, J) @ (J, 1) takes each row's
     `row @ W` through the same BLAS ddot as `row @ W` itself (a block gemv
-    would round differently), each is weighted by k_n and added in step
-    order, and the block's last state starts the next block.
+    would round differently), and the block's last state starts the next
+    block.  One `np.add.accumulate` adds the k_n-weighted dots in order.
     """
     grid = build_spatial_grid(base_cells, ref_level, case.domain)
     part = forward.uniform_cfl_partition(case, grid, cfl)
@@ -138,16 +138,15 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
     block = max(1, _BLOCK_BYTES // (8 * grid.cell_count))
     buf = np.empty((min(block, N) + 1, grid.cell_count))
     buf[0] = case.initial_cell_averages(grid.edges)
-    acc = 0.0
+    terms = np.zeros(N + 1)     # 0.0, then the dots
     for lo in range(0, N, block):
         hi = min(lo + block, N)
         rows = buf[:hi - lo + 1]
-        _, err = forward.march(rows, k[lo:hi], g_at[lo:hi], grid.h, case.flux,
-                               EXPLICIT)
+        _, err = forward.march(rows, k[lo:hi], g_at[lo:hi + 1], grid.h,
+                               case.flux, EXPLICIT)
         if err is not None:
             raise err
-        dots = np.matmul(rows[1:, None, :], W[:, None])
-        for k_n, dot in zip(k[lo:hi].tolist(), dots.ravel().tolist()):
-            acc += k_n * dot
+        terms[lo + 1:hi + 1] = np.matmul(rows[1:, None, :], W[:, None])[:, 0, 0]
         buf[0] = rows[-1]
-    return acc
+    terms[1:] *= k
+    return float(np.add.accumulate(terms)[-1])

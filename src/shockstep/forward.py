@@ -13,8 +13,7 @@ import numpy as np
 
 from . import _core
 from ._core import ptr
-from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
-                   uniform_partition)
+from .grid import EXPLICIT, SpatialGrid, TimePartition, uniform_partition
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -65,7 +64,7 @@ class ForwardTrajectory:
     partition: TimePartition
     states: np.ndarray  # (N+1, J) cell averages, row 0 = initial data
     flux: object
-    g: np.ndarray       # (N+1,) the inflow the march read at each time
+    g: np.ndarray       # (N+1,) the inflow at each t_n, as `march` took it
     # per interval: Newton iterations, final residual and stop code (0 for
     # an explicit interval); None when the run kept no Newton record
     newton_iters: Optional[np.ndarray] = None
@@ -105,7 +104,8 @@ def march(rows: np.ndarray, k: np.ndarray, g: np.ndarray, h: float, flux,
           mode: int, newton=None, F=None):
     """March the state rows[0] through the len(k) steps of one mode in the
     compiled core, writing the states into rows[1:].  Step i has length
-    k[i] and inflow g[i], taken at its start (explicit) or end (implicit).
+    k[i]; g holds the inflow at each of the len(k) + 1 times, and step i
+    reads g[i] at its start (explicit) or g[i + 1] at its end (implicit).
 
     Explicit steps are forward Euler, u - (k/h) (F[1:] - F[:-1]) with the
     fluxes of u and g; a step with k max|f'| / h > 1 over the state and g,
@@ -131,10 +131,10 @@ def march(rows: np.ndarray, k: np.ndarray, g: np.ndarray, h: float, flux,
         F = np.empty(J + 1)
     records = () if mode == EXPLICIT else newton
     # the kernels trust these lengths
-    if (len(g) < n or rows.ndim != 2 or rows.shape[0] < n + 1
+    if (len(g) < n + 1 or rows.ndim != 2 or rows.shape[0] < n + 1
             or F.shape != (J + 1,) or any(len(r) < n for r in records)):
         raise ValueError(f"a march of {n} steps over {J} cells needs {n + 1} "
-                         f"rows, {n} inflow values and {J + 1} fluxes")
+                         f"rows, {n + 1} inflow values and {J + 1} fluxes")
     core = _core.lib()
     code, value = np.zeros(1, np.intc), np.zeros(1)
     args = (n, J, h, ptr(k), ptr(g), kind, a)
@@ -197,10 +197,9 @@ def run_forward(grid: SpatialGrid, partition: TimePartition,
     stop = np.zeros(N, np.int8)
     cuts = [0, *(np.flatnonzero(np.diff(modes)) + 1).tolist(), N] if N else [0]
     for n, e in zip(cuts[:-1], cuts[1:]):
-        mode = int(modes[n])
-        at = n + (mode == IMPLICIT)
-        done, err = march(states[n:e + 1], k[n:e], g_at[at:at + e - n], grid.h,
-                          case.flux, mode, (iters[n:e], resid[n:e], stop[n:e]))
+        done, err = march(states[n:e + 1], k[n:e], g_at[n:e + 1], grid.h,
+                          case.flux, int(modes[n]),
+                          (iters[n:e], resid[n:e], stop[n:e]))
         if err is not None:
             n += done
             raise SolverFailure(f"interval {n} (t={times[n]:.6g}): {err}") from err

@@ -66,8 +66,8 @@ def mixed_trajectory(case):
 
 
 @pytest.fixture(scope="session")
-def adapt_cfg(case):
-    return ss.AdaptationConfig(T=case.T)
+def adapt_cfg():
+    return ss.AdaptationConfig()
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,9 @@ from shockstep.grid import EXPLICIT, IMPLICIT
 class Stepper:
     """One step at a time through `march`, for the scalar-oracle tests:
     `u` is updated in place, a refused explicit step leaves it unchanged,
-    and `F` holds the fluxes of the last update."""
+    and `F` holds the fluxes of the last update.  The march takes the
+    inflow at the step's start and end; the step's mode reads `g` at one
+    of them, and the other holds NaN, so reading it fails the step."""
 
     def __init__(self, u, flux):
         self.flux = flux
@@ -37,8 +39,9 @@ class Stepper:
 
     def _step(self, k, h, g, mode, newton=None):
         self._rows[:] = self.u
+        g = [g, math.nan] if mode == EXPLICIT else [math.nan, g]
         _, err = march(self._rows, np.array([k], dtype=float),
-                       np.array([g], dtype=float), h, self.flux, mode,
+                       np.array(g, dtype=float), h, self.flux, mode,
                        newton, self.F)
         self.u[:] = self._rows[1]
         if err is not None:
@@ -107,20 +110,20 @@ def update_fluxes(traj, case, rows=slice(None)) -> np.ndarray:
     return interface_fluxes(traj.states[stencil], g, traj.flux)
 
 
-def cell_terms(traj, coeff, dual, case, lo, hi):
+def cell_terms(traj, dual, case, lo, hi):
     """The signed cell contributions (eta_k, eta_h) of intervals lo..hi-1,
     each (hi - lo, J).
 
-    Time term: -(1/2) k h (u^{n+1} - u^n) (psi - a w).  Space term:
-    (1/2) k h w (F_{j+1/2} + F_{j-1/2} - 2 f(u^{n+1})) with the fluxes the
-    update used.
+    Time term: -(1/2) k h (u^{n+1} - u^n) (psi - a w) with a = f'(u^{n+1}).
+    Space term: (1/2) k h w (F_{j+1/2} + F_{j-1/2} - 2 f(u^{n+1})) with the
+    fluxes the update used.
     """
     k = traj.partition.steps[lo:hi, None]
     h = traj.grid.h
     psi_c = np.asarray(case.weight(traj.grid.centers), dtype=float)
     u0, u1 = traj.states[lo:hi], traj.states[lo + 1:hi + 1]
     W = dual.w_samples[lo:hi]
-    eta_k = -0.5 * k * h * (u1 - u0) * (psi_c - coeff.a_values[lo:hi] * W)
+    eta_k = -0.5 * k * h * (u1 - u0) * (psi_c - traj.flux.fprime(u1) * W)
     F = update_fluxes(traj, case, slice(lo, hi))
     eta_h = k * 0.5 * h * W * (F[:, 1:] + F[:, :-1]
                                - 2.0 * flux_values(traj.flux, u1))
@@ -133,7 +136,7 @@ def propose_timesteps(old, densities, cfg) -> np.ndarray:
     densities = np.asarray(densities, dtype=float)
     T = old.T
     k_old = old.steps
-    floor = FLOOR_SCALE * cfg.tol_k / cfg.T
+    floor = FLOOR_SCALE * cfg.tol_k / T
     km = k_old * (cfg.tol_k / T) / np.maximum(densities, floor)
     t_old = old.times
     new_times = [0.0]
@@ -165,7 +168,7 @@ def assign_modes(raw, speed_profile, cfg, h, strategy="imex"):
     input only)."""
     raw = np.asarray(raw, dtype=float)
     edges = np.concatenate(([0.0], np.cumsum(raw)))
-    T = cfg.T
+    T = float(speed_profile.times[-1])
     edges[-1] = T
     n_seg = raw.size
     seg_speed = speed_profile.max_over(edges[:-1], edges[1:])

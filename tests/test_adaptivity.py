@@ -16,16 +16,11 @@ import oracles
 import shockstep as ss
 
 
-def _cfg(**kw):
-    kw.setdefault("T", 2.0)
-    return ss.AdaptationConfig(**kw)
-
-
 # ---------------------------------------------------------------- config
 
 def test_config_accepts_defaults():
-    cfg = ss.AdaptationConfig(T=48.0)
-    assert [f.name for f in fields(cfg)] == ["T", "tol_k", "tol_total",
+    cfg = ss.AdaptationConfig()
+    assert [f.name for f in fields(cfg)] == ["tol_k", "tol_total",
                                              "cfl_explicit"]
     assert cfg.cfl_explicit == 0.8
     assert (ss.adaptivity.CFL_SWITCH, ss.adaptivity.CFL_CAP) == (5.0, 1e4)
@@ -49,7 +44,7 @@ def test_config_accepts_defaults():
 ])
 def test_config_rejects_inconsistent_values(kw):
     with pytest.raises(ValueError):
-        ss.AdaptationConfig(T=1.0, **kw)
+        ss.AdaptationConfig(**kw)
 
 
 def test_effective_floor_paths():
@@ -57,13 +52,13 @@ def test_effective_floor_paths():
     # 1e-15 interval then proposes k_m = 0.1, which cuts a step from t = 0
     # back to that interval's start, 0.5, only when the step reaches past 0.6
     old = ss.TimePartition(times=np.array([0.0, 0.5, 0.5 + 1e-15, 1.0]))
-    cfg = _cfg(T=1.0, tol_k=1e-3)
+    cfg = ss.AdaptationConfig(tol_k=1e-3)
     cut = ss.propose_timesteps(old, np.array([0.5e-3 / 0.61, 0.0, 0.0]), cfg)
     assert cut.tolist() == [0.5, 0.5]
     kept = ss.propose_timesteps(old, np.array([0.5e-3 / 0.59, 0.0, 0.0]), cfg)
     assert kept.size == 2 and kept[0] == pytest.approx(0.59, rel=1e-12)
     with pytest.raises(ValueError, match="tol_k"):
-        ss.propose_timesteps(old, np.zeros(3), _cfg(T=1.0))
+        ss.propose_timesteps(old, np.zeros(3), ss.AdaptationConfig())
 
 
 # --------------------------------------------------------------- proposal
@@ -71,7 +66,8 @@ def test_effective_floor_paths():
 def test_propose_constant_density_is_fixed_point():
     old = ss.uniform_partition(2.0, 0.25)
     d = 3.7e-4
-    cfg = _cfg(tol_k=d * 2.0)  # tol/T equals the density, k_m = k_old
+    # tol/T equals the density, k_m = k_old
+    cfg = ss.AdaptationConfig(tol_k=d * 2.0)
     raw = ss.propose_timesteps(old, np.full(8, d), cfg)
     assert raw.size == 8
     np.testing.assert_allclose(raw, 0.25, rtol=1e-12)
@@ -80,7 +76,7 @@ def test_propose_constant_density_is_fixed_point():
 
 def test_propose_zero_density_collapses_to_single_step():
     old = ss.uniform_partition(2.0, 0.25)
-    cfg = _cfg(tol_k=1e-3)
+    cfg = ss.AdaptationConfig(tol_k=1e-3)
     raw = ss.propose_timesteps(old, np.zeros(8), cfg)
     np.testing.assert_allclose(raw, [2.0], rtol=0, atol=1e-15)
 
@@ -90,7 +86,8 @@ def test_propose_clips_bridging_step_at_fine_region():
     # of the active region instead of jumping across it
     old = ss.TimePartition(times=np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
     dens = np.array([0.0, 0.0, 0.01, 0.0])
-    cfg = _cfg(tol_k=2e-3)  # k_m in the active span: 0.5*1e-3/0.01 = 0.05
+    # k_m in the active span: 0.5*1e-3/0.01 = 0.05
+    cfg = ss.AdaptationConfig(tol_k=2e-3)
     raw = ss.propose_timesteps(old, dens, cfg)
     assert raw[0] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(raw[1:-1], 0.05, rtol=1e-9)
@@ -107,7 +104,7 @@ def test_propose_clips_bridging_step_at_fine_region():
 def test_propose_rejects_bad_densities(dens, msg):
     old = ss.uniform_partition(2.0, 0.25)
     with pytest.raises(ValueError, match=msg):
-        ss.propose_timesteps(old, dens, _cfg(tol_k=1e-3))
+        ss.propose_timesteps(old, dens, ss.AdaptationConfig(tol_k=1e-3))
 
 
 # an infinite density (k_m = 0) would keep an unchecked walk appending
@@ -119,7 +116,7 @@ import shockstep as ss
 dens = np.array([1e-3, np.inf, 1e-3, 1e-3])
 try:
     ss.propose_timesteps(ss.uniform_partition(2.0, 0.5), dens,
-                         ss.AdaptationConfig(T=2.0, tol_k=1e-3))
+                         ss.AdaptationConfig(tol_k=1e-3))
 except ValueError:
     pass
 else:
@@ -140,7 +137,7 @@ import shockstep as ss
 try:
     ss.propose_timesteps(ss.uniform_partition(2.0, 0.5),
                          np.array([1e-3, 1e300, 1e-3, 1e-3]),
-                         ss.AdaptationConfig(T=2.0, tol_k=1e-3))
+                         ss.AdaptationConfig(tol_k=1e-3))
 except ValueError as err:
     assert "does not advance" in str(err), err
 else:
@@ -162,7 +159,7 @@ import shockstep as ss
 try:
     ss.propose_timesteps(ss.uniform_partition(2.0, 0.5),
                          np.array([1e300, 1e-3, 1e-3, 1e-3]),
-                         ss.AdaptationConfig(T=2.0, tol_k=1e-3))
+                         ss.AdaptationConfig(tol_k=1e-3))
 except MemoryError as err:
     assert "address space" in str(err), err
 else:
@@ -183,7 +180,7 @@ def test_propose_always_tiles_exactly():
         old = ss.uniform_partition(T, k)
         dens = rng.uniform(0.0, 1e-2, old.interval_count)
         dens[rng.random(dens.size) < 0.3] = 0.0
-        cfg = ss.AdaptationConfig(T=T, tol_k=float(rng.uniform(1e-5, 1e-2)))
+        cfg = ss.AdaptationConfig(tol_k=float(rng.uniform(1e-5, 1e-2)))
         raw = ss.propose_timesteps(old, dens, cfg)
         assert np.all(raw > 0.0)
         assert abs(np.sum(raw) - T) <= 1e-12 * T
@@ -203,7 +200,7 @@ def test_propose_tiles_horizon_for_random_densities(old_steps, data):
         min_size=old.interval_count, max_size=old.interval_count)))
     need = max(float(np.sum(dens)) * T / 2000.0, 1e-12)
     tol_k = need * data.draw(st.floats(min_value=1.0, max_value=1e6))
-    raw = ss.propose_timesteps(old, dens, ss.AdaptationConfig(T=T, tol_k=tol_k))
+    raw = ss.propose_timesteps(old, dens, ss.AdaptationConfig(tol_k=tol_k))
     assert np.all(raw > 0.0)
     assert abs(np.sum(raw) - T) <= 1e-12 * T
 
@@ -225,7 +222,7 @@ def test_planner_on_python_floats_matches_numpy_scalars(old_steps, data):
     need = max(float(np.sum(dens)) * T / 2000.0, 1e-12)
     tol_k = need * data.draw(st.floats(min_value=1.0, max_value=1e6))
     cfg = ss.AdaptationConfig(
-        T=T, tol_k=tol_k,
+        tol_k=tol_k,
         cfl_explicit=data.draw(st.floats(min_value=0.5, max_value=0.9)))
     raw = ss.propose_timesteps(old, dens, cfg)
     assert raw.tobytes() == oracles.propose_timesteps(old, dens, cfg).tobytes()
@@ -253,9 +250,9 @@ def test_propose_step_count_monotone_in_tolerance():
         dens = rng.uniform(0.0, 1e-3, 20)
         tol = float(rng.uniform(1e-5, 1e-3))
         n_fine = ss.propose_timesteps(old, dens,
-                                      ss.AdaptationConfig(T=10.0, tol_k=tol)).size
+                                      ss.AdaptationConfig(tol_k=tol)).size
         n_coarse = ss.propose_timesteps(old, dens,
-                                        ss.AdaptationConfig(T=10.0, tol_k=2 * tol)).size
+                                        ss.AdaptationConfig(tol_k=2 * tol)).size
         assert n_coarse <= n_fine
 
 
@@ -267,7 +264,7 @@ def _flat_profile(T, speed):
 
 
 def test_assign_modes_fully_implicit():
-    cfg = _cfg(T=1.0, tol_k=1.0)
+    cfg = ss.AdaptationConfig(tol_k=1.0)
     plan = ss.assign_modes(np.array([0.5, 0.5]), _flat_profile(1.0, 1.0),
                            cfg, h=0.05, strategy="fully_implicit")
     part = plan.partition
@@ -279,7 +276,7 @@ def test_assign_modes_fully_implicit():
 
 
 def test_assign_modes_splits_steps_beyond_cfl_cap():
-    cfg = _cfg(T=0.5, tol_k=1.0)  # default cap 1e4
+    cfg = ss.AdaptationConfig(tol_k=1.0)  # default cap 1e4
     plan = ss.assign_modes(np.array([0.5]), _flat_profile(0.5, 2500.0),
                            cfg, h=0.05, strategy="fully_implicit")
     part = plan.partition
@@ -293,7 +290,7 @@ def test_assign_modes_splits_steps_beyond_cfl_cap():
 
 def test_assign_modes_imex_retiles_quiet_runs():
     raw = np.array([0.3, 0.1, 0.1, 0.3, 0.2])
-    cfg = _cfg(T=1.0, tol_k=1.0)
+    cfg = ss.AdaptationConfig(tol_k=1.0)
     plan = ss.assign_modes(raw, _flat_profile(1.0, 1.0), cfg, h=0.05,
                            strategy="imex")
     part = plan.partition
@@ -316,7 +313,7 @@ def test_assign_modes_imex_retiles_quiet_runs():
 
 
 def test_assign_modes_zero_speed_run_is_single_explicit_step():
-    cfg = _cfg(T=1.0, tol_k=1.0)
+    cfg = ss.AdaptationConfig(tol_k=1.0)
     plan = ss.assign_modes(np.array([0.5, 0.5]), _flat_profile(1.0, 0.0),
                            cfg, h=0.05, strategy="imex")
     assert plan.partition.interval_count == 1
@@ -324,7 +321,7 @@ def test_assign_modes_zero_speed_run_is_single_explicit_step():
 
 
 def test_assign_modes_rejects_bad_input():
-    cfg = _cfg(T=2.0, tol_k=1.0)
+    cfg = ss.AdaptationConfig(tol_k=1.0)
     prof = _flat_profile(2.0, 1.0)
     with pytest.raises(ValueError, match="do not tile"):
         ss.assign_modes(np.array([0.5, 0.5]), prof, cfg, h=0.05)
@@ -343,7 +340,7 @@ for strategy in ("fully_implicit", "imex"):
     try:
         ss.assign_modes(np.array([1.0, 1.0]),
                         ss.SpeedProfile(times=[0, 2], values=[1e300]),
-                        ss.AdaptationConfig(T=2.0, tol_k=1e-3), 0.1, strategy)
+                        ss.AdaptationConfig(tol_k=1e-3), 0.1, strategy)
     except MemoryError as err:
         assert "planning CFL 1e+301" in str(err), err
     else:
@@ -365,7 +362,7 @@ for strategy in ("fully_implicit", "imex"):
     try:
         ss.assign_modes(np.array([1.0, 1.0]),
                         ss.SpeedProfile(times=[0, 1, 2], values=[1.0, np.nan]),
-                        ss.AdaptationConfig(T=2.0, tol_k=1e-3), 0.1, strategy)
+                        ss.AdaptationConfig(tol_k=1e-3), 0.1, strategy)
     except ValueError as err:
         assert "NaN" in str(err), err
     else:
@@ -528,7 +525,7 @@ def test_speed_basis_values(case):
 # ---------------------------------------------------------------- the loop
 
 def test_loop_rejects_bad_schedules(case):
-    cfg = ss.AdaptationConfig(T=case.T)
+    cfg = ss.AdaptationConfig()
     with pytest.raises(ValueError, match="empty level schedule"):
         ss.adaptive_loop(case, cfg, [], "match_previous")
     with pytest.raises(ValueError, match="one factor per adaptive level"):
@@ -536,7 +533,7 @@ def test_loop_rejects_bad_schedules(case):
 
 
 def test_loop_stops_once_total_tolerance_is_met(case, base_report):
-    cfg = ss.AdaptationConfig(T=case.T, tol_total=1e6)
+    cfg = ss.AdaptationConfig(tol_total=1e6)
     reports = ss.adaptive_loop(case, cfg, [0, 1], "match_previous")
     assert len(reports) == 1
     # the loop's base run is the uniform level-0 run, bit for bit
@@ -549,7 +546,7 @@ def test_loop_stops_once_total_tolerance_is_met(case, base_report):
 
 
 def test_loop_runs_all_levels_when_tolerance_unmet(case):
-    cfg = ss.AdaptationConfig(T=case.T, tol_total=1e-30)
+    cfg = ss.AdaptationConfig(tol_total=1e-30)
     reports = ss.adaptive_loop(case, cfg, [0, 1], "match_previous",
                                strategy="imex")
     assert len(reports) == 2
@@ -569,7 +566,7 @@ def chain_012(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ss.SpeedProfile, "from_trajectory", classmethod(counted))
-        reports = ss.adaptive_loop(case, ss.AdaptationConfig(T=case.T),
+        reports = ss.adaptive_loop(case, ss.AdaptationConfig(),
                                    [0, 1, 2], "match_previous")
     return calls, reports
 

@@ -291,6 +291,23 @@ def test_no_cli_run_imports_numpy_ma(tmp_path):
         "    assert 'numpy.ma' not in sys.modules, cmd\n", tmp_path)
 
 
+def test_no_cli_command_imports_numpy_polynomial(tmp_path):
+    # the weight integrals' Gauss rule is written out as literals: importing
+    # numpy.polynomial for leggauss(5) took 2.6-4 ms of every command
+    _run_fresh(
+        "import sys, shockstep.cli\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'import'\n"
+        "for cmd, key in (('run-uniform', 'mode=implicit'),\n"
+        "                 ('run-adaptive', 'levels=0,1'),\n"
+        "                 ('run-loop', 'levels=0,1'),\n"
+        "                 ('emit-plots', 'level=0'),\n"
+        "                 ('validate-case', 'level=0')):\n"
+        "    rc = shockstep.cli.main([cmd, '--set', key, '--set', 'ref_level=2',\n"
+        "                             '--out', sys.argv[1]])\n"
+        "    assert rc == 0, (cmd, rc)\n"
+        "    assert 'numpy.polynomial' not in sys.modules, cmd\n", tmp_path)
+
+
 # ------------------------------------------------------------ run-uniform
 
 def test_run_uniform_single_level(tmp_path, capsys):

@@ -327,7 +327,8 @@ def test_explicit_vector_tails_flag_every_position(cores, J):
                     assert _same(s.F, F_want)
         # and the state within the bound steps as numpy steps it
         k = np.array([0.5 * h, 0.25 * h, 0.9 * h])
-        gs = np.array([g, -0.4, 0.45])
+        # the inflow at the four times; the explicit steps read the first three
+        gs = np.array([g, -0.4, 0.45, math.nan])
         want = [u]
         for n in range(3):
             want.append(_np_explicit(want[-1], k[n], h, gs[n], ss.BURGERS)[0])
@@ -511,7 +512,7 @@ def test_planner_kernels_count_then_fill_at_every_width(cores, plan):
     # the plans have the bits of the numpy-scalar loops at every width
     times, dens, tol_k, p_times, speeds, h, last = plan
     old = ss.TimePartition(times=np.array(times))
-    cfg = ss.AdaptationConfig(T=old.T, tol_k=tol_k)
+    cfg = ss.AdaptationConfig(tol_k=tol_k)
     profile = ss.SpeedProfile(times=np.array(p_times), values=np.array(speeds))
     raw_want = oracles.propose_timesteps(old, np.array(dens), cfg)
     for lib in cores:
@@ -638,11 +639,11 @@ def test_non_finite_substep_count_fails_before_any_substep(bad, monkeypatch):
 def test_kernel_arguments_are_checked_at_the_boundary():
     # the kernels trust dtypes and lengths; the wrappers check them
     u = np.zeros((3, 4))
-    with pytest.raises(ValueError, match="2 inflow values"):
-        ss.forward.march(u, np.full(2, 0.01), np.zeros(1), 0.1, ss.BURGERS,
+    with pytest.raises(ValueError, match="3 inflow values"):
+        ss.forward.march(u, np.full(2, 0.01), np.zeros(2), 0.1, ss.BURGERS,
                          ss.EXPLICIT)
     with pytest.raises(ValueError, match="3 rows"):
-        ss.forward.march(u[:2], np.full(2, 0.01), np.zeros(2), 0.1, ss.BURGERS,
+        ss.forward.march(u[:2], np.full(2, 0.01), np.zeros(3), 0.1, ss.BURGERS,
                          ss.EXPLICIT)
     with pytest.raises(TypeError, match="float64"):
         _core.ptr(np.zeros(3, np.float32))
@@ -678,8 +679,8 @@ class _Case:
 
 @st.composite
 def _breakdown_inputs(draw):
-    """A trajectory of random states with mixed modes, a coefficient that
-    is not f'(u), dual samples, and a case; N = 0 and J = 1 included."""
+    """A trajectory of random states with mixed modes, dual samples, and a
+    case; N = 0 and J = 1 included."""
     N = draw(st.integers(min_value=0, max_value=6))
     J = draw(st.integers(min_value=1, max_value=45))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -693,27 +694,26 @@ def _breakdown_inputs(draw):
     states = rng.uniform(-1.5, 1.5, (N + 1, J))
     if draw(st.booleans()):
         states[rng.random(states.shape) < 0.3] = rng.choice([0.0, -0.0])
-    coeff = CoefficientField(grid, part, rng.uniform(-2.0, 2.0, (N, J)))
     dual = ss.DualGradientTrajectory(grid, part, rng.normal(0.0, 1.0, (N, J)))
     case = _Case(draw(st.booleans()), rng.uniform(0, 6))
     traj = ss.ForwardTrajectory(grid=grid, partition=part, states=states,
                                 flux=flux, g=case.inflow_value(times))
-    return traj, coeff, dual, case
+    return traj, dual, case
 
 
 @settings(max_examples=300, deadline=None)
 @given(_breakdown_inputs())
 def test_breakdown_kernel_matches_numpy_cell_terms_bitwise(cores, inputs):
-    traj, coeff, dual, case = inputs
+    traj, dual, case = inputs
     for lib in cores:
         with _running(lib):
-            _assert_breakdown_matches_cell_terms(traj, coeff, dual, case)
+            _assert_breakdown_matches_cell_terms(traj, dual, case)
 
 
-def _assert_breakdown_matches_cell_terms(traj, coeff, dual, case):
-    br = ss.assemble_breakdown(traj, coeff, dual, case)
+def _assert_breakdown_matches_cell_terms(traj, dual, case):
+    br = ss.assemble_breakdown(traj, dual, case)
     N = traj.partition.interval_count
-    cells_k, cells_h = cell_terms(traj, coeff, dual, case, 0, N)
+    cells_k, cells_h = cell_terms(traj, dual, case, 0, N)
     k = traj.partition.steps
     assert _same(br.eta_k_bar_n, np.sum(np.abs(cells_k), axis=1) / k)
     assert _same(br.eta_h_bar_n, np.sum(np.abs(cells_h), axis=1) / k)
@@ -736,11 +736,10 @@ def test_breakdown_pairwise_sums_at_every_width(cores, J):
     traj = ss.ForwardTrajectory(grid=grid, partition=part,
                                 states=rng.uniform(-1.5, 1.5, (4, J)),
                                 flux=ss.BURGERS, g=case.inflow_value(part.times))
-    coeff = CoefficientField(grid, part, rng.uniform(-2.0, 2.0, (3, J)))
     dual = ss.DualGradientTrajectory(grid, part, rng.normal(0.0, 1.0, (3, J)))
     for lib in cores:
         with _running(lib):
-            _assert_breakdown_matches_cell_terms(traj, coeff, dual, case)
+            _assert_breakdown_matches_cell_terms(traj, dual, case)
 
 
 # ------------------------------------------------------- reference march

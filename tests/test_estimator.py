@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shockstep as ss
-from shockstep.dual import DUAL_CFL, CoefficientField, DualGradientTrajectory
+from shockstep.dual import DUAL_CFL, DualGradientTrajectory
 from shockstep.estimator import ErrorBreakdown
 from shockstep.forward import ForwardTrajectory
 from oracles import cell_terms, update_fluxes
@@ -45,6 +45,13 @@ def test_weight_integrals_converge_to_bump_mass(case):
     assert diffs[2] <= 1e-14
 
 
+def test_gauss_rule_is_leggauss_bit_for_bit():
+    # the literals stand in for np.polynomial.legendre.leggauss(5)
+    x, w = np.polynomial.legendre.leggauss(5)
+    assert ss.estimator._GAUSS_X.tobytes() == x.tobytes()
+    assert ss.estimator._GAUSS_W.tobytes() == w.tobytes()
+
+
 def test_weight_integrals_support(case):
     grid = ss.build_spatial_grid(20, 0)
     W = ss.weight_cell_integrals(grid, case)
@@ -77,25 +84,25 @@ def test_evaluate_functional_unit_state(case):
 
 # ------------------------------------------------------- per-cell formulas
 
-def _one_step_breakdown(states, a, w, weight):
+def _one_step_breakdown(states, w, weight):
     """The breakdown and the cell terms over all rows of one explicit step
-    of length 0.1 on two cells of width 0.05 with inflow 1."""
+    of length 0.1 on two cells of width 0.05 with inflow 1; Burgers, so
+    the time term's a = f'(u^{n+1}) is the end state."""
     grid = ss.build_spatial_grid(2, 0, domain=(0.0, 0.1))
     part = ss.TimePartition(times=np.array([0.0, 0.1]))
     traj = ForwardTrajectory(grid=grid, partition=part,
                              states=np.array(states), flux=ss.BURGERS,
                              g=np.ones(2))
-    coeff = CoefficientField(grid=grid, partition=part,
-                             a_values=np.full((1, 2), a))
     dual = DualGradientTrajectory(grid=grid, partition=part,
                                   w_samples=np.full((1, 2), w))
     case = _ConstWeight(weight)
-    br = ss.assemble_breakdown(traj, coeff, dual, case)
-    return br, cell_terms(traj, coeff, dual, case, 0, 1)
+    br = ss.assemble_breakdown(traj, dual, case)
+    return br, cell_terms(traj, dual, case, 0, 1)
 
 
 def test_breakdown_time_term_reference_value():
-    br, (etk, _) = _one_step_breakdown([[0.3, 0.3], [0.4, 0.4]], a=1.0,
+    # the end state 1.0 is a = f'(1.0) = 1.0
+    br, (etk, _) = _one_step_breakdown([[0.9, 0.9], [1.0, 1.0]],
                                        w=0.5, weight=0.2)
     # -(1/2) * 0.1 * 0.05 * 0.1 * (0.2 - 1.0 * 0.5)
     assert etk[0, 0] == pytest.approx(7.5e-5, rel=1e-12)
@@ -105,7 +112,7 @@ def test_breakdown_time_term_reference_value():
 
 def test_breakdown_space_term_reference_value():
     # state 1 against inflow 1 puts every interface flux at 0.5
-    br, (_, eth) = _one_step_breakdown([[1.0, 1.0], [0.0, 0.0]], a=1.0,
+    br, (_, eth) = _one_step_breakdown([[1.0, 1.0], [0.0, 0.0]],
                                        w=2.0, weight=0.2)
     # 0.1 * (1/2) * 0.05 * 2.0 * (0.5 + 0.5 - 0)
     assert eth[0, 0] == pytest.approx(5.0e-3, rel=1e-12)
@@ -133,14 +140,15 @@ def test_breakdown_matches_scalar_loops(case):
     for n in range(N):
         for j in range(J):
             du = traj.states[n + 1, j] - traj.states[n, j]
-            adj = psi[j] - coeff.a_values[n, j] * dual.w_samples[n, j]
+            # Burgers: a = f'(u^{n+1}) = u^{n+1}
+            adj = psi[j] - traj.states[n + 1, j] * dual.w_samples[n, j]
             etk[n, j] = -0.5 * k[n] * h * du * adj
             F0 = F[n, j]
             F1 = F[n, j + 1]
             fm = 0.5 * traj.states[n + 1, j] ** 2
             eth[n, j] = k[n] * 0.5 * h * dual.w_samples[n, j] * (F1 + F0 - 2.0 * fm)
 
-    cells_k, cells_h = cell_terms(traj, coeff, dual, case, 0, N)
+    cells_k, cells_h = cell_terms(traj, dual, case, 0, N)
     np.testing.assert_allclose(cells_k, etk, rtol=1e-14, atol=1e-24)
     np.testing.assert_allclose(cells_h, eth, rtol=1e-14, atol=1e-24)
     np.testing.assert_allclose(br.eta_k_bar_n, np.sum(np.abs(etk), axis=1) / k,
@@ -156,10 +164,10 @@ def test_breakdown_aggregates_are_consistent(base_report, base_trajectory,
     part = rep.partition
     k = part.steps
     traj = base_trajectory
-    coeff = ss.build_coefficient_field(traj)
-    dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
+    dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj), case,
+                                  DUAL_CFL)
     N = part.interval_count
-    cells_k, cells_h = cell_terms(traj, coeff, dual, case, 0, N)
+    cells_k, cells_h = cell_terms(traj, dual, case, 0, N)
     assert cells_k.shape == (N, rep.grid.cell_count)
     assert cells_h.shape == cells_k.shape
     np.testing.assert_allclose(br.eta_k, np.sum(cells_k), rtol=1e-12)
@@ -186,26 +194,24 @@ def test_breakdown_independent_of_block_size(case, mixed_trajectory):
     from shockstep import _core
     from shockstep._core import ptr
     traj = mixed_trajectory
-    coeff = ss.build_coefficient_field(traj)
-    dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
+    dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj), case,
+                                  DUAL_CFL)
     part, grid = traj.partition, traj.grid
     N, J = part.interval_count, grid.cell_count
-    k, modes = part.steps, part.modes
-    g = np.asarray(case.inflow_value(
-        part.times[np.arange(N) + (modes == ss.IMPLICIT)]), dtype=float)
+    k, modes, g = part.steps, part.modes, traj.g
     psi = np.asarray(case.weight(grid.centers), dtype=float)
-    A, W, u = np.ascontiguousarray(coeff.a_values), dual.w_samples, traj.states
+    W, u = dual.w_samples, traj.states
 
     def sums(lo, hi):
         out = np.empty((4, hi - lo))
         assert _core.lib().breakdown(
             hi - lo, J, grid.h, ptr(k[lo:hi]), ptr(u[lo:hi + 1]),
-            ptr(modes[lo:hi], np.int8), ptr(g[lo:hi]), 0, 0.0, ptr(psi),
-            ptr(A[lo:hi]), ptr(W[lo:hi]), ptr(out)) == hi - lo
+            ptr(modes[lo:hi], np.int8), ptr(g[lo:hi + 1]), 0, 0.0, ptr(psi),
+            ptr(W[lo:hi]), ptr(out)) == hi - lo
         return out
 
     want = sums(0, N)
-    br = ss.assemble_breakdown(traj, coeff, dual, case)
+    br = ss.assemble_breakdown(traj, dual, case)
     assert (want[1] / k).tobytes() == br.eta_k_bar_n.tobytes()
     assert (want[3] / k).tobytes() == br.eta_h_bar_n.tobytes()
     for rows in (1, 7, 256, N + 5):
@@ -219,16 +225,16 @@ def test_breakdown_reads_the_inflow_of_the_march(case, mixed_trajectory,
     # the stencil inflow comes from the trajectory's g, not from a second
     # query, and the cell terms keep the bits of the re-queried oracle
     traj = mixed_trajectory
-    coeff = ss.build_coefficient_field(traj)
-    dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
+    dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj), case,
+                                  DUAL_CFL)
     N = traj.partition.interval_count
-    cells_k, cells_h = cell_terms(traj, coeff, dual, case, 0, N)
+    cells_k, cells_h = cell_terms(traj, dual, case, 0, N)
 
     def no_query(t):
         raise AssertionError("the breakdown queried the inflow")
 
     monkeypatch.setattr(case, "inflow_value", no_query)
-    br = ss.assemble_breakdown(traj, coeff, dual, case)
+    br = ss.assemble_breakdown(traj, dual, case)
     k = traj.partition.steps
     assert br.eta_k_bar_n.tobytes() == (np.sum(np.abs(cells_k), axis=1) / k).tobytes()
     assert br.eta_h_bar_n.tobytes() == (np.sum(np.abs(cells_h), axis=1) / k).tobytes()
@@ -238,24 +244,20 @@ def test_breakdown_reads_the_inflow_of_the_march(case, mixed_trajectory,
 
 def test_breakdown_rejects_mismatched_shapes(case):
     traj = _synthetic_trajectory(np.ones((5, 20)))
-    coeff = CoefficientField(grid=traj.grid, partition=traj.partition,
-                             a_values=np.ones((4, 20)))
     dual = DualGradientTrajectory(grid=traj.grid, partition=traj.partition,
                                   w_samples=np.ones((3, 20)))
     with pytest.raises(ValueError, match="disagree in shape"):
-        ss.assemble_breakdown(traj, coeff, dual, case)
-    coeff_bad = CoefficientField(grid=traj.grid, partition=traj.partition,
-                                 a_values=np.ones((4, 19)))
+        ss.assemble_breakdown(traj, dual, case)
     dual_bad = DualGradientTrajectory(grid=traj.grid, partition=traj.partition,
                                       w_samples=np.ones((4, 19)))
     with pytest.raises(ValueError, match="disagree in shape"):
-        ss.assemble_breakdown(traj, coeff_bad, dual_bad, case)
+        ss.assemble_breakdown(traj, dual_bad, case)
     # an inflow record that does not cover every time
     dual_ok = DualGradientTrajectory(grid=traj.grid, partition=traj.partition,
                                      w_samples=np.ones((4, 20)))
     traj.g = np.ones(4)
     with pytest.raises(ValueError, match="disagree in shape"):
-        ss.assemble_breakdown(traj, coeff, dual_ok, case)
+        ss.assemble_breakdown(traj, dual_ok, case)
 
 
 # ------------------------------------------------------- efficiency index

@@ -158,7 +158,7 @@ def test_inflow_table_bit_exact_other_scales(scale, digest):
 
 def test_inflow_table_bit_exact_through_fallback(monkeypatch):
     # with no shifts about 1 % of the snapped cells fail their check and
-    # run bisection levels 17-48; the table must not change
+    # run all 48 bisection levels from [a, b]; the table must not change
     monkeypatch.setattr(testcase, "_MAX_SHIFTS", 0)
     assert _table_digest(ss.PerturbedShockCase()) == (
         "b5a5e9581a4f1d52dfa8ab84591e0b3e18dbaf0b20a98451de51a746944e9433")
