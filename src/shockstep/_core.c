@@ -27,13 +27,15 @@
  * rest on numpy's exact map, which decides every other comparison and
  * gives every table value.
  *
- * The vector loops are written once, for vectors of LANES doubles, and
- * the library is built for one width: -DMAX_LANES=8 compiles the whole
- * file for AVX-512F (one register holds 8 doubles), 4 for AVX2 and 2 (the
- * default) for the baseline, SSE2.  The loader passes the widest the CPU
- * runs; other compilers than GCC, and other targets than x86-64, build
- * 2 lanes without a target.  Since every lane does its own cell's
- * operations, the width changes no bit.
+ * The vector loops (the flux pass, the explicit update, Newton's residual,
+ * Jacobian and update, the dual march's interface split and its two
+ * passes, the cell terms and the pairwise sum) are written once, for
+ * vectors of LANES doubles, and the library is built for one width:
+ * -DMAX_LANES=8 compiles the whole file for AVX-512F (one register holds
+ * 8 doubles), 4 for AVX2 and 2 (the default) for the baseline, SSE2.
+ * The loader passes the widest the CPU runs; other compilers than GCC,
+ * and other targets than x86-64, build 2 lanes without a target.  Since
+ * every lane does its own cell's operations, the width changes no bit.
  */
 
 #include <float.h>
@@ -105,14 +107,6 @@ static double neg(double v) { return v >= 0.0 ? 0.0 : v; }
 
 /* one step of np.maximum.reduce: NaN propagates */
 static double nanmax(double m, double v) { return (v > m || v != v) ? v : m; }
-
-static int all_finite(const double *u, long n)
-{
-    for (long j = 0; j < n; j++)
-        if (!isfinite(u[j]))
-            return 0;
-    return 1;
-}
 
 /* The flux splitting of one value v: one-sided derivatives *dp, *dm and
  * flux parts *fp, *fm, with f = fp(uL) + fm(uR) the interface flux
@@ -310,6 +304,55 @@ long dual_substeps(long n, long J, double h, double cfl, const double *k,
     return n;
 }
 
+/* The dual substep's interface terms S_q = ap_q w_{q+1} + am_q w_q,
+ * q = 0 .. J, from wext = (0, w_0 .. w_{J-1}, 0), LANES at a time. */
+static void dual_fluxes(const double *ap, const double *am, const double *wext,
+                        long J, double *S)
+{
+    long q = 0;
+    for (; q + LANES <= J + 1; q += LANES)
+        store(S + q, load(ap + q) * load(wext + q + 1) + load(am + q) * load(wext + q));
+    for (; q <= J; q++)
+        S[q] = ap[q] * wext[q + 1] + am[q] * wext[q];
+}
+
+/* w_j = (w_j + (S_{j+1} - S_j) lam) + dt src_j, LANES cells at a time;
+ * with diff, also diff_j = w_j - old w_j and absw_j = |w_j|.  Returns
+ * whether some new w_j is not finite.  Compiled once with diff and once
+ * without, so that the branches on it fold. */
+static inline __attribute__((always_inline))
+int dual_update(double *w, const double *S, const double *src, long J,
+                double lam, double dt, double *diff, double *absw)
+{
+    vd vlam = splat(lam), vdt = splat(dt), zero = {0.0};
+    vl bad = {0};
+    long j = 0;
+    for (; j + LANES <= J; j += LANES) {
+        vd old = load(w + j);
+        vd x = old + (load(S + j + 1) - load(S + j)) * vlam;
+        x = x + vdt * load(src + j);
+        store(w + j, x);
+        if (diff) {
+            store(diff + j, x - old);
+            store(absw + j, vabs(x));
+        }
+        bad |= (x - x) != zero;        /* NaN exactly when x is not finite */
+    }
+    int b = any(bad);
+    for (; j < J; j++) {
+        double old = w[j];
+        double x = old + (S[j + 1] - S[j]) * lam;
+        x = x + dt * src[j];
+        w[j] = x;
+        if (diff) {
+            diff[j] = x - old;
+            absw[j] = fabs(x);
+        }
+        b |= !isfinite(x);
+    }
+    return b;
+}
+
 /* The dual gradient's explicit backward march over n intervals, taken
  * from the last to the first.  Interval i has the frozen coefficient row
  * A[i] (J finite values, which the caller checks), m[i] substeps of
@@ -319,58 +362,67 @@ long dual_substeps(long n, long J, double h, double cfl, const double *k,
  * cells extended, split into ap = max(s, 0) and am = min(s, 0), each
  * substep is
  *     S = ap w_right + am w_left,  w += lam (S[1:] - S[:-1]),  w += dt src
- * in one pass that reads S's two old w values before it overwrites w_j.
+ * in two vector passes: the first writes all J + 1 values of S from the
+ * old w, the second updates w from them.  (A NaN s would keep its NaN in
+ * ap and am, where np.maximum does too; only a non-finite coefficient
+ * gives one, and dual_substeps refuses those before any substep runs.)
  * When mass is not NULL it receives each substep's relative mass-balance
  * residual, in march order.  Returns the intervals completed: a
- * non-finite w stops the march after its interval; -1 is out of memory. */
+ * non-finite w stops the march after its interval, as the flag of the
+ * interval's last update pass shows (a non-finite w_j stays so through
+ * every later substep); -1 is out of memory. */
 static double np_sum(const double *a, long n);
 
 long march_dual(long n, long J, double h, const double *A, const long *m,
                 const double *dt, const double *src, double src_total,
                 double *wext, double *samples, double *mass)
 {
-    double *block = malloc(sizeof(double) * (2 * (J + 1) + 2 * J));
+    double *block = malloc(sizeof(double) * (3 * (J + 1) + 2 * J));
     if (!block)
         return -1;
-    double *ap = block, *am = ap + J + 1, *diff = am + J + 1, *absw = diff + J;
+    double *ap = block, *am = ap + J + 1, *S = am + J + 1, *diff = S + J + 1,
+           *absw = diff + J;
     double *w = wext + 1;
     long done = 0;
     for (long i = n - 1; i >= 0; i--) {
         const double *a = A + i * J;
         double lam = dt[i] / h, dti = dt[i];
         long sample_at = (m[i] + 1) / 2;
-        for (long q = 0; q <= J; q++) {
-            double s = ((q ? a[q - 1] : a[0]) + (q < J ? a[q] : a[J - 1])) * 0.5;
-            am[q] = s < 0.0 ? s : 0.0;
-            ap[q] = s > 0.0 ? s : 0.0;
+        long q = 1;
+        for (; q + LANES <= J; q += LANES) {
+            vd s = (load(a + q - 1) + load(a + q)) * 0.5;
+            store(ap + q, vpos(s));
+            store(am + q, vneg(s));
         }
+        for (; q < J; q++) {
+            double s = (a[q - 1] + a[q]) * 0.5;
+            ap[q] = pos(s);
+            am[q] = neg(s);
+        }
+        double s0 = (a[0] + a[0]) * 0.5, sJ = (a[J - 1] + a[J - 1]) * 0.5;
+        ap[0] = pos(s0);
+        am[0] = neg(s0);
+        ap[J] = pos(sJ);
+        am[J] = neg(sJ);
+        int bad = 0;
         for (long step = 1; step <= m[i]; step++) {
-            double S0 = ap[0] * wext[1] + am[0] * wext[0], Sl = S0;
-            for (long j = 0; j < J; j++) {
-                double old = wext[j + 1];
-                double Sr = ap[j + 1] * wext[j + 2] + am[j + 1] * old;
-                double x = old + (Sr - Sl) * lam;
-                x = x + dti * src[j];
-                wext[j + 1] = x;
-                Sl = Sr;
-                if (mass) {
-                    diff[j] = x - old;
-                    absw[j] = fabs(x);
-                }
-            }
+            dual_fluxes(ap, am, wext, J, S);
             if (mass) {
+                bad = dual_update(w, S, src, J, lam, dti, diff, absw);
                 /* telescoping mass balance of the conservative update */
-                double G0 = -S0, GJ = -Sl;
+                double G0 = -S[0], GJ = -S[J];
                 double resid = fabs(h * np_sum(diff, J) + dti * (GJ - G0)
                                     - dti * src_total);
                 double scale = h * np_sum(absw, J) + fabs(dti * src_total)
                                + dti * (fabs(G0) + fabs(GJ)) + 1e-300;
                 *mass++ = resid / scale;
+            } else {
+                bad = dual_update(w, S, src, J, lam, dti, NULL, NULL);
             }
             if (step == sample_at)
                 memcpy(samples + i * J, w, sizeof(double) * J);
         }
-        if (!all_finite(w, J))
+        if (bad)
             break;
         done++;
     }
@@ -698,15 +750,63 @@ static double residual(const double *u, const double *uo, const double *F,
     return any(nan) ? NAN : res;
 }
 
+/* The Newton system of the residual w->r from the derivative parts w->dp,
+ * w->dm, LANES cells at a time: diag = (dp - dm) lam + 1 and r = -r on
+ * the J cells, sup = dm lam and sub = dp (-lam) on the J - 1 interfaces
+ * between them, and last the right ghost's row, which copies u_J:
+ * 1 + lam (f'(u_J) - dm(u_J)). */
+static void jacobian(struct work *w, long J, double lam)
+{
+    const double *dp = w->dp + 1, *dm = w->dm + 1;
+    vd vlam = splat(lam), vmlam = splat(-lam), one = splat(1.0);
+    long j = 0;
+    for (; j + LANES <= J; j += LANES) {
+        store(w->diag + j, (load(dp + j) - load(dm + j)) * vlam + one);
+        store(w->r + j, -load(w->r + j));
+    }
+    for (; j < J; j++) {
+        w->diag[j] = (dp[j] - dm[j]) * lam + 1.0;
+        w->r[j] = -w->r[j];
+    }
+    for (j = 0; j + LANES <= J - 1; j += LANES) {
+        store(w->sup + j, load(dm + j + 1) * vlam);
+        store(w->sub + j, load(dp + j) * vmlam);
+    }
+    for (; j < J - 1; j++) {
+        w->sup[j] = dm[j + 1] * lam;
+        w->sub[j] = dp[j] * -lam;
+    }
+    w->diag[J - 1] = 1.0 + lam * ((dp[J] + dm[J]) - dm[J - 1]);
+}
+
+/* u += r, LANES cells at a time; returns whether every u is finite. */
+static int add_finite(double *u, const double *r, long J)
+{
+    vd zero = {0.0};
+    vl bad = {0};
+    long j = 0;
+    for (; j + LANES <= J; j += LANES) {
+        vd x = load(u + j) + load(r + j);
+        store(u + j, x);
+        bad |= (x - x) != zero;        /* NaN exactly when x is not finite */
+    }
+    int b = any(bad);
+    for (; j < J; j++) {
+        u[j] += r[j];
+        b |= !isfinite(u[j]);
+    }
+    return !b;
+}
+
 /* Backward Euler over n steps, rows and g as in march_explicit: step i
  * reads the inflow g[i + 1] at its end.  Newton with full steps on
  *     r = (u - u_old) + lam (F[1:] - F[:-1]) = 0
- * and the analytic tridiagonal Jacobian, the residual formed LANES cells
- * at a time and the Jacobian solved by dgtsv.  It stops as converged when
- * max|r| <= tol ("tol"), or at the round-off floor ("floor"): after the
- * third iteration, once max|r| <= 8 eps (max|u| + lam max|F|), the size
- * at which rounding alone leaves lam (F[1:] - F[:-1]), while max|r| no
- * longer halves.  iters, resid and stop receive each step's iteration
+ * and the analytic tridiagonal Jacobian, the residual, the Jacobian and
+ * the update formed LANES cells at a time and the system solved by dgtsv.
+ * It stops as converged when max|r| <= tol ("tol"), or at the round-off
+ * floor ("floor"): after the third iteration, once max|r| <= 8 eps
+ * (max|u| + lam max|F|), the size at which rounding alone leaves
+ * lam (F[1:] - F[:-1]), while max|r| no longer halves.  iters, resid and stop receive each step's iteration
  * count, final max|r| and stop rule.  A failure leaves the last iterate
  * in its row; *value holds the last max|r| (STALLED, after max_iter
  * iterations) or dgtsv's INFO (SINGULAR). */
@@ -754,25 +854,14 @@ long march_implicit(long n, long J, double h, const double *k,
                 }
             }
             prev = res;
-            for (long j = 0; j < J; j++) {
-                w.diag[j] = (w.dp[j + 1] - w.dm[j + 1]) * lam + 1.0;
-                w.r[j] = -w.r[j];
-            }
-            /* the right ghost copies u_J: 1 + lam (f'(u_J) - dm(u_J)) */
-            w.diag[J - 1] = 1.0 + lam * ((w.dp[J + 1] + w.dm[J + 1]) - w.dm[J]);
-            for (long j = 0; j < J - 1; j++) {
-                w.sup[j] = w.dm[j + 2] * lam;
-                w.sub[j] = w.dp[j + 1] * -lam;
-            }
+            jacobian(&w, J, lam);
             long info = dgtsv(J, w.sub, w.diag, w.sup, w.r);
             if (info) {
                 *code = SINGULAR;
                 *value = (double)info;
                 break;
             }
-            for (long j = 0; j < J; j++)
-                un[j] += w.r[j];
-            if (!all_finite(un, J)) {
+            if (!add_finite(un, w.r, J)) {
                 *code = NONFINITE_STATE;
                 break;
             }

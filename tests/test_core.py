@@ -5,8 +5,9 @@ same update, the one the package ran before the marches were compiled:
 the explicit step for Burgers and both signs of `LinearFlux` (also at the
 CFL boundary, ulp by ulp, and in the vector loop's tails), one Newton
 solve with LAPACK's `dgtsv` from scipy as the linear solver, the dual
-substep plan and substeps with and without the mass-balance record, the
-error breakdown against the cell terms of `tests/oracles.py`, and the
+substep plan and substeps with and without the mass-balance record (and
+the interval a non-finite dual stops on), the tails of the dual and
+Newton vector loops at every length 1 to 17, the error breakdown against the cell terms of `tests/oracles.py`, and the
 planner's two walks against the numpy-scalar loops there, and every
 verdict the inflow table's departure filter decides against numpy's own
 comparison.  Those kernel tests run at every vector width the CPU
@@ -656,6 +657,103 @@ def test_kernel_arguments_are_checked_at_the_boundary():
     assert _same(scalar.w_samples, cells.w_samples)
     with pytest.raises(ValueError):
         ss.solve_dual_gradient(coeff, _Source(np.zeros(7)))
+
+
+def _dual(J, T, N, A, source):
+    """The dual march of the rows A (N of J) over N equal intervals of
+    [0, T] with the source -weight_gradient = source."""
+    grid = ss.build_spatial_grid(J, 0)
+    part = ss.TimePartition(times=np.linspace(0.0, T, N + 1))
+    return ss.solve_dual_gradient(CoefficientField(grid, part, A), _Source(source))
+
+
+@pytest.mark.parametrize("T, N, a, source, interval", [
+    # w grows by dt * 1e307 per substep and overflows in the fourth
+    (60.0, 6, np.full(10, 0.01), np.full(10, 1e307), 4),
+    # finite coefficients whose interface sums overflow: ap = inf, and
+    # inf * 0 makes w NaN in the first substep of the last interval
+    (1e-310, 3, np.where(np.arange(10) % 4 < 2, 1.2e308, -1.2e308), np.ones(10), 2),
+])
+def test_dual_march_stops_after_the_interval_that_turns_non_finite(
+        cores, T, N, a, source, interval):
+    A = np.tile(a, (N, 1))
+    for lib in cores:
+        with _running(lib):
+            with pytest.raises(ss.SolverFailure,
+                               match=f"^dual march non-finite in interval {interval}$"):
+                _dual(a.size, T, N, A, source)
+
+
+@pytest.mark.parametrize("J", range(2, 18))
+def test_dual_march_flags_a_non_finite_cell_at_every_position(cores, J):
+    # no transport, and a source in one cell that overflows its w in
+    # interval 4: the finiteness flag of the vector loop and of its tail
+    # both see it, at every width
+    A = np.zeros((6, J))
+    for cell in range(J):
+        source = np.zeros(J)
+        source[cell] = 1e307
+        for lib in cores:
+            with _running(lib):
+                with pytest.raises(ss.SolverFailure,
+                                   match="^dual march non-finite in interval 4$"):
+                    _dual(J, 60.0, 6, A, source)
+
+
+# ------------------------------------------------------------- vector tails
+
+@pytest.mark.parametrize("J", range(1, 18))
+def test_kernel_tails_match_numpy_at_every_length(cores, J):
+    # J = 1 .. 17 ends the vector loops of the dual march and of Newton's
+    # Jacobian and update at each tail length of two 8-lane passes; the
+    # draws are fixed, so every width sees every J
+    rng = np.random.default_rng(J)
+    u = rng.uniform(-1.0, 1.0, J)
+    h = 1.0 / J
+    for flux, x in ((ss.BURGERS, 3.0), (ss.LinearFlux(-0.7), 5.0)):
+        want, F_want, it, res, stop = _np_implicit(u, x * h, h, 0.6, flux)
+        for lib in cores:
+            with _running(lib):
+                s = Stepper(u, flux)
+                if stop is None:
+                    with pytest.raises(ss.NonConvergence) as exc:
+                        s.implicit(x * h, h, 0.6)
+                    assert (exc.value.iterations, exc.value.residual) == (it, res)
+                else:
+                    stats = s.implicit(x * h, h, 0.6)
+                    assert ((stats.iterations, stats.residual, stats.stop)
+                            == (it, res, stop))
+                assert _same(s.u, want)
+                assert _same(s.F, F_want)
+    if J < 2:
+        return
+    # lam |u| overflows: the Jacobian is infinite, dgtsv gives NaN in every
+    # cell, and the update's flag stops the step there
+    big = np.full(J, 2.0)
+    big[-1] = np.nextafter(2.0, 3.0)
+    for lib in cores:
+        with _running(lib):
+            s = Stepper(big, ss.BURGERS)
+            with pytest.raises(ss.SolverFailure, match="^non-finite state$"):
+                s.implicit(1e308, 1.0, 2.0)
+            assert np.isnan(s.u).all()
+    # the dual march, with signed zeros among the coefficients
+    A = rng.uniform(-1.5, 1.5, (3, J))
+    A[rng.random(A.shape) < 0.3] = rng.choice([0.0, -0.0])
+    grid = ss.build_spatial_grid(J, 0)
+    part = ss.TimePartition(times=np.array([0.0, 0.1, 0.25, 0.3]))
+    source = rng.uniform(-1.0, 1.0, J)
+    m, _ = _np_substeps(A, part.steps, grid.h)
+    for record in (False, True):
+        samples, log = _np_dual(A, part.steps, grid.h, source, m, record)
+        for lib in cores:
+            with _running(lib):
+                dual = ss.solve_dual_gradient(CoefficientField(grid, part, A),
+                                              _Source(source),
+                                              record_substeps=record)
+                assert _same(dual.w_samples, samples)
+                if record:
+                    assert _same([rel for _, _, rel in dual.substep_log], log)
 
 
 # ---------------------------------------------------------------- breakdown
