@@ -806,10 +806,11 @@ static int add_finite(double *u, const double *r, long J)
  * It stops as converged when max|r| <= tol ("tol"), or at the round-off
  * floor ("floor"): after the third iteration, once max|r| <= 8 eps
  * (max|u| + lam max|F|), the size at which rounding alone leaves
- * lam (F[1:] - F[:-1]), while max|r| no longer halves.  iters, resid and stop receive each step's iteration
- * count, final max|r| and stop rule.  A failure leaves the last iterate
- * in its row; *value holds the last max|r| (STALLED, after max_iter
- * iterations) or dgtsv's INFO (SINGULAR). */
+ * lam (F[1:] - F[:-1]), while max|r| no longer halves.  iters, resid and
+ * stop receive each step's iteration count, final max|r| and stop rule.
+ * A failure leaves the last iterate in its row; *value holds the last
+ * max|r| (STALLED, after max_iter iterations) or dgtsv's INFO
+ * (SINGULAR). */
 long march_implicit(long n, long J, double h, const double *k,
                     const double *g, int kind, double a, double tol,
                     long max_iter, double *u, double *F, int *iters,

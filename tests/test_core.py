@@ -7,11 +7,11 @@ CFL boundary, ulp by ulp, and in the vector loop's tails), one Newton
 solve with LAPACK's `dgtsv` from scipy as the linear solver, the dual
 substep plan and substeps with and without the mass-balance record (and
 the interval a non-finite dual stops on), the tails of the dual and
-Newton vector loops at every length 1 to 17, the error breakdown against the cell terms of `tests/oracles.py`, and the
-planner's two walks against the numpy-scalar loops there, and every
-verdict the inflow table's departure filter decides against numpy's own
-comparison.  Those kernel tests run at every vector width the CPU
-supports (`cores`).  The
+Newton vector loops at every length 1 to 17, the error breakdown against
+the cell terms of `tests/oracles.py`, and the planner's two walks
+against the numpy-scalar loops there, and every verdict the inflow
+table's departure filter decides against numpy's own comparison.  Those
+kernel tests run at every vector width the CPU supports (`cores`).  The
 CSV text of `format_rows` is compared byte for byte with Python's
 `'%.5e' % x` on every kind of double and with the old Python writer.
 The loader is checked for its missing-compiler error, its rebuild on a
@@ -739,7 +739,8 @@ def test_kernel_tails_match_numpy_at_every_length(cores, J):
             assert np.isnan(s.u).all()
     # the dual march, with signed zeros among the coefficients
     A = rng.uniform(-1.5, 1.5, (3, J))
-    A[rng.random(A.shape) < 0.3] = rng.choice([0.0, -0.0])
+    zero = rng.random(A.shape) < 0.3
+    A[zero] = rng.choice([0.0, -0.0], zero.sum())
     grid = ss.build_spatial_grid(J, 0)
     part = ss.TimePartition(times=np.array([0.0, 0.1, 0.25, 0.3]))
     source = rng.uniform(-1.0, 1.0, J)
