@@ -1,6 +1,10 @@
 /* The stepping core: every time loop of the forward and dual marches, the
- * estimator's per-cell reductions, the planner's two walks, the `%.5e`
- * text of the CSVs, and the departure filter of the inflow table.
+ * estimator's per-cell reductions, the wave speeds max|f'| of rows of
+ * states, the planner's two walks, the `%.5e` text of the CSVs, and the
+ * departure filter of the inflow table.  The flux's f'(u) is formed here
+ * alone, from the states and the flux's (kind, a): the dual coefficient,
+ * the breakdown's linearization and the one max|f'| reduction,
+ * max_speed.
  *
  * Each march writes into caller-owned buffers and returns how many steps
  * (or intervals) it completed; on a failure it stops there and sets a
@@ -168,17 +172,44 @@ static double cfl_threshold(double k, double h)
     return s;
 }
 
-/* max|f'| over the state and g as np.maximum.reduce takes it (NaN
- * propagates): |v| for BURGERS, LINEAR's one speed otherwise. */
-static double max_speed(int kind, double speed, const double *u, long J,
+/* max|f'| over the inflow value g and the row u of J states, as
+ * np.maximum.reduce takes it over |f'(g)|, |f'(u_0)| .. |f'(u_{J-1})|:
+ * NaN when one of them is NaN, otherwise their maximum, inf included.
+ * f'(v) is v for BURGERS and LINEAR's a for every v.  This is the one
+ * wave-speed reduction: the explicit refusal, the dual's substep counts
+ * and row_speeds all take it.  Four scalar running maxima (LANES-wide
+ * ones ran slower), which no NaN passes, and four running sums of the
+ * same |values| as its NaN flag: every term is >= 0, so a sum turns NaN
+ * exactly when a term is NaN, and an infinite term only makes it inf. */
+static double max_speed(int kind, double a, const double *u, long J,
                         double g)
 {
     if (kind != BURGERS)
-        return speed;
-    double s = fabs(g);
-    for (long j = 0; j < J; j++)
-        s = nanmax(s, fabs(u[j]));
-    return s;
+        return fabs(a);
+    double b[4] = {fabs(g), 0.0, 0.0, 0.0}, z[4] = {fabs(g), 0.0, 0.0, 0.0};
+    long j = 0;
+    for (; j + 3 < J; j += 4)
+        for (int q = 0; q < 4; q++) {
+            double v = fabs(u[j + q]);
+            b[q] = v > b[q] ? v : b[q];
+            z[q] += v;
+        }
+    for (; j < J; j++) {
+        double v = fabs(u[j]);
+        b[0] = v > b[0] ? v : b[0];
+        z[0] += v;
+    }
+    double nan = (z[0] + z[1]) + (z[2] + z[3]);
+    return nan != nan ? NAN : fmax(fmax(b[0], b[1]), fmax(b[2], b[3]));
+}
+
+/* max_speed of each of the n rows u[i] (J states) with the inflow g[i],
+ * into out[i]. */
+void row_speeds(long n, long J, const double *u, const double *g, int kind,
+                double a, double *out)
+{
+    for (long i = 0; i < n; i++)
+        out[i] = max_speed(kind, a, u + i * J, J, g[i]);
 }
 
 /* x - p, but x itself when p is a zero and x is not: x - (+-0) = x for
@@ -260,40 +291,18 @@ long dgtsv(long n, double *dl, double *d, double *du, double *b)
 }
 
 /* The dual march's substep plan of n intervals: interval i, of length
- * k[i] with the coefficient row A[i] (J values), takes
+ * k[i] with the coefficient a = f'(u[i]) of its end state u[i] (J
+ * values), takes
  *     m[i] = max(ceil((k a_max) / (cfl h) - 1e-12), 1)
- * substeps of length dt[i] = k[i] / m[i], a_max = max_j |A[i, j]|, in
- * numpy's operation order.  Returns n, or the first interval whose count
- * is not finite (a NaN or infinite coefficient) or does not fit a long;
- * nothing is written for it. */
+ * substeps of length dt[i] = k[i] / m[i], a_max = max_speed of the row
+ * with g = 0, which no |a| is below, in numpy's operation order.  Returns
+ * n, or the first interval whose count is not finite (a NaN or infinite
+ * coefficient) or does not fit a long; nothing is written for it. */
 long dual_substeps(long n, long J, double h, double cfl, const double *k,
-                   const double *A, long *m, double *dt)
+                   const double *u, int kind, double a, long *m, double *dt)
 {
     for (long i = 0; i < n; i++) {
-        const double *a = A + i * J;
-        /* four running maxima of |a| that skip NaN, and two sums of
-         * a - a that are NaN exactly when some a is not finite */
-        typedef double pair __attribute__((vector_size(16), aligned(8), may_alias));
-        double b[4] = {0.0, 0.0, 0.0, 0.0};
-        pair z = {0.0, 0.0};
-        long j = 0;
-        for (; j + 3 < J; j += 4) {
-            for (int q = 0; q < 4; q++) {
-                double v = fabs(a[j + q]);
-                b[q] = v > b[q] ? v : b[q];
-            }
-            pair v0 = *(const pair *)(a + j), v1 = *(const pair *)(a + j + 2);
-            z += (v0 - v0) + (v1 - v1);
-        }
-        double finite = z[0] + z[1];
-        for (; j < J; j++) {
-            double v = fabs(a[j]);
-            b[0] = v > b[0] ? v : b[0];
-            finite += v - v;
-        }
-        /* as for np.max, a NaN (or infinite) row's count is not finite */
-        double amax = finite == 0.0 ? fmax(fmax(b[0], b[1]), fmax(b[2], b[3]))
-                                    : NAN;
+        double amax = max_speed(kind, a, u + i * J, J, 0.0);
         double mi = ceil((k[i] * amax) / (cfl * h) - 1e-12);
         mi = mi < 1.0 ? 1.0 : mi;
         if (!(mi <= (double)(LONG_MAX / 2)))
@@ -354,13 +363,14 @@ int dual_update(double *w, const double *S, const double *src, long J,
 }
 
 /* The dual gradient's explicit backward march over n intervals, taken
- * from the last to the first.  Interval i has the frozen coefficient row
- * A[i] (J finite values, which the caller checks), m[i] substeps of
- * length dt[i], and receives in samples[i] the profile after substep
- * (m + 1) / 2.  wext holds w between two zero ghost values, w(., T) on
- * entry.  With the interface coefficient s = (a_left + a_right) / 2, edge
- * cells extended, split into ap = max(s, 0) and am = min(s, 0), each
- * substep is
+ * from the last to the first.  Interval i has the frozen coefficient
+ * c = f'(u[i]) of its end state u[i], J finite values (the caller checks
+ * them): the row u[i] itself for BURGERS, and for LINEAR one row of a,
+ * filled once.  It takes m[i] substeps of length dt[i] and receives in
+ * samples[i] the profile after substep (m + 1) / 2.  wext holds w between
+ * two zero ghost values, w(., T) on entry.  With the interface
+ * coefficient s = (c_left + c_right) / 2, edge cells extended, split into
+ * ap = max(s, 0) and am = min(s, 0), each substep is
  *     S = ap w_right + am w_left,  w += lam (S[1:] - S[:-1]),  w += dt src
  * in two vector passes: the first writes all J + 1 values of S from the
  * old w, the second updates w from them.  (A NaN s would keep its NaN in
@@ -373,33 +383,35 @@ int dual_update(double *w, const double *S, const double *src, long J,
  * every later substep); -1 is out of memory. */
 static double np_sum(const double *a, long n);
 
-long march_dual(long n, long J, double h, const double *A, const long *m,
-                const double *dt, const double *src, double src_total,
-                double *wext, double *samples, double *mass)
+long march_dual(long n, long J, double h, const double *u, int kind, double a,
+                const long *m, const double *dt, const double *src,
+                double src_total, double *wext, double *samples, double *mass)
 {
-    double *block = malloc(sizeof(double) * (3 * (J + 1) + 2 * J));
+    double *block = malloc(sizeof(double) * (3 * (J + 1) + 3 * J));
     if (!block)
         return -1;
     double *ap = block, *am = ap + J + 1, *S = am + J + 1, *diff = S + J + 1,
-           *absw = diff + J;
+           *absw = diff + J, *row = absw + J;
+    for (long j = 0; kind != BURGERS && j < J; j++)
+        row[j] = a;
     double *w = wext + 1;
     long done = 0;
     for (long i = n - 1; i >= 0; i--) {
-        const double *a = A + i * J;
+        const double *c = kind == BURGERS ? u + i * J : row;
         double lam = dt[i] / h, dti = dt[i];
         long sample_at = (m[i] + 1) / 2;
         long q = 1;
         for (; q + LANES <= J; q += LANES) {
-            vd s = (load(a + q - 1) + load(a + q)) * 0.5;
+            vd s = (load(c + q - 1) + load(c + q)) * 0.5;
             store(ap + q, vpos(s));
             store(am + q, vneg(s));
         }
         for (; q < J; q++) {
-            double s = (a[q - 1] + a[q]) * 0.5;
+            double s = (c[q - 1] + c[q]) * 0.5;
             ap[q] = pos(s);
             am[q] = neg(s);
         }
-        double s0 = (a[0] + a[0]) * 0.5, sJ = (a[J - 1] + a[J - 1]) * 0.5;
+        double s0 = (c[0] + c[0]) * 0.5, sJ = (c[J - 1] + c[J - 1]) * 0.5;
         ap[0] = pos(s0);
         am[0] = neg(s0);
         ap[J] = pos(sJ);
@@ -697,9 +709,7 @@ long march_explicit(long n, long J, double h, const double *k,
                     double *F, int *code, double *value)
 {
     *code = OK;
-    double p, m, fp, fm;
-    split(kind, a, 0.0, &p, &m, &fp, &fm);
-    double speed = p - m;               /* LINEAR's one wave speed */
+    double speed = max_speed(kind, a, NULL, 0, 0.0);   /* |a|, or 0 for BURGERS */
     long i;
     for (i = 0; i < n; i++) {
         const double *uo = u + i * J;
@@ -708,7 +718,7 @@ long march_explicit(long n, long J, double h, const double *k,
         int over = speed > t;
         fluxes(kind, a, uo, J, g[i], NULL, NULL, F, t, &over);
         if (over) {
-            double cfl = k[i] * max_speed(kind, speed, uo, J, g[i]) / h;
+            double cfl = k[i] * max_speed(kind, a, uo, J, g[i]) / h;
             if (cfl > 1.0) {
                 *code = CFL;
                 *value = cfl;

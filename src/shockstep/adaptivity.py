@@ -24,7 +24,7 @@ from .dual import build_coefficient_field, solve_dual_gradient
 from .estimator import ErrorBreakdown, assemble_breakdown
 # speed_for_basis is unused here: bench/run.py --trace 1 imports it from here
 from .forward import (ForwardTrajectory, run_forward, speed_for_basis,
-                      uniform_cfl_partition)
+                      uniform_cfl_partition, wave_speeds)
 from .grid import EXPLICIT, SpatialGrid, TimePartition, build_spatial_grid
 
 FLOOR_SCALE = 1e-14
@@ -80,12 +80,7 @@ class SpeedProfile:
     def from_trajectory(cls, traj: ForwardTrajectory) -> "SpeedProfile":
         """Per interval, max|f'| over both end states and the inflow the
         march read there (`traj.g`)."""
-        fprime = traj.flux.fprime
-        # max|f'| per row without an |f'| table: for Burgers f'(u) is a
-        # view of the states, so this allocates nothing of their size
-        a = fprime(traj.states)
-        state_speed = np.maximum(a.max(axis=1), -a.min(axis=1))
-        node = np.maximum(state_speed, np.abs(fprime(traj.g)))
+        node = wave_speeds(traj.states, traj.g, traj.flux)
         return cls(times=traj.partition.times.copy(),
                    values=np.maximum(node[:-1], node[1:]))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _core
 from ._core import ptr
-from .forward import ForwardTrajectory, SolverFailure
+from .forward import ForwardTrajectory, SolverFailure, _flux_code
 from .grid import SpatialGrid, TimePartition
 
 DUAL_CFL = 0.8
@@ -23,9 +23,12 @@ DUAL_CFL = 0.8
 
 @dataclass
 class CoefficientField:
+    """The frozen coefficient a = f'(u^{n+1}) of each interval, as the end
+    states and the flux from which the compiled core forms it."""
     grid: SpatialGrid
     partition: TimePartition
-    a_values: np.ndarray  # (N, J), frozen per interval
+    states: np.ndarray  # (N, J), u^{n+1} of interval n
+    flux: object
 
 
 @dataclass
@@ -44,17 +47,14 @@ def _cells(values, n: int) -> np.ndarray:
 
 
 def build_coefficient_field(traj: ForwardTrajectory) -> CoefficientField:
-    """Linearization coefficient a_j^n = f'(u_j^n), end-of-interval state.
+    """Linearization coefficient a_j^n = f'(u_j^{n+1}), end-of-interval
+    state, kept as a view of the trajectory's states and its flux.
 
     The end state is the one defining an implicit step's fluxes, and the
     piecewise-constant-in-time freezing matches the solution representation.
-    The values are not copied: for Burgers, f'(u) = u, they are a view of
-    the trajectory's states, so they are marked read-only.
     """
-    a = traj.flux.fprime(traj.states[1:])
-    a.flags.writeable = False
     return CoefficientField(grid=traj.grid, partition=traj.partition,
-                            a_values=a)
+                            states=traj.states[1:], flux=traj.flux)
 
 
 def solve_dual_gradient(coeff: CoefficientField, case,
@@ -69,9 +69,11 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     them, counted for every interval before any runs.  w_j^n is the
     sub-step profile nearest the interval midpoint; spatial boundaries use
     zero ghost values, the coefficient is extended by its edge cells.  The
-    substeps run in one call of the compiled core; with `record_substeps`
-    the same march also returns each substep's relative mass-balance
-    residual, logged as (interval, dt, residual) in march order.
+    compiled core forms the coefficient a = f'(u^{n+1}) from the end
+    states and the flux and runs the substeps in one call; with
+    `record_substeps` the same march also returns each substep's relative
+    mass-balance residual, logged as (interval, dt, residual) in march
+    order.
     """
     if not (0.0 < dual_cfl <= 1.0):
         raise ValueError("need 0 < dual_cfl <= 1")
@@ -80,15 +82,16 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     h = grid.h
     J = grid.cell_count
     N = part.interval_count
-    A = np.ascontiguousarray(coeff.a_values, dtype=float)
-    if A.shape != (N, J):
-        raise ValueError(f"coefficients of shape {A.shape}, need {(N, J)}")
+    U = np.ascontiguousarray(coeff.states, dtype=float)
+    if U.shape != (N, J):
+        raise ValueError(f"end states of shape {U.shape}, need {(N, J)}")
+    kind, a = _flux_code(coeff.flux)
     # substep counts and sizes of all intervals, before any substep runs;
     # a_max = 0 gives m = 1
     k = part.steps
     m_all, dt_all = np.empty(N, _core.LONG), np.empty(N)
     core = _core.lib()
-    bad = core.dual_substeps(N, J, h, dual_cfl, ptr(k), ptr(A),
+    bad = core.dual_substeps(N, J, h, dual_cfl, ptr(k), ptr(U), kind, a,
                              ptr(m_all, _core.LONG), ptr(dt_all))
     if bad < N:
         raise SolverFailure(f"dual march: non-finite coefficient in interval {bad}")
@@ -98,9 +101,9 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     samples = np.empty((N, J))
     # per-substep mass-balance residuals, in march order (last interval first)
     mass = np.empty(int(m_all.sum())) if record_substeps else None
-    done = core.march_dual(N, J, h, ptr(A), ptr(m_all, _core.LONG), ptr(dt_all),
-                           ptr(source), source_total, ptr(w_ext), ptr(samples),
-                           None if mass is None else ptr(mass))
+    done = core.march_dual(N, J, h, ptr(U), kind, a, ptr(m_all, _core.LONG),
+                           ptr(dt_all), ptr(source), source_total, ptr(w_ext),
+                           ptr(samples), None if mass is None else ptr(mass))
     if done < 0:
         raise MemoryError("dual march could not allocate its work buffers")
     if done < N:

@@ -7,7 +7,6 @@ data, the right boundary pure upwind outflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,18 +33,12 @@ class NonConvergence(SolverFailure):
 class BurgersFlux:
     """f(u) = u^2/2 with Engquist-Osher interface splitting."""
 
-    def fprime(self, u):
-        return np.asarray(u, dtype=float)
-
 
 class LinearFlux:
     """f(u) = a*u, upwind interface flux; exact linearization coefficient."""
 
     def __init__(self, a: float):
         self.a = float(a)
-
-    def fprime(self, u):
-        return np.full_like(np.asarray(u, dtype=float), self.a)
 
 
 BURGERS = BurgersFlux()
@@ -66,17 +59,15 @@ class ForwardTrajectory:
     flux: object
     g: np.ndarray       # (N+1,) the inflow at each t_n, as `march` took it
     # per interval: Newton iterations, final residual and stop code (0 for
-    # an explicit interval); None when the run kept no Newton record
-    newton_iters: Optional[np.ndarray] = None
-    newton_resid: Optional[np.ndarray] = None
-    newton_stop: Optional[np.ndarray] = None
+    # an explicit interval)
+    newton_iters: np.ndarray
+    newton_resid: np.ndarray
+    newton_stop: np.ndarray
 
     @property
-    def newton_stats(self) -> Optional[list]:
+    def newton_stats(self) -> list:
         """One `NewtonStats` per implicit interval and None per explicit
         one, built from the Newton arrays when read."""
-        if self.newton_stop is None:
-            return None
         return [NewtonStats(it, r, _core.STOP_RULES[s]) if s else None
                 for it, r, s in zip(self.newton_iters.tolist(),
                                     self.newton_resid.tolist(),
@@ -155,17 +146,31 @@ def march(rows: np.ndarray, k: np.ndarray, g: np.ndarray, h: float, flux,
     return done, SolverFailure(_MESSAGES[code].format(value)) if code else None
 
 
+def wave_speeds(rows: np.ndarray, g: np.ndarray, flux) -> np.ndarray:
+    """max|f'| of each row of states together with its inflow value g[i],
+    as np.maximum.reduce takes it (NaN when one of them is NaN), from the
+    compiled core."""
+    n, J = rows.shape
+    if len(g) != n:
+        raise ValueError(f"{n} rows of states need {n} inflow values, not {len(g)}")
+    kind, a = _flux_code(flux)
+    out = np.empty(n)
+    _core.lib().row_speeds(n, J, ptr(rows), ptr(g), kind, a, ptr(out))
+    return out
+
+
 def speed_for_basis(case, grid: SpatialGrid, basis: str) -> float:
     """Wave speed bound max|f'| for a uniform partition: over the initial
-    cell averages ("initial"), and also over the inflow peak ("global")."""
-    fprime = case.flux.fprime
-    speed = float(np.max(np.abs(fprime(case.initial_cell_averages(grid.edges)))))
-    if basis == "initial":
-        return speed
+    cell averages ("initial"), and also over the inflow peak ("global").
+    A NaN among them makes it NaN."""
+    u = np.ascontiguousarray(case.initial_cell_averages(grid.edges), dtype=float)
     if basis == "global":
-        g = np.array([case.inflow_peak()])
-        return max(speed, float(np.max(np.abs(fprime(g)))))
-    raise ValueError(f"unknown speed basis {basis!r}")
+        g = case.inflow_peak()
+    elif basis == "initial":
+        g = u[0]    # a value the maximum already takes
+    else:
+        raise ValueError(f"unknown speed basis {basis!r}")
+    return float(wave_speeds(u[None], np.array([g], dtype=float), case.flux)[0])
 
 
 def uniform_cfl_partition(case, grid: SpatialGrid, cfl: float, basis="global",

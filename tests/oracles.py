@@ -1,8 +1,10 @@
 """Numpy formulas that the compiled core replaced, kept as test oracles,
 and `Stepper`, which takes one step at a time through the compiled march.
 
-`flux_values` is f(u) of a flux object and `split` the flux splitting
-the march transcribes, `interface_fluxes` the march's flux construction
+`flux_values` is f(u) of a flux object and `fprime` its f'(u), which
+the compiled core forms; `no_newton` is the Newton record of intervals
+that ran no Newton iteration.  `split` is the flux splitting the march
+transcribes, `interface_fluxes` the march's flux construction
 in array form, `update_fluxes` rebuilds the fluxes every update of a
 `run_forward` trajectory used, and `cell_terms` forms the error
 breakdown's per-cell time and space terms, in the operation order the
@@ -65,6 +67,21 @@ def flux_values(flux, u):
     return 0.5 * u * u
 
 
+def fprime(flux, u):
+    """f'(u): u itself for Burgers, a in every cell for a `LinearFlux`."""
+    u = np.asarray(u, dtype=float)
+    if isinstance(flux, ss.LinearFlux):
+        return np.full_like(u, flux.a)
+    return u
+
+
+def no_newton(n):
+    """The Newton arrays of n intervals that ran no Newton iteration, as
+    `run_forward` keeps them for explicit ones."""
+    return dict(newton_iters=np.zeros(n, np.intc), newton_resid=np.zeros(n),
+                newton_stop=np.zeros(n, np.int8))
+
+
 def split(flux, v, d, f):
     """Write the splitting of v under `flux` into the (2, n) buffers d and
     f.  Burgers: the one-sided derivatives d = (max(v, 0), min(v, 0)), 0
@@ -123,7 +140,7 @@ def cell_terms(traj, dual, case, lo, hi):
     psi_c = np.asarray(case.weight(traj.grid.centers), dtype=float)
     u0, u1 = traj.states[lo:hi], traj.states[lo + 1:hi + 1]
     W = dual.w_samples[lo:hi]
-    eta_k = -0.5 * k * h * (u1 - u0) * (psi_c - traj.flux.fprime(u1) * W)
+    eta_k = -0.5 * k * h * (u1 - u0) * (psi_c - fprime(traj.flux, u1) * W)
     F = update_fluxes(traj, case, slice(lo, hi))
     eta_h = k * 0.5 * h * W * (F[:, 1:] + F[:, :-1]
                                - 2.0 * flux_values(traj.flux, u1))

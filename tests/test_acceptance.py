@@ -220,7 +220,8 @@ def test_criterion_7_dual_convergence_and_mass(case):
         part = ss.uniform_partition(Td, grid.h)
         coeff = CoefficientField(
             grid=grid, partition=part,
-            a_values=np.ones((part.interval_count, grid.cell_count)))
+            states=np.ones((part.interval_count, grid.cell_count)),
+            flux=ss.BURGERS)
         dual = ss.solve_dual_gradient(coeff, case, record_substeps=True)
         for _, _, rel in dual.substep_log:
             assert rel <= 1e-12

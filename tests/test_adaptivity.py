@@ -4,6 +4,7 @@ The proposal walk and the implicit/explicit tagging are exercised on
 hand-built partitions with known answers; the full loop is pinned by
 frozen step counts and density values for the three chain variants.
 """
+import math
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -410,7 +411,8 @@ def test_speed_profile_includes_inflow(case):
     traj = ss.ForwardTrajectory(grid=grid, partition=part,
                                 states=np.full((3, 4), 0.5),
                                 flux=ss.BURGERS,
-                                g=case.inflow_value(part.times))
+                                g=case.inflow_value(part.times),
+                                **oracles.no_newton(2))
     prof = ss.SpeedProfile.from_trajectory(traj)
     # the boundary value 1.0 beats every interior speed here
     np.testing.assert_array_equal(prof.values, [1.0, 1.0])
@@ -421,10 +423,9 @@ def test_speed_profile_includes_inflow(case):
 
 def _abs_table_profile(traj, case):
     """The profile values as built from a full |f'| table."""
-    fprime = traj.flux.fprime
-    state_speed = np.max(np.abs(fprime(traj.states)), axis=1)
+    state_speed = np.max(np.abs(oracles.fprime(traj.flux, traj.states)), axis=1)
     g = np.asarray(case.inflow_value(traj.partition.times), dtype=float)
-    node = np.maximum(state_speed, np.abs(fprime(g)))
+    node = np.maximum(state_speed, np.abs(oracles.fprime(traj.flux, g)))
     return np.maximum(node[:-1], node[1:])
 
 
@@ -520,6 +521,18 @@ def test_speed_basis_values(case):
     assert s_glob >= s_init
     with pytest.raises(ValueError, match="basis"):
         ss.speed_for_basis(case, grid, "peak")
+
+
+def test_nan_inflow_peak_refuses_the_uniform_partition(case, monkeypatch):
+    # a NaN inflow peak makes the speed bound NaN, as np.maximum.reduce
+    # does, so no step size comes of it; Python's max() used to drop the
+    # NaN and plan 1,200 plausible steps at speed 1
+    monkeypatch.setattr(case, "inflow_peak", lambda: math.nan)
+    grid = ss.build_spatial_grid(20, 0)
+    assert math.isnan(ss.speed_for_basis(case, grid, "global"))
+    assert ss.speed_for_basis(case, grid, "initial") == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match=r"need 0 < k <= T"):
+        ss.uniform_cfl_partition(case, grid, 0.8)
 
 
 # ---------------------------------------------------------------- the loop

@@ -6,22 +6,28 @@ the explicit step for Burgers and both signs of `LinearFlux` (also at the
 CFL boundary, ulp by ulp, and in the vector loop's tails), one Newton
 solve with LAPACK's `dgtsv` from scipy as the linear solver, the dual
 substep plan and substeps with and without the mass-balance record (and
-the interval a non-finite dual stops on), the tails of the dual and
-Newton vector loops at every length 1 to 17, the error breakdown against
-the cell terms of `tests/oracles.py`, and the planner's two walks
-against the numpy-scalar loops there, and every verdict the inflow
-table's departure filter decides against numpy's own comparison.  Those
-kernel tests run at every vector width the CPU supports (`cores`).  The
-CSV text of `format_rows` is compared byte for byte with Python's
-`'%.5e' % x` on every kind of double and with the old Python writer.
-The loader is checked for its missing-compiler error, its rebuild on a
-changed source or compile command, its fallback from an unwritable
-cache, and a compile command that keeps every rounding and builds
-silently at every width.
+the interval a non-finite dual stops on; Burgers coefficients and both
+signs of `LinearFlux`), the wave-speed reduction `row_speeds` against
+`np.maximum.reduce` with every edge value at every position, the tails
+of the dual and Newton vector loops at every length 1 to 17, the error
+breakdown against the cell terms of `tests/oracles.py`, and the
+planner's two walks against the numpy-scalar loops there, and every
+verdict the inflow table's departure filter decides against numpy's own
+comparison.  Those kernel tests run at every vector width the CPU
+supports (`cores`).  The CSV text of `format_rows` is compared byte for
+byte with Python's `'%.5e' % x` on every kind of double and with the old
+Python writer.  Every ctypes declaration is checked against its C
+definition.  The loader is checked for its missing-compiler error, its
+rebuild on a changed source or compile command, its fallback from an
+unwritable cache, and a compile command that keeps every rounding and
+builds silently at every width.
 """
 import contextlib
+import copy
+import ctypes
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -36,7 +42,8 @@ import shockstep as ss
 from shockstep import _core, testcase
 from shockstep.dual import CoefficientField
 import oracles
-from oracles import Stepper, cell_terms, interface_fluxes, percent_rows, split
+from oracles import (Stepper, cell_terms, interface_fluxes, no_newton,
+                     percent_rows, split)
 
 EPS = np.finfo(float).eps
 # values that hit the splitting's branches: sonic point, both zeros
@@ -564,8 +571,9 @@ def test_dual_substeps_match_numpy_bitwise(cores, J, N, seed, sparse, record):
     samples, log = _np_dual(A, k, grid.h, source, m, record)
     for lib in cores:
         with _running(lib):
-            dual = ss.solve_dual_gradient(CoefficientField(grid, part, A),
-                                          _Source(source), record_substeps=record)
+            dual = ss.solve_dual_gradient(
+                CoefficientField(grid, part, A, ss.BURGERS), _Source(source),
+                record_substeps=record)
             assert _same(dual.w_samples, samples)
             if record:
                 assert _same([rel for _, _, rel in dual.substep_log], log)
@@ -588,7 +596,7 @@ def test_dual_substep_plan_matches_numpy_bitwise(J, N, seed, dual_cfl, rows):
     h = 1.0 / J
     m, dt = np.empty(N, _core.LONG), np.empty(N)
     P = _core.ptr
-    assert _core.lib().dual_substeps(N, J, h, dual_cfl, P(k), P(A),
+    assert _core.lib().dual_substeps(N, J, h, dual_cfl, P(k), P(A), 0, 0.0,
                                      P(m, _core.LONG), P(dt)) == N
     m_np, dt_np = _np_substeps(A, k, h, dual_cfl)
     assert _same(m, m_np)
@@ -609,7 +617,7 @@ def test_dual_substep_plan_at_integer_ratios(ulps):
         A[i] = np.linspace(-a, a / 2, J)
     m, dt = np.empty(4, _core.LONG), np.empty(4)
     P = _core.ptr
-    assert _core.lib().dual_substeps(4, J, h, dual_cfl, P(k), P(A),
+    assert _core.lib().dual_substeps(4, J, h, dual_cfl, P(k), P(A), 0, 0.0,
                                      P(m, _core.LONG), P(dt)) == 4
     m_np, dt_np = _np_substeps(A, k, h, dual_cfl)
     assert _same(m, m_np)
@@ -633,8 +641,61 @@ def test_non_finite_substep_count_fails_before_any_substep(bad, monkeypatch):
     monkeypatch.setattr(_core, "lib", NoMarch)
     with pytest.raises(ss.SolverFailure,
                        match="non-finite coefficient in interval 1"):
-        ss.solve_dual_gradient(CoefficientField(grid, part, A),
+        ss.solve_dual_gradient(CoefficientField(grid, part, A, ss.BURGERS),
                                _Source(np.ones(6)))
+
+
+_EDGES = [math.nan, math.inf, -math.inf, -0.0, 2.0, -2.0]
+
+
+@pytest.mark.parametrize("J", range(1, 18))
+def test_row_speeds_match_numpy_reduce_at_every_position(cores, J):
+    # max|f'| over g and a row, as np.maximum.reduce takes it over the
+    # absolute values: each edge value (NaN, both infinities, -0.0 and a
+    # new row maximum of either sign) at each cell and in g, on a random
+    # row and on a row of signed zeros, so that every running maximum, the
+    # tail and the NaN flag see it, at every width
+    rng = np.random.default_rng(J)
+    rows = []
+    for base in (rng.uniform(-1.5, 1.5, J + 1), rng.choice([0.0, -0.0], J + 1)):
+        for v in _EDGES:
+            for at in range(J + 1):
+                x = base.copy()
+                x[at] = v
+                rows.append(x)
+    rows = np.array(rows)
+    u, g = np.ascontiguousarray(rows[:, :J]), rows[:, J].copy()
+    for flux in (ss.BURGERS, ss.LinearFlux(0.7), ss.LinearFlux(-0.7)):
+        want = [np.maximum.reduce(np.abs(oracles.fprime(flux, r))) for r in rows]
+        for lib in cores:
+            with _running(lib):
+                assert _same(ss.forward.wave_speeds(u, g, flux), want), flux
+    with pytest.raises(ValueError, match="need 2 inflow values, not 1"):
+        ss.forward.wave_speeds(u[:2], g[:1], ss.BURGERS)
+
+
+@pytest.mark.parametrize("a", [1.0, -0.7])
+def test_linear_flux_dual_matches_numpy_bitwise(cores, linear_case, a):
+    # the dual of a LinearFlux(a) run transports with a in every cell: the
+    # core fills one row of a for the whole march, with and without the
+    # mass-balance record; implicit steps at CFL 1.3 take two substeps
+    case = copy.copy(linear_case)
+    case.flux = ss.LinearFlux(a)
+    grid = ss.build_spatial_grid(20, 0, case.domain)
+    part = ss.uniform_partition(case.T, 1.3 * grid.h, ss.IMPLICIT)
+    traj = ss.run_forward(grid, part, case)
+    A = np.full((part.interval_count, grid.cell_count), a)
+    m, _ = _np_substeps(A, part.steps, grid.h)
+    source = -case.weight_gradient(grid.centers)
+    for record in (False, True):
+        samples, log = _np_dual(A, part.steps, grid.h, source, m, record)
+        for lib in cores:
+            with _running(lib):
+                dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj),
+                                              case, record_substeps=record)
+                assert _same(dual.w_samples, samples)
+                if record:
+                    assert _same([rel for _, _, rel in dual.substep_log], log)
 
 
 def test_kernel_arguments_are_checked_at_the_boundary():
@@ -651,7 +712,8 @@ def test_kernel_arguments_are_checked_at_the_boundary():
     # a scalar weight gradient broadcasts over the cells, as it did in numpy
     grid = ss.build_spatial_grid(6, 0)
     part = ss.TimePartition(times=np.array([0.0, 0.02, 0.05]))
-    coeff = CoefficientField(grid, part, np.linspace(-1.0, 1.0, 12).reshape(2, 6))
+    coeff = CoefficientField(grid, part, np.linspace(-1.0, 1.0, 12).reshape(2, 6),
+                             ss.BURGERS)
     scalar = ss.solve_dual_gradient(coeff, _Source(np.float64(0.5)))
     cells = ss.solve_dual_gradient(coeff, _Source(np.full(6, 0.5)))
     assert _same(scalar.w_samples, cells.w_samples)
@@ -664,7 +726,8 @@ def _dual(J, T, N, A, source):
     [0, T] with the source -weight_gradient = source."""
     grid = ss.build_spatial_grid(J, 0)
     part = ss.TimePartition(times=np.linspace(0.0, T, N + 1))
-    return ss.solve_dual_gradient(CoefficientField(grid, part, A), _Source(source))
+    return ss.solve_dual_gradient(CoefficientField(grid, part, A, ss.BURGERS),
+                                  _Source(source))
 
 
 @pytest.mark.parametrize("T, N, a, source, interval", [
@@ -749,9 +812,9 @@ def test_kernel_tails_match_numpy_at_every_length(cores, J):
         samples, log = _np_dual(A, part.steps, grid.h, source, m, record)
         for lib in cores:
             with _running(lib):
-                dual = ss.solve_dual_gradient(CoefficientField(grid, part, A),
-                                              _Source(source),
-                                              record_substeps=record)
+                dual = ss.solve_dual_gradient(
+                    CoefficientField(grid, part, A, ss.BURGERS), _Source(source),
+                    record_substeps=record)
                 assert _same(dual.w_samples, samples)
                 if record:
                     assert _same([rel for _, _, rel in dual.substep_log], log)
@@ -796,7 +859,8 @@ def _breakdown_inputs(draw):
     dual = ss.DualGradientTrajectory(grid, part, rng.normal(0.0, 1.0, (N, J)))
     case = _Case(draw(st.booleans()), rng.uniform(0, 6))
     traj = ss.ForwardTrajectory(grid=grid, partition=part, states=states,
-                                flux=flux, g=case.inflow_value(times))
+                                flux=flux, g=case.inflow_value(times),
+                                **no_newton(N))
     return traj, dual, case
 
 
@@ -834,7 +898,8 @@ def test_breakdown_pairwise_sums_at_every_width(cores, J):
     case = _Case(False, 1.0)
     traj = ss.ForwardTrajectory(grid=grid, partition=part,
                                 states=rng.uniform(-1.5, 1.5, (4, J)),
-                                flux=ss.BURGERS, g=case.inflow_value(part.times))
+                                flux=ss.BURGERS, g=case.inflow_value(part.times),
+                                **no_newton(3))
     dual = ss.DualGradientTrajectory(grid, part, rng.normal(0.0, 1.0, (3, J)))
     for lib in cores:
         with _running(lib):
@@ -1009,6 +1074,30 @@ def test_compile_command_keeps_every_rounding(tmp_path):
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (cap, proc.stderr)
         assert proc.stderr == "", (cap, proc.stderr)
+
+
+_CTYPE_CLASS = {ctypes.c_long: "long", ctypes.c_int: "int",
+                ctypes.c_double: "double", ctypes.c_void_p: "pointer",
+                None: "void"}
+
+
+def _c_class(decl: str) -> str:
+    """A C parameter's class: pointer, or the type word before its name."""
+    return "pointer" if "*" in decl else decl.split()[-2]
+
+
+def test_ctypes_signatures_match_the_c_definitions():
+    # ctypes checks no argument against the C source: a declaration that
+    # drifts from _core.c passes a double where a long is read, or shifts
+    # every later argument, without an error
+    source = Path(_core.SOURCE).read_text()
+    for name, (res, args) in _core._SIGNATURES.items():
+        found = re.search(rf"^(\w+) {name}\(([^)]*)\)", source, re.M)
+        assert found, f"no definition of {name} in _core.c"
+        ret, params = found.groups()
+        params = [] if params.strip() == "void" else params.split(",")
+        assert ((_CTYPE_CLASS[res], [_CTYPE_CLASS[t] for t in args])
+                == (ret, [_c_class(p) for p in params])), name
 
 
 def test_missing_compiler_names_the_command(tmp_path, monkeypatch, case):

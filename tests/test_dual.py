@@ -31,7 +31,7 @@ def test_coefficient_field_freezes_end_states(case):
     traj = ss.run_forward(grid, part, case)
     coeff = ss.build_coefficient_field(traj)
     # the advective derivative of u^2/2 is u itself, end state per interval
-    np.testing.assert_array_equal(coeff.a_values, traj.states[1:])
+    np.testing.assert_array_equal(coeff.states, traj.states[1:])
     assert coeff.grid is grid
     assert coeff.partition is part
 
@@ -43,8 +43,9 @@ def test_zero_weight_gradient_keeps_w_zero():
     part = ss.uniform_partition(2.0, 0.25)
     rng = np.random.default_rng(8)
     coeff = CoefficientField(grid=grid, partition=part,
-                             a_values=rng.uniform(-1.0, 1.0,
-                                                  (part.interval_count, 10)))
+                             states=rng.uniform(-1.0, 1.0,
+                                                (part.interval_count, 10)),
+                             flux=ss.BURGERS)
     stub = _GradientOnlyCase(np.zeros_like)
     dual = ss.solve_dual_gradient(coeff, stub)
     np.testing.assert_array_equal(dual.w_samples, 0.0)
@@ -55,7 +56,8 @@ def test_zero_coefficient_gives_linear_source_growth(case):
     grid = ss.build_spatial_grid(20, 0)
     part = ss.uniform_partition(3.0, 0.4)
     coeff = CoefficientField(grid=grid, partition=part,
-                             a_values=np.zeros((part.interval_count, 20)))
+                             states=np.zeros((part.interval_count, 20)),
+                             flux=ss.BURGERS)
     dual = ss.solve_dual_gradient(coeff, case)
     src = -case.weight_gradient(grid.centers)
     T = part.times[-1]
@@ -75,7 +77,8 @@ def test_unit_coefficient_first_order_convergence(case):
         part = ss.uniform_partition(Td, h)
         coeff = CoefficientField(
             grid=grid, partition=part,
-            a_values=np.ones((part.interval_count, grid.cell_count)))
+            states=np.ones((part.interval_count, grid.cell_count)),
+            flux=ss.BURGERS)
         dual = ss.solve_dual_gradient(coeff, case, record_substeps=True)
         assert dual.max_mass_residual <= 1e-12
         xc = grid.centers
@@ -99,7 +102,8 @@ def test_substep_march_matches_scalar_reimplementation():
     part = ss.TimePartition(times=times)
     a_vals = rng.uniform(-1.5, 1.5, (2, J))
     stub = _GradientOnlyCase(lambda x: np.cos(3.0 * x))
-    coeff = CoefficientField(grid=grid, partition=part, a_values=a_vals)
+    coeff = CoefficientField(grid=grid, partition=part, states=a_vals,
+                             flux=ss.BURGERS)
     dual = ss.solve_dual_gradient(coeff, stub, record_substeps=True)
 
     src = -np.cos(3.0 * grid.centers)
@@ -158,7 +162,8 @@ def test_mass_balance_on_random_fields(case, steps, J, seed, zero, dual_cfl,
     part = ss.TimePartition(times=np.concatenate(([0.0], np.cumsum(steps))))
     a = np.zeros((len(steps), J)) if zero else \
         np.random.default_rng(seed).uniform(-2.0, 2.0, (len(steps), J))
-    coeff = CoefficientField(grid=grid, partition=part, a_values=a)
+    coeff = CoefficientField(grid=grid, partition=part, states=a,
+                             flux=ss.BURGERS)
     source = case if scalar is None else _GradientOnlyCase(lambda x: scalar)
     dual = ss.solve_dual_gradient(coeff, source, dual_cfl, record_substeps=True)
     assert dual.max_mass_residual <= 1e-12
@@ -173,7 +178,7 @@ def test_substep_log_absent_by_default(case):
     grid = ss.build_spatial_grid(10, 0)
     part = ss.uniform_partition(1.0, 0.5)
     coeff = CoefficientField(grid=grid, partition=part,
-                             a_values=np.ones((2, 10)))
+                             states=np.ones((2, 10)), flux=ss.BURGERS)
     dual = ss.solve_dual_gradient(coeff, case)
     assert dual.substep_log is None
     assert dual.max_mass_residual is None
@@ -184,7 +189,7 @@ def test_dual_cfl_validation(case, bad):
     grid = ss.build_spatial_grid(10, 0)
     part = ss.uniform_partition(1.0, 0.5)
     coeff = CoefficientField(grid=grid, partition=part,
-                             a_values=np.ones((2, 10)))
+                             states=np.ones((2, 10)), flux=ss.BURGERS)
     with pytest.raises(ValueError, match="dual_cfl"):
         ss.solve_dual_gradient(coeff, case, dual_cfl=bad)
 

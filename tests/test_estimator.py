@@ -13,7 +13,7 @@ import shockstep as ss
 from shockstep.dual import DUAL_CFL, DualGradientTrajectory
 from shockstep.estimator import ErrorBreakdown
 from shockstep.forward import ForwardTrajectory
-from oracles import cell_terms, update_fluxes
+from oracles import cell_terms, no_newton, update_fluxes
 
 # integral of the weight over its support, quadrature-independent value
 BUMP_MASS = 0.0887987632336159
@@ -67,7 +67,8 @@ def _synthetic_trajectory(states, T=2.0):
     grid = ss.build_spatial_grid(20, 0)
     part = ss.uniform_partition(T, T / (states.shape[0] - 1))
     return ForwardTrajectory(grid=grid, partition=part, states=states,
-                             flux=ss.BURGERS, g=np.ones(states.shape[0]))
+                             flux=ss.BURGERS, g=np.ones(states.shape[0]),
+                             **no_newton(states.shape[0] - 1))
 
 
 def test_evaluate_functional_zero_state(case):
@@ -92,7 +93,7 @@ def _one_step_breakdown(states, w, weight):
     part = ss.TimePartition(times=np.array([0.0, 0.1]))
     traj = ForwardTrajectory(grid=grid, partition=part,
                              states=np.array(states), flux=ss.BURGERS,
-                             g=np.ones(2))
+                             g=np.ones(2), **no_newton(1))
     dual = DualGradientTrajectory(grid=grid, partition=part,
                                   w_samples=np.full((1, 2), w))
     case = _ConstWeight(weight)
