@@ -1,7 +1,8 @@
-/* The stepping core: every time loop of the forward and dual marches, the
- * estimator's per-cell reductions, the wave speeds max|f'| of rows of
- * states, the planner's two walks, the `%.5e` text of the CSVs, and the
- * departure filter of the inflow table.  The flux's f'(u) is formed here
+/* The stepping core: every time loop of the forward marches, the one
+ * backward sweep that marches the dual and reduces each interval's error
+ * breakdown from its sample, the wave speeds max|f'| of rows of states,
+ * the planner's two walks, the `%.5e` text of the CSVs, and the departure
+ * filter of the inflow table.  The flux's f'(u) is formed here
  * alone, from the states and the flux's (kind, a): the dual coefficient,
  * the breakdown's linearization and the one max|f'| reduction,
  * max_speed.
@@ -296,17 +297,20 @@ long dgtsv(long n, double *dl, double *d, double *du, double *b)
  *     m[i] = max(ceil((k a_max) / (cfl h) - 1e-12), 1)
  * substeps of length dt[i] = k[i] / m[i], a_max = max_speed of the row
  * with g = 0, which no |a| is below, in numpy's operation order.  Returns
- * n, or the first interval whose count is not finite (a NaN or infinite
- * coefficient) or does not fit a long; nothing is written for it. */
+ * n; or i, the first interval with a NaN or infinite coefficient; or
+ * -1 - i, the first interval whose finite coefficients give a count that
+ * is not finite or does not fit a long.  Nothing is written for it. */
 long dual_substeps(long n, long J, double h, double cfl, const double *k,
                    const double *u, int kind, double a, long *m, double *dt)
 {
     for (long i = 0; i < n; i++) {
         double amax = max_speed(kind, a, u + i * J, J, 0.0);
+        if (!isfinite(amax))
+            return i;
         double mi = ceil((k[i] * amax) / (cfl * h) - 1e-12);
         mi = mi < 1.0 ? 1.0 : mi;
         if (!(mi <= (double)(LONG_MAX / 2)))
-            return i;
+            return -1 - i;
         m[i] = (long)mi;
         dt[i] = k[i] / mi;
     }
@@ -360,86 +364,6 @@ int dual_update(double *w, const double *S, const double *src, long J,
         b |= !isfinite(x);
     }
     return b;
-}
-
-/* The dual gradient's explicit backward march over n intervals, taken
- * from the last to the first.  Interval i has the frozen coefficient
- * c = f'(u[i]) of its end state u[i], J finite values (the caller checks
- * them): the row u[i] itself for BURGERS, and for LINEAR one row of a,
- * filled once.  It takes m[i] substeps of length dt[i] and receives in
- * samples[i] the profile after substep (m + 1) / 2.  wext holds w between
- * two zero ghost values, w(., T) on entry.  With the interface
- * coefficient s = (c_left + c_right) / 2, edge cells extended, split into
- * ap = max(s, 0) and am = min(s, 0), each substep is
- *     S = ap w_right + am w_left,  w += lam (S[1:] - S[:-1]),  w += dt src
- * in two vector passes: the first writes all J + 1 values of S from the
- * old w, the second updates w from them.  (A NaN s would keep its NaN in
- * ap and am, where np.maximum does too; only a non-finite coefficient
- * gives one, and dual_substeps refuses those before any substep runs.)
- * When mass is not NULL it receives each substep's relative mass-balance
- * residual, in march order.  Returns the intervals completed: a
- * non-finite w stops the march after its interval, as the flag of the
- * interval's last update pass shows (a non-finite w_j stays so through
- * every later substep); -1 is out of memory. */
-static double np_sum(const double *a, long n);
-
-long march_dual(long n, long J, double h, const double *u, int kind, double a,
-                const long *m, const double *dt, const double *src,
-                double src_total, double *wext, double *samples, double *mass)
-{
-    double *block = malloc(sizeof(double) * (3 * (J + 1) + 3 * J));
-    if (!block)
-        return -1;
-    double *ap = block, *am = ap + J + 1, *S = am + J + 1, *diff = S + J + 1,
-           *absw = diff + J, *row = absw + J;
-    for (long j = 0; kind != BURGERS && j < J; j++)
-        row[j] = a;
-    double *w = wext + 1;
-    long done = 0;
-    for (long i = n - 1; i >= 0; i--) {
-        const double *c = kind == BURGERS ? u + i * J : row;
-        double lam = dt[i] / h, dti = dt[i];
-        long sample_at = (m[i] + 1) / 2;
-        long q = 1;
-        for (; q + LANES <= J; q += LANES) {
-            vd s = (load(c + q - 1) + load(c + q)) * 0.5;
-            store(ap + q, vpos(s));
-            store(am + q, vneg(s));
-        }
-        for (; q < J; q++) {
-            double s = (c[q - 1] + c[q]) * 0.5;
-            ap[q] = pos(s);
-            am[q] = neg(s);
-        }
-        double s0 = (c[0] + c[0]) * 0.5, sJ = (c[J - 1] + c[J - 1]) * 0.5;
-        ap[0] = pos(s0);
-        am[0] = neg(s0);
-        ap[J] = pos(sJ);
-        am[J] = neg(sJ);
-        int bad = 0;
-        for (long step = 1; step <= m[i]; step++) {
-            dual_fluxes(ap, am, wext, J, S);
-            if (mass) {
-                bad = dual_update(w, S, src, J, lam, dti, diff, absw);
-                /* telescoping mass balance of the conservative update */
-                double G0 = -S[0], GJ = -S[J];
-                double resid = fabs(h * np_sum(diff, J) + dti * (GJ - G0)
-                                    - dti * src_total);
-                double scale = h * np_sum(absw, J) + fabs(dti * src_total)
-                               + dti * (fabs(G0) + fabs(GJ)) + 1e-300;
-                *mass++ = resid / scale;
-            } else {
-                bad = dual_update(w, S, src, J, lam, dti, NULL, NULL);
-            }
-            if (step == sample_at)
-                memcpy(samples + i * J, w, sizeof(double) * J);
-        }
-        if (bad)
-            break;
-        done++;
-    }
-    free(block);
-    return done;
 }
 
 /* 10^0 .. 10^22: every one of them is exact in a double */
@@ -892,7 +816,7 @@ long march_implicit(long n, long J, double h, const double *k,
     return i;
 }
 
-/* The cell terms of one interval (see breakdown) into tk and th, and
+/* The cell terms of one interval (see march_dual) into tk and th, and
  * their absolute values into ak and ah, LANES cells at a time. */
 static inline __attribute__((always_inline))
 void cell_terms(int kind, double a, long J, double ck, double ch,
@@ -922,43 +846,148 @@ void cell_terms(int kind, double a, long J, double ck, double ch,
     }
 }
 
-/* The error breakdown of n intervals, each reduced to four sums.
- * Interval i has length k[i], the states u[i] and u[i + 1] (rows of J)
- * and the dual samples W[i]; its stencil is what the march read, the row
- * u[i] and the inflow g[i] (explicit, modes[i] = 0) or the row u[i + 1]
- * and g[i + 1] (implicit), from g's n + 1 values.  psi holds the weight
- * at the J cell centres.  Its cell terms, in numpy's operation order, are
+/* The inputs of the error breakdown (see march_dual) and its work rows:
+ * F (J + 1) and tk, th, ak, ah (J each). */
+struct breakdown {
+    const double *k, *u, *g, *psi;
+    const signed char *modes;
+    double *out, *F, *tk, *th, *ak, *ah;
+};
+
+/* Interval i of n reduced to its four sums from its dual sample wi, while
+ * the sample is still in cache. */
+static void reduce_interval(const struct breakdown *b, long i, long n, long J,
+                            double h, int kind, double a, const double *wi)
+{
+    const double *u0 = b->u + i * J, *u1 = u0 + J;
+    double ck = (-0.5 * b->k[i]) * h, ch = (b->k[i] * 0.5) * h;
+    long at = i + (b->modes[i] != 0);      /* the stencil's time */
+    fluxes(kind, a, b->u + at * J, J, b->g[at], NULL, NULL, b->F, 0.0, NULL);
+    if (kind == BURGERS)
+        cell_terms(BURGERS, a, J, ck, ch, u0, u1, b->psi, wi, b->F, b->tk,
+                   b->th, b->ak, b->ah);
+    else
+        cell_terms(LINEAR, a, J, ck, ch, u0, u1, b->psi, wi, b->F, b->tk,
+                   b->th, b->ak, b->ah);
+    b->out[i] = np_sum(b->tk, J);
+    b->out[n + i] = np_sum(b->ak, J);
+    b->out[2 * n + i] = np_sum(b->th, J);
+    b->out[3 * n + i] = np_sum(b->ah, J);
+}
+
+/* The one backward sweep: the dual gradient's explicit march over n
+ * intervals, from the last to the first, and the error breakdown of each
+ * interval as soon as its dual sample exists.
+ *
+ * The march.  Interval i has the frozen coefficient c = f'(c[i]) of its
+ * end state, J finite values (the caller checks them): the row c[i]
+ * itself for BURGERS, and for LINEAR one row of a, filled once.  It takes
+ * m[i] substeps of length dt[i], and its sample is the profile after
+ * substep (m + 1) / 2, copied to samples[i] unless samples is NULL.  wext
+ * holds w between two zero ghost values, w(., T) on entry.  With the
+ * interface coefficient s = (c_left + c_right) / 2, edge cells extended,
+ * split into ap = max(s, 0) and am = min(s, 0), each substep is
+ *     S = ap w_right + am w_left,  w += lam (S[1:] - S[:-1]),  w += dt src
+ * in two vector passes: the first writes all J + 1 values of S from the
+ * old w, the second updates w from them.  (A NaN s would keep its NaN in
+ * ap and am, where np.maximum does too; only a non-finite coefficient
+ * gives one, and dual_substeps refuses those before any substep runs.)
+ * When mass is not NULL it receives each substep's relative mass-balance
+ * residual, in march order.  With m NULL the march is skipped: c, dt,
+ * src, wext and mass are not read, and samples holds the n samples.
+ *
+ * The breakdown, unless out is NULL.  Interval i has length k[i], the
+ * states u[i] and u[i + 1] (u holds n + 1 rows of J) and the sample w;
+ * its stencil is what the forward march read, the row u[i] and the
+ * inflow g[i] (explicit, modes[i] = 0) or the row u[i + 1] and g[i + 1]
+ * (implicit), from g's n + 1 values.  psi holds the weight at the J cell
+ * centres.  Its cell terms, in numpy's operation order, are
  *     eta_k = ((-0.5 k) h) (u1 - u0) (psi - f'(u1) w)
  *     eta_h = (((k 0.5) h) w) ((F_{j+1} + F_j) - 2 f(u1))
  * with f'(u1) = u1 for BURGERS and LINEAR's a, and the fluxes F of the
- * stencil, rebuilt as the march built them.  out receives four rows of
- * n: the np.sum of eta_k, of |eta_k|, of eta_h and of |eta_h| over each
- * interval's cells.  Returns n, or -1 when out of memory. */
-long breakdown(long n, long J, double h, const double *k, const double *u,
-               const signed char *modes, const double *g, int kind, double a,
-               const double *psi, const double *W, double *out)
+ * stencil, rebuilt as the forward march built them.  out receives four
+ * rows of n: the np.sum of eta_k, of |eta_k|, of eta_h and of |eta_h|
+ * over each interval's cells.  Each interval's sums depend on that
+ * interval alone, so the order of the sweep moves no bit.  The march
+ * reduces the sample right after the substep that takes it, from w
+ * itself: no row of samples is needed, and none is written unless
+ * samples is given.
+ *
+ * Returns the intervals completed: a non-finite w stops the march after
+ * its interval, as the flag of the interval's last update pass shows (a
+ * non-finite w_j stays so through every later substep); -1 is out of
+ * memory. */
+long march_dual(long n, long J, double h, const double *c, int kind, double a,
+                const long *m, const double *dt, const double *src,
+                double src_total, double *wext, double *samples, double *mass,
+                const double *u, const double *k, const signed char *modes,
+                const double *g, const double *psi, double *out)
 {
-    double *block = malloc(sizeof(double) * (5 * J + 1));
+    double *block = malloc(sizeof(double) * (4 * (J + 1) + 7 * J));
     if (!block)
         return -1;
-    double *F = block, *tk = F + J + 1, *th = tk + J, *ak = th + J,
-           *ah = ak + J;
-    for (long i = 0; i < n; i++) {
-        const double *u0 = u + i * J, *u1 = u0 + J, *wi = W + i * J;
-        double ck = (-0.5 * k[i]) * h, ch = (k[i] * 0.5) * h;
-        long at = i + (modes[i] != 0);     /* the stencil's time */
-        fluxes(kind, a, u + at * J, J, g[at], NULL, NULL, F, 0.0, NULL);
-        if (kind == BURGERS)
-            cell_terms(BURGERS, a, J, ck, ch, u0, u1, psi, wi, F, tk, th, ak, ah);
-        else
-            cell_terms(LINEAR, a, J, ck, ch, u0, u1, psi, wi, F, tk, th, ak, ah);
-        out[i] = np_sum(tk, J);
-        out[n + i] = np_sum(ak, J);
-        out[2 * n + i] = np_sum(th, J);
-        out[3 * n + i] = np_sum(ah, J);
+    double *ap = block, *am = ap + J + 1, *S = am + J + 1, *diff = S + J + 1,
+           *absw = diff + J, *row = absw + J, *F = row + J, *tk = F + J + 1,
+           *th = tk + J, *ak = th + J;
+    struct breakdown b = {k, u, g, psi, modes, out, F, tk, th, ak, ak + J};
+    for (long j = 0; m && kind != BURGERS && j < J; j++)
+        row[j] = a;
+    double *w = m ? wext + 1 : NULL;
+    long done = 0;
+    for (long i = n - 1; i >= 0; i--) {
+        if (!m) {
+            if (out)
+                reduce_interval(&b, i, n, J, h, kind, a, samples + i * J);
+            done++;
+            continue;
+        }
+        const double *ci = kind == BURGERS ? c + i * J : row;
+        double lam = dt[i] / h, dti = dt[i];
+        long sample_at = (m[i] + 1) / 2;
+        long q = 1;
+        for (; q + LANES <= J; q += LANES) {
+            vd s = (load(ci + q - 1) + load(ci + q)) * 0.5;
+            store(ap + q, vpos(s));
+            store(am + q, vneg(s));
+        }
+        for (; q < J; q++) {
+            double s = (ci[q - 1] + ci[q]) * 0.5;
+            ap[q] = pos(s);
+            am[q] = neg(s);
+        }
+        double s0 = (ci[0] + ci[0]) * 0.5, sJ = (ci[J - 1] + ci[J - 1]) * 0.5;
+        ap[0] = pos(s0);
+        am[0] = neg(s0);
+        ap[J] = pos(sJ);
+        am[J] = neg(sJ);
+        int bad = 0;
+        for (long step = 1; step <= m[i]; step++) {
+            dual_fluxes(ap, am, wext, J, S);
+            if (mass) {
+                bad = dual_update(w, S, src, J, lam, dti, diff, absw);
+                /* telescoping mass balance of the conservative update */
+                double G0 = -S[0], GJ = -S[J];
+                double resid = fabs(h * np_sum(diff, J) + dti * (GJ - G0)
+                                    - dti * src_total);
+                double scale = h * np_sum(absw, J) + fabs(dti * src_total)
+                               + dti * (fabs(G0) + fabs(GJ)) + 1e-300;
+                *mass++ = resid / scale;
+            } else {
+                bad = dual_update(w, S, src, J, lam, dti, NULL, NULL);
+            }
+            if (step == sample_at) {
+                if (samples)
+                    memcpy(samples + i * J, w, sizeof(double) * J);
+                if (out)
+                    reduce_interval(&b, i, n, J, h, kind, a, w);
+            }
+        }
+        if (bad)
+            break;
+        done++;
     }
     free(block);
-    return n;
+    return done;
 }
 
 /* The proposal walk of adaptivity.propose_timesteps over the old times

@@ -1,7 +1,9 @@
-"""Loader of the compiled core, `_core.c`: the marches, the error
-breakdown, the wave speeds max|f'| of rows of states (`row_speeds`), the
-planner's two walks, the `%.5e` text of the CSVs (`format_rows`) and the
-inflow table's departure filter.  f'(u) lives there alone: the dual's
+"""Loader of the compiled core, `_core.c`: the forward marches, the
+backward sweep that runs the dual march and reduces each interval's
+error breakdown as soon as its dual sample exists (`march_dual`), the
+wave speeds max|f'| of rows of states (`row_speeds`), the planner's two
+walks, the `%.5e` text of the CSVs (`format_rows`) and the inflow
+table's departure filter.  f'(u) lives there alone: the dual's
 coefficient, the breakdown's linearization and every wave speed are
 formed in C from the states and the flux's (kind, a).
 
@@ -48,12 +50,11 @@ _SIGNATURES = {
                                _double, _double, _long, _ptr, _ptr, _ptr,
                                _ptr, _ptr, _ptr, _ptr]),
     "march_dual": (_long, [_long, _long, _double, _ptr, _int, _double, _ptr,
-                           _ptr, _ptr, _double, _ptr, _ptr, _ptr]),
+                           _ptr, _ptr, _double, _ptr, _ptr, _ptr, _ptr, _ptr,
+                           _ptr, _ptr, _ptr, _ptr]),
     "dual_substeps": (_long, [_long, _long, _double, _double, _ptr, _ptr,
                               _int, _double, _ptr, _ptr]),
     "row_speeds": (None, [_long, _long, _ptr, _ptr, _int, _double, _ptr]),
-    "breakdown": (_long, [_long, _long, _double, _ptr, _ptr, _ptr, _ptr, _int,
-                          _double, _ptr, _ptr, _ptr]),
     "dgtsv": (_long, [_long, _ptr, _ptr, _ptr, _ptr]),
     "lanes": (_long, []),
     "format_rows": (_long, [_long, _long, _ptr, _ptr, _long, _ptr]),

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _core, forward
-from ._core import ptr
-from .dual import DualGradientTrajectory, _cells
+from . import forward
+from .dual import DualGradientTrajectory, _cells, sweep
 from .forward import ForwardTrajectory
 from .grid import EXPLICIT, build_spatial_grid
 
@@ -71,24 +70,24 @@ def assemble_breakdown(traj: ForwardTrajectory, dual: DualGradientTrajectory,
     one, as the march took them from `traj.g`.  The compiled core forms
     a, the fluxes and both terms row by row from the states and reduces
     each row to its signed and absolute sums, so no (N, J) term array
-    exists; every field is a per-row reduction or a sum over rows.
+    exists; every field is a per-row reduction or a sum over rows.  A
+    planned dual is marched in the same backward sweep (`dual.sweep`),
+    each interval reduced as soon as its sample exists, so no (N, J)
+    sample array exists either; stored samples are read as given.
     """
     grid = traj.grid
     part = traj.partition
     N, J = part.interval_count, grid.cell_count
-    if dual.w_samples.shape != (N, J) or traj.states.shape != (N + 1, J) \
+    if dual.shape != (N, J) or traj.states.shape != (N + 1, J) \
             or np.shape(traj.g) != (N + 1,):
         raise ValueError("trajectory and dual samples disagree in shape")
     k = part.steps
-    modes = part.modes
     psi = _cells(case.weight(grid.centers), J)
-    u, g, W = (np.ascontiguousarray(x, dtype=float)
-               for x in (traj.states, traj.g, dual.w_samples))
-    kind, a = forward._flux_code(traj.flux)
     sums = np.empty((4, N))
-    if _core.lib().breakdown(N, J, grid.h, ptr(k), ptr(u), ptr(modes, np.int8),
-                             ptr(g), kind, a, ptr(psi), ptr(W), ptr(sums)) < 0:
-        raise MemoryError("the breakdown could not allocate its work buffers")
+    if dual.stored is None \
+            and forward._flux_code(dual.plan.flux) != forward._flux_code(traj.flux):
+        dual.w_samples    # the sweep has one flux: march first, then reduce
+    sweep(dual, breakdown=(traj, psi, sums))
     signed_k, abs_k, signed_h, abs_h = sums
     eta_k_bar_n = abs_k / k
     eta_h_bar_n = abs_h / k

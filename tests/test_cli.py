@@ -130,6 +130,45 @@ def test_solver_blowup_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_substep_count_past_a_long_exits_3_naming_it(tmp_path, capsys):
+    # dual_cfl = 1e-300 is in range, and every coefficient is finite, but
+    # interval 0's dual substep count does not fit a long: the refusal
+    # says so, not that a coefficient is non-finite
+    rc = cli_main(["run-uniform", "--set", "dual_cfl=1e-300",
+                   "--set", "ref_level=0", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: dual march: interval 0 needs more "
+                          "substeps than a long counts")
+    assert "non-finite" not in err
+
+
+def test_non_finite_dual_exits_3_in_the_words_of_the_march(tmp_path, capsys,
+                                                          monkeypatch):
+    # an infinite weight gradient turns w infinite in the first substep:
+    # the march inside the breakdown's sweep stops in the last interval,
+    # and solve_level and the CLI say so as the march alone does
+    import numpy as np
+    import shockstep as ss
+    monkeypatch.setattr(ss.PerturbedShockCase, "weight_gradient",
+                        lambda self, x: np.full(np.shape(x), -np.inf))
+    case = ss.PerturbedShockCase()
+    grid = ss.build_spatial_grid(20, 0, case.domain)
+    part = ss.uniform_cfl_partition(case, grid, 0.8)
+    traj = ss.run_forward(grid, part, case)
+    with pytest.raises(ss.SolverFailure) as alone:
+        ss.solve_dual_gradient(ss.build_coefficient_field(traj), case).w_samples
+    text = str(alone.value)
+    assert text == f"dual march non-finite in interval {part.interval_count - 1}"
+    with pytest.raises(ss.SolverFailure) as level:
+        ss.solve_level(0, grid, part, case, 0.8)
+    assert str(level.value) == text
+    rc = cli_main(["run-uniform", "--set", "levels=0", "--set", "ref_level=0",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"solver failure: {text}\n"
+
+
 @pytest.mark.parametrize("command", ["run-uniform", "run-adaptive",
                                      "run-loop", "emit-plots"])
 def test_invalid_case_exits_3_before_solving(command, tmp_path, capsys):

@@ -10,7 +10,9 @@ the interval a non-finite dual stops on; Burgers coefficients and both
 signs of `LinearFlux`), the wave-speed reduction `row_speeds` against
 `np.maximum.reduce` with every edge value at every position, the tails
 of the dual and Newton vector loops at every length 1 to 17, the error
-breakdown against the cell terms of `tests/oracles.py`, and the
+breakdown against the cell terms of `tests/oracles.py`, the one backward
+sweep (each interval reduced as the dual march samples it) against the
+march that stores the samples and the same loop reading them, and the
 planner's two walks against the numpy-scalar loops there, and every
 verdict the inflow table's departure filter decides against numpy's own
 comparison.  Those kernel tests run at every vector width the CPU
@@ -25,6 +27,7 @@ builds silently at every width.
 import contextlib
 import copy
 import ctypes
+import dataclasses
 import math
 import os
 import re
@@ -626,7 +629,10 @@ def test_dual_substep_plan_at_integer_ratios(ulps):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
 def test_non_finite_substep_count_fails_before_any_substep(bad, monkeypatch):
-    # the first bad interval is named, and the march never starts
+    # the first bad interval is named with its cause, and the march never
+    # starts, not even the one that `record_substeps` runs at once: a NaN
+    # or infinite coefficient is non-finite; 1e300 is finite, but its
+    # substep count does not fit a long
     grid = ss.build_spatial_grid(6, 0)
     part = ss.TimePartition(times=np.array([0.0, 0.02, 0.05, 0.06]))
     A = np.linspace(-1.0, 1.0, 18).reshape(3, 6)
@@ -639,10 +645,12 @@ def test_non_finite_substep_count_fails_before_any_substep(bad, monkeypatch):
             return getattr(lib, name)
 
     monkeypatch.setattr(_core, "lib", NoMarch)
-    with pytest.raises(ss.SolverFailure,
-                       match="non-finite coefficient in interval 1"):
+    cause = ("^dual march: non-finite coefficient in interval 1$"
+             if not math.isfinite(bad) else
+             "^dual march: interval 1 needs more substeps than a long counts")
+    with pytest.raises(ss.SolverFailure, match=cause):
         ss.solve_dual_gradient(CoefficientField(grid, part, A, ss.BURGERS),
-                               _Source(np.ones(6)))
+                               _Source(np.ones(6)), record_substeps=True)
 
 
 _EDGES = [math.nan, math.inf, -math.inf, -0.0, 2.0, -2.0]
@@ -722,12 +730,13 @@ def test_kernel_arguments_are_checked_at_the_boundary():
 
 
 def _dual(J, T, N, A, source):
-    """The dual march of the rows A (N of J) over N equal intervals of
-    [0, T] with the source -weight_gradient = source."""
+    """The dual samples of the rows A (N of J) over N equal intervals of
+    [0, T] with the source -weight_gradient = source: reading them runs
+    the march."""
     grid = ss.build_spatial_grid(J, 0)
     part = ss.TimePartition(times=np.linspace(0.0, T, N + 1))
     return ss.solve_dual_gradient(CoefficientField(grid, part, A, ss.BURGERS),
-                                  _Source(source))
+                                  _Source(source)).w_samples
 
 
 @pytest.mark.parametrize("T, N, a, source, interval", [
@@ -838,6 +847,12 @@ class _Case:
             return 0.3
         return np.cos(5.0 * np.asarray(x, dtype=float)) ** 2
 
+    def weight_gradient(self, x):
+        if self.scalar_weight:
+            return 0.0
+        x = np.asarray(x, dtype=float)
+        return -10.0 * np.cos(5.0 * x) * np.sin(5.0 * x)
+
 
 @st.composite
 def _breakdown_inputs(draw):
@@ -904,6 +919,80 @@ def test_breakdown_pairwise_sums_at_every_width(cores, J):
     for lib in cores:
         with _running(lib):
             _assert_breakdown_matches_cell_terms(traj, dual, case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_breakdown_inputs(), st.sampled_from([0.2, 0.8, 1.0]))
+def test_sweep_matches_march_then_stored_samples_bitwise(cores, inputs, dual_cfl):
+    # the one backward sweep reduces each interval's sample right after
+    # the substep that takes it, with no (N, J) array of samples; storing
+    # every sample first and reducing them after the march gives the same
+    # bits, at every width (the draws take up to 34 substeps an interval)
+    traj, _, case = inputs
+    _assert_sweep_matches_stored_samples(cores, traj, case, dual_cfl)
+
+
+@pytest.mark.parametrize("N, J", [(0, 7), (5, 1)])
+@pytest.mark.parametrize("flux", [ss.BURGERS, ss.LinearFlux(-0.7)])
+def test_sweep_matches_stored_samples_at_no_interval_and_one_cell(cores, N, J,
+                                                                  flux):
+    rng = np.random.default_rng(N + J)
+    grid = ss.SpatialGrid(level=0, cell_count=J, edges=np.linspace(0.0, 1.0, J + 1),
+                          h=1.0 / J)
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 0.4, N))))
+    part = ss.TimePartition(times=times, modes=(np.arange(N) % 2).astype(np.int8))
+    case = _Case(False, 1.0)
+    traj = ss.ForwardTrajectory(grid=grid, partition=part,
+                                states=rng.uniform(-1.5, 1.5, (N + 1, J)),
+                                flux=flux, g=case.inflow_value(times),
+                                **no_newton(N))
+    _assert_sweep_matches_stored_samples(cores, traj, case, 0.8)
+
+
+def _assert_sweep_matches_stored_samples(cores, traj, case, dual_cfl):
+    for lib in cores:
+        with _running(lib):
+            dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj), case,
+                                          dual_cfl)
+            br = ss.assemble_breakdown(traj, dual, case)
+            assert dual.stored is None
+            stored = ss.DualGradientTrajectory(traj.grid, traj.partition,
+                                               dual.w_samples)
+            want = ss.assemble_breakdown(traj, stored, case)
+            for f in dataclasses.fields(ss.ErrorBreakdown):
+                assert _same(getattr(br, f.name), getattr(want, f.name)), f.name
+
+
+class _Overflow:
+    """A weight whose gradient, 1e307, overflows w over a long horizon."""
+
+    def weight(self, x):
+        return 1.0
+
+    def weight_gradient(self, x):
+        return -1e307
+
+
+def test_non_finite_dual_stops_the_sweep_with_the_march_text(cores):
+    # the march runs inside assemble_breakdown now: a w that overflows in
+    # interval 4 stops the sweep there, in the words of the march that
+    # stores the samples
+    N, J = 6, 10
+    grid = ss.build_spatial_grid(J, 0)
+    part = ss.TimePartition(times=np.linspace(0.0, 60.0, N + 1))
+    traj = ss.ForwardTrajectory(grid=grid, partition=part,
+                                states=np.full((N + 1, J), 0.01), flux=ss.BURGERS,
+                                g=np.zeros(N + 1), **no_newton(N))
+    for lib in cores:
+        with _running(lib):
+            for read in (lambda dual: dual.w_samples,
+                         lambda dual: ss.assemble_breakdown(traj, dual, _Overflow())):
+                dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj),
+                                              _Overflow())
+                with pytest.raises(ss.SolverFailure,
+                                   match="^dual march non-finite in interval 4$"):
+                    read(dual)
+                assert dual.stored is None
 
 
 # ------------------------------------------------------- reference march

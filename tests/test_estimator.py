@@ -189,9 +189,9 @@ def test_breakdown_aggregates_are_consistent(base_report, base_trajectory,
 
 
 def test_breakdown_independent_of_block_size(case, mixed_trajectory):
-    # the compiled breakdown works row by row: its four sums over any
-    # blocks of intervals are those of one call over all of them, which
-    # lets a blocked backward sweep call it per block
+    # the sweep reduces interval by interval: from stored samples (the
+    # march skipped), its four sums over any blocks of intervals are those
+    # of one call over all of them, so the order of the sweep moves no bit
     from shockstep import _core
     from shockstep._core import ptr
     traj = mixed_trajectory
@@ -205,10 +205,11 @@ def test_breakdown_independent_of_block_size(case, mixed_trajectory):
 
     def sums(lo, hi):
         out = np.empty((4, hi - lo))
-        assert _core.lib().breakdown(
-            hi - lo, J, grid.h, ptr(k[lo:hi]), ptr(u[lo:hi + 1]),
-            ptr(modes[lo:hi], np.int8), ptr(g[lo:hi + 1]), 0, 0.0, ptr(psi),
-            ptr(W[lo:hi]), ptr(out)) == hi - lo
+        assert _core.lib().march_dual(
+            hi - lo, J, grid.h, None, 0, 0.0, None, None, None, 0.0, None,
+            ptr(W[lo:hi]), None, ptr(u[lo:hi + 1]), ptr(k[lo:hi]),
+            ptr(modes[lo:hi], np.int8), ptr(g[lo:hi + 1]), ptr(psi),
+            ptr(out)) == hi - lo
         return out
 
     want = sums(0, N)
@@ -241,6 +242,23 @@ def test_breakdown_reads_the_inflow_of_the_march(case, mixed_trajectory,
     assert br.eta_h_bar_n.tobytes() == (np.sum(np.abs(cells_h), axis=1) / k).tobytes()
     assert br.eta_k == float(np.sum(np.sum(cells_k, axis=1)))
     assert br.eta_h == float(np.sum(np.sum(cells_h, axis=1)))
+
+
+def test_breakdown_of_a_dual_planned_with_another_flux(case, mixed_trajectory):
+    # the sweep takes one flux; a dual planned on a LinearFlux field is
+    # marched first, with its own coefficient, and then reduced with the
+    # trajectory's Burgers flux, as from its stored samples
+    traj = mixed_trajectory
+    coeff = ss.build_coefficient_field(traj)
+    coeff.flux = ss.LinearFlux(0.5)
+    dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
+    br = ss.assemble_breakdown(traj, dual, case)
+    planned = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
+    want = ss.assemble_breakdown(traj, DualGradientTrajectory(
+        traj.grid, traj.partition, planned.w_samples), case)
+    assert br.eta_k_bar_n.tobytes() == want.eta_k_bar_n.tobytes()
+    assert br.eta_h_bar_n.tobytes() == want.eta_h_bar_n.tobytes()
+    assert (br.eta_k, br.eta_h) == (want.eta_k, want.eta_h)
 
 
 def test_breakdown_rejects_mismatched_shapes(case):
