@@ -177,11 +177,12 @@ static double cfl_threshold(double k, double h)
  * np.maximum.reduce takes it over |f'(g)|, |f'(u_0)| .. |f'(u_{J-1})|:
  * NaN when one of them is NaN, otherwise their maximum, inf included.
  * f'(v) is v for BURGERS and LINEAR's a for every v.  This is the one
- * wave-speed reduction: the explicit refusal, the dual's substep counts
- * and row_speeds all take it.  Four scalar running maxima (LANES-wide
- * ones ran slower), which no NaN passes, and four running sums of the
- * same |values| as its NaN flag: every term is >= 0, so a sum turns NaN
- * exactly when a term is NaN, and an infinite term only makes it inf. */
+ * wave-speed reduction: the explicit refusal and row_speeds take it, and
+ * through row_speeds the speed profile and the dual's substep counts.
+ * Four scalar running maxima (LANES-wide ones ran slower), which no NaN
+ * passes, and four running sums of the same |values| as its NaN flag:
+ * every term is >= 0, so a sum turns NaN exactly when a term is NaN, and
+ * an infinite term only makes it inf. */
 static double max_speed(int kind, double a, const double *u, long J,
                         double g)
 {
@@ -292,22 +293,21 @@ long dgtsv(long n, double *dl, double *d, double *du, double *b)
 }
 
 /* The dual march's substep plan of n intervals: interval i, of length
- * k[i] with the coefficient a = f'(u[i]) of its end state u[i] (J
- * values), takes
- *     m[i] = max(ceil((k a_max) / (cfl h) - 1e-12), 1)
- * substeps of length dt[i] = k[i] / m[i], a_max = max_speed of the row
- * with g = 0, which no |a| is below, in numpy's operation order.  Returns
- * n; or i, the first interval with a NaN or infinite coefficient; or
- * -1 - i, the first interval whose finite coefficients give a count that
- * is not finite or does not fit a long.  Nothing is written for it. */
-long dual_substeps(long n, long J, double h, double cfl, const double *k,
-                   const double *u, int kind, double a, long *m, double *dt)
+ * k[i] and with amax[i] the largest |a| of its coefficient a = f'(u) over
+ * its end state u (max_speed of the row with g = 0, which the forward
+ * march reduces each row to), takes
+ *     m[i] = max(ceil((k amax) / (cfl h) - 1e-12), 1)
+ * substeps of length dt[i] = k[i] / m[i], in numpy's operation order.
+ * Returns n; or i, the first interval with a NaN or infinite amax; or
+ * -1 - i, the first interval whose finite amax gives a count that is not
+ * finite or does not fit a long.  Nothing is written for it. */
+long dual_substeps(long n, double h, double cfl, const double *k,
+                   const double *amax, long *m, double *dt)
 {
     for (long i = 0; i < n; i++) {
-        double amax = max_speed(kind, a, u + i * J, J, 0.0);
-        if (!isfinite(amax))
+        if (!isfinite(amax[i]))
             return i;
-        double mi = ceil((k[i] * amax) / (cfl * h) - 1e-12);
+        double mi = ceil((k[i] * amax[i]) / (cfl * h) - 1e-12);
         mi = mi < 1.0 ? 1.0 : mi;
         if (!(mi <= (double)(LONG_MAX / 2)))
             return -1 - i;
@@ -854,9 +854,9 @@ struct breakdown {
     double *out, *F, *tk, *th, *ak, *ah;
 };
 
-/* Interval i of n reduced to its four sums from its dual sample wi, while
- * the sample is still in cache. */
-static void reduce_interval(const struct breakdown *b, long i, long n, long J,
+/* Interval i reduced to its four sums from its dual sample wi, while the
+ * sample is still in cache. */
+static void reduce_interval(const struct breakdown *b, long i, long J,
                             double h, int kind, double a, const double *wi)
 {
     const double *u0 = b->u + i * J, *u1 = u0 + J;
@@ -869,22 +869,26 @@ static void reduce_interval(const struct breakdown *b, long i, long n, long J,
     else
         cell_terms(LINEAR, a, J, ck, ch, u0, u1, b->psi, wi, b->F, b->tk,
                    b->th, b->ak, b->ah);
-    b->out[i] = np_sum(b->tk, J);
-    b->out[n + i] = np_sum(b->ak, J);
-    b->out[2 * n + i] = np_sum(b->th, J);
-    b->out[3 * n + i] = np_sum(b->ah, J);
+    double *sums = b->out + 4 * i;
+    sums[0] = np_sum(b->tk, J);
+    sums[1] = np_sum(b->ak, J);
+    sums[2] = np_sum(b->th, J);
+    sums[3] = np_sum(b->ah, J);
 }
 
 /* The one backward sweep: the dual gradient's explicit march over n
  * intervals, from the last to the first, and the error breakdown of each
- * interval as soon as its dual sample exists.
+ * interval as soon as its dual sample exists.  The caller may sweep a
+ * run in blocks of intervals, the last block first, one call each with
+ * its arrays offset to the block: wext carries w from block to block.
  *
  * The march.  Interval i has the frozen coefficient c = f'(c[i]) of its
  * end state, J finite values (the caller checks them): the row c[i]
  * itself for BURGERS, and for LINEAR one row of a, filled once.  It takes
  * m[i] substeps of length dt[i], and its sample is the profile after
  * substep (m + 1) / 2, copied to samples[i] unless samples is NULL.  wext
- * holds w between two zero ghost values, w(., T) on entry.  With the
+ * holds w between two zero ghost values, w at the end of interval n - 1
+ * on entry and at the start of interval 0 on return.  With the
  * interface coefficient s = (c_left + c_right) / 2, edge cells extended,
  * split into ap = max(s, 0) and am = min(s, 0), each substep is
  *     S = ap w_right + am w_left,  w += lam (S[1:] - S[:-1]),  w += dt src
@@ -905,9 +909,9 @@ static void reduce_interval(const struct breakdown *b, long i, long n, long J,
  *     eta_k = ((-0.5 k) h) (u1 - u0) (psi - f'(u1) w)
  *     eta_h = (((k 0.5) h) w) ((F_{j+1} + F_j) - 2 f(u1))
  * with f'(u1) = u1 for BURGERS and LINEAR's a, and the fluxes F of the
- * stencil, rebuilt as the forward march built them.  out receives four
- * rows of n: the np.sum of eta_k, of |eta_k|, of eta_h and of |eta_h|
- * over each interval's cells.  Each interval's sums depend on that
+ * stencil, rebuilt as the forward march built them.  out receives n rows
+ * of four: the np.sum of eta_k, of |eta_k|, of eta_h and of |eta_h| over
+ * each interval's cells.  Each interval's sums depend on that
  * interval alone, so the order of the sweep moves no bit.  The march
  * reduces the sample right after the substep that takes it, from w
  * itself: no row of samples is needed, and none is written unless
@@ -937,7 +941,7 @@ long march_dual(long n, long J, double h, const double *c, int kind, double a,
     for (long i = n - 1; i >= 0; i--) {
         if (!m) {
             if (out)
-                reduce_interval(&b, i, n, J, h, kind, a, samples + i * J);
+                reduce_interval(&b, i, J, h, kind, a, samples + i * J);
             done++;
             continue;
         }
@@ -979,7 +983,7 @@ long march_dual(long n, long J, double h, const double *c, int kind, double a,
                 if (samples)
                     memcpy(samples + i * J, w, sizeof(double) * J);
                 if (out)
-                    reduce_interval(&b, i, n, J, h, kind, a, w);
+                    reduce_interval(&b, i, J, h, kind, a, w);
             }
         }
         if (bad)

@@ -1,7 +1,9 @@
 """Loader of the compiled core, `_core.c`: the forward marches, the
 backward sweep that runs the dual march and reduces each interval's
-error breakdown as soon as its dual sample exists (`march_dual`), the
-wave speeds max|f'| of rows of states (`row_speeds`), the planner's two
+error breakdown as soon as its dual sample exists (`march_dual`, called
+once per block of intervals with w carried between calls), the dual's
+substep plan from each end state's max|a| (`dual_substeps`), the wave
+speeds max|f'| of rows of states (`row_speeds`), the planner's two
 walks, the `%.5e` text of the CSVs (`format_rows`) and the inflow
 table's departure filter.  f'(u) lives there alone: the dual's
 coefficient, the breakdown's linearization and every wave speed are
@@ -52,8 +54,7 @@ _SIGNATURES = {
     "march_dual": (_long, [_long, _long, _double, _ptr, _int, _double, _ptr,
                            _ptr, _ptr, _double, _ptr, _ptr, _ptr, _ptr, _ptr,
                            _ptr, _ptr, _ptr, _ptr]),
-    "dual_substeps": (_long, [_long, _long, _double, _double, _ptr, _ptr,
-                              _int, _double, _ptr, _ptr]),
+    "dual_substeps": (_long, [_long, _double, _double, _ptr, _ptr, _ptr, _ptr]),
     "row_speeds": (None, [_long, _long, _ptr, _ptr, _int, _double, _ptr]),
     "dgtsv": (_long, [_long, _ptr, _ptr, _ptr, _ptr]),
     "lanes": (_long, []),

@@ -24,7 +24,7 @@ from .dual import build_coefficient_field, solve_dual_gradient
 from .estimator import ErrorBreakdown, assemble_breakdown
 # speed_for_basis is unused here: bench/run.py --trace 1 imports it from here
 from .forward import (ForwardTrajectory, run_forward, speed_for_basis,
-                      uniform_cfl_partition, wave_speeds)
+                      uniform_cfl_partition)
 from .grid import EXPLICIT, SpatialGrid, TimePartition, build_spatial_grid
 
 FLOOR_SCALE = 1e-14
@@ -79,8 +79,8 @@ class SpeedProfile:
     @classmethod
     def from_trajectory(cls, traj: ForwardTrajectory) -> "SpeedProfile":
         """Per interval, max|f'| over both end states and the inflow the
-        march read there (`traj.g`)."""
-        node = wave_speeds(traj.states, traj.g, traj.flux)
+        march read there (`traj.g`), from the march's row reductions."""
+        node = traj.reductions().speeds
         return cls(times=traj.partition.times.copy(),
                    values=np.maximum(node[:-1], node[1:]))
 
@@ -216,7 +216,8 @@ def tolerance_schedule(rule: str, prior: Sequence[float],
 @dataclass
 class LevelReport:
     """A finished level's results, not its run: no states are kept, and
-    `run_forward(grid, partition, case)` rebuilds them bit for bit."""
+    `run_forward(grid, partition, case)` rebuilds the run, its `states`
+    bit for bit on their first read."""
     level: int
     grid: SpatialGrid
     partition: TimePartition
@@ -238,6 +239,8 @@ def solve_level(level: int, grid: SpatialGrid, partition: TimePartition,
     The report keeps the finished trajectory's speed profile, which gives
     the realized CFL series and plans the next level; its stats come from
     that series, and the adaptive loop puts the planner's in their place.
+    No stage reads `traj.states`: each reads the run block by block or
+    through its row reductions.
     """
     traj = run_forward(grid, partition, case)
     dual = solve_dual_gradient(build_coefficient_field(traj), case, dual_cfl)

@@ -15,28 +15,58 @@ import numpy as np
 
 from . import _core
 from ._core import ptr
-from .forward import ForwardTrajectory, SolverFailure, _flux_code
+from .forward import (BLOCK, ForwardTrajectory, SolverFailure, _flux_code,
+                      wave_speeds)
 from .grid import SpatialGrid, TimePartition
 
 DUAL_CFL = 0.8
 
 
-@dataclass
 class CoefficientField:
     """The frozen coefficient a = f'(u^{n+1}) of each interval, as the end
-    states and the flux from which the compiled core forms it."""
-    grid: SpatialGrid
-    partition: TimePartition
-    states: np.ndarray  # (N, J), u^{n+1} of interval n
-    flux: object
+    states and the flux from which the compiled core forms it.  Built by
+    hand it stores the end states, (N, J); `build_coefficient_field`
+    leaves them in the trajectory, which gives them block by block."""
+
+    def __init__(self, grid: SpatialGrid, partition: TimePartition,
+                 states=None, flux=None, traj: Optional[ForwardTrajectory] = None):
+        self.grid, self.partition, self.flux, self.traj = grid, partition, flux, traj
+        self.stored = None if states is None else np.ascontiguousarray(states,
+                                                                       dtype=float)
+
+    @property
+    def shape(self) -> tuple:
+        """(N, J) of the end states, stored or not."""
+        if self.traj is None:
+            return self.stored.shape
+        n, J = self.traj.shape
+        return n - 1, J
+
+    @property
+    def states(self) -> np.ndarray:
+        """(N, J), u^{n+1} of interval n; a trajectory's are rebuilt."""
+        return self.stored if self.traj is None else self.traj.states[1:]
+
+    def end_rows(self, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+        """The end states of the intervals lo .. hi - 1 of one block,
+        C-contiguous; a trajectory's are rebuilt into buf if need be."""
+        if self.traj is None:
+            return self.stored[lo:hi]
+        return self.traj.rows(lo, hi, buf)[1:]
+
+    def speeds(self) -> np.ndarray:
+        """max|f'| of each end state alone, (N,): the trajectory's row
+        reduction, or the core's over the stored states."""
+        if self.traj is not None:
+            return self.traj.reductions().coeff_speeds
+        return wave_speeds(self.stored, np.zeros(len(self.stored)), self.flux)
 
 
 @dataclass
 class DualPlan:
     """The backward march of one coefficient field, counted before any
     substep runs."""
-    states: np.ndarray       # (N, J), C-contiguous end states of the intervals
-    flux: object
+    coeff: CoefficientField
     substeps: np.ndarray     # m per interval, the kernels' `long`
     dt: np.ndarray           # substep length per interval
     source: np.ndarray       # -psi' at the J cell centres
@@ -66,7 +96,7 @@ class DualGradientTrajectory:
     @property
     def shape(self) -> tuple:
         """(N, J) of the samples, stored or planned."""
-        return self.plan.states.shape if self.stored is None else np.shape(self.stored)
+        return self.plan.coeff.shape if self.stored is None else np.shape(self.stored)
 
     @property
     def w_samples(self) -> np.ndarray:
@@ -86,13 +116,13 @@ def _cells(values, n: int) -> np.ndarray:
 
 def build_coefficient_field(traj: ForwardTrajectory) -> CoefficientField:
     """Linearization coefficient a_j^n = f'(u_j^{n+1}), end-of-interval
-    state, kept as a view of the trajectory's states and its flux.
+    state, left in the trajectory (its states rebuilt block by block as
+    the march reads them) with its flux.
 
     The end state is the one defining an implicit step's fluxes, and the
     piecewise-constant-in-time freezing matches the solution representation.
     """
-    return CoefficientField(grid=traj.grid, partition=traj.partition,
-                            states=traj.states[1:], flux=traj.flux)
+    return CoefficientField(traj.grid, traj.partition, flux=traj.flux, traj=traj)
 
 
 def solve_dual_gradient(coeff: CoefficientField, case,
@@ -108,7 +138,8 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     sub-step profile nearest the interval midpoint; spatial boundaries use
     zero ghost values, the coefficient is extended by its edge cells.  The
     compiled core forms the coefficient a = f'(u^{n+1}) from the end
-    states and the flux.  Only the plan is made here: the substeps run in
+    states and the flux; the counts read each end state's max|a| only
+    (`CoefficientField.speeds`).  Only the plan is made here: the substeps run in
     `sweep`, inside the breakdown or on the first read of `w_samples`.
     With `record_substeps` the march runs at once and stores the samples,
     and also returns each substep's relative mass-balance residual,
@@ -121,15 +152,13 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     h = grid.h
     J = grid.cell_count
     N = part.interval_count
-    U = np.ascontiguousarray(coeff.states, dtype=float)
-    if U.shape != (N, J):
-        raise ValueError(f"end states of shape {U.shape}, need {(N, J)}")
-    kind, a = _flux_code(coeff.flux)
+    if coeff.shape != (N, J):
+        raise ValueError(f"end states of shape {coeff.shape}, need {(N, J)}")
     # substep counts and sizes of all intervals, before any substep runs;
     # a_max = 0 gives m = 1
-    k = part.steps
+    k, a_max = part.steps, coeff.speeds()
     m_all, dt_all = np.empty(N, _core.LONG), np.empty(N)
-    bad = _core.lib().dual_substeps(N, J, h, dual_cfl, ptr(k), ptr(U), kind, a,
+    bad = _core.lib().dual_substeps(N, h, dual_cfl, ptr(k), ptr(a_max),
                                     ptr(m_all, _core.LONG), ptr(dt_all))
     if 0 <= bad < N:
         raise SolverFailure(f"dual march: non-finite coefficient in interval {bad}")
@@ -139,7 +168,7 @@ def solve_dual_gradient(coeff: CoefficientField, case,
                             f"large at dual_cfl = {dual_cfl!r})")
     source = -_cells(case.weight_gradient(grid.centers), J)
     dual = DualGradientTrajectory(grid, part, plan=DualPlan(
-        states=U, flux=coeff.flux, substeps=m_all, dt=dt_all, source=source))
+        coeff=coeff, substeps=m_all, dt=dt_all, source=source))
     if record_substeps:
         # per-substep mass-balance residuals, in march order (last interval
         # first), from the march that stores the samples
@@ -158,43 +187,65 @@ def solve_dual_gradient(coeff: CoefficientField, case,
 def sweep(dual: DualGradientTrajectory, samples=None, mass=None,
           breakdown=None) -> None:
     """The compiled backward sweep `march_dual` over `dual`'s intervals,
-    the last first.
+    one call per block of `forward.BLOCK` intervals, the last block first.
 
-    With a plan, the march runs from w(., T) = 0, and each interval's
-    sample (its substep (m + 1) / 2) goes to `samples` (N, J) when given;
-    `mass` receives each substep's relative mass-balance residual.  Once
-    the samples are stored the march is skipped and they are read.
-    `breakdown` = (traj, psi, out) reduces each interval, as soon as its
-    sample exists, to the four sums `estimator.assemble_breakdown` reads
-    in `out` (4, N), from the trajectory's states, inflow and modes and
-    `psi` at the cell centres.  The sweep takes one flux, the plan's when
-    it marches: the caller sees that it is the trajectory's.
+    With a plan, the march runs from w(., T) = 0, carried from block to
+    block, and each interval's sample (its substep (m + 1) / 2) goes to
+    `samples` (N, J) when given; `mass` receives each substep's relative
+    mass-balance residual, in march order.  Once the samples are stored
+    the march is skipped and they are read.  `breakdown` = (traj, psi,
+    out) reduces each interval, as soon as its sample exists, to the four
+    sums `estimator.assemble_breakdown` reads in `out` (N, 4), from the
+    trajectory's states, inflow and modes and `psi` at the cell centres.
+    Each block's states are rebuilt from the trajectory's checkpoint just
+    before the block runs (`ForwardTrajectory.rows`), into one reused
+    buffer; a plan built from the same trajectory reads its end states
+    there.  The sweep takes one flux, the plan's when it marches: the
+    caller sees that it is the trajectory's.
     """
     N, J = dual.shape
     h = dual.grid.h
-    plan = dual.plan
-    # every array the kernel reads stays bound here until it returns
-    if dual.stored is not None:
-        kind, a = _flux_code(breakdown[0].flux)
-        samples = np.ascontiguousarray(dual.stored, dtype=float)
-        c, march = None, (None, None, None, 0.0, None)
-    else:
-        kind, a = _flux_code(plan.flux)
-        w_ext = np.zeros(J + 2)   # w between zero ghost values
-        c = ptr(plan.states)
-        march = (ptr(plan.substeps, _core.LONG), ptr(plan.dt), ptr(plan.source),
-                 h * float(np.sum(plan.source)), ptr(w_ext))
+    plan = dual.plan if dual.stored is None else None
+    traj = None if breakdown is None else breakdown[0]
+    rows = c = None
+    march = (None, None, None, 0.0, None)
     reduce = (None,) * 6
-    if breakdown is not None:
-        traj, psi, out = breakdown
-        u, g = (np.ascontiguousarray(x, dtype=float) for x in (traj.states, traj.g))
+    # every array the kernel reads stays bound here until it returns
+    buf = np.empty((min(BLOCK, N) + 1, J))
+    if plan is None:
+        kind, a = _flux_code(traj.flux)
+        samples = np.ascontiguousarray(dual.stored, dtype=float)
+    else:
+        kind, a = _flux_code(plan.coeff.flux)
+        shared = traj is not None and plan.coeff.traj is traj
+        cbuf = buf if shared or plan.coeff.traj is None else np.empty_like(buf)
+        w_ext = np.zeros(J + 2)   # w between zero ghost values
+        m, dt = plan.substeps, plan.dt
+        src_total = h * float(np.sum(plan.source))
+        # march order is the last interval first: the substeps of the
+        # intervals from hi on come before a block that ends at hi
+        if mass is not None:
+            first = mass.size - np.concatenate(([0], np.cumsum(m)))
+    if traj is not None:
+        _, psi, out = breakdown
+        g = np.ascontiguousarray(traj.g, dtype=float)
         k, modes = traj.partition.steps, traj.partition.modes
-        reduce = (ptr(u), ptr(k), ptr(modes, np.int8), ptr(g), ptr(psi), ptr(out))
-    done = _core.lib().march_dual(
-        N, J, h, c, kind, a, *march,
-        None if samples is None else ptr(samples),
-        None if mass is None else ptr(mass), *reduce)
-    if done < 0:
-        raise MemoryError("dual march could not allocate its work buffers")
-    if done < N:
-        raise SolverFailure(f"dual march non-finite in interval {N - 1 - done}")
+    core = _core.lib()
+    for lo in reversed(range(0, N, BLOCK)):
+        hi = min(lo + BLOCK, N)
+        if traj is not None:
+            rows = traj.rows(lo, hi, buf)
+            reduce = (ptr(rows), ptr(k[lo:hi]), ptr(modes[lo:hi], np.int8),
+                      ptr(g[lo:hi + 1]), ptr(psi), ptr(out[lo:hi]))
+        if plan is not None:
+            c = rows[1:] if shared else plan.coeff.end_rows(lo, hi, cbuf)
+            march = (ptr(m[lo:hi], _core.LONG), ptr(dt[lo:hi]), ptr(plan.source),
+                     src_total, ptr(w_ext))
+        done = core.march_dual(
+            hi - lo, J, h, None if c is None else ptr(c), kind, a, *march,
+            None if samples is None else ptr(samples[lo:hi]),
+            None if mass is None else ptr(mass[first[hi]:]), *reduce)
+        if done < 0:
+            raise MemoryError("dual march could not allocate its work buffers")
+        if done < hi - lo:
+            raise SolverFailure(f"dual march non-finite in interval {hi - 1 - done}")

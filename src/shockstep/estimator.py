@@ -16,7 +16,7 @@ import numpy as np
 from . import forward
 from .dual import DualGradientTrajectory, _cells, sweep
 from .forward import ForwardTrajectory
-from .grid import EXPLICIT, build_spatial_grid
+from .grid import build_spatial_grid, weight_cell_integrals
 
 REF_LEVEL = 6
 # bytes of states per block of the reference march: they are its only
@@ -24,11 +24,6 @@ REF_LEVEL = 6
 # march and its dots (102 rows at 1,280 cells); fewer rows per block
 # would add more per-block call overhead than they save
 _BLOCK_BYTES = 1 << 20
-# np.polynomial.legendre.leggauss(5) bit for bit, without its import
-_GAUSS_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
-                     0.5384693101056831, 0.906179845938664])
-_GAUSS_W = np.array([0.23692688505618928, 0.4786286704993663,
-                     0.5688888888888887, 0.4786286704993663, 0.23692688505618928])
 
 
 @dataclass
@@ -43,20 +38,11 @@ class ErrorBreakdown:
     J_h: float
 
 
-def weight_cell_integrals(grid, case) -> np.ndarray:
-    """W_j = integral of the weight over cell j, 5-point Gauss per cell."""
-    mid = grid.centers
-    acc = np.zeros(grid.cell_count)
-    for q in range(_GAUSS_X.size):
-        acc += _GAUSS_W[q] * case.weight(mid + 0.5 * grid.h * _GAUSS_X[q])
-    return 0.5 * grid.h * acc
-
-
 def evaluate_functional(traj: ForwardTrajectory, case) -> float:
-    """J_h = sum_n k_n sum_j u_j^n W_j with the end-of-interval state."""
+    """J_h = sum_n k_n sum_j u_j^n W_j with the end-of-interval state, from
+    the dots the forward march took block by block (`RowReductions`)."""
     W = weight_cell_integrals(traj.grid, case)
-    k = traj.partition.steps
-    return float(np.sum(k * (traj.states[1:] @ W)))
+    return float(np.sum(traj.partition.steps * traj.reductions(W).dots))
 
 
 def assemble_breakdown(traj: ForwardTrajectory, dual: DualGradientTrajectory,
@@ -73,22 +59,24 @@ def assemble_breakdown(traj: ForwardTrajectory, dual: DualGradientTrajectory,
     exists; every field is a per-row reduction or a sum over rows.  A
     planned dual is marched in the same backward sweep (`dual.sweep`),
     each interval reduced as soon as its sample exists, so no (N, J)
-    sample array exists either; stored samples are read as given.
+    sample array exists either; stored samples are read as given.  The
+    sweep rebuilds each block's states from the trajectory's checkpoint
+    just before the block runs, so no (N, J) state array exists either.
     """
     grid = traj.grid
     part = traj.partition
     N, J = part.interval_count, grid.cell_count
-    if dual.shape != (N, J) or traj.states.shape != (N + 1, J) \
+    if dual.shape != (N, J) or traj.shape != (N + 1, J) \
             or np.shape(traj.g) != (N + 1,):
         raise ValueError("trajectory and dual samples disagree in shape")
     k = part.steps
     psi = _cells(case.weight(grid.centers), J)
-    sums = np.empty((4, N))
-    if dual.stored is None \
-            and forward._flux_code(dual.plan.flux) != forward._flux_code(traj.flux):
+    sums = np.empty((N, 4))
+    if dual.stored is None and (forward._flux_code(dual.plan.coeff.flux)
+                                != forward._flux_code(traj.flux)):
         dual.w_samples    # the sweep has one flux: march first, then reduce
     sweep(dual, breakdown=(traj, psi, sums))
-    signed_k, abs_k, signed_h, abs_h = sums
+    signed_k, abs_k, signed_h, abs_h = np.ascontiguousarray(sums.T)
     eta_k_bar_n = abs_k / k
     eta_h_bar_n = abs_h / k
     eta_k_bar = float(np.sum(k * eta_k_bar_n))
@@ -121,31 +109,20 @@ def reference_functional(case, ref_level: int = REF_LEVEL,
                          base_cells: int = 20, cfl: float = 0.8) -> float:
     """Functional value from a fine uniform explicit run.
 
-    The run is streamed through one (B + 1, J) buffer of about
-    _BLOCK_BYTES: the compiled march fills a block of B states, one
-    `np.matmul` of the block as (B, 1, J) @ (J, 1) takes each row's
-    `row @ W` through the same BLAS ddot as `row @ W` itself (a block gemv
-    would round differently), and the block's last state starts the next
-    block.  One `np.add.accumulate` adds the k_n-weighted dots in order.
+    The run is streamed through `forward.march_blocks` in blocks of B
+    states, about _BLOCK_BYTES: one `np.matmul` of each block as
+    (B, 1, J) @ (J, 1) takes each row's `row @ W` through the same BLAS
+    ddot as `row @ W` itself (a block gemv would round differently).  One
+    `np.add.accumulate` adds the k_n-weighted dots in order.
     """
     grid = build_spatial_grid(base_cells, ref_level, case.domain)
     part = forward.uniform_cfl_partition(case, grid, cfl)
     W = weight_cell_integrals(grid, case)
     g_at = np.atleast_1d(np.asarray(case.inflow_value(part.times), dtype=float))
-    k = part.steps
-    N = part.interval_count
     block = max(1, _BLOCK_BYTES // (8 * grid.cell_count))
-    buf = np.empty((min(block, N) + 1, grid.cell_count))
-    buf[0] = case.initial_cell_averages(grid.edges)
-    terms = np.zeros(N + 1)     # 0.0, then the dots
-    for lo in range(0, N, block):
-        hi = min(lo + block, N)
-        rows = buf[:hi - lo + 1]
-        _, err = forward.march(rows, k[lo:hi], g_at[lo:hi + 1], grid.h,
-                               case.flux, EXPLICIT)
-        if err is not None:
-            raise err
-        terms[lo + 1:hi + 1] = np.matmul(rows[1:, None, :], W[:, None])[:, 0, 0]
-        buf[0] = rows[-1]
-    terms[1:] *= k
+    terms = np.zeros(part.interval_count + 1)     # 0.0, then the dots
+    for lo, rows in forward.march_blocks(case.initial_cell_averages(grid.edges),
+                                         part, g_at, grid.h, case.flux, block):
+        terms[lo + 1:lo + len(rows)] = np.matmul(rows[1:, None, :], W[:, None])[:, 0, 0]
+    terms[1:] *= part.steps
     return float(np.add.accumulate(terms)[-1])

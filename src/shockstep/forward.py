@@ -6,16 +6,24 @@ data, the right boundary pure upwind outflow.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
 from . import _core
 from ._core import ptr
-from .grid import EXPLICIT, SpatialGrid, TimePartition, uniform_partition
+from .grid import (EXPLICIT, SpatialGrid, TimePartition, uniform_partition,
+                   weight_cell_integrals)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# intervals per block of the forward march, of its rebuild in the backward
+# sweep and of the J_h gemv: a checkpoint is kept every BLOCK states.  A
+# multiple of 4, since OpenBLAS's gemv takes rows four at a time
+BLOCK = 256
 
 
 class SolverFailure(RuntimeError):
@@ -52,17 +60,121 @@ class NewtonStats:
 
 
 @dataclass
+class RowReductions:
+    """What later stages read of each state, reduced while its block of
+    the march is still in cache."""
+    speeds: np.ndarray        # (N+1,) max|f'| of state n with the inflow g[n]
+    coeff_speeds: np.ndarray  # (N,) max|f'| of state n+1 alone (g = 0)
+    dots: Optional[np.ndarray]      # (N,) state n+1 @ weights, the J_h dots
+    weights: Optional[np.ndarray]   # (J,) cell integrals of the weight
+
+    @classmethod
+    def start(cls, N: int, u0: np.ndarray, g: np.ndarray, flux,
+              weights=None) -> "RowReductions":
+        """Room for N intervals, and the initial state u0's speed."""
+        red = cls(np.empty(N + 1), np.empty(N),
+                  None if weights is None else np.empty(N), weights)
+        red.speeds[0] = wave_speeds(u0[None], g[:1], flux)[0]
+        return red
+
+    def take(self, rows: np.ndarray, lo: int, g: np.ndarray, flux):
+        """Reduce rows[1:], the states lo + 1 .. of one block.  The dots are
+        one BLAS gemv per block: aligned at row 1 + BLOCK b, with BLOCK a
+        multiple of 4, they have the bits of one gemv over all the rows."""
+        hi = lo + len(rows) - 1
+        end = rows[1:]
+        self.speeds[lo + 1:hi + 1] = wave_speeds(end, g[lo + 1:hi + 1], flux)
+        self.coeff_speeds[lo:hi] = wave_speeds(end, np.zeros(hi - lo), flux)
+        if self.dots is not None:
+            self.dots[lo:hi] = end @ self.weights
+
+
 class ForwardTrajectory:
-    grid: SpatialGrid
-    partition: TimePartition
-    states: np.ndarray  # (N+1, J) cell averages, row 0 = initial data
-    flux: object
-    g: np.ndarray       # (N+1,) the inflow at each t_n, as `march` took it
-    # per interval: Newton iterations, final residual and stop code (0 for
-    # an explicit interval)
-    newton_iters: np.ndarray
-    newton_resid: np.ndarray
-    newton_stop: np.ndarray
+    """A forward run: the inflow at each t_n, the Newton record and the
+    states u^0 .. u^N of J cells each.
+
+    Built by hand, it stores all N + 1 states.  `run_forward` keeps fewer:
+    `kept` holds the states at the rows `kept_at`, row 0 and every
+    BLOCK-th, and each state that ends an implicit interval, since
+    rebuilding it would take Newton again; `reduced` holds the per-row
+    reductions the later stages read.  `rows` gives one block's states,
+    re-marched from its checkpoint by the kernel that made them, so with
+    their bits; `states` rebuilds all N + 1 on the first read and keeps
+    them.
+    """
+
+    def __init__(self, grid: SpatialGrid, partition: TimePartition,
+                 states=None, flux=None, g=None, newton_iters=None,
+                 newton_resid=None, newton_stop=None, *, kept=None,
+                 kept_at=None, reduced: Optional[RowReductions] = None):
+        self.grid, self.partition, self.flux = grid, partition, flux
+        self.g = g          # (N+1,) the inflow at each t_n, as `march` took it
+        # per interval: Newton iterations, final residual and stop code (0
+        # for an explicit interval)
+        self.newton_iters = newton_iters
+        self.newton_resid = newton_resid
+        self.newton_stop = newton_stop
+        if states is not None:
+            kept, kept_at = np.ascontiguousarray(states, dtype=float), None
+        self.kept, self.kept_at, self.reduced = kept, kept_at, reduced
+        if kept_at is not None:
+            self._runs, self._steps = mode_runs(partition.modes), partition.steps
+
+    @property
+    def shape(self) -> tuple:
+        """(N+1, J) of the states, stored or not."""
+        if self.kept_at is None:
+            return self.kept.shape
+        return self.partition.interval_count + 1, self.kept.shape[1]
+
+    @property
+    def states(self) -> np.ndarray:
+        """(N+1, J) cell averages, row 0 the initial data; rebuilt on the
+        first read when only checkpoints are kept, then stored."""
+        if self.kept_at is not None:
+            N = self.partition.interval_count
+            full = np.empty(self.shape)
+            full[self.kept_at] = self.kept
+            for lo in range(0, N, BLOCK):
+                hi = min(lo + BLOCK, N)
+                full[lo:hi + 1] = self.rows(lo, hi, full[lo:])
+            self.kept, self.kept_at = full, None
+        return self.kept
+
+    def rows(self, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+        """The states lo .. hi, C-contiguous, lo a multiple of BLOCK: stored
+        ones as they are, the others re-marched from the checkpoint at lo
+        into buf (hi - lo + 1 rows of J at least)."""
+        if self.kept_at is None:
+            return self.kept[lo:hi + 1]
+        rows = _kept_block(self.kept, self.kept_at, lo, hi)
+        if rows is not None:
+            return rows
+        rows = buf[:hi - lo + 1]
+        rows[0] = self.kept[np.searchsorted(self.kept_at, lo)]
+        stored = partial(_kept_block, self.kept, self.kept_at)
+        done, err = march_block(rows, lo, self._runs, self._steps, self.g,
+                                self.grid.h, self.flux, self.partition.modes,
+                                stored=stored)
+        if err is not None:
+            raise SolverFailure(f"rebuilding interval {lo + done}: {err}") from err
+        return rows
+
+    def reductions(self, weights=None) -> RowReductions:
+        """The per-row reductions: the march's own, unless `weights` differ
+        from its or it kept none (built by hand); then taken block by block
+        from the states as `rows` gives them, dots only with `weights`."""
+        red = self.reduced
+        if red is not None and (weights is None
+                                or weights.tobytes() == red.weights.tobytes()):
+            return red
+        N = self.partition.interval_count
+        g = np.ascontiguousarray(self.g, dtype=float)
+        buf = np.empty((min(BLOCK, N) + 1, self.shape[1]))
+        red = RowReductions.start(N, self.rows(0, 0, buf)[0], g, self.flux, weights)
+        for lo in range(0, N, BLOCK):
+            red.take(self.rows(lo, min(lo + BLOCK, N), buf), lo, g, self.flux)
+        return red
 
     @property
     def newton_stats(self) -> list:
@@ -181,34 +293,110 @@ def uniform_cfl_partition(case, grid: SpatialGrid, cfl: float, basis="global",
     return uniform_partition(case.T, cfl * grid.h / speed, mode)
 
 
+def _kept_block(kept: np.ndarray, kept_at: np.ndarray, lo: int, hi: int):
+    """The rows of `kept` that hold the states lo .. hi, lo among
+    `kept_at`, when every one of them is kept; else None."""
+    p, n = int(np.searchsorted(kept_at, lo)), hi - lo
+    if p + n < kept_at.size and kept_at[p + n] == hi:
+        return kept[p:p + n + 1]
+    return None
+
+
+def mode_runs(modes: np.ndarray) -> list:
+    """The first interval of each run of equal modes, then the count."""
+    return [0, *(np.flatnonzero(np.diff(modes)) + 1).tolist(), len(modes)]
+
+
+def march_block(rows: np.ndarray, lo: int, runs: list, k: np.ndarray,
+                g: np.ndarray, h: float, flux, modes: np.ndarray, newton=None,
+                stored=None):
+    """March rows[0], the state at t_lo, through the intervals lo .. lo +
+    len(rows) - 2 into rows[1:], one `march` per piece of a run of equal
+    modes that `runs` (`mode_runs`) gives; k, g, modes and the Newton
+    arrays `newton` cover all intervals.  With `stored`, a function giving
+    the states lo' .. hi', an implicit piece is copied from it instead of
+    solved.  Each step reads only its own row, so where the pieces are
+    cut moves no bit.  Returns (steps done, None), or (i, error) for the
+    failure of step lo + i, as `march` does."""
+    hi = lo + len(rows) - 1
+    r = bisect.bisect_right(runs, lo) - 1
+    s = lo
+    while s < hi:
+        e = min(runs[r + 1], hi)
+        mode = int(modes[s])
+        if stored is not None and mode != EXPLICIT:
+            rows[s + 1 - lo:e + 1 - lo] = stored(s + 1, e)
+        else:
+            done, err = march(rows[s - lo:e + 1 - lo], k[s:e], g[s:e + 1], h, flux,
+                              mode, newton and tuple(x[s:e] for x in newton))
+            if err is not None:
+                return s - lo + done, err
+        s, r = e, r + 1
+    return hi - lo, None
+
+
+def march_blocks(u0: np.ndarray, partition: TimePartition, g: np.ndarray,
+                 h: float, flux, block: int, newton=None, place=None):
+    """March the state u0 through `partition`, `block` intervals at a time
+    (`march_block`); yields (lo, rows) per block, rows[0] the state at
+    t_lo and rows[1:] the block's new states, valid until the next block.
+    The rows are those `place(lo, hi)` gives, or else (without `place`, or
+    when it gives None) one reused buffer of block + 1 states.  A failed
+    step raises `SolverFailure` with its interval and time."""
+    k, modes, N = partition.steps, partition.modes, partition.interval_count
+    runs = mode_runs(modes)
+    buf, prev = None, u0
+    for lo in range(0, N, block):
+        hi = min(lo + block, N)
+        rows = None if place is None else place(lo, hi)
+        if rows is None:
+            if buf is None:
+                buf = np.empty((min(block, N) + 1, len(u0)))
+            rows = buf[:hi - lo + 1]
+        rows[0] = prev
+        done, err = march_block(rows, lo, runs, k, g, h, flux, modes, newton)
+        if err is not None:
+            n = lo + done
+            raise SolverFailure(f"interval {n} (t={partition.times[n]:.6g}): "
+                                f"{err}") from err
+        yield lo, rows
+        prev = rows[-1]
+
+
 def run_forward(grid: SpatialGrid, partition: TimePartition,
                 case) -> ForwardTrajectory:
-    """March through all intervals with each interval's tagged mode, one
-    `march` call per run of equal modes.
+    """March through all intervals with each interval's tagged mode, BLOCK
+    intervals at a time (`march_blocks`).
 
     Interval n runs from t_n to t_{n+1}.  The stencil and the boundary data
     live on t_n for explicit steps and on t_{n+1} for implicit ones; the
-    states and the inflow at every t_n are kept, and
-    `estimator.assemble_breakdown` rebuilds the fluxes by the same rule.
+    inflow at every t_n is kept, and `estimator.assemble_breakdown`
+    rebuilds the fluxes by the same rule.  Of the states only the
+    checkpoints are kept (see `ForwardTrajectory`); a block whose states
+    are all kept is marched in place.  Each block is reduced to its
+    `RowReductions`, the J_h dots with the case's cell weights, while it
+    is still in cache.
     """
-    times = partition.times
     modes = partition.modes
-    k = partition.steps
     N = partition.interval_count
-    g_at = np.atleast_1d(np.asarray(case.inflow_value(times), dtype=float))
-    states = np.empty((N + 1, grid.cell_count))
-    states[0] = case.initial_cell_averages(grid.edges)
-    iters, resid = np.zeros(N, np.intc), np.zeros(N)
-    stop = np.zeros(N, np.int8)
-    cuts = [0, *(np.flatnonzero(np.diff(modes)) + 1).tolist(), N] if N else [0]
-    for n, e in zip(cuts[:-1], cuts[1:]):
-        done, err = march(states[n:e + 1], k[n:e], g_at[n:e + 1], grid.h,
-                          case.flux, int(modes[n]),
-                          (iters[n:e], resid[n:e], stop[n:e]))
-        if err is not None:
-            n += done
-            raise SolverFailure(f"interval {n} (t={times[n]:.6g}): {err}") from err
-    return ForwardTrajectory(grid=grid, partition=partition, states=states,
-                             flux=case.flux, g=g_at, newton_iters=iters,
-                             newton_resid=resid, newton_stop=stop)
-
+    g_at = np.atleast_1d(np.asarray(case.inflow_value(partition.times), dtype=float))
+    keep = np.zeros(N + 1, bool)
+    keep[::BLOCK] = True
+    keep[1:] |= modes != EXPLICIT
+    kept_at = np.flatnonzero(keep)
+    kept = np.empty((kept_at.size, grid.cell_count))
+    kept[0] = case.initial_cell_averages(grid.edges)
+    red = RowReductions.start(N, kept[0], g_at, case.flux,
+                              weight_cell_integrals(grid, case))
+    newton = (np.zeros(N, np.intc), np.zeros(N), np.zeros(N, np.int8))
+    p = 1
+    for lo, rows in march_blocks(kept[0], partition, g_at, grid.h, case.flux,
+                                 BLOCK, newton, partial(_kept_block, kept, kept_at)):
+        # the kept states of this block: lo's is the last block's
+        q = int(np.searchsorted(kept_at, lo + len(rows) - 1, "right"))
+        if rows.base is not kept:
+            kept[p:q] = rows[kept_at[p:q] - lo]
+        red.take(rows, lo, g_at, case.flux)
+        p = q
+    return ForwardTrajectory(grid, partition, None, case.flux, g_at, *newton,
+                             kept=kept, kept_at=kept_at, reduced=red)

@@ -387,12 +387,14 @@ def test_planned_modes_are_sound_on_benchmark_plan(base_trajectory, ex2_report):
     assert float(np.max(cfl[~implicit])) <= 0.8 * (1 + 1e-9)
 
 
-def test_solve_level_memory_is_o_states(case):
-    # states are the only (N, J) array: the dual march hands each
-    # interval's sample straight to that interval's breakdown sums, and
-    # the speed profile reads the states row by row.  Measured 1.09x the
-    # states at this level; the rest is vectors of length N (steps, the
-    # substep plan, the four sums) and the 1.2 leaves room for them
+def test_solve_level_memory_is_a_fifth_of_the_states(case):
+    # no (N+1, J) array at all: the forward march keeps a checkpoint every
+    # BLOCK states and reduces each block to its row vectors while it is
+    # in cache, and the backward sweep rebuilds one block at a time into a
+    # (BLOCK + 1, J) buffer.  Measured 0.141x the states at this level
+    # (1.79 MB of 12.7 MB; 1.09x when the states were stored): vectors of
+    # length N (steps, inflow, Newton record, row reductions, substep
+    # plan, the four sums) and the block buffers; 0.2 leaves room for them
     grid = ss.build_spatial_grid(20, 3)
     part = ss.uniform_cfl_partition(case, grid, 0.8)
     case.inflow_value(0.0)     # the inflow table is built outside the trace
@@ -403,7 +405,28 @@ def test_solve_level_memory_is_o_states(case):
     finally:
         tracemalloc.stop()
     states_nbytes = (part.interval_count + 1) * grid.cell_count * 8
-    assert peak <= 1.2 * states_nbytes
+    assert peak <= 0.2 * states_nbytes
+
+
+@pytest.mark.parametrize("runs", [[(ss.EXPLICIT, 300)], [(ss.IMPLICIT, 300)],
+                                  [(ss.EXPLICIT, 200), (ss.IMPLICIT, 100),
+                                   (ss.EXPLICIT, 150)]])
+def test_solve_level_never_reads_the_states(case, monkeypatch, runs):
+    # every stage reads the run block by block or through its row
+    # reductions; reading all N + 1 states would rebuild them
+    grid = ss.build_spatial_grid(20, 0)
+    k = {ss.EXPLICIT: 0.02, ss.IMPLICIT: 0.1}
+    modes = np.concatenate([np.full(n, m, np.int8) for m, n in runs])
+    part = ss.TimePartition(times=np.concatenate(
+        ([0.0], np.cumsum([k[int(m)] for m in modes]))), modes=modes)
+    want = ss.solve_level(0, grid, part, case, 0.8)
+
+    def refuse(traj):
+        raise AssertionError("a stage read ForwardTrajectory.states")
+
+    monkeypatch.setattr(ss.ForwardTrajectory, "states", property(refuse))
+    rep = ss.solve_level(0, grid, part, case, 0.8)
+    assert rep.breakdown.J_h == want.breakdown.J_h
 
 
 _RSS_CHILD = """\
@@ -423,13 +446,14 @@ print(after - before, (part.interval_count + 1) * grid.cell_count * 8)
 def test_solve_level_rss_is_o_states(capped_child):
     # what tracemalloc cannot see, the C side's buffers included: the peak
     # resident set of a fresh process running uniform level 4 (states
-    # 48.4 MiB) grows over its import and inflow table by about the states
-    # alone, 0.98x measured; with the dual samples stored as well it was
-    # 1.97x
+    # 48.4 MiB, none of them stored now) grows over its import and inflow
+    # table by 48-204 KiB, 0.001-0.004x the states, measured in three
+    # runs; with all states stored it was 0.98x, and 1.97x with the dual
+    # samples stored as well
     proc = capped_child(_RSS_CHILD, 1 << 32, timeout=300)
     assert proc.returncode == 0, proc.stderr
     grown_kib, states_nbytes = map(int, proc.stdout.split())
-    assert grown_kib * 1024 <= 1.5 * states_nbytes
+    assert grown_kib * 1024 <= 0.25 * states_nbytes
 
 
 # ------------------------------------------------------------ speed profile

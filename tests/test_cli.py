@@ -263,6 +263,23 @@ def test_level_too_large_to_allocate_exits_3(args, tmp_path, capped_child):
     assert not out.exists()
 
 
+def test_failed_block_allocation_exits_3(tmp_path, capped_child):
+    # level 10 (20,480 cells, 1.27 million steps) passes every check, and
+    # its grid and step vectors fit a 1 GiB address space, but its
+    # checkpoints (811 MB) and the march's block of BLOCK + 1 states do
+    # not both fit: the forward march's allocation fails, and the command
+    # exits 3 with one line, before any output
+    out = tmp_path / "out"
+    proc = capped_child("import sys, shockstep.cli\n"
+                        "sys.exit(shockstep.cli.main(sys.argv[1:]))",
+                        1 << 30, "run-uniform", "--set", "levels=10",
+                        "--set", "ref_level=0", "--out", out)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("out of memory: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_adaptive_plots_without_levels_leave_no_directory(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli_main(["emit-plots", "--set", "experiment=adaptive",

@@ -599,7 +599,9 @@ def test_dual_substep_plan_matches_numpy_bitwise(J, N, seed, dual_cfl, rows):
     h = 1.0 / J
     m, dt = np.empty(N, _core.LONG), np.empty(N)
     P = _core.ptr
-    assert _core.lib().dual_substeps(N, J, h, dual_cfl, P(k), P(A), 0, 0.0,
+    # the kernel reads each row's max|a|, as the forward march reduces it
+    a_max = ss.forward.wave_speeds(A, np.zeros(N), ss.BURGERS)
+    assert _core.lib().dual_substeps(N, h, dual_cfl, P(k), P(a_max),
                                      P(m, _core.LONG), P(dt)) == N
     m_np, dt_np = _np_substeps(A, k, h, dual_cfl)
     assert _same(m, m_np)
@@ -620,7 +622,8 @@ def test_dual_substep_plan_at_integer_ratios(ulps):
         A[i] = np.linspace(-a, a / 2, J)
     m, dt = np.empty(4, _core.LONG), np.empty(4)
     P = _core.ptr
-    assert _core.lib().dual_substeps(4, J, h, dual_cfl, P(k), P(A), 0, 0.0,
+    a_max = ss.forward.wave_speeds(A, np.zeros(4), ss.BURGERS)
+    assert _core.lib().dual_substeps(4, h, dual_cfl, P(k), P(a_max),
                                      P(m, _core.LONG), P(dt)) == 4
     m_np, dt_np = _np_substeps(A, k, h, dual_cfl)
     assert _same(m, m_np)
@@ -770,6 +773,26 @@ def test_dual_march_flags_a_non_finite_cell_at_every_position(cores, J):
                 with pytest.raises(ss.SolverFailure,
                                    match="^dual march non-finite in interval 4$"):
                     _dual(J, 60.0, 6, A, source)
+
+
+def test_dual_march_stops_on_the_same_interval_across_blocks(cores,
+                                                            monkeypatch):
+    # no transport and dt = 0.12: w passes the largest double in the 150th
+    # substep, interval 450 of 600, inside the middle one of three blocks;
+    # the sweep, one call per block, names the interval that one call over
+    # all intervals names, at every width
+    N, J = 600, 10
+    A, source = np.zeros((N, J)), np.full(J, 1e307)
+    for lib in cores:
+        with _running(lib):
+            with pytest.raises(ss.SolverFailure) as blocked:
+                _dual(J, 0.12 * N, N, A, source)
+            with monkeypatch.context() as m:
+                m.setattr(ss.dual, "BLOCK", N)
+                with pytest.raises(ss.SolverFailure) as whole:
+                    _dual(J, 0.12 * N, N, A, source)
+            assert str(blocked.value) == str(whole.value) == \
+                "dual march non-finite in interval 450"
 
 
 # ------------------------------------------------------------- vector tails

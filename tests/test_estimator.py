@@ -48,8 +48,8 @@ def test_weight_integrals_converge_to_bump_mass(case):
 def test_gauss_rule_is_leggauss_bit_for_bit():
     # the literals stand in for np.polynomial.legendre.leggauss(5)
     x, w = np.polynomial.legendre.leggauss(5)
-    assert ss.estimator._GAUSS_X.tobytes() == x.tobytes()
-    assert ss.estimator._GAUSS_W.tobytes() == w.tobytes()
+    assert ss.grid._GAUSS_X.tobytes() == x.tobytes()
+    assert ss.grid._GAUSS_W.tobytes() == w.tobytes()
 
 
 def test_weight_integrals_support(case):
@@ -204,7 +204,7 @@ def test_breakdown_independent_of_block_size(case, mixed_trajectory):
     W, u = dual.w_samples, traj.states
 
     def sums(lo, hi):
-        out = np.empty((4, hi - lo))
+        out = np.empty((hi - lo, 4))
         assert _core.lib().march_dual(
             hi - lo, J, grid.h, None, 0, 0.0, None, None, None, 0.0, None,
             ptr(W[lo:hi]), None, ptr(u[lo:hi + 1]), ptr(k[lo:hi]),
@@ -214,11 +214,11 @@ def test_breakdown_independent_of_block_size(case, mixed_trajectory):
 
     want = sums(0, N)
     br = ss.assemble_breakdown(traj, dual, case)
-    assert (want[1] / k).tobytes() == br.eta_k_bar_n.tobytes()
-    assert (want[3] / k).tobytes() == br.eta_h_bar_n.tobytes()
+    assert (want[:, 1] / k).tobytes() == br.eta_k_bar_n.tobytes()
+    assert (want[:, 3] / k).tobytes() == br.eta_h_bar_n.tobytes()
     for rows in (1, 7, 256, N + 5):
         got = np.concatenate([sums(lo, min(lo + rows, N))
-                              for lo in range(0, N, rows)], axis=1)
+                              for lo in range(0, N, rows)])
         assert got.tobytes() == want.tobytes(), rows
 
 

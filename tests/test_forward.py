@@ -576,3 +576,179 @@ def test_run_forward_failure_names_interval(case):
     part = ss.uniform_partition(case.T, 2.5)
     with pytest.raises(ss.SolverFailure, match=r"interval 0 \(t=0\): .*CFL"):
         ss.run_forward(grid, part, case)
+
+
+# ---------------------------------------------------------------- checkpoints
+
+def _runs_partition(grid, case, runs):
+    """Steps at CFL 0.5 (explicit) and 1.5 (implicit) against the case's
+    global speed bound, in the runs [(mode, count), ...]."""
+    speed = ss.speed_for_basis(case, grid, "global")
+    k = {ss.EXPLICIT: 0.5 * grid.h / speed, ss.IMPLICIT: 1.5 * grid.h / speed}
+    modes = np.concatenate([np.full(n, mode, np.int8) for mode, n in runs])
+    steps = np.array([k[int(m)] for m in modes])
+    return ss.TimePartition(times=np.concatenate(([0.0], np.cumsum(steps))),
+                            modes=modes)
+
+
+def _full_march(grid, part, case):
+    """All N + 1 states in one array, one `march` call per run of equal
+    modes over the whole run, and the Newton arrays: the march before only
+    checkpoints were kept.  Returns (states, g, newton, (done, error))
+    with the first failure, if any."""
+    N = part.interval_count
+    g = np.atleast_1d(np.asarray(case.inflow_value(part.times), dtype=float))
+    u = np.empty((N + 1, grid.cell_count))
+    u[0] = case.initial_cell_averages(grid.edges)
+    newton = (np.zeros(N, np.intc), np.zeros(N), np.zeros(N, np.int8))
+    k, modes = part.steps, part.modes
+    cuts = [0, *(np.flatnonzero(np.diff(modes)) + 1).tolist(), N]
+    for s, e in zip(cuts[:-1], cuts[1:]):
+        done, err = ss.forward.march(u[s:e + 1], k[s:e], g[s:e + 1], grid.h,
+                                     case.flux, int(modes[s]),
+                                     tuple(x[s:e] for x in newton))
+        if err is not None:
+            return u, g, newton, (s + done, err)
+    return u, g, newton, None
+
+
+E, I = ss.EXPLICIT, ss.IMPLICIT
+_LAYOUTS = {
+    # N below one block, with a short implicit run inside it
+    "short": [(E, 20), (I, 5), (E, 30)],
+    # N a multiple of BLOCK
+    "explicit": [(E, 2 * ss.forward.BLOCK)],
+    "implicit": [(I, ss.forward.BLOCK)],
+    # runs that end on a block boundary (256), cross one (512, 768), and
+    # one-interval runs; 848 intervals end inside a block
+    "mixed": [(E, 200), (I, 56), (E, 250), (I, 10), (E, 30), (I, 1), (E, 1),
+              (I, 300)],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("flux", ["burgers", "linear"])
+def test_checkpoints_rebuild_the_full_march_bit_for_bit(layout, flux, case,
+                                                        linear_case):
+    # run_forward keeps row 0, every BLOCK-th row and each implicit end;
+    # every block rebuilt from them, and every per-row reduction, has the
+    # bits of one march over the whole array
+    c = case if flux == "burgers" else linear_case
+    grid = ss.build_spatial_grid(20, 0, c.domain)
+    part = _runs_partition(grid, c, _LAYOUTS[layout])
+    want, g, newton, failed = _full_march(grid, part, c)
+    assert failed is None
+    traj = ss.run_forward(grid, part, c)
+    B, N = ss.forward.BLOCK, part.interval_count
+    kept = {0, *range(B, N + 1, B), *(np.flatnonzero(part.modes) + 1).tolist()}
+    assert traj.kept_at.tolist() == sorted(kept)
+    assert traj.kept.tobytes() == want[traj.kept_at].tobytes()
+    for got, x in zip((traj.newton_iters, traj.newton_resid, traj.newton_stop),
+                      newton):
+        assert got.tobytes() == x.tobytes()
+    buf = np.empty((B + 1, grid.cell_count))
+    for lo in range(0, N, B):
+        hi = min(lo + B, N)
+        assert traj.rows(lo, hi, buf).tobytes() == want[lo:hi + 1].tobytes(), lo
+    red = traj.reduced
+    W = ss.weight_cell_integrals(grid, c)
+    assert red.speeds.tobytes() == ss.forward.wave_speeds(want, g, c.flux).tobytes()
+    assert red.coeff_speeds.tobytes() == ss.forward.wave_speeds(
+        want[1:], np.zeros(N), c.flux).tobytes()
+    assert red.dots.tobytes() == (want[1:] @ W).tobytes()
+    # the sweep over rebuilt blocks against the same sweep over stored
+    # states: every field of the breakdown, bit for bit
+    stored = ss.ForwardTrajectory(grid=grid, partition=part, states=want,
+                                  flux=c.flux, g=g, newton_iters=newton[0],
+                                  newton_resid=newton[1], newton_stop=newton[2])
+    got, wanted = (ss.assemble_breakdown(t, ss.solve_dual_gradient(
+        ss.build_coefficient_field(t), c), c) for t in (traj, stored))
+    for f in ("eta_k_bar_n", "eta_h_bar_n", "eta_k", "eta_h", "J_h"):
+        assert np.asarray(getattr(got, f)).tobytes() == \
+            np.asarray(getattr(wanted, f)).tobytes(), f
+    assert traj.states.tobytes() == want.tobytes()
+
+
+def test_blocked_gemv_dots_equal_one_gemv_at_levels_0_to_4(case):
+    # This pins an assumption on the BLAS behind numpy (OpenBLAS 0.3.31,
+    # Haswell kernel, where it was measured): its gemv forms each row's dot
+    # by the same kernel path whichever rows come before it, as long as a
+    # block starts a multiple of 4 rows after row 1, since the kernel takes
+    # rows four at a time.  The march's dots, one gemv per block of
+    # BLOCK rows from row 1 + BLOCK b, then equal one gemv over all rows,
+    # and J_h has the bits it had when the states were stored.  Blocks of
+    # 1 or 255 rows break it.  The row maxima are exact whatever the blocks.
+    assert ss.forward.BLOCK % 4 == 0
+    for level in range(5):
+        grid = ss.build_spatial_grid(20, level, case.domain)
+        part = ss.uniform_cfl_partition(case, grid, 0.8)
+        traj = ss.run_forward(grid, part, case)
+        red = traj.reduced
+        u, W = traj.states, ss.weight_cell_integrals(grid, case)
+        assert red.dots.tobytes() == (u[1:] @ W).tobytes(), level
+        assert ss.evaluate_functional(traj, case) == \
+            float(np.sum(part.steps * (u[1:] @ W))), level
+        assert red.speeds.tobytes() == \
+            ss.forward.wave_speeds(u, traj.g, case.flux).tobytes(), level
+        assert red.coeff_speeds.tobytes() == ss.forward.wave_speeds(
+            u[1:], np.zeros(part.interval_count), case.flux).tobytes(), level
+
+
+class _NaNInflow:
+    """The benchmark case with its inflow NaN from t_nan on."""
+
+    def __init__(self, case, t_nan):
+        self.case, self.t_nan = case, t_nan
+        self.flux, self.domain = case.flux, case.domain
+
+    def initial_cell_averages(self, edges):
+        return self.case.initial_cell_averages(edges)
+
+    def weight(self, x):
+        return self.case.weight(x)
+
+    def inflow_value(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t >= self.t_nan, np.nan, self.case.inflow_value(t))
+
+
+class _ConstantInflow(_NaNInflow):
+    """The benchmark case with a constant inflow value."""
+
+    def inflow_value(self, t):
+        return np.full(np.shape(t), self.t_nan)
+
+
+def _failing_run(case, kind):
+    grid = ss.build_spatial_grid(20, 0, case.domain)
+    if kind == "cfl":
+        # one step at CFL 2 at interval 300, in the second block
+        part = _runs_partition(grid, case, [(E, 300), (E, 40)])
+        times = part.times.copy()
+        times[301:] += 3 * (times[301] - times[300])
+        return grid, ss.TimePartition(times=times, modes=part.modes), case
+    if kind == "nan":
+        part = _runs_partition(grid, case, [(E, 340)])
+        return grid, part, _NaNInflow(case, part.times[300])
+    # 260 short explicit steps, then k = 5h at inflow 1.03: undamped
+    # Newton stalls near the outflow boundary, past the first block
+    part = _runs_partition(grid, case, [(E, 260)])
+    times = np.concatenate((part.times, part.times[-1] + 5 * grid.h
+                            * np.arange(1, 200)))
+    modes = np.concatenate((part.modes, np.full(199, I, np.int8)))
+    return grid, ss.TimePartition(times=times, modes=modes), \
+        _ConstantInflow(case, 1.03)
+
+
+@pytest.mark.parametrize("kind", ["cfl", "nan", "stall"])
+def test_refusals_in_a_later_block_keep_their_words(case, kind):
+    # a failure past the first block names the interval and says what the
+    # march over the whole array says
+    grid, part, c = _failing_run(case, kind)
+    *_, (n, err) = _full_march(grid, part, c)
+    assert n >= ss.forward.BLOCK
+    assert type(err) is (ss.NonConvergence if kind == "stall" else ss.SolverFailure)
+    with pytest.raises(ss.SolverFailure) as exc:
+        ss.run_forward(grid, part, c)
+    assert str(exc.value) == f"interval {n} (t={part.times[n]:.6g}): {err}"
+    assert type(exc.value.__cause__) is type(err)
