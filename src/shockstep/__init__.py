@@ -8,8 +8,8 @@ retiles the time axis between mesh levels.
 from .adaptivity import (AdaptationConfig, AdaptationPlan, LevelReport,
                          PlanStats, SpeedProfile, adaptive_loop, assign_modes,
                          propose_timesteps, solve_level, tolerance_schedule)
-from .dual import (CoefficientField, DualGradientTrajectory,
-                   build_coefficient_field, solve_dual_gradient)
+from .dual import (DualGradientTrajectory, build_coefficient_field,
+                   solve_dual_gradient)
 from .estimator import (ErrorBreakdown, assemble_breakdown, efficiency_index,
                         evaluate_functional, reference_functional,
                         weight_cell_integrals)
@@ -27,8 +27,7 @@ __all__ = [
     "AdaptationConfig", "AdaptationPlan", "LevelReport", "PlanStats",
     "SpeedProfile", "adaptive_loop", "assign_modes", "propose_timesteps",
     "solve_level", "tolerance_schedule",
-    "CoefficientField", "DualGradientTrajectory", "build_coefficient_field",
-    "solve_dual_gradient",
+    "DualGradientTrajectory", "build_coefficient_field", "solve_dual_gradient",
     "ErrorBreakdown", "assemble_breakdown", "efficiency_index",
     "evaluate_functional", "reference_functional", "weight_cell_integrals",
     "BURGERS", "BurgersFlux", "LinearFlux", "NewtonStats", "NonConvergence",

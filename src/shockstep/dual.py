@@ -1,8 +1,9 @@
 """Adjoint gradient solver.
 
 The derivative w of the adjoint solution satisfies a linear conservation
-law with the frozen transport coefficient a(x,t); it is marched backward
-in time with the same finite-volume machinery as the forward problem.
+law with the frozen transport coefficient a(x,t) = f'(u^{n+1}); it is
+marched backward in time with the same finite-volume machinery as the
+forward problem, from the forward run it linearizes and nothing else.
 Substituting tau = T - t turns the backward march into a forward one for
 d/dtau w - d/dx (a w) = -psi', integrated explicitly.
 """
@@ -15,58 +16,17 @@ import numpy as np
 
 from . import _core
 from ._core import ptr
-from .forward import (BLOCK, ForwardTrajectory, SolverFailure, _flux_code,
-                      wave_speeds)
+from .forward import BLOCK, ForwardTrajectory, SolverFailure, _flux_code
 from .grid import SpatialGrid, TimePartition
 
 DUAL_CFL = 0.8
 
 
-class CoefficientField:
-    """The frozen coefficient a = f'(u^{n+1}) of each interval, as the end
-    states and the flux from which the compiled core forms it.  Built by
-    hand it stores the end states, (N, J); `build_coefficient_field`
-    leaves them in the trajectory, which gives them block by block."""
-
-    def __init__(self, grid: SpatialGrid, partition: TimePartition,
-                 states=None, flux=None, traj: Optional[ForwardTrajectory] = None):
-        self.grid, self.partition, self.flux, self.traj = grid, partition, flux, traj
-        self.stored = None if states is None else np.ascontiguousarray(states,
-                                                                       dtype=float)
-
-    @property
-    def shape(self) -> tuple:
-        """(N, J) of the end states, stored or not."""
-        if self.traj is None:
-            return self.stored.shape
-        n, J = self.traj.shape
-        return n - 1, J
-
-    @property
-    def states(self) -> np.ndarray:
-        """(N, J), u^{n+1} of interval n; a trajectory's are rebuilt."""
-        return self.stored if self.traj is None else self.traj.states[1:]
-
-    def end_rows(self, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
-        """The end states of the intervals lo .. hi - 1 of one block,
-        C-contiguous; a trajectory's are rebuilt into buf if need be."""
-        if self.traj is None:
-            return self.stored[lo:hi]
-        return self.traj.rows(lo, hi, buf)[1:]
-
-    def speeds(self) -> np.ndarray:
-        """max|f'| of each end state alone, (N,): the trajectory's row
-        reduction, or the core's over the stored states."""
-        if self.traj is not None:
-            return self.traj.reductions().coeff_speeds
-        return wave_speeds(self.stored, np.zeros(len(self.stored)), self.flux)
-
-
 @dataclass
 class DualPlan:
-    """The backward march of one coefficient field, counted before any
-    substep runs."""
-    coeff: CoefficientField
+    """The backward march of one forward run, counted before any substep
+    runs."""
+    traj: ForwardTrajectory
     substeps: np.ndarray     # m per interval, the kernels' `long`
     dt: np.ndarray           # substep length per interval
     source: np.ndarray       # -psi' at the J cell centres
@@ -78,8 +38,10 @@ class DualGradientTrajectory:
     `solve_dual_gradient` gives its march plan and no sample:
     `estimator.assemble_breakdown` reduces each one in the backward sweep
     that takes it, and the first read of `w_samples` runs the same sweep
-    to store them, (N, J).  Built from stored samples instead, the dual
-    has no plan and its samples are read as given.
+    to store them, (N, J).  The plan keeps the forward run itself: the
+    sweep reads the end states u^{n+1} from it, block by block.  Built
+    from stored samples instead, the dual has no plan and its samples are
+    read as given.
     """
 
     def __init__(self, grid: SpatialGrid, partition: TimePartition,
@@ -96,7 +58,8 @@ class DualGradientTrajectory:
     @property
     def shape(self) -> tuple:
         """(N, J) of the samples, stored or planned."""
-        return self.plan.coeff.shape if self.stored is None else np.shape(self.stored)
+        planned = self.partition.interval_count, self.grid.cell_count
+        return planned if self.stored is None else np.shape(self.stored)
 
     @property
     def w_samples(self) -> np.ndarray:
@@ -114,21 +77,17 @@ def _cells(values, n: int) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(np.asarray(values, dtype=float), (n,)))
 
 
-def build_coefficient_field(traj: ForwardTrajectory) -> CoefficientField:
-    """Linearization coefficient a_j^n = f'(u_j^{n+1}), end-of-interval
-    state, left in the trajectory (its states rebuilt block by block as
-    the march reads them) with its flux.
-
-    The end state is the one defining an implicit step's fluxes, and the
-    piecewise-constant-in-time freezing matches the solution representation.
-    """
-    return CoefficientField(traj.grid, traj.partition, flux=traj.flux, traj=traj)
+def build_coefficient_field(traj: ForwardTrajectory) -> ForwardTrajectory:
+    """The run itself: the dual's coefficient a = f'(u^{n+1}) is formed
+    from its end states and flux in the sweep."""
+    return traj
 
 
-def solve_dual_gradient(coeff: CoefficientField, case,
+def solve_dual_gradient(coeff: ForwardTrajectory, case,
                         dual_cfl: float = DUAL_CFL,
                         record_substeps: bool = False) -> DualGradientTrajectory:
-    """Explicit backward march from w(., T) = 0.
+    """Explicit backward march from w(., T) = 0 over the forward run
+    `coeff`.
 
     Within each forward interval the coefficient is frozen and sub-steps of
     size delta_tau <= dual_cfl * h / max|a| are taken (adaptive forward
@@ -137,13 +96,16 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     them, counted for every interval before any runs.  w_j^n is the
     sub-step profile nearest the interval midpoint; spatial boundaries use
     zero ghost values, the coefficient is extended by its edge cells.  The
-    compiled core forms the coefficient a = f'(u^{n+1}) from the end
-    states and the flux; the counts read each end state's max|a| only
-    (`CoefficientField.speeds`).  Only the plan is made here: the substeps run in
-    `sweep`, inside the breakdown or on the first read of `w_samples`.
-    With `record_substeps` the march runs at once and stores the samples,
-    and also returns each substep's relative mass-balance residual,
-    logged as (interval, dt, residual) in march order.
+    compiled core forms the coefficient a = f'(u^{n+1}) from the run's end
+    states and flux (the end state defines an implicit step's fluxes, and
+    freezing it per interval matches the piecewise-constant solution); the
+    counts read each end state's max|a| only, the run's row reduction
+    `coeff_speeds`.  Only the plan is made here: the
+    substeps run in `sweep`, inside the breakdown or on the first read of
+    `w_samples`.  With `record_substeps` the march runs at once and
+    stores the samples, and also returns each substep's relative
+    mass-balance residual, logged as (interval, dt, residual) in march
+    order.
     """
     if not (0.0 < dual_cfl <= 1.0):
         raise ValueError("need 0 < dual_cfl <= 1")
@@ -152,11 +114,11 @@ def solve_dual_gradient(coeff: CoefficientField, case,
     h = grid.h
     J = grid.cell_count
     N = part.interval_count
-    if coeff.shape != (N, J):
-        raise ValueError(f"end states of shape {coeff.shape}, need {(N, J)}")
+    if coeff.shape != (N + 1, J):
+        raise ValueError(f"states of shape {coeff.shape}, need {(N + 1, J)}")
     # substep counts and sizes of all intervals, before any substep runs;
     # a_max = 0 gives m = 1
-    k, a_max = part.steps, coeff.speeds()
+    k, a_max = part.steps, coeff.reductions().coeff_speeds
     m_all, dt_all = np.empty(N, _core.LONG), np.empty(N)
     bad = _core.lib().dual_substeps(N, h, dual_cfl, ptr(k), ptr(a_max),
                                     ptr(m_all, _core.LONG), ptr(dt_all))
@@ -168,7 +130,7 @@ def solve_dual_gradient(coeff: CoefficientField, case,
                             f"large at dual_cfl = {dual_cfl!r})")
     source = -_cells(case.weight_gradient(grid.centers), J)
     dual = DualGradientTrajectory(grid, part, plan=DualPlan(
-        coeff=coeff, substeps=m_all, dt=dt_all, source=source))
+        traj=coeff, substeps=m_all, dt=dt_all, source=source))
     if record_substeps:
         # per-substep mass-balance residuals, in march order (last interval
         # first), from the march that stores the samples
@@ -196,29 +158,27 @@ def sweep(dual: DualGradientTrajectory, samples=None, mass=None,
     the march is skipped and they are read.  `breakdown` = (traj, psi,
     out) reduces each interval, as soon as its sample exists, to the four
     sums `estimator.assemble_breakdown` reads in `out` (N, 4), from the
-    trajectory's states, inflow and modes and `psi` at the cell centres.
-    Each block's states are rebuilt from the trajectory's checkpoint just
-    before the block runs (`ForwardTrajectory.rows`), into one reused
-    buffer; a plan built from the same trajectory reads its end states
-    there.  The sweep takes one flux, the plan's when it marches: the
-    caller sees that it is the trajectory's.
+    trajectory's states, inflow and modes and `psi` at the cell centres;
+    a planned dual must come from that trajectory.  Each block's states
+    are read once from the run (`ForwardTrajectory.rows`, which rebuilds
+    them from their checkpoint into one reused buffer): the march takes
+    the end states rows[1:], the breakdown all of them, with the run's
+    one flux.
     """
     N, J = dual.shape
     h = dual.grid.h
+    traj = breakdown[0] if dual.plan is None else dual.plan.traj
+    if breakdown is not None and breakdown[0] is not traj:
+        raise ValueError("the dual was planned on another forward run")
     plan = dual.plan if dual.stored is None else None
-    traj = None if breakdown is None else breakdown[0]
-    rows = c = None
+    kind, a = _flux_code(traj.flux)
     march = (None, None, None, 0.0, None)
     reduce = (None,) * 6
     # every array the kernel reads stays bound here until it returns
     buf = np.empty((min(BLOCK, N) + 1, J))
     if plan is None:
-        kind, a = _flux_code(traj.flux)
         samples = np.ascontiguousarray(dual.stored, dtype=float)
     else:
-        kind, a = _flux_code(plan.coeff.flux)
-        shared = traj is not None and plan.coeff.traj is traj
-        cbuf = buf if shared or plan.coeff.traj is None else np.empty_like(buf)
         w_ext = np.zeros(J + 2)   # w between zero ghost values
         m, dt = plan.substeps, plan.dt
         src_total = h * float(np.sum(plan.source))
@@ -226,23 +186,22 @@ def sweep(dual: DualGradientTrajectory, samples=None, mass=None,
         # intervals from hi on come before a block that ends at hi
         if mass is not None:
             first = mass.size - np.concatenate(([0], np.cumsum(m)))
-    if traj is not None:
+    if breakdown is not None:
         _, psi, out = breakdown
         g = np.ascontiguousarray(traj.g, dtype=float)
         k, modes = traj.partition.steps, traj.partition.modes
     core = _core.lib()
     for lo in reversed(range(0, N, BLOCK)):
         hi = min(lo + BLOCK, N)
-        if traj is not None:
-            rows = traj.rows(lo, hi, buf)
+        rows = traj.rows(lo, hi, buf)
+        if breakdown is not None:
             reduce = (ptr(rows), ptr(k[lo:hi]), ptr(modes[lo:hi], np.int8),
                       ptr(g[lo:hi + 1]), ptr(psi), ptr(out[lo:hi]))
         if plan is not None:
-            c = rows[1:] if shared else plan.coeff.end_rows(lo, hi, cbuf)
             march = (ptr(m[lo:hi], _core.LONG), ptr(dt[lo:hi]), ptr(plan.source),
                      src_total, ptr(w_ext))
         done = core.march_dual(
-            hi - lo, J, h, None if c is None else ptr(c), kind, a, *march,
+            hi - lo, J, h, None if plan is None else ptr(rows[1:]), kind, a, *march,
             None if samples is None else ptr(samples[lo:hi]),
             None if mass is None else ptr(mass[first[hi]:]), *reduce)
         if done < 0:

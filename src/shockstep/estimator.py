@@ -57,11 +57,11 @@ def assemble_breakdown(traj: ForwardTrajectory, dual: DualGradientTrajectory,
     a, the fluxes and both terms row by row from the states and reduces
     each row to its signed and absolute sums, so no (N, J) term array
     exists; every field is a per-row reduction or a sum over rows.  A
-    planned dual is marched in the same backward sweep (`dual.sweep`),
-    each interval reduced as soon as its sample exists, so no (N, J)
-    sample array exists either; stored samples are read as given.  The
-    sweep rebuilds each block's states from the trajectory's checkpoint
-    just before the block runs, so no (N, J) state array exists either.
+    dual planned on `traj` is marched in the same backward sweep
+    (`dual.sweep`), each interval reduced as soon as its sample exists;
+    stored samples are read as given.  The sweep reads each block's
+    states once, rebuilt from their checkpoint just before the block
+    runs, for the march and the reduction: no (N, J) array exists.
     """
     grid = traj.grid
     part = traj.partition
@@ -72,9 +72,6 @@ def assemble_breakdown(traj: ForwardTrajectory, dual: DualGradientTrajectory,
     k = part.steps
     psi = _cells(case.weight(grid.centers), J)
     sums = np.empty((N, 4))
-    if dual.stored is None and (forward._flux_code(dual.plan.coeff.flux)
-                                != forward._flux_code(traj.flux)):
-        dual.w_samples    # the sweep has one flux: march first, then reduce
     sweep(dual, breakdown=(traj, psi, sums))
     signed_k, abs_k, signed_h, abs_h = np.ascontiguousarray(sums.T)
     eta_k_bar_n = abs_k / k

@@ -91,16 +91,15 @@ class RowReductions:
 
 class ForwardTrajectory:
     """A forward run: the inflow at each t_n, the Newton record and the
-    states u^0 .. u^N of J cells each.
+    states u^0 .. u^N of J cells each, the dual's one input.
 
-    Built by hand, it stores all N + 1 states.  `run_forward` keeps fewer:
-    `kept` holds the states at the rows `kept_at`, row 0 and every
-    BLOCK-th, and each state that ends an implicit interval, since
-    rebuilding it would take Newton again; `reduced` holds the per-row
-    reductions the later stages read.  `rows` gives one block's states,
-    re-marched from its checkpoint by the kernel that made them, so with
-    their bits; `states` rebuilds all N + 1 on the first read and keeps
-    them.
+    `kept` holds the states at the rows `kept_at`: all N + 1 when built
+    by hand from `states`; `run_forward` keeps row 0, every BLOCK-th and
+    each state that ends an implicit interval, since rebuilding it would
+    take Newton again, and `reduced` holds the per-row reductions the
+    later stages read.  `rows` gives one block's states, re-marched from
+    its checkpoint by the kernel that made them, so with their bits;
+    `states` rebuilds all N + 1 on the first read and keeps them.
     """
 
     def __init__(self, grid: SpatialGrid, partition: TimePartition,
@@ -115,38 +114,36 @@ class ForwardTrajectory:
         self.newton_resid = newton_resid
         self.newton_stop = newton_stop
         if states is not None:
-            kept, kept_at = np.ascontiguousarray(states, dtype=float), None
+            kept = np.ascontiguousarray(states, dtype=float)
+            kept_at = np.arange(partition.interval_count + 1)
+            if len(kept) != kept_at.size:
+                raise ValueError(f"{len(kept)} states, need {kept_at.size}")
         self.kept, self.kept_at, self.reduced = kept, kept_at, reduced
-        if kept_at is not None:
-            self._runs, self._steps = mode_runs(partition.modes), partition.steps
+        self._runs, self._steps = mode_runs(partition.modes), partition.steps
 
     @property
     def shape(self) -> tuple:
-        """(N+1, J) of the states, stored or not."""
-        if self.kept_at is None:
-            return self.kept.shape
+        """(N+1, J) of the states, kept or not."""
         return self.partition.interval_count + 1, self.kept.shape[1]
 
     @property
     def states(self) -> np.ndarray:
         """(N+1, J) cell averages, row 0 the initial data; rebuilt on the
-        first read when only checkpoints are kept, then stored."""
-        if self.kept_at is not None:
-            N = self.partition.interval_count
+        first read when only checkpoints are kept, then all kept."""
+        N = self.partition.interval_count
+        if self.kept_at.size < N + 1:
             full = np.empty(self.shape)
             full[self.kept_at] = self.kept
             for lo in range(0, N, BLOCK):
                 hi = min(lo + BLOCK, N)
                 full[lo:hi + 1] = self.rows(lo, hi, full[lo:])
-            self.kept, self.kept_at = full, None
+            self.kept, self.kept_at = full, np.arange(N + 1)
         return self.kept
 
     def rows(self, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
-        """The states lo .. hi, C-contiguous, lo a multiple of BLOCK: stored
+        """The states lo .. hi, C-contiguous, lo a multiple of BLOCK: kept
         ones as they are, the others re-marched from the checkpoint at lo
         into buf (hi - lo + 1 rows of J at least)."""
-        if self.kept_at is None:
-            return self.kept[lo:hi + 1]
         rows = _kept_block(self.kept, self.kept_at, lo, hi)
         if rows is not None:
             return rows

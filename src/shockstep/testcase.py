@@ -138,9 +138,15 @@ def _node_spacing(p):
 
 def _node_pass(p, scale):
     """The filter's fast departure values v and shock speeds sdot on the
-    2**16 + 1 level-16 dyadic nodes of window p."""
-    return _filter(p[1] + _node_spacing(p) * np.arange(2 ** _NODE_LEVEL + 1),
-                   p, scale)
+    2**16 + 1 level-16 dyadic nodes of window p.  The departure map
+    divides by u_L = 1 + 2 sdot, and sdot moves at most L D between
+    nodes, so a window where 1 + 2 (min sdot - L D) <= 0 is refused."""
+    D = _node_spacing(p)
+    v, sdot = _filter(p[1] + D * np.arange(2 ** _NODE_LEVEL + 1), p, scale)
+    if 1.0 + 2.0 * (np.min(sdot) - _speed_lipschitz(p, scale) * D) <= 0.0:
+        raise ValueError(f"window [{p[1]:g}, {p[2]:g}) at perturbation_scale "
+                         f"{scale!r}: the carried value 1 + 2 sdot can reach 0")
+    return v, sdot
 
 
 def _passes_gate(v, p):
@@ -360,6 +366,7 @@ class PerturbedShockCase:
     are not filled yet, and the first use per scale runs the node pass
     and finds the exact peak from a bound on |g| per node, filling only
     the few hundred nodes that bound cannot rule out (`_table_skeleton`).
+    A scale where u_L = 1 + 2 sdot can reach 0 has no inflow (`_node_pass`).
     """
 
     def __init__(self, perturbation_scale: float = 1.0):

@@ -3,7 +3,8 @@ and `Stepper`, which takes one step at a time through the compiled march.
 
 `flux_values` is f(u) of a flux object and `fprime` its f'(u), which
 the compiled core forms; `no_newton` is the Newton record of intervals
-that ran no Newton iteration.  `split` is the flux splitting the march
+that ran no Newton iteration, and `end_state_run` a hand-made run with
+given end states, the dual's one input.  `split` is the flux splitting the march
 transcribes, `interface_fluxes` the march's flux construction
 in array form, `update_fluxes` rebuilds the fluxes every update of a
 `run_forward` trajectory used, and `cell_terms` forms the error
@@ -80,6 +81,15 @@ def no_newton(n):
     `run_forward` keeps them for explicit ones."""
     return dict(newton_iters=np.zeros(n, np.intc), newton_resid=np.zeros(n),
                 newton_stop=np.zeros(n, np.int8))
+
+
+def end_state_run(grid, part, A, flux):
+    """A `ForwardTrajectory` whose end states u^1 .. u^N are the (N, J)
+    rows A, row 0 repeating A[0], with inflow 0 and no Newton record."""
+    A = np.asarray(A, dtype=float)
+    N = part.interval_count
+    return ss.ForwardTrajectory(grid, part, np.concatenate((A[:1], A)), flux,
+                                np.zeros(N + 1), **no_newton(N))
 
 
 def split(flux, v, d, f):

@@ -12,8 +12,9 @@ import pytest
 
 import shockstep as ss
 from shockstep.cli import main as cli_main
-from shockstep.dual import DUAL_CFL, CoefficientField
-from oracles import Stepper, interface_fluxes, split, update_fluxes
+from shockstep.dual import DUAL_CFL
+from oracles import (Stepper, end_state_run, interface_fluxes, split,
+                     update_fluxes)
 
 # reference targets for the uniform-refinement study (20..160 cells)
 TARGET_ETA_K = (1.96e-3, 9.81e-4, 4.81e-4, 2.37e-4)
@@ -218,10 +219,9 @@ def test_criterion_7_dual_convergence_and_mass(case):
     for J in (20, 40, 80, 160):
         grid = ss.build_spatial_grid(J, 0)
         part = ss.uniform_partition(Td, grid.h)
-        coeff = CoefficientField(
-            grid=grid, partition=part,
-            states=np.ones((part.interval_count, grid.cell_count)),
-            flux=ss.BURGERS)
+        coeff = end_state_run(
+            grid, part, np.ones((part.interval_count, grid.cell_count)),
+            ss.BURGERS)
         dual = ss.solve_dual_gradient(coeff, case, record_substeps=True)
         for _, _, rel in dual.substep_log:
             assert rel <= 1e-12

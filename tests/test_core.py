@@ -43,10 +43,9 @@ from hypothesis import strategies as st
 
 import shockstep as ss
 from shockstep import _core, testcase
-from shockstep.dual import CoefficientField
 import oracles
-from oracles import (Stepper, cell_terms, interface_fluxes, no_newton,
-                     percent_rows, split)
+from oracles import (Stepper, cell_terms, end_state_run, interface_fluxes,
+                     no_newton, percent_rows, split)
 
 EPS = np.finfo(float).eps
 # values that hit the splitting's branches: sonic point, both zeros
@@ -575,7 +574,7 @@ def test_dual_substeps_match_numpy_bitwise(cores, J, N, seed, sparse, record):
     for lib in cores:
         with _running(lib):
             dual = ss.solve_dual_gradient(
-                CoefficientField(grid, part, A, ss.BURGERS), _Source(source),
+                end_state_run(grid, part, A, ss.BURGERS), _Source(source),
                 record_substeps=record)
             assert _same(dual.w_samples, samples)
             if record:
@@ -652,7 +651,7 @@ def test_non_finite_substep_count_fails_before_any_substep(bad, monkeypatch):
              if not math.isfinite(bad) else
              "^dual march: interval 1 needs more substeps than a long counts")
     with pytest.raises(ss.SolverFailure, match=cause):
-        ss.solve_dual_gradient(CoefficientField(grid, part, A, ss.BURGERS),
+        ss.solve_dual_gradient(end_state_run(grid, part, A, ss.BURGERS),
                                _Source(np.ones(6)), record_substeps=True)
 
 
@@ -723,8 +722,8 @@ def test_kernel_arguments_are_checked_at_the_boundary():
     # a scalar weight gradient broadcasts over the cells, as it did in numpy
     grid = ss.build_spatial_grid(6, 0)
     part = ss.TimePartition(times=np.array([0.0, 0.02, 0.05]))
-    coeff = CoefficientField(grid, part, np.linspace(-1.0, 1.0, 12).reshape(2, 6),
-                             ss.BURGERS)
+    coeff = end_state_run(grid, part, np.linspace(-1.0, 1.0, 12).reshape(2, 6),
+                          ss.BURGERS)
     scalar = ss.solve_dual_gradient(coeff, _Source(np.float64(0.5)))
     cells = ss.solve_dual_gradient(coeff, _Source(np.full(6, 0.5)))
     assert _same(scalar.w_samples, cells.w_samples)
@@ -738,7 +737,7 @@ def _dual(J, T, N, A, source):
     the march."""
     grid = ss.build_spatial_grid(J, 0)
     part = ss.TimePartition(times=np.linspace(0.0, T, N + 1))
-    return ss.solve_dual_gradient(CoefficientField(grid, part, A, ss.BURGERS),
+    return ss.solve_dual_gradient(end_state_run(grid, part, A, ss.BURGERS),
                                   _Source(source)).w_samples
 
 
@@ -845,7 +844,7 @@ def test_kernel_tails_match_numpy_at_every_length(cores, J):
         for lib in cores:
             with _running(lib):
                 dual = ss.solve_dual_gradient(
-                    CoefficientField(grid, part, A, ss.BURGERS), _Source(source),
+                    end_state_run(grid, part, A, ss.BURGERS), _Source(source),
                     record_substeps=record)
                 assert _same(dual.w_samples, samples)
                 if record:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shockstep as ss
-from shockstep.dual import CoefficientField
+from oracles import end_state_run
 
 
 class _GradientOnlyCase:
@@ -25,15 +25,11 @@ class _GradientOnlyCase:
 
 # ------------------------------------------------------- coefficient field
 
-def test_coefficient_field_freezes_end_states(case):
-    grid = ss.build_spatial_grid(20, 0)
-    part = ss.uniform_partition(1.0, 0.04)
-    traj = ss.run_forward(grid, part, case)
-    coeff = ss.build_coefficient_field(traj)
-    # the advective derivative of u^2/2 is u itself, end state per interval
-    np.testing.assert_array_equal(coeff.states, traj.states[1:])
-    assert coeff.grid is grid
-    assert coeff.partition is part
+def test_coefficient_field_is_the_run_itself(case):
+    # the dual reads the end states and the flux of the run it linearizes
+    traj = ss.run_forward(ss.build_spatial_grid(20, 0),
+                          ss.uniform_partition(1.0, 0.04), case)
+    assert ss.build_coefficient_field(traj) is traj
 
 
 # ------------------------------------------------------------ closed forms
@@ -42,10 +38,9 @@ def test_zero_weight_gradient_keeps_w_zero():
     grid = ss.build_spatial_grid(10, 0)
     part = ss.uniform_partition(2.0, 0.25)
     rng = np.random.default_rng(8)
-    coeff = CoefficientField(grid=grid, partition=part,
-                             states=rng.uniform(-1.0, 1.0,
-                                                (part.interval_count, 10)),
-                             flux=ss.BURGERS)
+    coeff = end_state_run(grid, part,
+                          rng.uniform(-1.0, 1.0, (part.interval_count, 10)),
+                          ss.BURGERS)
     stub = _GradientOnlyCase(np.zeros_like)
     dual = ss.solve_dual_gradient(coeff, stub)
     np.testing.assert_array_equal(dual.w_samples, 0.0)
@@ -55,9 +50,8 @@ def test_zero_coefficient_gives_linear_source_growth(case):
     # with a = 0 the update is pure accumulation: w(tau) = tau * source
     grid = ss.build_spatial_grid(20, 0)
     part = ss.uniform_partition(3.0, 0.4)
-    coeff = CoefficientField(grid=grid, partition=part,
-                             states=np.zeros((part.interval_count, 20)),
-                             flux=ss.BURGERS)
+    coeff = end_state_run(grid, part, np.zeros((part.interval_count, 20)),
+                          ss.BURGERS)
     dual = ss.solve_dual_gradient(coeff, case)
     src = -case.weight_gradient(grid.centers)
     T = part.times[-1]
@@ -75,10 +69,9 @@ def test_unit_coefficient_first_order_convergence(case):
         grid = ss.build_spatial_grid(J, 0)
         h = grid.h
         part = ss.uniform_partition(Td, h)
-        coeff = CoefficientField(
-            grid=grid, partition=part,
-            states=np.ones((part.interval_count, grid.cell_count)),
-            flux=ss.BURGERS)
+        coeff = end_state_run(
+            grid, part, np.ones((part.interval_count, grid.cell_count)),
+            ss.BURGERS)
         dual = ss.solve_dual_gradient(coeff, case, record_substeps=True)
         assert dual.max_mass_residual <= 1e-12
         xc = grid.centers
@@ -102,8 +95,7 @@ def test_substep_march_matches_scalar_reimplementation():
     part = ss.TimePartition(times=times)
     a_vals = rng.uniform(-1.5, 1.5, (2, J))
     stub = _GradientOnlyCase(lambda x: np.cos(3.0 * x))
-    coeff = CoefficientField(grid=grid, partition=part, states=a_vals,
-                             flux=ss.BURGERS)
+    coeff = end_state_run(grid, part, a_vals, ss.BURGERS)
     dual = ss.solve_dual_gradient(coeff, stub, record_substeps=True)
 
     src = -np.cos(3.0 * grid.centers)
@@ -162,8 +154,7 @@ def test_mass_balance_on_random_fields(case, steps, J, seed, zero, dual_cfl,
     part = ss.TimePartition(times=np.concatenate(([0.0], np.cumsum(steps))))
     a = np.zeros((len(steps), J)) if zero else \
         np.random.default_rng(seed).uniform(-2.0, 2.0, (len(steps), J))
-    coeff = CoefficientField(grid=grid, partition=part, states=a,
-                             flux=ss.BURGERS)
+    coeff = end_state_run(grid, part, a, ss.BURGERS)
     source = case if scalar is None else _GradientOnlyCase(lambda x: scalar)
     dual = ss.solve_dual_gradient(coeff, source, dual_cfl, record_substeps=True)
     assert dual.max_mass_residual <= 1e-12
@@ -177,8 +168,7 @@ def test_mass_balance_on_random_fields(case, steps, J, seed, zero, dual_cfl,
 def test_substep_log_absent_by_default(case):
     grid = ss.build_spatial_grid(10, 0)
     part = ss.uniform_partition(1.0, 0.5)
-    coeff = CoefficientField(grid=grid, partition=part,
-                             states=np.ones((2, 10)), flux=ss.BURGERS)
+    coeff = end_state_run(grid, part, np.ones((2, 10)), ss.BURGERS)
     dual = ss.solve_dual_gradient(coeff, case)
     assert dual.substep_log is None
     assert dual.max_mass_residual is None
@@ -188,8 +178,7 @@ def test_substep_log_absent_by_default(case):
 def test_dual_cfl_validation(case, bad):
     grid = ss.build_spatial_grid(10, 0)
     part = ss.uniform_partition(1.0, 0.5)
-    coeff = CoefficientField(grid=grid, partition=part,
-                             states=np.ones((2, 10)), flux=ss.BURGERS)
+    coeff = end_state_run(grid, part, np.ones((2, 10)), ss.BURGERS)
     with pytest.raises(ValueError, match="dual_cfl"):
         ss.solve_dual_gradient(coeff, case, dual_cfl=bad)
 

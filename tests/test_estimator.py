@@ -244,21 +244,16 @@ def test_breakdown_reads_the_inflow_of_the_march(case, mixed_trajectory,
     assert br.eta_h == float(np.sum(np.sum(cells_h, axis=1)))
 
 
-def test_breakdown_of_a_dual_planned_with_another_flux(case, mixed_trajectory):
-    # the sweep takes one flux; a dual planned on a LinearFlux field is
-    # marched first, with its own coefficient, and then reduced with the
-    # trajectory's Burgers flux, as from its stored samples
+def test_breakdown_refuses_a_dual_planned_on_another_run(case, mixed_trajectory):
+    # the sweep reads one run's states for the march and the reduction
+    # both; a dual planned on another run, even one with the same bits,
+    # is refused, not marched
     traj = mixed_trajectory
-    coeff = ss.build_coefficient_field(traj)
-    coeff.flux = ss.LinearFlux(0.5)
-    dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
-    br = ss.assemble_breakdown(traj, dual, case)
-    planned = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
-    want = ss.assemble_breakdown(traj, DualGradientTrajectory(
-        traj.grid, traj.partition, planned.w_samples), case)
-    assert br.eta_k_bar_n.tobytes() == want.eta_k_bar_n.tobytes()
-    assert br.eta_h_bar_n.tobytes() == want.eta_h_bar_n.tobytes()
-    assert (br.eta_k, br.eta_h) == (want.eta_k, want.eta_h)
+    rerun = ss.run_forward(traj.grid, traj.partition, case)
+    dual = ss.solve_dual_gradient(rerun, case, DUAL_CFL)
+    with pytest.raises(ValueError, match="planned on another forward run"):
+        ss.assemble_breakdown(traj, dual, case)
+    assert dual.stored is None
 
 
 def test_breakdown_rejects_mismatched_shapes(case):

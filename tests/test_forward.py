@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shockstep as ss
-from oracles import (Stepper, flux_values, interface_fluxes, split,
+from oracles import (Stepper, flux_values, interface_fluxes, no_newton, split,
                      update_fluxes)
 
 # squares of these stay finite, so no overflow warning can fire
@@ -667,6 +667,40 @@ def test_checkpoints_rebuild_the_full_march_bit_for_bit(layout, flux, case,
         assert np.asarray(getattr(got, f)).tobytes() == \
             np.asarray(getattr(wanted, f)).tobytes(), f
     assert traj.states.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_hand_built_run_needs_every_state(extra):
+    # built by hand, a run keeps every one of its N + 1 states
+    grid = ss.build_spatial_grid(4, 0)
+    part = ss.uniform_partition(1.0, 0.25)
+    N = part.interval_count
+    with pytest.raises(ValueError, match=f"need {N + 1}"):
+        ss.ForwardTrajectory(grid, part, np.zeros((N + 1 + extra, 4)),
+                             ss.BURGERS, np.zeros(N + 1), **no_newton(N))
+
+
+def test_hand_built_rows_are_read_not_rebuilt(monkeypatch):
+    # every state of a hand-built run is kept, so no block re-marches
+    rng = np.random.default_rng(5)
+    B = ss.forward.BLOCK
+    N, J = 2 * B + 3, 6
+    grid = ss.build_spatial_grid(J, 0)
+    part = ss.TimePartition(times=np.linspace(0.0, 1.0, N + 1),
+                            modes=(np.arange(N) % 3 == 0).astype(np.int8))
+    states = rng.uniform(-1.0, 1.0, (N + 1, J))
+    traj = ss.ForwardTrajectory(grid, part, states, ss.BURGERS, np.zeros(N + 1),
+                                **no_newton(N))
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("a hand-built run re-marched a block")
+
+    monkeypatch.setattr(ss.forward, "march_block", no_march)
+    buf = np.empty((B + 1, J))
+    for lo in range(0, N, B):
+        hi = min(lo + B, N)
+        assert traj.rows(lo, hi, buf).tobytes() == states[lo:hi + 1].tobytes(), lo
+    assert traj.states.tobytes() == states.tobytes()
 
 
 def test_blocked_gemv_dots_equal_one_gemv_at_levels_0_to_4(case):

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shockstep as ss
@@ -147,13 +147,47 @@ def _table_digest(case):
 
 @pytest.mark.parametrize("scale, digest", [
     (2.0, "d3ce95248a81b967bb80bd4266ef1601ef04bdb88ecb1066853ba35a6fc98301"),
-    # the first window's departure map is not monotone here, so it fails
-    # the slope gate and takes the plain 48-level bisection
-    (80.0, "9231b47b6a951a7741589aa042292e92e3b514ab39b66a8fea18b860a438b89a"),
 ])
 def test_inflow_table_bit_exact_other_scales(scale, digest):
     # frozen from the plain 48-level bisection over every table point
     assert _table_digest(ss.PerturbedShockCase(perturbation_scale=scale)) == digest
+
+
+def _bisected_table(tg, p, scale):
+    """One window's table as plain bisection on numpy's map gives it."""
+    lo_t, hi_t = p[3:]
+    m = (tg > lo_t) & (tg < hi_t)
+    g = np.ones_like(tg)
+    g[m] = 1.0 + 2.0 * testcase._window_path(bisect_departure(tg[m], p, scale),
+                                             p, scale)[1]
+    return g
+
+
+def test_inflow_table_bit_exact_through_full_bisection():
+    # at scale 15 the case is valid, but the first window's node values
+    # fail the slope gate, so every node of its table runs the filtered
+    # 48-level bisection from [a, b]; the second window takes the fast
+    # path.  Each node has the bits of plain bisection on numpy's map
+    scale = 15.0
+    first = testcase._PERTURBATIONS[0]
+    assert ss.validate_characteristics(ss.PerturbedShockCase(scale)).ok
+    assert not testcase._passes_gate(testcase._node_pass(first, scale)[0], first)
+    pieces_t, pieces_g = ss.PerturbedShockCase(perturbation_scale=scale)._ensure_table()
+    for p, tg, gg in zip(testcase._PERTURBATIONS, pieces_t, pieces_g):
+        assert np.array_equal(_bits(gg), _bits(_bisected_table(tg, p, scale))), p
+
+
+@pytest.mark.parametrize("scale", [53.0, 60.0, 80.0, 100.0])
+def test_inflow_refused_where_the_carried_value_reaches_zero(scale):
+    # the departure map divides by u_L = 1 + 2 sdot, which reaches 0 in
+    # the first window from about scale 52.96: no table, peak or query is
+    # formed there.  validate-case refuses these cases too
+    assert not ss.validate_characteristics(ss.PerturbedShockCase(scale)).ok
+    refusal = rf"^window \[12, 18\) at perturbation_scale {scale!r}: the carried"
+    for use in (lambda c: c._ensure_table(), lambda c: c.inflow_peak(),
+                lambda c: c.inflow_value(np.linspace(11.6, 17.4, 5))):
+        with pytest.raises(ValueError, match=refusal):
+            use(ss.PerturbedShockCase(perturbation_scale=scale))
 
 
 def test_inflow_table_bit_exact_through_fallback(monkeypatch):
@@ -164,24 +198,43 @@ def test_inflow_table_bit_exact_through_fallback(monkeypatch):
         "b5a5e9581a4f1d52dfa8ab84591e0b3e18dbaf0b20a98451de51a746944e9433")
 
 
+def _carried_value_reaches_zero(p, scale):
+    """Whether the node pass's sdot, less L D between nodes, lets
+    u_L = 1 + 2 sdot reach 0 in window p."""
+    D = testcase._node_spacing(p)
+    nodes = p[1] + D * np.arange(2 ** testcase._NODE_LEVEL + 1)
+    sdot = testcase._filter(nodes, p, scale)[1]
+    return 1.0 + 2.0 * (sdot.min() - testcase._speed_lipschitz(p, scale) * D) <= 0.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(window=st.sampled_from(testcase._PERTURBATIONS),
        scale=st.one_of(st.floats(min_value=0.0, max_value=100.0),
-                       st.sampled_from([80.0, 100.0])),
+                       st.sampled_from([15.0, 80.0, 100.0])),
        start=st.floats(min_value=0.0, max_value=1.0),
        spacing=st.floats(min_value=1e-12, max_value=1e-2),
        half_n=st.integers(min_value=0, max_value=300),
        edge=st.lists(st.floats(min_value=0.0, max_value=1e-6), max_size=6))
+# window 1 at this scale has u_L = 1 + 2 sdot = 0 near tau = 13.5135, where
+# the map divided by zero before the node pass refused it
+@example(window=testcase._PERTURBATIONS[0], scale=95.99668093791342, start=0.3,
+         spacing=1e-3, half_n=100, edge=[])
 def test_invert_departure_matches_plain_bisection(window, scale, start,
                                                   spacing, half_n, edge):
     """The fast node values, snap-and-verify and tail reproduce plain
     bisection on numpy's map bit for bit on any sub-grid of either
     departure window, also at scales whose windows fail the slope gate
-    (80 and 100) and run the filtered bisection over all levels."""
+    (15 and up in the first window) and run the filtered bisection over
+    all levels.  Where the node pass shows u_L = 1 + 2 sdot reaching 0
+    (the first window from about scale 53), the window is refused."""
     lo_t, hi_t = window[3:]
     grid = lo_t + start * (hi_t - lo_t) + spacing * np.arange(2 * half_n + 1)
     edge = np.asarray(edge, dtype=float)
     t0 = np.concatenate([grid, lo_t + edge, hi_t - edge])
+    if _carried_value_reaches_zero(window, scale):
+        with pytest.raises(ValueError, match="can reach 0"):
+            testcase._invert_departure(t0, window, scale)
+        return
     got = testcase._invert_departure(t0, window, scale)
     m = (t0 > lo_t) & (t0 < hi_t)
     tau = bisect_departure(t0[m], window, scale)
@@ -284,9 +337,9 @@ def test_lazy_inflow_queries_bit_exact(full_table_case, ts, batches, scalar):
                               _bits(full_table_case.inflow_value(part)))
 
 
-@pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 2.0, 80.0])
+@pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 2.0, 15.0])
 def test_lazy_peak_equals_full_table_max(scale):
-    # 80 fails the slope gate in the first window, which then fills whole
+    # 15 fails the slope gate in the first window, which then fills whole
     _, pieces_g = ss.PerturbedShockCase(perturbation_scale=scale)._ensure_table()
     want = max(np.max(np.abs(gg)) for gg in pieces_g)
     got = ss.PerturbedShockCase(perturbation_scale=scale).inflow_peak()
