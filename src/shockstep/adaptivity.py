@@ -216,8 +216,8 @@ def tolerance_schedule(rule: str, prior: Sequence[float],
 @dataclass
 class LevelReport:
     """A finished level's results, not its run: no states are kept, and
-    `run_forward(grid, partition, case)` rebuilds the run, its `states`
-    bit for bit on their first read."""
+    `run_forward(grid, partition, case)` rebuilds the run, and its
+    `states` give the bits on every read."""
     level: int
     grid: SpatialGrid
     partition: TimePartition

@@ -37,11 +37,11 @@ class DualGradientTrajectory:
 
     `solve_dual_gradient` gives its march plan and no sample:
     `estimator.assemble_breakdown` reduces each one in the backward sweep
-    that takes it, and the first read of `w_samples` runs the same sweep
-    to store them, (N, J).  The plan keeps the forward run itself: the
-    sweep reads the end states u^{n+1} from it, block by block.  Built
-    from stored samples instead, the dual has no plan and its samples are
-    read as given.
+    that takes it, and each read of `w_samples` runs the same sweep into
+    a new (N, J) array.  The plan keeps the forward run itself: the sweep
+    reads the end states u^{n+1} from it, block by block.  Built from
+    stored samples instead, the dual has no plan and holds them in
+    `stored`, a read-only view (the caller's array left as it is).
     """
 
     def __init__(self, grid: SpatialGrid, partition: TimePartition,
@@ -52,7 +52,9 @@ class DualGradientTrajectory:
         if (w_samples is None) == (plan is None):
             raise ValueError("a dual holds either its samples or its march plan")
         self.grid, self.partition, self.plan = grid, partition, plan
-        self.stored = w_samples
+        self.stored = None if w_samples is None else np.asarray(w_samples).view()
+        if w_samples is not None:
+            self.stored.flags.writeable = False
         self.substep_log, self.max_mass_residual = substep_log, max_mass_residual
 
     @property
@@ -63,12 +65,12 @@ class DualGradientTrajectory:
 
     @property
     def w_samples(self) -> np.ndarray:
-        """(N, J), stored on the first read."""
-        if self.stored is None:
-            samples = np.empty(self.shape)
-            sweep(self, samples=samples)
-            self.stored = samples
-        return self.stored
+        """(N, J): stored, or marched into a new array on each read."""
+        if self.stored is not None:
+            return self.stored
+        samples = np.empty(self.shape)
+        sweep(self, samples=samples)
+        return samples
 
 
 def _cells(values, n: int) -> np.ndarray:
@@ -100,12 +102,11 @@ def solve_dual_gradient(coeff: ForwardTrajectory, case,
     states and flux (the end state defines an implicit step's fluxes, and
     freezing it per interval matches the piecewise-constant solution); the
     counts read each end state's max|a| only, the run's row reduction
-    `coeff_speeds`.  Only the plan is made here: the
-    substeps run in `sweep`, inside the breakdown or on the first read of
-    `w_samples`.  With `record_substeps` the march runs at once and
-    stores the samples, and also returns each substep's relative
-    mass-balance residual, logged as (interval, dt, residual) in march
-    order.
+    `coeff_speeds`.  Only the plan is made here: the substeps run in
+    `sweep`, inside the breakdown or on each read of `w_samples`.  With
+    `record_substeps` the march runs once at once for each substep's
+    relative mass-balance residual, logged as (interval, dt, residual)
+    in march order; no sample is kept.
     """
     if not (0.0 < dual_cfl <= 1.0):
         raise ValueError("need 0 < dual_cfl <= 1")
@@ -132,13 +133,10 @@ def solve_dual_gradient(coeff: ForwardTrajectory, case,
     dual = DualGradientTrajectory(grid, part, plan=DualPlan(
         traj=coeff, substeps=m_all, dt=dt_all, source=source))
     if record_substeps:
-        # per-substep mass-balance residuals, in march order (last interval
-        # first), from the march that stores the samples
+        # per-substep mass-balance residuals, in march order: last interval first
         mass = np.empty(int(m_all.sum()))
-        samples = np.empty((N, J))
-        sweep(dual, samples=samples, mass=mass)
+        sweep(dual, mass=mass)
         order = np.arange(N - 1, -1, -1)
-        dual.stored = samples
         dual.substep_log = list(zip(np.repeat(order, m_all[order]).tolist(),
                                     np.repeat(dt_all[order], m_all[order]).tolist(),
                                     mass.tolist()))
@@ -154,10 +152,10 @@ def sweep(dual: DualGradientTrajectory, samples=None, mass=None,
     With a plan, the march runs from w(., T) = 0, carried from block to
     block, and each interval's sample (its substep (m + 1) / 2) goes to
     `samples` (N, J) when given; `mass` receives each substep's relative
-    mass-balance residual, in march order.  Once the samples are stored
-    the march is skipped and they are read.  `breakdown` = (traj, psi,
-    out) reduces each interval, as soon as its sample exists, to the four
-    sums `estimator.assemble_breakdown` reads in `out` (N, 4), from the
+    mass-balance residual, in march order.  Without a plan the stored
+    samples are read instead.  `breakdown` = (traj, psi, out) reduces
+    each interval, as soon as its sample exists, to the four sums
+    `estimator.assemble_breakdown` reads in `out` (N, 4), from the
     trajectory's states, inflow and modes and `psi` at the cell centres;
     a planned dual must come from that trajectory.  Each block's states
     are read once from the run (`ForwardTrajectory.rows`, which rebuilds
@@ -167,10 +165,10 @@ def sweep(dual: DualGradientTrajectory, samples=None, mass=None,
     """
     N, J = dual.shape
     h = dual.grid.h
-    traj = breakdown[0] if dual.plan is None else dual.plan.traj
+    plan = dual.plan
+    traj = breakdown[0] if plan is None else plan.traj
     if breakdown is not None and breakdown[0] is not traj:
         raise ValueError("the dual was planned on another forward run")
-    plan = dual.plan if dual.stored is None else None
     kind, a = _flux_code(traj.flux)
     march = (None, None, None, 0.0, None)
     reduce = (None,) * 6

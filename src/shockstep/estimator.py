@@ -59,9 +59,9 @@ def assemble_breakdown(traj: ForwardTrajectory, dual: DualGradientTrajectory,
     exists; every field is a per-row reduction or a sum over rows.  A
     dual planned on `traj` is marched in the same backward sweep
     (`dual.sweep`), each interval reduced as soon as its sample exists;
-    stored samples are read as given.  The sweep reads each block's
-    states once, rebuilt from their checkpoint just before the block
-    runs, for the march and the reduction: no (N, J) array exists.
+    a dual built from samples is read as given.  The sweep reads each
+    block's states once, rebuilt from their checkpoint just before the
+    block runs, for the march and the reduction: no (N, J) array exists.
     """
     grid = traj.grid
     part = traj.partition

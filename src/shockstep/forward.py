@@ -93,13 +93,13 @@ class ForwardTrajectory:
     """A forward run: the inflow at each t_n, the Newton record and the
     states u^0 .. u^N of J cells each, the dual's one input.
 
-    `kept` holds the states at the rows `kept_at`: all N + 1 when built
-    by hand from `states`; `run_forward` keeps row 0, every BLOCK-th and
-    each state that ends an implicit interval, since rebuilding it would
-    take Newton again, and `reduced` holds the per-row reductions the
-    later stages read.  `rows` gives one block's states, re-marched from
-    its checkpoint by the kernel that made them, so with their bits;
-    `states` rebuilds all N + 1 on the first read and keeps them.
+    `kept` holds the states at the rows `kept_at`, read-only: all N + 1
+    when built by hand from `states` (a view of them); `run_forward`
+    keeps row 0, every BLOCK-th and each state that ends an implicit
+    interval, since rebuilding it would take Newton again, and `reduced`
+    holds the per-row reductions the later stages read.  `rows` gives
+    one block's states, re-marched from its checkpoint by the kernel
+    that made them, so with their bits; no read changes what is kept.
     """
 
     def __init__(self, grid: SpatialGrid, partition: TimePartition,
@@ -114,11 +114,12 @@ class ForwardTrajectory:
         self.newton_resid = newton_resid
         self.newton_stop = newton_stop
         if states is not None:
-            kept = np.ascontiguousarray(states, dtype=float)
+            kept = np.ascontiguousarray(states, dtype=float).view()
             kept_at = np.arange(partition.interval_count + 1)
             if len(kept) != kept_at.size:
                 raise ValueError(f"{len(kept)} states, need {kept_at.size}")
         self.kept, self.kept_at, self.reduced = kept, kept_at, reduced
+        kept.flags.writeable = False
         self._runs, self._steps = mode_runs(partition.modes), partition.steps
 
     @property
@@ -128,17 +129,17 @@ class ForwardTrajectory:
 
     @property
     def states(self) -> np.ndarray:
-        """(N+1, J) cell averages, row 0 the initial data; rebuilt on the
-        first read when only checkpoints are kept, then all kept."""
+        """(N+1, J) cell averages, row 0 the initial data: `kept` when every
+        row is kept, else a new array rebuilt block by block on each read."""
         N = self.partition.interval_count
-        if self.kept_at.size < N + 1:
-            full = np.empty(self.shape)
-            full[self.kept_at] = self.kept
-            for lo in range(0, N, BLOCK):
-                hi = min(lo + BLOCK, N)
-                full[lo:hi + 1] = self.rows(lo, hi, full[lo:])
-            self.kept, self.kept_at = full, np.arange(N + 1)
-        return self.kept
+        if self.kept_at.size == N + 1:
+            return self.kept
+        full = np.empty(self.shape)
+        full[self.kept_at] = self.kept
+        for lo in range(0, N, BLOCK):
+            hi = min(lo + BLOCK, N)
+            full[lo:hi + 1] = self.rows(lo, hi, full[lo:])
+        return full
 
     def rows(self, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
         """The states lo .. hi, C-contiguous, lo a multiple of BLOCK: kept

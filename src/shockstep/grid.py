@@ -37,7 +37,8 @@ class SpatialGrid:
 
 @dataclass
 class TimePartition:
-    """Strictly increasing times t_0=0 < ... < t_N=T plus one mode per interval."""
+    """Finite, strictly increasing times t_0=0 < ... < t_N=T plus one mode,
+    EXPLICIT or IMPLICIT, per interval."""
     times: np.ndarray
     modes: np.ndarray = field(default=None)
 
@@ -45,9 +46,15 @@ class TimePartition:
         self.times = np.asarray(self.times, dtype=float)
         if self.modes is None:
             self.modes = np.zeros(len(self.times) - 1, dtype=np.int8)
-        self.modes = np.asarray(self.modes, dtype=np.int8)
+        modes = np.asarray(self.modes)
+        if not np.all((modes == EXPLICIT) | (modes == IMPLICIT)):
+            raise ValueError("modes must be EXPLICIT (0) or IMPLICIT (1)")
+        self.modes = np.asarray(modes, dtype=np.int8)
         if len(self.modes) != len(self.times) - 1:
             raise ValueError("need one mode per interval")
+        # with the check below, finite ends make every time finite
+        if not (np.isfinite(self.times[0]) and np.isfinite(self.times[-1])):
+            raise ValueError("times must be finite")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError("times must be strictly increasing")
 

@@ -140,12 +140,14 @@ def _node_pass(p, scale):
     """The filter's fast departure values v and shock speeds sdot on the
     2**16 + 1 level-16 dyadic nodes of window p.  The departure map
     divides by u_L = 1 + 2 sdot, and sdot moves at most L D between
-    nodes, so a window where 1 + 2 (min sdot - L D) <= 0 is refused."""
+    nodes, so a window where 1 + 2 (min sdot - L D) is not positive, also
+    NaN from a non-finite scale, is refused."""
     D = _node_spacing(p)
     v, sdot = _filter(p[1] + D * np.arange(2 ** _NODE_LEVEL + 1), p, scale)
-    if 1.0 + 2.0 * (np.min(sdot) - _speed_lipschitz(p, scale) * D) <= 0.0:
+    if not 1.0 + 2.0 * (np.min(sdot) - _speed_lipschitz(p, scale) * D) > 0.0:
         raise ValueError(f"window [{p[1]:g}, {p[2]:g}) at perturbation_scale "
-                         f"{scale!r}: the carried value 1 + 2 sdot can reach 0")
+                         f"{scale!r}: the carried value 1 + 2 sdot can reach 0 "
+                         "or is not finite")
     return v, sdot
 
 
@@ -366,7 +368,8 @@ class PerturbedShockCase:
     are not filled yet, and the first use per scale runs the node pass
     and finds the exact peak from a bound on |g| per node, filling only
     the few hundred nodes that bound cannot rule out (`_table_skeleton`).
-    A scale where u_L = 1 + 2 sdot can reach 0 has no inflow (`_node_pass`).
+    A scale where u_L = 1 + 2 sdot can reach 0, or a non-finite one, has
+    no inflow (`_node_pass`), and a non-finite query time is refused.
     """
 
     def __init__(self, perturbation_scale: float = 1.0):
@@ -395,6 +398,9 @@ class PerturbedShockCase:
 
     def inflow_value(self, t):
         t = np.asarray(t, dtype=float)
+        # min and max propagate NaN, with no temporary the size of t
+        if t.size and not (np.isfinite(t.min()) and np.isfinite(t.max())):
+            raise ValueError("inflow times must be finite")
         inside = [(t > tg[0]) & (t < tg[-1]) for tg in self._table_t]
         # np.interp reads the two nodes around each time
         cells = [np.searchsorted(tg, t[m], side="right") - 1

@@ -148,7 +148,8 @@ def cell_terms(traj, dual, case, lo, hi):
     k = traj.partition.steps[lo:hi, None]
     h = traj.grid.h
     psi_c = np.asarray(case.weight(traj.grid.centers), dtype=float)
-    u0, u1 = traj.states[lo:hi], traj.states[lo + 1:hi + 1]
+    u = traj.states     # a checkpointed run rebuilds them on each read
+    u0, u1 = u[lo:hi], u[lo + 1:hi + 1]
     W = dual.w_samples[lo:hi]
     eta_k = -0.5 * k * h * (u1 - u0) * (psi_c - fprime(traj.flux, u1) * W)
     F = update_fluxes(traj, case, slice(lo, hi))

@@ -461,16 +461,18 @@ def test_solve_level_rss_is_o_states(capped_child):
 def test_speed_profile_includes_inflow(case):
     grid = ss.build_spatial_grid(4, 0)
     part = ss.TimePartition(times=np.array([0.0, 1.0, 2.0]))
-    traj = ss.ForwardTrajectory(grid=grid, partition=part,
-                                states=np.full((3, 4), 0.5),
-                                flux=ss.BURGERS,
-                                g=case.inflow_value(part.times),
-                                **oracles.no_newton(2))
-    prof = ss.SpeedProfile.from_trajectory(traj)
+
+    def run(value):
+        return ss.ForwardTrajectory(grid=grid, partition=part,
+                                    states=np.full((3, 4), value),
+                                    flux=ss.BURGERS,
+                                    g=case.inflow_value(part.times),
+                                    **oracles.no_newton(2))
+
+    prof = ss.SpeedProfile.from_trajectory(run(0.5))
     # the boundary value 1.0 beats every interior speed here
     np.testing.assert_array_equal(prof.values, [1.0, 1.0])
-    traj.states[:] = -2.0
-    prof = ss.SpeedProfile.from_trajectory(traj)
+    prof = ss.SpeedProfile.from_trajectory(run(-2.0))
     np.testing.assert_array_equal(prof.values, [2.0, 2.0])
 
 

@@ -998,7 +998,7 @@ class _Overflow:
 def test_non_finite_dual_stops_the_sweep_with_the_march_text(cores):
     # the march runs inside assemble_breakdown now: a w that overflows in
     # interval 4 stops the sweep there, in the words of the march that
-    # stores the samples
+    # `w_samples` runs
     N, J = 6, 10
     grid = ss.build_spatial_grid(J, 0)
     part = ss.TimePartition(times=np.linspace(0.0, 60.0, N + 1))

@@ -136,18 +136,20 @@ def test_breakdown_matches_scalar_loops(case):
     h = grid.h
     k = part.steps
     psi = case.weight(grid.centers)
+    # each read re-marches the run or the dual: read them once
+    u, W = traj.states, dual.w_samples
     etk = np.empty((N, J))
     eth = np.empty((N, J))
     for n in range(N):
         for j in range(J):
-            du = traj.states[n + 1, j] - traj.states[n, j]
+            du = u[n + 1, j] - u[n, j]
             # Burgers: a = f'(u^{n+1}) = u^{n+1}
-            adj = psi[j] - traj.states[n + 1, j] * dual.w_samples[n, j]
+            adj = psi[j] - u[n + 1, j] * W[n, j]
             etk[n, j] = -0.5 * k[n] * h * du * adj
             F0 = F[n, j]
             F1 = F[n, j + 1]
-            fm = 0.5 * traj.states[n + 1, j] ** 2
-            eth[n, j] = k[n] * 0.5 * h * dual.w_samples[n, j] * (F1 + F0 - 2.0 * fm)
+            fm = 0.5 * u[n + 1, j] ** 2
+            eth[n, j] = k[n] * 0.5 * h * W[n, j] * (F1 + F0 - 2.0 * fm)
 
     cells_k, cells_h = cell_terms(traj, dual, case, 0, N)
     np.testing.assert_allclose(cells_k, etk, rtol=1e-14, atol=1e-24)

@@ -4,6 +4,7 @@ Covers the interface flux algebra, steady discrete shock profiles for both
 steppers, the O(k^2) gap between the explicit and implicit one-step maps,
 Newton failure reporting, and conservation of the full march.
 """
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -701,6 +702,73 @@ def test_hand_built_rows_are_read_not_rebuilt(monkeypatch):
         hi = min(lo + B, N)
         assert traj.rows(lo, hi, buf).tobytes() == states[lo:hi + 1].tobytes(), lo
     assert traj.states.tobytes() == states.tobytes()
+
+
+def test_reads_leave_the_run_and_its_dual_as_built(case, monkeypatch):
+    # reading `states` or `w_samples` rebuilds them into new arrays: the
+    # run keeps its checkpoints, the dual its plan, and each read and the
+    # breakdown after them re-march the explicit blocks
+    grid = ss.build_spatial_grid(20, 0, case.domain)
+    part = _runs_partition(grid, case, _LAYOUTS["mixed"])
+    B, N = ss.forward.BLOCK, part.interval_count
+    traj = ss.run_forward(grid, part, case)
+    dual = ss.solve_dual_gradient(traj, case)
+    kept, kept_at = traj.kept, traj.kept_at
+    kept_bytes, kept_at_bytes = kept.tobytes(), kept_at.tobytes()
+    # blocks that hold an explicit interval are not kept whole
+    rebuilt = sum(bool(np.any(part.modes[lo:lo + B] == ss.EXPLICIT))
+                  for lo in range(0, N, B))
+    assert 0 < rebuilt < len(range(0, N, B))
+    calls = []
+    march_block = ss.forward.march_block
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return march_block(*args, **kwargs)
+
+    monkeypatch.setattr(ss.forward, "march_block", counted)
+    for read in (lambda: traj.states, lambda: dual.w_samples) * 2:
+        calls.clear()
+        first = read()
+        assert len(calls) == rebuilt
+        assert first is not read()
+    calls.clear()
+    br = ss.assemble_breakdown(traj, dual, case)
+    assert len(calls) == rebuilt
+    assert traj.kept is kept and traj.kept_at is kept_at
+    assert kept.tobytes() == kept_bytes and kept_at.tobytes() == kept_at_bytes
+    assert dual.stored is None
+    monkeypatch.undo()
+    fresh = ss.run_forward(grid, part, case)
+    want = ss.assemble_breakdown(fresh, ss.solve_dual_gradient(fresh, case), case)
+    for f in dataclasses.fields(ss.ErrorBreakdown):
+        assert np.asarray(getattr(br, f.name)).tobytes() == \
+            np.asarray(getattr(want, f.name)).tobytes(), f.name
+
+
+def test_kept_states_and_stored_samples_are_read_only(case, base_trajectory,
+                                                      mixed_trajectory):
+    # what a run or a dual keeps cannot be written through, so a shared
+    # run stays as it was built; a hand-built one is a view of the
+    # caller's array, which stays writable and unchanged
+    for traj in (base_trajectory, mixed_trajectory):
+        with pytest.raises(ValueError, match="read-only"):
+            traj.kept[0, 0] = 0.0
+    grid = ss.build_spatial_grid(4, 0)
+    part = ss.uniform_partition(1.0, 0.25)
+    N = part.interval_count
+    states = np.linspace(-1.0, 1.0, 4 * (N + 1)).reshape(N + 1, 4)
+    samples = np.ones((N, 4))
+    before = states.tobytes(), samples.tobytes()
+    traj = ss.ForwardTrajectory(grid, part, states, ss.BURGERS, np.zeros(N + 1),
+                                **no_newton(N))
+    dual = ss.DualGradientTrajectory(grid, part, samples)
+    for kept, given in ((traj.states, states), (dual.w_samples, samples)):
+        assert np.shares_memory(kept, given) and not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[...] = 0.0
+        assert given.flags.writeable
+    assert (states.tobytes(), samples.tobytes()) == before
 
 
 def test_blocked_gemv_dots_equal_one_gemv_at_levels_0_to_4(case):

@@ -110,6 +110,25 @@ def test_time_partition_validation():
     assert np.allclose(p.steps, [0.25, 0.75])
 
 
+@pytest.mark.parametrize("modes", [[0, 5], [0, -1], [0, 256], [0.5, 1],
+                                   [0, np.nan]])
+def test_time_partition_refuses_unknown_modes(modes):
+    # only EXPLICIT and IMPLICIT exist: another tag would run as one of
+    # them, and 256 would wrap to EXPLICIT in int8
+    with pytest.raises(ValueError, match="EXPLICIT .0. or IMPLICIT .1."):
+        TimePartition(times=np.array([0.0, 0.5, 1.0]), modes=np.array(modes))
+    p = TimePartition(times=np.array([0.0, 0.5, 1.0]),
+                      modes=np.array([EXPLICIT, IMPLICIT]))
+    assert p.modes.dtype == np.int8 and p.modes.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("times", [[0.0, np.inf], [-np.inf, 0.0, 1.0],
+                                   [0.0, 0.5, np.nan]])
+def test_time_partition_refuses_non_finite_times(times):
+    with pytest.raises(ValueError, match="times must be finite"):
+        TimePartition(times=np.array(times))
+
+
 def test_time_partition_empty_interval_list():
     p = TimePartition(times=np.array([0.0]))
     assert p.interval_count == 0

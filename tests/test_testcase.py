@@ -190,6 +190,25 @@ def test_inflow_refused_where_the_carried_value_reaches_zero(scale):
             use(ss.PerturbedShockCase(perturbation_scale=scale))
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+def test_inflow_refused_at_a_non_finite_scale(scale):
+    # a NaN sdot fails the node pass's test like a u_L that reaches 0:
+    # np.nanmax would skip NaN nodes and give a peak of 1.0
+    refusal = r"^window \[12, 18\) at perturbation_scale -?(nan|inf): the carried"
+    for use in (lambda c: c.inflow_peak(),
+                lambda c: c.inflow_value(np.array([5.0, 15.0, 33.0]))):
+        with pytest.raises(ValueError, match=refusal):
+            use(ss.PerturbedShockCase(perturbation_scale=scale))
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), [1.0, float("-inf")],
+                               [15.0, float("nan")]])
+def test_inflow_refuses_non_finite_times(case, t):
+    # outside every window the inflow is 1.0, but a NaN time is not outside
+    with pytest.raises(ValueError, match="^inflow times must be finite$"):
+        case.inflow_value(t)
+
+
 def test_inflow_table_bit_exact_through_fallback(monkeypatch):
     # with no shifts about 1 % of the snapped cells fail their check and
     # run all 48 bisection levels from [a, b]; the table must not change
