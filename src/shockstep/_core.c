@@ -882,8 +882,9 @@ static void reduce_interval(const struct breakdown *b, long i, long J,
  * run in blocks of intervals, the last block first, one call each with
  * its arrays offset to the block: wext carries w from block to block.
  *
- * The march.  Interval i has the frozen coefficient c = f'(c[i]) of its
- * end state, J finite values (the caller checks them): the row c[i]
+ * The march.  u holds the n + 1 states u[0] .. u[n] of J cells each, and
+ * interval i has the frozen coefficient c = f'(u[i + 1]) of its end
+ * state, J finite values (the caller checks them): the row u[i + 1]
  * itself for BURGERS, and for LINEAR one row of a, filled once.  It takes
  * m[i] substeps of length dt[i], and its sample is the profile after
  * substep (m + 1) / 2, copied to samples[i] unless samples is NULL.  wext
@@ -897,15 +898,14 @@ static void reduce_interval(const struct breakdown *b, long i, long J,
  * ap and am, where np.maximum does too; only a non-finite coefficient
  * gives one, and dual_substeps refuses those before any substep runs.)
  * When mass is not NULL it receives each substep's relative mass-balance
- * residual, in march order.  With m NULL the march is skipped: c, dt,
- * src, wext and mass are not read, and samples holds the n samples.
+ * residual, in march order.
  *
  * The breakdown, unless out is NULL.  Interval i has length k[i], the
- * states u[i] and u[i + 1] (u holds n + 1 rows of J) and the sample w;
- * its stencil is what the forward march read, the row u[i] and the
- * inflow g[i] (explicit, modes[i] = 0) or the row u[i + 1] and g[i + 1]
- * (implicit), from g's n + 1 values.  psi holds the weight at the J cell
- * centres.  Its cell terms, in numpy's operation order, are
+ * states u[i] and u[i + 1] and the sample w; its stencil is what the
+ * forward march read, the row u[i] and the inflow g[i] (explicit,
+ * modes[i] = 0) or the row u[i + 1] and g[i + 1] (implicit), from g's
+ * n + 1 values.  psi holds the weight at the J cell centres.  Its cell
+ * terms, in numpy's operation order, are
  *     eta_k = ((-0.5 k) h) (u1 - u0) (psi - f'(u1) w)
  *     eta_h = (((k 0.5) h) w) ((F_{j+1} + F_j) - 2 f(u1))
  * with f'(u1) = u1 for BURGERS and LINEAR's a, and the fluxes F of the
@@ -921,11 +921,11 @@ static void reduce_interval(const struct breakdown *b, long i, long J,
  * its interval, as the flag of the interval's last update pass shows (a
  * non-finite w_j stays so through every later substep); -1 is out of
  * memory. */
-long march_dual(long n, long J, double h, const double *c, int kind, double a,
+long march_dual(long n, long J, double h, const double *u, int kind, double a,
                 const long *m, const double *dt, const double *src,
                 double src_total, double *wext, double *samples, double *mass,
-                const double *u, const double *k, const signed char *modes,
-                const double *g, const double *psi, double *out)
+                const double *k, const signed char *modes, const double *g,
+                const double *psi, double *out)
 {
     double *block = malloc(sizeof(double) * (4 * (J + 1) + 7 * J));
     if (!block)
@@ -934,18 +934,12 @@ long march_dual(long n, long J, double h, const double *c, int kind, double a,
            *absw = diff + J, *row = absw + J, *F = row + J, *tk = F + J + 1,
            *th = tk + J, *ak = th + J;
     struct breakdown b = {k, u, g, psi, modes, out, F, tk, th, ak, ak + J};
-    for (long j = 0; m && kind != BURGERS && j < J; j++)
+    for (long j = 0; kind != BURGERS && j < J; j++)
         row[j] = a;
-    double *w = m ? wext + 1 : NULL;
+    double *w = wext + 1;
     long done = 0;
     for (long i = n - 1; i >= 0; i--) {
-        if (!m) {
-            if (out)
-                reduce_interval(&b, i, J, h, kind, a, samples + i * J);
-            done++;
-            continue;
-        }
-        const double *ci = kind == BURGERS ? c + i * J : row;
+        const double *ci = kind == BURGERS ? u + (i + 1) * J : row;
         double lam = dt[i] / h, dti = dt[i];
         long sample_at = (m[i] + 1) / 2;
         long q = 1;

@@ -1,13 +1,15 @@
 """Loader of the compiled core, `_core.c`: the forward marches, the
-backward sweep that runs the dual march and reduces each interval's
-error breakdown as soon as its dual sample exists (`march_dual`, called
-once per block of intervals with w carried between calls), the dual's
-substep plan from each end state's max|a| (`dual_substeps`), the wave
-speeds max|f'| of rows of states (`row_speeds`), the planner's two
-walks, the `%.5e` text of the CSVs (`format_rows`) and the inflow
+backward sweep that marches the dual over a block of a run's states and
+reduces each interval's error breakdown as soon as its sample exists
+(`march_dual`, called once per block with w carried between calls),
+the dual's substep plan from each end state's max|a| (`dual_substeps`),
+the wave speeds max|f'| of rows of states (`row_speeds`), the planner's
+two walks, the `%.5e` text of the CSVs (`format_rows`) and the inflow
 table's departure filter.  f'(u) lives there alone: the dual's
 coefficient, the breakdown's linearization and every wave speed are
-formed in C from the states and the flux's (kind, a).
+formed in C from the states and the flux's (kind, a).  Each function
+takes exactly the arguments `_SIGNATURES` declares: ctypes alone would
+pass extra ones on unchecked.
 
 The library is built on first use with the system C compiler,
 
@@ -53,7 +55,7 @@ _SIGNATURES = {
                                _ptr, _ptr, _ptr, _ptr]),
     "march_dual": (_long, [_long, _long, _double, _ptr, _int, _double, _ptr,
                            _ptr, _ptr, _double, _ptr, _ptr, _ptr, _ptr, _ptr,
-                           _ptr, _ptr, _ptr, _ptr]),
+                           _ptr, _ptr, _ptr]),
     "dual_substeps": (_long, [_long, _double, _double, _ptr, _ptr, _ptr, _ptr]),
     "row_speeds": (None, [_long, _long, _ptr, _ptr, _int, _double, _ptr]),
     "dgtsv": (_long, [_long, _ptr, _ptr, _ptr, _ptr]),
@@ -156,7 +158,19 @@ def load(source: str, *caches: str):
     for name, (res, args) in _SIGNATURES.items():
         fn = getattr(core, name)
         fn.restype, fn.argtypes = res, args
+        setattr(core, name, _exact(name, fn, len(args)))
     return core
+
+
+def _exact(name: str, fn, count: int):
+    """`fn`, refusing a call with other than its `count` arguments: ctypes
+    refuses too few, but passes extra ones on as to a C varargs function,
+    so a stale caller would run the kernel on shifted arguments."""
+    def call(*args):
+        if len(args) != count:
+            raise TypeError(f"{name}() takes {count} arguments ({len(args)} given)")
+        return fn(*args)
+    return call
 
 
 def _build(source: str, cmd: tuple, key: bytes, so: str):

@@ -268,6 +268,11 @@ def adaptive_loop(case, cfg: AdaptationConfig, levels: Sequence[int],
         factors = list(factor)
         if len(factors) != n_adapt:
             raise ValueError("one factor per adaptive level required")
+    # a rule the schedule refuses is refused by its own checks before the
+    # base level is solved: they read no value of the measured densities,
+    # for which 1.0 stands in
+    for f in factors:
+        tolerance_schedule(rule, [1.0], factor=f, current_tol=cfg.tol_k)
 
     reports: list = []
     priors: list = []

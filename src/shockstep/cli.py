@@ -103,10 +103,12 @@ def load_config(path=None, overrides=()) -> dict:
     cfg = {k: d for k, (_, d) in _SCHEMA.items()}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
         except OSError as err:
             raise ConfigError(f"cannot read config {path!r}: {err}") from err
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config {path!r} is not UTF-8 text: {err}") from err
         for ln, line in enumerate(lines, 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -160,19 +162,25 @@ def _check_ranges(cfg: dict):
             raise ConfigError(f"{key} must be {want}, got {cfg[key]!r}")
 
 
+def _write(path: str, header, body: bytes):
+    """The header line, then `body`, in one write; a file that cannot be
+    written is a config error naming it."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode() + body)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path!r}: {err.strerror or err}") from err
+
+
 def _write_csv(path: str, header, fmt: str, rows):
     """The header, then one line `fmt % row` per row (the summary)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines([fmt % row for row in rows])
+    _write(path, header, "".join([fmt % row for row in rows]).encode())
 
 
 def _write_series(path: str, header, cols, modes=None, mode_at=0):
     """The header, then the columns' `%.5e` rows as the compiled core
-    formats them, in one write."""
-    body = _core.format_rows(cols, modes, mode_at)
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode() + body)
+    formats them."""
+    _write(path, header, _core.format_rows(cols, modes, mode_at))
 
 
 def _write_steps(path: str, report: LevelReport):

@@ -9,7 +9,6 @@ d/dtau w - d/dx (a w) = -psi', integrated explicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,57 +16,38 @@ import numpy as np
 from . import _core
 from ._core import ptr
 from .forward import BLOCK, ForwardTrajectory, SolverFailure, _flux_code
-from .grid import SpatialGrid, TimePartition
 
 DUAL_CFL = 0.8
 
 
-@dataclass
-class DualPlan:
-    """The backward march of one forward run, counted before any substep
-    runs."""
-    traj: ForwardTrajectory
-    substeps: np.ndarray     # m per interval, the kernels' `long`
-    dt: np.ndarray           # substep length per interval
-    source: np.ndarray       # -psi' at the J cell centres
-
-
 class DualGradientTrajectory:
-    """The dual gradient w of a partition, one sample per interval.
-
-    `solve_dual_gradient` gives its march plan and no sample:
+    """The dual gradient w of a forward run, one sample per interval, held
+    as its march plan: the run `traj` it linearizes, each interval's
+    substep count and length and the source -psi' at the J cell centres,
+    counted before any substep runs.  No sample is kept:
     `estimator.assemble_breakdown` reduces each one in the backward sweep
-    that takes it, and each read of `w_samples` runs the same sweep into
-    a new (N, J) array.  The plan keeps the forward run itself: the sweep
-    reads the end states u^{n+1} from it, block by block.  Built from
-    stored samples instead, the dual has no plan and holds them in
-    `stored`, a read-only view (the caller's array left as it is).
+    that takes it, and each read of `w_samples` runs the same sweep into a
+    new (N, J) array.  The sweep reads the end states u^{n+1} from the
+    run, block by block.
     """
 
-    def __init__(self, grid: SpatialGrid, partition: TimePartition,
-                 w_samples: Optional[np.ndarray] = None,
+    def __init__(self, traj: ForwardTrajectory, substeps: np.ndarray,
+                 dt: np.ndarray, source: np.ndarray,
                  substep_log: Optional[list] = None,
-                 max_mass_residual: Optional[float] = None,
-                 plan: Optional[DualPlan] = None):
-        if (w_samples is None) == (plan is None):
-            raise ValueError("a dual holds either its samples or its march plan")
-        self.grid, self.partition, self.plan = grid, partition, plan
-        self.stored = None if w_samples is None else np.asarray(w_samples).view()
-        if w_samples is not None:
-            self.stored.flags.writeable = False
+                 max_mass_residual: Optional[float] = None):
+        self.traj, self.grid, self.partition = traj, traj.grid, traj.partition
+        # m per interval (the kernels' `long`), its substeps' length, -psi'
+        self.substeps, self.dt, self.source = substeps, dt, source
         self.substep_log, self.max_mass_residual = substep_log, max_mass_residual
 
     @property
     def shape(self) -> tuple:
-        """(N, J) of the samples, stored or planned."""
-        planned = self.partition.interval_count, self.grid.cell_count
-        return planned if self.stored is None else np.shape(self.stored)
+        """(N, J) of the samples."""
+        return self.partition.interval_count, self.grid.cell_count
 
     @property
     def w_samples(self) -> np.ndarray:
-        """(N, J): stored, or marched into a new array on each read."""
-        if self.stored is not None:
-            return self.stored
+        """(N, J), marched into a new array on each read."""
         samples = np.empty(self.shape)
         sweep(self, samples=samples)
         return samples
@@ -130,8 +110,7 @@ def solve_dual_gradient(coeff: ForwardTrajectory, case,
                             f"than a long counts (k max|f'| / (dual_cfl h) too "
                             f"large at dual_cfl = {dual_cfl!r})")
     source = -_cells(case.weight_gradient(grid.centers), J)
-    dual = DualGradientTrajectory(grid, part, plan=DualPlan(
-        traj=coeff, substeps=m_all, dt=dt_all, source=source))
+    dual = DualGradientTrajectory(coeff, m_all, dt_all, source)
     if record_substeps:
         # per-substep mass-balance residuals, in march order: last interval first
         mass = np.empty(int(m_all.sum()))
@@ -149,43 +128,34 @@ def sweep(dual: DualGradientTrajectory, samples=None, mass=None,
     """The compiled backward sweep `march_dual` over `dual`'s intervals,
     one call per block of `forward.BLOCK` intervals, the last block first.
 
-    With a plan, the march runs from w(., T) = 0, carried from block to
-    block, and each interval's sample (its substep (m + 1) / 2) goes to
-    `samples` (N, J) when given; `mass` receives each substep's relative
-    mass-balance residual, in march order.  Without a plan the stored
-    samples are read instead.  `breakdown` = (traj, psi, out) reduces
-    each interval, as soon as its sample exists, to the four sums
-    `estimator.assemble_breakdown` reads in `out` (N, 4), from the
-    trajectory's states, inflow and modes and `psi` at the cell centres;
-    a planned dual must come from that trajectory.  Each block's states
-    are read once from the run (`ForwardTrajectory.rows`, which rebuilds
-    them from their checkpoint into one reused buffer): the march takes
-    the end states rows[1:], the breakdown all of them, with the run's
-    one flux.
+    The march runs from w(., T) = 0, carried from block to block, and each
+    interval's sample (its substep (m + 1) / 2) goes to `samples` (N, J)
+    when given; `mass` receives each substep's relative mass-balance
+    residual, in march order.  `breakdown` = (psi, out) reduces each
+    interval, as soon as its sample exists, to the four sums
+    `estimator.assemble_breakdown` reads in `out` (N, 4), from the run's
+    states, inflow and modes and `psi` at the cell centres.  Each block's
+    states are read once from `dual.traj` (`ForwardTrajectory.rows`,
+    which rebuilds them from their checkpoint into one reused buffer):
+    the march takes the end states rows[1:], the breakdown all of them,
+    with the run's one flux.
     """
     N, J = dual.shape
     h = dual.grid.h
-    plan = dual.plan
-    traj = breakdown[0] if plan is None else plan.traj
-    if breakdown is not None and breakdown[0] is not traj:
-        raise ValueError("the dual was planned on another forward run")
+    traj = dual.traj
     kind, a = _flux_code(traj.flux)
-    march = (None, None, None, 0.0, None)
-    reduce = (None,) * 6
+    m, dt = dual.substeps, dual.dt
+    src_total = h * float(np.sum(dual.source))
     # every array the kernel reads stays bound here until it returns
     buf = np.empty((min(BLOCK, N) + 1, J))
-    if plan is None:
-        samples = np.ascontiguousarray(dual.stored, dtype=float)
-    else:
-        w_ext = np.zeros(J + 2)   # w between zero ghost values
-        m, dt = plan.substeps, plan.dt
-        src_total = h * float(np.sum(plan.source))
-        # march order is the last interval first: the substeps of the
-        # intervals from hi on come before a block that ends at hi
-        if mass is not None:
-            first = mass.size - np.concatenate(([0], np.cumsum(m)))
+    w_ext = np.zeros(J + 2)   # w between zero ghost values
+    # march order is the last interval first: the substeps of the
+    # intervals from hi on come before a block that ends at hi
+    if mass is not None:
+        first = mass.size - np.concatenate(([0], np.cumsum(m)))
+    reduce = (None,) * 5
     if breakdown is not None:
-        _, psi, out = breakdown
+        psi, out = breakdown
         g = np.ascontiguousarray(traj.g, dtype=float)
         k, modes = traj.partition.steps, traj.partition.modes
     core = _core.lib()
@@ -193,13 +163,11 @@ def sweep(dual: DualGradientTrajectory, samples=None, mass=None,
         hi = min(lo + BLOCK, N)
         rows = traj.rows(lo, hi, buf)
         if breakdown is not None:
-            reduce = (ptr(rows), ptr(k[lo:hi]), ptr(modes[lo:hi], np.int8),
+            reduce = (ptr(k[lo:hi]), ptr(modes[lo:hi], np.int8),
                       ptr(g[lo:hi + 1]), ptr(psi), ptr(out[lo:hi]))
-        if plan is not None:
-            march = (ptr(m[lo:hi], _core.LONG), ptr(dt[lo:hi]), ptr(plan.source),
-                     src_total, ptr(w_ext))
         done = core.march_dual(
-            hi - lo, J, h, None if plan is None else ptr(rows[1:]), kind, a, *march,
+            hi - lo, J, h, ptr(rows), kind, a, ptr(m[lo:hi], _core.LONG),
+            ptr(dt[lo:hi]), ptr(dual.source), src_total, ptr(w_ext),
             None if samples is None else ptr(samples[lo:hi]),
             None if mass is None else ptr(mass[first[hi]:]), *reduce)
         if done < 0:

@@ -56,23 +56,24 @@ def assemble_breakdown(traj: ForwardTrajectory, dual: DualGradientTrajectory,
     one, as the march took them from `traj.g`.  The compiled core forms
     a, the fluxes and both terms row by row from the states and reduces
     each row to its signed and absolute sums, so no (N, J) term array
-    exists; every field is a per-row reduction or a sum over rows.  A
-    dual planned on `traj` is marched in the same backward sweep
+    exists; every field is a per-row reduction or a sum over rows.  The
+    dual, planned on `traj` itself, is marched in the same backward sweep
     (`dual.sweep`), each interval reduced as soon as its sample exists;
-    a dual built from samples is read as given.  The sweep reads each
+    a dual planned on another run is refused.  The sweep reads each
     block's states once, rebuilt from their checkpoint just before the
     block runs, for the march and the reduction: no (N, J) array exists.
     """
+    if dual.traj is not traj:
+        raise ValueError("the dual was planned on another forward run")
     grid = traj.grid
     part = traj.partition
     N, J = part.interval_count, grid.cell_count
-    if dual.shape != (N, J) or traj.shape != (N + 1, J) \
-            or np.shape(traj.g) != (N + 1,):
-        raise ValueError("trajectory and dual samples disagree in shape")
+    if traj.shape != (N + 1, J) or np.shape(traj.g) != (N + 1,):
+        raise ValueError("trajectory states, grid and inflow disagree in shape")
     k = part.steps
     psi = _cells(case.weight(grid.centers), J)
     sums = np.empty((N, 4))
-    sweep(dual, breakdown=(traj, psi, sums))
+    sweep(dual, breakdown=(psi, sums))
     signed_k, abs_k, signed_h, abs_h = np.ascontiguousarray(sums.T)
     eta_k_bar_n = abs_k / k
     eta_h_bar_n = abs_h / k

@@ -600,6 +600,25 @@ def test_loop_rejects_bad_schedules(case):
         ss.adaptive_loop(case, cfg, [0, 1], "scaled_ref", factor=[0.5, 0.25])
 
 
+@pytest.mark.parametrize("levels, rule, factor, match", [
+    ([0, 1], "scaled_ref", None, "scaled_ref rule needs a factor"),
+    ([0, 1, 2], "scaled_ref", [0.5, None], "scaled_ref rule needs a factor"),
+    ([0, 1], "halve", None, "halve rule needs the current tolerance"),
+    ([0, 1], "ramp", 0.5, "unknown tolerance rule 'ramp'"),
+])
+def test_loop_refuses_a_bad_rule_before_any_solve(case, monkeypatch, levels,
+                                                 rule, factor, match):
+    # the schedule's refusals come before the base level's solve, in its
+    # own words
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr(ss.adaptivity, "solve_level", no_solve)
+    with pytest.raises(ValueError, match=match):
+        ss.adaptive_loop(case, ss.AdaptationConfig(), levels, rule,
+                         factor=factor)
+
+
 def test_loop_stops_once_total_tolerance_is_met(case, base_report):
     cfg = ss.AdaptationConfig(tol_total=1e6)
     reports = ss.adaptive_loop(case, cfg, [0, 1], "match_previous")

@@ -117,6 +117,37 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b"level = 0\n# caf\xff\n")
+    with pytest.raises(shockstep.cli.ConfigError, match="not UTF-8"):
+        load_config(str(cfgfile))
+    rc = cli_main(["run-uniform", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config {str(cfgfile)!r} is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["run-uniform", "--set", "ref_level=2"], "steps.csv"),
+    (["run-uniform", "--set", "ref_level=2"], "summary.csv"),
+    (["run-adaptive", "--set", "levels=0", "--set", "ref_level=2"], "steps_0.csv"),
+    (["run-adaptive", "--set", "levels=0", "--set", "ref_level=2"], "summary.csv"),
+    (["emit-plots"], "density_vs_time_0.csv"),
+    (["emit-plots", "--set", "experiment=adaptive", "--set", "levels=0"],
+     "cfl_vs_time_0.csv"),
+])
+def test_csv_that_cannot_be_written_exits_2_naming_it(args, name, tmp_path,
+                                                      capsys):
+    # a directory in the file's place refuses the write, for root too
+    (tmp_path / name).mkdir()
+    rc = cli_main([*args, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {str(tmp_path / name)!r}" in err
+    assert "Traceback" not in err
+
+
 def test_solver_blowup_exits_3(tmp_path, capsys):
     # the refused first step leaves no output directory behind
     out = tmp_path / "out"

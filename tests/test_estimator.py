@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shockstep as ss
-from shockstep.dual import DUAL_CFL, DualGradientTrajectory
+from shockstep.dual import DUAL_CFL
 from shockstep.estimator import ErrorBreakdown
 from shockstep.forward import ForwardTrajectory
 from oracles import cell_terms, no_newton, update_fluxes
@@ -22,11 +22,16 @@ LINEAR_J_EX = 0.0466810732
 
 
 class _ConstWeight:
-    def __init__(self, value):
-        self.value = value
+    """A constant weight `value`, and the dual's source -`gradient`."""
+
+    def __init__(self, value, gradient):
+        self.value, self.gradient = value, gradient
 
     def weight(self, x):
         return self.value * np.ones_like(np.asarray(x, dtype=float))
+
+    def weight_gradient(self, x):
+        return self.gradient
 
     def inflow_value(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
@@ -85,36 +90,43 @@ def test_evaluate_functional_unit_state(case):
 
 # ------------------------------------------------------- per-cell formulas
 
-def _one_step_breakdown(states, w, weight):
-    """The breakdown and the cell terms over all rows of one explicit step
-    of length 0.1 on two cells of width 0.05 with inflow 1; Burgers, so
-    the time term's a = f'(u^{n+1}) is the end state."""
+def _one_step_breakdown(states, weight, gradient):
+    """The breakdown, the cell terms and the marched dual sample w of cell
+    0 over one explicit step of length 0.1 on two cells of width 0.05
+    with inflow 1; Burgers, so the time term's a = f'(u^{n+1}) is the end
+    state."""
     grid = ss.build_spatial_grid(2, 0, domain=(0.0, 0.1))
     part = ss.TimePartition(times=np.array([0.0, 0.1]))
     traj = ForwardTrajectory(grid=grid, partition=part,
                              states=np.array(states), flux=ss.BURGERS,
                              g=np.ones(2), **no_newton(1))
-    dual = DualGradientTrajectory(grid=grid, partition=part,
-                                  w_samples=np.full((1, 2), w))
-    case = _ConstWeight(weight)
+    case = _ConstWeight(weight, gradient)
+    dual = ss.solve_dual_gradient(traj, case)
     br = ss.assemble_breakdown(traj, dual, case)
-    return br, cell_terms(traj, dual, case, 0, 1)
+    return br, cell_terms(traj, dual, case, 0, 1), dual.w_samples[0, 0]
 
 
 def test_breakdown_time_term_reference_value():
-    # the end state 1.0 is a = f'(1.0) = 1.0
-    br, (etk, _) = _one_step_breakdown([[0.9, 0.9], [1.0, 1.0]],
-                                       w=0.5, weight=0.2)
-    # -(1/2) * 0.1 * 0.05 * 0.1 * (0.2 - 1.0 * 0.5)
-    assert etk[0, 0] == pytest.approx(7.5e-5, rel=1e-12)
+    # the end state 1.0 is a = f'(1.0) = 1.0; the dual takes three
+    # substeps of 0.1 / 3 from w = 0 with source 6, and its sample, after
+    # the second, is w = 2 * (0.1 / 3) * 6 = 0.4 in cell 0, where the
+    # upwind difference w_1 - w_0 is still 0
+    br, (etk, _), w = _one_step_breakdown([[0.9, 0.9], [1.0, 1.0]],
+                                          weight=0.2, gradient=-6.0)
+    assert w == pytest.approx(0.4, rel=1e-14)
+    # -(1/2) * 0.1 * 0.05 * 0.1 * (0.2 - 1.0 * 0.4)
+    assert etk[0, 0] == pytest.approx(5.0e-5, rel=1e-12)
     assert br.eta_k_bar_n[0] == np.sum(np.abs(etk[0])) / 0.1
     assert br.eta_k == np.sum(etk)
 
 
 def test_breakdown_space_term_reference_value():
-    # state 1 against inflow 1 puts every interface flux at 0.5
-    br, (_, eth) = _one_step_breakdown([[1.0, 1.0], [0.0, 0.0]],
-                                       w=2.0, weight=0.2)
+    # state 1 against inflow 1 puts every interface flux at 0.5; the end
+    # state 0 freezes a = 0, so the dual takes one substep of 0.1 with
+    # source 20 from w = 0, and its sample is w = 2.0
+    br, (_, eth), w = _one_step_breakdown([[1.0, 1.0], [0.0, 0.0]],
+                                          weight=0.2, gradient=-20.0)
+    assert w == 2.0
     # 0.1 * (1/2) * 0.05 * 2.0 * (0.5 + 0.5 - 0)
     assert eth[0, 0] == pytest.approx(5.0e-3, rel=1e-12)
     assert br.eta_h_bar_n[0] == np.sum(np.abs(eth[0])) / 0.1
@@ -191,9 +203,10 @@ def test_breakdown_aggregates_are_consistent(base_report, base_trajectory,
 
 
 def test_breakdown_independent_of_block_size(case, mixed_trajectory):
-    # the sweep reduces interval by interval: from stored samples (the
-    # march skipped), its four sums over any blocks of intervals are those
-    # of one call over all of them, so the order of the sweep moves no bit
+    # the sweep marches and reduces interval by interval: over any blocks
+    # of intervals, the last block first and w carried between them in
+    # wext, its four sums are those of one call over all of them, so the
+    # blocks of the sweep move no bit
     from shockstep import _core
     from shockstep._core import ptr
     traj = mixed_trajectory
@@ -202,26 +215,30 @@ def test_breakdown_independent_of_block_size(case, mixed_trajectory):
     part, grid = traj.partition, traj.grid
     N, J = part.interval_count, grid.cell_count
     k, modes, g = part.steps, part.modes, traj.g
+    m, dt, src = dual.substeps, dual.dt, dual.source
+    src_total = grid.h * float(np.sum(src))
+    kind, a = ss.forward._flux_code(traj.flux)
     psi = np.asarray(case.weight(grid.centers), dtype=float)
-    W, u = dual.w_samples, traj.states
+    u = traj.states
 
-    def sums(lo, hi):
-        out = np.empty((hi - lo, 4))
-        assert _core.lib().march_dual(
-            hi - lo, J, grid.h, None, 0, 0.0, None, None, None, 0.0, None,
-            ptr(W[lo:hi]), None, ptr(u[lo:hi + 1]), ptr(k[lo:hi]),
-            ptr(modes[lo:hi], np.int8), ptr(g[lo:hi + 1]), ptr(psi),
-            ptr(out)) == hi - lo
+    def sums(rows):
+        out = np.empty((N, 4))
+        wext = np.zeros(J + 2)
+        for lo in reversed(range(0, N, rows)):
+            hi = min(lo + rows, N)
+            assert _core.lib().march_dual(
+                hi - lo, J, grid.h, ptr(u[lo:hi + 1]), kind, a,
+                ptr(m[lo:hi], _core.LONG), ptr(dt[lo:hi]), ptr(src), src_total,
+                ptr(wext), None, None, ptr(k[lo:hi]), ptr(modes[lo:hi], np.int8),
+                ptr(g[lo:hi + 1]), ptr(psi), ptr(out[lo:hi])) == hi - lo
         return out
 
-    want = sums(0, N)
+    want = sums(N)
     br = ss.assemble_breakdown(traj, dual, case)
     assert (want[:, 1] / k).tobytes() == br.eta_k_bar_n.tobytes()
     assert (want[:, 3] / k).tobytes() == br.eta_h_bar_n.tobytes()
     for rows in (1, 7, 256, N + 5):
-        got = np.concatenate([sums(lo, min(lo + rows, N))
-                              for lo in range(0, N, rows)])
-        assert got.tobytes() == want.tobytes(), rows
+        assert sums(rows).tobytes() == want.tobytes(), rows
 
 
 def test_breakdown_reads_the_inflow_of_the_march(case, mixed_trajectory,
@@ -255,25 +272,25 @@ def test_breakdown_refuses_a_dual_planned_on_another_run(case, mixed_trajectory)
     dual = ss.solve_dual_gradient(rerun, case, DUAL_CFL)
     with pytest.raises(ValueError, match="planned on another forward run"):
         ss.assemble_breakdown(traj, dual, case)
-    assert dual.stored is None
 
 
 def test_breakdown_rejects_mismatched_shapes(case):
+    # a dual planned on a run of another shape is another run's
     traj = _synthetic_trajectory(np.ones((5, 20)))
-    dual = DualGradientTrajectory(grid=traj.grid, partition=traj.partition,
-                                  w_samples=np.ones((3, 20)))
-    with pytest.raises(ValueError, match="disagree in shape"):
-        ss.assemble_breakdown(traj, dual, case)
-    dual_bad = DualGradientTrajectory(grid=traj.grid, partition=traj.partition,
-                                      w_samples=np.ones((4, 19)))
-    with pytest.raises(ValueError, match="disagree in shape"):
-        ss.assemble_breakdown(traj, dual_bad, case)
+    for other in (np.ones((4, 20)), np.ones((5, 19))):
+        other_run = ForwardTrajectory(
+            grid=ss.build_spatial_grid(other.shape[1], 0),
+            partition=ss.uniform_partition(2.0, 2.0 / (other.shape[0] - 1)),
+            states=other, flux=ss.BURGERS, g=np.ones(other.shape[0]),
+            **no_newton(other.shape[0] - 1))
+        with pytest.raises(ValueError, match="planned on another forward run"):
+            ss.assemble_breakdown(traj, ss.solve_dual_gradient(other_run, case),
+                                  case)
     # an inflow record that does not cover every time
-    dual_ok = DualGradientTrajectory(grid=traj.grid, partition=traj.partition,
-                                     w_samples=np.ones((4, 20)))
+    dual = ss.solve_dual_gradient(traj, case)
     traj.g = np.ones(4)
     with pytest.raises(ValueError, match="disagree in shape"):
-        ss.assemble_breakdown(traj, dual_ok, case)
+        ss.assemble_breakdown(traj, dual, case)
 
 
 # ------------------------------------------------------- efficiency index

@@ -715,6 +715,7 @@ def test_reads_leave_the_run_and_its_dual_as_built(case, monkeypatch):
     dual = ss.solve_dual_gradient(traj, case)
     kept, kept_at = traj.kept, traj.kept_at
     kept_bytes, kept_at_bytes = kept.tobytes(), kept_at.tobytes()
+    plan = dual.substeps.tobytes(), dual.dt.tobytes(), dual.source.tobytes()
     # blocks that hold an explicit interval are not kept whole
     rebuilt = sum(bool(np.any(part.modes[lo:lo + B] == ss.EXPLICIT))
                   for lo in range(0, N, B))
@@ -737,7 +738,8 @@ def test_reads_leave_the_run_and_its_dual_as_built(case, monkeypatch):
     assert len(calls) == rebuilt
     assert traj.kept is kept and traj.kept_at is kept_at
     assert kept.tobytes() == kept_bytes and kept_at.tobytes() == kept_at_bytes
-    assert dual.stored is None
+    assert dual.traj is traj
+    assert (dual.substeps.tobytes(), dual.dt.tobytes(), dual.source.tobytes()) == plan
     monkeypatch.undo()
     fresh = ss.run_forward(grid, part, case)
     want = ss.assemble_breakdown(fresh, ss.solve_dual_gradient(fresh, case), case)
@@ -746,11 +748,10 @@ def test_reads_leave_the_run_and_its_dual_as_built(case, monkeypatch):
             np.asarray(getattr(want, f.name)).tobytes(), f.name
 
 
-def test_kept_states_and_stored_samples_are_read_only(case, base_trajectory,
-                                                      mixed_trajectory):
-    # what a run or a dual keeps cannot be written through, so a shared
-    # run stays as it was built; a hand-built one is a view of the
-    # caller's array, which stays writable and unchanged
+def test_kept_states_are_read_only(case, base_trajectory, mixed_trajectory):
+    # what a run keeps cannot be written through, so a shared run stays
+    # as it was built; a hand-built one is a view of the caller's array,
+    # which stays writable and unchanged
     for traj in (base_trajectory, mixed_trajectory):
         with pytest.raises(ValueError, match="read-only"):
             traj.kept[0, 0] = 0.0
@@ -758,17 +759,15 @@ def test_kept_states_and_stored_samples_are_read_only(case, base_trajectory,
     part = ss.uniform_partition(1.0, 0.25)
     N = part.interval_count
     states = np.linspace(-1.0, 1.0, 4 * (N + 1)).reshape(N + 1, 4)
-    samples = np.ones((N, 4))
-    before = states.tobytes(), samples.tobytes()
+    before = states.tobytes()
     traj = ss.ForwardTrajectory(grid, part, states, ss.BURGERS, np.zeros(N + 1),
                                 **no_newton(N))
-    dual = ss.DualGradientTrajectory(grid, part, samples)
-    for kept, given in ((traj.states, states), (dual.w_samples, samples)):
-        assert np.shares_memory(kept, given) and not kept.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            kept[...] = 0.0
-        assert given.flags.writeable
-    assert (states.tobytes(), samples.tobytes()) == before
+    kept = traj.states
+    assert np.shares_memory(kept, states) and not kept.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        kept[...] = 0.0
+    assert states.flags.writeable
+    assert states.tobytes() == before
 
 
 def test_blocked_gemv_dots_equal_one_gemv_at_levels_0_to_4(case):
