@@ -14,7 +14,7 @@
  * length, the caller allocates it, and a fill pass writes it.
  *
  * The arithmetic is the numpy formulas' own, operation for operation, so
- * the results are bit-identical to them.  That rests on five things:
+ * the results are bit-identical to them.  That rests on six things:
  *   - the build uses -ffp-contract=off, so no a*b+c becomes one fused
  *     multiply-add (one rounding instead of two), and no -ffast-math;
  *   - max(v, 0) and min(v, 0) follow np.maximum / np.minimum: NaN
@@ -25,7 +25,10 @@
  *     nothing is reassociated, and only OR-ed flags and maxima cross
  *     lanes;
  *   - an operation is skipped only where it cannot change a bit: dgtsv
- *     leaves x - p undone when p is a zero and x is not.
+ *     leaves x - p undone when p is a zero and x is not;
+ *   - the forward marches leave out the stationary cells right of the
+ *     shock only where the full row would keep them bit for bit, and
+ *     take the step at full width otherwise (see "The active window").
  * The departure filter is the one kernel that does not transcribe numpy
  * bit for bit: it is a filter, and its values reach no output.  It only
  * decides the comparisons its error bound certifies; the table's bits
@@ -70,7 +73,8 @@
 #endif
 
 enum { OK = 0, CFL = 1, NONFINITE_STATE = 2, NONFINITE_RESIDUAL = 3,
-       SINGULAR = 4, STALLED = 5, NO_MEMORY = 6 };
+       SINGULAR = 4, STALLED = 5, NO_MEMORY = 6,
+       WIDEN = 7 /* a step the window cannot take: run it at full width */ };
 enum { BURGERS = 0, LINEAR = 1 };
 enum { STOP_TOL = 1, STOP_FLOOR = 2 };
 
@@ -205,13 +209,18 @@ static double max_speed(int kind, double a, const double *u, long J,
     return nan != nan ? NAN : fmax(fmax(b[0], b[1]), fmax(b[2], b[3]));
 }
 
-/* max_speed of each of the n rows u[i] (J states) with the inflow g[i],
- * into out[i]. */
+/* max_speed of each of the n rows u[i] (J states) alone (g = 0) into
+ * alone[i], and with the inflow g[i] into out[i], from one pass over the
+ * row: the maximum of |g[i]| and the row's, NaN when either is NaN, is
+ * the one over g[i] and the row. */
 void row_speeds(long n, long J, const double *u, const double *g, int kind,
-                double a, double *out)
+                double a, double *out, double *alone)
 {
-    for (long i = 0; i < n; i++)
-        out[i] = max_speed(kind, a, u + i * J, J, g[i]);
+    for (long i = 0; i < n; i++) {
+        double m = max_speed(kind, a, u + i * J, J, 0.0), v = fabs(g[i]);
+        alone[i] = m;
+        out[i] = kind != BURGERS ? m : (m != m || v != v) ? NAN : fmax(v, m);
+    }
 }
 
 /* x - p, but x itself when p is a zero and x is not: x - (+-0) = x for
@@ -619,6 +628,74 @@ static int update(const double *uo, const double *F, long J, double lam,
 /* the doubles per vector this library was built for */
 long lanes(void) { return LANES; }
 
+/* whether x and y have the same bits: -0.0 is not 0.0 */
+static int same(double x, double y)
+{
+    unsigned long long p, q;
+    memcpy(&p, &x, sizeof p);
+    memcpy(&q, &y, sizeof q);
+    return p == q;
+}
+
+/* Where the trailing run of cells of u with c's bits starts, given that
+ * u[from] .. u[J - 1] have them. */
+static long run_start(const double *u, long from, double c)
+{
+    while (from > 0 && same(u[from - 1], c))
+        from--;
+    return from;
+}
+
+/* u[0 .. n) = c, LANES cells at a time */
+static void fill(double *u, long n, double c)
+{
+    vd v = splat(c);
+    long j = 0;
+    for (; j + LANES <= n; j += LANES)
+        store(u + j, v);
+    for (; j < n; j++)
+        u[j] = c;
+}
+
+/* The active window.  The forward states are stationary right of the
+ * shock: there every cell of a row holds the row's last value c, bit for
+ * bit, and a step leaves it there.  So each step of the two forward
+ * marches runs on the cells [0, W) alone, W = hi + 1, where u[hi] ..
+ * u[J - 1] is the trailing run of cells with c's bits.  The window holds
+ * the run's first cell, so the flux pass's right ghost copies c, the
+ * window's last flux F[W] is the run's own fp(c) + fm(c), and every flux,
+ * speed, residual, maximum and update the window forms is the full row's:
+ * the cells past W add only |c| and F[W] to the maxima, which the window
+ * already holds.  The cells past W are c, copied, and F gets its J + 1
+ * values when the march ends.  hi is carried from step to step: an
+ * explicit step moves it right by at most one cell, a windowed implicit
+ * step not right at all.
+ *
+ * A step the window cannot vouch for bit for bit runs again at full
+ * width from the old row, and so does any step that fails in the window
+ * (a non-finite c, which the window holds, fails or widens at once): its
+ * result, or its failure with code, value and row, is then the full
+ * width's. */
+
+/* Forward Euler on the cells [0, W) of uo into un with the fluxes F[0 ..
+ * W], as march_explicit takes a step over W cells: OK, or the failure's
+ * code (and *value). */
+static int explicit_step(int kind, double a, const double *uo, long W,
+                         double g, double k, double h, double t,
+                         double speed, double *un, double *F, double *value)
+{
+    int over = speed > t;
+    fluxes(kind, a, uo, W, g, NULL, NULL, F, t, &over);
+    if (over) {
+        double cfl = k * max_speed(kind, a, uo, W, g) / h;
+        if (cfl > 1.0) {
+            *value = cfl;
+            return CFL;
+        }
+    }
+    return update(uo, F, W, k / h, un) ? OK : NONFINITE_STATE;
+}
+
 /* Forward Euler over n steps: rows u[0 .. n] of length J, row 0 given.
  * Step i has length k[i] and reads the inflow g[i] at its start (g holds
  * n + 1 values, one per time); F (J + 1) ends with the fluxes
@@ -627,33 +704,38 @@ long lanes(void) { return LANES; }
  * NaN, as np.maximum.reduce does, which is no refusal: the step runs and
  * fails as a non-finite state.  The flux pass compares each speed with
  * cfl_threshold, so max|f'| and the CFL are only formed once a speed is
- * above it. */
+ * above it.
+ *
+ * Each step runs in the active window.  Every cell past it would step
+ * to the same value, c - (F[W] - F[W]) lam, at full width; the step
+ * forms that value once and widens unless it has c's bits (which holds
+ * whenever F[W] and lam are finite, and c is not -0.0 under a negative
+ * lam). */
 long march_explicit(long n, long J, double h, const double *k,
                     const double *g, int kind, double a, double *u,
                     double *F, int *code, double *value)
 {
-    *code = OK;
     double speed = max_speed(kind, a, NULL, 0, 0.0);   /* |a|, or 0 for BURGERS */
-    long i;
+    long i, W = J, hi = run_start(u, J - 1, u[J - 1]);
+    *code = OK;
     for (i = 0; i < n; i++) {
         const double *uo = u + i * J;
         double *un = u + (i + 1) * J;
-        double t = cfl_threshold(k[i], h);
-        int over = speed > t;
-        fluxes(kind, a, uo, J, g[i], NULL, NULL, F, t, &over);
-        if (over) {
-            double cfl = k[i] * max_speed(kind, a, uo, J, g[i]) / h;
-            if (cfl > 1.0) {
-                *code = CFL;
-                *value = cfl;
-                break;
-            }
+        double c = uo[J - 1], lam = k[i] / h, t = cfl_threshold(k[i], h);
+        W = hi + 1;
+        *code = explicit_step(kind, a, uo, W, g[i], k[i], h, t, speed, un, F,
+                              value);
+        if (W < J && (*code || !same(c - (F[W] - F[W]) * lam, c))) {
+            W = J;
+            *code = explicit_step(kind, a, uo, J, g[i], k[i], h, t, speed, un,
+                                  F, value);
         }
-        if (!update(uo, F, J, k[i] / h, un)) {
-            *code = NONFINITE_STATE;
+        if (*code)
             break;
-        }
+        fill(un + W, J - W, c);
+        hi = run_start(un, W < J ? W : J - 1, un[J - 1]);
     }
+    fill(F + W + 1, J - W, F[W]);
     return i;
 }
 
@@ -713,23 +795,80 @@ static void jacobian(struct work *w, long J, double lam)
     w->diag[J - 1] = 1.0 + lam * ((dp[J] + dm[J]) - dm[J - 1]);
 }
 
-/* u += r, LANES cells at a time; returns whether every u is finite. */
-static int add_finite(double *u, const double *r, long J)
+/* u += r, LANES cells at a time; returns whether every u is finite, and
+ * sets *zero when some u was +0.0 or -0.0 before. */
+static int add_finite(double *u, const double *r, long J, int *zero)
 {
-    vd zero = {0.0};
-    vl bad = {0};
+    vd z = {0.0};
+    vl bad = {0}, was = {0};
     long j = 0;
     for (; j + LANES <= J; j += LANES) {
-        vd x = load(u + j) + load(r + j);
+        vd old = load(u + j), x = old + load(r + j);
         store(u + j, x);
-        bad |= (x - x) != zero;        /* NaN exactly when x is not finite */
+        bad |= (x - x) != z;           /* NaN exactly when x is not finite */
+        was |= old == z;
     }
     int b = any(bad);
+    *zero = any(was);
     for (; j < J; j++) {
+        *zero |= u[j] == 0.0;
         u[j] += r[j];
         b |= !isfinite(u[j]);
     }
     return !b;
+}
+
+/* Newton on the cells [0, W) of un, which holds uo on entry, with the
+ * fluxes F[0 .. W], as march_implicit takes a step over W cells: OK with
+ * the step's record in *iters, *resid and *stop, or the failure's code
+ * (and *value).  In the window (`window`) it returns WIDEN as soon as the
+ * window's last row is not one of the stationary tail's. */
+static int implicit_step(int kind, double a, const double *uo, long W,
+                         int window, double g, double lam, double tol,
+                         long max_iter, struct work *w, double *un, double *F,
+                         int *iters, double *resid, signed char *stop,
+                         double *value)
+{
+    double res = INFINITY, prev = INFINITY;
+    for (long it = 1; it <= max_iter; it++) {
+        int done = 0, zero;
+        fluxes(kind, a, un, W, g, w->dp, w->dm, F, 0.0, NULL);
+        res = residual(un, uo, F, W, lam, w->r);
+        if (res <= tol)
+            done = STOP_TOL;
+        else if (!isfinite(res))
+            return NONFINITE_RESIDUAL;
+        else if (it > 3 && res >= 0.5 * prev) {
+            double umax = 0.0, Fmax = 0.0;
+            for (long j = 0; j < W; j++)
+                umax = fmax(umax, fabs(un[j]));
+            for (long j = 0; j <= W; j++)
+                Fmax = fmax(Fmax, fabs(F[j]));
+            if (res <= 8.0 * DBL_EPSILON * (umax + lam * Fmax))
+                done = STOP_FLOOR;
+        }
+        if (done) {
+            *iters = (int)it;
+            *resid = res;
+            *stop = (signed char)done;
+            return OK;
+        }
+        prev = res;
+        jacobian(w, W, lam);
+        if (window && (w->r[W - 1] != 0.0 || (W > 1 && w->sub[W - 2] != 0.0)))
+            return WIDEN;
+        long info = dgtsv(W, w->sub, w->diag, w->sup, w->r);
+        if (info) {
+            *value = (double)info;
+            return SINGULAR;
+        }
+        if (!add_finite(un, w->r, W, &zero))
+            return NONFINITE_STATE;
+        if (window && zero)
+            return WIDEN;
+    }
+    *value = res;
+    return STALLED;
 }
 
 /* Backward Euler over n steps, rows and g as in march_explicit: step i
@@ -744,7 +883,27 @@ static int add_finite(double *u, const double *r, long J)
  * stop receive each step's iteration count, final max|r| and stop rule.
  * A failure leaves the last iterate in its row; *value holds the last
  * max|r| (STALLED, after max_iter iterations) or dgtsv's INFO
- * (SINGULAR). */
+ * (SINGULAR).
+ *
+ * Each step runs in the active window, which is exact while the tail's
+ * rows of the full system stay decoupled, with a zero right-hand side
+ * and zero updates:
+ *   - per step: lam >= 0 and lam |f'(c)| is finite, so the tail's
+ *     diagonal (dp(c) - dm(c)) lam + 1 is finite and >= 1.  The tail's
+ *     residuals are +0.0 and one of dp(c) and dm(c) is zero, so dgtsv
+ *     eliminates nothing inside the tail and solves it to zeros;
+ *   - per iteration: the window's last row, the tail's first, has a zero
+ *     residual and no coupling to the cell on its left (sub[W - 2] = 0).
+ *     Then dgtsv leaves the window's rows as the full system's, whose
+ *     last row differs from the window's (the ghost) only in what
+ *     multiplies the zero update there, and every update in the window
+ *     is the full width's up to the sign of a zero;
+ *   - no iterate holds +0.0 or -0.0 in the window, where that sign would
+ *     show (u + (+0.0) and u + (-0.0) differ for u = -0.0), c included.
+ * Otherwise the step widens, from the iteration at which a check fails:
+ * when the shock reaches the window's last cell, or a state is a zero.
+ * A linear flux with a > 0 couples every row to its left neighbour, so
+ * its steps do not take the window at all. */
 long march_implicit(long n, long J, double h, const double *k,
                     const double *g, int kind, double a, double tol,
                     long max_iter, double *u, double *F, int *iters,
@@ -757,61 +916,30 @@ long march_implicit(long n, long J, double h, const double *k,
         *code = NO_MEMORY;
         return 0;
     }
-    long i;
+    long i, W = J, hi = run_start(u, J - 1, u[J - 1]);
     for (i = 0; i < n; i++) {
         const double *uo = u + i * J;
         double *un = u + (i + 1) * J;
         double lam = k[i] / h;
-        double res = INFINITY, prev = INFINITY;
-        int done = 0;
+        double tail = lam * max_speed(kind, a, uo + J - 1, 1, 0.0);  /* lam |f'(c)| */
+        W = lam >= 0.0 && isfinite(tail) && !(kind == LINEAR && a > 0.0)
+            ? hi + 1 : J;
         memcpy(un, uo, sizeof(double) * J);
-        long it;
-        for (it = 1; it <= max_iter; it++) {
-            fluxes(kind, a, un, J, g[i + 1], w.dp, w.dm, F, 0.0, NULL);
-            res = residual(un, uo, F, J, lam, w.r);
-            if (res <= tol) {
-                done = STOP_TOL;
-                break;
-            }
-            if (!isfinite(res)) {
-                *code = NONFINITE_RESIDUAL;
-                break;
-            }
-            if (it > 3 && res >= 0.5 * prev) {
-                double umax = 0.0, Fmax = 0.0;
-                for (long j = 0; j < J; j++)
-                    umax = fmax(umax, fabs(un[j]));
-                for (long j = 0; j <= J; j++)
-                    Fmax = fmax(Fmax, fabs(F[j]));
-                if (res <= 8.0 * DBL_EPSILON * (umax + lam * Fmax)) {
-                    done = STOP_FLOOR;
-                    break;
-                }
-            }
-            prev = res;
-            jacobian(&w, J, lam);
-            long info = dgtsv(J, w.sub, w.diag, w.sup, w.r);
-            if (info) {
-                *code = SINGULAR;
-                *value = (double)info;
-                break;
-            }
-            if (!add_finite(un, w.r, J)) {
-                *code = NONFINITE_STATE;
-                break;
-            }
+        *code = implicit_step(kind, a, uo, W, W < J, g[i + 1], lam, tol,
+                              max_iter, &w, un, F, iters + i, resid + i,
+                              stop + i, value);
+        if (*code && W < J) {
+            W = J;
+            memcpy(un, uo, sizeof(double) * J);
+            *code = implicit_step(kind, a, uo, J, 0, g[i + 1], lam, tol,
+                                  max_iter, &w, un, F, iters + i, resid + i,
+                                  stop + i, value);
         }
         if (*code)
             break;
-        if (!done) {
-            *code = STALLED;
-            *value = res;
-            break;
-        }
-        iters[i] = (int)it;
-        resid[i] = res;
-        stop[i] = (signed char)done;
+        hi = run_start(un, W < J ? W : J - 1, un[J - 1]);
     }
+    fill(F + W + 1, J - W, F[W]);
     free(w.block);
     return i;
 }

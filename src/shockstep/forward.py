@@ -83,8 +83,8 @@ class RowReductions:
         multiple of 4, they have the bits of one gemv over all the rows."""
         hi = lo + len(rows) - 1
         end = rows[1:]
-        self.speeds[lo + 1:hi + 1] = wave_speeds(end, g[lo + 1:hi + 1], flux)
-        self.coeff_speeds[lo:hi] = wave_speeds(end, np.zeros(hi - lo), flux)
+        self.speeds[lo + 1:hi + 1] = wave_speeds(end, g[lo + 1:hi + 1], flux,
+                                                 self.coeff_speeds[lo:hi])
         if self.dots is not None:
             self.dots[lo:hi] = end @ self.weights
 
@@ -219,6 +219,22 @@ def march(rows: np.ndarray, k: np.ndarray, g: np.ndarray, h: float, flux,
     with k = 5h and inflow 1.03 Newton stalls once the shock nears the
     outflow boundary.
 
+    Each step computes only the active prefix of its row: the cells up to
+    the first one of the trailing run that holds the last cell's value c
+    bit for bit, the stationary state right of the shock.  With that cell
+    as the window's last, its right ghost copies c and every flux, speed,
+    residual and update is the full row's; the run is copied on.  An
+    implicit step takes the full row from the start when lam < 0, lam
+    |f'(c)| is not finite, or the flux is linear with a > 0 (whose rows
+    all couple to their left neighbours).  A step the window cannot vouch
+    for runs again at full width from its old row: an explicit step that
+    would not leave the run at c; an implicit step in which the window's
+    last row takes a residual or a coupling to its left neighbour (the
+    shock reached it), or a state is +0.0 or -0.0 (whose sign a zero
+    update can flip); and any step that fails, so that a failure's code,
+    value and row are the full width's.  The states, the Newton record
+    and F have every bit of the full-width march.
+
     Returns (len(k), None), or (i, error) with the failure of step i:
     a refused CFL, a non-finite state or residual, a singular system, or
     a Newton stall (`NonConvergence`).  F, when given, ends with the
@@ -256,16 +272,22 @@ def march(rows: np.ndarray, k: np.ndarray, g: np.ndarray, h: float, flux,
     return done, SolverFailure(_MESSAGES[code].format(value)) if code else None
 
 
-def wave_speeds(rows: np.ndarray, g: np.ndarray, flux) -> np.ndarray:
+def wave_speeds(rows: np.ndarray, g: np.ndarray, flux,
+                alone=None) -> np.ndarray:
     """max|f'| of each row of states together with its inflow value g[i],
     as np.maximum.reduce takes it (NaN when one of them is NaN), from the
-    compiled core."""
+    compiled core.  `alone`, when given, receives each row's max|f'|
+    without its inflow value (g = 0), from the same pass over the rows."""
     n, J = rows.shape
     if len(g) != n:
         raise ValueError(f"{n} rows of states need {n} inflow values, not {len(g)}")
     kind, a = _flux_code(flux)
     out = np.empty(n)
-    _core.lib().row_speeds(n, J, ptr(rows), ptr(g), kind, a, ptr(out))
+    alone = np.empty(n) if alone is None else alone
+    if alone.shape != (n,):
+        raise ValueError(f"{n} rows of states need {n} speeds")
+    _core.lib().row_speeds(n, J, ptr(rows), ptr(g), kind, a, ptr(out),
+                           ptr(alone))
     return out
 
 

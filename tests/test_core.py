@@ -15,10 +15,14 @@ sweep (each interval reduced as the dual march samples it) against the
 march that stores the samples and the same loop reading them, and the
 planner's two walks against the numpy-scalar loops there, and every
 verdict the inflow table's departure filter decides against numpy's own
-comparison.  Those kernel tests run at every vector width the CPU
-supports (`cores`).  The CSV text of `format_rows` is compared byte for
-byte with Python's `'%.5e' % x` on every kind of double and with the old
-Python writer.  Every ctypes declaration is checked against its C
+comparison.  The forward marches' active window is checked against the
+numpy steps at full width: with every kind of tail, ending at every
+position of the vector loops, widening where Newton's window edge turns
+positive or a zero state would flip its sign, failing with full width's
+code, value and row, and across block boundaries.  Those kernel tests
+run at every vector width the CPU supports (`cores`).  The CSV text of
+`format_rows` is compared byte for byte with Python's `'%.5e' % x` on
+every kind of double and with the old Python writer.  Every ctypes declaration is checked against its C
 definition.  The loader is checked for its missing-compiler error, its
 rebuild on a changed source or compile command, its fallback from an
 unwritable cache, and a compile command that keeps every rounding and
@@ -148,21 +152,29 @@ def _np_explicit(u, k, h, g, flux):
     return (None if cfl > 1.0 else u - du), F, cfl
 
 
-def _np_implicit(u, k, h, g, flux, max_iter=ss.forward.NEWTON_MAX_ITER):
+def _np_implicit(u, k, h, g, flux, max_iter=ss.forward.NEWTON_MAX_ITER,
+                 iterates=None):
     """Newton on backward Euler with scipy's dgtsv: (final iterate,
-    fluxes, iterations, residual, stop rule or None when stalled)."""
+    fluxes, iterations, residual, stop rule).  The stop rule is "tol" or
+    "floor", None when stalled, or for a failure the march's reason code
+    and value: (SINGULAR, dgtsv's INFO), (NONFINITE_RESIDUAL, None) or
+    (NONFINITE_STATE, None), with the iterate the march leaves.  Each
+    iterate is appended to `iterates` when given."""
     from scipy.linalg.lapack import dgtsv
     lam = k / h
     u_old, u = u.copy(), u.copy()
     prev = res = math.inf
     for it in range(1, max_iter + 1):
+        if iterates is not None:
+            iterates.append(u.copy())
         speed, d, F, du = _np_update(u, g, lam, flux)
         r = u - u_old
         r += du
         res = float(np.maximum.reduce(np.abs(r)))
         if res <= ss.forward.NEWTON_TOL:
             return u, F, it, res, "tol"
-        assert math.isfinite(res)
+        if not math.isfinite(res):
+            return u, F, it, res, (_core.NONFINITE_RESIDUAL, None)
         if (it > 3 and res >= 0.5 * prev and res <= 8 * EPS * (
                 np.max(np.abs(u)) + lam * np.max(np.abs(F)))):
             return u, F, it, res, "floor"
@@ -174,8 +186,11 @@ def _np_implicit(u, k, h, g, flux, max_iter=ss.forward.NEWTON_MAX_ITER):
         sup = d[1, 2:-1] * lam if u.size > 1 else pad
         sub = d[0, 1:-2] * -lam if u.size > 1 else pad
         x, info = dgtsv(sub, diag, sup, -r)[3:]
-        assert info == 0
+        if info:
+            return u, F, it, res, (_core.SINGULAR, float(info))
         u += x
+        if not np.isfinite(u).all():
+            return u, F, it, res, (_core.NONFINITE_STATE, None)
     return u, F, max_iter, res, None
 
 
@@ -676,10 +691,11 @@ _EDGES = [math.nan, math.inf, -math.inf, -0.0, 2.0, -2.0]
 @pytest.mark.parametrize("J", range(1, 18))
 def test_row_speeds_match_numpy_reduce_at_every_position(cores, J):
     # max|f'| over g and a row, as np.maximum.reduce takes it over the
-    # absolute values: each edge value (NaN, both infinities, -0.0 and a
-    # new row maximum of either sign) at each cell and in g, on a random
-    # row and on a row of signed zeros, so that every running maximum, the
-    # tail and the NaN flag see it, at every width
+    # absolute values, and over the row alone (g = 0), both from one pass:
+    # each edge value (NaN, both infinities, -0.0 and a new row maximum of
+    # either sign) at each cell and in g, on a random row and on a row of
+    # signed zeros, so that every running maximum, the tail, the NaN flag
+    # and the maximum with |g| see it, at every width
     rng = np.random.default_rng(J)
     rows = []
     for base in (rng.uniform(-1.5, 1.5, J + 1), rng.choice([0.0, -0.0], J + 1)):
@@ -692,11 +708,18 @@ def test_row_speeds_match_numpy_reduce_at_every_position(cores, J):
     u, g = np.ascontiguousarray(rows[:, :J]), rows[:, J].copy()
     for flux in (ss.BURGERS, ss.LinearFlux(0.7), ss.LinearFlux(-0.7)):
         want = [np.maximum.reduce(np.abs(oracles.fprime(flux, r))) for r in rows]
+        alone = [np.maximum.reduce(np.abs(oracles.fprime(flux, np.append(r[:J], 0.0))))
+                 for r in rows]
         for lib in cores:
             with _running(lib):
                 assert _same(ss.forward.wave_speeds(u, g, flux), want), flux
+                got = np.empty(len(rows))
+                assert _same(ss.forward.wave_speeds(u, g, flux, got), want), flux
+                assert _same(got, alone), flux
     with pytest.raises(ValueError, match="need 2 inflow values, not 1"):
         ss.forward.wave_speeds(u[:2], g[:1], ss.BURGERS)
+    with pytest.raises(ValueError, match="need 2 speeds"):
+        ss.forward.wave_speeds(u[:2], g[:2], ss.BURGERS, alone=np.empty(3))
 
 
 @pytest.mark.parametrize("a", [1.0, -0.7])
@@ -864,6 +887,267 @@ def test_kernel_tails_match_numpy_at_every_length(cores, J):
                 assert _same(dual.w_samples, samples)
                 if record:
                     assert _same([rel for _, _, rel in dual.substep_log], log)
+
+
+# ----------------------------------------------------------- active window
+
+# what a march leaves in a row, flux or value it does not write
+_UNWRITTEN = 7.25e77
+
+
+def _kernel_march(u0, k, g, h, flux, mode, max_iter=ss.forward.NEWTON_MAX_ITER):
+    """The compiled march of the state u0 through the steps k (g one
+    inflow value per time), called in the active library as
+    `forward.march` calls it: (steps done, reason code, value, rows, F,
+    Newton record).  Whatever it does not write holds `_UNWRITTEN`."""
+    n, J = len(k), len(u0)
+    rows = np.full((n + 1, J), _UNWRITTEN)
+    rows[0] = u0
+    F, value = np.full(J + 1, _UNWRITTEN), np.full(1, _UNWRITTEN)
+    code = np.zeros(1, np.intc)
+    rec = np.zeros(n, np.intc), np.zeros(n), np.zeros(n, np.int8)
+    k, g = np.array(k, dtype=float), np.array(g, dtype=float)
+    kind, a = ss.forward._flux_code(flux)
+    ptr, lib = _core.ptr, _core.lib()
+    args = (n, J, h, ptr(k), ptr(g), kind, a)
+    if mode == ss.EXPLICIT:
+        done = lib.march_explicit(*args, ptr(rows), ptr(F), ptr(code, np.intc),
+                                  ptr(value))
+    else:
+        done = lib.march_implicit(*args, ss.forward.NEWTON_TOL, max_iter,
+                                  ptr(rows), ptr(F), ptr(rec[0], np.intc),
+                                  ptr(rec[1]), ptr(rec[2], np.int8),
+                                  ptr(code, np.intc), ptr(value))
+    return done, int(code[0]), value[0], rows, F, rec
+
+
+def _np_march(u0, k, g, h, flux, mode, max_iter=ss.forward.NEWTON_MAX_ITER):
+    """The full-width march in numpy, one oracle step after another, as
+    `_kernel_march` returns it; a refused explicit step writes no row."""
+    n, J = len(k), len(u0)
+    rows = np.full((n + 1, J), _UNWRITTEN)
+    rows[0] = u0
+    rec = np.zeros(n, np.intc), np.zeros(n), np.zeros(n, np.int8)
+    for i in range(n):
+        with np.errstate(all="ignore"):
+            if mode == ss.EXPLICIT:
+                new, F, cfl = _np_explicit(rows[i], k[i], h, g[i], flux)
+                if new is None:
+                    return i, _core.CFL, cfl, rows, F, rec
+                rows[i + 1] = new
+                if not np.isfinite(new).all():
+                    return i, _core.NONFINITE_STATE, _UNWRITTEN, rows, F, rec
+                continue
+            new, F, it, res, stop = _np_implicit(rows[i], k[i], h, g[i + 1], flux,
+                                                 max_iter)
+        rows[i + 1] = new
+        if stop is None:
+            return i, _core.STALLED, res, rows, F, rec
+        if isinstance(stop, tuple):
+            code, value = stop
+            return i, code, _UNWRITTEN if value is None else value, rows, F, rec
+        rec[0][i], rec[1][i], rec[2][i] = it, res, {"tol": 1, "floor": 2}[stop]
+    return n, 0, _UNWRITTEN, rows, F, rec
+
+
+def _assert_march_matches_numpy(cores, u0, k, g, h, flux, mode,
+                                max_iter=ss.forward.NEWTON_MAX_ITER):
+    """The compiled march, at every width, has every bit of the numpy one:
+    steps done, reason code and value, every row (a refused or unreached
+    one unwritten), all J + 1 fluxes and the Newton record.  Returns the
+    numpy march's steps done and code."""
+    u0 = np.array(u0, dtype=float)
+    want = _np_march(u0, k, g, h, flux, mode, max_iter)
+    for lib in cores:
+        with _running(lib):
+            got = _kernel_march(u0, k, g, h, flux, mode, max_iter)
+            assert got[:2] == want[:2]
+            for x, y in zip(got[2:5] + got[5], want[2:5] + want[5]):
+                assert _same(x, y)
+    return want[:2]
+
+
+_TAILS = [-1.0, 0.0, -0.0, 0.6, -1e-300, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("tail", _TAILS, ids=repr)
+@pytest.mark.parametrize("flux", [ss.BURGERS, ss.LinearFlux(0.7),
+                                  ss.LinearFlux(-0.7)],
+                         ids=["burgers", "linear+", "linear-"])
+@pytest.mark.parametrize("mode", [ss.EXPLICIT, ss.IMPLICIT],
+                         ids=["explicit", "implicit"])
+def test_window_marches_match_numpy_with_every_tail(cores, tail, flux, mode):
+    # a shock and a trailing run of the tail value, marched six steps:
+    # the window ends at the run's first cell, grows as the run shrinks
+    # (a positive tail takes in what the prefix sends it), and widens on
+    # a zero or non-finite tail, or fails there as full width fails
+    rng = np.random.default_rng(len(repr(tail)))
+    J = 14
+    u = np.concatenate((rng.uniform(0.4, 1.2, 4), rng.uniform(-1.2, 0.3, 4),
+                        np.full(J - 8, tail)))
+    h = 1.0 / J
+    k = np.full(6, (0.45 if mode == ss.EXPLICIT else 3.0) * h)
+    g = np.full(7, 0.9)
+    _assert_march_matches_numpy(cores, u, k, g, h, flux, mode)
+    if mode == ss.EXPLICIT:
+        # a negative step turns c - (F[W] - F[W]) lam into c - (-0.0): the
+        # run of -0.0 does not keep its bits and widens, the others do
+        _assert_march_matches_numpy(cores, u, -k, g, h, flux, mode)
+
+
+@pytest.mark.parametrize("J", range(1, 3 * 8 + 2))
+def test_window_ends_in_every_vector_remainder(cores, J):
+    # J = 1 .. 3 LANES + 1 at every width, with the window [0, hi + 1)
+    # ending at each cell, so that it ends in every position of a vector
+    # pass and of the scalar loop after it.  A prefix of states below 0
+    # next to a tail of -1 keeps the implicit window all through; a mixed
+    # prefix, with zeros of both signs, widens wherever the shock or a
+    # zero asks for it.  One step through `Stepper` (its F holds all
+    # J + 1 fluxes) and a march of three
+    rng = np.random.default_rng(J)
+    h = 1.0 / J
+    for hi in range(J):
+        for prefix in (rng.uniform(-1.4, -0.1, hi),
+                       rng.choice([1.1, 0.7, 0.2, 0.0, -0.0, -0.4, -0.9], hi)):
+            u = np.concatenate((prefix, np.full(J - hi, -1.0)))
+            for mode, x in ((ss.EXPLICIT, 0.45), (ss.IMPLICIT, 4.0)):
+                k, g = np.full(3, x * h), np.array([-0.5, 0.8, -0.2, 0.6])
+                _assert_march_matches_numpy(cores, u, k, g, h, ss.BURGERS, mode)
+                stop = "tol"
+                if mode == ss.EXPLICIT:
+                    want, F_want, _ = _np_explicit(u, x * h, h, 0.8, ss.BURGERS)
+                else:
+                    want, F_want, _, _, stop = _np_implicit(u, x * h, h, 0.8,
+                                                            ss.BURGERS)
+                for lib in cores:
+                    with _running(lib):
+                        s = Stepper(u, ss.BURGERS)
+                        step = s.explicit if mode == ss.EXPLICIT else s.implicit
+                        if stop in ("tol", "floor"):
+                            step(x * h, h, 0.8)
+                        else:
+                            with pytest.raises(ss.SolverFailure):
+                                step(x * h, h, 0.8)
+                        assert _same(s.u, want)
+                        assert s.F.size == J + 1 and _same(s.F, F_want)
+
+
+def test_newton_widens_when_the_window_edge_turns_positive(cores):
+    # the tail of -1 starts at cell 4, so the window ends there, and its
+    # left neighbour, -0.05, couples nothing into it; the first update
+    # lifts that neighbour above 0, the window's last row then couples to
+    # it, and the step runs again at full width
+    u = np.array([1.5, 1.5, 1.5, -0.05, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0])
+    h, k, g = 0.1, 0.2, 1.5
+    iterates = []
+    want, F_want, it, res, stop = _np_implicit(u, k, h, g, ss.BURGERS,
+                                               iterates=iterates)
+    assert stop == "tol" and iterates[0][3] < 0.0 < iterates[1][3]
+    assert (iterates[-1][4:] != -1.0).any()
+    for lib in cores:
+        with _running(lib):
+            s = Stepper(u, ss.BURGERS)
+            assert s.implicit(k, h, g) == ss.NewtonStats(it, res, stop)
+            assert _same(s.u, want)
+            assert _same(s.F, F_want)
+    _assert_march_matches_numpy(cores, u, [k, k], [g, g, g], h, ss.BURGERS,
+                                ss.IMPLICIT)
+
+
+@pytest.mark.parametrize("sign", [0.0, -0.0], ids=["+0", "-0"])
+def test_newton_widens_on_a_zero_state_in_the_window(cores, sign):
+    # next to a tail of tiny negative states, a zero state whose update
+    # is a zero: the window solves the last row with the ghost's diagonal,
+    # full width with the tail's, and the zero update can come out with
+    # the other sign; -0.0 + (+0.0) is +0.0, so the step must widen
+    c = 1e-110
+    u = np.array([-0.5, -0.3, -0.2, c, sign, -c, -c, -c, -c])
+    h = 1.0 / u.size
+    for x in (1.0, 10.0):
+        want, F_want, it, res, stop = _np_implicit(u, x * h, h, -0.5, ss.BURGERS)
+        assert stop == "tol" and it > 1 and want[4] == 0.0
+        for lib in cores:
+            with _running(lib):
+                s = Stepper(u, ss.BURGERS)
+                assert s.implicit(x * h, h, -0.5) == ss.NewtonStats(it, res, stop)
+                assert _same(s.u, want)
+                assert _same(s.F, F_want)
+
+
+_FAILURES = {
+    # (mode, state, k / h, inflow, max_iter, the code full width fails with)
+    "cfl": (ss.EXPLICIT, [0.8, 5.0, 0.3, -0.5, -1.0, -1.0, -1.0], 0.45, 0.8,
+            None, _core.CFL),
+    "cfl in a later step": (ss.EXPLICIT, [0.8, 0.9, 0.3, -0.5, -1.0, -1.0, -1.0],
+                            1.0, 1.2, None, _core.CFL),
+    "non-finite state": (ss.EXPLICIT,
+                         [0.8, math.nan, 0.3, -0.5, -1.0, -1.0, -1.0], 0.45,
+                         0.8, None, _core.NONFINITE_STATE),
+    "non-finite residual": (ss.IMPLICIT,
+                            [0.8, 0.3, math.nan, -0.5, -1.0, -1.0, -1.0], 3.0,
+                            0.8, None, _core.NONFINITE_RESIDUAL),
+    "overflowing update": (ss.IMPLICIT, [-2.0, -2.0, -2.0, -2.5, -2.5, -2.5],
+                           1e308, -2.0, None, _core.NONFINITE_STATE),
+    # lam < 0 gives the Newton matrix a zero pivot: in the window's first
+    # row, or in the tail's (1 + |c| lam = 0), which the window would not
+    # see, so a negative step is not taken in the window
+    "singular": (ss.IMPLICIT, [-1.0, -1.0, -1.0, -1.0, -1.0], -1.0, 1.0, None,
+                 _core.SINGULAR),
+    "singular in the tail": (ss.IMPLICIT, [-0.5, -1.0, -1.0, -1.0, -1.0], -1.0,
+                             1.0, None, _core.SINGULAR),
+    "stalled": (ss.IMPLICIT, [1.0, 1.0, 0.8, -0.3, -0.9, -1.0, -1.0, -1.0], 3.0,
+                1.0, 2, _core.STALLED),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(_FAILURES))
+def test_window_failures_keep_the_full_width_code_value_and_row(cores, failure):
+    # a step that fails in the window runs again at full width: the march
+    # stops on the same step with the same code and value (the CFL, dgtsv's
+    # INFO, the last residual), the failing row as full width leaves it
+    # (unwritten when refused) and all J + 1 fluxes
+    mode, u, x, g, max_iter, code = _FAILURES[failure]
+    h = 1.0 / len(u)
+    k = np.full(3, x * h)
+    if failure == "cfl in a later step":
+        k[0] = 0.4 * h
+    steps = _assert_march_matches_numpy(
+        cores, u, k, np.full(4, g), h, ss.BURGERS, mode,
+        max_iter or ss.forward.NEWTON_MAX_ITER)
+    assert steps == ((1, code) if failure == "cfl in a later step" else (0, code))
+
+
+def test_window_mode_runs_cross_block_boundaries(cores, case):
+    # a run of the benchmark case whose mode runs cross the block
+    # boundaries at 256 and 512: every state, rebuilt from the kept ones,
+    # and the Newton record against the numpy steps at full width
+    grid = ss.build_spatial_grid(20, 0, case.domain)
+    h = grid.h
+    layout = [(ss.EXPLICIT, 200, 0.5), (ss.IMPLICIT, 100, 3.0),
+              (ss.EXPLICIT, 260, 0.5), (ss.IMPLICIT, 40, 6.0)]
+    k = np.concatenate([np.full(n, x * h) for _, n, x in layout])
+    modes = np.concatenate([np.full(n, m, np.int8) for m, n, _ in layout])
+    part = ss.TimePartition(times=np.concatenate(([0.0], np.cumsum(k))),
+                            modes=modes)
+    g = np.asarray(case.inflow_value(part.times), dtype=float)
+    want = [case.initial_cell_averages(grid.edges)]
+    iters = np.zeros(len(k), np.intc)
+    for n, (kn, mode) in enumerate(zip(part.steps.tolist(), modes.tolist())):
+        if mode == ss.EXPLICIT:
+            want.append(_np_explicit(want[-1], kn, h, g[n], case.flux)[0])
+        else:
+            u, _, iters[n], _, stop = _np_implicit(want[-1], kn, h, g[n + 1],
+                                                   case.flux)
+            assert stop in ("tol", "floor")
+            want.append(u)
+    want = np.array(want)
+    # most rows end in a run of -1 that the window leaves out
+    assert np.mean(want[:, -2] == -1.0) > 0.9
+    for lib in cores:
+        with _running(lib):
+            traj = ss.run_forward(grid, part, case)
+            assert _same(traj.states, want)
+            assert _same(traj.newton_iters, iters)
 
 
 # ---------------------------------------------------------------- breakdown
