@@ -8,14 +8,13 @@ retiles the time axis between mesh levels.
 from .adaptivity import (AdaptationConfig, AdaptationPlan, LevelReport,
                          PlanStats, SpeedProfile, adaptive_loop, assign_modes,
                          propose_timesteps, solve_level, tolerance_schedule)
-from .dual import (DualGradientTrajectory, build_coefficient_field,
-                   solve_dual_gradient)
+from .dual import DualGradientTrajectory, solve_dual_gradient
 from .estimator import (ErrorBreakdown, assemble_breakdown, efficiency_index,
                         evaluate_functional, reference_functional,
                         weight_cell_integrals)
-from .forward import (BURGERS, BurgersFlux, LinearFlux, NewtonStats,
-                      NonConvergence, SolverFailure, ForwardTrajectory,
-                      run_forward, speed_for_basis, uniform_cfl_partition)
+from .forward import (BURGERS, BurgersFlux, LinearFlux, NonConvergence,
+                      SolverFailure, ForwardTrajectory, run_forward,
+                      speed_for_basis, uniform_cfl_partition)
 from .grid import (EXPLICIT, IMPLICIT, SpatialGrid, TimePartition,
                    build_spatial_grid, uniform_partition)
 from .testcase import (CharacteristicsReport, PerturbedShockCase,
@@ -27,10 +26,10 @@ __all__ = [
     "AdaptationConfig", "AdaptationPlan", "LevelReport", "PlanStats",
     "SpeedProfile", "adaptive_loop", "assign_modes", "propose_timesteps",
     "solve_level", "tolerance_schedule",
-    "DualGradientTrajectory", "build_coefficient_field", "solve_dual_gradient",
+    "DualGradientTrajectory", "solve_dual_gradient",
     "ErrorBreakdown", "assemble_breakdown", "efficiency_index",
     "evaluate_functional", "reference_functional", "weight_cell_integrals",
-    "BURGERS", "BurgersFlux", "LinearFlux", "NewtonStats", "NonConvergence",
+    "BURGERS", "BurgersFlux", "LinearFlux", "NonConvergence",
     "SolverFailure", "ForwardTrajectory", "run_forward",
     "speed_for_basis", "uniform_cfl_partition",
     "EXPLICIT", "IMPLICIT", "SpatialGrid", "TimePartition",

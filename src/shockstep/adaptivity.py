@@ -80,7 +80,7 @@ class SpeedProfile:
     def from_trajectory(cls, traj: ForwardTrajectory) -> "SpeedProfile":
         """Per interval, max|f'| over both end states and the inflow the
         march read there (`traj.g`), from the march's row reductions."""
-        node = traj.reductions().speeds
+        node = traj.reduced.speeds
         return cls(times=traj.partition.times.copy(),
                    values=np.maximum(node[:-1], node[1:]))
 
@@ -216,8 +216,7 @@ def tolerance_schedule(rule: str, prior: Sequence[float],
 @dataclass
 class LevelReport:
     """A finished level's results, not its run: no states are kept, and
-    `run_forward(grid, partition, case)` rebuilds the run, and its
-    `states` give the bits on every read."""
+    `run_forward(grid, partition, case)` rebuilds the run with every bit."""
     level: int
     grid: SpatialGrid
     partition: TimePartition
@@ -239,8 +238,8 @@ def solve_level(level: int, grid: SpatialGrid, partition: TimePartition,
     The report keeps the finished trajectory's speed profile, which gives
     the realized CFL series and plans the next level; its stats come from
     that series, and the adaptive loop puts the planner's in their place.
-    No stage reads `traj.states`: each reads the run block by block or
-    through its row reductions.
+    No stage reads all N + 1 states: the breakdown's sweep reads each block
+    once (`ForwardTrajectory.rows`), the rest the row reductions.
     """
     traj = run_forward(grid, partition, case)
     dual = solve_dual_gradient(build_coefficient_field(traj), case, dual_cfl)

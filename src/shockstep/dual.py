@@ -26,8 +26,7 @@ class DualGradientTrajectory:
     substep count and length and the source -psi' at the J cell centres,
     counted before any substep runs.  No sample is kept:
     `estimator.assemble_breakdown` reduces each one in the backward sweep
-    that takes it, and each read of `w_samples` runs the same sweep into a
-    new (N, J) array.  The sweep reads the end states u^{n+1} from the
+    that takes it (`sweep`), which reads the end states u^{n+1} from the
     run, block by block.
     """
 
@@ -44,13 +43,6 @@ class DualGradientTrajectory:
     def shape(self) -> tuple:
         """(N, J) of the samples."""
         return self.partition.interval_count, self.grid.cell_count
-
-    @property
-    def w_samples(self) -> np.ndarray:
-        """(N, J), marched into a new array on each read."""
-        samples = np.empty(self.shape)
-        sweep(self, samples=samples)
-        return samples
 
 
 def _cells(values, n: int) -> np.ndarray:
@@ -82,11 +74,11 @@ def solve_dual_gradient(coeff: ForwardTrajectory, case,
     states and flux (the end state defines an implicit step's fluxes, and
     freezing it per interval matches the piecewise-constant solution); the
     counts read each end state's max|a| only, the run's row reduction
-    `coeff_speeds`.  Only the plan is made here: the substeps run in
-    `sweep`, inside the breakdown or on each read of `w_samples`.  With
-    `record_substeps` the march runs once at once for each substep's
-    relative mass-balance residual, logged as (interval, dt, residual)
-    in march order; no sample is kept.
+    `coeff_speeds` (`coeff.reduced`).  Only the plan is made here: the
+    substeps run in `sweep`, inside the breakdown.  With `record_substeps`
+    the march runs once at once for each substep's relative mass-balance
+    residual, logged as (interval, dt, residual) in march order; no sample
+    is kept.
     """
     if not (0.0 < dual_cfl <= 1.0):
         raise ValueError("need 0 < dual_cfl <= 1")
@@ -99,7 +91,7 @@ def solve_dual_gradient(coeff: ForwardTrajectory, case,
         raise ValueError(f"states of shape {coeff.shape}, need {(N + 1, J)}")
     # substep counts and sizes of all intervals, before any substep runs;
     # a_max = 0 gives m = 1
-    k, a_max = part.steps, coeff.reductions().coeff_speeds
+    k, a_max = part.steps, coeff.reduced.coeff_speeds
     m_all, dt_all = np.empty(N, _core.LONG), np.empty(N)
     bad = _core.lib().dual_substeps(N, h, dual_cfl, ptr(k), ptr(a_max),
                                     ptr(m_all, _core.LONG), ptr(dt_all))
@@ -130,15 +122,18 @@ def sweep(dual: DualGradientTrajectory, samples=None, mass=None,
 
     The march runs from w(., T) = 0, carried from block to block, and each
     interval's sample (its substep (m + 1) / 2) goes to `samples` (N, J)
-    when given; `mass` receives each substep's relative mass-balance
-    residual, in march order.  `breakdown` = (psi, out) reduces each
-    interval, as soon as its sample exists, to the four sums
-    `estimator.assemble_breakdown` reads in `out` (N, 4), from the run's
-    states, inflow and modes and `psi` at the cell centres.  Each block's
-    states are read once from `dual.traj` (`ForwardTrajectory.rows`,
-    which rebuilds them from their checkpoint into one reused buffer):
-    the march takes the end states rows[1:], the breakdown all of them,
-    with the run's one flux.
+    when given.  No stage of the pipeline asks for the samples; the tests
+    read the dual's bits through them, as `oracles.w_samples` does for
+    `test_core.py`'s `_same(w_samples(dual), samples)` checks against the
+    numpy march, so `march_dual` keeps that output.  `mass` receives each
+    substep's relative mass-balance residual, in march order.  `breakdown`
+    = (psi, out) reduces each interval, as soon as its sample exists, to
+    the four sums `estimator.assemble_breakdown` reads in `out` (N, 4),
+    from the run's states, inflow and modes and `psi` at the cell centres.
+    Each block's states are read once from `dual.traj`
+    (`ForwardTrajectory.rows`, which rebuilds them from their checkpoint
+    into one reused buffer): the march takes the end states rows[1:], the
+    breakdown all of them, with the run's one flux.
     """
     N, J = dual.shape
     h = dual.grid.h

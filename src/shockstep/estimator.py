@@ -40,9 +40,13 @@ class ErrorBreakdown:
 
 def evaluate_functional(traj: ForwardTrajectory, case) -> float:
     """J_h = sum_n k_n sum_j u_j^n W_j with the end-of-interval state, from
-    the dots the forward march took block by block (`RowReductions`)."""
-    W = weight_cell_integrals(traj.grid, case)
-    return float(np.sum(traj.partition.steps * traj.reductions(W).dots))
+    the dots the forward march took block by block (`RowReductions`).  A
+    case whose cell weights W differ from the ones the march took its
+    dots with is refused."""
+    red = traj.reduced
+    if weight_cell_integrals(traj.grid, case).tobytes() != red.weights.tobytes():
+        raise ValueError("the case's cell weights differ from the run's")
+    return float(np.sum(traj.partition.steps * red.dots))
 
 
 def assemble_breakdown(traj: ForwardTrajectory, dual: DualGradientTrajectory,

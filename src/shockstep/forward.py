@@ -9,7 +9,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -65,15 +64,14 @@ class RowReductions:
     the march is still in cache."""
     speeds: np.ndarray        # (N+1,) max|f'| of state n with the inflow g[n]
     coeff_speeds: np.ndarray  # (N,) max|f'| of state n+1 alone (g = 0)
-    dots: Optional[np.ndarray]      # (N,) state n+1 @ weights, the J_h dots
-    weights: Optional[np.ndarray]   # (J,) cell integrals of the weight
+    dots: np.ndarray          # (N,) state n+1 @ weights, the J_h dots
+    weights: np.ndarray       # (J,) cell integrals of the weight
 
     @classmethod
     def start(cls, N: int, u0: np.ndarray, g: np.ndarray, flux,
-              weights=None) -> "RowReductions":
+              weights: np.ndarray) -> "RowReductions":
         """Room for N intervals, and the initial state u0's speed."""
-        red = cls(np.empty(N + 1), np.empty(N),
-                  None if weights is None else np.empty(N), weights)
+        red = cls(np.empty(N + 1), np.empty(N), np.empty(N), weights)
         red.speeds[0] = wave_speeds(u0[None], g[:1], flux)[0]
         return red
 
@@ -85,27 +83,25 @@ class RowReductions:
         end = rows[1:]
         self.speeds[lo + 1:hi + 1] = wave_speeds(end, g[lo + 1:hi + 1], flux,
                                                  self.coeff_speeds[lo:hi])
-        if self.dots is not None:
-            self.dots[lo:hi] = end @ self.weights
+        self.dots[lo:hi] = end @ self.weights
 
 
 class ForwardTrajectory:
-    """A forward run: the inflow at each t_n, the Newton record and the
-    states u^0 .. u^N of J cells each, the dual's one input.
+    """A forward run, as `run_forward` builds it: the inflow at each t_n,
+    the Newton record, the checkpoints of the states u^0 .. u^N of J
+    cells each, and the per-row reductions the later stages read.
 
-    `kept` holds the states at the rows `kept_at`, read-only: all N + 1
-    when built by hand from `states` (a view of them); `run_forward`
-    keeps row 0, every BLOCK-th and each state that ends an implicit
-    interval, since rebuilding it would take Newton again, and `reduced`
-    holds the per-row reductions the later stages read.  `rows` gives
-    one block's states, re-marched from its checkpoint by the kernel
-    that made them, so with their bits; no read changes what is kept.
+    `kept` holds, read-only, the states at the rows `kept_at`: row 0,
+    every BLOCK-th and each state that ends an implicit interval, since
+    rebuilding it would take Newton again.  `reduced` holds the
+    `RowReductions` the march took.  `rows` gives one block's states,
+    re-marched from its checkpoint by the kernel that made them, so with
+    their bits; no read changes what is kept.
     """
 
-    def __init__(self, grid: SpatialGrid, partition: TimePartition,
-                 states=None, flux=None, g=None, newton_iters=None,
-                 newton_resid=None, newton_stop=None, *, kept=None,
-                 kept_at=None, reduced: Optional[RowReductions] = None):
+    def __init__(self, grid: SpatialGrid, partition: TimePartition, flux, g,
+                 newton_iters, newton_resid, newton_stop, kept, kept_at,
+                 reduced: RowReductions):
         self.grid, self.partition, self.flux = grid, partition, flux
         self.g = g          # (N+1,) the inflow at each t_n, as `march` took it
         # per interval: Newton iterations, final residual and stop code (0
@@ -113,11 +109,6 @@ class ForwardTrajectory:
         self.newton_iters = newton_iters
         self.newton_resid = newton_resid
         self.newton_stop = newton_stop
-        if states is not None:
-            kept = np.ascontiguousarray(states, dtype=float).view()
-            kept_at = np.arange(partition.interval_count + 1)
-            if len(kept) != kept_at.size:
-                raise ValueError(f"{len(kept)} states, need {kept_at.size}")
         self.kept, self.kept_at, self.reduced = kept, kept_at, reduced
         kept.flags.writeable = False
         self._runs, self._steps = mode_runs(partition.modes), partition.steps
@@ -126,20 +117,6 @@ class ForwardTrajectory:
     def shape(self) -> tuple:
         """(N+1, J) of the states, kept or not."""
         return self.partition.interval_count + 1, self.kept.shape[1]
-
-    @property
-    def states(self) -> np.ndarray:
-        """(N+1, J) cell averages, row 0 the initial data: `kept` when every
-        row is kept, else a new array rebuilt block by block on each read."""
-        N = self.partition.interval_count
-        if self.kept_at.size == N + 1:
-            return self.kept
-        full = np.empty(self.shape)
-        full[self.kept_at] = self.kept
-        for lo in range(0, N, BLOCK):
-            hi = min(lo + BLOCK, N)
-            full[lo:hi + 1] = self.rows(lo, hi, full[lo:])
-        return full
 
     def rows(self, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
         """The states lo .. hi, C-contiguous, lo a multiple of BLOCK: kept
@@ -157,22 +134,6 @@ class ForwardTrajectory:
         if err is not None:
             raise SolverFailure(f"rebuilding interval {lo + done}: {err}") from err
         return rows
-
-    def reductions(self, weights=None) -> RowReductions:
-        """The per-row reductions: the march's own, unless `weights` differ
-        from its or it kept none (built by hand); then taken block by block
-        from the states as `rows` gives them, dots only with `weights`."""
-        red = self.reduced
-        if red is not None and (weights is None
-                                or weights.tobytes() == red.weights.tobytes()):
-            return red
-        N = self.partition.interval_count
-        g = np.ascontiguousarray(self.g, dtype=float)
-        buf = np.empty((min(BLOCK, N) + 1, self.shape[1]))
-        red = RowReductions.start(N, self.rows(0, 0, buf)[0], g, self.flux, weights)
-        for lo in range(0, N, BLOCK):
-            red.take(self.rows(lo, min(lo + BLOCK, N), buf), lo, g, self.flux)
-        return red
 
     @property
     def newton_stats(self) -> list:
@@ -418,5 +379,5 @@ def run_forward(grid: SpatialGrid, partition: TimePartition,
             kept[p:q] = rows[kept_at[p:q] - lo]
         red.take(rows, lo, g_at, case.flux)
         p = q
-    return ForwardTrajectory(grid, partition, None, case.flux, g_at, *newton,
-                             kept=kept, kept_at=kept_at, reduced=red)
+    return ForwardTrajectory(grid, partition, case.flux, g_at, *newton, kept,
+                             kept_at, red)

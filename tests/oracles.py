@@ -2,19 +2,21 @@
 and `Stepper`, which takes one step at a time through the compiled march.
 
 `flux_values` is f(u) of a flux object and `fprime` its f'(u), which
-the compiled core forms; `no_newton` is the Newton record of intervals
-that ran no Newton iteration, and `end_state_run` a hand-made run with
-given end states, the dual's one input.  `split` is the flux splitting the march
-transcribes, `interface_fluxes` the march's flux construction
-in array form, `update_fluxes` rebuilds the fluxes every update of a
-`run_forward` trajectory used, and `cell_terms` forms the error
-breakdown's per-cell time and space terms, in the operation order the
-compiled breakdown transcribes.  `propose_timesteps` and `assign_modes`
-are the planner's loops on numpy scalars, which the package now runs in
-the compiled core.  `percent_rows` is the CSV writer's old text:
-`fmt % row` over `.tolist()` columns.  `bisect_departure` is the plain
-48-level bisection the inflow table reproduces, every comparison on
-numpy's exact departure map.
+the compiled core forms.  `hand_run` is a run built by hand from all
+its states, and `end_state_run` one with given end states, the dual's
+one input.  `states` and `w_samples` read all N + 1 states of a run and
+all N samples of its dual: the reference readers tests compare against.
+`split` is the flux splitting the march transcribes, `interface_fluxes`
+the march's flux construction in array form, `update_fluxes` rebuilds
+the fluxes every update of a `run_forward` trajectory used, and
+`cell_terms` forms the error breakdown's per-cell time and space terms,
+in the operation order the compiled breakdown transcribes.
+`propose_timesteps` and `assign_modes` are the planner's loops on numpy
+scalars, which the package now runs in the compiled core.
+`percent_rows` is the CSV writer's old text: `fmt % row` over
+`.tolist()` columns.  `bisect_departure` is the plain 48-level bisection
+the inflow table reproduces, every comparison on numpy's exact
+departure map.
 """
 import math
 
@@ -23,7 +25,8 @@ import numpy as np
 import shockstep as ss
 from shockstep import _core, testcase
 from shockstep.adaptivity import CFL_CAP, CFL_SWITCH, FLOOR_SCALE
-from shockstep.forward import NewtonStats, march
+from shockstep.dual import sweep
+from shockstep.forward import BLOCK, NewtonStats, RowReductions, march
 from shockstep.grid import EXPLICIT, IMPLICIT
 
 
@@ -76,20 +79,60 @@ def fprime(flux, u):
     return u
 
 
-def no_newton(n):
-    """The Newton arrays of n intervals that ran no Newton iteration, as
-    `run_forward` keeps them for explicit ones."""
-    return dict(newton_iters=np.zeros(n, np.intc), newton_resid=np.zeros(n),
-                newton_stop=np.zeros(n, np.int8))
+def hand_run(grid, partition, states, flux, g, newton=None, weights=None):
+    """A `ForwardTrajectory` built by hand from all N + 1 `states`, every
+    one kept as a read-only view, with the inflow g at each t_n and the
+    Newton arrays `newton` = (iterations, residuals, stop codes), by
+    default those of intervals that ran no Newton iteration.  Its row
+    reductions are taken block by block with `RowReductions.start` and
+    `take`, as `run_forward` takes them, so the J_h dots with the cell
+    `weights` have the march's bits; without weights the dots are NaN,
+    and `evaluate_functional` refuses the run."""
+    N = partition.interval_count
+    kept = np.ascontiguousarray(states, dtype=float).view()
+    if len(kept) != N + 1:
+        raise ValueError(f"{len(kept)} states, need {N + 1}")
+    if newton is None:
+        newton = np.zeros(N, np.intc), np.zeros(N), np.zeros(N, np.int8)
+    g = np.ascontiguousarray(g, dtype=float)
+    if weights is None:
+        weights = np.full(kept.shape[1], np.nan)
+    red = RowReductions.start(N, kept[0], g, flux, weights)
+    for lo in range(0, N, BLOCK):
+        red.take(kept[lo:min(lo + BLOCK, N) + 1], lo, g, flux)
+    return ss.ForwardTrajectory(grid, partition, flux, g, *newton, kept,
+                                np.arange(N + 1), red)
 
 
 def end_state_run(grid, part, A, flux):
-    """A `ForwardTrajectory` whose end states u^1 .. u^N are the (N, J)
-    rows A, row 0 repeating A[0], with inflow 0 and no Newton record."""
+    """A `hand_run` whose end states u^1 .. u^N are the (N, J) rows A, row
+    0 repeating A[0], with inflow 0 and no Newton record."""
     A = np.asarray(A, dtype=float)
-    N = part.interval_count
-    return ss.ForwardTrajectory(grid, part, np.concatenate((A[:1], A)), flux,
-                                np.zeros(N + 1), **no_newton(N))
+    return hand_run(grid, part, np.concatenate((A[:1], A)), flux,
+                    np.zeros(part.interval_count + 1))
+
+
+def states(traj) -> np.ndarray:
+    """The (N+1, J) cell averages of a run, row 0 the initial data: `kept`
+    when every row is kept, else a new array rebuilt block by block by
+    `ForwardTrajectory.rows` on each call."""
+    N = traj.partition.interval_count
+    if traj.kept_at.size == N + 1:
+        return traj.kept
+    full = np.empty(traj.shape)
+    full[traj.kept_at] = traj.kept
+    for lo in range(0, N, BLOCK):
+        hi = min(lo + BLOCK, N)
+        full[lo:hi + 1] = traj.rows(lo, hi, full[lo:])
+    return full
+
+
+def w_samples(dual) -> np.ndarray:
+    """The (N, J) dual samples, marched by `dual.sweep` into a new array
+    on each call."""
+    samples = np.empty(dual.shape)
+    sweep(dual, samples=samples)
+    return samples
 
 
 def split(flux, v, d, f):
@@ -134,7 +177,7 @@ def update_fluxes(traj, case, rows=slice(None)) -> np.ndarray:
     stencil += part.modes[rows] == ss.IMPLICIT
     g = np.atleast_1d(np.asarray(case.inflow_value(part.times[stencil]),
                                  dtype=float))
-    return interface_fluxes(traj.states[stencil], g, traj.flux)
+    return interface_fluxes(states(traj)[stencil], g, traj.flux)
 
 
 def cell_terms(traj, dual, case, lo, hi):
@@ -148,9 +191,9 @@ def cell_terms(traj, dual, case, lo, hi):
     k = traj.partition.steps[lo:hi, None]
     h = traj.grid.h
     psi_c = np.asarray(case.weight(traj.grid.centers), dtype=float)
-    u = traj.states     # a checkpointed run rebuilds them on each read
+    u = states(traj)    # a checkpointed run rebuilds them on each call
     u0, u1 = u[lo:hi], u[lo + 1:hi + 1]
-    W = dual.w_samples[lo:hi]
+    W = w_samples(dual)[lo:hi]
     eta_k = -0.5 * k * h * (u1 - u0) * (psi_c - fprime(traj.flux, u1) * W)
     F = update_fluxes(traj, case, slice(lo, hi))
     eta_h = k * 0.5 * h * W * (F[:, 1:] + F[:, :-1]

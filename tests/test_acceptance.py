@@ -13,8 +13,8 @@ import pytest
 import shockstep as ss
 from shockstep.cli import main as cli_main
 from shockstep.dual import DUAL_CFL
-from oracles import (Stepper, end_state_run, interface_fluxes, split,
-                     update_fluxes)
+from oracles import (Stepper, end_state_run, interface_fluxes, split, states,
+                     update_fluxes, w_samples)
 
 # reference targets for the uniform-refinement study (20..160 cells)
 TARGET_ETA_K = (1.96e-3, 9.81e-4, 4.81e-4, 2.37e-4)
@@ -228,7 +228,7 @@ def test_criterion_7_dual_convergence_and_mass(case):
         xc = grid.centers
         tau = Td - 0.5 * part.times[1]
         wex = case.weight(xc) - case.weight(xc + tau)
-        errs.append(grid.h * float(np.sum(np.abs(dual.w_samples[0] - wex))))
+        errs.append(grid.h * float(np.sum(np.abs(w_samples(dual)[0] - wex))))
     for coarse, fine in zip(errs[:-1], errs[1:]):
         assert 1.6 <= coarse / fine <= 2.4
 
@@ -290,9 +290,9 @@ def test_criterion_9_discrete_conservation(base_trajectory, case):
     h = traj.grid.h
     k = traj.partition.steps
     F = update_fluxes(traj, case)
-    lhs = h * float(np.sum(traj.states[-1] - traj.states[0]))
+    lhs = h * float(np.sum(states(traj)[-1] - states(traj)[0]))
     rhs = -float(np.sum(k * (F[:, -1] - F[:, 0])))
-    scale = h * float(np.sum(np.abs(traj.states[-1])))
+    scale = h * float(np.sum(np.abs(states(traj)[-1])))
     N, J = F.shape
     assert abs(lhs - rhs) <= 10 * N * J * np.finfo(float).eps * scale
 

@@ -411,21 +411,30 @@ def test_solve_level_memory_is_a_fifth_of_the_states(case):
 @pytest.mark.parametrize("runs", [[(ss.EXPLICIT, 300)], [(ss.IMPLICIT, 300)],
                                   [(ss.EXPLICIT, 200), (ss.IMPLICIT, 100),
                                    (ss.EXPLICIT, 150)]])
-def test_solve_level_never_reads_the_states(case, monkeypatch, runs):
-    # every stage reads the run block by block or through its row
-    # reductions; reading all N + 1 states would rebuild them
+def test_solve_level_reads_each_block_once(case, monkeypatch, runs):
+    # the dual's plan, the speed profile and J_h read the row reductions
+    # the march took; only the breakdown's backward sweep reads states,
+    # each block once from its checkpoint, the last block first, so
+    # `ForwardTrajectory.rows` is called ceil(N / BLOCK) times.  Reading
+    # all N + 1 states would call it once more per block
     grid = ss.build_spatial_grid(20, 0)
     k = {ss.EXPLICIT: 0.02, ss.IMPLICIT: 0.1}
     modes = np.concatenate([np.full(n, m, np.int8) for m, n in runs])
     part = ss.TimePartition(times=np.concatenate(
         ([0.0], np.cumsum([k[int(m)] for m in modes]))), modes=modes)
     want = ss.solve_level(0, grid, part, case, 0.8)
+    calls = []
+    rows = ss.ForwardTrajectory.rows
 
-    def refuse(traj):
-        raise AssertionError("a stage read ForwardTrajectory.states")
+    def counted(traj, lo, hi, buf):
+        calls.append((lo, hi))
+        return rows(traj, lo, hi, buf)
 
-    monkeypatch.setattr(ss.ForwardTrajectory, "states", property(refuse))
+    monkeypatch.setattr(ss.ForwardTrajectory, "rows", counted)
     rep = ss.solve_level(0, grid, part, case, 0.8)
+    B, N = ss.forward.BLOCK, part.interval_count
+    assert len(calls) == math.ceil(N / B)
+    assert calls == [(lo, min(lo + B, N)) for lo in reversed(range(0, N, B))]
     assert rep.breakdown.J_h == want.breakdown.J_h
 
 
@@ -463,11 +472,8 @@ def test_speed_profile_includes_inflow(case):
     part = ss.TimePartition(times=np.array([0.0, 1.0, 2.0]))
 
     def run(value):
-        return ss.ForwardTrajectory(grid=grid, partition=part,
-                                    states=np.full((3, 4), value),
-                                    flux=ss.BURGERS,
-                                    g=case.inflow_value(part.times),
-                                    **oracles.no_newton(2))
+        return oracles.hand_run(grid, part, np.full((3, 4), value),
+                                ss.BURGERS, case.inflow_value(part.times))
 
     prof = ss.SpeedProfile.from_trajectory(run(0.5))
     # the boundary value 1.0 beats every interior speed here
@@ -478,7 +484,8 @@ def test_speed_profile_includes_inflow(case):
 
 def _abs_table_profile(traj, case):
     """The profile values as built from a full |f'| table."""
-    state_speed = np.max(np.abs(oracles.fprime(traj.flux, traj.states)), axis=1)
+    u = oracles.states(traj)
+    state_speed = np.max(np.abs(oracles.fprime(traj.flux, u)), axis=1)
     g = np.asarray(case.inflow_value(traj.partition.times), dtype=float)
     node = np.maximum(state_speed, np.abs(oracles.fprime(traj.flux, g)))
     return np.maximum(node[:-1], node[1:])

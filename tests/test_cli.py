@@ -181,6 +181,7 @@ def test_non_finite_dual_exits_3_in_the_words_of_the_march(tmp_path, capsys,
     # and solve_level and the CLI say so as the march alone does
     import numpy as np
     import shockstep as ss
+    from oracles import w_samples
     monkeypatch.setattr(ss.PerturbedShockCase, "weight_gradient",
                         lambda self, x: np.full(np.shape(x), -np.inf))
     case = ss.PerturbedShockCase()
@@ -188,7 +189,7 @@ def test_non_finite_dual_exits_3_in_the_words_of_the_march(tmp_path, capsys,
     part = ss.uniform_cfl_partition(case, grid, 0.8)
     traj = ss.run_forward(grid, part, case)
     with pytest.raises(ss.SolverFailure) as alone:
-        ss.solve_dual_gradient(ss.build_coefficient_field(traj), case).w_samples
+        w_samples(ss.solve_dual_gradient(traj, case))
     text = str(alone.value)
     assert text == f"dual march non-finite in interval {part.interval_count - 1}"
     with pytest.raises(ss.SolverFailure) as level:

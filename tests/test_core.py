@@ -46,9 +46,10 @@ from hypothesis import strategies as st
 
 import shockstep as ss
 from shockstep import _core, testcase
+from shockstep.forward import NewtonStats
 import oracles
-from oracles import (Stepper, cell_terms, end_state_run, interface_fluxes,
-                     no_newton, percent_rows, split)
+from oracles import (Stepper, cell_terms, end_state_run, hand_run,
+                     interface_fluxes, percent_rows, split, w_samples)
 
 EPS = np.finfo(float).eps
 # values that hit the splitting's branches: sonic point, both zeros
@@ -606,7 +607,7 @@ def test_dual_substeps_match_numpy_bitwise(cores, J, N, seed, sparse, record):
             dual = ss.solve_dual_gradient(
                 end_state_run(grid, part, A, ss.BURGERS), _Source(source),
                 record_substeps=record)
-            assert _same(dual.w_samples, samples)
+            assert _same(w_samples(dual), samples)
             if record:
                 assert _same([rel for _, _, rel in dual.substep_log], log)
                 assert dual.max_mass_residual == max(log)
@@ -739,9 +740,9 @@ def test_linear_flux_dual_matches_numpy_bitwise(cores, linear_case, a):
         samples, log = _np_dual(A, part.steps, grid.h, source, m, record)
         for lib in cores:
             with _running(lib):
-                dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj),
-                                              case, record_substeps=record)
-                assert _same(dual.w_samples, samples)
+                dual = ss.solve_dual_gradient(traj, case,
+                                              record_substeps=record)
+                assert _same(w_samples(dual), samples)
                 if record:
                     assert _same([rel for _, _, rel in dual.substep_log], log)
 
@@ -764,7 +765,7 @@ def test_kernel_arguments_are_checked_at_the_boundary():
                           ss.BURGERS)
     scalar = ss.solve_dual_gradient(coeff, _Source(np.float64(0.5)))
     cells = ss.solve_dual_gradient(coeff, _Source(np.full(6, 0.5)))
-    assert _same(scalar.w_samples, cells.w_samples)
+    assert _same(w_samples(scalar), w_samples(cells))
     with pytest.raises(ValueError):
         ss.solve_dual_gradient(coeff, _Source(np.zeros(7)))
 
@@ -775,8 +776,8 @@ def _dual(J, T, N, A, source):
     the march."""
     grid = ss.build_spatial_grid(J, 0)
     part = ss.TimePartition(times=np.linspace(0.0, T, N + 1))
-    return ss.solve_dual_gradient(end_state_run(grid, part, A, ss.BURGERS),
-                                  _Source(source)).w_samples
+    return w_samples(ss.solve_dual_gradient(
+        end_state_run(grid, part, A, ss.BURGERS), _Source(source)))
 
 
 @pytest.mark.parametrize("T, N, a, source, interval", [
@@ -884,7 +885,7 @@ def test_kernel_tails_match_numpy_at_every_length(cores, J):
                 dual = ss.solve_dual_gradient(
                     end_state_run(grid, part, A, ss.BURGERS), _Source(source),
                     record_substeps=record)
-                assert _same(dual.w_samples, samples)
+                assert _same(w_samples(dual), samples)
                 if record:
                     assert _same([rel for _, _, rel in dual.substep_log], log)
 
@@ -1047,7 +1048,7 @@ def test_newton_widens_when_the_window_edge_turns_positive(cores):
     for lib in cores:
         with _running(lib):
             s = Stepper(u, ss.BURGERS)
-            assert s.implicit(k, h, g) == ss.NewtonStats(it, res, stop)
+            assert s.implicit(k, h, g) == NewtonStats(it, res, stop)
             assert _same(s.u, want)
             assert _same(s.F, F_want)
     _assert_march_matches_numpy(cores, u, [k, k], [g, g, g], h, ss.BURGERS,
@@ -1069,7 +1070,7 @@ def test_newton_widens_on_a_zero_state_in_the_window(cores, sign):
         for lib in cores:
             with _running(lib):
                 s = Stepper(u, ss.BURGERS)
-                assert s.implicit(x * h, h, -0.5) == ss.NewtonStats(it, res, stop)
+                assert s.implicit(x * h, h, -0.5) == NewtonStats(it, res, stop)
                 assert _same(s.u, want)
                 assert _same(s.F, F_want)
 
@@ -1146,7 +1147,7 @@ def test_window_mode_runs_cross_block_boundaries(cores, case):
     for lib in cores:
         with _running(lib):
             traj = ss.run_forward(grid, part, case)
-            assert _same(traj.states, want)
+            assert _same(oracles.states(traj), want)
             assert _same(traj.newton_iters, iters)
 
 
@@ -1192,13 +1193,12 @@ def _breakdown_inputs(draw):
     modes = np.array(draw(st.lists(st.sampled_from([ss.EXPLICIT, ss.IMPLICIT]),
                                    min_size=N, max_size=N)), dtype=np.int8)
     part = ss.TimePartition(times=times, modes=modes)
-    states = rng.uniform(-1.5, 1.5, (N + 1, J))
+    u = rng.uniform(-1.5, 1.5, (N + 1, J))
     if draw(st.booleans()):
-        states[rng.random(states.shape) < 0.3] = rng.choice([0.0, -0.0])
+        u[rng.random(u.shape) < 0.3] = rng.choice([0.0, -0.0])
     case = _Case(draw(st.booleans()), rng.uniform(0, 6))
-    traj = ss.ForwardTrajectory(grid=grid, partition=part, states=states,
-                                flux=flux, g=case.inflow_value(times),
-                                **no_newton(N))
+    traj = hand_run(grid, part, u, flux, case.inflow_value(times),
+                    weights=ss.weight_cell_integrals(grid, case))
     dual = ss.solve_dual_gradient(traj, case, draw(st.sampled_from([0.2, 0.8, 1.0])))
     return traj, dual, case
 
@@ -1238,10 +1238,9 @@ def test_breakdown_pairwise_sums_at_every_width(cores, J):
     part = ss.TimePartition(times=np.array([0.0, 0.01, 0.03, 0.04]),
                             modes=np.array([0, 1, 0], dtype=np.int8))
     case = _Case(False, 1.0)
-    traj = ss.ForwardTrajectory(grid=grid, partition=part,
-                                states=rng.uniform(-1.5, 1.5, (4, J)),
-                                flux=ss.BURGERS, g=case.inflow_value(part.times),
-                                **no_newton(3))
+    traj = hand_run(grid, part, rng.uniform(-1.5, 1.5, (4, J)), ss.BURGERS,
+                    case.inflow_value(part.times),
+                    weights=ss.weight_cell_integrals(grid, case))
     dual = ss.solve_dual_gradient(traj, case)
     for lib in cores:
         with _running(lib):
@@ -1265,15 +1264,13 @@ def test_non_finite_dual_stops_the_sweep_with_the_march_text(cores):
     N, J = 6, 10
     grid = ss.build_spatial_grid(J, 0)
     part = ss.TimePartition(times=np.linspace(0.0, 60.0, N + 1))
-    traj = ss.ForwardTrajectory(grid=grid, partition=part,
-                                states=np.full((N + 1, J), 0.01), flux=ss.BURGERS,
-                                g=np.zeros(N + 1), **no_newton(N))
+    traj = hand_run(grid, part, np.full((N + 1, J), 0.01), ss.BURGERS,
+                    np.zeros(N + 1))
     for lib in cores:
         with _running(lib):
-            for read in (lambda dual: dual.w_samples,
+            for read in (w_samples,
                          lambda dual: ss.assemble_breakdown(traj, dual, _Overflow())):
-                dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj),
-                                              _Overflow())
+                dual = ss.solve_dual_gradient(traj, _Overflow())
                 with pytest.raises(ss.SolverFailure,
                                    match="^dual march non-finite in interval 4$"):
                     read(dual)

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shockstep as ss
-from oracles import end_state_run
+from shockstep.dual import build_coefficient_field
+from oracles import end_state_run, w_samples
 
 
 class _GradientOnlyCase:
@@ -29,7 +30,7 @@ def test_coefficient_field_is_the_run_itself(case):
     # the dual reads the end states and the flux of the run it linearizes
     traj = ss.run_forward(ss.build_spatial_grid(20, 0),
                           ss.uniform_partition(1.0, 0.04), case)
-    assert ss.build_coefficient_field(traj) is traj
+    assert build_coefficient_field(traj) is traj
 
 
 # ------------------------------------------------------------ closed forms
@@ -43,7 +44,7 @@ def test_zero_weight_gradient_keeps_w_zero():
                           ss.BURGERS)
     stub = _GradientOnlyCase(np.zeros_like)
     dual = ss.solve_dual_gradient(coeff, stub)
-    np.testing.assert_array_equal(dual.w_samples, 0.0)
+    np.testing.assert_array_equal(w_samples(dual), 0.0)
 
 
 def test_zero_coefficient_gives_linear_source_growth(case):
@@ -55,7 +56,7 @@ def test_zero_coefficient_gives_linear_source_growth(case):
     dual = ss.solve_dual_gradient(coeff, case)
     src = -case.weight_gradient(grid.centers)
     T = part.times[-1]
-    W = dual.w_samples      # each read marches the dual again
+    W = w_samples(dual)  # each call marches the dual again
     for n in range(part.interval_count):
         expected = (T - part.times[n]) * src
         np.testing.assert_allclose(W[n], expected, rtol=0, atol=1e-12)
@@ -77,7 +78,7 @@ def test_unit_coefficient_first_order_convergence(case):
         xc = grid.centers
         tau = Td - 0.5 * part.times[1]
         wex = case.weight(xc) - case.weight(xc + tau)
-        errs.append(h * float(np.sum(np.abs(dual.w_samples[0] - wex))))
+        errs.append(h * float(np.sum(np.abs(w_samples(dual)[0] - wex))))
     np.testing.assert_allclose(
         errs, [4.147343e-2, 2.507848e-2, 1.346062e-2, 7.190383e-3], rtol=1e-6)
     for coarse, fine in zip(errs[:-1], errs[1:]):
@@ -119,7 +120,7 @@ def test_substep_march_matches_scalar_reimplementation():
             if i == (m + 1) // 2:
                 samples[n] = w
 
-    assert float(np.max(np.abs(dual.w_samples - samples))) <= 1e-15
+    assert float(np.max(np.abs(w_samples(dual) - samples))) <= 1e-15
     # the log must hold one entry per substep with the dt actually used
     for n in (0, 1):
         entries = [e for e in dual.substep_log if e[0] == n]
@@ -130,7 +131,7 @@ def test_substep_march_matches_scalar_reimplementation():
 
 
 def test_mass_balance_on_benchmark_march(case, base_trajectory):
-    coeff = ss.build_coefficient_field(base_trajectory)
+    coeff = base_trajectory
     dual = ss.solve_dual_gradient(coeff, case, record_substeps=True)
     assert dual.max_mass_residual is not None
     assert dual.max_mass_residual <= 1e-12
@@ -161,7 +162,7 @@ def test_mass_balance_on_random_fields(case, steps, J, seed, zero, dual_cfl,
     if scalar is not None:
         full = _GradientOnlyCase(lambda x: np.full(x.shape, scalar))
         want = ss.solve_dual_gradient(coeff, full, dual_cfl, record_substeps=True)
-        assert dual.w_samples.tobytes() == want.w_samples.tobytes()
+        assert w_samples(dual).tobytes() == w_samples(want).tobytes()
         assert dual.max_mass_residual == want.max_mass_residual
 
 
@@ -197,8 +198,7 @@ def test_sampled_profiles_stable_across_grid_levels(case):
         grid = ss.build_spatial_grid(J, 0)
         part = ss.uniform_partition(case.T, k1)
         traj = ss.run_forward(grid, part, case)
-        coeff = ss.build_coefficient_field(traj)
-        W[J] = ss.solve_dual_gradient(coeff, case).w_samples
+        W[J] = w_samples(ss.solve_dual_gradient(traj, case))
     nstar = int(np.argmin(np.abs(part.times - 40.0)))
     w0 = W[20][nstar - 1]
     w1 = W[40][nstar - 1]

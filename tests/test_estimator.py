@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import shockstep as ss
 from shockstep.dual import DUAL_CFL
 from shockstep.estimator import ErrorBreakdown
-from shockstep.forward import ForwardTrajectory
-from oracles import cell_terms, no_newton, update_fluxes
+from oracles import cell_terms, hand_run, states, update_fluxes, w_samples
 
 # integral of the weight over its support, quadrature-independent value
 BUMP_MASS = 0.0887987632336159
@@ -68,42 +67,65 @@ def test_weight_integrals_support(case):
 
 # ------------------------------------------------------------- functional
 
-def _synthetic_trajectory(states, T=2.0):
+def _synthetic_trajectory(u, case, T=2.0):
+    """A hand-built run of the states u on 20 cells, its J_h dots taken
+    with the cell weights of `case`."""
     grid = ss.build_spatial_grid(20, 0)
-    part = ss.uniform_partition(T, T / (states.shape[0] - 1))
-    return ForwardTrajectory(grid=grid, partition=part, states=states,
-                             flux=ss.BURGERS, g=np.ones(states.shape[0]),
-                             **no_newton(states.shape[0] - 1))
+    part = ss.uniform_partition(T, T / (u.shape[0] - 1))
+    return hand_run(grid, part, u, ss.BURGERS, np.ones(u.shape[0]),
+                    weights=ss.weight_cell_integrals(grid, case))
 
 
 def test_evaluate_functional_zero_state(case):
-    traj = _synthetic_trajectory(np.zeros((5, 20)))
+    traj = _synthetic_trajectory(np.zeros((5, 20)), case)
     assert ss.evaluate_functional(traj, case) == 0.0
 
 
 def test_evaluate_functional_unit_state(case):
-    traj = _synthetic_trajectory(np.ones((5, 20)))
+    traj = _synthetic_trajectory(np.ones((5, 20)), case)
     W = ss.weight_cell_integrals(traj.grid, case)
     assert ss.evaluate_functional(traj, case) == pytest.approx(
         2.0 * float(np.sum(W)), rel=1e-14)
 
 
+def test_evaluate_functional_refuses_other_cell_weights(case, monkeypatch):
+    # J_h sums the dots the march took with its case's cell weights; a
+    # case with other weights is refused, not answered by a second march,
+    # and so is a hand-built run that took no weights
+    grid = ss.build_spatial_grid(20, 0, case.domain)
+    part = ss.uniform_cfl_partition(case, grid, 0.8)
+    traj = ss.run_forward(grid, part, case)
+    J_h = ss.evaluate_functional(traj, case)
+    assert J_h == float(np.sum(part.steps * traj.reduced.dots))
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("evaluate_functional re-marched the run")
+
+    monkeypatch.setattr(ss.forward, "march_block", no_march)
+    with pytest.raises(ValueError, match="cell weights differ"):
+        ss.evaluate_functional(traj, _ConstWeight(1.0, 0.0))
+    bare = hand_run(grid, ss.uniform_partition(2.0, 0.5), np.ones((5, 20)),
+                    ss.BURGERS, np.ones(5))
+    with pytest.raises(ValueError, match="cell weights differ"):
+        ss.evaluate_functional(bare, case)
+    assert ss.evaluate_functional(traj, case) == J_h
+
+
 # ------------------------------------------------------- per-cell formulas
 
-def _one_step_breakdown(states, weight, gradient):
+def _one_step_breakdown(u, weight, gradient):
     """The breakdown, the cell terms and the marched dual sample w of cell
     0 over one explicit step of length 0.1 on two cells of width 0.05
     with inflow 1; Burgers, so the time term's a = f'(u^{n+1}) is the end
     state."""
     grid = ss.build_spatial_grid(2, 0, domain=(0.0, 0.1))
     part = ss.TimePartition(times=np.array([0.0, 0.1]))
-    traj = ForwardTrajectory(grid=grid, partition=part,
-                             states=np.array(states), flux=ss.BURGERS,
-                             g=np.ones(2), **no_newton(1))
     case = _ConstWeight(weight, gradient)
+    traj = hand_run(grid, part, np.array(u), ss.BURGERS, np.ones(2),
+                    weights=ss.weight_cell_integrals(grid, case))
     dual = ss.solve_dual_gradient(traj, case)
     br = ss.assemble_breakdown(traj, dual, case)
-    return br, cell_terms(traj, dual, case, 0, 1), dual.w_samples[0, 0]
+    return br, cell_terms(traj, dual, case, 0, 1), w_samples(dual)[0, 0]
 
 
 def test_breakdown_time_term_reference_value():
@@ -140,8 +162,7 @@ def test_breakdown_matches_scalar_loops(case):
     br = ss.solve_level(0, grid, part, case, DUAL_CFL).breakdown
     traj = ss.run_forward(grid, part, case)
     # the loops' inputs, rebuilt from the trajectory
-    coeff = ss.build_coefficient_field(traj)
-    dual = ss.solve_dual_gradient(coeff, case, DUAL_CFL)
+    dual = ss.solve_dual_gradient(traj, case, DUAL_CFL)
     F = update_fluxes(traj, case)
 
     N, J = part.interval_count, grid.cell_count
@@ -149,7 +170,7 @@ def test_breakdown_matches_scalar_loops(case):
     k = part.steps
     psi = case.weight(grid.centers)
     # each read re-marches the run or the dual: read them once
-    u, W = traj.states, dual.w_samples
+    u, W = states(traj), w_samples(dual)
     etk = np.empty((N, J))
     eth = np.empty((N, J))
     for n in range(N):
@@ -179,8 +200,7 @@ def test_breakdown_aggregates_are_consistent(base_report, base_trajectory,
     part = rep.partition
     k = part.steps
     traj = base_trajectory
-    dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj), case,
-                                  DUAL_CFL)
+    dual = ss.solve_dual_gradient(traj, case, DUAL_CFL)
     N = part.interval_count
     cells_k, cells_h = cell_terms(traj, dual, case, 0, N)
     assert cells_k.shape == (N, rep.grid.cell_count)
@@ -210,8 +230,7 @@ def test_breakdown_independent_of_block_size(case, mixed_trajectory):
     from shockstep import _core
     from shockstep._core import ptr
     traj = mixed_trajectory
-    dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj), case,
-                                  DUAL_CFL)
+    dual = ss.solve_dual_gradient(traj, case, DUAL_CFL)
     part, grid = traj.partition, traj.grid
     N, J = part.interval_count, grid.cell_count
     k, modes, g = part.steps, part.modes, traj.g
@@ -219,7 +238,7 @@ def test_breakdown_independent_of_block_size(case, mixed_trajectory):
     src_total = grid.h * float(np.sum(src))
     kind, a = ss.forward._flux_code(traj.flux)
     psi = np.asarray(case.weight(grid.centers), dtype=float)
-    u = traj.states
+    u = states(traj)
 
     def sums(rows):
         out = np.empty((N, 4))
@@ -246,8 +265,7 @@ def test_breakdown_reads_the_inflow_of_the_march(case, mixed_trajectory,
     # the stencil inflow comes from the trajectory's g, not from a second
     # query, and the cell terms keep the bits of the re-queried oracle
     traj = mixed_trajectory
-    dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj), case,
-                                  DUAL_CFL)
+    dual = ss.solve_dual_gradient(traj, case, DUAL_CFL)
     N = traj.partition.interval_count
     cells_k, cells_h = cell_terms(traj, dual, case, 0, N)
 
@@ -276,13 +294,12 @@ def test_breakdown_refuses_a_dual_planned_on_another_run(case, mixed_trajectory)
 
 def test_breakdown_rejects_mismatched_shapes(case):
     # a dual planned on a run of another shape is another run's
-    traj = _synthetic_trajectory(np.ones((5, 20)))
+    traj = _synthetic_trajectory(np.ones((5, 20)), case)
     for other in (np.ones((4, 20)), np.ones((5, 19))):
-        other_run = ForwardTrajectory(
-            grid=ss.build_spatial_grid(other.shape[1], 0),
-            partition=ss.uniform_partition(2.0, 2.0 / (other.shape[0] - 1)),
-            states=other, flux=ss.BURGERS, g=np.ones(other.shape[0]),
-            **no_newton(other.shape[0] - 1))
+        other_run = hand_run(
+            ss.build_spatial_grid(other.shape[1], 0),
+            ss.uniform_partition(2.0, 2.0 / (other.shape[0] - 1)), other,
+            ss.BURGERS, np.ones(other.shape[0]))
         with pytest.raises(ValueError, match="planned on another forward run"):
             ss.assemble_breakdown(traj, ss.solve_dual_gradient(other_run, case),
                                   case)

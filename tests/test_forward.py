@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shockstep as ss
-from oracles import (Stepper, flux_values, interface_fluxes, no_newton, split,
-                     update_fluxes)
+from oracles import (Stepper, flux_values, hand_run, interface_fluxes, split,
+                     states, update_fluxes, w_samples)
 
 # squares of these stay finite, so no overflow warning can fire
 _FINITE = st.floats(min_value=-1e150, max_value=1e150,
@@ -438,8 +438,8 @@ def test_run_forward_layout_and_mode_bookkeeping(case):
     times = np.array([0.0, 0.02, 0.06, 0.1])
     modes = np.array([ss.EXPLICIT, ss.IMPLICIT, ss.EXPLICIT], dtype=np.int8)
     traj = ss.run_forward(grid, ss.TimePartition(times=times, modes=modes), case)
-    assert traj.states.shape == (4, 20)
-    np.testing.assert_array_equal(traj.states[0],
+    assert states(traj).shape == (4, 20)
+    np.testing.assert_array_equal(states(traj)[0],
                                   case.initial_cell_averages(grid.edges))
     assert traj.newton_stats[0] is None
     assert traj.newton_stats[1] is not None
@@ -450,7 +450,7 @@ def test_run_forward_layout_and_mode_bookkeeping(case):
 def test_run_forward_zero_interval_partition(case):
     grid = ss.build_spatial_grid(20, 0)
     traj = ss.run_forward(grid, ss.TimePartition(times=np.array([0.0])), case)
-    assert traj.states.shape == (1, 20)
+    assert states(traj).shape == (1, 20)
     assert update_fluxes(traj, case).shape == (0, 21)
     assert traj.newton_stats == []
 
@@ -467,7 +467,7 @@ def test_update_fluxes_reproduce_every_update(case):
                           case)
     F = update_fluxes(traj, case)
     assert F.shape == (6, 21)
-    u = traj.states
+    u = states(traj)
     for n in range(6):
         lam = float(times[n + 1] - times[n]) / grid.h
         if modes[n] == ss.EXPLICIT:
@@ -497,18 +497,18 @@ def test_march_and_dual_bit_exact(mode, case):
     else:
         part = ss.uniform_partition(case.T, 1.0, ss.IMPLICIT)
     traj = ss.run_forward(grid, part, case)
-    dual = ss.solve_dual_gradient(ss.build_coefficient_field(traj), case)
+    dual = ss.solve_dual_gradient(traj, case)
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
-                for a in (traj.states, dual.w_samples))
+                for a in (states(traj), w_samples(dual)))
     assert got == _GOLDEN_ARRAYS[mode]
 
 
 def test_run_forward_stays_within_data_range(base_trajectory):
-    states = base_trajectory.states
-    assert float(np.min(states)) >= -1.05
-    assert float(np.max(states)) <= 1.05
+    u = states(base_trajectory)
+    assert float(np.min(u)) >= -1.05
+    assert float(np.max(u)) <= 1.05
     # the inflow pulse really does push the state above the initial amplitude
-    assert float(np.max(states)) > 1.0
+    assert float(np.max(u)) > 1.0
 
 
 def test_run_forward_conserves_mass_explicit(base_trajectory, case):
@@ -516,9 +516,9 @@ def test_run_forward_conserves_mass_explicit(base_trajectory, case):
     h = traj.grid.h
     k = traj.partition.steps
     F = update_fluxes(traj, case)
-    lhs = h * float(np.sum(traj.states[-1] - traj.states[0]))
+    lhs = h * float(np.sum(states(traj)[-1] - states(traj)[0]))
     rhs = -float(np.sum(k * (F[:, -1] - F[:, 0])))
-    scale = h * float(np.sum(np.abs(traj.states[-1])))
+    scale = h * float(np.sum(np.abs(states(traj)[-1])))
     N, J = F.shape
     assert abs(lhs - rhs) <= 10 * N * J * np.finfo(float).eps * scale
 
@@ -530,7 +530,7 @@ def test_run_forward_conserves_mass_implicit(case):
     h = grid.h
     k = part.steps
     F = update_fluxes(traj, case)
-    lhs = h * float(np.sum(traj.states[-1] - traj.states[0]))
+    lhs = h * float(np.sum(states(traj)[-1] - states(traj)[0]))
     rhs = -float(np.sum(k * (F[:, -1] - F[:, 0])))
     # Newton tolerance, not roundoff, bounds the defect here
     assert abs(lhs - rhs) <= part.interval_count * grid.cell_count * 1e-12
@@ -562,9 +562,9 @@ def test_run_forward_conserves_mass_mixed_partition(case, t0, steps):
     traj = ss.run_forward(grid, part, case)
     F = update_fluxes(traj, case)
     h = grid.h
-    lhs = h * float(np.sum(traj.states[-1] - traj.states[0]))
+    lhs = h * float(np.sum(states(traj)[-1] - states(traj)[0]))
     rhs = -float(np.sum(part.steps * (F[:, -1] - F[:, 0])))
-    scale = h * float(np.sum(np.abs(traj.states[-1])))
+    scale = h * float(np.sum(np.abs(states(traj)[-1])))
     N, J = F.shape
     n_imp = int(np.sum(part.modes == ss.IMPLICIT))
     # the bounds of the all-explicit and all-implicit tests, per interval
@@ -659,15 +659,13 @@ def test_checkpoints_rebuild_the_full_march_bit_for_bit(layout, flux, case,
     assert red.dots.tobytes() == (want[1:] @ W).tobytes()
     # the sweep over rebuilt blocks against the same sweep over stored
     # states: every field of the breakdown, bit for bit
-    stored = ss.ForwardTrajectory(grid=grid, partition=part, states=want,
-                                  flux=c.flux, g=g, newton_iters=newton[0],
-                                  newton_resid=newton[1], newton_stop=newton[2])
-    got, wanted = (ss.assemble_breakdown(t, ss.solve_dual_gradient(
-        ss.build_coefficient_field(t), c), c) for t in (traj, stored))
+    stored = hand_run(grid, part, want, c.flux, g, newton, W)
+    got, wanted = (ss.assemble_breakdown(t, ss.solve_dual_gradient(t, c), c)
+                   for t in (traj, stored))
     for f in ("eta_k_bar_n", "eta_h_bar_n", "eta_k", "eta_h", "J_h"):
         assert np.asarray(getattr(got, f)).tobytes() == \
             np.asarray(getattr(wanted, f)).tobytes(), f
-    assert traj.states.tobytes() == want.tobytes()
+    assert states(traj).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -677,8 +675,8 @@ def test_hand_built_run_needs_every_state(extra):
     part = ss.uniform_partition(1.0, 0.25)
     N = part.interval_count
     with pytest.raises(ValueError, match=f"need {N + 1}"):
-        ss.ForwardTrajectory(grid, part, np.zeros((N + 1 + extra, 4)),
-                             ss.BURGERS, np.zeros(N + 1), **no_newton(N))
+        hand_run(grid, part, np.zeros((N + 1 + extra, 4)), ss.BURGERS,
+                 np.zeros(N + 1))
 
 
 def test_hand_built_rows_are_read_not_rebuilt(monkeypatch):
@@ -689,9 +687,8 @@ def test_hand_built_rows_are_read_not_rebuilt(monkeypatch):
     grid = ss.build_spatial_grid(J, 0)
     part = ss.TimePartition(times=np.linspace(0.0, 1.0, N + 1),
                             modes=(np.arange(N) % 3 == 0).astype(np.int8))
-    states = rng.uniform(-1.0, 1.0, (N + 1, J))
-    traj = ss.ForwardTrajectory(grid, part, states, ss.BURGERS, np.zeros(N + 1),
-                                **no_newton(N))
+    u = rng.uniform(-1.0, 1.0, (N + 1, J))
+    traj = hand_run(grid, part, u, ss.BURGERS, np.zeros(N + 1))
 
     def no_march(*args, **kwargs):
         raise AssertionError("a hand-built run re-marched a block")
@@ -700,8 +697,8 @@ def test_hand_built_rows_are_read_not_rebuilt(monkeypatch):
     buf = np.empty((B + 1, J))
     for lo in range(0, N, B):
         hi = min(lo + B, N)
-        assert traj.rows(lo, hi, buf).tobytes() == states[lo:hi + 1].tobytes(), lo
-    assert traj.states.tobytes() == states.tobytes()
+        assert traj.rows(lo, hi, buf).tobytes() == u[lo:hi + 1].tobytes(), lo
+    assert states(traj).tobytes() == u.tobytes()
 
 
 def test_reads_leave_the_run_and_its_dual_as_built(case, monkeypatch):
@@ -728,7 +725,7 @@ def test_reads_leave_the_run_and_its_dual_as_built(case, monkeypatch):
         return march_block(*args, **kwargs)
 
     monkeypatch.setattr(ss.forward, "march_block", counted)
-    for read in (lambda: traj.states, lambda: dual.w_samples) * 2:
+    for read in (lambda: states(traj), lambda: w_samples(dual)) * 2:
         calls.clear()
         first = read()
         assert len(calls) == rebuilt
@@ -758,16 +755,15 @@ def test_kept_states_are_read_only(case, base_trajectory, mixed_trajectory):
     grid = ss.build_spatial_grid(4, 0)
     part = ss.uniform_partition(1.0, 0.25)
     N = part.interval_count
-    states = np.linspace(-1.0, 1.0, 4 * (N + 1)).reshape(N + 1, 4)
-    before = states.tobytes()
-    traj = ss.ForwardTrajectory(grid, part, states, ss.BURGERS, np.zeros(N + 1),
-                                **no_newton(N))
-    kept = traj.states
-    assert np.shares_memory(kept, states) and not kept.flags.writeable
+    u = np.linspace(-1.0, 1.0, 4 * (N + 1)).reshape(N + 1, 4)
+    before = u.tobytes()
+    traj = hand_run(grid, part, u, ss.BURGERS, np.zeros(N + 1))
+    kept = states(traj)
+    assert np.shares_memory(kept, u) and not kept.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         kept[...] = 0.0
-    assert states.flags.writeable
-    assert states.tobytes() == before
+    assert u.flags.writeable
+    assert u.tobytes() == before
 
 
 def test_blocked_gemv_dots_equal_one_gemv_at_levels_0_to_4(case):
@@ -785,7 +781,7 @@ def test_blocked_gemv_dots_equal_one_gemv_at_levels_0_to_4(case):
         part = ss.uniform_cfl_partition(case, grid, 0.8)
         traj = ss.run_forward(grid, part, case)
         red = traj.reduced
-        u, W = traj.states, ss.weight_cell_integrals(grid, case)
+        u, W = states(traj), ss.weight_cell_integrals(grid, case)
         assert red.dots.tobytes() == (u[1:] @ W).tobytes(), level
         assert ss.evaluate_functional(traj, case) == \
             float(np.sum(part.steps * (u[1:] @ W))), level

@@ -1,4 +1,4 @@
-"""Every import in the package modules is used.
+"""Every import in the package modules and the test modules is used.
 
 No linter runs on this repository, so this walks each module's syntax
 tree: a name an import binds must be read somewhere else in the module.
@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "shockstep"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "shockstep"
 
 # Names bench/run.py --trace 1 reads from a module's namespace: it wraps
 # the four cli.py names in place and imports speed_for_basis from
@@ -46,11 +47,15 @@ def test_detector_flags_unused_and_keeps_used():
     assert _unused_imports(source) == [(2, "math"), (5, "field")]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
-                                        if p.name != "__init__.py"))
+# the package modules by file name, the test modules as tests/<name>
+_MODULES = {**{p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"},
+            **{f"tests/{p.name}": p for p in TESTS.glob("*.py")}}
+
+
+@pytest.mark.parametrize("path", sorted(_MODULES))
 def test_no_unused_imports(path):
     unused = [(line, name)
-              for line, name in _unused_imports((SRC / path).read_text())
+              for line, name in _unused_imports(_MODULES[path].read_text())
               if (path, name) not in BENCH_HOOKS]
     assert unused == [], f"{path}: unused imports {unused}"
 
