@@ -301,31 +301,6 @@ long dgtsv(long n, double *dl, double *d, double *du, double *b)
     return 0;
 }
 
-/* The dual march's substep plan of n intervals: interval i, of length
- * k[i] and with amax[i] the largest |a| of its coefficient a = f'(u) over
- * its end state u (max_speed of the row with g = 0, which the forward
- * march reduces each row to), takes
- *     m[i] = max(ceil((k amax) / (cfl h) - 1e-12), 1)
- * substeps of length dt[i] = k[i] / m[i], in numpy's operation order.
- * Returns n; or i, the first interval with a NaN or infinite amax; or
- * -1 - i, the first interval whose finite amax gives a count that is not
- * finite or does not fit a long.  Nothing is written for it. */
-long dual_substeps(long n, double h, double cfl, const double *k,
-                   const double *amax, long *m, double *dt)
-{
-    for (long i = 0; i < n; i++) {
-        if (!isfinite(amax[i]))
-            return i;
-        double mi = ceil((k[i] * amax[i]) / (cfl * h) - 1e-12);
-        mi = mi < 1.0 ? 1.0 : mi;
-        if (!(mi <= (double)(LONG_MAX / 2)))
-            return -1 - i;
-        m[i] = (long)mi;
-        dt[i] = k[i] / mi;
-    }
-    return n;
-}
-
 /* The dual substep's interface terms S_q = ap_q w_{q+1} + am_q w_q,
  * q = 0 .. J, from wext = (0, w_0 .. w_{J-1}, 0), LANES at a time. */
 static void dual_fluxes(const double *ap, const double *am, const double *wext,
@@ -1011,29 +986,30 @@ static void reduce_interval(const struct breakdown *b, long i, long J,
  * its arrays offset to the block: wext carries w from block to block.
  *
  * The march.  u holds the n + 1 states u[0] .. u[n] of J cells each, and
- * interval i has the frozen coefficient c = f'(u[i + 1]) of its end
- * state, J finite values (the caller checks them): the row u[i + 1]
- * itself for BURGERS, and for LINEAR one row of a, filled once.  It takes
- * m[i] substeps of length dt[i], and its sample is the profile after
- * substep (m + 1) / 2, copied to samples[i] unless samples is NULL.  wext
- * holds w between two zero ghost values, w at the end of interval n - 1
- * on entry and at the start of interval 0 on return.  With the
- * interface coefficient s = (c_left + c_right) / 2, edge cells extended,
- * split into ap = max(s, 0) and am = min(s, 0), each substep is
+ * interval i, of length k[i], has the frozen coefficient c = f'(u[i + 1])
+ * of its end state, J finite values (the caller checks them): the row
+ * u[i + 1] itself for BURGERS, and for LINEAR one row of a, filled once.
+ * It takes m[i] substeps of length dt = k[i] / m[i] (m[i] converts to a
+ * double exactly, so this is numpy's k / m), and its sample is the
+ * profile after substep (m + 1) / 2, copied to samples[i] unless samples
+ * is NULL.  wext holds w between two zero ghost values, w at the end of
+ * interval n - 1 on entry and at the start of interval 0 on return.
+ * With the interface coefficient s = (c_left + c_right) / 2, edge cells
+ * extended, split into ap = max(s, 0) and am = min(s, 0), each substep is
  *     S = ap w_right + am w_left,  w += lam (S[1:] - S[:-1]),  w += dt src
  * in two vector passes: the first writes all J + 1 values of S from the
  * old w, the second updates w from them.  (A NaN s would keep its NaN in
  * ap and am, where np.maximum does too; only a non-finite coefficient
- * gives one, and dual_substeps refuses those before any substep runs.)
+ * gives one, and the plan refuses those before any substep runs.)
  * When mass is not NULL it receives each substep's relative mass-balance
  * residual, in march order.
  *
- * The breakdown, unless out is NULL.  Interval i has length k[i], the
- * states u[i] and u[i + 1] and the sample w; its stencil is what the
- * forward march read, the row u[i] and the inflow g[i] (explicit,
- * modes[i] = 0) or the row u[i + 1] and g[i + 1] (implicit), from g's
- * n + 1 values.  psi holds the weight at the J cell centres.  Its cell
- * terms, in numpy's operation order, are
+ * The breakdown, unless out is NULL.  Interval i has the states u[i]
+ * and u[i + 1] and the sample w; its stencil is what the forward march
+ * read, the row u[i] and the inflow g[i] (explicit, modes[i] = 0) or the
+ * row u[i + 1] and g[i + 1] (implicit), from g's n + 1 values.  psi
+ * holds the weight at the J cell centres.  Its cell terms, in numpy's
+ * operation order, are
  *     eta_k = ((-0.5 k) h) (u1 - u0) (psi - f'(u1) w)
  *     eta_h = (((k 0.5) h) w) ((F_{j+1} + F_j) - 2 f(u1))
  * with f'(u1) = u1 for BURGERS and LINEAR's a, and the fluxes F of the
@@ -1050,10 +1026,10 @@ static void reduce_interval(const struct breakdown *b, long i, long J,
  * non-finite w_j stays so through every later substep); -1 is out of
  * memory. */
 long march_dual(long n, long J, double h, const double *u, int kind, double a,
-                const long *m, const double *dt, const double *src,
+                const long *m, const double *k, const double *src,
                 double src_total, double *wext, double *samples, double *mass,
-                const double *k, const signed char *modes, const double *g,
-                const double *psi, double *out)
+                const signed char *modes, const double *g, const double *psi,
+                double *out)
 {
     double *block = malloc(sizeof(double) * (4 * (J + 1) + 7 * J));
     if (!block)
@@ -1068,7 +1044,7 @@ long march_dual(long n, long J, double h, const double *u, int kind, double a,
     long done = 0;
     for (long i = n - 1; i >= 0; i--) {
         const double *ci = kind == BURGERS ? u + (i + 1) * J : row;
-        double lam = dt[i] / h, dti = dt[i];
+        double dti = k[i] / (double)m[i], lam = dti / h;
         long sample_at = (m[i] + 1) / 2;
         long q = 1;
         for (; q + LANES <= J; q += LANES) {

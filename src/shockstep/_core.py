@@ -2,7 +2,6 @@
 backward sweep that marches the dual over a block of a run's states and
 reduces each interval's error breakdown as soon as its sample exists
 (`march_dual`, called once per block with w carried between calls),
-the dual's substep plan from each end state's max|a| (`dual_substeps`),
 the wave speeds max|f'| of rows of states (`row_speeds`), the planner's
 two walks, the `%.5e` text of the CSVs (`format_rows`) and the inflow
 table's departure filter.  f'(u) lives there alone: the dual's
@@ -55,8 +54,7 @@ _SIGNATURES = {
                                _ptr, _ptr, _ptr, _ptr]),
     "march_dual": (_long, [_long, _long, _double, _ptr, _int, _double, _ptr,
                            _ptr, _ptr, _double, _ptr, _ptr, _ptr, _ptr, _ptr,
-                           _ptr, _ptr, _ptr]),
-    "dual_substeps": (_long, [_long, _double, _double, _ptr, _ptr, _ptr, _ptr]),
+                           _ptr, _ptr]),
     "row_speeds": (None, [_long, _long, _ptr, _ptr, _int, _double, _ptr,
                           _ptr]),
     "dgtsv": (_long, [_long, _ptr, _ptr, _ptr, _ptr]),

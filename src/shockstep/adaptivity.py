@@ -243,7 +243,7 @@ def solve_level(level: int, grid: SpatialGrid, partition: TimePartition,
     """
     traj = run_forward(grid, partition, case)
     dual = solve_dual_gradient(build_coefficient_field(traj), case, dual_cfl)
-    br = assemble_breakdown(traj, dual, case)
+    br = assemble_breakdown(dual, case)
     profile = SpeedProfile.from_trajectory(traj)
     stats = PlanStats.of(partition, partition.steps * profile.values / grid.h)
     return LevelReport(level=level, grid=grid, partition=partition,

@@ -9,6 +9,7 @@ d/dtau w - d/dx (a w) = -psi', integrated explicitly.
 """
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -18,31 +19,33 @@ from ._core import ptr
 from .forward import BLOCK, ForwardTrajectory, SolverFailure, _flux_code
 
 DUAL_CFL = 0.8
+# the most substeps one interval may take, as a double: every count up to
+# it is a whole double and a `long`, with room to sum them
+_MOST = float(np.iinfo(_core.LONG).max // 2)
 
 
 class DualGradientTrajectory:
     """The dual gradient w of a forward run, one sample per interval, held
     as its march plan: the run `traj` it linearizes, each interval's
-    substep count and length and the source -psi' at the J cell centres,
-    counted before any substep runs.  No sample is kept:
+    substep count m and the source -psi' at the J cell centres, counted
+    before any substep runs.  A substep of interval n is k_n / m_n long,
+    formed from the run's steps where it runs.  No sample is kept:
     `estimator.assemble_breakdown` reduces each one in the backward sweep
     that takes it (`sweep`), which reads the end states u^{n+1} from the
     run, block by block.
     """
 
     def __init__(self, traj: ForwardTrajectory, substeps: np.ndarray,
-                 dt: np.ndarray, source: np.ndarray,
-                 substep_log: Optional[list] = None,
+                 source: np.ndarray, substep_log: Optional[list] = None,
                  max_mass_residual: Optional[float] = None):
-        self.traj, self.grid, self.partition = traj, traj.grid, traj.partition
-        # m per interval (the kernels' `long`), its substeps' length, -psi'
-        self.substeps, self.dt, self.source = substeps, dt, source
+        # m per interval (the kernels' `long`) and -psi'
+        self.traj, self.substeps, self.source = traj, substeps, source
         self.substep_log, self.max_mass_residual = substep_log, max_mass_residual
 
     @property
     def shape(self) -> tuple:
         """(N, J) of the samples."""
-        return self.partition.interval_count, self.grid.cell_count
+        return self.traj.partition.interval_count, self.traj.grid.cell_count
 
 
 def _cells(values, n: int) -> np.ndarray:
@@ -73,43 +76,41 @@ def solve_dual_gradient(coeff: ForwardTrajectory, case,
     compiled core forms the coefficient a = f'(u^{n+1}) from the run's end
     states and flux (the end state defines an implicit step's fluxes, and
     freezing it per interval matches the piecewise-constant solution); the
-    counts read each end state's max|a| only, the run's row reduction
-    `coeff_speeds` (`coeff.reduced`).  Only the plan is made here: the
-    substeps run in `sweep`, inside the breakdown.  With `record_substeps`
-    the march runs once at once for each substep's relative mass-balance
-    residual, logged as (interval, dt, residual) in march order; no sample
+    counts, taken here in numpy, read each end state's max|a| only, the
+    run's row reduction `coeff_speeds` (`coeff.reduced`); the first
+    interval whose max|a| is not finite or whose count does not fit a
+    `long` is refused.  Only the plan is made here: the substeps run in
+    `sweep`, inside the breakdown.  With `record_substeps` the march runs
+    once at once for each substep's relative mass-balance residual,
+    logged as (interval, dt = k / m, residual) in march order; no sample
     is kept.
     """
     if not (0.0 < dual_cfl <= 1.0):
         raise ValueError("need 0 < dual_cfl <= 1")
     grid = coeff.grid
-    part = coeff.partition
-    h = grid.h
-    J = grid.cell_count
-    N = part.interval_count
-    if coeff.shape != (N + 1, J):
-        raise ValueError(f"states of shape {coeff.shape}, need {(N + 1, J)}")
-    # substep counts and sizes of all intervals, before any substep runs;
-    # a_max = 0 gives m = 1
-    k, a_max = part.steps, coeff.reduced.coeff_speeds
-    m_all, dt_all = np.empty(N, _core.LONG), np.empty(N)
-    bad = _core.lib().dual_substeps(N, h, dual_cfl, ptr(k), ptr(a_max),
-                                    ptr(m_all, _core.LONG), ptr(dt_all))
-    if 0 <= bad < N:
-        raise SolverFailure(f"dual march: non-finite coefficient in interval {bad}")
-    if bad < 0:
-        raise SolverFailure(f"dual march: interval {-1 - bad} needs more substeps "
+    k, a_max = coeff.partition.steps, coeff.reduced.coeff_speeds
+    # the substep counts of all intervals, before any substep runs
+    # (a_max = 0 gives m = 1); a NaN count, or one past _MOST, is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.maximum(np.ceil((k * a_max) / (dual_cfl * grid.h) - 1e-12), 1.0)
+        bad = np.flatnonzero(~np.isfinite(a_max) | ~(m <= _MOST))
+    if bad.size:
+        i = int(bad[0])
+        if not math.isfinite(a_max[i]):
+            raise SolverFailure(f"dual march: non-finite coefficient in interval {i}")
+        raise SolverFailure(f"dual march: interval {i} needs more substeps "
                             f"than a long counts (k max|f'| / (dual_cfl h) too "
                             f"large at dual_cfl = {dual_cfl!r})")
-    source = -_cells(case.weight_gradient(grid.centers), J)
-    dual = DualGradientTrajectory(coeff, m_all, dt_all, source)
+    source = -_cells(case.weight_gradient(grid.centers), grid.cell_count)
+    dual = DualGradientTrajectory(coeff, m.astype(_core.LONG), source)
     if record_substeps:
         # per-substep mass-balance residuals, in march order: last interval first
-        mass = np.empty(int(m_all.sum()))
+        mass = np.empty(int(dual.substeps.sum()))
         sweep(dual, mass=mass)
-        order = np.arange(N - 1, -1, -1)
-        dual.substep_log = list(zip(np.repeat(order, m_all[order]).tolist(),
-                                    np.repeat(dt_all[order], m_all[order]).tolist(),
+        order = np.arange(k.size - 1, -1, -1)
+        reps = dual.substeps[order]
+        dual.substep_log = list(zip(np.repeat(order, reps).tolist(),
+                                    np.repeat(k[order] / reps, reps).tolist(),
                                     mass.tolist()))
         dual.max_mass_residual = float(mass.max()) if mass.size else 0.0
     return dual
@@ -132,14 +133,18 @@ def sweep(dual: DualGradientTrajectory, samples=None, mass=None,
     from the run's states, inflow and modes and `psi` at the cell centres.
     Each block's states are read once from `dual.traj`
     (`ForwardTrajectory.rows`, which rebuilds them from their checkpoint
-    into one reused buffer): the march takes the end states rows[1:], the
-    breakdown all of them, with the run's one flux.
+    into one reused buffer): the march takes the end states rows[1:] and
+    the run's steps k, the breakdown all of them, with the run's one flux.
+    A run whose states, grid and inflow disagree in shape is refused.
     """
-    N, J = dual.shape
-    h = dual.grid.h
     traj = dual.traj
+    N, J = dual.shape
+    # the kernel trusts these lengths
+    if traj.shape != (N + 1, J) or np.shape(traj.g) != (N + 1,):
+        raise ValueError("trajectory states, grid and inflow disagree in shape")
+    h = traj.grid.h
     kind, a = _flux_code(traj.flux)
-    m, dt = dual.substeps, dual.dt
+    m, k = dual.substeps, traj.partition.steps
     src_total = h * float(np.sum(dual.source))
     # every array the kernel reads stays bound here until it returns
     buf = np.empty((min(BLOCK, N) + 1, J))
@@ -148,21 +153,21 @@ def sweep(dual: DualGradientTrajectory, samples=None, mass=None,
     # intervals from hi on come before a block that ends at hi
     if mass is not None:
         first = mass.size - np.concatenate(([0], np.cumsum(m)))
-    reduce = (None,) * 5
+    reduce = (None,) * 4
     if breakdown is not None:
         psi, out = breakdown
         g = np.ascontiguousarray(traj.g, dtype=float)
-        k, modes = traj.partition.steps, traj.partition.modes
+        modes = traj.partition.modes
     core = _core.lib()
     for lo in reversed(range(0, N, BLOCK)):
         hi = min(lo + BLOCK, N)
         rows = traj.rows(lo, hi, buf)
         if breakdown is not None:
-            reduce = (ptr(k[lo:hi]), ptr(modes[lo:hi], np.int8),
-                      ptr(g[lo:hi + 1]), ptr(psi), ptr(out[lo:hi]))
+            reduce = (ptr(modes[lo:hi], np.int8), ptr(g[lo:hi + 1]),
+                      ptr(psi), ptr(out[lo:hi]))
         done = core.march_dual(
             hi - lo, J, h, ptr(rows), kind, a, ptr(m[lo:hi], _core.LONG),
-            ptr(dt[lo:hi]), ptr(dual.source), src_total, ptr(w_ext),
+            ptr(k[lo:hi]), ptr(dual.source), src_total, ptr(w_ext),
             None if samples is None else ptr(samples[lo:hi]),
             None if mass is None else ptr(mass[first[hi]:]), *reduce)
         if done < 0:

@@ -49,9 +49,8 @@ def evaluate_functional(traj: ForwardTrajectory, case) -> float:
     return float(np.sum(traj.partition.steps * red.dots))
 
 
-def assemble_breakdown(traj: ForwardTrajectory, dual: DualGradientTrajectory,
-                       case) -> ErrorBreakdown:
-    """Densities and totals of the space-time split.
+def assemble_breakdown(dual: DualGradientTrajectory, case) -> ErrorBreakdown:
+    """Densities and totals of the space-time split of the run `dual.traj`.
 
     Time term of a cell: -(1/2) k h (u^{n+1} - u^n) (psi - a w) with
     a = f'(u^{n+1}).  Space term: (1/2) k h w (F_{j+1/2} + F_{j-1/2} -
@@ -61,20 +60,16 @@ def assemble_breakdown(traj: ForwardTrajectory, dual: DualGradientTrajectory,
     a, the fluxes and both terms row by row from the states and reduces
     each row to its signed and absolute sums, so no (N, J) term array
     exists; every field is a per-row reduction or a sum over rows.  The
-    dual, planned on `traj` itself, is marched in the same backward sweep
-    (`dual.sweep`), each interval reduced as soon as its sample exists;
-    a dual planned on another run is refused.  The sweep reads each
-    block's states once, rebuilt from their checkpoint just before the
-    block runs, for the march and the reduction: no (N, J) array exists.
+    dual is marched over the run it was planned on in the same backward
+    sweep (`dual.sweep`), each interval reduced as soon as its sample
+    exists.  The sweep reads each block's states once, rebuilt from
+    their checkpoint just before the block runs, for the march and the
+    reduction: no (N, J) array exists.
     """
-    if dual.traj is not traj:
-        raise ValueError("the dual was planned on another forward run")
+    traj = dual.traj
     grid = traj.grid
-    part = traj.partition
-    N, J = part.interval_count, grid.cell_count
-    if traj.shape != (N + 1, J) or np.shape(traj.g) != (N + 1,):
-        raise ValueError("trajectory states, grid and inflow disagree in shape")
-    k = part.steps
+    N, J = dual.shape
+    k = traj.partition.steps
     psi = _cells(case.weight(grid.centers), J)
     sums = np.empty((N, 4))
     sweep(dual, breakdown=(psi, sums))

@@ -162,6 +162,54 @@ class LinearAdvectionCase:
         return self._w.weight_gradient(x)
 
 
+class LinearStepCase(LinearAdvectionCase):
+    """The linear twin with the step 1.0 -> 1.3 on (0.2, 0.45) in place of
+    the hump, from its exact cell averages: a discontinuity, but no
+    shock."""
+
+    def initial_profile(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > 0.2) & (x < 0.45), 1.3, 1.0)
+
+    def initial_cell_averages(self, edges):
+        edges = np.asarray(edges, dtype=float)
+        inside = np.clip(np.minimum(edges[1:], 0.45)
+                         - np.maximum(edges[:-1], 0.2), 0.0, None)
+        return 1.0 + 0.3 * inside / np.diff(edges)
+
+
+class BurgersHumpCase(LinearAdvectionCase):
+    """Burgers with the linear twin's hump: it steepens, but no shock forms
+    before T.  No closed form: `burgers_hump_j` extrapolates J."""
+
+    flux = ss.BURGERS
+    exact_profile = None
+
+
 @pytest.fixture(scope="session")
 def linear_case(case):
     return LinearAdvectionCase(case)
+
+
+@pytest.fixture(scope="session")
+def step_case(case):
+    return LinearStepCase(case)
+
+
+@pytest.fixture(scope="session")
+def hump_case(case):
+    return BurgersHumpCase(case)
+
+
+@pytest.fixture(scope="session")
+def burgers_hump_j(hump_case):
+    """J of the Burgers hump, 2 J_7 - J_6: Richardson extrapolation of
+    J_h at levels 6 and 7, first order in the cell width, with the twins'
+    uniform step 0.8 h / 1.3."""
+    J = []
+    for level in (6, 7):
+        grid = ss.build_spatial_grid(20, level, hump_case.domain)
+        part = ss.uniform_partition(hump_case.T, 0.8 * grid.h / 1.3)
+        J.append(ss.evaluate_functional(ss.run_forward(grid, part, hump_case),
+                                        hump_case))
+    return 2.0 * J[1] - J[0]

@@ -106,9 +106,11 @@ def hand_run(grid, partition, states, flux, g, newton=None, weights=None):
 
 def end_state_run(grid, part, A, flux):
     """A `hand_run` whose end states u^1 .. u^N are the (N, J) rows A, row
-    0 repeating A[0], with inflow 0 and no Newton record."""
+    0 repeating A[0] (zeros when N = 0), with inflow 0 and no Newton
+    record."""
     A = np.asarray(A, dtype=float)
-    return hand_run(grid, part, np.concatenate((A[:1], A)), flux,
+    first = A[:1] if len(A) else np.zeros((1, A.shape[1]))
+    return hand_run(grid, part, np.concatenate((first, A)), flux,
                     np.zeros(part.interval_count + 1))
 
 

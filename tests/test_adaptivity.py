@@ -244,6 +244,50 @@ def test_planner_on_python_floats_matches_numpy_scalars(old_steps, data):
         assert plan.stats == want.stats
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1,
+                max_size=30),
+       st.data())
+def test_planner_keeps_its_invariants(old_steps, data):
+    # the inputs of test_planner_on_python_floats_matches_numpy_scalars;
+    # each plan tiles [0, T] with the step counts its stats report, and
+    # no step exceeds its mode's planning CFL
+    old = ss.TimePartition(times=np.concatenate(([0.0], np.cumsum(old_steps))))
+    T = old.T
+    dens = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e3)),
+        min_size=old.interval_count, max_size=old.interval_count)))
+    need = max(float(np.sum(dens)) * T / 2000.0, 1e-12)
+    tol_k = need * data.draw(st.floats(min_value=1.0, max_value=1e6))
+    cfg = ss.AdaptationConfig(
+        tol_k=tol_k,
+        cfl_explicit=data.draw(st.floats(min_value=0.5, max_value=0.9)))
+    raw = ss.propose_timesteps(old, dens, cfg)
+    cuts = np.sort(data.draw(st.lists(st.floats(min_value=0.0, max_value=T),
+                                      max_size=8)))
+    times = np.concatenate(([0.0], cuts, [T]))
+    speeds = data.draw(st.lists(st.one_of(st.just(0.0),
+                                          st.floats(min_value=0.0, max_value=2.0),
+                                          st.floats(min_value=2.0, max_value=1e5)),
+                                min_size=times.size - 1, max_size=times.size - 1))
+    profile = ss.SpeedProfile(times=times, values=np.array(speeds))
+    h = data.draw(st.floats(min_value=0.05, max_value=1.0))
+    for strategy in ("imex", "fully_implicit"):
+        plan = ss.assign_modes(raw, profile, cfg, h, strategy)
+        part, stats = plan.partition, plan.stats
+        t, modes = part.times, part.modes
+        assert t[0] == 0.0 and t[-1] == T
+        assert np.all(np.diff(t) > 0.0)
+        assert stats.N == len(modes) == stats.N_explicit + stats.N_implicit
+        if strategy == "fully_implicit":
+            assert stats.N_explicit == 0
+        cfl = part.steps * profile.max_over(t[:-1], t[1:]) / h
+        explicit = modes == ss.EXPLICIT
+        assert np.all(cfl[explicit] <= cfg.cfl_explicit * (1 + 1e-9))
+        assert np.all(cfl[~explicit] <= ss.adaptivity.CFL_CAP * (1 + 1e-9))
+        assert (stats.cfl_min, stats.cfl_max) == (cfl.min(), cfl.max())
+
+
 def test_propose_step_count_monotone_in_tolerance():
     rng = np.random.default_rng(32)
     for _ in range(20):

@@ -22,11 +22,12 @@ positive or a zero state would flip its sign, failing with full width's
 code, value and row, and across block boundaries.  Those kernel tests
 run at every vector width the CPU supports (`cores`).  The CSV text of
 `format_rows` is compared byte for byte with Python's `'%.5e' % x` on
-every kind of double and with the old Python writer.  Every ctypes declaration is checked against its C
-definition.  The loader is checked for its missing-compiler error, its
-rebuild on a changed source or compile command, its fallback from an
-unwritable cache, and a compile command that keeps every rounding and
-builds silently at every width.
+every kind of double and with the old Python writer.  Every ctypes
+declaration is checked against its C definition, and every function the
+library exports has one.  The loader is checked for its missing-compiler
+error, its rebuild on a changed source or compile command, its fallback
+from an unwritable cache, and a compile command that keeps every
+rounding and builds silently at every width.
 """
 import contextlib
 import copy
@@ -47,6 +48,7 @@ from hypothesis import strategies as st
 import shockstep as ss
 from shockstep import _core, testcase
 from shockstep.forward import NewtonStats
+from shockstep.grid import SpatialGrid
 import oracles
 from oracles import (Stepper, cell_terms, end_state_run, hand_run,
                      interface_fluxes, percent_rows, split, w_samples)
@@ -615,6 +617,20 @@ def test_dual_substeps_match_numpy_bitwise(cores, J, N, seed, sparse, record):
                 assert dual.substep_log is None
 
 
+def _plan(A, times, h, dual_cfl):
+    """The substep counts m and lengths k / m that `solve_dual_gradient`
+    plans on the end states A (N, J) over `times`, with cells of width h,
+    and the run's steps k; the plan reads each row's max|a|, as the
+    forward march reduces it."""
+    J = A.shape[1]
+    grid = SpatialGrid(0, J, np.linspace(0.0, J * h, J + 1), h)
+    run = end_state_run(grid, ss.TimePartition(times=times), A, ss.BURGERS)
+    m = ss.solve_dual_gradient(run, _Source(np.zeros(J)), dual_cfl).substeps
+    assert m.dtype == _core.LONG
+    k = run.partition.steps
+    return m, k / m, k
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=9), st.integers(0, 5),
        st.integers(0, 2 ** 32 - 1), st.floats(min_value=0.05, max_value=1.0),
@@ -625,14 +641,9 @@ def test_dual_substep_plan_matches_numpy_bitwise(J, N, seed, dual_cfl, rows):
          "zeros": rng.choice([0.0, -0.0, 1e-300], (N, J)),
          "tiny": rng.uniform(-1e-12, 1e-12, (N, J)),
          "huge": rng.uniform(-1e6, 1e6, (N, J))}[rows]
-    k = rng.uniform(1e-4, 2.0, N)
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-4, 2.0, N))))
     h = 1.0 / J
-    m, dt = np.empty(N, _core.LONG), np.empty(N)
-    P = _core.ptr
-    # the kernel reads each row's max|a|, as the forward march reduces it
-    a_max = ss.forward.wave_speeds(A, np.zeros(N), ss.BURGERS)
-    assert _core.lib().dual_substeps(N, h, dual_cfl, P(k), P(a_max),
-                                     P(m, _core.LONG), P(dt)) == N
+    m, dt, k = _plan(A, times, h, dual_cfl)
     m_np, dt_np = _np_substeps(A, k, h, dual_cfl)
     assert _same(m, m_np)
     assert _same(dt, dt_np)
@@ -643,18 +654,15 @@ def test_dual_substep_plan_at_integer_ratios(ulps):
     # coefficients a few ulps either side of an integer ratio
     # k a_max / (dual_cfl h): the -1e-12 decides between m and m + 1
     J, h, dual_cfl = 5, 0.2, 0.8
-    k = np.array([0.3, 0.07, 1.1, 0.013])
+    times = np.concatenate(([0.0], np.cumsum([0.3, 0.07, 1.1, 0.013])))
+    k = np.diff(times)
     A = np.empty((4, J))
     for i, ratio in enumerate([1.0, 2.0, 7.0, 40.0]):
         a = ratio * (dual_cfl * h) / k[i]
         for _ in range(abs(ulps)):
             a = np.nextafter(a, math.inf if ulps > 0 else 0.0)
         A[i] = np.linspace(-a, a / 2, J)
-    m, dt = np.empty(4, _core.LONG), np.empty(4)
-    P = _core.ptr
-    a_max = ss.forward.wave_speeds(A, np.zeros(4), ss.BURGERS)
-    assert _core.lib().dual_substeps(4, h, dual_cfl, P(k), P(a_max),
-                                     P(m, _core.LONG), P(dt)) == 4
+    m, dt, _ = _plan(A, times, h, dual_cfl)
     m_np, dt_np = _np_substeps(A, k, h, dual_cfl)
     assert _same(m, m_np)
     assert _same(dt, dt_np)
@@ -1216,7 +1224,7 @@ def test_breakdown_kernel_matches_numpy_cell_terms_bitwise(cores, inputs):
 
 
 def _assert_breakdown_matches_cell_terms(traj, dual, case):
-    br = ss.assemble_breakdown(traj, dual, case)
+    br = ss.assemble_breakdown(dual, case)
     N = traj.partition.interval_count
     cells_k, cells_h = cell_terms(traj, dual, case, 0, N)
     k = traj.partition.steps
@@ -1269,7 +1277,7 @@ def test_non_finite_dual_stops_the_sweep_with_the_march_text(cores):
     for lib in cores:
         with _running(lib):
             for read in (w_samples,
-                         lambda dual: ss.assemble_breakdown(traj, dual, _Overflow())):
+                         lambda dual: ss.assemble_breakdown(dual, _Overflow())):
                 dual = ss.solve_dual_gradient(traj, _Overflow())
                 with pytest.raises(ss.SolverFailure,
                                    match="^dual march non-finite in interval 4$"):
@@ -1468,6 +1476,13 @@ def test_ctypes_signatures_match_the_c_definitions():
         params = [] if params.strip() == "void" else params.split(",")
         assert ((_CTYPE_CLASS[res], [_CTYPE_CLASS[t] for t in args])
                 == (ret, [_c_class(p) for p in params])), name
+    # and every function the library exports is declared: a top-level
+    # definition not marked static, on its own line or the one above it
+    lines = source.splitlines()
+    exported = {found[1] for above, line in zip([""] + lines, lines)
+                if (found := re.match(r"(?!static\b)\w+ \**(\w+)\(", line))
+                and not above.startswith("static")}
+    assert exported == set(_core._SIGNATURES)
 
 
 def test_missing_compiler_names_the_command(tmp_path, monkeypatch, case):

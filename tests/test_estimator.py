@@ -3,6 +3,9 @@
 The vectorized assembly is checked against per-cell scalar loops written
 out independently here, the weight integrals against the analytic bump
 mass, and the reference functional against its frozen fine-grid value.
+The efficiency index theta is pinned on three shock-free twins of the
+benchmark: the smooth linear one, a linear step and Burgers with the
+smooth hump.
 """
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from oracles import cell_terms, hand_run, states, update_fluxes, w_samples
 BUMP_MASS = 0.0887987632336159
 # exact functional of the linear twin (acceptance criterion 8)
 LINEAR_J_EX = 0.0466810732
+# exact functional of the linear step (tests/conftest.py), by quadrature
+STEP_J_EX = 0.0501683158
 
 
 class _ConstWeight:
@@ -124,7 +129,7 @@ def _one_step_breakdown(u, weight, gradient):
     traj = hand_run(grid, part, np.array(u), ss.BURGERS, np.ones(2),
                     weights=ss.weight_cell_integrals(grid, case))
     dual = ss.solve_dual_gradient(traj, case)
-    br = ss.assemble_breakdown(traj, dual, case)
+    br = ss.assemble_breakdown(dual, case)
     return br, cell_terms(traj, dual, case, 0, 1), w_samples(dual)[0, 0]
 
 
@@ -234,7 +239,7 @@ def test_breakdown_independent_of_block_size(case, mixed_trajectory):
     part, grid = traj.partition, traj.grid
     N, J = part.interval_count, grid.cell_count
     k, modes, g = part.steps, part.modes, traj.g
-    m, dt, src = dual.substeps, dual.dt, dual.source
+    m, src = dual.substeps, dual.source
     src_total = grid.h * float(np.sum(src))
     kind, a = ss.forward._flux_code(traj.flux)
     psi = np.asarray(case.weight(grid.centers), dtype=float)
@@ -247,13 +252,13 @@ def test_breakdown_independent_of_block_size(case, mixed_trajectory):
             hi = min(lo + rows, N)
             assert _core.lib().march_dual(
                 hi - lo, J, grid.h, ptr(u[lo:hi + 1]), kind, a,
-                ptr(m[lo:hi], _core.LONG), ptr(dt[lo:hi]), ptr(src), src_total,
-                ptr(wext), None, None, ptr(k[lo:hi]), ptr(modes[lo:hi], np.int8),
+                ptr(m[lo:hi], _core.LONG), ptr(k[lo:hi]), ptr(src), src_total,
+                ptr(wext), None, None, ptr(modes[lo:hi], np.int8),
                 ptr(g[lo:hi + 1]), ptr(psi), ptr(out[lo:hi])) == hi - lo
         return out
 
     want = sums(N)
-    br = ss.assemble_breakdown(traj, dual, case)
+    br = ss.assemble_breakdown(dual, case)
     assert (want[:, 1] / k).tobytes() == br.eta_k_bar_n.tobytes()
     assert (want[:, 3] / k).tobytes() == br.eta_h_bar_n.tobytes()
     for rows in (1, 7, 256, N + 5):
@@ -273,7 +278,7 @@ def test_breakdown_reads_the_inflow_of_the_march(case, mixed_trajectory,
         raise AssertionError("the breakdown queried the inflow")
 
     monkeypatch.setattr(case, "inflow_value", no_query)
-    br = ss.assemble_breakdown(traj, dual, case)
+    br = ss.assemble_breakdown(dual, case)
     k = traj.partition.steps
     assert br.eta_k_bar_n.tobytes() == (np.sum(np.abs(cells_k), axis=1) / k).tobytes()
     assert br.eta_h_bar_n.tobytes() == (np.sum(np.abs(cells_h), axis=1) / k).tobytes()
@@ -281,33 +286,18 @@ def test_breakdown_reads_the_inflow_of_the_march(case, mixed_trajectory,
     assert br.eta_h == float(np.sum(np.sum(cells_h, axis=1)))
 
 
-def test_breakdown_refuses_a_dual_planned_on_another_run(case, mixed_trajectory):
-    # the sweep reads one run's states for the march and the reduction
-    # both; a dual planned on another run, even one with the same bits,
-    # is refused, not marched
-    traj = mixed_trajectory
-    rerun = ss.run_forward(traj.grid, traj.partition, case)
-    dual = ss.solve_dual_gradient(rerun, case, DUAL_CFL)
-    with pytest.raises(ValueError, match="planned on another forward run"):
-        ss.assemble_breakdown(traj, dual, case)
-
-
 def test_breakdown_rejects_mismatched_shapes(case):
-    # a dual planned on a run of another shape is another run's
+    # the sweep refuses a run whose states do not fit its grid
     traj = _synthetic_trajectory(np.ones((5, 20)), case)
-    for other in (np.ones((4, 20)), np.ones((5, 19))):
-        other_run = hand_run(
-            ss.build_spatial_grid(other.shape[1], 0),
-            ss.uniform_partition(2.0, 2.0 / (other.shape[0] - 1)), other,
-            ss.BURGERS, np.ones(other.shape[0]))
-        with pytest.raises(ValueError, match="planned on another forward run"):
-            ss.assemble_breakdown(traj, ss.solve_dual_gradient(other_run, case),
-                                  case)
+    narrow = hand_run(ss.build_spatial_grid(19, 0), traj.partition,
+                      np.ones((5, 20)), ss.BURGERS, np.ones(5))
+    with pytest.raises(ValueError, match="disagree in shape"):
+        ss.assemble_breakdown(ss.solve_dual_gradient(narrow, case), case)
     # an inflow record that does not cover every time
     dual = ss.solve_dual_gradient(traj, case)
     traj.g = np.ones(4)
     with pytest.raises(ValueError, match="disagree in shape"):
-        ss.assemble_breakdown(traj, dual, case)
+        ss.assemble_breakdown(dual, case)
 
 
 # ------------------------------------------------------- efficiency index
@@ -352,6 +342,32 @@ def test_linear_twin_estimate_is_exact_within_band(linear_case, level,
     br = ss.solve_level(level, grid, part, linear_case, dual_cfl).breakdown
     theta = (br.eta_k + br.eta_h) / (LINEAR_J_EX - br.J_h)
     assert 0.8 <= theta <= 1.25
+
+
+def _twin_theta(case, level, J):
+    """theta of a twin case at `level`, with the twins' uniform step
+    0.8 h / 1.3 and dual_cfl 0.8, against the functional J."""
+    grid = ss.build_spatial_grid(20, level, case.domain)
+    part = ss.uniform_partition(case.T, 0.8 * grid.h / 1.3)
+    br = ss.solve_level(level, grid, part, case, DUAL_CFL).breakdown
+    return ss.efficiency_index(br, J)
+
+
+@pytest.mark.parametrize("level, theta",
+                         enumerate([1.283, 1.202, 1.078, 1.019, 1.004]))
+def test_theta_of_a_linear_step_tends_to_one(step_case, level, theta):
+    # a discontinuity without a shock: theta falls to 1 under refinement
+    assert _twin_theta(step_case, level, STEP_J_EX) == pytest.approx(
+        theta, abs=0.02)
+
+
+@pytest.mark.parametrize("level, theta", enumerate([1.110, 1.122, 1.082, 1.055]))
+def test_theta_of_shock_free_burgers_tends_to_one(hump_case, burgers_hump_j,
+                                                  level, theta):
+    # the nonlinearity without a shock: theta stays near 1, so the excess
+    # of the shock benchmark's theta (about 2) comes from the shock
+    assert _twin_theta(hump_case, level, burgers_hump_j) == pytest.approx(
+        theta, abs=0.02)
 
 
 # ---------------------------------------------------- reference functional

@@ -660,7 +660,7 @@ def test_checkpoints_rebuild_the_full_march_bit_for_bit(layout, flux, case,
     # the sweep over rebuilt blocks against the same sweep over stored
     # states: every field of the breakdown, bit for bit
     stored = hand_run(grid, part, want, c.flux, g, newton, W)
-    got, wanted = (ss.assemble_breakdown(t, ss.solve_dual_gradient(t, c), c)
+    got, wanted = (ss.assemble_breakdown(ss.solve_dual_gradient(t, c), c)
                    for t in (traj, stored))
     for f in ("eta_k_bar_n", "eta_h_bar_n", "eta_k", "eta_h", "J_h"):
         assert np.asarray(getattr(got, f)).tobytes() == \
@@ -712,7 +712,7 @@ def test_reads_leave_the_run_and_its_dual_as_built(case, monkeypatch):
     dual = ss.solve_dual_gradient(traj, case)
     kept, kept_at = traj.kept, traj.kept_at
     kept_bytes, kept_at_bytes = kept.tobytes(), kept_at.tobytes()
-    plan = dual.substeps.tobytes(), dual.dt.tobytes(), dual.source.tobytes()
+    plan = dual.substeps.tobytes(), dual.source.tobytes()
     # blocks that hold an explicit interval are not kept whole
     rebuilt = sum(bool(np.any(part.modes[lo:lo + B] == ss.EXPLICIT))
                   for lo in range(0, N, B))
@@ -731,15 +731,15 @@ def test_reads_leave_the_run_and_its_dual_as_built(case, monkeypatch):
         assert len(calls) == rebuilt
         assert first is not read()
     calls.clear()
-    br = ss.assemble_breakdown(traj, dual, case)
+    br = ss.assemble_breakdown(dual, case)
     assert len(calls) == rebuilt
     assert traj.kept is kept and traj.kept_at is kept_at
     assert kept.tobytes() == kept_bytes and kept_at.tobytes() == kept_at_bytes
     assert dual.traj is traj
-    assert (dual.substeps.tobytes(), dual.dt.tobytes(), dual.source.tobytes()) == plan
+    assert (dual.substeps.tobytes(), dual.source.tobytes()) == plan
     monkeypatch.undo()
     fresh = ss.run_forward(grid, part, case)
-    want = ss.assemble_breakdown(fresh, ss.solve_dual_gradient(fresh, case), case)
+    want = ss.assemble_breakdown(ss.solve_dual_gradient(fresh, case), case)
     for f in dataclasses.fields(ss.ErrorBreakdown):
         assert np.asarray(getattr(br, f.name)).tobytes() == \
             np.asarray(getattr(want, f.name)).tobytes(), f.name
