@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -91,17 +90,20 @@ class ForwardTrajectory:
     the Newton record, the checkpoints of the states u^0 .. u^N of J
     cells each, and the per-row reductions the later stages read.
 
-    `kept` holds, read-only, the states at the rows `kept_at`: row 0,
-    every BLOCK-th and each state that ends an implicit interval, since
-    rebuilding it would take Newton again.  `reduced` holds the
-    `RowReductions` the march took.  `rows` gives one block's states,
-    re-marched from its checkpoint by the kernel that made them, so with
-    their bits; no read changes what is kept.
+    The states at the rows `kept_at` are kept: row 0, every BLOCK-th and
+    each state that ends an implicit interval, since rebuilding it would
+    take Newton again.  The kept rows r of block r // BLOCK are one (m, W)
+    tile (`tile_states`), cut where every row's stationary tail has begun;
+    `kept` holds the tiles back to back and `tiles` each one's (offset,
+    W), both read-only, as `kept_at` is.  `reduced` holds the march's
+    `RowReductions`.  `rows` gives one block's states, kept ones unpacked,
+    the others re-marched from the checkpoint by the kernel that made
+    them, so with their bits; no read changes what is kept.
     """
 
     def __init__(self, grid: SpatialGrid, partition: TimePartition, flux, g,
-                 newton_iters, newton_resid, newton_stop, kept, kept_at,
-                 reduced: RowReductions):
+                 newton_iters, newton_resid, newton_stop, kept_at, kept, tiles,
+                 cells: int, reduced: RowReductions):
         self.grid, self.partition, self.flux = grid, partition, flux
         self.g = g          # (N+1,) the inflow at each t_n, as `march` took it
         # per interval: Newton iterations, final residual and stop code (0
@@ -109,28 +111,41 @@ class ForwardTrajectory:
         self.newton_iters = newton_iters
         self.newton_resid = newton_resid
         self.newton_stop = newton_stop
-        self.kept, self.kept_at, self.reduced = kept, kept_at, reduced
-        kept.flags.writeable = False
+        self.kept, self.kept_at, self.tiles = kept, kept_at, tiles
+        self.cells, self.reduced = cells, reduced
+        kept.flags.writeable = kept_at.flags.writeable = tiles.flags.writeable = False
         self._runs, self._steps = mode_runs(partition.modes), partition.steps
 
     @property
     def shape(self) -> tuple:
         """(N+1, J) of the states, kept or not."""
-        return self.partition.interval_count + 1, self.kept.shape[1]
+        return self.partition.interval_count + 1, self.cells
+
+    def _unpack(self, lo: int, out: np.ndarray):
+        """Write the states lo .. lo + len(out) - 1, all kept, into out:
+        each tile's cells, then its last column over the tail."""
+        hi, at = lo + len(out), self.kept_at
+        for b in range(lo // BLOCK, (hi - 1) // BLOCK + 1):
+            s, e = max(lo, b * BLOCK), min(hi, b * BLOCK + BLOCK)
+            start, W = self.tiles[b]
+            i = start + W * int(np.searchsorted(at, s) - np.searchsorted(at, b * BLOCK))
+            tile = self.kept[i:i + (e - s) * W].reshape(e - s, W)
+            out[s - lo:e - lo, :W] = tile
+            out[s - lo:e - lo, W:] = tile[:, W - 1:W]
 
     def rows(self, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
-        """The states lo .. hi, C-contiguous, lo a multiple of BLOCK: kept
-        ones as they are, the others re-marched from the checkpoint at lo
-        into buf (hi - lo + 1 rows of J at least)."""
-        rows = _kept_block(self.kept, self.kept_at, lo, hi)
-        if rows is not None:
-            return rows
+        """The states lo .. hi in buf (hi - lo + 1 rows of J at least), lo
+        a multiple of BLOCK: kept ones unpacked, the others re-marched
+        from the checkpoint at lo."""
         rows = buf[:hi - lo + 1]
-        rows[0] = self.kept[np.searchsorted(self.kept_at, lo)]
-        stored = partial(_kept_block, self.kept, self.kept_at)
+        p = int(np.searchsorted(self.kept_at, lo)) + hi - lo
+        if p < self.kept_at.size and self.kept_at[p] == hi:
+            self._unpack(lo, rows)
+            return rows
+        self._unpack(lo, rows[:1])
         done, err = march_block(rows, lo, self._runs, self._steps, self.g,
                                 self.grid.h, self.flux, self.partition.modes,
-                                stored=stored)
+                                stored=self._unpack)
         if err is not None:
             raise SolverFailure(f"rebuilding interval {lo + done}: {err}") from err
         return rows
@@ -274,13 +289,32 @@ def uniform_cfl_partition(case, grid: SpatialGrid, cfl: float, basis="global",
     return uniform_partition(case.T, cfl * grid.h / speed, mode)
 
 
-def _kept_block(kept: np.ndarray, kept_at: np.ndarray, lo: int, hi: int):
-    """The rows of `kept` that hold the states lo .. hi, lo among
-    `kept_at`, when every one of them is kept; else None."""
-    p, n = int(np.searchsorted(kept_at, lo)), hi - lo
-    if p + n < kept_at.size and kept_at[p + n] == hi:
-        return kept[p:p + n + 1]
-    return None
+def tile_states(kept_at: np.ndarray, J: int, blocks):
+    """Store the kept states, J cells each, as one tile per block: `blocks`
+    yields (lo, rows) for lo = 0, BLOCK, .. up to N, rows[i] the state
+    lo + i, valid until the next.  The kept rows r of block r // BLOCK (a
+    slice of rows where they run on) are copied into an (m, W) tile that
+    keeps their cells up to one past the last column in which some row's
+    bits differ from its own last cell (the first cell alone when none
+    does), so each row holds its last cell's bits from column W - 1 on.
+    Bits, not values, are compared, so NaN, inf and -0.0 tails come back.
+    Returns the tiles back to back, the used prefix of one `np.empty`
+    whose other pages are never touched, and each tile's (offset, W)."""
+    kept, tiles, off = np.empty(kept_at.size * J), [], 0
+    for lo, rows in blocks:
+        p, q = np.searchsorted(kept_at, (lo, lo + BLOCK))
+        r = kept_at[p:q] - lo
+        rows = rows[r[0]:r[-1] + 1] if r[-1] - r[0] == q - p - 1 else rows[r]
+        bits = rows.view(np.int64)
+        ends = bits[:, -1:]
+        # rows that end alike compare with one scalar, numpy's vector loop
+        diff = bits != (ends[0, 0] if (ends == ends[0, 0]).all() else ends)
+        cols = np.flatnonzero(diff.any(axis=0))
+        W = int(cols[-1]) + 2 if cols.size else 1
+        kept[off:off + (q - p) * W].reshape(q - p, W)[...] = rows[:, :W]
+        tiles.append((off, W))
+        off += (q - p) * W
+    return kept[:off], np.array(tiles, dtype=np.int64)
 
 
 def mode_runs(modes: np.ndarray) -> list:
@@ -294,11 +328,12 @@ def march_block(rows: np.ndarray, lo: int, runs: list, k: np.ndarray,
     """March rows[0], the state at t_lo, through the intervals lo .. lo +
     len(rows) - 2 into rows[1:], one `march` per piece of a run of equal
     modes that `runs` (`mode_runs`) gives; k, g, modes and the Newton
-    arrays `newton` cover all intervals.  With `stored`, a function giving
-    the states lo' .. hi', an implicit piece is copied from it instead of
-    solved.  Each step reads only its own row, so where the pieces are
-    cut moves no bit.  Returns (steps done, None), or (i, error) for the
-    failure of step lo + i, as `march` does."""
+    arrays `newton` cover all intervals.  With `stored`, a function that
+    writes the states lo' .. into the rows it is given, an implicit
+    piece is written by it instead of solved.  Each step reads only its
+    own row, so where the pieces are cut moves no bit.  Returns (steps
+    done, None), or (i, error) for the failure of step lo + i, as `march`
+    does."""
     hi = lo + len(rows) - 1
     r = bisect.bisect_right(runs, lo) - 1
     s = lo
@@ -306,7 +341,7 @@ def march_block(rows: np.ndarray, lo: int, runs: list, k: np.ndarray,
         e = min(runs[r + 1], hi)
         mode = int(modes[s])
         if stored is not None and mode != EXPLICIT:
-            rows[s + 1 - lo:e + 1 - lo] = stored(s + 1, e)
+            stored(s + 1, rows[s + 1 - lo:e + 1 - lo])
         else:
             done, err = march(rows[s - lo:e + 1 - lo], k[s:e], g[s:e + 1], h, flux,
                               mode, newton and tuple(x[s:e] for x in newton))
@@ -317,23 +352,17 @@ def march_block(rows: np.ndarray, lo: int, runs: list, k: np.ndarray,
 
 
 def march_blocks(u0: np.ndarray, partition: TimePartition, g: np.ndarray,
-                 h: float, flux, block: int, newton=None, place=None):
+                 h: float, flux, block: int, newton=None):
     """March the state u0 through `partition`, `block` intervals at a time
-    (`march_block`); yields (lo, rows) per block, rows[0] the state at
-    t_lo and rows[1:] the block's new states, valid until the next block.
-    The rows are those `place(lo, hi)` gives, or else (without `place`, or
-    when it gives None) one reused buffer of block + 1 states.  A failed
-    step raises `SolverFailure` with its interval and time."""
+    (`march_block`), in one reused buffer of block + 1 states; yields (lo,
+    rows) per block, rows[0] the state at t_lo and rows[1:] the block's
+    new states, valid until the next block.  A failed step raises
+    `SolverFailure` with its interval and time."""
     k, modes, N = partition.steps, partition.modes, partition.interval_count
     runs = mode_runs(modes)
-    buf, prev = None, u0
+    buf, prev = np.empty((min(block, N) + 1, len(u0))), u0
     for lo in range(0, N, block):
-        hi = min(lo + block, N)
-        rows = None if place is None else place(lo, hi)
-        if rows is None:
-            if buf is None:
-                buf = np.empty((min(block, N) + 1, len(u0)))
-            rows = buf[:hi - lo + 1]
+        rows = buf[:min(lo + block, N) - lo + 1]
         rows[0] = prev
         done, err = march_block(rows, lo, runs, k, g, h, flux, modes, newton)
         if err is not None:
@@ -353,31 +382,31 @@ def run_forward(grid: SpatialGrid, partition: TimePartition,
     live on t_n for explicit steps and on t_{n+1} for implicit ones; the
     inflow at every t_n is kept, and `estimator.assemble_breakdown`
     rebuilds the fluxes by the same rule.  Of the states only the
-    checkpoints are kept (see `ForwardTrajectory`); a block whose states
-    are all kept is marched in place.  Each block is reduced to its
-    `RowReductions`, the J_h dots with the case's cell weights, while it
-    is still in cache.
+    checkpoints are kept (see `ForwardTrajectory`), each block's tiled
+    (`tile_states`) from the one buffer it was marched into.  Each block
+    is reduced to its `RowReductions`, the J_h dots with the case's cell
+    weights, while it is still in cache.
     """
     modes = partition.modes
-    N = partition.interval_count
+    N, J = partition.interval_count, grid.cell_count
     g_at = np.atleast_1d(np.asarray(case.inflow_value(partition.times), dtype=float))
     keep = np.zeros(N + 1, bool)
     keep[::BLOCK] = True
     keep[1:] |= modes != EXPLICIT
     kept_at = np.flatnonzero(keep)
-    kept = np.empty((kept_at.size, grid.cell_count))
-    kept[0] = case.initial_cell_averages(grid.edges)
-    red = RowReductions.start(N, kept[0], g_at, case.flux,
+    u0 = np.ascontiguousarray(case.initial_cell_averages(grid.edges), dtype=float)
+    red = RowReductions.start(N, u0, g_at, case.flux,
                               weight_cell_integrals(grid, case))
     newton = (np.zeros(N, np.intc), np.zeros(N), np.zeros(N, np.int8))
-    p = 1
-    for lo, rows in march_blocks(kept[0], partition, g_at, grid.h, case.flux,
-                                 BLOCK, newton, partial(_kept_block, kept, kept_at)):
-        # the kept states of this block: lo's is the last block's
-        q = int(np.searchsorted(kept_at, lo + len(rows) - 1, "right"))
-        if rows.base is not kept:
-            kept[p:q] = rows[kept_at[p:q] - lo]
-        red.take(rows, lo, g_at, case.flux)
-        p = q
-    return ForwardTrajectory(grid, partition, case.flux, g_at, *newton, kept,
-                             kept_at, red)
+
+    def blocks():
+        rows = u0[None]
+        for lo, rows in march_blocks(u0, partition, g_at, grid.h, case.flux,
+                                     BLOCK, newton):
+            red.take(rows, lo, g_at, case.flux)
+            yield lo, rows
+        if N % BLOCK == 0:   # the state N alone in its block
+            yield N, rows[-1:]
+
+    return ForwardTrajectory(grid, partition, case.flux, g_at, *newton,
+                             kept_at, *tile_states(kept_at, J, blocks()), J, red)

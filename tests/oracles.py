@@ -4,8 +4,9 @@ and `Stepper`, which takes one step at a time through the compiled march.
 `flux_values` is f(u) of a flux object and `fprime` its f'(u), which
 the compiled core forms.  `hand_run` is a run built by hand from all
 its states, and `end_state_run` one with given end states, the dual's
-one input.  `states` and `w_samples` read all N + 1 states of a run and
-all N samples of its dual: the reference readers tests compare against.
+one input.  `kept_states` unpacks the states a run keeps, and `states`
+and `w_samples` read all N + 1 states of a run and all N samples of its
+dual: the reference readers tests compare against.
 `split` is the flux splitting the march transcribes, `interface_fluxes`
 the march's flux construction in array form, `update_fluxes` rebuilds
 the fluxes every update of a `run_forward` trajectory used, and
@@ -26,7 +27,8 @@ import shockstep as ss
 from shockstep import _core, testcase
 from shockstep.adaptivity import CFL_CAP, CFL_SWITCH, FLOOR_SCALE
 from shockstep.dual import sweep
-from shockstep.forward import BLOCK, NewtonStats, RowReductions, march
+from shockstep.forward import (BLOCK, NewtonStats, RowReductions, march,
+                               tile_states)
 from shockstep.grid import EXPLICIT, IMPLICIT
 
 
@@ -81,27 +83,31 @@ def fprime(flux, u):
 
 def hand_run(grid, partition, states, flux, g, newton=None, weights=None):
     """A `ForwardTrajectory` built by hand from all N + 1 `states`, every
-    one kept as a read-only view, with the inflow g at each t_n and the
-    Newton arrays `newton` = (iterations, residuals, stop codes), by
-    default those of intervals that ran no Newton iteration.  Its row
-    reductions are taken block by block with `RowReductions.start` and
-    `take`, as `run_forward` takes them, so the J_h dots with the cell
-    `weights` have the march's bits; without weights the dots are NaN,
-    and `evaluate_functional` refuses the run."""
+    one kept, tiled by `forward.tile_states` as `run_forward` tiles them,
+    with the inflow g at each t_n and the Newton arrays `newton` =
+    (iterations, residuals, stop codes), by default those of intervals
+    that ran no Newton iteration.  Its row reductions are taken block by
+    block with `RowReductions.start` and `take`, as `run_forward` takes
+    them, so the J_h dots with the cell `weights` have the march's bits;
+    without weights the dots are NaN, and `evaluate_functional` refuses
+    the run."""
     N = partition.interval_count
-    kept = np.ascontiguousarray(states, dtype=float).view()
-    if len(kept) != N + 1:
-        raise ValueError(f"{len(kept)} states, need {N + 1}")
+    states = np.ascontiguousarray(states, dtype=float)
+    if len(states) != N + 1:
+        raise ValueError(f"{len(states)} states, need {N + 1}")
     if newton is None:
         newton = np.zeros(N, np.intc), np.zeros(N), np.zeros(N, np.int8)
     g = np.ascontiguousarray(g, dtype=float)
+    J = states.shape[1]
     if weights is None:
-        weights = np.full(kept.shape[1], np.nan)
-    red = RowReductions.start(N, kept[0], g, flux, weights)
+        weights = np.full(J, np.nan)
+    red = RowReductions.start(N, states[0], g, flux, weights)
     for lo in range(0, N, BLOCK):
-        red.take(kept[lo:min(lo + BLOCK, N) + 1], lo, g, flux)
-    return ss.ForwardTrajectory(grid, partition, flux, g, *newton, kept,
-                                np.arange(N + 1), red)
+        red.take(states[lo:min(lo + BLOCK, N) + 1], lo, g, flux)
+    kept_at = np.arange(N + 1)
+    blocks = ((lo, states[lo:lo + BLOCK]) for lo in range(0, N + 1, BLOCK))
+    return ss.ForwardTrajectory(grid, partition, flux, g, *newton, kept_at,
+                                *tile_states(kept_at, J, blocks), J, red)
 
 
 def end_state_run(grid, part, A, flux):
@@ -114,15 +120,26 @@ def end_state_run(grid, part, A, flux):
                     np.zeros(part.interval_count + 1))
 
 
+def kept_states(traj) -> np.ndarray:
+    """The (kept_at.size, J) kept states of a run, unpacked tile by tile
+    into a new array: each tile's W cells, then its last column copied
+    over the rest of the row."""
+    out = np.empty((traj.kept_at.size, traj.cells))
+    first = np.searchsorted(traj.kept_at, BLOCK * np.arange(len(traj.tiles) + 1))
+    for (at, W), p, q in zip(traj.tiles.tolist(), first[:-1], first[1:]):
+        tile = traj.kept[at:at + (q - p) * W].reshape(q - p, W)
+        out[p:q, :W] = tile
+        out[p:q, W:] = tile[:, W - 1:W]
+    return out
+
+
 def states(traj) -> np.ndarray:
-    """The (N+1, J) cell averages of a run, row 0 the initial data: `kept`
-    when every row is kept, else a new array rebuilt block by block by
-    `ForwardTrajectory.rows` on each call."""
+    """The (N+1, J) cell averages of a run, row 0 the initial data, a new
+    array rebuilt block by block by `ForwardTrajectory.rows` on each
+    call."""
     N = traj.partition.interval_count
-    if traj.kept_at.size == N + 1:
-        return traj.kept
     full = np.empty(traj.shape)
-    full[traj.kept_at] = traj.kept
+    full[traj.kept_at] = kept_states(traj)
     for lo in range(0, N, BLOCK):
         hi = min(lo + BLOCK, N)
         full[lo:hi + 1] = traj.rows(lo, hi, full[lo:])

@@ -509,6 +509,38 @@ def test_solve_level_rss_is_o_states(capped_child):
     assert grown_kib * 1024 <= 0.25 * states_nbytes
 
 
+_IMPLICIT_RSS_CHILD = """\
+import resource
+import shockstep as ss
+case = ss.PerturbedShockCase()
+grid = ss.build_spatial_grid(20, 4, case.domain)
+part = ss.uniform_cfl_partition(case, grid, 0.8, mode=ss.IMPLICIT)
+case.inflow_value(0.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ss.solve_level(4, grid, part, case, 0.8)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+traj = ss.run_forward(grid, part, case)
+J = grid.cell_count
+print(part.interval_count, after - before, (part.interval_count + 1) * J * 8,
+      traj.kept.nbytes, traj.kept_at.size * J * 8)
+"""
+
+
+def test_fully_implicit_solve_level_stores_half_its_states(capped_child):
+    # a fully implicit run keeps every state, since rebuilding one would
+    # take Newton again, but only up to where its stationary tail begins:
+    # at uniform level 4 the tiles hold 0.511x the dense kept bytes, and
+    # the peak resident set grows by 0.52-0.55x the dense states (0.999x
+    # when they were stored whole)
+    proc = capped_child(_IMPLICIT_RSS_CHILD, 1 << 32, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    N, grown_kib, states_nbytes, kept_nbytes, dense_kept = \
+        map(int, proc.stdout.split())
+    assert N == 19_804
+    assert grown_kib * 1024 <= 0.6 * states_nbytes
+    assert kept_nbytes <= 0.55 * dense_kept
+
+
 # ------------------------------------------------------------ speed profile
 
 def test_speed_profile_includes_inflow(case):

@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shockstep as ss
-from oracles import (Stepper, flux_values, hand_run, interface_fluxes, split,
-                     states, update_fluxes, w_samples)
+from oracles import (Stepper, flux_values, hand_run, interface_fluxes,
+                     kept_states, split, states, update_fluxes, w_samples)
 
 # squares of these stay finite, so no overflow warning can fire
 _FINITE = st.floats(min_value=-1e150, max_value=1e150,
@@ -643,7 +643,7 @@ def test_checkpoints_rebuild_the_full_march_bit_for_bit(layout, flux, case,
     B, N = ss.forward.BLOCK, part.interval_count
     kept = {0, *range(B, N + 1, B), *(np.flatnonzero(part.modes) + 1).tolist()}
     assert traj.kept_at.tolist() == sorted(kept)
-    assert traj.kept.tobytes() == want[traj.kept_at].tobytes()
+    assert kept_states(traj).tobytes() == want[traj.kept_at].tobytes()
     for got, x in zip((traj.newton_iters, traj.newton_resid, traj.newton_stop),
                       newton):
         assert got.tobytes() == x.tobytes()
@@ -747,23 +747,126 @@ def test_reads_leave_the_run_and_its_dual_as_built(case, monkeypatch):
 
 def test_kept_states_are_read_only(case, base_trajectory, mixed_trajectory):
     # what a run keeps cannot be written through, so a shared run stays
-    # as it was built; a hand-built one is a view of the caller's array,
-    # which stays writable and unchanged
+    # as it was built; a hand-built one tiles copies of the caller's
+    # array, which stays writable and unchanged
     for traj in (base_trajectory, mixed_trajectory):
         with pytest.raises(ValueError, match="read-only"):
-            traj.kept[0, 0] = 0.0
+            traj.kept[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            traj.tiles[0, 1] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            traj.kept_at[0] = 1
     grid = ss.build_spatial_grid(4, 0)
     part = ss.uniform_partition(1.0, 0.25)
     N = part.interval_count
     u = np.linspace(-1.0, 1.0, 4 * (N + 1)).reshape(N + 1, 4)
     before = u.tobytes()
     traj = hand_run(grid, part, u, ss.BURGERS, np.zeros(N + 1))
-    kept = states(traj)
-    assert np.shares_memory(kept, u) and not kept.flags.writeable
+    assert not traj.kept.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        kept[...] = 0.0
+        traj.kept[...] = 0.0
     assert u.flags.writeable
     assert u.tobytes() == before
+    assert states(traj).tobytes() == before
+
+
+def _tile_widths(u, kept_at):
+    """The width each block's tile needs, found by trying every width:
+    the fewest leading cells after which each kept row of the block holds
+    its last cell's bits."""
+    bits = np.ascontiguousarray(u, dtype=float).view(np.int64)
+    widths = []
+    for b in range(kept_at[-1] // ss.forward.BLOCK + 1):
+        rows = bits[kept_at[kept_at // ss.forward.BLOCK == b]]
+        widths.append(next(W for W in range(1, rows.shape[1] + 1)
+                           if (rows[:, W - 1:] == rows[:, -1:]).all()))
+    return widths
+
+
+def _nan(payload):
+    """A quiet NaN with the given payload bits."""
+    return np.frombuffer(np.uint64(0x7FF8_0000_0000_0000 | payload).tobytes())[0]
+
+
+def _staggered(N, J, rng):
+    # each row's tail starts at its own cell, as right of a shock
+    u = np.full((N + 1, J), -1.0)
+    for n, start in enumerate(rng.integers(0, J + 1, N + 1)):
+        u[n, :start] = rng.uniform(0.0, 1.0, start)
+    return u
+
+
+def _no_tail(N, J, rng):
+    u = rng.uniform(-1.0, 1.0, (N + 1, J))
+    if J > 1:
+        u[:, -2] = u[:, -1] + 1.0
+    return u
+
+
+def _all_tail(N, J, rng):
+    return np.repeat(rng.uniform(-1.0, 1.0, (N + 1, 1)), J, axis=1)
+
+
+def _special_tails(N, J, rng):
+    # tails that a comparison of values would lose: a NaN of a payload
+    # other than numpy's (after a NaN of other bits in row 0), +inf, -inf,
+    # -0.0 after +0.0 cells and +0.0 after -0.0 cells
+    u = _staggered(N, J, rng)
+    tails = [_nan(0xDEAD_BEEF), np.inf, -np.inf, -0.0, 0.0]
+    for n in range(N + 1):
+        u[n, J // 2:] = tails[n % 5]
+        if n % 5 >= 3:
+            u[n, :J // 2] = -tails[n % 5]
+    u[0, max(J // 2 - 1, 0)] = _nan(0xBEEF)
+    return u
+
+
+_TILE_ROWS = {"staggered": _staggered, "no_tail": _no_tail,
+              "all_tail": _all_tail, "special_tails": _special_tails}
+
+
+@pytest.mark.parametrize("N", [3, ss.forward.BLOCK + 7, 2 * ss.forward.BLOCK])
+@pytest.mark.parametrize("kind", sorted(_TILE_ROWS))
+@pytest.mark.parametrize("J", [1, 2, 9])
+def test_tiles_round_trip_every_bit(kind, J, N):
+    # each block keeps its rows up to where every one's tail has begun;
+    # unpacked, by the oracle and by `rows`, they are the dense rows byte
+    # for byte.  With N a multiple of BLOCK row N is alone in its block.
+    # The grid is not read: every state is kept, so no block re-marches
+    u = _TILE_ROWS[kind](N, J, np.random.default_rng(J * N))
+    part = ss.TimePartition(times=np.linspace(0.0, 1.0, N + 1))
+    traj = hand_run(None, part, u, ss.BURGERS, np.zeros(N + 1))
+    kept_at = np.arange(N + 1)
+    widths = _tile_widths(u, kept_at)
+    if kind == "no_tail":
+        assert widths == [J] * len(widths)
+    if kind == "all_tail" or J == 1:
+        assert widths == [1] * len(widths)
+    assert traj.tiles[:, 1].tolist() == widths
+    m = np.bincount(kept_at // ss.forward.BLOCK)
+    assert traj.tiles[:, 0].tolist() == np.concatenate(
+        ([0], np.cumsum(m * widths)[:-1])).tolist()
+    assert traj.kept.nbytes == 8 * int(np.sum(m * widths))
+    assert kept_states(traj).tobytes() == u.tobytes()
+    assert states(traj).tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["implicit", "mixed"])
+def test_run_forward_cuts_each_tile_at_its_tail(layout, case):
+    # the mixed layout's implicit ends cross block boundaries, so a block's
+    # tile holds rows of two runs; every tile is as narrow as its rows
+    # allow, narrower than the row where the shock has not reached the
+    # outflow, and the re-marched blocks read the kept rows unpacked
+    grid = ss.build_spatial_grid(20, 0, case.domain)
+    part = _runs_partition(grid, case, _LAYOUTS[layout])
+    want, _, _, failed = _full_march(grid, part, case)
+    assert failed is None
+    traj = ss.run_forward(grid, part, case)
+    widths = _tile_widths(want, traj.kept_at)
+    assert traj.tiles[:, 1].tolist() == widths
+    assert max(widths) < grid.cell_count
+    assert kept_states(traj).tobytes() == want[traj.kept_at].tobytes()
+    assert states(traj).tobytes() == want.tobytes()
 
 
 def test_blocked_gemv_dots_equal_one_gemv_at_levels_0_to_4(case):

@@ -65,3 +65,23 @@ def test_bench_hooks_are_imported_where_the_bench_reads_them():
     for path, name in sorted(BENCH_HOOKS):
         unused = _unused_imports((SRC / path).read_text())
         assert name in [n for _, n in unused], (path, name)
+
+
+_CLI_RUNS = """\
+import sys
+import shockstep.cli
+out = sys.argv[1]
+for args in (["run-uniform", "--set", "levels=0", "--set", "ref_level=2"],
+             ["run-adaptive", "--set", "levels=0,1", "--set", "ref_level=2",
+              "--set", "strategy=fully_implicit"]):
+    assert shockstep.cli.main([*args, "--out", f"{out}/{args[0]}"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_runs_do_not_import_numpy_ma(tmp_path, capped_child):
+    # numpy imports some modules on first use: np.unique's first call
+    # imports numpy.ma, 1.7 MiB of resident set that no run needs
+    proc = capped_child(_CLI_RUNS, 1 << 32, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
