@@ -2,13 +2,13 @@
 
 Subcommands run the uniform and adaptive experiments described by a plain
 key=value config file (CLI overrides via --set) and write reproducible CSV
-artifacts.  Exit codes: 0 success, 2 config error, 3 solver failure or
-out of memory.
+artifacts.  Every solving command walks one stream of level reports, and
+`_COMMANDS` alone decides which command honors tol_total: run-loop.  Exit
+codes: 0 success, 2 config error, 3 solver failure or out of memory.
 """
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -223,17 +223,6 @@ def _ensure_outdir(cfg: dict) -> str:
     return out
 
 
-def _uniform_report(case, cfg: dict, level: int) -> LevelReport:
-    grid = build_spatial_grid(cfg["base_cells"], level, case.domain)
-    mode = EXPLICIT if cfg["mode"] == "explicit" else IMPLICIT
-    try:
-        part = uniform_cfl_partition(case, grid, cfg["cfl"],
-                                     cfg["speed_basis"], mode)
-    except ValueError as err:
-        raise ConfigError(f"cfl = {cfg['cfl']!r} on level {level}: {err}") from err
-    return solve_level(level, grid, part, case, cfg["dual_cfl"])
-
-
 _SUMMARY_HEADER = ("level", "dx", "dt", "eta_k_bar", "eta_h_bar", "eta_k",
                    "eta_h", "J_h", "theta")
 _SUMMARY_FMT = "%d" + ",%.5e" * 8
@@ -251,68 +240,68 @@ def _summary_row(report: LevelReport, j_ref: float, adaptive: bool):
     return row
 
 
-def run_uniform(cfg: dict) -> int:
-    case = _solvable_case(cfg)
-    levels = cfg["levels"] if cfg["levels"] is not None else [cfg["level"]]
-    j_ref = None
-    rows = []
-    for level in levels:
-        rep = _uniform_report(case, cfg, level)
-        # after the first level, so that a run refused there runs no reference
-        if j_ref is None:
-            j_ref = reference_functional(case, cfg["ref_level"], cfg["base_cells"])
-        rows.append(_summary_row(rep, j_ref, adaptive=False))
-        # made only once a report is ready, so a refused run leaves no
-        # directory behind
-        out = _ensure_outdir(cfg)
-        name = "steps.csv" if len(levels) == 1 else f"steps_L{level}.csv"
-        _write_steps(os.path.join(out, name), rep)
-        print(f"level {level}: N={rep.stats.N} "
-              f"eta_k_bar={rep.breakdown.eta_k_bar:.5e} "
-              f"eta_h_bar={rep.breakdown.eta_h_bar:.5e} "
-              f"J_h={rep.breakdown.J_h:.5e}")
-        del rep     # not held through the next level's solve
-    _write_csv(os.path.join(out, "summary.csv"), _SUMMARY_HEADER,
-               _SUMMARY_FMT + "\n", rows)
-    return 0
-
-
-def _adaptive_reports(cfg: dict, case, honor_tol_total: bool) -> list:
-    levels = cfg["levels"]
-    if not levels:
+def _reports(cfg: dict, case):
+    """The experiment's level reports in order, each with its index.  A
+    uniform level is solved as it is read, so one report is alive at a time
+    (`enumerate` here would keep the last through the next solve); the
+    adaptive chain is solved whole, stopped early at tol_total when set."""
+    if cfg["experiment"] == "uniform":
+        mode = EXPLICIT if cfg["mode"] == "explicit" else IMPLICIT
+        levels = cfg["levels"] if cfg["levels"] is not None else [cfg["level"]]
+        for i, level in enumerate(levels):
+            grid = build_spatial_grid(cfg["base_cells"], level, case.domain)
+            try:
+                part = uniform_cfl_partition(case, grid, cfg["cfl"],
+                                             cfg["speed_basis"], mode)
+            except ValueError as err:
+                raise ConfigError(
+                    f"cfl = {cfg['cfl']!r} on level {level}: {err}") from err
+            yield i, solve_level(level, grid, part, case, cfg["dual_cfl"])
+        return
+    if not cfg["levels"]:
         raise ConfigError("adaptive runs need a levels schedule")
     try:
-        acfg = AdaptationConfig(
-            tol_k=cfg["tol_k"],
-            tol_total=cfg["tol_total"] if honor_tol_total else None,
-            cfl_explicit=cfg["cfl"])
-        return adaptive_loop(case, acfg, levels, cfg["rule"],
-                             strategy=cfg["strategy"],
-                             base_cells=cfg["base_cells"],
-                             speed_basis=cfg["speed_basis"],
-                             factor=cfg["factor"], dual_cfl=cfg["dual_cfl"])
+        acfg = AdaptationConfig(tol_k=cfg["tol_k"], tol_total=cfg["tol_total"],
+                                cfl_explicit=cfg["cfl"])
+        reports = adaptive_loop(case, acfg, cfg["levels"], cfg["rule"],
+                                strategy=cfg["strategy"],
+                                base_cells=cfg["base_cells"],
+                                speed_basis=cfg["speed_basis"],
+                                factor=cfg["factor"], dual_cfl=cfg["dual_cfl"])
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    yield from enumerate(reports)
 
 
-def run_adaptive(cfg: dict, honor_tol_total: bool = False) -> int:
-    """run-adaptive; run-loop is the same chain, stopped early once the
-    combined density drops below tol_total."""
+def run_levels(cfg: dict) -> int:
+    """run-uniform, run-adaptive and run-loop: a steps CSV and a progress
+    line per report, then the summary, every row against one J_ref."""
     case = _solvable_case(cfg)
-    reports = _adaptive_reports(cfg, case, honor_tol_total)
-    j_ref = reference_functional(case, cfg["ref_level"], cfg["base_cells"])
-    out = _ensure_outdir(cfg)
+    adaptive = cfg["experiment"] == "adaptive"
     rows = []
-    for i, rep in enumerate(reports):
-        rows.append(_summary_row(rep, j_ref, adaptive=True))
-        _write_steps(os.path.join(out, f"steps_{i}.csv"), rep)
-        print(f"run {i} (level {rep.level}): N={rep.stats.N} "
-              f"N_explicit={rep.stats.N_explicit} "
-              f"eta_k_bar={rep.breakdown.eta_k_bar:.5e} "
-              f"eta_h_bar={rep.breakdown.eta_h_bar:.5e}")
-    _write_csv(os.path.join(out, "summary.csv"),
-               _SUMMARY_HEADER + ("N", "N_explicit"), _SUMMARY_FMT + ",%d,%d\n",
-               rows)
+    for i, rep in _reports(cfg, case):
+        if not rows:
+            # after the first report, so that a run refused before it runs
+            # no reference and leaves no directory behind
+            j_ref = reference_functional(case, cfg["ref_level"], cfg["base_cells"])
+            out = _ensure_outdir(cfg)
+        rows.append(_summary_row(rep, j_ref, adaptive))
+        br = rep.breakdown
+        etas = f"eta_k_bar={br.eta_k_bar:.5e} eta_h_bar={br.eta_h_bar:.5e}"
+        if adaptive:
+            name = f"steps_{i}.csv"
+            line = (f"run {i} (level {rep.level}): N={rep.stats.N} "
+                    f"N_explicit={rep.stats.N_explicit} {etas}")
+        else:
+            name = (f"steps_L{rep.level}.csv" if len(_values(cfg["levels"])) > 1
+                    else "steps.csv")
+            line = f"level {rep.level}: N={rep.stats.N} {etas} J_h={br.J_h:.5e}"
+        _write_steps(os.path.join(out, name), rep)
+        print(line)
+        del rep, br     # not held through the next level's solve
+    extra = ("N", "N_explicit") if adaptive else ()
+    _write_csv(os.path.join(out, "summary.csv"), _SUMMARY_HEADER + extra,
+               _SUMMARY_FMT + ",%d" * len(extra) + "\n", rows)
     return 0
 
 
@@ -327,19 +316,11 @@ def emit_plot_data(report: LevelReport, out_dir: str, index: int):
 
 def emit_plots(cfg: dict) -> int:
     case = _solvable_case(cfg)
-    if cfg["experiment"] == "adaptive":
-        reports = _adaptive_reports(cfg, case, honor_tol_total=False)
-        out = _ensure_outdir(cfg)
-        for i, rep in enumerate(reports):
-            emit_plot_data(rep, out, i)
-        return 0
-    levels = cfg["levels"] if cfg["levels"] is not None else [cfg["level"]]
-    for i, level in enumerate(levels):
-        rep = _uniform_report(case, cfg, level)
-        # made only once a report is ready, so a refused run leaves no
+    for i, rep in _reports(cfg, case):
+        # made only once a report exists, so a refused run leaves no
         # directory behind
         emit_plot_data(rep, _ensure_outdir(cfg), i)
-        del rep     # not held through the next level's solve, as in run_uniform
+        del rep     # not held through the next level's solve
     return 0
 
 
@@ -353,12 +334,14 @@ def validate_case(cfg: dict) -> int:
     return 0 if rep.ok else 3
 
 
+# command -> (function, the config keys it fixes); of the chains only
+# run-loop honors tol_total
 _COMMANDS = {
-    "run-uniform": run_uniform,
-    "run-adaptive": run_adaptive,
-    "run-loop": functools.partial(run_adaptive, honor_tol_total=True),
-    "emit-plots": emit_plots,
-    "validate-case": validate_case,
+    "run-uniform": (run_levels, {"experiment": "uniform"}),
+    "run-adaptive": (run_levels, {"experiment": "adaptive", "tol_total": None}),
+    "run-loop": (run_levels, {"experiment": "adaptive"}),
+    "emit-plots": (emit_plots, {"tol_total": None}),
+    "validate-case": (validate_case, {}),
 }
 
 
@@ -381,7 +364,8 @@ def main(argv=None) -> int:
             _echo_config(cfg)
             return 0
         _check_ranges(cfg)
-        return _COMMANDS[args.command](cfg)
+        command, fixed = _COMMANDS[args.command]
+        return command({**cfg, **fixed})
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -502,8 +502,13 @@ def test_csv_outputs_bit_identical(name, tmp_path, monkeypatch, case):
 @pytest.mark.parametrize("command,key,rc,runs", [
     ("run-uniform", "cfl=0.8", 0, 1),
     ("run-adaptive", "cfl=0.8", 0, 1),
+    ("run-loop", "cfl=0.8", 0, 1),
+    # plots carry no theta, so no reference march is paid for
+    ("emit-plots", "cfl=0.8", 0, 0),
     # refused on its first level: no reference march is paid for
     ("run-uniform", "cfl=1e4", 2, 0),
+    # refused before the base level is solved: no factor for level 1 alone
+    ("run-adaptive", "factor=1,2", 2, 0),
 ])
 def test_one_reference_run_per_command(tmp_path, monkeypatch, command, key,
                                        rc, runs):
@@ -516,11 +521,14 @@ def test_one_reference_run_per_command(tmp_path, monkeypatch, command, key,
         return ref(*args, **kwargs)
 
     monkeypatch.setattr(shockstep.cli, "reference_functional", counted)
+    out = tmp_path / "out"
     assert cli_main([command, "--set", "levels=0,1", "--set", key,
-                     "--set", "ref_level=2", "--out", str(tmp_path)]) == rc
+                     "--set", "ref_level=2", "--out", str(out)]) == rc
     assert len(calls) == runs
-    if rc == 0:
-        _, rows = _read_csv(tmp_path / "summary.csv")
+    # a refused run leaves no directory behind
+    assert out.exists() == (rc == 0)
+    if rc == 0 and command != "emit-plots":
+        _, rows = _read_csv(out / "summary.csv")
         assert len(rows) == 2
 
 
@@ -582,6 +590,18 @@ def test_run_loop_stops_at_total_tolerance(tmp_path):
     assert not (out / "steps_1.csv").exists()
 
 
+@pytest.mark.parametrize("args, name", [
+    (["run-adaptive"], "steps_1.csv"),
+    (["emit-plots", "--set", "experiment=adaptive"], "density_vs_time_1.csv"),
+], ids=["run-adaptive", "emit-plots"])
+def test_only_run_loop_honors_total_tolerance(args, name, tmp_path):
+    # the tolerance that stops run-loop after its base level above
+    rc = cli_main(args + ["--set", "levels=0,1", "--set", "tol_total=1e6",
+                          "--set", "ref_level=2", "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / name).exists()
+
+
 # ------------------------------------------------------------- emit-plots
 
 def test_emit_plots_uniform(tmp_path):
@@ -606,12 +626,18 @@ def test_emit_plots_adaptive(tmp_path):
     assert (out / "cfl_vs_time_0.csv").exists()
 
 
-def test_emit_plots_uniform_holds_one_report_at_a_time(tmp_path, monkeypatch,
-                                                       case):
+@pytest.mark.parametrize("command, writer, files", [
+    ("emit-plots", "emit_plot_data", 6),
+    # three steps CSVs and the summary
+    ("run-uniform", "_write_steps", 4),
+], ids=["emit-plots", "run-uniform"])
+def test_uniform_levels_hold_one_report_at_a_time(command, writer, files,
+                                                  tmp_path, monkeypatch, case):
     # each level's CSVs are written, and its report dropped, before the
     # next level is solved
     reports, alive_at_solve, alive_at_write = [], [], []
-    solve, write = shockstep.cli._uniform_report, shockstep.cli.emit_plot_data
+    solve = shockstep.cli.solve_level
+    write = getattr(shockstep.cli, writer)
 
     def alive():
         return sum(r() is not None for r in reports)
@@ -627,13 +653,14 @@ def test_emit_plots_uniform_holds_one_report_at_a_time(tmp_path, monkeypatch,
         write(*args)
 
     monkeypatch.setattr(shockstep.cli, "_build_case", lambda cfg: case)
-    monkeypatch.setattr(shockstep.cli, "_uniform_report", tracked_solve)
-    monkeypatch.setattr(shockstep.cli, "emit_plot_data", tracked_write)
-    rc = cli_main(["emit-plots", "--set", "levels=0,1,2", "--out", str(tmp_path)])
+    monkeypatch.setattr(shockstep.cli, "solve_level", tracked_solve)
+    monkeypatch.setattr(shockstep.cli, writer, tracked_write)
+    rc = cli_main([command, "--set", "levels=0,1,2", "--set", "ref_level=2",
+                   "--out", str(tmp_path)])
     assert rc == 0
     assert alive_at_solve == [0, 0, 0]
     assert alive_at_write == [1, 1, 1]
-    assert len(list(tmp_path.glob("*.csv"))) == 6
+    assert len(list(tmp_path.glob("*.csv"))) == files
 
 
 def test_refused_uniform_plots_leave_no_directory(tmp_path, capsys):
@@ -684,6 +711,14 @@ def test_module_entry_point_subprocess():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert b"ok = True" in proc.stdout
+
+
+def test_every_command_and_config_key_is_documented():
+    # a command or key added without a README entry fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    names = [*shockstep.cli._COMMANDS, *shockstep.cli._SCHEMA]
+    assert [n for n in names if f"`{n}`" not in readme] == []
 
 
 # ---------------------------------------------------------- bench contract
